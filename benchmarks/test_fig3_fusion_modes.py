@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import EPOCHS, get_or_train, print_table
-from repro.core import T2C
+from repro.core import DeploySpec, T2C
 from repro.core.qconfig import QConfig
 from repro.core.qmodels import quantize_model
 from repro.core.t2c import calibrate_model
@@ -57,7 +57,7 @@ def fig3(fp_models, cifar_data):
                 qm = quantize_model(model, QConfig(bits, bits))
                 calibrate_model(qm, [train.images[i * 64:(i + 1) * 64] for i in range(8)])
                 fq_acc = evaluate(qm, test)
-                T2C(qm, mode=mode).fuse()
+                T2C(qm, spec=DeploySpec(fusion=mode)).fuse()
                 int_acc = evaluate(qm, test)
                 results[(arch, bits, mode)] = dict(fp=fp_acc, fq=fq_acc, integer=int_acc)
                 rows.append([arch, f"{bits}/{bits}", mode, f"{fq_acc:.4f}",

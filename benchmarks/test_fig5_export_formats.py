@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import get_or_train, print_table
-from repro.core import T2C
+from repro.core import DeploySpec, T2C
 from repro.core.qconfig import QConfig
 from repro.core.qmodels import quantize_model
 from repro.core.t2c import calibrate_model
@@ -47,7 +47,8 @@ def deployed(cifar_data):
 @pytest.fixture(scope="module")
 def exported(deployed, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("fig5"))
-    manifest = export_model(deployed, out, formats=("dec", "hex", "bin", "qint"))
+    manifest = export_model(deployed, DeploySpec(
+        export_dir=out, formats=("dec", "hex", "bin", "qint")))
     return out, manifest
 
 
@@ -107,6 +108,6 @@ def test_export_throughput(benchmark, deployed, tmp_path):
     def run():
         d = str(tmp_path / f"run{count[0]}")
         count[0] += 1
-        export_model(deployed, d, formats=("hex",))
+        export_model(deployed, DeploySpec(export_dir=d, formats=("hex",)))
 
     benchmark(run)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import EPOCHS, get_or_train, print_table
-from repro.core import T2C
+from repro.core import DeploySpec, T2C
 from repro.core.qconfig import QConfig
 from repro.models import build_model
 from repro.tensor import Tensor, no_grad
@@ -65,7 +65,7 @@ def table1(fp_model, imagenet_data):
             _apply_first_last_8bit(qm)
         qm = PTQTrainer(qm, train, calib_batches=6, batch_size=64,
                         reconstruct=reconstruct, recon_iters=60).fit()
-        T2C(qm, float_scale=float_scale).fuse()
+        T2C(qm, spec=DeploySpec(float_scale=float_scale)).fuse()
         results[name] = evaluate(qm, test)
     rows = [["fp32 baseline", "-", "-", f"{fp_acc:.4f}", "-"]]
     for name, qcfg, _, float_scale in ROWS:
@@ -100,11 +100,11 @@ class TestTable1Claims:
         train, test = imagenet_data
         qm = PTQTrainer(fp_model, train, qcfg=QConfig(8, 8), calib_batches=8,
                         batch_size=64).fit()
-        T2C(qm, float_scale=True).fuse()
+        T2C(qm, spec=DeploySpec(float_scale=True)).fuse()
         acc_float = evaluate(qm, test)
         qm2 = PTQTrainer(fp_model, train, qcfg=QConfig(8, 8), calib_batches=8,
                          batch_size=64).fit()
-        T2C(qm2, float_scale=False).fuse()
+        T2C(qm2, spec=DeploySpec(float_scale=False)).fuse()
         acc_fixed = evaluate(qm2, test)
         assert abs(acc_float - acc_fixed) <= 0.02
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import EPOCHS, get_or_train, print_table
-from repro.core import T2C
+from repro.core import DeploySpec, T2C
 from repro.core.qconfig import QConfig
 from repro.export.report import model_size_mb
 from repro.models import build_model
@@ -126,7 +126,8 @@ def table2(cifar_data):
         qm = PTQTrainer(fp, train, qcfg=qcfg, calib_batches=8, batch_size=64,
                         reconstruct=reconstruct, recon_iters=80).fit()
         fq_acc = evaluate(qm, test)
-        T2C(qm, mode=mode, float_scale=float_scale).fuse()
+        T2C(qm, spec=DeploySpec(fusion=mode,
+                                float_scale=float_scale)).fuse()
         int_acc = evaluate(qm, test)
         size = model_size_mb(fp, qcfg.wbit)
         results[rid] = dict(fq=fq_acc, integer=int_acc, size=size, fp=fp_acc)

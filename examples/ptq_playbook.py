@@ -9,7 +9,7 @@ Run:  python examples/ptq_playbook.py [--epochs 6]
 """
 import argparse
 
-from repro.core import T2C
+from repro.core import DeploySpec, T2C
 from repro.core.qconfig import QConfig
 from repro.data import make_dataset
 from repro.data.transforms import standard_train_transform
@@ -48,7 +48,7 @@ def main():
                                  recon_iters=100)
             qm = trainer.fit()
             fq = evaluate(qm, test)
-            T2C(qm, float_scale=float_scale).fuse()
+            T2C(qm, spec=DeploySpec(float_scale=float_scale)).fuse()
             ii = evaluate(qm, test)
             stype = "float32" if float_scale else "INT16"
             print(f"{name:14s} {stype:8s} {fq:10.4f} {ii:9.4f}")

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Smoke check: tier-1 test suite + an end-to-end observability run + a
-# compile check of every example.  Exits non-zero on the first failure.
+# Smoke check: tier-1 test suite + an end-to-end drive of every subsystem's
+# CLI + the benchmark harness self-test + a compile check of every example.
+# Exits non-zero on the first failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -46,7 +47,7 @@ for name in MODELS:
                         QConfig(8, 8))
     calibrate_model(qm, [rng.standard_normal((4, 3, 32, 32))
                          .astype(np.float32) for _ in range(2)])
-    d = deploy(qm, DeploySpec(runtime="auto"))
+    d = deploy(qm, DeploySpec())
     rep = d.plan.verify(input_shape=(3, 32, 32))
     assert rep.ok, f"{name}: plan verification failed\n{rep.render()}"
     print(f"plan verify OK: {name:<12} {rep.num_ops:>3} ops, "
@@ -57,11 +58,6 @@ EOF
 
 echo "== compiled runtime (plan vs interpreted tree) =="
 python -m pytest tests/runtime -q -m runtime
-python -m repro.cli bench --model resnet20 --train-size 256 --test-size 64 \
-    --batch-size 16 --warmup 1 --batches 2 --tree-batches 1 \
-    --fusion-level full --threads 4 \
-    --out "$TEL_DIR/BENCH_runtime.json"
-test -s "$TEL_DIR/BENCH_runtime.json" || { echo "missing BENCH_runtime.json"; exit 1; }
 
 echo "== plan fusion (fused multi-thread vs unfused single-thread) =="
 python - <<'EOF'
@@ -99,27 +95,14 @@ EOF
 
 echo "== online serving gateway (repro.server) =="
 python -m pytest tests/server -q -m server
-python -m repro.cli serve-bench --model resnet20 --train-size 256 \
+# exits 1 on any shed / failed / not-bit-exact answer
+python -m repro.cli serve --model resnet20 --train-size 256 \
     --test-size 64 --requests 200 --max-batch 8 --deadline-ms 500 \
-    --out "$TEL_DIR/BENCH_server.json" --telemetry-out "$TEL_DIR/serve_tel" \
-    --obs-dir "$TEL_DIR/obs"
-python - "$TEL_DIR" <<'EOF'
-import json, sys, os
-tel = sys.argv[1]
-gw = json.load(open(os.path.join(tel, "BENCH_server.json")))["gateway"]
-assert gw["bit_exact"] is True, "gateway responses diverged from tree"
-assert gw["shed"] == 0 and gw["failed"] == 0, (
-    f"dropped requests in smoke run: shed={gw['shed']} failed={gw['failed']}")
-warnings = [json.loads(l) for l in open(os.path.join(tel, "serve_tel", "events.jsonl"))
-            if '"level"' in l]
-warnings = [e for e in warnings if e.get("level") in ("warning", "error")]
-assert not warnings, f"telemetry warnings during smoke serve: {warnings}"
-print(f"serve smoke OK: {gw['ok']} ok, p99 {gw['latency_ms']['p99']} ms")
-EOF
+    --fusion-level full --threads 4 --obs-dir "$TEL_DIR/obs"
 
 echo "== live observability (tracing / SLO surface / flight recorder) =="
 python - "$TEL_DIR" <<'EOF'
-# the --obs-dir run above left the full observability surface on disk:
+# the serve --obs-dir run above left the full observability surface on disk:
 # status snapshot, Prometheus exposition, span records, profile report.
 import json, sys, os
 from repro.telemetry import live, obs
@@ -249,29 +232,14 @@ EOF
 
 echo "== replicated serving fleet (repro.fleet) =="
 python -m pytest tests/fleet -q -m fleet
-python -m repro.cli fleet-bench --model resnet20 --train-size 256 \
-    --test-size 64 --replicas 3 --requests 80 --canary-requests 40 \
-    --capacity-requests 200 --deadline-ms 500 \
-    --out "$TEL_DIR/BENCH_fleet.json"
-python - "$TEL_DIR" <<'EOF'
-# the fleet drill: 3 replicas, canary 10% -> 100% -> promote, a seeded
-# replica kill under load — all bit-exact, zero dropped requests — plus
-# the capacity stage's fleet-of-2 speedup floor
-import json, sys, os
-rep = json.load(open(os.path.join(sys.argv[1], "BENCH_fleet.json")))
-assert rep["bit_exact"] is True, "fleet answers diverged from tree"
-assert rep["requests_lost"] == 0, f"lost {rep['requests_lost']} requests"
-assert rep["chaos_ok"] is True, "seeded replica kill was missed"
-assert rep["promoted_version"] == ["2"], rep["promoted_version"]
-d = rep["drill"]
-drops = sum(d[k]["shed"] + d[k]["failed"]
-            for k in ("base", "canary_10pct", "post_promote"))
-assert drops == 0, f"dropped requests in fleet drill: {drops}"
-assert rep["speedup_fleet2_vs_single"] >= rep["capacity"]["speedup_floor"]
-assert rep["keepup_ok"] is True, "fleet shed traffic at 80% headroom"
-print(f"fleet smoke OK: canary promoted, replica kill survived, "
-      f"speedup {rep['speedup_fleet2_vs_single']}x, 0 dropped")
-EOF
+# gateway faults, then replica kill + partition on a 3-replica fleet of the
+# real model: ejected, rerouted with zero lost requests, healed (exit 2 on
+# any missed fault)
+python -m repro.cli chaos --model resnet20 --train-size 256 --test-size 64 \
+    --calib-batches 1 --seed 5 --server > /dev/null
+
+echo "== benchmark harness self-test (benchmarks.e2e) =="
+python3 -m benchmarks.e2e --selftest
 
 echo "== compile-check examples =="
 for f in examples/*.py; do

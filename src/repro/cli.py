@@ -10,8 +10,8 @@ Usage (module form)::
     python -m repro.cli inspect --model resnet20 --epochs 1 --telemetry-out telemetry_out/
     python -m repro.cli lint    --model vgg8 --wbit 8 --abit 8      # static verification
     python -m repro.cli lint    --purity                            # AST pass only, no model
-    python -m repro.cli bench   --model resnet20 --batch-size 64    # compiled runtime
-    python -m repro.cli serve-bench --model resnet20 --requests 300 # online gateway
+    python -m repro.cli serve   --model resnet20 --obs-dir obs/     # online gateway drill
+    python -m repro.cli top obs/ --once                             # read its status back
 
 Everything runs on the synthetic datasets (``--dataset`` picks which); the
 CLI exists so a hardware designer can drive the whole flow without writing
@@ -20,14 +20,14 @@ Python.  ``inspect`` runs the full compress→fuse→export flow under a
 trace, the JSONL event log, the per-layer profile and the integer-datapath
 saturation audit to disk.
 
-``export``, ``lint``, ``inspect``, ``bench`` and ``serve-bench`` all
-translate their flags into one :class:`~repro.core.DeploySpec`
+``export``, ``lint``, ``inspect``, ``serve`` and ``chaos`` all translate
+their flags into one :class:`~repro.core.DeploySpec`
 (``DeploySpec.from_args``) and share :func:`_build_deployed_model`, so the
-subcommands exercise the identical deploy pipeline.  ``serve-bench`` stands
-up the online gateway (:mod:`repro.server`) on the deployed model and
-drives it with the open-loop Poisson load generator, writing
-``BENCH_server.json`` with numbers directly comparable to ``bench``'s
-``BENCH_runtime.json`` (same percentile summary).
+subcommands exercise the identical deploy pipeline.  ``serve`` stands the
+online gateway (:mod:`repro.server`) up on the deployed model and checks
+every answer bitwise against the interpreted integer model — a correctness
+drill, not a benchmark: performance is refereed by
+``python3 -m benchmarks.e2e`` (``benchmarks/e2e/README.md``) and nowhere else.
 """
 from __future__ import annotations
 
@@ -109,7 +109,7 @@ def _model(args, num_classes):
 
 
 def _build_deployed_model(args, spec, model=None, data=None, before_deploy=None):
-    """Shared deploy path for ``export``/``lint``/``inspect``/``bench``.
+    """Shared deploy path for ``export``/``lint``/``inspect``/``serve``/``chaos``.
 
     Builds (or reuses) the float model, quantizes it with the common
     ``--wbit/--abit/--wq/--aq`` flags, loads ``--ckpt`` when given,
@@ -328,496 +328,77 @@ def cmd_lint(args) -> int:
     return 2 if failed else 0
 
 
-def cmd_bench(args) -> int:
-    """Throughput benchmark: compiled runtime plan vs the interpreted tree."""
-    if args.telemetry_out:
-        with telemetry.TelemetrySession(out_dir=args.telemetry_out,
-                                        label=f"bench-{args.model}"):
-            rc = _run_bench(args)
-        print(f"telemetry -> {args.telemetry_out}/manifest.json")
-        return rc
-    return _run_bench(args)
+def cmd_serve(args) -> int:
+    """Gateway drill: serve ``--requests`` inputs, every answer checked.
 
+    Deploys the model, stands a :class:`~repro.server.Server` up on it and
+    pushes the test images through closed-loop (at most two micro-batches
+    outstanding), comparing each answer bitwise with the interpreted
+    ``qnn``.  Exit 1 on any shed, failed or mismatching request.
+    ``--obs-dir`` switches the whole observability stack on (request
+    tracing, sampled per-op profiling, flight recorder, live status export)
+    and leaves ``status.json`` / ``metrics.prom`` / ``traces.jsonl`` /
+    ``flight_recorder.json`` / ``profile.json`` there for ``top``/``trace``.
+    """
+    import collections
 
-def _bench_trajectory(path: str) -> list:
-    """Prior BENCH rows to preserve; wraps a pre-trajectory flat file."""
-    if not os.path.exists(path):
-        return []
-    try:
-        with open(path) as f:
-            old = json.load(f)
-    except (OSError, ValueError):
-        return []
-    if isinstance(old.get("trajectory"), list):
-        return old["trajectory"]
-    if "imgs_per_sec" in old:  # flat single-result layout from earlier runs
-        keep = ("model", "layout", "imgs_per_sec", "plan_ms_per_batch",
-                "speedup", "compile")
-        return [{k: old[k] for k in keep if k in old}]
-    return []
-
-
-def _run_bench(args) -> int:
+    from repro.server import ModelRegistry, Overloaded, Server
     from repro.tensor import no_grad
     from repro.tensor.tensor import Tensor
 
     seed_everything(args.seed)
-    spec = DeploySpec.from_args(args)
-    deployed, (_, test, _) = _build_deployed_model(args, spec)
-    plan, qnn = deployed.plan, deployed.qnn
-
-    bs = args.batch_size
-    pool = test.images
-    if pool.shape[0] < bs:
-        pool = np.concatenate([pool] * (-(-bs // pool.shape[0])))
-    batch = np.ascontiguousarray(pool[:bs], dtype=np.float32)
-
+    deployed, (_, test, _) = _build_deployed_model(
+        args, DeploySpec.from_args(args))
+    samples = np.ascontiguousarray(test.images[:args.requests],
+                                   dtype=np.float32)
     with no_grad():
-        ref = qnn(Tensor(batch)).data
-    exact = bool(np.array_equal(ref, plan(batch)))
-
-    for _ in range(args.warmup):
-        plan(batch)
-    plan.reset_op_stats()
-    t0 = time.perf_counter()
-    if args.workers >= 2:
-        for _ in plan.serve([batch] * args.batches, workers=args.workers):
-            pass
-    else:
-        for _ in range(args.batches):
-            plan(batch)
-    plan_s = (time.perf_counter() - t0) / args.batches
-
-    # Per-batch-size latency sweep (serial, so each sample is one batch's
-    # wall time): p50/p95/p99 land next to the throughput numbers so the
-    # gateway's BENCH_server.json is directly comparable to the raw plan.
-    latency_ms = {}
-    for bs_i in sorted(set([bs] + (args.batch_sizes or []))):
-        pool_i = pool
-        if pool_i.shape[0] < bs_i:
-            pool_i = np.concatenate([pool_i] * (-(-bs_i // pool_i.shape[0])))
-        batch_i = np.ascontiguousarray(pool_i[:bs_i], dtype=np.float32)
-        plan(batch_i)  # bind once, untimed
-        lats = []
-        for _ in range(max(args.batches, 5)):
-            t0 = time.perf_counter()
-            plan(batch_i)
-            lats.append((time.perf_counter() - t0) * 1e3)
-        latency_ms[str(bs_i)] = {
-            k: round(v, 3)
-            for k, v in telemetry.percentile_summary(lats).items()}
-
-    t0 = time.perf_counter()
-    for _ in range(args.tree_batches):
-        with no_grad():
-            qnn(Tensor(batch))
-    tree_s = (time.perf_counter() - t0) / max(1, args.tree_batches)
-
-    # unfused single-thread baseline under the same layout: the fused-vs-
-    # unfused comparison every bench run re-records (and re-checks bitwise)
-    from repro.runtime import Plan
-
-    base_spec = plan.spec.evolve(fusion="requant", threads=1)
-    base_plan = Plan.compile(qnn, base_spec)
-    fused_matches = bool(np.array_equal(base_plan(batch), plan(batch)))
-    base_plan(batch)
-    t0 = time.perf_counter()
-    for _ in range(args.batches):
-        base_plan(batch)
-    base_s = (time.perf_counter() - t0) / args.batches
-
-    per_op = [r for r in plan.op_report() if r["calls"]]
-    result = {
-        "model": args.model,
-        "layout": plan.layout,
-        "workers": args.workers,
-        "batch_size": bs,
-        "batches": args.batches,
-        "bit_exact": exact,
-        "plan_ms_per_batch": plan_s * 1e3,
-        "tree_ms_per_batch": tree_s * 1e3,
-        "imgs_per_sec": bs / plan_s,
-        "speedup": tree_s / plan_s,
-        "latency_ms": latency_ms,
-        "per_op": per_op,
-        "spec": spec.to_json(),
-        "compile": plan.spec.to_json(),
-        "fusion_stats": plan.fusion_stats,
-    }
-    baseline = {
-        "plan_ms_per_batch": base_s * 1e3,
-        "imgs_per_sec": bs / base_s,
-        "compile": base_spec.to_json(),
-        "matches_fused_bitwise": fused_matches,
-    }
-    doc = {
-        "model": args.model,
-        "current": result,
-        "baseline_unfused": baseline,
-        "fused_speedup_vs_unfused": base_s / plan_s,
-        "trajectory": _bench_trajectory(args.out) + [{
-            "model": args.model,
-            "layout": plan.layout,
-            "imgs_per_sec": round(bs / plan_s, 1),
-            "plan_ms_per_batch": round(plan_s * 1e3, 3),
-            "speedup_vs_tree": round(tree_s / plan_s, 2),
-            "compile": plan.spec.to_json(),
-        }],
-    }
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1)
-    telemetry.emit("bench_runtime", model=args.model, layout=plan.layout,
-                   imgs_per_sec=result["imgs_per_sec"],
-                   speedup=result["speedup"], bit_exact=exact,
-                   fusion=plan.spec.fusion,
-                   fused_speedup=base_s / plan_s)
-    print(f"bit-exact vs tree: {exact}   fused == unfused: {fused_matches}")
-    print(f"plan[{plan.layout}] {plan_s * 1e3:8.1f} ms/batch "
-          f"({result['imgs_per_sec']:.1f} imgs/sec)  "
-          f"[fusion={plan.spec.fusion}, "
-          f"{plan.fusion_stats['fused']} chain(s) fused]")
-    print(f"unfused 1-thread {base_s * 1e3:6.1f} ms/batch  "
-          f"-> fused speedup {base_s / plan_s:.2f}x")
-    print(f"tree           {tree_s * 1e3:8.1f} ms/batch  "
-          f"-> speedup {result['speedup']:.2f}x")
-    for bs_key, pcts in latency_ms.items():
-        print(f"latency bs={bs_key:>4}  p50 {pcts['p50']:7.2f}  "
-              f"p95 {pcts['p95']:7.2f}  p99 {pcts['p99']:7.2f} ms")
-    print(f"results -> {args.out}")
-    return 0 if exact else 1
-
-
-def cmd_serve_bench(args) -> int:
-    """Online gateway benchmark: Poisson open-loop load over the Server."""
-    if args.telemetry_out:
-        with telemetry.TelemetrySession(out_dir=args.telemetry_out,
-                                        label=f"serve-bench-{args.model}"):
-            rc = _run_serve_bench(args)
-        print(f"telemetry -> {args.telemetry_out}/manifest.json")
-        return rc
-    return _run_serve_bench(args)
-
-
-def _run_serve_bench(args) -> int:
-    from repro.server import ModelRegistry, Server, run_poisson_load
-    from repro.tensor import no_grad
-    from repro.tensor.tensor import Tensor
-
-    seed_everything(args.seed)
-    spec = DeploySpec.from_args(args)
-    deployed, (_, test, _) = _build_deployed_model(args, spec)
-    plan, qnn = deployed.plan, deployed.qnn
-
-    # raw plan throughput at the gateway's batch size — the baseline the
-    # gateway's achieved rate is measured against
-    mb = args.max_batch
-    pool = test.images
-    if pool.shape[0] < mb:
-        pool = np.concatenate([pool] * (-(-mb // pool.shape[0])))
-    batch = np.ascontiguousarray(pool[:mb], dtype=np.float32)
-    plan(batch)  # bind + warm
-    raw_s = min(_timeit(plan, batch) for _ in range(max(args.raw_batches, 3)))
-    raw_rate = mb / raw_s
-
-    rate = args.rate if args.rate > 0 else args.rate_fraction * raw_rate
-    deadline_s = args.deadline_ms / 1e3
-
-    n_distinct = max(1, min(args.distinct_samples, test.images.shape[0]))
-    samples = [np.ascontiguousarray(test.images[i], dtype=np.float32)
-               for i in range(n_distinct)]
-    with no_grad():
-        refs = [qnn(Tensor(s[None])).data[0] for s in samples]
+        refs = deployed.qnn(Tensor(samples)).data
 
     registry = ModelRegistry()
     registry.register(args.model, "1", deployed)
-    obs_dir = getattr(args, "obs_dir", None)
-    extra_cfg = {}
-    if obs_dir:
-        # full observability stack for this run: request tracing, sampled
-        # per-op profiling, flight-recorder dumps and the live status files
-        extra_cfg = dict(tracing=True,
-                         profile_every=args.profile_every or 4,
-                         dump_dir=obs_dir)
-    elif args.profile_every:
-        extra_cfg = dict(profile_every=args.profile_every)
-    server = Server(registry, max_batch=mb, max_queue=args.max_queue,
-                    workers=args.workers, default_deadline_s=deadline_s,
-                    **extra_cfg)
-    try:
+    deadline_s = args.deadline_ms / 1e3
+    obs_dir = args.obs_dir
+    obs_cfg = (dict(tracing=True, profile_every=4, dump_dir=obs_dir)
+               if obs_dir else {})
+    counts = collections.Counter()
+    pending = collections.deque()
+
+    def collect() -> None:
+        i, req = pending.popleft()
+        resp = req.result(timeout=deadline_s + 30.0)
+        if not resp.ok:
+            counts["shed" if isinstance(resp, Overloaded) else "failed"] += 1
+        elif np.array_equal(resp.logits, refs[i]):
+            counts["ok"] += 1
+        else:
+            counts["mismatched"] += 1
+
+    with Server(registry, max_batch=args.max_batch, workers=args.workers,
+                default_deadline_s=deadline_s, **obs_cfg) as server:
         if obs_dir:
             server.start_status_export(obs_dir, interval_s=0.5)
-        report = run_poisson_load(
-            server, args.model, samples, rate_hz=rate,
-            n_requests=args.requests, deadline_s=deadline_s, refs=refs,
-            rng=np.random.default_rng(args.seed))
-        stats = server.stats().get(args.model, {})
-        status = server.status()
+        for n in range(args.requests):
+            if len(pending) >= 2 * args.max_batch:
+                collect()
+            i = n % len(samples)
+            pending.append((i, server.submit(args.model, samples[i])))
+        while pending:
+            collect()
         if obs_dir:
             server.dump_traces(os.path.join(obs_dir, "traces.jsonl"))
             server.dump_flight_recorder(
                 path=os.path.join(obs_dir, "flight_recorder.json"))
             with open(os.path.join(obs_dir, "profile.json"), "w") as f:
                 json.dump(server.profile_report(args.model), f, indent=1)
-    finally:
-        server.close()
 
-    sustained = (report.achieved_rate_hz / raw_rate) if raw_rate else 0.0
-    result = {
-        "model": args.model,
-        "layout": plan.layout,
-        "workers": args.workers,
-        "max_batch": mb,
-        "max_queue": args.max_queue,
-        "raw_imgs_per_sec": round(raw_rate, 1),
-        "raw_ms_per_batch": round(raw_s * 1e3, 3),
-        "rate_fraction_of_raw": round(rate / raw_rate, 4) if raw_rate else 0,
-        "sustained_fraction_of_raw": round(sustained, 4),
-        "gateway": report.to_json(),
-        "server_stats": stats,
-        "status": status,    # operational snapshot: rolling window, SLO burn
-        "spec": spec.to_json(),
-    }
-    with open(args.out, "w") as f:
-        json.dump(result, f, indent=1, default=str)
-    telemetry.emit("bench_server", model=args.model,
-                   offered_rate_hz=report.offered_rate_hz,
-                   achieved_rate_hz=report.achieved_rate_hz,
-                   sustained_fraction=sustained,
-                   p99_latency_ms=report.to_json()["latency_ms"]["p99"],
-                   shed=report.shed, failed=report.failed,
-                   bit_exact=report.bit_exact)
-    lat = report.to_json()["latency_ms"]
-    print(f"raw plan      {raw_rate:8.1f} imgs/sec (batch {mb})")
-    print(f"gateway       {report.achieved_rate_hz:8.1f} req/sec answered "
-          f"({report.offered_rate_hz:.1f} offered, "
-          f"{sustained:.0%} of raw)")
-    print(f"latency p50 {lat['p50']:.2f}  p95 {lat['p95']:.2f}  "
-          f"p99 {lat['p99']:.2f} ms  (deadline {args.deadline_ms:.0f} ms)")
-    print(f"ok {report.ok}  shed {report.shed}  failed {report.failed}  "
-          f"late {report.late}  mean batch "
-          f"{report.to_json()['mean_batch_size']}")
-    print(f"bit-exact vs single-sample tree: {report.bit_exact}")
-    w = status["models"].get(args.model, {}).get("window", {})
-    if w.get("slo"):
-        print(f"slo window    burn {w['slo']['error_budget_burn']:.2f} "
-              f"(target {w['slo']['target']:.2%}, "
-              f"miss {w['deadline_miss']}, shed {w['shed']})")
+    print(f"served {args.requests} requests on {args.model}: "
+          f"ok {counts['ok']}  shed {counts['shed']}  "
+          f"failed {counts['failed']}  mismatched {counts['mismatched']}")
     if obs_dir:
         print(f"observability -> {obs_dir}/ "
               f"(status.json, metrics.prom, traces.jsonl, "
               f"flight_recorder.json, profile.json)")
-    print(f"results -> {args.out}")
-    return 0 if (report.bit_exact is not False and report.failed == 0) else 1
-
-
-def _timeit(fn, x) -> float:
-    t0 = time.perf_counter()
-    fn(x)
-    return time.perf_counter() - t0
-
-
-def cmd_fleet_bench(args) -> int:
-    """Replicated-fleet benchmark: rollout drill + chaos kill + capacity."""
-    if args.telemetry_out:
-        with telemetry.TelemetrySession(out_dir=args.telemetry_out,
-                                        label=f"fleet-bench-{args.model}"):
-            rc = _run_fleet_bench(args)
-        print(f"telemetry -> {args.telemetry_out}/manifest.json")
-        return rc
-    return _run_fleet_bench(args)
-
-
-def _run_fleet_bench(args) -> int:
-    """Two stages, one trajectory file.
-
-    **Serving drill** (real deployed model, ``--replicas`` fleet): Poisson
-    load with bitwise reference checking, then the canary ladder
-    (10% -> 100% -> promote, every answer still bit-exact), then a seeded
-    replica kill under load — detected, rerouted, zero requests lost.
-
-    **Capacity** (synthetic sleep-based service time): single server vs a
-    fleet of 2 at 80% of twice the measured single-server capacity.  The
-    stub sleeps instead of computing because this host serializes numpy on
-    one core — sleeping models an accelerator-bound replica and lets the
-    fleet's concurrency show; the drill stage above is where real-model
-    correctness is proven.
-    """
-    import time as _time
-
-    from repro.chaos import ChaosPlan
-    from repro.fleet import Fleet, FleetConfig
-    from repro.server import (ModelRegistry, Server, ServerConfig,
-                              run_poisson_load)
-    from repro.tensor import no_grad
-    from repro.tensor.tensor import Tensor
-
-    seed_everything(args.seed)
-    spec = DeploySpec.from_args(args)
-    deployed, (_, test, _) = _build_deployed_model(args, spec)
-    qnn = deployed.qnn
-    deadline_s = args.deadline_ms / 1e3
-
-    n_distinct = max(1, min(args.distinct_samples, test.images.shape[0]))
-    samples = [np.ascontiguousarray(test.images[i], dtype=np.float32)
-               for i in range(n_distinct)]
-    with no_grad():
-        refs = [qnn(Tensor(s[None])).data[0] for s in samples]
-
-    # ---------------------------------------------- stage 1: serving drill
-    scfg = ServerConfig(max_batch=args.max_batch,
-                        default_deadline_s=deadline_s)
-    fleet = Fleet(FleetConfig(replicas=args.replicas,
-                              health_interval_s=0.1,
-                              default_deadline_s=deadline_s, server=scfg))
-    fleet.add_model(args.model)
-    fleet.register_version(args.model, "1", deployed)
-    # the rollout candidate is the same verified bundle under a new version
-    # tag, so the drill proves the machinery while staying bit-exact
-    fleet.register_version(args.model, "2", deployed)
-    with fleet:
-        base = run_poisson_load(fleet, args.model, samples,
-                                rate_hz=args.rate,
-                                n_requests=args.requests,
-                                deadline_s=deadline_s, refs=refs,
-                                seed=args.seed)
-        fleet.begin_canary(args.model, "2", fraction=0.1)
-        canary10 = run_poisson_load(fleet, args.model, samples,
-                                    rate_hz=args.rate,
-                                    n_requests=args.canary_requests,
-                                    deadline_s=deadline_s, refs=refs,
-                                    seed=args.seed + 1)
-        fleet.advance_canary(args.model, 1.0)
-        fleet.promote(args.model)
-        canary100 = run_poisson_load(fleet, args.model, samples,
-                                     rate_hz=args.rate,
-                                     n_requests=args.canary_requests,
-                                     deadline_s=deadline_s, refs=refs,
-                                     seed=args.seed + 2)
-        promoted = sorted({r.active_version()
-                           for r in fleet.replicas(args.model)})
-        chaos = (ChaosPlan(args.seed).add("kill_replica")
-                 .run_fleet(fleet, args.model, samples[0],
-                            probe_deadline_s=max(deadline_s, 2.0)))
-        lost = fleet.requests_lost
-        rollout = fleet.status()["models"][args.model]["rollout"]
-
-    drill_bit_exact = (base.bit_exact and canary10.bit_exact
-                       and canary100.bit_exact)
-    drill_ok = (drill_bit_exact and promoted == ["2"] and chaos.ok
-                and chaos.recovered == chaos.injected and lost == 0
-                and base.failed + canary10.failed + canary100.failed == 0)
-
-    # ------------------------------------------------- stage 2: capacity
-    service_s = args.service_ms / 1e3
-    # generous: the capacity stage measures throughput, not tail latency
-    stub_deadline = max(5.0, 200.0 * service_s)
-
-    def _stub_runner(batch):
-        _time.sleep(service_s)      # models an accelerator-bound replica
-        return batch * 2.0
-
-    cap_cfg = ServerConfig(max_batch=1, max_queue=4096, max_linger_s=0.0,
-                           default_deadline_s=stub_deadline)
-    stub_sample = [np.ones((4,), dtype=np.float32)]
-
-    def _single_run(rate_hz: float, n: int, seed: int):
-        reg = ModelRegistry()
-        reg.register("stub", "1", runner=_stub_runner)
-        with Server(reg, config=cap_cfg) as srv:
-            return run_poisson_load(srv, "stub", stub_sample,
-                                    rate_hz=rate_hz, n_requests=n,
-                                    deadline_s=stub_deadline, seed=seed)
-
-    def _fleet_run(rate_hz: float, n: int, seed: int):
-        fleet2 = Fleet(FleetConfig(replicas=2, health_interval_s=0.1,
-                                   default_deadline_s=stub_deadline,
-                                   server=cap_cfg))
-        fleet2.add_model("stub")
-        fleet2.register_version("stub", "1", runner=_stub_runner)
-        with fleet2:
-            return run_poisson_load(fleet2, "stub", stub_sample,
-                                    rate_hz=rate_hz, n_requests=n,
-                                    deadline_s=stub_deadline, seed=seed)
-
-    # Capacity is measured *saturated* on both sides (offered rate far above
-    # what either can serve, so the run is drain-dominated): the achieved
-    # rate then reflects service capability, not the luck of one Poisson
-    # trace's realized span — a single 250-arrival trace can run ~5% long or
-    # short, which is exactly the margin the speedup floor lives in.
-    sat_rate = 4.0 / service_s
-    sat = _single_run(rate_hz=sat_rate,
-                      n=max(50, args.capacity_requests // 4),
-                      seed=args.seed)
-    capacity_hz = sat.achieved_rate_hz
-    fleet_sat = _fleet_run(rate_hz=sat_rate,
-                           n=max(100, args.capacity_requests // 2),
-                           seed=args.seed)
-    speedup = (fleet_sat.achieved_rate_hz / capacity_hz
-               if capacity_hz else 0.0)
-
-    # ...and at the 80%-of-fleet-headroom operating point the fleet must
-    # actually keep up: every request answered, nothing shed.
-    offered = 0.8 * 2.0 * capacity_hz
-    keepup = _fleet_run(rate_hz=offered, n=args.capacity_requests,
-                        seed=args.seed + 3)
-    keepup_ok = keepup.shed == 0 and keepup.failed == 0
-    capacity_ok = speedup >= args.speedup_floor and keepup_ok
-
-    row = {
-        "model": args.model,
-        "replicas": args.replicas,
-        "offered_rate_hz": round(args.rate, 2),
-        "bit_exact": drill_bit_exact,
-        "requests_lost": lost,
-        "chaos_ok": chaos.ok,
-        "promoted_version": promoted,
-        "capacity_single_hz": round(capacity_hz, 1),
-        "capacity_fleet2_hz": round(fleet_sat.achieved_rate_hz, 1),
-        "speedup_fleet2_vs_single": round(speedup, 3),
-        "keepup_ok": keepup_ok,
-    }
-    result = {
-        **row,
-        "drill": {
-            "base": base.to_json(),
-            "canary_10pct": canary10.to_json(),
-            "post_promote": canary100.to_json(),
-            "rollout": rollout,
-            "chaos": chaos.to_json(),
-        },
-        "capacity": {
-            "service_ms": args.service_ms,
-            "measured_single_capacity_hz": round(capacity_hz, 1),
-            "single_saturated": sat.to_json(),
-            "fleet_saturated": fleet_sat.to_json(),
-            "keepup_offered_rate_hz": round(offered, 1),
-            "keepup": keepup.to_json(),
-            "speedup_floor": args.speedup_floor,
-        },
-        "spec": spec.to_json(),
-        "trajectory": _bench_trajectory(args.out) + [row],
-    }
-    with open(args.out, "w") as f:
-        json.dump(result, f, indent=1, default=str)
-    telemetry.emit("bench_fleet", model=args.model, replicas=args.replicas,
-                   bit_exact=drill_bit_exact, requests_lost=lost,
-                   chaos_ok=chaos.ok, speedup=speedup)
-
-    print(f"drill         {args.replicas}-replica fleet, "
-          f"{base.requests + canary10.requests + canary100.requests} "
-          f"requests, bit-exact {drill_bit_exact}, lost {lost}")
-    print(f"rollout       canary 10% -> 100% -> promoted "
-          f"{'/'.join(promoted)} (state {rollout['state']})")
-    print(chaos.render())
-    print(f"capacity      single {capacity_hz:7.1f} req/s   "
-          f"fleet-of-2 {fleet_sat.achieved_rate_hz:7.1f} req/s   "
-          f"speedup {speedup:.2f}x (floor {args.speedup_floor}x)")
-    print(f"keep-up       {offered:.1f} req/s offered -> "
-          f"{keepup.achieved_rate_hz:.1f} achieved, "
-          f"{keepup.shed} shed, {keepup.failed} failed "
-          f"({'ok' if keepup_ok else 'NOT OK'})")
-    print(f"results -> {args.out}")
-    return 0 if (drill_ok and capacity_ok) else 1
+    return 0 if counts["ok"] == args.requests else 1
 
 
 def _render_top(status: dict) -> str:
@@ -858,7 +439,7 @@ def cmd_top(args) -> int:
     """Live terminal view of a gateway's exported status directory.
 
     Tails the ``status.json`` written by ``Server.start_status_export``
-    (or by ``serve-bench --obs-dir``) — the file-based stand-in for an
+    (or by ``serve --obs-dir``) — the file-based stand-in for an
     HTTP status endpoint.
     """
     path = os.path.join(args.dir, "status.json")
@@ -1019,7 +600,7 @@ def cmd_chaos(args) -> int:
 
             fleet = Fleet(FleetConfig(
                 replicas=3, health_interval_s=0.1, default_deadline_s=2.0,
-                golden_every=2, golden_limit=2, scrub_every=2,
+                golden_every=2, scrub_every=2,
                 server=ServerConfig(max_batch=8, default_deadline_s=2.0,
                                     abft_every=4)))
             fleet.add_model(args.model)
@@ -1118,116 +699,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--telemetry-out", default="telemetry_out", metavar="DIR")
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("bench", help="compiled-runtime throughput benchmark "
-                                     "(plan vs interpreted tree)")
-    _common(p)
-    _deploy_flags(p, calib_batches=2, runtime="auto")
-    p.add_argument("--ckpt", default=None,
-                   help="optional Q-model checkpoint to benchmark")
-    p.add_argument("--runtime", choices=("auto", "channel", "batch"),
-                   default="auto", help="plan register layout")
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--warmup", type=int, default=2,
-                   help="untimed warm-up batches (binding + kernel build)")
-    p.add_argument("--batches", type=int, default=5,
-                   help="timed steady-state batches")
-    p.add_argument("--tree-batches", type=int, default=2,
-                   help="timed interpreted-baseline batches")
-    p.add_argument("--workers", type=int, default=0,
-                   help=">=2 shards batches across a shared-memory worker pool")
-    p.add_argument("--batch-sizes", type=int, nargs="+", default=None,
-                   metavar="N", help="extra batch sizes for the latency "
-                                     "percentile sweep (p50/p95/p99)")
-    p.add_argument("--out", default="BENCH_runtime.json")
-    p.add_argument("--telemetry-out", default=None, metavar="DIR",
-                   help="capture per-op spans into a TelemetrySession in DIR")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("serve-bench", help="online gateway benchmark: Poisson "
-                                           "open-loop load, BENCH_server.json")
+    p = sub.add_parser("serve", help="online gateway drill: every answer "
+                                     "checked bitwise against the "
+                                     "interpreted integer model")
     _common(p)
     _deploy_flags(p, calib_batches=2, runtime="auto")
     p.add_argument("--ckpt", default=None,
                    help="optional Q-model checkpoint to serve")
-    p.add_argument("--runtime", choices=("auto", "channel", "batch"),
-                   default="auto", help="plan register layout")
     p.add_argument("--requests", type=int, default=300,
-                   help="total Poisson arrivals to fire")
-    p.add_argument("--rate", type=float, default=0.0,
-                   help="arrival rate in req/s; 0 derives it from "
-                        "--rate-fraction of measured raw plan throughput")
-    p.add_argument("--rate-fraction", type=float, default=0.8,
-                   help="offered load as a fraction of raw plan throughput "
-                        "when --rate is 0")
-    p.add_argument("--deadline-ms", type=float, default=250.0,
-                   help="per-request deadline (batching slack + admission)")
+                   help="requests to push through the gateway")
     p.add_argument("--max-batch", type=int, default=16,
                    help="gateway micro-batch size cap")
-    p.add_argument("--max-queue", type=int, default=512,
-                   help="bounded queue depth before load shedding")
     p.add_argument("--workers", type=int, default=0,
                    help=">=2 executes batches on a supervised worker pool")
-    p.add_argument("--distinct-samples", type=int, default=32,
-                   help="distinct inputs cycled through the request stream")
-    p.add_argument("--raw-batches", type=int, default=5,
-                   help="timed batches for the raw-throughput baseline")
-    p.add_argument("--out", default="BENCH_server.json")
-    p.add_argument("--telemetry-out", default=None, metavar="DIR",
-                   help="capture spans/events/metrics into a "
-                        "TelemetrySession in DIR")
+    p.add_argument("--deadline-ms", type=float, default=250.0,
+                   help="per-request deadline (batching slack + admission)")
     p.add_argument("--obs-dir", default=None, metavar="DIR",
                    help="enable the full observability stack (tracing, "
                         "per-op profiling, flight recorder, live status "
                         "export) and write status.json / metrics.prom / "
                         "traces.jsonl / flight_recorder.json / profile.json "
                         "to DIR (watch live with `repro.cli top DIR`)")
-    p.add_argument("--profile-every", type=int, default=0,
-                   help="sample every Nth batch for per-op profiling "
-                        "(0 = off; --obs-dir defaults it to 4)")
-    p.set_defaults(func=cmd_serve_bench)
-
-    p = sub.add_parser("fleet-bench",
-                       help="replicated-fleet benchmark: canary rollout "
-                            "drill + seeded replica kill (zero lost) + "
-                            "fleet-of-2 capacity, BENCH_fleet.json")
-    _common(p)
-    _deploy_flags(p, calib_batches=2, runtime="auto")
-    p.add_argument("--ckpt", default=None,
-                   help="optional Q-model checkpoint to serve")
-    p.add_argument("--runtime", choices=("auto", "channel", "batch"),
-                   default="auto", help="plan register layout")
-    p.add_argument("--replicas", type=int, default=3,
-                   help="replica count for the serving drill")
-    p.add_argument("--requests", type=int, default=150,
-                   help="Poisson arrivals for the baseline drill run")
-    p.add_argument("--canary-requests", type=int, default=80,
-                   help="arrivals per canary-ladder step")
-    p.add_argument("--rate", type=float, default=50.0,
-                   help="drill arrival rate in req/s")
-    p.add_argument("--deadline-ms", type=float, default=250.0,
-                   help="per-request deadline for the drill")
-    p.add_argument("--max-batch", type=int, default=8,
-                   help="per-replica micro-batch size cap")
-    p.add_argument("--distinct-samples", type=int, default=16,
-                   help="distinct inputs cycled through the request stream")
-    p.add_argument("--service-ms", type=float, default=20.0,
-                   help="synthetic per-request service time for the "
-                        "capacity stage (sleep-based: models an "
-                        "accelerator-bound replica; keep well above "
-                        "per-request scheduling overhead ~0.5 ms)")
-    p.add_argument("--capacity-requests", type=int, default=400,
-                   help="arrivals for each capacity run")
-    p.add_argument("--speedup-floor", type=float, default=1.5,
-                   help="required fleet-of-2 / single-server throughput "
-                        "ratio at 80%% offered")
-    p.add_argument("--out", default="BENCH_fleet.json")
-    p.add_argument("--telemetry-out", default=None, metavar="DIR",
-                   help="capture spans/events/metrics into a "
-                        "TelemetrySession in DIR")
-    p.set_defaults(func=cmd_fleet_bench)
+    p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("top", help="live terminal view of a gateway status "
-                                   "directory (see serve-bench --obs-dir / "
+                                   "directory (see serve --obs-dir / "
                                    "Server.start_status_export)")
     p.add_argument("dir", help="directory containing status.json")
     p.add_argument("--interval", type=float, default=1.0,
@@ -1242,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "a traces.jsonl dump")
     p.add_argument("request_id", type=int, help="request (= trace) id")
     p.add_argument("--traces", default="traces.jsonl",
-                   help="span JSONL written by serve-bench --obs-dir or "
+                   help="span JSONL written by serve --obs-dir or "
                         "Server.dump_traces")
     p.add_argument("--chrome", default=None, metavar="OUT",
                    help="also write the request as Chrome trace JSON")

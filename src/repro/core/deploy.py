@@ -1,33 +1,19 @@
 """DeploySpec: one value object describing a full deploy configuration.
 
-Historically every stage of the hand-off grew its own keyword arguments —
-``T2C(mode=..., fmt=..., float_scale=...)``, ``nn2chip(save_model=...,
-export_dir=..., formats=...)``, ``export_model(..., formats=...)`` — and the
-CLI re-plumbed each of them per subcommand.  :class:`DeploySpec` collects the
-whole configuration in one frozen dataclass, :func:`deploy` runs the fuse →
-lint → re-pack → export → plan-compile pipeline from it in one call, and the
-legacy kwargs survive as :class:`DeprecationWarning` shims that name their
-replacement field.
+:class:`DeploySpec` collects the whole hand-off configuration — fusion mode,
+fixed-point grid, lint, export targets, plan compilation — in one frozen
+dataclass; :func:`deploy` runs the fuse → lint → re-pack → export →
+plan-compile pipeline from it in one call, and every stage (``T2C``,
+``export_model``, ``Plan.compile``) takes its configuration from a spec and
+nowhere else.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple
 
 from repro.core.fixed_point import FixedPointFormat
 from repro.runtime.spec import CompileSpec
-
-#: sentinel distinguishing "kwarg not passed" from an explicit value, so the
-#: deprecation shims only fire for call sites that actually use the old name
-_UNSET = object()
-
-
-def warn_deprecated_kwarg(call: str, old: str, new: str) -> None:
-    """Emit the standard shim warning naming the DeploySpec replacement."""
-    warnings.warn(
-        f"{call}({old}=...) is deprecated; set DeploySpec.{new} and pass "
-        f"spec= instead", DeprecationWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -53,10 +39,8 @@ class DeploySpec:
     formats:
         Data formats to export (``dec``/``hex``/``bin``/``qint``).
     runtime:
-        ``"auto"`` compiles the runtime plan, ``"none"`` skips it.  The
-        legacy layout values ``"channel"``/``"batch"`` still work but are
-        deprecated — the layout (and every other compile knob) lives in
-        ``compile``.
+        ``"auto"`` compiles the runtime plan, ``"none"`` skips it; how the
+        plan is compiled (layout included) lives in ``compile``.
     compile:
         The :class:`repro.runtime.CompileSpec` the plan is compiled under —
         fusion level, register layout, tiling and thread count.
@@ -100,9 +84,10 @@ class DeploySpec:
         if self.fusion not in ("channel", "prefuse"):
             raise ValueError(f"unknown fusion mode {self.fusion!r}; "
                              "expected 'channel' or 'prefuse'")
-        if self.runtime not in ("auto", "channel", "batch", "none"):
-            raise ValueError(f"unknown runtime layout {self.runtime!r}; "
-                             "expected 'auto', 'channel', 'batch' or 'none'")
+        if self.runtime not in ("auto", "none"):
+            raise ValueError(f"unknown runtime {self.runtime!r}; expected "
+                             "'auto' or 'none' (the register layout is "
+                             "DeploySpec.compile.layout)")
         if not isinstance(self.compile, CompileSpec):
             raise ValueError("DeploySpec.compile must be a CompileSpec, got "
                              f"{type(self.compile).__name__}")
@@ -113,7 +98,7 @@ class DeploySpec:
 
         Missing attributes keep their dataclass defaults, so every subcommand
         maps through this one translation — ``--fusion``/``--float-scale``/
-        ``--accum-bits``/``--out-dir``/``--formats``/``--runtime``.
+        ``--accum-bits``/``--out-dir``/``--formats``.
         """
         kw = {}
         for fld, attr in (("fusion", "fusion"), ("float_scale", "float_scale"),
@@ -128,11 +113,8 @@ class DeploySpec:
         if fmts is not None:
             kw["formats"] = tuple(fmts)
         # compile knobs (--fusion-level/--threads/--tile-*) share one
-        # translation too; a legacy `--runtime channel|batch` folds into
-        # CompileSpec.layout there, so no deprecation shim fires for it
+        # translation too
         kw["compile"] = CompileSpec.from_args(args)
-        if kw.get("runtime") in ("channel", "batch"):
-            kw["runtime"] = "auto"
         return cls(**kw)
 
     def evolve(self, **changes) -> "DeploySpec":
@@ -182,7 +164,7 @@ def deploy(model, spec: Optional[DeploySpec] = None, **overrides) -> Deployed:
     """One-call hand-off: fuse, (lint,) re-pack, (export,) compile the plan.
 
     ``model`` is a calibrated dual-path Q-model; ``overrides`` are applied on
-    top of ``spec`` (``deploy(qm, runtime="batch")``).  Returns a
+    top of ``spec`` (``deploy(qm, lint=True)``).  Returns a
     :class:`Deployed` bundle whose ``plan`` (when compiled) is bit-exact
     against the interpreted ``qnn``.
     """
@@ -192,9 +174,7 @@ def deploy(model, spec: Optional[DeploySpec] = None, **overrides) -> Deployed:
     if overrides:
         spec = spec.evolve(**overrides)
     t2c = T2C(model, spec=spec)
-    t2c.fuse()
-    if spec.lint:
-        t2c.lint(accum_bits=spec.accum_bits)
+    t2c.fuse()  # lints too under spec.lint
     qnn = t2c.nn2chip()
     manifest = t2c.last_manifest
     plan = None
@@ -202,12 +182,7 @@ def deploy(model, spec: Optional[DeploySpec] = None, **overrides) -> Deployed:
     if spec.runtime != "none":
         from repro.runtime import Plan
 
-        cspec = spec.compile
-        if spec.runtime in ("channel", "batch"):
-            warn_deprecated_kwarg("DeploySpec", "runtime", "compile.layout")
-            if cspec.layout == "auto":
-                cspec = cspec.evolve(layout=spec.runtime)
-        plan = Plan.compile(qnn, spec=cspec)
+        plan = Plan.compile(qnn, spec.compile)
         if spec.verify_plan:
             from repro.lint.plan import PlanVerificationError
 

@@ -5,8 +5,8 @@ The five-line workflow::
     model   = ...                                  # vanilla float model
     trainer = TRAINER[user_select](args)           # QAT / PTQ / SSL / sparse
     trainer.fit()
-    nn2c = T2C(qmodel, fuser=build_fuser)          # fuse + integer conversion
-    qnn  = nn2c.nn2chip(save_model=True)           # vanilla re-pack + export
+    nn2c = T2C(qmodel, spec=DeploySpec(export_dir="out/"))  # fuse + convert
+    qnn  = nn2c.nn2chip()                          # vanilla re-pack + export
 
 ``T2C.fuse()`` wires MulQuant modules behind every unit (architecture-aware
 fuser) and flips the whole model into the integer-only deploy path;
@@ -15,13 +15,11 @@ every tensor in the requested data formats (dec/hex/bin/qint).
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core.deploy import _UNSET, Deployed, DeploySpec, deploy, \
-    warn_deprecated_kwarg
-from repro.core.fixed_point import FixedPointFormat
+from repro.core.deploy import Deployed, DeploySpec, deploy
 from repro.core.fusion import FuserBase, build_fuser
 from repro.core.qbase import _QBase
 from repro.core.vanilla import repack
@@ -85,37 +83,16 @@ class T2C:
     spec:
         A :class:`~repro.core.deploy.DeploySpec` carrying the full deploy
         configuration (fusion mode, fixed-point grid, export targets, ...).
-
-    The historical per-stage kwargs (``fmt``, ``mode``, ``float_scale``,
-    ``lint_after_fuse`` here; ``save_model``/``export_dir``/``formats`` on
-    :meth:`nn2chip`) still work but emit a :class:`DeprecationWarning`
-    naming the :class:`DeploySpec` field that replaces them.
     """
 
-    def __init__(
-        self,
-        model: Module,
-        fuser=None,
-        fmt: FixedPointFormat = _UNSET,
-        mode: str = _UNSET,
-        float_scale: bool = _UNSET,
-        lint_after_fuse: bool = _UNSET,
-        spec: Optional[DeploySpec] = None,
-    ):
+    def __init__(self, model: Module, fuser=None,
+                 spec: Optional[DeploySpec] = None):
         spec = spec or DeploySpec()
-        for old, new, val in (("fmt", "fixed_point", fmt),
-                              ("mode", "fusion", mode),
-                              ("float_scale", "float_scale", float_scale),
-                              ("lint_after_fuse", "lint", lint_after_fuse)):
-            if val is not _UNSET:
-                warn_deprecated_kwarg("T2C", old, new)
-                spec = spec.evolve(**{new: val})
         self.model = model
         self.spec = spec
         self.fmt = spec.fixed_point
         self.mode = spec.fusion
         self.float_scale = spec.float_scale
-        self.lint_after_fuse = spec.lint
         self.lint_report = None
         self.last_manifest = None
         if fuser is None:
@@ -139,8 +116,8 @@ class T2C:
             # under readable layer names
             attach_names(self.model)
             _emit("fuse", mode=self.mode, float_scale=self.float_scale)
-        if self.lint_after_fuse:
-            self.lint()
+        if self.spec.lint:
+            self.lint(accum_bits=self.spec.accum_bits)
         return self.model
 
     def lint(self, accum_bits: int = 32):
@@ -160,37 +137,19 @@ class T2C:
         _emit("lint", errors=s["errors"], warnings=s["warnings"])
         return self.lint_report
 
-    def nn2chip(
-        self,
-        save_model: bool = _UNSET,
-        export_dir: Optional[str] = _UNSET,
-        formats: Sequence[str] = _UNSET,
-    ) -> Module:
+    def nn2chip(self) -> Module:
         """Re-pack into vanilla integer layers; optionally export tensors.
 
         Export destination and formats come from ``self.spec``
-        (``export_dir`` / ``formats``); the legacy kwargs still override
-        them under a :class:`DeprecationWarning`.  Returns the deploy-ready
-        model whose state dict holds integer-valued tensors only; the export
-        manifest (when written) lands on ``self.last_manifest``.
+        (``export_dir`` / ``formats``).  Returns the deploy-ready model whose
+        state dict holds integer-valued tensors only; the export manifest
+        (when written) lands on ``self.last_manifest``.
         """
-        spec = self.spec
-        if save_model is not _UNSET:
-            warn_deprecated_kwarg("T2C.nn2chip", "save_model", "export_dir")
-            if save_model and spec.export_dir is None:
-                spec = spec.evolve(export_dir="t2c_out")
-        if export_dir is not _UNSET:
-            warn_deprecated_kwarg("T2C.nn2chip", "export_dir", "export_dir")
-            if export_dir is not None:
-                spec = spec.evolve(export_dir=export_dir)
-        if formats is not _UNSET:
-            warn_deprecated_kwarg("T2C.nn2chip", "formats", "formats")
-            spec = spec.evolve(formats=tuple(formats))
         if not self._fused:
             self.fuse()
         qnn = repack(self.model)
-        if spec.export_dir is not None:
+        if self.spec.export_dir is not None:
             from repro.export.writer import export_model
 
-            self.last_manifest = export_model(qnn, spec=spec)
+            self.last_manifest = export_model(qnn, self.spec)
         return qnn

@@ -215,36 +215,16 @@ def _verify_roundtrip(out_dir: str, safe: str, name: str, fmt: str,
     return []
 
 
-_UNSET = object()
-
-
-def export_model(model: Module, out_dir: Optional[str] = None,
-                 formats: Sequence[str] = _UNSET,
-                 bits_map: Optional[Dict[str, int]] = None,
-                 *, spec=None) -> Dict:
+def export_model(model: Module, spec,
+                 bits_map: Optional[Dict[str, int]] = None) -> Dict:
     """Export every parameter/buffer of a (re-packed) model.
 
-    Preferred call shape is ``export_model(model, spec=DeploySpec(...))``
-    (destination and formats come from ``spec.export_dir`` /
-    ``spec.formats``); the legacy per-call kwargs still work but emit a
-    :class:`DeprecationWarning` naming the
-    :class:`~repro.core.deploy.DeploySpec` replacement field.
+    Destination and formats come from ``spec.export_dir`` / ``spec.formats``
+    (a :class:`~repro.core.deploy.DeploySpec`).
     """
-    from repro.core.deploy import warn_deprecated_kwarg
-
-    if spec is not None:
-        if out_dir is None:
-            out_dir = spec.export_dir or "t2c_out"
-        if formats is _UNSET:
-            formats = spec.formats
-    else:
-        if out_dir is None:
-            raise TypeError("export_model() needs an out_dir or a spec=")
-        warn_deprecated_kwarg("export_model", "out_dir", "export_dir")
-        if formats is not _UNSET:
-            warn_deprecated_kwarg("export_model", "formats", "formats")
-    if formats is _UNSET:
-        formats = ("dec",)
+    if spec.export_dir is None:
+        raise ValueError("export_model() needs spec.export_dir to be set")
+    out_dir, formats = spec.export_dir, spec.formats
     with _trace("export_model", out_dir=out_dir, formats=",".join(formats)):
         state = model.state_dict()
         manifest = export_state_dict(state, out_dir, formats=formats,

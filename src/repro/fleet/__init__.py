@@ -4,9 +4,8 @@
 serving surface: consistent-hash routing with health-aware failover
 (:mod:`~repro.fleet.router`), supervised replica lifecycles
 (:mod:`~repro.fleet.replica`), SLO-driven autoscaling
-(:mod:`~repro.fleet.autoscaler`), shadow/canary rollouts
-(:mod:`~repro.fleet.splitter`) and shaped multi-tenant load
-(:mod:`~repro.fleet.scenarios`) — all supervised by
+(:mod:`~repro.fleet.autoscaler`) and shadow/canary rollouts
+(:mod:`~repro.fleet.splitter`) — all supervised by
 :class:`~repro.fleet.fleet.Fleet`.  See ``docs/fleet.md``.
 """
 from repro.fleet.autoscaler import (Autoscaler, AutoscalePolicy, Decision,
@@ -16,9 +15,6 @@ from repro.fleet.replica import (CLOSED, DEAD, DRAINING, PARTITIONED,
                                  QUARANTINED, READY, STARTING, Replica)
 from repro.fleet.router import (HashRing, ROLE_CANARY, ROLE_STABLE, Router,
                                 hash01, hash64)
-from repro.fleet.scenarios import (Scenario, diurnal_wave, flash_crowd,
-                                   mixed_sizes, run_scenario, slow_loris,
-                                   standard_suite)
 from repro.fleet.splitter import (CANARY, DEFAULT_LADDER, IDLE, PROMOTED,
                                   ROLLED_BACK, Rollout, SHADOW,
                                   TrafficSplitter)
@@ -32,6 +28,4 @@ __all__ = [
     "SCALE_IN",
     "TrafficSplitter", "Rollout", "DEFAULT_LADDER", "IDLE", "SHADOW",
     "CANARY", "PROMOTED", "ROLLED_BACK",
-    "Scenario", "run_scenario", "standard_suite", "diurnal_wave",
-    "flash_crowd", "slow_loris", "mixed_sizes",
 ]

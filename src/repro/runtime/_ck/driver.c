@@ -227,8 +227,12 @@ static void ck_fork_parent(void)
 
 static void ck_fork_child(void)
 {
-    pthread_mutex_unlock(&ck_pool_mu);
-    pthread_mutex_unlock(&ck_job_mu);
+    /* re-init rather than unlock: the inherited condvars still count the
+     * parent's parked workers, and a broadcast would wait on them forever */
+    pthread_mutex_init(&ck_pool_mu, NULL);
+    pthread_mutex_init(&ck_job_mu, NULL);
+    pthread_cond_init(&ck_work_cv, NULL);
+    pthread_cond_init(&ck_done_cv, NULL);
     ck_pool_workers = 0; /* worker threads are gone in the child */
     ck_pool_ready = 0;
     ck_pool_gen = 0;

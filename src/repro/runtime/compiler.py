@@ -21,7 +21,7 @@ from repro.runtime.program import (AttentionOp, CallModuleOp, ConvMQOp,
                                    ConvRawOp, GapMQOp, HeadOp, InputQuantOp,
                                    LinearMQOp, MaxPoolOp, MLPOp, MulQuantOp,
                                    ResidualOp, TokensOp)
-from repro.runtime.spec import _UNSET, CompileSpec, warn_legacy_compile_kwarg
+from repro.runtime.spec import CompileSpec
 
 
 class CompileError(RuntimeError):
@@ -215,7 +215,7 @@ def _compile_vit(b: _Builder) -> int:
                          kernels.MQParams.of(head.mq)))
 
 
-def compile_program(qnn, spec: CompileSpec = None, *, layout=_UNSET):
+def compile_program(qnn, spec: CompileSpec = None):
     """Compile a re-packed deploy model into an executable :class:`Plan`.
 
     ``spec`` (a :class:`repro.runtime.CompileSpec`) is the single compile
@@ -226,9 +226,6 @@ def compile_program(qnn, spec: CompileSpec = None, *, layout=_UNSET):
     ``"batch"`` replicates the interpreted numpy sequence over plain
     ``(N, C, H, W)`` registers, and ``"auto"`` selects ``channel`` whenever
     the architecture supports it and the native kernel is available.
-
-    The ``layout=`` keyword is the pre-CompileSpec surface; it keeps working
-    but emits a :class:`DeprecationWarning` and routes through the spec.
     """
     from repro import telemetry
     from repro.core.qmodels import QMobileNetV1, QResNet
@@ -239,13 +236,7 @@ def compile_program(qnn, spec: CompileSpec = None, *, layout=_UNSET):
     from repro.runtime.executor import Plan
     from repro.runtime.fusion import fuse_plan
 
-    if layout is not _UNSET:
-        warn_legacy_compile_kwarg("compile_program", "layout", "layout")
-        if layout not in ("auto", "channel", "batch"):
-            raise CompileError(f"unknown layout {layout!r}; "
-                               "expected 'auto', 'channel' or 'batch'")
-        spec = (spec if spec is not None else CompileSpec()).evolve(layout=layout)
-    elif spec is None:
+    if spec is None:
         spec = CompileSpec()
 
     if not isinstance(getattr(qnn, "input_q", None), InputQuant):

@@ -20,7 +20,7 @@ import numpy as np
 from repro import telemetry
 from repro.runtime.arena import Arena, plan_pads
 from repro.runtime.kernels import new_sig
-from repro.runtime.spec import _UNSET, CompileSpec, warn_legacy_compile_kwarg
+from repro.runtime.spec import CompileSpec
 
 
 class OpProfiler:
@@ -153,24 +153,13 @@ class Plan:
 
     # ------------------------------------------------------------- factory
     @classmethod
-    def compile(cls, qnn, spec: Optional[CompileSpec] = None, *,
-                layout=_UNSET) -> "Plan":
+    def compile(cls, qnn, spec: Optional[CompileSpec] = None) -> "Plan":
         """Compile the deploy-ready model from ``T2C.nn2chip()``.
 
         ``spec`` is the single compile configuration (fusion level, layout,
-        tiling, threads); see :class:`repro.runtime.CompileSpec`.  The
-        legacy ``layout=`` kwarg still works but emits a
-        :class:`DeprecationWarning` and routes through the spec.
+        tiling, threads); see :class:`repro.runtime.CompileSpec`.
         """
-        from repro.runtime.compiler import CompileError, compile_program
-
-        if layout is not _UNSET:
-            warn_legacy_compile_kwarg("Plan.compile", "layout", "layout")
-            if layout not in ("auto", "channel", "batch"):
-                raise CompileError(f"unknown layout {layout!r}; "
-                                   "expected 'auto', 'channel' or 'batch'")
-            spec = (spec if spec is not None
-                    else CompileSpec()).evolve(layout=layout)
+        from repro.runtime.compiler import compile_program
 
         with telemetry.trace("plan.compile", model=type(qnn).__name__):
             plan = compile_program(qnn, spec)

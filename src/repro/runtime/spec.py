@@ -4,8 +4,7 @@ Mirroring the :class:`repro.core.deploy.DeploySpec` migration, every knob of
 the plan compiler lives in one frozen dataclass instead of loose keyword
 arguments: the fusion level, the register layout, and the native kernel's
 tiling/threading parameters.  ``Plan.compile``/``compile_program`` accept it
-as the single entry point; the legacy ``layout=`` kwarg survives as a
-:class:`DeprecationWarning` shim that routes through a spec.
+as their only configuration.
 
 Fusion levels
 -------------
@@ -44,22 +43,10 @@ Tiling / threading knobs
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, fields, replace
 
 FUSION_LEVELS = ("none", "requant", "full")
 LAYOUTS = ("auto", "channel", "batch")
-
-#: sentinel distinguishing "kwarg not passed" from an explicit value, so the
-#: deprecation shims only fire for call sites that actually use the old name
-_UNSET = object()
-
-
-def warn_legacy_compile_kwarg(call: str, old: str, new: str) -> None:
-    """Emit the standard shim warning naming the CompileSpec replacement."""
-    warnings.warn(
-        f"{call}({old}=...) is deprecated; set CompileSpec.{new} and pass "
-        f"spec= instead", DeprecationWarning, stacklevel=3)
 
 
 def _usable_cpus() -> int:
@@ -128,8 +115,7 @@ class CompileSpec:
 
         Missing attributes keep their dataclass defaults: ``--fusion-level``/
         ``--threads``/``--tile-kc``/``--tile-oc``/``--no-im2col-cache`` map
-        straight onto fields; a ``--runtime channel|batch`` layout flag (the
-        legacy deploy surface) fills ``layout`` when present.
+        straight onto fields, as does a ``layout`` attribute when present.
         """
         kw = {}
         for fld, attr in (("fusion", "fusion_level"), ("threads", "threads"),
@@ -139,9 +125,6 @@ class CompileSpec:
             v = getattr(args, attr, None)
             if v is not None:
                 kw[fld] = v
-        runtime = getattr(args, "runtime", None)
-        if "layout" not in kw and runtime in ("channel", "batch"):
-            kw["layout"] = runtime
         return cls(**kw)
 
     def evolve(self, **changes) -> "CompileSpec":

@@ -15,9 +15,12 @@ and turns them into well-packed batches without blowing latency:
   (see :func:`repro.core.deploy_registry`);
 * :mod:`~repro.server.types` — the typed result records (:class:`Ok`,
   :class:`Overloaded`, :class:`Failed`) behind
-  :class:`~repro.server.types.PendingRequest` futures;
-* :func:`run_poisson_load` — the open-loop Poisson load generator behind
-  ``repro.cli serve-bench`` and ``BENCH_server.json``.
+  :class:`~repro.server.types.PendingRequest` futures.
+
+``repro.cli serve --obs-dir DIR`` stands a gateway up on a deployed model,
+checks every answer bitwise and leaves the live observability files for
+``repro.cli top`` / ``trace``; performance questions go to
+``python3 -m benchmarks.e2e`` (``benchmarks/e2e/README.md``).
 
 Quickstart::
 
@@ -31,8 +34,6 @@ Quickstart::
         if resp.ok:
             logits = resp.logits
 """
-from repro.server.loadgen import (LoadGenError, LoadReport, Tenant,
-                                  run_poisson_load)
 from repro.server.registry import (
     DuplicateVersionError,
     ModelEntry,
@@ -52,5 +53,4 @@ __all__ = [
     "Server", "ServerConfig",
     "ModelRegistry", "ModelEntry", "split_key", "DuplicateVersionError",
     "Response", "Ok", "Overloaded", "Failed", "PendingRequest",
-    "LoadReport", "run_poisson_load", "Tenant", "LoadGenError",
 ]

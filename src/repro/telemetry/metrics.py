@@ -23,9 +23,9 @@ def percentile_summary(samples: Sequence[float],
                        pcts: Sequence[float] = (50, 95, 99)) -> Dict[str, float]:
     """``{"p50": ..., "p95": ..., "p99": ...}`` over raw samples.
 
-    The shared tail-latency summary used by both benchmark writers
-    (``BENCH_runtime.json`` and ``BENCH_server.json``) so raw-plan and
-    gateway numbers stay directly comparable.  Empty input yields zeros.
+    The shared tail-latency summary behind ``Server.stats()`` and the
+    rolling SLO window, so their numbers stay directly comparable.  Empty
+    input yields zeros.
     """
     import numpy as np
 

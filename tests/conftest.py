@@ -5,6 +5,8 @@ test run.
 """
 from __future__ import annotations
 
+import faulthandler
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,22 @@ def rng():
     return np.random.default_rng(0)
 
 
+#: per-test wall bound; pytest-timeout is not available in this environment
+WATCHDOG_S = 120
+
+
 @pytest.fixture(autouse=True)
 def _seed():
     seed_everything(0)
+
+
+@pytest.fixture(autouse=True)
+def _watchdog():
+    """A wedged test dumps every thread's stack and exits the run instead of
+    hanging the verifier."""
+    faulthandler.dump_traceback_later(WATCHDOG_S, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,9 @@
-"""DeploySpec / deploy() API and the legacy-kwarg deprecation shims."""
+"""DeploySpec / deploy() API: one spec, one spelling per stage."""
 from __future__ import annotations
 
 import argparse
 import os
 import tempfile
-import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from repro.core.qconfig import QConfig
 from repro.core.qmodels import quantize_model
 from repro.core.t2c import calibrate_model
 from repro.models import build_model
+from repro.runtime import CompileSpec
 
 
 def _calibrated(seed=0, batches=1):
@@ -44,14 +44,15 @@ class TestDeploySpec:
     def test_from_args_maps_cli_flags(self):
         args = argparse.Namespace(fusion="prefuse", float_scale=True,
                                   accum_bits=24, out_dir="deploy/",
-                                  formats=["hex", "qint"], runtime="batch")
+                                  formats=["hex", "qint"], runtime="none")
         spec = DeploySpec.from_args(args)
         assert spec.fusion == "prefuse" and spec.float_scale
         assert spec.accum_bits == 24 and spec.export_dir == "deploy/"
         assert spec.formats == ("hex", "qint")
-        # a legacy `--runtime batch` folds into the compile spec's layout
-        # instead of surviving as a deprecated runtime value
-        assert spec.runtime == "auto" and spec.compile.layout == "batch"
+        assert spec.runtime == "none" and spec.compile.layout == "auto"
+        # the register layout is a compile knob, never a runtime value
+        with pytest.raises(ValueError, match="compile.layout"):
+            DeploySpec.from_args(argparse.Namespace(runtime="batch"))
 
     def test_from_args_maps_compile_flags(self):
         args = argparse.Namespace(fusion_level="requant", threads=2,
@@ -75,7 +76,7 @@ class TestDeploySpec:
 class TestDeploy:
     def test_one_call_deploy_compiles_exact_plan(self):
         qm = _calibrated()
-        d = deploy(qm, DeploySpec(runtime="batch"))
+        d = deploy(qm, DeploySpec(compile=CompileSpec(layout="batch")))
         x = np.random.default_rng(1).standard_normal((2, 3, 32, 32)).astype(np.float32)
         from repro.tensor import no_grad
         from repro.tensor.tensor import Tensor
@@ -124,56 +125,56 @@ class TestDeploy:
         assert DeploySpec.from_args(argparse.Namespace()).verify_artifacts
 
 
-class TestDeprecationShims:
-    def test_t2c_legacy_kwargs_warn_and_work(self):
+    @pytest.mark.parametrize("accum_bits", [16, 32])
+    def test_lint_runs_once_with_spec_accum_bits(self, monkeypatch,
+                                                 accum_bits):
+        import repro.lint
+        from repro.lint import lint_model
+
+        calls = []
+
+        def counting(model, **kw):
+            calls.append(kw)
+            return lint_model(model, **kw)
+
+        monkeypatch.setattr(repro.lint, "lint_model", counting)
+        d = deploy(_calibrated(seed=11), lint=True, accum_bits=accum_bits,
+                   runtime="none")
+        assert calls == [dict(accum_bits=accum_bits)]
+        assert d.lint_report.to_json() == lint_model(
+            d.fused, accum_bits=accum_bits).to_json()
+
+
+class TestOneSpelling:
+    """The pre-spec kwargs are gone, not deprecated."""
+
+    def test_t2c_takes_only_a_spec(self):
         qm = _calibrated(seed=4)
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            t2c = T2C(qm, mode="prefuse", float_scale=False,
-                      fmt=FixedPointFormat(4, 12), lint_after_fuse=False)
-        msgs = [str(x.message) for x in w
-                if issubclass(x.category, DeprecationWarning)]
-        assert any("DeploySpec.fusion" in m for m in msgs)
-        assert any("DeploySpec.float_scale" in m for m in msgs)
-        assert any("DeploySpec.fixed_point" in m for m in msgs)
-        assert any("DeploySpec.lint" in m for m in msgs)
-        assert t2c.spec.fusion == "prefuse" and t2c.mode == "prefuse"
+        for kwargs in (dict(mode="prefuse"), dict(float_scale=False),
+                       dict(fmt=FixedPointFormat(4, 12)),
+                       dict(lint_after_fuse=False)):
+            with pytest.raises(TypeError):
+                T2C(qm, **kwargs)
+        assert T2C(qm, spec=DeploySpec(fusion="prefuse")).mode == "prefuse"
 
-    def test_t2c_spec_form_is_silent(self):
-        qm = _calibrated(seed=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            T2C(qm, spec=DeploySpec(fusion="prefuse")).nn2chip()
+    def test_nn2chip_exports_from_the_spec(self, tmp_path):
+        with pytest.raises(TypeError):
+            T2C(_calibrated(seed=6)).nn2chip(save_model=True)
+        out = str(tmp_path / "out")
+        T2C(_calibrated(seed=6), spec=DeploySpec(export_dir=out)).nn2chip()
+        assert os.path.exists(os.path.join(out, "manifest.json"))
 
-    def test_nn2chip_legacy_kwargs_warn(self):
-        qm = _calibrated(seed=6)
-        t2c = T2C(qm)
-        with tempfile.TemporaryDirectory() as td:
-            with warnings.catch_warnings(record=True) as w:
-                warnings.simplefilter("always")
-                t2c.nn2chip(save_model=True, export_dir=td, formats=("dec",))
-            msgs = [str(x.message) for x in w
-                    if issubclass(x.category, DeprecationWarning)]
-            assert any("T2C.nn2chip(save_model=...)" in m for m in msgs)
-            assert any("DeploySpec.export_dir" in m for m in msgs)
-            assert any("DeploySpec.formats" in m for m in msgs)
-            assert os.path.exists(os.path.join(td, "manifest.json"))
-
-    def test_export_model_legacy_kwargs_warn(self):
-        qm = _calibrated(seed=7)
-        qnn = T2C(qm).nn2chip()
+    def test_export_model_takes_a_spec(self, tmp_path):
         from repro.export.writer import export_model
 
-        with tempfile.TemporaryDirectory() as td:
-            with warnings.catch_warnings(record=True) as w:
-                warnings.simplefilter("always")
-                export_model(qnn, td, formats=("dec",))
-            msgs = [str(x.message) for x in w
-                    if issubclass(x.category, DeprecationWarning)]
-            assert any("DeploySpec.export_dir" in m for m in msgs)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                export_model(qnn, spec=DeploySpec(export_dir=td))
+        qnn = T2C(_calibrated(seed=7)).nn2chip()
+        out = str(tmp_path / "out")
+        with pytest.raises(TypeError):
+            export_model(qnn, out, formats=("dec",))
+        with pytest.raises(ValueError, match="export_dir"):
+            export_model(qnn, DeploySpec())
+        manifest = export_model(qnn, DeploySpec(export_dir=out))
+        assert manifest["tensors"]
 
 
 class TestStaleCalibration:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.fusion import MobileNetFuser, ResNetFuser, build_fuser
 from repro.core.qconfig import QConfig
 from repro.core.qmodels import QMobileNetV1, QResNet, quantize_model
-from repro.core.t2c import T2C, calibrate_model
+from repro.core.t2c import DeploySpec, T2C, calibrate_model
 from repro.tensor import Tensor, no_grad
 
 
@@ -90,13 +90,13 @@ class TestFusionAlgebra:
 
     def test_prefuse_folds_bn_into_weights(self, calibrated_resnet):
         qm = calibrated_resnet
-        T2C(qm, mode="prefuse").fuse()
+        T2C(qm, spec=DeploySpec(fusion="prefuse")).fuse()
         # unified scalar scale: MulQuant scale has a single entry
         assert qm.stem.mq.scale.data.size == 1
 
     def test_channel_mode_keeps_per_channel_scale(self, calibrated_resnet):
         qm = calibrated_resnet
-        T2C(qm, mode="channel").fuse()
+        T2C(qm, spec=DeploySpec(fusion="channel")).fuse()
         assert qm.stem.mq.scale.data.size == qm.stem.conv.out_channels
 
 
@@ -109,7 +109,7 @@ class TestIntegerEquivalence:
         x = Tensor(test.images[:64])
         with no_grad():
             fq = qm(x).data
-        T2C(qm, mode=mode).fuse()
+        T2C(qm, spec=DeploySpec(fusion=mode)).fuse()
         with no_grad():
             ii = qm(x).data
         corr = np.mean([np.corrcoef(fq[i], ii[i])[0, 1] for i in range(len(fq))])
@@ -158,4 +158,4 @@ class TestFuserDispatch:
 
     def test_bad_mode_raises(self, calibrated_resnet):
         with pytest.raises(ValueError):
-            T2C(calibrated_resnet, mode="magic")
+            T2C(calibrated_resnet, spec=DeploySpec(fusion="magic"))

@@ -8,7 +8,7 @@ from repro import nn
 from repro.core.qconfig import QConfig
 from repro.core.qlayers import QConv2d, QLinear
 from repro.core.qmodels import quantize_model
-from repro.core.t2c import T2C, calibrate_model
+from repro.core.t2c import DeploySpec, T2C, calibrate_model
 from repro.core.vanilla import InputQuant, integer_state_report, repack
 from repro.tensor import Tensor, no_grad
 
@@ -94,10 +94,12 @@ class TestRepack:
 
 
 class TestExportIntegration:
-    def test_nn2chip_exports(self, fused_qm, tmp_path):
-        _, t2c = fused_qm
-        t2c.nn2chip(save_model=True, export_dir=str(tmp_path / "out"),
-                    formats=("dec", "hex", "qint"))
+    def test_nn2chip_exports(self, resnet20_with_stats, tiny_data, tmp_path):
+        train, _ = tiny_data
+        qm = quantize_model(resnet20_with_stats, QConfig(8, 8))
+        calibrate_model(qm, [train.images[:64]])
+        T2C(qm, spec=DeploySpec(export_dir=str(tmp_path / "out"),
+                                formats=("dec", "hex", "qint"))).nn2chip()
         assert (tmp_path / "out" / "manifest.json").exists()
         files = os.listdir(tmp_path / "out")
         assert any(f.endswith(".hex") for f in files)

@@ -1,9 +1,9 @@
 """Shared fixtures for the replicated-fleet suite.
 
 Everything here serves stub runners — the fleet's routing, health, rollout
-and autoscaling logic is independent of model build cost, and the
-bit-exactness-under-replication contract is covered end-to-end by
-``benchmarks/test_fleet_throughput.py``.
+and autoscaling logic is independent of model build cost; a real deployed
+model runs behind a fleet (bitwise golden-vector probes per replica) in
+``tests/chaos/test_sdc.py`` and ``repro.cli chaos --server/--sdc``.
 """
 from __future__ import annotations
 

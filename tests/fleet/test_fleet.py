@@ -5,6 +5,8 @@ background loop — every lifecycle transition is deterministic.
 """
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,47 @@ def test_serves_and_accounts_primary_window_only():
     assert st["window"]["shadow"]["requests"] == 0
     assert len(st["replicas"]) == 3
     assert fleet.requests_lost == 0
+
+
+def test_late_collection_does_not_sink_other_callers():
+    """A caller sitting on resolved futures (collecting 0.2 s late) costs
+    nobody anything: traffic served meanwhile sees no failed or shed
+    request, and the late answers are still Ok."""
+    with make_fleet(replicas=2) as fleet:
+        held = [fleet.submit("m", sample(1.0)) for _ in range(10)]
+        prompt = _drain([fleet.submit("m", sample(2.0)) for _ in range(20)])
+        deadline = time.monotonic() + 10.0
+        while not all(r.done() for r in held):
+            assert time.monotonic() < deadline, "held requests never resolved"
+            time.sleep(0.01)
+        time.sleep(0.2)
+        prompt += _drain([fleet.submit("m", sample(3.0)) for _ in range(20)])
+        late = _drain(held)
+        window = fleet.status()["models"]["m"]["window"]["primary"]
+    assert all(r.ok for r in prompt + late)
+    assert window["requests"] == 50
+    assert window["failed"] == 0 and window["shed"] == 0
+    assert fleet.requests_lost == 0
+
+
+def test_two_models_are_routed_and_accounted_separately():
+    fleet = make_fleet(replicas=2, model="small")
+    try:
+        fleet.add_model("large")
+        fleet.register_version("large", "1", runner=gain_runner(7.0))
+        fleet.start()
+        pending = [fleet.submit("large" if i % 3 == 0 else "small",
+                                sample(1.0)) for i in range(30)]
+        resps = _drain(pending)
+        st = fleet.status()["models"]
+    finally:
+        fleet.close()
+    assert all(r.ok for r in resps)
+    gains = [float(r.logits[0]) for r in resps]
+    assert gains == [7.0 if i % 3 == 0 else 2.0 for i in range(30)]
+    assert st["small"]["window"]["primary"]["requests"] == 20
+    assert st["large"]["window"]["primary"]["requests"] == 10
+    assert len(st["small"]["replicas"]) == len(st["large"]["replicas"]) == 2
 
 
 def test_kill_under_load_fails_over_and_self_heals():
@@ -136,7 +179,6 @@ def test_shadow_traffic_never_touches_primary_slo():
                         for i in range(20)])
         assert all(r.ok for r in resps)
         # let the mirrored copies resolve
-        import time
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             st = fleet.status()["models"]["m"]

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import T2C
+from repro.core import DeploySpec, T2C
 from repro.core.qconfig import QConfig
 from repro.data import make_dataset
 from repro.export.formats import load_tensor
@@ -28,9 +28,10 @@ def workflow_artifacts(tmp_path_factory):
     trainer = TRAINER["qat"](model, qcfg=QConfig(wbit=4, abit=4, wq="sawb", aq="pact"),
                              train_set=train, test_set=test, epochs=3, batch_size=50, lr=0.1)
     trainer.fit()
-    nn2c = T2C(trainer.qmodel)
     out_dir = str(tmp_path_factory.mktemp("export"))
-    qnn = nn2c.nn2chip(save_model=True, export_dir=out_dir, formats=("dec", "hex", "qint"))
+    nn2c = T2C(trainer.qmodel, spec=DeploySpec(export_dir=out_dir,
+                                               formats=("dec", "hex", "qint")))
+    qnn = nn2c.nn2chip()
     return dict(train=train, test=test, trainer=trainer, qmodel=trainer.qmodel,
                 qnn=qnn, out_dir=out_dir)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.models import MODELS
-from repro.runtime import Plan
+from repro.runtime import CompileSpec, Plan
 
 
 @pytest.mark.parametrize("float_scale", [False, True],
@@ -23,7 +23,7 @@ def test_plan_matches_tree_bitwise(deployed_factory, model_name, fusion,
                                    float_scale):
     d, x, ref = deployed_factory(model_name, fusion, float_scale)
     for layout in ("auto", "batch"):
-        plan = Plan.compile(d.qnn, layout=layout)
+        plan = Plan.compile(d.qnn, CompileSpec(layout=layout))
         out = plan(x)
         assert out.shape == ref.shape and out.dtype == ref.dtype
         assert np.array_equal(ref, out), (
@@ -45,7 +45,7 @@ def test_deployed_call_uses_plan(deployed_factory):
     qm = quantize_model(build_model("resnet20", num_classes=10, width=8),
                         QConfig(8, 8))
     calibrate_model(qm, [rng.standard_normal((4, 3, 32, 32)).astype(np.float32)])
-    d2 = deploy(qm, DeploySpec(runtime="batch"))
+    d2 = deploy(qm, DeploySpec(compile=CompileSpec(layout="batch")))
     assert d2.plan is not None and d2.plan.layout == "batch"
     x2 = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
     assert np.array_equal(d2(x2), d2.plan(x2))

@@ -1,15 +1,13 @@
-"""CompileSpec: validation, CLI translation, legacy shims and plumbing.
+"""CompileSpec: validation, CLI translation and plumbing.
 
 The spec is the *single* compile entry point — ``Plan.compile(qnn, spec)``
 and ``DeploySpec.compile`` both route through it, the compiled plan records
-it, and the static verifier embeds it in the report.  The legacy ``layout=``
-kwarg and ``DeploySpec(runtime="channel"/"batch")`` survive only as
-DeprecationWarning shims.
+it, and the static verifier embeds it in the report.  There is no
+``layout=`` kwarg and no layout-valued ``DeploySpec.runtime``.
 """
 from __future__ import annotations
 
 import argparse
-import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from repro.core.qmodels import quantize_model
 from repro.core.t2c import calibrate_model
 from repro.models import build_model
 from repro.runtime import CompileSpec, Plan
-from repro.runtime.compiler import CompileError
+from repro.runtime.compiler import compile_program
 
 
 class TestValidation:
@@ -74,16 +72,11 @@ class TestFromArgs:
                                   im2col_cache=None)
         assert CompileSpec.from_args(args) == CompileSpec()
 
-    def test_legacy_runtime_flag_fills_layout(self):
+    def test_runtime_attr_is_not_a_layout(self):
         spec = CompileSpec.from_args(argparse.Namespace(runtime="batch"))
-        assert spec.layout == "batch"
-        # an explicit --layout wins over the legacy value
-        spec = CompileSpec.from_args(
-            argparse.Namespace(runtime="batch", layout="channel"))
+        assert spec.layout == "auto"
+        spec = CompileSpec.from_args(argparse.Namespace(layout="channel"))
         assert spec.layout == "channel"
-        # the non-layout runtime values are not layouts
-        assert CompileSpec.from_args(
-            argparse.Namespace(runtime="auto")).layout == "auto"
 
 
 class TestPlanCompile:
@@ -101,25 +94,15 @@ class TestPlanCompile:
         assert rep.ok
         assert rep.to_json()["compile_spec"] == spec.to_json()
 
-    def test_legacy_layout_kwarg_warns_and_routes(self, deployed_factory):
+    def test_layout_kwarg_is_gone(self, deployed_factory):
         d, x, ref = deployed_factory("resnet20")
-        with pytest.warns(DeprecationWarning, match="CompileSpec.layout"):
-            plan = Plan.compile(d.qnn, layout="batch")
+        with pytest.raises(TypeError):
+            Plan.compile(d.qnn, layout="batch")
+        with pytest.raises(TypeError):
+            compile_program(d.qnn, layout="batch")
+        plan = Plan.compile(d.qnn, CompileSpec(layout="batch"))
         assert plan.layout == "batch" and plan.spec.layout == "batch"
         assert np.array_equal(plan(x), ref)
-
-    def test_legacy_layout_kwarg_rejects_unknown(self, deployed_factory):
-        d, _, _ = deployed_factory("resnet20")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(CompileError, match="unknown layout"):
-                Plan.compile(d.qnn, layout="sideways")
-
-    def test_spec_path_emits_no_warning(self, deployed_factory):
-        d, _, _ = deployed_factory("resnet20")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            Plan.compile(d.qnn, CompileSpec(layout="batch"))
 
 
 def _calibrated_vgg(seed=11):
@@ -142,7 +125,9 @@ class TestDeployPlumbing:
         with pytest.raises(ValueError, match="CompileSpec"):
             DeploySpec(compile="full")
 
-    def test_legacy_runtime_layout_warns_and_folds(self):
-        with pytest.warns(DeprecationWarning, match="compile.layout"):
-            d = deploy(_calibrated_vgg(), DeploySpec(runtime="batch"))
+    def test_runtime_is_not_a_layout(self):
+        with pytest.raises(ValueError, match="compile.layout"):
+            DeploySpec(runtime="batch")
+        d = deploy(_calibrated_vgg(),
+                   DeploySpec(compile=CompileSpec(layout="batch")))
         assert d.plan is not None and d.plan.layout == "batch"

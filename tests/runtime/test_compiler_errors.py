@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from repro.runtime import CompileSpec
 from repro.runtime.compiler import CompileError, compile_program
 from repro.runtime.executor import Plan
 from repro.runtime.kernels import MQParams, new_sig
@@ -36,15 +37,10 @@ class TestCompileErrors:
         assert "ExoticNet" in str(ei.value)
         assert "QResNet" in str(ei.value)  # the refusal lists what IS supported
 
-    def test_unknown_layout_refused(self, deployed_factory):
-        d, _, _ = deployed_factory("vgg8")
-        with pytest.raises(CompileError, match="diagonal"):
-            compile_program(d.qnn, layout="diagonal")
-
     def test_channel_layout_refused_for_vit(self, deployed_factory):
         d, _, _ = deployed_factory("vit-7")
         with pytest.raises(CompileError, match="QVisionTransformer"):
-            compile_program(d.qnn, layout="channel")
+            compile_program(d.qnn, CompileSpec(layout="channel"))
 
     def test_malformed_unit_names_offender(self, deployed_factory):
         d, _, _ = deployed_factory("vgg8")

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.runtime import CompileError, Plan
+from repro.runtime import CompileError, CompileSpec, Plan
 from repro.runtime import ckernel
 
 
@@ -54,7 +54,7 @@ def test_numpy_fallback_without_ckernel(deployed_factory, monkeypatch):
     ckernel.reset_for_tests()
     try:
         assert ckernel.load() is None
-        plan = Plan.compile(d.qnn, layout="auto")
+        plan = Plan.compile(d.qnn, CompileSpec(layout="auto"))
         assert plan.layout == "batch"
         assert np.array_equal(ref, plan(x))
     finally:
@@ -65,13 +65,7 @@ def test_numpy_fallback_without_ckernel(deployed_factory, monkeypatch):
 def test_channel_layout_rejects_vit(deployed_factory):
     d, _, _ = deployed_factory("vit-7")
     with pytest.raises(CompileError):
-        Plan.compile(d.qnn, layout="channel")
-
-
-def test_unknown_layout_rejected(deployed_factory):
-    d, _, _ = deployed_factory("resnet20")
-    with pytest.raises(CompileError):
-        Plan.compile(d.qnn, layout="diagonal")
+        Plan.compile(d.qnn, CompileSpec(layout="channel"))
 
 
 def test_compile_rejects_unfused_model():

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.runtime import Plan, PlanPool, WorkerDied
+from repro.runtime import CompileSpec, Plan, PlanPool, WorkerDied, ckernel
 from repro.runtime import serve as serve_mod
 
 
@@ -72,6 +74,50 @@ def test_worker_death_surfaces_not_hangs(plan_and_batches):
     with pytest.raises(RuntimeError, match="worker died"):
         for _ in gen:
             pass
+
+
+_FORK_AFTER_THREADED_PLAN = """
+import numpy as np
+from repro.core import DeploySpec, deploy
+from repro.core.qconfig import QConfig
+from repro.core.qmodels import quantize_model
+from repro.core.t2c import calibrate_model
+from repro.models import build_model
+from repro.runtime import CompileSpec
+
+rng = np.random.default_rng(0)
+qm = quantize_model(build_model("resnet20", num_classes=10, width=8),
+                    QConfig(8, 8))
+calibrate_model(qm, [rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
+                     for _ in range(2)])
+plan = deploy(qm, DeploySpec(compile=CompileSpec(threads=2))).plan
+x = rng.standard_normal((3, 3, 32, 32)).astype(np.float32)
+want = plan(x)  # parks a native pool worker in the parent before fork()
+outs = list(plan.serve([x] * 4, workers=2))
+assert len(outs) == 4 and all(np.array_equal(o, want) for o in outs)
+print("bit-exact")
+"""
+
+
+def test_fork_after_threaded_plan_does_not_hang():
+    """A forked serve worker must not inherit the parent's native thread-pool
+    condvars: they still count the parent's parked worker, and the child's
+    first broadcast would wait for that phantom forever."""
+    if not (serve_mod._can_fork() and ckernel.available()):
+        pytest.skip("needs os.fork and the native kernel")
+    proc = subprocess.Popen([sys.executable, "-c", _FORK_AFTER_THREADED_PLAN],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True,
+                            env={**os.environ,
+                                 "PYTHONPATH": os.pathsep.join(sys.path)})
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the wedged pool workers too
+        proc.communicate()
+        pytest.fail("plan.serve(workers=2) after a threads=2 execution "
+                    "still blocked after 30 s")
+    assert proc.returncode == 0 and "bit-exact" in out, err
 
 
 def test_pool_wait_one_reports_in_flight():

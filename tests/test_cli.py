@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import MODEL_KWARGS, build_parser, main
+from repro.models import MODELS
 
 TINY = ["--train-size", "300", "--test-size", "100", "--noise", "0.35"]
 
@@ -18,6 +19,19 @@ class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["qat"])
         assert args.model == "resnet20" and args.wbit == 8
+
+    def test_subcommand_surface(self):
+        import argparse
+
+        sub, = [a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == {
+            "train", "qat", "ptq", "export", "lint", "inspect", "serve",
+            "top", "trace", "verify-artifacts", "chaos"}
+
+    def test_model_kwargs_cover_the_registry(self):
+        # benchmarks/e2e imports this table
+        assert set(MODEL_KWARGS) == set(MODELS) and len(MODEL_KWARGS) == 6
 
 
 class TestWorkflow:
@@ -89,6 +103,25 @@ class TestTelemetryCLI:
         assert "export_model" in span_names
         sat = json.load(open(os.path.join(tel_dir, "saturation.json")))
         assert sat  # deploy-path evaluation recorded clamp sites
+
+
+class TestServeCLI:
+    def test_serve_leaves_obs_files_that_top_and_trace_read(self, tmp_path,
+                                                            capsys):
+        obs = str(tmp_path / "obs")
+        rc = main(["serve", *TINY, "--requests", "32", "--max-batch", "8",
+                   "--obs-dir", obs])
+        assert rc == 0
+        assert "ok 32  shed 0  failed 0  mismatched 0" in capsys.readouterr().out
+        for fname in ("status.json", "metrics.prom", "traces.jsonl",
+                      "flight_recorder.json", "profile.json"):
+            assert os.path.getsize(os.path.join(obs, fname)) > 0, fname
+        assert main(["top", obs, "--once"]) == 0
+        assert "resnet20" in capsys.readouterr().out
+        traces = os.path.join(obs, "traces.jsonl")
+        trace_id = json.loads(open(traces).readline())["trace_id"]
+        assert main(["trace", str(trace_id), "--traces", traces]) == 0
+        assert f"request {trace_id}:" in capsys.readouterr().out
 
 
 class TestIntegrityCLI:
