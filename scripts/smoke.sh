@@ -59,16 +59,19 @@ EOF
 echo "== compiled runtime (plan vs interpreted tree) =="
 python -m pytest tests/runtime -q -m runtime
 
-echo "== plan fusion (fused multi-thread vs unfused single-thread) =="
+echo "== thread counts (compiled plan at 1 and 4 threads vs the tree) =="
 python - <<'EOF'
-# every registry model: the full-fusion 4-thread plan must be bitwise the
-# unfused single-thread plan, and must still prove clean in the verifier
+# every registry model: the compiled plan (the compiler picks layout and
+# fusion) must be bitwise the interpreted tree at 1 and at 4 kernel threads
 import numpy as np
+from repro.core import DeploySpec, deploy
 from repro.core.qconfig import QConfig
 from repro.core.qmodels import quantize_model
 from repro.core.t2c import calibrate_model
 from repro.models import MODELS, build_model
 from repro.runtime import CompileSpec, Plan
+from repro.tensor import no_grad
+from repro.tensor.tensor import Tensor
 
 KWARGS = {"resnet20": dict(width=8), "resnet18": dict(width=8),
           "resnet50": dict(width=8), "mobilenet-v1": dict(width_mult=0.5),
@@ -79,18 +82,20 @@ for name in MODELS:
                         QConfig(8, 8))
     calibrate_model(qm, [rng.standard_normal((4, 3, 32, 32))
                          .astype(np.float32) for _ in range(2)])
-    from repro.core import DeploySpec, deploy
     d = deploy(qm, DeploySpec(runtime="none"))
     x = rng.standard_normal((3, 3, 32, 32)).astype(np.float32)
-    fused = Plan.compile(d.qnn, CompileSpec(fusion="full", threads=4))
-    unfused = Plan.compile(d.qnn, CompileSpec(fusion="requant", threads=1))
-    assert np.array_equal(fused(x), unfused(x)), (
-        f"{name}: fused 4-thread plan diverges from unfused single-thread")
-    rep = fused.verify(input_shape=(3, 32, 32))
-    assert rep.ok, f"{name}: fused plan verification failed\n{rep.render()}"
-    print(f"fusion OK: {name:<12} {fused.fusion_stats['fused']:>2} chain(s) "
-          f"fused ({fused.fusion_stats['folded_smq']} shortcut requants "
-          f"folded), bit-exact at 4 threads, verify clean")
+    with no_grad():
+        ref = d.qnn(Tensor(x)).data
+    for threads in (1, 4):
+        plan = Plan.compile(d.qnn, CompileSpec(threads=threads))
+        assert np.array_equal(plan(x), ref), (
+            f"{name}: {plan.layout} plan at {threads} thread(s) diverges "
+            f"from the tree")
+    rep = plan.verify(input_shape=(3, 32, 32))
+    assert rep.ok, f"{name}: plan verification failed\n{rep.render()}"
+    print(f"threads OK: {name:<12} {plan.layout:<7} layout, "
+          f"{plan.fusion_stats['fused']:>2} chain(s) fused, bit-exact at "
+          f"1 and 4 threads, verify clean")
 EOF
 
 echo "== online serving gateway (repro.server) =="
@@ -98,7 +103,7 @@ python -m pytest tests/server -q -m server
 # exits 1 on any shed / failed / not-bit-exact answer
 python -m repro.cli serve --model resnet20 --train-size 256 \
     --test-size 64 --requests 200 --max-batch 8 --deadline-ms 500 \
-    --fusion-level full --threads 4 --obs-dir "$TEL_DIR/obs"
+    --threads 4 --obs-dir "$TEL_DIR/obs"
 
 echo "== live observability (tracing / SLO surface / flight recorder) =="
 python - "$TEL_DIR" <<'EOF'

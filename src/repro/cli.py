@@ -80,20 +80,9 @@ def _deploy_flags(parser: argparse.ArgumentParser, calib_batches: int = 4,
                         default="channel")
     parser.add_argument("--float-scale", action="store_true")
     parser.set_defaults(runtime=runtime)
-    # plan-compile knobs -> CompileSpec.from_args (DeploySpec.compile)
-    parser.add_argument("--fusion-level", choices=("none", "requant", "full"),
-                        default=None,
-                        help="plan operator-fusion level (CompileSpec.fusion; "
-                             "default full)")
+    # the one plan-compile setting -> CompileSpec.from_args
     parser.add_argument("--threads", type=int, default=None,
                         help="conv kernel thread count (0 = one per core)")
-    parser.add_argument("--tile-kc", type=int, default=None, metavar="KIB",
-                        help="conv sample-tile cache budget in KiB (0 = auto)")
-    parser.add_argument("--tile-oc", type=int, choices=(0, 4, 8), default=None,
-                        help="output-channel register blocking (0 = auto)")
-    parser.add_argument("--no-im2col-cache", dest="im2col_cache",
-                        action="store_false", default=None,
-                        help="disable im2col buffer reuse in the batch layout")
 
 
 def _data(args):

@@ -39,11 +39,10 @@ class DeploySpec:
     formats:
         Data formats to export (``dec``/``hex``/``bin``/``qint``).
     runtime:
-        ``"auto"`` compiles the runtime plan, ``"none"`` skips it; how the
-        plan is compiled (layout included) lives in ``compile``.
+        ``"auto"`` compiles the runtime plan, ``"none"`` skips it.
     compile:
-        The :class:`repro.runtime.CompileSpec` the plan is compiled under —
-        fusion level, register layout, tiling and thread count.
+        The :class:`repro.runtime.CompileSpec` the plan is compiled under
+        (its thread count; the compiler picks layout, fusion and tiling).
     verify_artifacts:
         Audit exported artifacts (checksums, header/payload consistency)
         whenever they are written or loaded from disk; on by default so a
@@ -86,8 +85,8 @@ class DeploySpec:
                              "expected 'channel' or 'prefuse'")
         if self.runtime not in ("auto", "none"):
             raise ValueError(f"unknown runtime {self.runtime!r}; expected "
-                             "'auto' or 'none' (the register layout is "
-                             "DeploySpec.compile.layout)")
+                             "'auto' or 'none' (the compiler picks the "
+                             "register layout)")
         if not isinstance(self.compile, CompileSpec):
             raise ValueError("DeploySpec.compile must be a CompileSpec, got "
                              f"{type(self.compile).__name__}")
@@ -112,9 +111,7 @@ class DeploySpec:
         fmts = getattr(args, "formats", None)
         if fmts is not None:
             kw["formats"] = tuple(fmts)
-        # compile knobs (--fusion-level/--threads/--tile-*) share one
-        # translation too
-        kw["compile"] = CompileSpec.from_args(args)
+        kw["compile"] = CompileSpec.from_args(args)  # --threads
         return cls(**kw)
 
     def evolve(self, **changes) -> "DeploySpec":

@@ -79,8 +79,6 @@ class FleetConfig:
     #: probes ride the normal submit path with a generous deadline, and
     #: an inconclusive answer (shed/drain/close race) is never SDC
     golden_every: int = 0
-    #: vectors replayed per golden probe (None = the full recorded set)
-    golden_limit: Optional[int] = None
     golden_timeout_s: float = 2.0    #: per-vector probe result wait
     #: synchronous memory scrub of every replica's plans every N health
     #: ticks (0 = off; per-replica background scrubbing can run instead
@@ -620,11 +618,9 @@ class Fleet:
         golden = rep.server._entry_golden(entry)
         if golden is None:
             return
-        n = (golden.k if cfg.golden_limit is None
-             else min(golden.k, max(1, int(cfg.golden_limit))))
         xs = golden.inputs()
         deadline = max(1.0, 4 * cfg.default_deadline_s)
-        for i in range(n):
+        for i in range(golden.k):
             if self.closing or not rep.healthy():
                 return
             pending = rep.submit(group.name, xs[i], deadline_s=deadline)

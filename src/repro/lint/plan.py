@@ -155,9 +155,11 @@ class PlanVerificationReport:
     checksum_certificates: List[Dict] = field(default_factory=list)
     liveness: Optional[PlanLiveness] = None
     checked_module_rows: int = 0
-    #: the CompileSpec the plan was built under (fusion level, layout,
-    #: tiling, threads) — embedded so manifests record the compile config
+    #: the CompileSpec the plan was built under (``{"threads": N}``) and
+    #: the register layout the compiler chose — embedded so manifests
+    #: record how the program was compiled
     compile_spec: Optional[Dict] = None
+    layout: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -191,6 +193,7 @@ class PlanVerificationReport:
                          if self.liveness is not None else None),
             "checked_module_rows": self.checked_module_rows,
             "compile_spec": self.compile_spec,
+            "layout": self.layout,
         }
 
     def render(self) -> str:
@@ -350,19 +353,6 @@ class _PlanVerifier:
                          f"({op.groups} group(s) of {cg}); register r"
                          f"{op.src[0]} carries {c}")
         self._check_mq_size(i, op, op.mq, o, "mq")
-
-    def _shape_conv_raw(self, i, op) -> None:
-        shape = self.shapes.get(op.src[0])
-        if shape is None or len(shape) != 3:
-            raise ValueError(f"conv input r{op.src[0]} is not (C, H, W): "
-                             f"{shape}")
-        c = shape[0]
-        _, cg, _, _ = op.weight.shape
-        if cg * op.groups != c:
-            self.finding("plan.shape-mismatch", self._site(i, op),
-                         f"weight expects {cg * op.groups} input channels "
-                         f"({op.groups} group(s) of {cg}); register r"
-                         f"{op.src[0]} carries {c}")
 
     def _shape_conv_mq_res(self, i, op) -> None:
         self._shape_conv_mq(i, op)
@@ -579,16 +569,6 @@ class _PlanVerifier:
                          f"the 2^53 exact-float64 limit; the ABFT column "
                          f"checksum would compare inexact sums")
 
-    def _h_conv_raw(self, i, op) -> Interval:
-        x = self._input(i, op).scalar()
-        if op.padding:
-            x = x.hull_zero()
-        w2d = op.weight.reshape(op.weight.shape[0], -1)
-        acc = accum_bounds(w2d, x)
-        self.record_accum(op.name, "conv_raw", acc)
-        self._check_conv_certificate(i, op, x)
-        return acc  # the standalone mulquant that follows narrows it
-
     def _h_conv_mq_res(self, i, op) -> Interval:
         """Fused conv+requant+residual: the proof decomposes exactly like
         the unfused chain — conv accumulator row under the conv's name,
@@ -782,6 +762,7 @@ class _PlanVerifier:
             compile_spec=(spec.to_json()
                           if (spec := getattr(self.plan, "spec", None))
                           is not None else None),
+            layout=getattr(self.plan, "layout", None),
         )
 
 

@@ -24,8 +24,8 @@ interpreted op sequence verbatim (see ``tests/runtime/``).
 
 Entry points::
 
-    spec = CompileSpec(fusion="full", threads=4)   # the one compile config
-    plan = Plan.compile(qnn, spec)    # qnn = T2C(...).nn2chip()
+    qnn = T2C(model, spec=DeploySpec()).nn2chip()
+    plan = Plan.compile(qnn, CompileSpec(threads=4))  # the one setting
     logits = plan(batch)              # == qnn(Tensor(batch)).data, bitwise
     for logits in plan.serve(batches, workers=4): ...
 """

@@ -309,11 +309,11 @@ static void ck_run_job(ck_conv_job* J)
 }
 
 /* Shared setup: tiling, tap offsets, oc-block table, dispatch.  `nb` is the
- * caller-chosen sample-block size (CompileSpec.tile_kc); `ob_step` the
- * register blocking (0 = auto: 8-wide when the group width allows, else
- * 4-wide); `threads` the worker count (clamped to what acc can seat). */
+ * caller-chosen sample-block size (the runtime's fixed L2 budget); the
+ * register blocking is 8-wide when the group width allows, else 4-wide;
+ * `threads` is the worker count (clamped to what acc can seat). */
 static void ck_conv_run(ck_conv_job* J, int64_t acc_len, int64_t nb,
-                        int64_t ob_step, int64_t threads)
+                        int64_t threads)
 {
     const int64_t splane = J->Hp * J->Wp;
     const int64_t cg = J->C / J->groups;
@@ -321,8 +321,7 @@ static void ck_conv_run(ck_conv_job* J, int64_t acc_len, int64_t nb,
     const int64_t K = cg * J->kh * J->kw;
     if (K > CK_MAX_TAPS || J->O > CK_MAX_TAPS)
         return; /* Python gates both on conv_mq_taps_cap() */
-    if (ob_step != 4 && ob_step != 8)
-        ob_step = og >= 8 ? 8 : 4;
+    int64_t ob_step = og >= 8 ? 8 : 4;
     if (nb < 1) nb = 1;
     if (nb > J->N) nb = J->N;
     if (threads < 1) threads = 1;
@@ -388,7 +387,7 @@ void conv_mq_cm(const float* P, const float* w, const double* m, int64_t mlen,
                 int64_t O, int64_t kh, int64_t kw, int64_t stride,
                 int64_t in_off, int64_t Hq, int64_t Wq, int64_t out_off,
                 int64_t OH, int64_t OW, int64_t groups,
-                int64_t nb, int64_t ob_step, int64_t threads)
+                int64_t nb, int64_t threads)
 {
     ck_conv_job J = {0};
     J.P = P; J.w = w; J.m = m; J.mlen = mlen; J.b = b; J.blen = blen;
@@ -399,7 +398,7 @@ void conv_mq_cm(const float* P, const float* w, const double* m, int64_t mlen,
     J.kh = kh; J.kw = kw; J.stride = stride; J.in_off = in_off;
     J.Hq = Hq; J.Wq = Wq; J.out_off = out_off; J.OH = OH; J.OW = OW;
     J.groups = groups;
-    ck_conv_run(&J, acc_len, nb, ob_step, threads);
+    ck_conv_run(&J, acc_len, nb, threads);
 }
 
 void conv_mq_res_cm(const float* P, const float* w,
@@ -413,7 +412,7 @@ void conv_mq_res_cm(const float* P, const float* w,
                     int64_t O, int64_t kh, int64_t kw, int64_t stride,
                     int64_t in_off, int64_t Hq, int64_t Wq, int64_t out_off,
                     int64_t OH, int64_t OW, int64_t groups,
-                    int64_t nb, int64_t ob_step, int64_t threads,
+                    int64_t nb, int64_t threads,
                     int64_t Hs, int64_t Ws, int64_t s_off)
 {
     ck_conv_job J = {0};
@@ -429,5 +428,5 @@ void conv_mq_res_cm(const float* P, const float* w,
     J.kh = kh; J.kw = kw; J.stride = stride; J.in_off = in_off;
     J.Hq = Hq; J.Wq = Wq; J.out_off = out_off; J.OH = OH; J.OW = OW;
     J.groups = groups;
-    ck_conv_run(&J, acc_len, nb, ob_step, threads);
+    ck_conv_run(&J, acc_len, nb, threads);
 }

@@ -9,7 +9,8 @@ Two layouts exist:
 
 * ``batch`` — registers are plain ``(N, C, H, W)`` arrays assigned by the
   ops; this is the interpreted-replication layout, valid everywhere.
-* ``channel`` — feature-map registers are preallocated channel-major
+* ``channel`` — the native kernel's layout, bound only when the kernel
+  loaded: feature-map registers are preallocated channel-major
   ``(C, N, Hp, Wp)`` buffers with the consumer convs' zero padding baked
   into the border.  Per channel, the sample planes are contiguous, which is
   what lets the native conv kernel accumulate whole sample blocks in single
@@ -37,7 +38,7 @@ def plan_pads(ops: List, shapes: Dict[int, Shape]) -> Dict[int, int]:
         if len(shape) == 3:
             pads[reg] = 0
     for op in ops:
-        if op.kind in ("conv_mq", "conv_raw", "conv_mq_res"):
+        if op.kind in ("conv_mq", "conv_mq_res"):
             src = op.src[0]
             if src in pads:
                 pads[src] = max(pads[src], op.padding)
@@ -48,13 +49,14 @@ class Arena:
     """Preallocated register file for one (batch size, input shape) binding."""
 
     def __init__(self, n: int, num_regs: int, layout: str = "batch",
-                 spec=None):
-        if spec is None:
-            from repro.runtime.spec import CompileSpec
-            spec = CompileSpec()
+                 ck=None, threads: int = 1):
+        if layout == "channel" and ck is None:
+            raise RuntimeError("a channel-layout plan needs the native "
+                               "kernel, which is not loaded")
         self.n = n
         self.layout = layout
-        self.spec = spec
+        self.ck = ck            # the loaded native kernel (channel layout)
+        self.threads = threads  # native-kernel workers per conv
         self.regs = [None] * num_regs
         # per-sample shapes, filled during shape inference at bind time
         self.shapes: Dict[int, Shape] = {}

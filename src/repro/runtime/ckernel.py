@@ -54,7 +54,7 @@ class CKernel:
              ctypes.c_void_p, ctypes.c_int64,
              ctypes.c_double, ctypes.c_double,
              ctypes.c_void_p, ctypes.c_void_p]
-            + [ctypes.c_int64] * 19)
+            + [ctypes.c_int64] * 18)
         lib.conv_mq_res_cm.restype = None
         lib.conv_mq_res_cm.argtypes = (
             [ctypes.c_void_p, ctypes.c_void_p,      # P, w
@@ -68,7 +68,7 @@ class CKernel:
              ctypes.c_int64,                        # has_smq
              ctypes.c_double, ctypes.c_double, ctypes.c_double,  # rs, rlo, rhi
              ctypes.c_void_p, ctypes.c_void_p]      # Q, acc
-            + [ctypes.c_int64] * 22)
+            + [ctypes.c_int64] * 21)
         lib.mulquant_cm.restype = None
         lib.mulquant_cm.argtypes = (
             [ctypes.c_void_p, ctypes.c_int64,
@@ -88,12 +88,12 @@ class CKernel:
     def conv_mq_cm(self, P, w, m, b, lo, hi, Q, acc, *,
                    C, N, Hp, Wp, O, kh, kw, stride, in_off,
                    Hq, Wq, out_off, OH, OW, groups,
-                   nb=0, ob_step=0, threads=1) -> None:
+                   nb=0, threads=1) -> None:
         """Run the fused conv+MulQuant on channel-major padded registers.
 
-        ``nb`` is the sample-block size (0 = one sample at a time),
-        ``ob_step`` the output-channel register blocking (0 = auto) and
-        ``threads`` the worker count; any combination is bit-exact — the
+        ``nb`` is the sample-block size (0 = one sample at a time) and
+        ``threads`` the worker count; the kernel picks the output-channel
+        register blocking per conv.  Any combination is bit-exact — the
         accumulation order is covered by the compiler's exact-reassociation
         certificate and output writes are disjoint.  The caller keeps every
         array referenced for the duration of the call; raw pointers are
@@ -103,14 +103,13 @@ class CKernel:
             P.ctypes.data, w.ctypes.data, m.ctypes.data, m.size,
             b.ctypes.data, b.size, lo, hi, Q.ctypes.data, acc.ctypes.data,
             acc.size, C, N, Hp, Wp, O, kh, kw, stride, in_off,
-            Hq, Wq, out_off, OH, OW, groups, nb, ob_step, threads)
+            Hq, Wq, out_off, OH, OW, groups, nb, threads)
 
     def conv_mq_res_cm(self, P, w, m, b, lo, hi, S, sm, sb, slo, shi,
                        has_smq, rs, rlo, rhi, Q, acc, *,
                        C, N, Hp, Wp, O, kh, kw, stride, in_off,
                        Hq, Wq, out_off, OH, OW, groups,
-                       nb=0, ob_step=0, threads=1,
-                       Hs, Ws, s_off) -> None:
+                       nb=0, threads=1, Hs, Ws, s_off) -> None:
         """Fused conv+MulQuant+residual-add (optionally folding the
         shortcut's own MulQuant when ``has_smq``); same tiling/threading
         contract as :meth:`conv_mq_cm`."""
@@ -120,8 +119,7 @@ class CKernel:
             sm.ctypes.data, sm.size, sb.ctypes.data, sb.size, slo, shi,
             has_smq, rs, rlo, rhi, Q.ctypes.data, acc.ctypes.data,
             acc.size, C, N, Hp, Wp, O, kh, kw, stride, in_off,
-            Hq, Wq, out_off, OH, OW, groups, nb, ob_step, threads,
-            Hs, Ws, s_off)
+            Hq, Wq, out_off, OH, OW, groups, nb, threads, Hs, Ws, s_off)
 
     def mulquant_cm(self, P, ps, m, b, lo, hi, Q, *,
                     C, N, Hp, Wp, Hq, Wq, out_off, H, W) -> None:

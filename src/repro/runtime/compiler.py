@@ -14,13 +14,13 @@ GEMM order.
 """
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.runtime import kernels
 from repro.runtime.program import (AttentionOp, CallModuleOp, ConvMQOp,
-                                   ConvRawOp, GapMQOp, HeadOp, InputQuantOp,
-                                   LinearMQOp, MaxPoolOp, MLPOp, MulQuantOp,
-                                   ResidualOp, TokensOp)
+                                   GapMQOp, HeadOp, InputQuantOp, LinearMQOp,
+                                   MaxPoolOp, MLPOp, MulQuantOp, ResidualOp,
+                                   TokensOp)
 from repro.runtime.spec import CompileSpec
 
 
@@ -31,9 +31,8 @@ class CompileError(RuntimeError):
 class _Builder:
     """Accumulates ops, register ids and proven integer ranges."""
 
-    def __init__(self, qnn, fusion: str = "requant"):
+    def __init__(self, qnn):
         self.qnn = qnn
-        self.fusion = fusion
         self.names: Dict[int, str] = {id(m): n for n, m in qnn.named_modules()}
         self.ops = []
         self.num_regs = 1  # register 0 is the model input
@@ -77,13 +76,6 @@ class _Builder:
         bound = kernels.conv_reassociation_bound(weight, in_range)
         exact = bound < kernels.EXACT_F32_LIMIT
         dst = self.new_reg()
-        if self.fusion == "none":
-            # raw accumulator + standalone requant: the pre-fusion view
-            self.emit(ConvRawOp(self.name_of(unit), (src,), dst, weight,
-                                conv.stride, conv.padding, conv.groups,
-                                exact_reassoc=exact, bound=bound),
-                      out_range=(-bound, bound))
-            return self.mulquant(mq, dst)
         return self.emit(
             ConvMQOp(self.name_of(unit), (src,), dst, weight, conv.stride,
                      conv.padding, conv.groups, kernels.MQParams.of(mq),
@@ -215,49 +207,24 @@ def _compile_vit(b: _Builder) -> int:
                          kernels.MQParams.of(head.mq)))
 
 
-def compile_program(qnn, spec: CompileSpec = None):
-    """Compile a re-packed deploy model into an executable :class:`Plan`.
+def lower(qnn) -> Tuple[List, int, int]:
+    """The lowering step: walk a re-packed deploy model into its op list.
 
-    ``spec`` (a :class:`repro.runtime.CompileSpec`) is the single compile
-    configuration: fusion level, register layout and native-kernel
-    tiling/threading.  Defaults to ``CompileSpec()`` (full fusion, auto
-    layout).  The layout resolves as before: ``"channel"`` uses channel-major
-    padded registers and the native conv kernel (CNN architectures only),
-    ``"batch"`` replicates the interpreted numpy sequence over plain
-    ``(N, C, H, W)`` registers, and ``"auto"`` selects ``channel`` whenever
-    the architecture supports it and the native kernel is available.
+    Returns ``(ops, num_regs, output_reg)`` *before* the plan-level fusion
+    pass — every conv already carries its requant (``conv_mq``), residual
+    chains are still three ops.  :func:`compile_program` fuses this list.
     """
-    from repro import telemetry
     from repro.core.qmodels import QMobileNetV1, QResNet
     from repro.core.qvgg import QVGG
     from repro.core.qvit import QVisionTransformer
     from repro.core.vanilla import InputQuant
-    from repro.runtime import ckernel
-    from repro.runtime.executor import Plan
-    from repro.runtime.fusion import fuse_plan
-
-    if spec is None:
-        spec = CompileSpec()
 
     if not isinstance(getattr(qnn, "input_q", None), InputQuant):
         raise CompileError(
             "Plan.compile expects the re-packed deploy model returned by "
             "T2C.nn2chip() (its input_q must be the vanilla InputQuant); got "
             f"{type(qnn).__name__}")
-
-    cnn = isinstance(qnn, (QResNet, QMobileNetV1, QVGG))
-    resolved = spec.layout
-    if resolved == "auto":
-        resolved = "channel" if cnn and ckernel.available() else "batch"
-        if cnn and resolved == "batch":
-            telemetry.emit("plan_layout_fallback", model=type(qnn).__name__,
-                           reason="native kernel unavailable")
-    elif resolved == "channel" and not cnn:
-        raise CompileError(
-            f"channel layout supports CNN architectures only, not "
-            f"{type(qnn).__name__}")
-
-    b = _Builder(qnn, fusion=spec.fusion)
+    b = _Builder(qnn)
     if isinstance(qnn, QResNet):
         out_reg = _compile_resnet(b)
     elif isinstance(qnn, QMobileNetV1):
@@ -270,17 +237,42 @@ def compile_program(qnn, spec: CompileSpec = None):
         raise CompileError(
             f"no compiler for architecture {type(qnn).__name__}; supported: "
             "QResNet, QMobileNetV1, QVGG, QVisionTransformer")
+    return b.ops, b.num_regs, out_reg
 
-    ops = b.ops
-    fusion_stats = {"fused": 0, "folded_smq": 0}
-    if spec.fusion == "full":
-        ops, fusion_stats = fuse_plan(ops, out_reg)
 
-    fc_weight = (qnn.head.linear.weight if isinstance(qnn, QVisionTransformer)
-                 else qnn.fc.linear.weight)
-    plan = Plan(ops, num_regs=b.num_regs, output_reg=out_reg,
+def compile_program(qnn, spec: CompileSpec = None):
+    """Compile a re-packed deploy model into an executable :class:`Plan`.
+
+    The compiler decides everything it can observe: it lowers the model
+    (:func:`lower`), always runs the fusion pass, and picks the register
+    layout — channel-major padded registers on the native conv kernel iff
+    the model is a CNN and the kernel loaded, otherwise the ``batch``
+    replication of the interpreted numpy sequence.  The choice is recorded
+    on ``Plan.layout``.  ``spec`` (a :class:`repro.runtime.CompileSpec`,
+    default ``CompileSpec()``) carries the one thing it cannot observe,
+    the kernel's thread count.
+    """
+    from repro import telemetry
+    from repro.core.qvit import QVisionTransformer
+    from repro.runtime import ckernel
+    from repro.runtime.executor import Plan
+    from repro.runtime.fusion import fuse_plan
+
+    if spec is None:
+        spec = CompileSpec()
+    ops, num_regs, out_reg = lower(qnn)
+    ops, fusion_stats = fuse_plan(ops, out_reg)
+
+    vit = isinstance(qnn, QVisionTransformer)
+    layout = "channel" if not vit and ckernel.available() else "batch"
+    if not vit and layout == "batch":
+        telemetry.emit("plan_layout_fallback", model=type(qnn).__name__,
+                       reason="native kernel unavailable")
+
+    fc_weight = qnn.head.linear.weight if vit else qnn.fc.linear.weight
+    plan = Plan(ops, num_regs=num_regs, output_reg=out_reg,
                 model_name=type(qnn).__name__,
                 out_features=fc_weight.data.shape[0],
-                layout=resolved, spec=spec)
+                layout=layout, spec=spec)
     plan.fusion_stats = fusion_stats
     return plan

@@ -79,9 +79,14 @@ class _Binding:
     """A plan bound to one concrete (batch size, input shape)."""
 
     def __init__(self, plan: "Plan", in_shape: Tuple[int, ...]):
+        from repro.runtime import ckernel
+
         n, sample_shape = in_shape[0], tuple(in_shape[1:])
-        self.arena = Arena(n, plan.num_regs, layout=plan.layout,
-                           spec=plan.spec)
+        self.arena = Arena(
+            n, plan.num_regs, layout=plan.layout,
+            ck=ckernel.load() if plan.layout == "channel" else None,
+            # the C ABI seats at most 16 workers
+            threads=max(1, min(16, plan.spec.resolved_threads())))
         self.arena.shapes[0] = sample_shape
         for op in plan.ops:
             self.arena.shapes[op.dst] = op.infer(self.arena.shapes)
@@ -102,7 +107,7 @@ class Plan:
         self.output_reg = output_reg
         self.model_name = model_name
         self.out_features = out_features
-        self.layout = layout
+        self.layout = layout  # the compiler's choice: "channel" | "batch"
         # the compile configuration this program was built under — embedded
         # in verification reports and manifests
         self.spec = spec if spec is not None else CompileSpec()
@@ -156,8 +161,8 @@ class Plan:
     def compile(cls, qnn, spec: Optional[CompileSpec] = None) -> "Plan":
         """Compile the deploy-ready model from ``T2C.nn2chip()``.
 
-        ``spec`` is the single compile configuration (fusion level, layout,
-        tiling, threads); see :class:`repro.runtime.CompileSpec`.
+        The compiler picks layout, fusion and tiling itself; ``spec`` (see
+        :class:`repro.runtime.CompileSpec`) carries the thread count.
         """
         from repro.runtime.compiler import compile_program
 
@@ -166,7 +171,7 @@ class Plan:
         plan.capture_integrity_baseline()
         telemetry.emit("plan_compile", model=plan.model_name,
                        ops=len(plan.ops), registers=plan.num_regs,
-                       layout=plan.layout, fusion=plan.spec.fusion,
+                       layout=plan.layout,
                        fused_chains=plan.fusion_stats["fused"])
         return plan
 
@@ -314,8 +319,8 @@ class Plan:
 
         Fused ops are expanded into their constituent source layers with
         their wall time split by work share, so the report keeps naming the
-        same layers whatever the fusion level (and the seconds still sum to
-        the true total).
+        layers of the unfused program (and the seconds still sum to the
+        true total).
         """
         total = float(self._op_seconds.sum()) or 1.0
         rows = []

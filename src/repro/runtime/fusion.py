@@ -1,4 +1,4 @@
-"""Plan-level operator fusion (fusion level ``"full"``).
+"""Plan-level operator fusion (runs on every compiled plan).
 
 The compiler emits residual blocks as a three-op chain over the register
 file::

@@ -12,11 +12,12 @@ A program is a flat list of ops over a register file.  Each op carries:
 * ``bind(arena)`` — returns the steady-state closure executed per batch,
   with buffers, layout views and broadcast constants resolved up front.
 
-In the ``channel`` arena layout the feature-map ops run over channel-major
-padded registers (the native conv kernel's layout); elementwise ops are
-layout-free and stay bit-exact by executing the identical per-element
-arithmetic on the transposed views.  In the ``batch`` layout every op
-replicates the interpreted module's numpy call sequence verbatim.
+In the ``channel`` arena layout (compiled only when the native kernel
+loaded) the feature-map ops run over channel-major padded registers on the
+kernel; the remaining ops are layout-free and stay bit-exact by executing
+the identical per-element arithmetic on the transposed views.  In the
+``batch`` layout every op replicates the interpreted module's numpy call
+sequence verbatim.
 
 Numeric contracts live in :mod:`repro.runtime.kernels`.
 """
@@ -28,14 +29,13 @@ import numpy as np
 
 from repro.runtime import kernels
 from repro.runtime.arena import Arena
-from repro.tensor.im2col import conv_out_size, im2col
+from repro.tensor.im2col import conv_out_size
 
 Shape = Tuple[int, ...]
 
-
-def _cm_scale(v: np.ndarray):
-    """Broadcast a per-channel vector over (C, N, H, W) channel-major data."""
-    return v.reshape(()) if v.size == 1 else v.reshape(-1, 1, 1, 1)
+#: L2 budget of one native-kernel sample block: a conv runs over as many
+#: samples at once as fit one group's padded input planes into it
+SAMPLE_BLOCK_BYTES = 512 * 1024
 
 
 class _Im2colCache:
@@ -85,12 +85,8 @@ def _conv_accum_fn(arena: Arena, src: int, weight: np.ndarray, stride: int,
     _, cg, kh, kw = weight.shape
     g, st, p = groups, stride, padding
     wm = weight.reshape(o, cg * kh * kw)
-    if arena.spec.im2col_cache:
-        c, h, w = arena.shapes[src]
-        gather = _Im2colCache(n, c, h, w, kh, kw, st, p)
-    else:
-        def gather(x):
-            return im2col(x, kh, kw, st, p)
+    c, h, w = arena.shapes[src]
+    gather = _Im2colCache(n, c, h, w, kh, kw, st, p)
 
     def run(x):
         cols = gather(x)
@@ -177,18 +173,17 @@ class InputQuantOp(Op):
         h.update(repr((self.scale, self.qlb, self.qub)).encode())
 
 
-class ConvMQOp(Op):
-    """Fused integer conv + MulQuant requant + clamp.
+class _ConvOp(Op):
+    """Shared body of the two conv ops: geometry, the per-conv path choice
+    and the native kernel's arguments.
 
-    In the ``channel`` layout, a conv whose accumulator bound the compiler
-    certified (``exact_reassoc``) runs on the native register-blocked kernel
-    directly over the padded channel-major registers; a conv exceeding the
-    bound (or the kernel's tap cap) transposes to batch layout and replicates
-    the interpreted sequence.  In the ``batch`` layout every conv replicates
-    the interpreted per-sample GEMM sequence verbatim.
+    In the ``channel`` layout a conv whose accumulator bound the compiler
+    certified (``exact_reassoc``) and whose taps fit the kernel's tables
+    runs on the native register-blocked kernel directly over the padded
+    channel-major registers; any other conv transposes to batch layout and
+    replicates the interpreted sequence.  In the ``batch`` layout every conv
+    replicates the interpreted per-sample GEMM sequence verbatim.
     """
-
-    kind = "conv_mq"
 
     def __init__(self, name, src, dst, weight: np.ndarray, stride: int,
                  padding: int, groups: int, mq: kernels.MQParams,
@@ -209,49 +204,64 @@ class ConvMQOp(Op):
                 conv_out_size(w, kw, self.stride, self.padding))
 
     def bind(self, arena):
-        if arena.layout == "channel":
-            from repro.runtime import ckernel
+        if arena.layout != "channel":
+            return self._bind_reference(arena)
+        o, cg, kh, kw = self.weight.shape
+        cap = arena.ck.taps_cap
+        if self.exact_reassoc and cg * kh * kw <= cap and o <= cap:
+            return self._bind_kernel(arena)
+        return self._bind_channel_reference(arena)
 
-            ck = ckernel.load()
-            o, cg, kh, kw = self.weight.shape
-            if (ck is not None and self.exact_reassoc
-                    and cg * kh * kw <= ck.taps_cap and o <= ck.taps_cap):
-                return self._bind_kernel(arena, ck)
-            return self._bind_channel_reference(arena)
-        return self._bind_reference(arena)
-
-    def _bind_kernel(self, arena, ck):
-        n = arena.n
-        spec = arena.spec
+    def _kernel_args(self, arena):
+        """``(P, w, m, b, lo, hi), Q, acc, geometry`` for a native entry:
+        registers, packed constants, per-thread accumulator scratch and the
+        keyword geometry including the fixed sample-block tiling."""
+        n, threads = arena.n, arena.threads
         src, dst = self.src[0], self.dst
-        c, h, w = arena.shapes[src]
         o, oh, ow = arena.shapes[dst]
         _, cg, kh, kw = self.weight.shape
         P = arena.cm_buffer(src)
         Q = arena.cm_buffer(dst)
-        _, _, hp, wp = P.shape
+        c, _, hp, wp = P.shape
         _, _, hq, wq = Q.shape
-        in_off = arena.pads[src] - self.padding
-        out_off = arena.pads[dst]
         splane = hp * wp
-        # sample-block size fitting the input working set into the L2 budget
-        nb = min(n, max(1, spec.tile_bytes() // (cg * splane * 4)))
-        ob_step = spec.tile_oc  # 0 lets the kernel pick per conv
-        threads = max(1, min(16, spec.resolved_threads()))
-        ob_alloc = 4 if ob_step == 4 else 8
-        acc = np.empty(threads * ob_alloc * nb * splane, dtype=np.float32)
-        wm = np.ascontiguousarray(self.weight.reshape(o, cg * kh * kw))
-        m = np.ascontiguousarray(self.mq.m.reshape(-1))
-        b = np.ascontiguousarray(self.mq.b.reshape(-1))
-        lo, hi = self.mq.lo, self.mq.hi
-        st, g = self.stride, self.groups
+        nb = min(n, max(1, SAMPLE_BLOCK_BYTES // (cg * splane * 4)))
+        # every thread seats the widest (8-channel) register block
+        acc = np.empty(threads * 8 * nb * splane, dtype=np.float32)
+        consts = (np.ascontiguousarray(self.weight.reshape(o, cg * kh * kw)),
+                  np.ascontiguousarray(self.mq.m.reshape(-1)),
+                  np.ascontiguousarray(self.mq.b.reshape(-1)),
+                  self.mq.lo, self.mq.hi)
+        geometry = dict(C=c, N=n, Hp=hp, Wp=wp, O=o, kh=kh, kw=kw,
+                        stride=self.stride,
+                        in_off=arena.pads[src] - self.padding,
+                        Hq=hq, Wq=wq, out_off=arena.pads[dst], OH=oh, OW=ow,
+                        groups=self.groups, nb=nb, threads=threads)
+        return (P,) + consts, Q, acc, geometry
+
+    def _conv_acc(self, arena):
+        return _conv_accum_fn(arena, self.src[0], self.weight, self.stride,
+                              self.padding, self.groups,
+                              arena.shapes[self.dst])
+
+    def _conv_sig(self, h, *extra):
+        h.update(repr((self.stride, self.padding, self.groups,
+                       self.exact_reassoc) + extra).encode())
+        kernels.array_sig(h, self.weight)
+        self.mq.sig_update(h)
+
+
+class ConvMQOp(_ConvOp):
+    """Fused integer conv + MulQuant requant + clamp."""
+
+    kind = "conv_mq"
+
+    def _bind_kernel(self, arena):
+        ck = arena.ck
+        (P, w, m, b, lo, hi), Q, acc, geometry = self._kernel_args(arena)
 
         def fn():
-            ck.conv_mq_cm(P, wm, m, b, lo, hi, Q, acc,
-                          C=c, N=n, Hp=hp, Wp=wp, O=o, kh=kh, kw=kw,
-                          stride=st, in_off=in_off, Hq=hq, Wq=wq,
-                          out_off=out_off, OH=oh, OW=ow, groups=g,
-                          nb=nb, ob_step=ob_step, threads=threads)
+            ck.conv_mq_cm(P, w, m, b, lo, hi, Q, acc, **geometry)
         return fn
 
     def _bind_channel_reference(self, arena):
@@ -276,9 +286,7 @@ class ConvMQOp(Op):
 
     def _reference_fn(self, arena):
         """The interpreted conv+MulQuant numpy sequence, replicated verbatim."""
-        run_acc = _conv_accum_fn(arena, self.src[0], self.weight, self.stride,
-                                 self.padding, self.groups,
-                                 arena.shapes[self.dst])
+        run_acc = self._conv_acc(arena)
         mq = self.mq
 
         def run(x):
@@ -286,63 +294,10 @@ class ConvMQOp(Op):
         return run
 
     def _sig_params(self, h):
-        h.update(repr((self.stride, self.padding, self.groups,
-                       self.exact_reassoc)).encode())
-        kernels.array_sig(h, self.weight)
-        self.mq.sig_update(h)
+        self._conv_sig(h)
 
 
-class ConvRawOp(Op):
-    """Unfused conv accumulator (fusion level ``"none"``).
-
-    Produces the raw integer-valued float32 GEMM output; a separate
-    ``mulquant`` op requantizes it.  Replication paths only — this level
-    exists to show and test the program *before* operator fusion, so it
-    never touches the native kernel.
-    """
-
-    kind = "conv_raw"
-
-    def __init__(self, name, src, dst, weight: np.ndarray, stride: int,
-                 padding: int, groups: int, exact_reassoc: bool, bound: float):
-        super().__init__(name, src, dst)
-        self.weight = np.ascontiguousarray(weight, dtype=np.float32)
-        self.stride = int(stride)
-        self.padding = int(padding)
-        self.groups = int(groups)
-        self.exact_reassoc = bool(exact_reassoc)
-        self.bound = float(bound)
-
-    def infer(self, shapes):
-        c, h, w = shapes[self.src[0]]
-        o, _, kh, kw = self.weight.shape
-        return (o, conv_out_size(h, kh, self.stride, self.padding),
-                conv_out_size(w, kw, self.stride, self.padding))
-
-    def bind(self, arena):
-        run = _conv_accum_fn(arena, self.src[0], self.weight, self.stride,
-                             self.padding, self.groups, arena.shapes[self.dst])
-        if arena.layout == "channel":
-            src_center = arena.cm_center(self.src[0])
-            dst_center = arena.cm_center(self.dst)
-
-            def fn():
-                x = np.ascontiguousarray(src_center.transpose(1, 0, 2, 3))
-                np.copyto(dst_center, run(x).transpose(1, 0, 2, 3))
-            return fn
-        regs, s, dst = arena.regs, self.src[0], self.dst
-
-        def fn():
-            regs[dst] = run(regs[s])
-        return fn
-
-    def _sig_params(self, h):
-        h.update(repr((self.stride, self.padding, self.groups,
-                       self.exact_reassoc)).encode())
-        kernels.array_sig(h, self.weight)
-
-
-class ConvMQResOp(Op):
+class ConvMQResOp(_ConvOp):
     """Fully fused conv + requant + residual-add (+ folded shortcut requant).
 
     Produced by the plan fusion pass (:mod:`repro.runtime.fusion`) from a
@@ -365,26 +320,14 @@ class ConvMQResOp(Op):
                  res_lo: float, res_hi: float, res_name: str,
                  smq: Optional[kernels.MQParams] = None,
                  smq_name: Optional[str] = None):
-        super().__init__(name, src, dst)
-        self.weight = np.ascontiguousarray(weight, dtype=np.float32)
-        self.stride = int(stride)
-        self.padding = int(padding)
-        self.groups = int(groups)
-        self.mq = mq
-        self.exact_reassoc = bool(exact_reassoc)
-        self.bound = float(bound)
+        super().__init__(name, src, dst, weight, stride, padding, groups, mq,
+                         exact_reassoc, bound)
         self.res_scale = float(res_scale)
         self.res_lo = float(res_lo)
         self.res_hi = float(res_hi)
         self.res_name = str(res_name)
         self.smq = smq
         self.smq_name = smq_name
-
-    def infer(self, shapes):
-        c, h, w = shapes[self.src[0]]
-        o, _, kh, kw = self.weight.shape
-        return (o, conv_out_size(h, kh, self.stride, self.padding),
-                conv_out_size(w, kw, self.stride, self.padding))
 
     def constituents(self):
         # weight the split by work: the conv GEMM costs ~K MACs per output
@@ -398,44 +341,13 @@ class ConvMQResOp(Op):
         parts.append(("residual", self.res_name, 1.0 / total))
         return parts
 
-    def bind(self, arena):
-        if arena.layout == "channel":
-            from repro.runtime import ckernel
-
-            ck = ckernel.load()
-            o, cg, kh, kw = self.weight.shape
-            if (ck is not None and self.exact_reassoc
-                    and cg * kh * kw <= ck.taps_cap and o <= ck.taps_cap):
-                return self._bind_kernel(arena, ck)
-            return self._bind_channel_reference(arena)
-        return self._bind_reference(arena)
-
-    def _bind_kernel(self, arena, ck):
-        n = arena.n
-        spec = arena.spec
-        src, s_src, dst = self.src[0], self.src[1], self.dst
-        c, h, w = arena.shapes[src]
-        o, oh, ow = arena.shapes[dst]
-        _, cg, kh, kw = self.weight.shape
-        P = arena.cm_buffer(src)
+    def _bind_kernel(self, arena):
+        ck = arena.ck
+        (P, w, m, b, lo, hi), Q, acc, geometry = self._kernel_args(arena)
+        s_src = self.src[1]
         S = arena.cm_buffer(s_src)
-        Q = arena.cm_buffer(dst)
-        _, _, hp, wp = P.shape
         _, _, hs, ws = S.shape
-        _, _, hq, wq = Q.shape
-        in_off = arena.pads[src] - self.padding
         s_off = arena.pads.get(s_src, 0)
-        out_off = arena.pads.get(dst, 0)
-        splane = hp * wp
-        nb = min(n, max(1, spec.tile_bytes() // (cg * splane * 4)))
-        ob_step = spec.tile_oc
-        threads = max(1, min(16, spec.resolved_threads()))
-        ob_alloc = 4 if ob_step == 4 else 8
-        acc = np.empty(threads * ob_alloc * nb * splane, dtype=np.float32)
-        wm = np.ascontiguousarray(self.weight.reshape(o, cg * kh * kw))
-        m = np.ascontiguousarray(self.mq.m.reshape(-1))
-        b = np.ascontiguousarray(self.mq.b.reshape(-1))
-        lo, hi = self.mq.lo, self.mq.hi
         if self.smq is not None:
             sm = np.ascontiguousarray(self.smq.m.reshape(-1))
             sb = np.ascontiguousarray(self.smq.b.reshape(-1))
@@ -445,16 +357,11 @@ class ConvMQResOp(Op):
             sb = np.zeros(1, dtype=np.float64)
             slo, shi, has_smq = 0.0, 0.0, 0
         rs, rlo, rhi = self.res_scale, self.res_lo, self.res_hi
-        st, g = self.stride, self.groups
 
         def fn():
-            ck.conv_mq_res_cm(P, wm, m, b, lo, hi, S, sm, sb, slo, shi,
+            ck.conv_mq_res_cm(P, w, m, b, lo, hi, S, sm, sb, slo, shi,
                               has_smq, rs, rlo, rhi, Q, acc,
-                              C=c, N=n, Hp=hp, Wp=wp, O=o, kh=kh, kw=kw,
-                              stride=st, in_off=in_off, Hq=hq, Wq=wq,
-                              out_off=out_off, OH=oh, OW=ow, groups=g,
-                              nb=nb, ob_step=ob_step, threads=threads,
-                              Hs=hs, Ws=ws, s_off=s_off)
+                              Hs=hs, Ws=ws, s_off=s_off, **geometry)
         return fn
 
     def _bind_channel_reference(self, arena):
@@ -478,9 +385,7 @@ class ConvMQResOp(Op):
         return fn
 
     def _reference_fn(self, arena):
-        run_acc = _conv_accum_fn(arena, self.src[0], self.weight, self.stride,
-                                 self.padding, self.groups,
-                                 arena.shapes[self.dst])
+        run_acc = self._conv_acc(arena)
         mq, smq = self.mq, self.smq
         rs, rlo, rhi = self.res_scale, self.res_lo, self.res_hi
 
@@ -490,11 +395,8 @@ class ConvMQResOp(Op):
         return run
 
     def _sig_params(self, h):
-        h.update(repr((self.stride, self.padding, self.groups,
-                       self.exact_reassoc, self.res_scale, self.res_lo,
-                       self.res_hi, self.res_name, self.smq_name)).encode())
-        kernels.array_sig(h, self.weight)
-        self.mq.sig_update(h)
+        self._conv_sig(h, self.res_scale, self.res_lo, self.res_hi,
+                       self.res_name, self.smq_name)
         if self.smq is not None:
             self.smq.sig_update(h)
 
@@ -541,31 +443,16 @@ class MulQuantOp(Op):
     def bind(self, arena):
         regs, s, dst, mq = arena.regs, self.src[0], self.dst, self.mq
         if arena.layout == "channel" and len(arena.shapes[s]) == 3:
-            from repro.runtime import ckernel
-
-            ck = ckernel.load()
-            if ck is not None:
-                return self._bind_channel_kernel(arena, ck)
-            src_center = arena.cm_center(s)
-            dst_center = arena.cm_center(dst)
-            # channel-major broadcast: the channel axis is axis 0
-            m = _cm_scale(mq.m)
-            b = _cm_scale(mq.b)
-            lo, hi = mq.lo, mq.hi
-
-            def fn():
-                v = src_center.astype(np.float64) * m + b
-                r = kernels.round_half_away(v)
-                np.copyto(dst_center, np.clip(r, lo, hi).astype(np.float32))
-            return fn
+            return self._bind_channel_kernel(arena)
 
         def fn():
             regs[dst] = kernels.requant(regs[s], mq)
         return fn
 
-    def _bind_channel_kernel(self, arena, ck):
+    def _bind_channel_kernel(self, arena):
         """Native requant over the padded registers, same exact epilogue as
         the fused conv (f64 multiply and add rounding separately)."""
+        ck = arena.ck
         s, dst = self.src[0], self.dst
         c, h, w = arena.shapes[s]
         n = arena.n
@@ -606,29 +493,19 @@ class ResidualOp(Op):
         regs, (a, s), dst = arena.regs, self.src, self.dst
         rs, lo, hi = self.res_scale, self.lo, self.hi
         if arena.layout == "channel" and len(arena.shapes[dst]) == 3:
-            from repro.runtime import ckernel
-
-            ck = ckernel.load()
-            if ck is not None:
-                c, h, w = arena.shapes[dst]
-                n = arena.n
-                A = arena.cm_buffer(a)
-                S = arena.cm_buffer(s)
-                Q = arena.cm_buffer(dst)
-                pa = arena.pads.get(a, 0)
-                psd = arena.pads.get(s, 0)
-                pq = arena.pads.get(dst, 0)
-
-                def fn():
-                    ck.residual_cm(A, pa, S, psd, Q, pq, rs, lo, hi,
-                                   C=c, N=n, H=h, W=w)
-                return fn
-            a_c = arena.cm_center(a)
-            s_c = arena.cm_center(s)
-            d_c = arena.cm_center(dst)
+            ck = arena.ck
+            c, h, w = arena.shapes[dst]
+            n = arena.n
+            A = arena.cm_buffer(a)
+            S = arena.cm_buffer(s)
+            Q = arena.cm_buffer(dst)
+            pa = arena.pads.get(a, 0)
+            psd = arena.pads.get(s, 0)
+            pq = arena.pads.get(dst, 0)
 
             def fn():
-                np.copyto(d_c, kernels.residual_merge(a_c, s_c, rs, lo, hi))
+                ck.residual_cm(A, pa, S, psd, Q, pq, rs, lo, hi,
+                               C=c, N=n, H=h, W=w)
             return fn
 
         def fn():

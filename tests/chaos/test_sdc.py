@@ -55,17 +55,21 @@ def deployed_bundle():
     return d, x
 
 
-def test_sdc_default_plan_detects_quarantines_heals(deployed_bundle):
+@pytest.mark.parametrize("seed", [0, 11])
+def test_sdc_default_plan_detects_quarantines_heals(deployed_bundle, seed):
+    # every probe replays the whole recorded golden set, so a tampered
+    # vector is caught whichever index the seed picks
     d, x = deployed_bundle
     fleet = Fleet(FleetConfig(
         replicas=3, health_interval_s=0.1, default_deadline_s=2.0,
-        golden_every=2, golden_limit=2, scrub_every=2,
+        golden_every=2, scrub_every=2,
         server=ServerConfig(max_batch=8, default_deadline_s=2.0,
                             abft_every=4)))
     fleet.add_model("resnet20")
     fleet.register_version("resnet20", "1", d)
     with fleet:
-        report = ChaosPlan.sdc_default(seed=0).run_sdc(fleet, "resnet20", x)
+        report = ChaosPlan.sdc_default(seed=seed).run_sdc(fleet, "resnet20",
+                                                          x)
         assert report.injected == len(SDC_INJECTORS)
         assert report.detected == report.injected, report.render()
         assert report.recovered == report.injected, report.render()

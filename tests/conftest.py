@@ -5,6 +5,7 @@ test run.
 """
 from __future__ import annotations
 
+import contextlib
 import faulthandler
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from repro.data import make_dataset
 from repro.models import build_model
+from repro.runtime import ckernel
 from repro.tensor import Tensor
 from repro.utils import seed_everything
 
@@ -37,6 +39,23 @@ def _watchdog():
     faulthandler.dump_traceback_later(WATCHDOG_S, exit=True)
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def no_ckernel(monkeypatch):
+    """``with no_ckernel(): ...`` runs its body with the native kernel
+    unloaded (``REPRO_NO_CKERNEL=1``), so plans compiled inside take the
+    batch layout — the path of ViT and of hosts without a C compiler."""
+    @contextlib.contextmanager
+    def unloaded():
+        try:
+            with monkeypatch.context() as mp:
+                mp.setenv("REPRO_NO_CKERNEL", "1")
+                ckernel.reset_for_tests()
+                yield
+        finally:
+            ckernel.reset_for_tests()
+    return unloaded
 
 
 @pytest.fixture(scope="session")

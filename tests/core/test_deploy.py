@@ -49,18 +49,14 @@ class TestDeploySpec:
         assert spec.fusion == "prefuse" and spec.float_scale
         assert spec.accum_bits == 24 and spec.export_dir == "deploy/"
         assert spec.formats == ("hex", "qint")
-        assert spec.runtime == "none" and spec.compile.layout == "auto"
-        # the register layout is a compile knob, never a runtime value
-        with pytest.raises(ValueError, match="compile.layout"):
+        assert spec.runtime == "none" and spec.compile == CompileSpec()
+        # the register layout is the compiler's pick, never a runtime value
+        with pytest.raises(ValueError, match="register layout"):
             DeploySpec.from_args(argparse.Namespace(runtime="batch"))
 
     def test_from_args_maps_compile_flags(self):
-        args = argparse.Namespace(fusion_level="requant", threads=2,
-                                  tile_kc=256, tile_oc=4, im2col_cache=False)
-        spec = DeploySpec.from_args(args)
-        assert spec.compile.fusion == "requant"
-        assert spec.compile.threads == 2 and spec.compile.tile_kc == 256
-        assert spec.compile.tile_oc == 4 and not spec.compile.im2col_cache
+        spec = DeploySpec.from_args(argparse.Namespace(threads=2))
+        assert spec.compile == CompileSpec(threads=2)
 
     def test_from_args_defaults_for_missing_attrs(self):
         spec = DeploySpec.from_args(argparse.Namespace())
@@ -74,9 +70,11 @@ class TestDeploySpec:
 
 
 class TestDeploy:
-    def test_one_call_deploy_compiles_exact_plan(self):
+    def test_one_call_deploy_compiles_exact_plan(self, no_ckernel):
         qm = _calibrated()
-        d = deploy(qm, DeploySpec(compile=CompileSpec(layout="batch")))
+        with no_ckernel():
+            d = deploy(qm, DeploySpec())
+        assert d.plan.layout == "batch"
         x = np.random.default_rng(1).standard_normal((2, 3, 32, 32)).astype(np.float32)
         from repro.tensor import no_grad
         from repro.tensor.tensor import Tensor

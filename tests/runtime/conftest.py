@@ -18,6 +18,8 @@ from repro.core.qconfig import QConfig
 from repro.core.qmodels import quantize_model
 from repro.core.t2c import calibrate_model
 from repro.models import build_model
+from repro.runtime import Plan
+from repro.runtime.compiler import lower
 from repro.tensor import no_grad
 from repro.tensor.tensor import Tensor
 
@@ -65,4 +67,17 @@ def deployed_factory():
         if key not in _CACHE:
             _CACHE[key] = _build(*key)
         return _CACHE[key]
+    return get
+
+
+@pytest.fixture(scope="session")
+def unfused_plan():
+    """`get(qnn) -> Plan` over the compiler's lowered op list *before* the
+    fusion pass, with the layout the compiler picks for ``qnn`` — the
+    reference the fused program must match bitwise."""
+    def get(qnn):
+        ops, num_regs, output_reg = lower(qnn)
+        fused = Plan.compile(qnn)
+        return Plan(ops, num_regs, output_reg, fused.model_name,
+                    fused.out_features, layout=fused.layout)
     return get

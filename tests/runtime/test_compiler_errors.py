@@ -5,7 +5,6 @@ import copy
 import numpy as np
 import pytest
 
-from repro.runtime import CompileSpec
 from repro.runtime.compiler import CompileError, compile_program
 from repro.runtime.executor import Plan
 from repro.runtime.kernels import MQParams, new_sig
@@ -38,9 +37,10 @@ class TestCompileErrors:
         assert "QResNet" in str(ei.value)  # the refusal lists what IS supported
 
     def test_channel_layout_refused_for_vit(self, deployed_factory):
+        # no refusal left to raise: the compiler never picks the channel
+        # layout for a ViT, and no setting can ask for it
         d, _, _ = deployed_factory("vit-7")
-        with pytest.raises(CompileError, match="QVisionTransformer"):
-            compile_program(d.qnn, CompileSpec(layout="channel"))
+        assert compile_program(d.qnn).layout == "batch"
 
     def test_malformed_unit_names_offender(self, deployed_factory):
         d, _, _ = deployed_factory("vgg8")

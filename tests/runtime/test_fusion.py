@@ -1,10 +1,12 @@
 """Plan-level fusion: legality proofs, bit-exactness, profiler attribution.
 
-The ``full`` fusion level collapses conv → requant → residual chains into
-single ``conv_mq_res`` ops.  The contracts under test:
+The fusion pass (run on every compiled plan) collapses conv → requant →
+residual chains into single ``conv_mq_res`` ops.  The contracts under test:
 
-* every fusion level produces *bitwise* identical outputs (the fused
-  epilogue replicates the standalone op sequence exactly);
+* the lowered program (``requant``: every conv already carries its
+  requant, residual chains still three ops) and the fused one (``full``)
+  produce *bitwise* identical outputs (the fused epilogue replicates the
+  standalone op sequence exactly);
 * legality is decided by the liveness oracle — a register with any extra
   reader, or the program output, is never folded away;
 * fused programs keep attributing wall time to the original source layers
@@ -16,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.runtime import CompileSpec, Plan
+from repro.runtime import Plan
+from repro.runtime.compiler import lower
 from repro.runtime.fusion import fuse_plan
 from repro.runtime.program import (ConvMQOp, ConvMQResOp, MulQuantOp,
                                    ResidualOp)
@@ -26,34 +29,36 @@ RESIDUAL_MODELS = ("resnet20", "resnet18")
 
 class TestBitExactAcrossLevels:
     @pytest.mark.parametrize("model", ["resnet20", "mobilenet-v1", "vit-7"])
-    @pytest.mark.parametrize("fusion", ["none", "requant", "full"])
-    def test_levels_match_tree(self, deployed_factory, model, fusion):
+    @pytest.mark.parametrize("fusion", ["requant", "full"])
+    def test_levels_match_tree(self, deployed_factory, unfused_plan, model,
+                               fusion):
         d, x, ref = deployed_factory(model)
-        plan = Plan.compile(d.qnn, CompileSpec(fusion=fusion))
+        plan = (Plan.compile(d.qnn) if fusion == "full"
+                else unfused_plan(d.qnn))
         assert np.array_equal(plan(x), ref), (
-            f"{model}: fusion={fusion} plan diverges from the tree")
+            f"{model}: {fusion} program diverges from the tree")
 
     @pytest.mark.parametrize("model", RESIDUAL_MODELS)
     def test_full_actually_fuses_residual_chains(self, deployed_factory,
                                                  model):
         d, _, _ = deployed_factory(model)
-        plan = Plan.compile(d.qnn, CompileSpec(fusion="full"))
+        plan = Plan.compile(d.qnn)
         assert plan.fusion_stats["fused"] > 0
         assert any(isinstance(op, ConvMQResOp) for op in plan.ops)
 
     def test_requant_level_has_no_fused_residuals(self, deployed_factory):
         d, _, _ = deployed_factory("resnet20")
-        plan = Plan.compile(d.qnn, CompileSpec(fusion="requant"))
-        assert plan.fusion_stats == {"fused": 0, "folded_smq": 0}
-        assert not any(isinstance(op, ConvMQResOp) for op in plan.ops)
+        ops, _, _ = lower(d.qnn)
+        assert not any(isinstance(op, ConvMQResOp) for op in ops)
+        assert any(isinstance(op, ResidualOp) for op in ops)
 
 
 class TestFusePassProperties:
     @pytest.fixture(scope="class")
-    def base(self, deployed_factory):
+    def base(self, deployed_factory, unfused_plan):
+        """The compiler's pre-fusion op list, as the pass receives it."""
         d, x, ref = deployed_factory("resnet20")
-        plan = Plan.compile(d.qnn, CompileSpec(fusion="requant"))
-        return plan, x, ref
+        return unfused_plan(d.qnn), x, ref
 
     def test_op_count_shrinks_by_stats(self, base):
         plan, _, _ = base
@@ -135,17 +140,18 @@ class TestFusePassProperties:
 
 
 class TestProfilerAttribution:
-    def test_op_report_names_invariant_under_fusion(self, deployed_factory):
+    def test_op_report_names_invariant_under_fusion(self, deployed_factory,
+                                                    unfused_plan):
         d, x, _ = deployed_factory("resnet20")
-        fused = Plan.compile(d.qnn, CompileSpec(fusion="full"))
-        unfused = Plan.compile(d.qnn, CompileSpec(fusion="requant"))
+        fused = Plan.compile(d.qnn)
+        unfused = unfused_plan(d.qnn)
         fused(x), unfused(x)
         names = lambda p: {(r["kind"], r["name"]) for r in p.op_report()}
         assert names(fused) == names(unfused)
 
     def test_op_report_seconds_conserved(self, deployed_factory):
         d, x, _ = deployed_factory("resnet20")
-        plan = Plan.compile(d.qnn, CompileSpec(fusion="full"))
+        plan = Plan.compile(d.qnn)
         for _ in range(3):
             plan(x)
         rows = plan.op_report()
@@ -156,7 +162,7 @@ class TestProfilerAttribution:
     def test_sampled_profile_attribution_survives_fusion(
             self, deployed_factory):
         d, x, _ = deployed_factory("resnet20")
-        plan = Plan.compile(d.qnn, CompileSpec(fusion="full"))
+        plan = Plan.compile(d.qnn)
         assert plan.fusion_stats["fused"] > 0
         prof = plan.enable_profiling(sample_every=1)
         for _ in range(4):

@@ -1,12 +1,10 @@
 """Plan invariants: determinism, serving, fallbacks, error paths."""
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
-from repro.runtime import CompileError, CompileSpec, Plan
+from repro.runtime import CompileError, Plan
 from repro.runtime import ckernel
 
 
@@ -46,26 +44,37 @@ def test_serve_inline_fallback(deployed_factory):
     assert len(outs) == 2 and np.array_equal(outs[0], plan(x))
 
 
-def test_numpy_fallback_without_ckernel(deployed_factory, monkeypatch):
-    """With the kill switch set, auto layout degrades to the bit-exact
-    batch replication instead of the native kernel."""
+def test_numpy_fallback_without_ckernel(deployed_factory, no_ckernel):
+    """With the kill switch set, a CNN compiles to the bit-exact batch
+    replication instead of the native kernel."""
     d, x, ref = deployed_factory("resnet20")
-    monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-    ckernel.reset_for_tests()
-    try:
+    with no_ckernel():
         assert ckernel.load() is None
-        plan = Plan.compile(d.qnn, CompileSpec(layout="auto"))
-        assert plan.layout == "batch"
-        assert np.array_equal(ref, plan(x))
-    finally:
-        monkeypatch.delenv("REPRO_NO_CKERNEL")
-        ckernel.reset_for_tests()
+        plan = Plan.compile(d.qnn)
+    assert plan.layout == "batch"
+    assert np.array_equal(ref, plan(x))
+
+
+def test_channel_plan_refuses_to_bind_without_ckernel(deployed_factory,
+                                                      no_ckernel):
+    """A channel plan has no numpy stand-in for its kernel ops: binding one
+    after the kernel went away is a clear error, not a wrong answer."""
+    d, x, _ = deployed_factory("resnet20")
+    plan = Plan.compile(d.qnn)
+    if plan.layout != "channel":
+        pytest.skip("native kernel unavailable")
+    with no_ckernel():
+        with pytest.raises(RuntimeError, match="native kernel"):
+            plan(x)
 
 
 def test_channel_layout_rejects_vit(deployed_factory):
-    d, _, _ = deployed_factory("vit-7")
-    with pytest.raises(CompileError):
-        Plan.compile(d.qnn, CompileSpec(layout="channel"))
+    """The channel layout is for CNNs only: a ViT takes the batch layout
+    even when the native kernel is loaded."""
+    d, x, ref = deployed_factory("vit-7")
+    plan = Plan.compile(d.qnn)
+    assert plan.layout == "batch"
+    assert np.array_equal(ref, plan(x))
 
 
 def test_compile_rejects_unfused_model():

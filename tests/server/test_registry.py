@@ -150,20 +150,20 @@ def test_register_unpacks_deployed_bundle(served_factory):
     assert np.array_equal(out[0], refs[0]) and np.array_equal(out[1], refs[1])
 
 
-def test_build_goes_through_deploy_pipeline():
+def test_build_goes_through_deploy_pipeline(no_ckernel):
     from repro.core import DeploySpec
     from repro.core.qconfig import QConfig
     from repro.core.qmodels import quantize_model
     from repro.core.t2c import calibrate_model
     from repro.models import build_model
-    from repro.runtime import CompileSpec
 
     rng = np.random.default_rng(0)
     qm = quantize_model(build_model("vgg8", num_classes=10, width_mult=0.5),
                         QConfig(8, 8))
     calibrate_model(qm, [rng.standard_normal((4, 3, 32, 32)).astype(np.float32)])
     reg = ModelRegistry()
-    entry = reg.build("vgg8", qm, DeploySpec(compile=CompileSpec(layout="batch")))
+    with no_ckernel():
+        entry = reg.build("vgg8", qm, DeploySpec())
     assert entry.key == "vgg8@1" and entry.plan is not None
     assert entry.plan.layout == "batch"
     x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)

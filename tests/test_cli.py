@@ -29,6 +29,23 @@ class TestParser:
             "train", "qat", "ptq", "export", "lint", "inspect", "serve",
             "top", "trace", "verify-artifacts", "chaos"}
 
+    def test_deploy_flags_are_pinned(self):
+        # the compiler picks layout, fusion and tiling, so --threads is the
+        # only plan-compile flag the deploy subcommands share
+        import argparse
+
+        from repro.cli import _deploy_flags
+
+        p = argparse.ArgumentParser()
+        _deploy_flags(p)
+        assert {s for a in p._actions for s in a.option_strings} == {
+            "-h", "--help", "--calib-batches", "--fusion", "--float-scale",
+            "--threads"}
+        for gone in ("--fusion-level", "--tile-kc", "--tile-oc",
+                     "--no-im2col-cache"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["export", "--ckpt", "c.npz", gone])
+
     def test_model_kwargs_cover_the_registry(self):
         # benchmarks/e2e imports this table
         assert set(MODEL_KWARGS) == set(MODELS) and len(MODEL_KWARGS) == 6
