@@ -82,7 +82,8 @@ def main():
         print("\ninteger-datapath saturation audit (top 8 clamp sites):")
         print(format_report(sat[:8]))
 
-    print(f"\nspan tree:\n{telemetry.get_tracer().format_tree()}")
+    roots, _ = telemetry.build_tree(telemetry.get_tracer().records)
+    print(f"\nspan tree:\n{telemetry.format_tree(roots)}")
     print(f"\ntelemetry written to {args.out}/ "
           f"(trace.json is chrome://tracing-loadable)")
 

@@ -15,10 +15,20 @@ trap 'rm -rf "$TEL_DIR"' EXIT
 python -m repro.cli inspect --model resnet20 --epochs 1 \
     --train-size 300 --test-size 100 --calib-batches 2 \
     --telemetry-out "$TEL_DIR"
-for f in manifest.json trace.json events.jsonl metrics.json saturation.json \
-         layer_report.json report.txt; do
+for f in manifest.json trace.json trace.txt events.jsonl metrics.json \
+         saturation.json layer_report.json report.txt; do
     test -s "$TEL_DIR/$f" || { echo "missing telemetry output: $f"; exit 1; }
 done
+python - "$TEL_DIR" <<'EOF'
+# the session trace is rendered from the one span-record model
+import json, os, sys
+events = json.load(open(os.path.join(sys.argv[1], "trace.json")))["traceEvents"]
+assert events, "empty session trace"
+bare = [e["name"] for e in events
+        if not {"trace_id", "span_id"} <= set(e["args"])]
+assert not bare, f"trace.json events without span-record ids: {bare[:5]}"
+print(f"session trace OK: {len(events)} span records")
+EOF
 
 echo "== static verification (repro.lint) =="
 python -m repro.cli lint --purity
@@ -110,7 +120,7 @@ python - "$TEL_DIR" <<'EOF'
 # the serve --obs-dir run above left the full observability surface on disk:
 # status snapshot, Prometheus exposition, span records, profile report.
 import json, sys, os
-from repro.telemetry import live, obs
+from repro.telemetry import obs, tracing
 d = os.path.join(sys.argv[1], "obs")
 status = json.load(open(os.path.join(d, "status.json")))
 m = status["models"]["resnet20"]
@@ -120,11 +130,11 @@ assert m["window"]["slo"]["target"] == 0.99
 parsed = obs.parse_prometheus(open(os.path.join(d, "metrics.prom")).read())
 ok = {lab["model"]: v for lab, v in parsed["server_window_ok"]}
 assert ok.get("resnet20", 0.0) > 0, parsed.keys()
-records = live.load_jsonl(os.path.join(d, "traces.jsonl"))
+records = tracing.load_jsonl(os.path.join(d, "traces.jsonl"))
 assert records, "no span records from traced serve run"
 tid = records[0]["trace_id"]
-roots, orphans = live.build_tree([r for r in records
-                                  if r["trace_id"] == tid])
+roots, orphans = tracing.build_tree([r for r in records
+                                     if r["trace_id"] == tid])
 assert len(roots) == 1 and not orphans, "span tree disconnected"
 prof = json.load(open(os.path.join(d, "profile.json")))
 assert prof["sampled_batches"] > 0

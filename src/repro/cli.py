@@ -460,22 +460,22 @@ def cmd_top(args) -> int:
 
 def cmd_trace(args) -> int:
     """Extract one request's span tree from a traces.jsonl dump."""
-    from repro.telemetry import live
+    from repro.telemetry import tracing
 
-    records = live.load_jsonl(args.traces, trace_id=args.request_id)
+    records = tracing.load_jsonl(args.traces, trace_id=args.request_id)
     if not records:
         print(f"no spans for request {args.request_id} in {args.traces}")
         return 1
-    roots, orphans = live.build_tree(records)
+    roots, orphans = tracing.build_tree(records)
     print(f"request {args.request_id}: {len(records)} spans, "
           f"{len(roots)} root(s), {len(orphans)} orphan(s)")
-    print(live.format_tree(roots))
+    print(tracing.format_tree(roots))
     if orphans:
         for r in orphans:
             print(f"orphan: {r['name']} (parent {r['parent_id']} missing)")
     if args.chrome:
         with open(args.chrome, "w") as f:
-            json.dump(live.to_chrome_trace(records), f, indent=1)
+            json.dump(tracing.to_chrome_trace(records), f, indent=1)
         print(f"chrome trace -> {args.chrome}")
     return 0
 

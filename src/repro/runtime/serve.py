@@ -88,7 +88,7 @@ def _worker_main(plan, tasks, done, in_names, out_names, slot_shape,
     import os
     from multiprocessing import shared_memory
 
-    from repro.telemetry import live as _live
+    from repro.telemetry import tracing
 
     # Workers are throughput engines; the parent keeps telemetry (a fork
     # inherits the enabled flag, and per-op spans from N processes would
@@ -121,10 +121,10 @@ def _worker_main(plan, tasks, done, in_names, out_names, slot_shape,
                     extra = None
                     if trace:
                         extra = {"spans": [
-                            _live.span_record(
+                            tracing.span_record(
                                 trace_id, "worker.exec", t0, t1,
                                 parent_id=parent_id,
-                                span_id=_live.new_span_id(span_prefix),
+                                span_id=tracing.new_span_id(span_prefix),
                                 proc="worker", attrs={"n": n, "seq": seq})
                             for trace_id, parent_id in trace]}
                     if prof is not None:

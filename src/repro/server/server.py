@@ -26,9 +26,10 @@ the compiled runtime without blowing latency:
   only then resumes dispatch, so two plans never race on one arena and no
   in-flight request is lost;
 * **observability** — queue-wait / batch-size / latency histograms and
-  request counters in the process-global metrics registry, a
-  ``server.request`` span per request linked under its ``server.batch``
-  span, and structured events for sheds, swaps and worker deaths.
+  request counters in the process-global metrics registry, one span tree
+  per traced request in ``trace_store`` (request → queue.wait, batch →
+  exec / worker.exec), and structured events for sheds, swaps and worker
+  deaths.
 
 All timestamps use ``time.perf_counter()`` (monotonic), matching the span
 clock so gateway spans align with the rest of a telemetry trace.
@@ -53,11 +54,8 @@ from repro.runtime.serve import BatchFailed, PlanPool, WorkerDied, _can_fork
 from repro.server.registry import ModelEntry, ModelRegistry
 from repro.server.types import (Failed, Ok, Overloaded, PendingRequest,
                                 Response)
-from repro.telemetry import live as _live
 from repro.telemetry import obs as _obs
-
-#: tracer roots are appended from lane threads; the global tracer has no lock
-_TRACE_LOCK = threading.Lock()
+from repro.telemetry import tracing
 
 #: how long a pooled lane blocks on the pool between queue checks
 _POOL_POLL_S = 0.02
@@ -131,10 +129,11 @@ class _LaneStats:
     """Always-on per-lane accounting (independent of the telemetry switch)."""
 
     __slots__ = ("requests", "ok", "shed", "failed", "retried_requests",
-                 "batches", "latencies_s", "queue_waits_s", "batch_sizes",
-                 "worker_deaths", "swaps", "deadline_miss")
+                 "batches", "batched_requests", "latencies_s",
+                 "queue_waits_s", "worker_deaths", "swaps", "deadline_miss")
 
-    _CAP = 100_000  # keep percentile memory bounded under sustained load
+    #: percentiles cover the most recent _CAP requests (bounded memory)
+    _CAP = 100_000
 
     def __init__(self):
         self.requests = 0
@@ -143,17 +142,16 @@ class _LaneStats:
         self.failed = 0
         self.retried_requests = 0
         self.batches = 0
+        self.batched_requests = 0         # sum of completed batch sizes
         self.worker_deaths = 0
         self.swaps = 0
         self.deadline_miss = 0
-        self.latencies_s: List[float] = []
-        self.queue_waits_s: List[float] = []
-        self.batch_sizes: List[int] = []
+        self.latencies_s = collections.deque(maxlen=self._CAP)
+        self.queue_waits_s = collections.deque(maxlen=self._CAP)
 
     def observe(self, latency_s: float, queue_wait_s: float) -> None:
-        if len(self.latencies_s) < self._CAP:
-            self.latencies_s.append(latency_s)
-            self.queue_waits_s.append(queue_wait_s)
+        self.latencies_s.append(latency_s)
+        self.queue_waits_s.append(queue_wait_s)
 
 
 class _Lane:
@@ -331,8 +329,8 @@ class _Lane:
         if any(r.ctx is not None for r in requests):
             # pre-mint each request's "batch" span id so workers can parent
             # their exec spans under it across the process boundary
-            batch.trace = [_live.new_span_id() if r.ctx is not None else None
-                           for r in requests]
+            batch.trace = [tracing.new_span_id() if r.ctx is not None
+                           else None for r in requests]
         self.flight.record("batch_formed", bid=batch.bid, size=take,
                            queued=len(self.queue))
         return batch
@@ -367,12 +365,8 @@ class _Lane:
                            in_flight_batches=len(inflight))
         self.auto_dump("lane_abort", force=True, error=error)
         for req in queued:
-            req._resolve(Failed(req.request_id, self.name, error=error,
-                                retryable=True))
-            self.stats.failed += 1
-            self.window.observe_failed()
-            self.server.metrics["requests"].labels(
-                model=self.name, status="failed").inc()
+            self.resolve_unserved(req, Failed(req.request_id, self.name,
+                                              error=error, retryable=True))
         for batch in inflight:
             self._fail_batch(batch, error, retryable=True)
         if pool is not None:
@@ -452,9 +446,9 @@ class _Lane:
                     self.profile.add(*sampled)
             if batch.trace is not None:
                 self._record_spans([
-                    _live.span_record(req.ctx.trace_id, "exec", t0, t1,
-                                      parent_id=batch.trace[i],
-                                      attrs={"n": len(batch.requests)})
+                    tracing.span_record(req.ctx.trace_id, "exec", t0, t1,
+                                        parent_id=batch.trace[i],
+                                        attrs={"n": len(batch.requests)})
                     for i, req in enumerate(batch.requests)
                     if req.ctx is not None])
             self._complete(batch, np.asarray(y), t0, t1)
@@ -568,9 +562,9 @@ class _Lane:
                 # instant marker under each request root: the tree records
                 # that this request survived a worker death and was requeued
                 self._record_spans([
-                    _live.span_record(req.ctx.trace_id, "retry", now, now,
-                                      parent_id=req.ctx.span_id,
-                                      attrs={"bid": batch.bid})
+                    tracing.span_record(req.ctx.trace_id, "retry", now, now,
+                                        parent_id=req.ctx.span_id,
+                                        attrs={"bid": batch.bid})
                     for req in batch.requests if req.ctx is not None])
             self._submit_to_pool(batch)
 
@@ -611,13 +605,11 @@ class _Lane:
                   t1: float) -> None:
         self._observe_exec(t1 - t0)
         self.stats.batches += 1
-        if len(self.stats.batch_sizes) < _LaneStats._CAP:
-            self.stats.batch_sizes.append(len(batch.requests))
+        self.stats.batched_requests += len(batch.requests)
         m = self.server.metrics
         m["batch_size"].labels(model=self.name).observe(len(batch.requests))
         missed = 0
         records: List[Dict] = []
-        spans = []
         # bookkeeping first, _resolve() last: once a caller's result()
         # returns, the window/flight-recorder/trace state already reflects
         # that request (tests and pollers rely on this ordering).
@@ -644,39 +636,20 @@ class _Lane:
             ctx = req.ctx
             if ctx is not None and batch.trace is not None:
                 root = ctx.span_id
-                records.append(_live.span_record(
+                records.append(tracing.span_record(
                     ctx.trace_id, "queue.wait", req.enqueue_t, batch.formed_t,
                     parent_id=root))
-                records.append(_live.span_record(
+                records.append(tracing.span_record(
                     ctx.trace_id, "batch", batch.formed_t, t1,
                     parent_id=root, span_id=batch.trace[i],
                     attrs={"bid": batch.bid, "size": len(batch.requests),
                            "retried": batch.retried}))
-                records.append(_live.span_record(
+                records.append(tracing.span_record(
                     ctx.trace_id, "request", req.enqueue_t, t1, span_id=root,
                     attrs={"request_id": req.request_id,
                            "model": batch.entry.key, "status": "ok",
                            "deadline_miss": miss,
                            "latency_ms": round(latency * 1e3, 3)}))
-            if telemetry.enabled():
-                from repro.telemetry.tracing import Span
-
-                s = Span("server.request",
-                         {"request_id": req.request_id, "batch": batch.bid,
-                          "queue_wait_ms": round(queue_wait * 1e3, 3)})
-                s.t_start, s.t_end = req.enqueue_t, t1
-                spans.append(s)
-        if telemetry.enabled():
-            from repro.telemetry.tracing import Span
-
-            bspan = Span("server.batch",
-                         {"model": batch.entry.key, "batch": batch.bid,
-                          "size": len(batch.requests),
-                          "retried": batch.retried})
-            bspan.t_start, bspan.t_end = t0, t1
-            bspan.children = spans       # request spans link to their batch
-            with _TRACE_LOCK:
-                telemetry.get_tracer().roots.append(bspan)
         if records:
             self._record_spans(records)
         self.flight.record("batch_complete", bid=batch.bid,
@@ -693,24 +666,39 @@ class _Lane:
                        batch=batch.bid, error=error, retryable=retryable)
         self.flight.record("batch_failed", bid=batch.bid, error=error,
                            retryable=retryable, size=len(batch.requests))
-        now = time.perf_counter()
-        records: List[Dict] = []
         for req in batch.requests:
-            req._resolve(Failed(req.request_id, batch.entry.key, error=error,
-                                retryable=retryable))
+            self.resolve_unserved(req, Failed(req.request_id, batch.entry.key,
+                                              error=error,
+                                              retryable=retryable))
+
+    def resolve_unserved(self, req: PendingRequest, response: Response,
+                         status: Optional[str] = None) -> None:
+        """The one outcome path for a request that gets no logits.
+
+        Counts it (lane stats, rolling window, request counter) as shed for
+        an :class:`Overloaded` and failed otherwise, writes its root
+        ``request`` span when traced (``status`` overrides the span's
+        ``shed``/``failed`` label), then resolves it.
+        """
+        shed = isinstance(response, Overloaded)
+        outcome = "shed" if shed else "failed"
+        if shed:
+            self.stats.shed += 1
+            self.window.observe_shed()
+        else:
             self.stats.failed += 1
             self.window.observe_failed()
-            self.server.metrics["requests"].labels(
-                model=self.name, status="failed").inc()
-            if req.ctx is not None:
-                records.append(_live.span_record(
-                    req.ctx.trace_id, "request", req.enqueue_t, now,
-                    span_id=req.ctx.span_id,
-                    attrs={"request_id": req.request_id,
-                           "model": batch.entry.key, "status": "failed",
-                           "error": error}))
-        if records:
-            self._record_spans(records)
+        self.server.metrics["requests"].labels(
+            model=self.name, status=outcome).inc()
+        if req.ctx is not None:
+            detail = ({"reason": response.reason} if shed
+                      else {"error": response.error})
+            self.server.trace_store.add(tracing.span_record(
+                req.ctx.trace_id, "request", req.enqueue_t,
+                time.perf_counter(), span_id=req.ctx.span_id,
+                attrs={"request_id": req.request_id, "model": response.model,
+                       "status": status or outcome, **detail}))
+        req._resolve(response)
 
     # ------------------------------------------------------------- shutdown
     def _shutdown_pool_locked(self) -> None:
@@ -758,7 +746,7 @@ class Server:
         self._t0 = time.time()
         self.sdc_events: List[Dict] = []   #: live SDC detections, in order
         self._scrubber = None              #: lazy shared MemoryScrubber
-        self.trace_store = _live.TraceStore(
+        self.trace_store = tracing.TraceStore(
             capacity=self.config.trace_capacity)
         self._exporter: Optional[threading.Thread] = None
         self._exporter_stop = threading.Event()
@@ -934,17 +922,13 @@ class Server:
             return req
         if self.tracing_active():
             # trace_id == request_id: one id to correlate logs/spans/results
-            req.ctx = _live.TraceContext.mint(req.request_id,
-                                              model=entry.name)
+            req.ctx = tracing.TraceContext.mint(req.request_id,
+                                                model=entry.name)
         lane = self._lane(entry.name)
         rejection = lane.admit(req)
         if rejection is None:
             lane.stats.requests += 1
         elif isinstance(rejection, Overloaded):
-            lane.stats.shed += 1
-            lane.window.observe_shed()
-            self.metrics["requests"].labels(
-                model=entry.name, status="shed").inc()
             telemetry.emit("server_shed", model=entry.name,
                            request=req.request_id, reason=rejection.reason,
                            projected_wait_s=rejection.projected_wait_s)
@@ -952,29 +936,13 @@ class Server:
                                reason=rejection.reason,
                                projected_wait_s=rejection.projected_wait_s)
             lane.auto_dump("shed", shed_reason=rejection.reason)
-            if req.ctx is not None:
-                self.trace_store.add(_live.span_record(
-                    req.ctx.trace_id, "request", req.enqueue_t,
-                    time.perf_counter(), span_id=req.ctx.span_id,
-                    attrs={"request_id": req.request_id, "model": entry.name,
-                           "status": "shed", "reason": rejection.reason}))
-            req._resolve(rejection)
+            lane.resolve_unserved(req, rejection)
         else:                               # Failed: bad shape / closed lane
-            lane.stats.failed += 1
-            lane.window.observe_failed()
-            self.metrics["requests"].labels(
-                model=entry.name, status="failed").inc()
             telemetry.emit("server_rejected", model=entry.name,
                            request=req.request_id, error=rejection.error)
             lane.flight.record("rejected", request=req.request_id,
                                error=rejection.error)
-            if req.ctx is not None:
-                self.trace_store.add(_live.span_record(
-                    req.ctx.trace_id, "request", req.enqueue_t,
-                    time.perf_counter(), span_id=req.ctx.span_id,
-                    attrs={"request_id": req.request_id, "model": entry.name,
-                           "status": "rejected", "error": rejection.error}))
-            req._resolve(rejection)
+            lane.resolve_unserved(req, rejection, status="rejected")
         return req
 
     # ------------------------------------------------------------- control
@@ -1045,8 +1013,8 @@ class Server:
                 "batches": s.batches,
                 "worker_deaths": s.worker_deaths,
                 "swaps": s.swaps,
-                "mean_batch_size": (sum(s.batch_sizes) / len(s.batch_sizes)
-                                    if s.batch_sizes else 0.0),
+                "mean_batch_size": (s.batched_requests / s.batches
+                                    if s.batches else 0.0),
                 "est_batch_ms": lane.est_batch_s * 1e3,
                 "latency_ms": {k: v * 1e3 for k, v in
                                percentile_summary(s.latencies_s).items()},

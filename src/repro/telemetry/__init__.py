@@ -7,8 +7,10 @@ pipeline and all zero-cost when the global switch is off:
 * :mod:`~repro.telemetry.metrics` — process-global
   :class:`~repro.telemetry.metrics.MetricsRegistry` with labeled
   ``Counter``/``Gauge``/``Histogram`` primitives;
-* :mod:`~repro.telemetry.tracing` — nested wall-clock spans, exportable as
-  Chrome ``trace_event`` JSON or an aligned text tree;
+* :mod:`~repro.telemetry.tracing` — wall-clock spans as flat records, for
+  the offline pipeline (:class:`Tracer`) and for gateway requests
+  (:class:`TraceContext`/:class:`TraceStore`), rendered as Chrome
+  ``trace_event`` JSON or an aligned text tree;
 * :mod:`~repro.telemetry.hooks` — non-invasive per-layer forward-timing and
   activation-statistics instrumentation (:func:`instrument`);
 * :mod:`~repro.telemetry.saturation` — clamp counters on every integer
@@ -38,7 +40,19 @@ from repro.telemetry.metrics import (
     get_registry,
     percentile_summary,
 )
-from repro.telemetry.tracing import NULL_SPAN, Span, Tracer, get_tracer
+from repro.telemetry.tracing import (
+    NULL_SPAN,
+    TraceContext,
+    TraceStore,
+    Tracer,
+    build_tree,
+    format_tree,
+    get_tracer,
+    load_jsonl,
+    new_span_id,
+    span_record,
+    to_chrome_trace,
+)
 from repro.telemetry.hooks import (
     ForwardPatchSet,
     Instrumentation,
@@ -55,16 +69,6 @@ from repro.telemetry.report import (
     emit_event,
     set_event_sink,
 )
-from repro.telemetry.live import (
-    TraceContext,
-    TraceStore,
-    build_tree,
-    format_tree,
-    load_jsonl,
-    new_span_id,
-    span_record,
-    to_chrome_trace,
-)
 from repro.telemetry.obs import (
     FlightRecorder,
     ProfileAggregator,
@@ -78,7 +82,7 @@ __all__ = [
     "enable", "disable", "enabled", "set_enabled", "suppressed",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
     "percentile_summary",
-    "Span", "Tracer", "NULL_SPAN", "get_tracer", "trace",
+    "Tracer", "NULL_SPAN", "get_tracer", "trace",
     "ForwardPatchSet", "Instrumentation", "attach_names", "instrument",
     "patch_forward", "telemetry_name",
     "record_saturation", "saturation_report",

@@ -155,9 +155,13 @@ class TelemetrySession:
     def write(self, out_dir: str, extra: Optional[Dict] = None) -> Dict:
         """Write the snapshot files; returns the manifest dict."""
         os.makedirs(out_dir, exist_ok=True)
-        self.tracer.save_chrome_trace(os.path.join(out_dir, "trace.json"))
+        records = list(self.tracer.records)
+        with open(os.path.join(out_dir, "trace.json"), "w") as f:
+            json.dump(tracing.to_chrome_trace(records), f, indent=1,
+                      default=str)
         with open(os.path.join(out_dir, "trace.txt"), "w") as f:
-            f.write(self.tracer.format_tree() + "\n")
+            roots, _ = tracing.build_tree(records)
+            f.write(tracing.format_tree(roots) + "\n")
         with open(os.path.join(out_dir, "metrics.json"), "w") as f:
             json.dump(self.registry.snapshot(), f, indent=1, default=str)
         sat_rows = saturation_report(self.registry)
@@ -176,7 +180,7 @@ class TelemetrySession:
                 "saturation": "saturation.json",
             },
             "num_events": len(self.events) if self.events is not None else 0,
-            "num_spans": len(list(self.tracer._walk())),
+            "num_spans": len(records),
             "num_saturation_sites": len(sat_rows),
         }
         if extra:

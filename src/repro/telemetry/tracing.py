@@ -1,12 +1,30 @@
-"""Wall-clock tracing: nested spans, Chrome trace export, text tree.
+"""Wall-clock tracing: one flat span record for the pipeline and the gateway.
 
-A :class:`Span` measures one region of the pipeline (an epoch, a fusion pass,
-an export).  Spans nest naturally through the context-manager protocol and the
-finished tree renders two ways:
+Every span — an epoch, a fusion pass, a served request's queue wait, a
+worker's plan call — is the same flat, JSON-able **span record**
+(``trace_id``/``span_id``/``parent_id``/``name``/``t0``/``t1``/``proc``/
+``pid``/``attrs``), created *complete* (both timestamps known).  Two
+producers write them:
 
-* ``to_chrome_trace()`` — the Chrome ``trace_event`` JSON format, loadable in
-  ``chrome://tracing`` / Perfetto for a flame view of the run;
-* ``format_tree()`` — an aligned text tree for terminals and logs.
+* :class:`Tracer` — ``with tracer.span(name): ...`` for code that opens and
+  closes a region in one place (the compress→fuse→export pipeline, the
+  plan executor).  Each thread nests under its own innermost open span, a
+  root mints a new trace id, and the exit appends one record to
+  ``tracer.records``.
+* :class:`TraceContext` + :func:`span_record` — for a gateway request,
+  which crosses the submitter thread, the lane scheduler thread and (in
+  pool mode) a forked worker process.  The context minted at
+  ``Server.submit`` carries the trace id (the request id) and the current
+  parent span id; ``wire()`` flattens it to a picklable tuple so a worker
+  mints its own spans under the received parent.  The code that knows such
+  a span ended is rarely the code that opened it, hence complete records.
+
+All timestamps are ``time.perf_counter()`` — ``CLOCK_MONOTONIC`` on Linux,
+so gateway and worker clocks are directly comparable.  One set of renderers
+serves both producers: :func:`build_tree` (``(roots, orphans)``),
+:func:`format_tree` (aligned text), :func:`to_chrome_trace` (Chrome
+``trace_event`` JSON for ``chrome://tracing`` / Perfetto), plus the bounded
+per-request :class:`TraceStore` and its JSONL dump / :func:`load_jsonl`.
 
 Disabled tracers short-circuit: ``span()`` returns a shared no-op context
 manager, so a traced hot path costs one attribute read + one call when
@@ -14,64 +32,88 @@ telemetry is off.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import threading
 import time
-from typing import Dict, List, Optional
+from collections import OrderedDict
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.telemetry import state
 
+_SPAN_IDS = itertools.count(1)
 
-class Span:
-    """One timed region.  Use via ``with tracer.span(name): ...``."""
 
-    __slots__ = ("name", "attrs", "t_start", "t_end", "children", "_tracer")
+def new_span_id(prefix: str = "g") -> str:
+    """Process-unique span id; workers prefix their pid (``w1234-7``)."""
+    return f"{prefix}-{next(_SPAN_IDS)}"
 
-    def __init__(self, name: str, attrs: Optional[Dict] = None, tracer: Optional["Tracer"] = None):
-        self.name = name
-        self.attrs = dict(attrs or {})
-        self.t_start: float = 0.0
-        self.t_end: Optional[float] = None
-        self.children: List["Span"] = []
+
+def span_record(trace_id: int, name: str, t0: float, t1: float,
+                parent_id: Optional[str] = None,
+                span_id: Optional[str] = None, proc: str = "main",
+                attrs: Optional[Dict] = None) -> Dict:
+    """A completed span as a flat, JSON-able record."""
+    return {
+        "trace_id": int(trace_id),
+        "span_id": span_id if span_id is not None else new_span_id(),
+        "parent_id": parent_id,
+        "name": name,
+        "t0": float(t0),
+        "t1": float(t1),
+        "proc": proc,
+        "pid": os.getpid(),
+        "attrs": dict(attrs or {}),
+    }
+
+
+# ------------------------------------------------------------ offline spans
+class _OpenSpan:
+    """A region being timed by :meth:`Tracer.span`; exit appends its record."""
+
+    __slots__ = ("_tracer", "name", "attrs", "trace_id", "span_id",
+                 "parent_id", "t0")
+
+    def __init__(self, tracer: "Tracer", name: str, attrs: Dict):
         self._tracer = tracer
+        self.name = name
+        self.attrs = attrs
 
-    @property
-    def duration(self) -> float:
-        """Seconds; 0.0 while the span is still open."""
-        if self.t_end is None:
-            return 0.0
-        return self.t_end - self.t_start
-
-    def annotate(self, **attrs) -> "Span":
-        """Attach key/value metadata (shows up in both export formats)."""
+    def annotate(self, **attrs) -> "_OpenSpan":
+        """Attach key/value metadata to the record this span will write."""
         self.attrs.update(attrs)
         return self
 
-    # -------------------------------------------------------- ctx protocol
-    def __enter__(self) -> "Span":
-        self.t_start = time.perf_counter()
-        if self._tracer is not None:
-            self._tracer._push(self)
+    def __enter__(self) -> "_OpenSpan":
+        stack = self._tracer._stack()
+        if stack:
+            parent = stack[-1]
+            self.trace_id, self.parent_id = parent.trace_id, parent.span_id
+        else:
+            self.trace_id, self.parent_id = next(self._tracer._trace_ids), None
+        self.span_id = new_span_id()
+        stack.append(self)
+        self.t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.t_end = time.perf_counter()
+        t1 = time.perf_counter()
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        if self._tracer is not None:
-            self._tracer._pop(self)
-
-    def __repr__(self) -> str:
-        return f"Span({self.name!r}, {self.duration * 1e3:.2f} ms)"
+        stack = self._tracer._stack()
+        if self in stack:   # tolerate out-of-order exits: drop what it opened
+            del stack[stack.index(self):]
+        self._tracer.records.append(span_record(
+            self.trace_id, self.name, self.t0, t1, parent_id=self.parent_id,
+            span_id=self.span_id, attrs=self.attrs))
 
 
 class _NullSpan:
     """Shared no-op span for the disabled path."""
 
     __slots__ = ()
-    name = "<disabled>"
-    attrs: Dict = {}
-    children: List = []
-    duration = 0.0
 
     def annotate(self, **attrs) -> "_NullSpan":
         return self
@@ -87,16 +129,19 @@ NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Span factory + collector.
+    """Span factory + record collector for enter/exit regions.
 
     ``enabled=None`` follows the global telemetry switch (the default for the
     process-global tracer); ``True``/``False`` pins it for standalone use.
+    Finished spans land in ``records`` in exit order; render them with
+    :func:`build_tree` / :func:`format_tree` / :func:`to_chrome_trace`.
     """
 
     def __init__(self, enabled: Optional[bool] = None):
         self._enabled = enabled
-        self.roots: List[Span] = []
-        self._stack: List[Span] = []
+        self.records: List[Dict] = []
+        self._trace_ids = itertools.count(1)
+        self._local = threading.local()
 
     @property
     def enabled(self) -> bool:
@@ -106,74 +151,19 @@ class Tracer:
         """Open a (nested) span; no-op when the tracer is disabled."""
         if not self.enabled:
             return NULL_SPAN
-        return Span(name, attrs, tracer=self)
+        return _OpenSpan(self, name, attrs)
 
-    # ------------------------------------------------------ stack handling
-    def _push(self, span: Span) -> None:
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-        self._stack.append(span)
-
-    def _pop(self, span: Span) -> None:
-        # tolerate interleaved/foreign exits rather than corrupting the tree
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        elif span in self._stack:
-            while self._stack and self._stack[-1] is not span:
-                self._stack.pop()
-            if self._stack:
-                self._stack.pop()
+    def _stack(self) -> List[_OpenSpan]:
+        """The calling thread's open spans, innermost last."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            self._local.stack = []
+            return self._local.stack
 
     def reset(self) -> None:
-        self.roots = []
-        self._stack = []
-
-    # ------------------------------------------------------------- exports
-    def _walk(self):
-        def rec(span, depth):
-            yield span, depth
-            for c in span.children:
-                yield from rec(c, depth + 1)
-        for root in self.roots:
-            yield from rec(root, 0)
-
-    def to_chrome_trace(self) -> Dict:
-        """Chrome ``trace_event`` JSON (complete "X" events, µs timebase)."""
-        if self.roots:
-            t0 = min(r.t_start for r in self.roots)
-        else:
-            t0 = 0.0
-        events = []
-        for span, _ in self._walk():
-            end = span.t_end if span.t_end is not None else span.t_start
-            events.append({
-                "name": span.name,
-                "ph": "X",
-                "ts": round((span.t_start - t0) * 1e6, 3),
-                "dur": round((end - span.t_start) * 1e6, 3),
-                "pid": 0,
-                "tid": 0,
-                "args": {k: v for k, v in span.attrs.items()},
-            })
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def save_chrome_trace(self, path: str) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_chrome_trace(), f, indent=1, default=str)
-
-    def format_tree(self) -> str:
-        """Aligned text rendering of the span tree with durations."""
-        rows = []
-        for span, depth in self._walk():
-            attrs = " ".join(f"{k}={v}" for k, v in span.attrs.items())
-            label = "  " * depth + span.name + (f" [{attrs}]" if attrs else "")
-            rows.append((label, f"{span.duration * 1e3:10.2f} ms"))
-        if not rows:
-            return "(no spans recorded)"
-        width = max(len(label) for label, _ in rows)
-        return "\n".join(f"{label.ljust(width)}  {dur}" for label, dur in rows)
+        self.records = []
+        self._local = threading.local()
 
 
 _TRACER = Tracer()
@@ -182,3 +172,180 @@ _TRACER = Tracer()
 def get_tracer() -> Tracer:
     """The process-global tracer all built-in spans report to."""
     return _TRACER
+
+
+# ------------------------------------------------------------ request spans
+@dataclass
+class TraceContext:
+    """Identity of one traced request, carried on the request/batch.
+
+    ``span_id`` is the *current parent*: spans created under this context
+    become its children.  ``child()`` derives a context one level deeper.
+    """
+
+    trace_id: int
+    span_id: str
+    baggage: Dict = field(default_factory=dict)
+
+    @classmethod
+    def mint(cls, trace_id: int, **baggage) -> "TraceContext":
+        return cls(trace_id=int(trace_id), span_id=new_span_id(),
+                   baggage=dict(baggage))
+
+    def child(self, span_id: Optional[str] = None) -> "TraceContext":
+        return TraceContext(self.trace_id,
+                            span_id if span_id is not None else new_span_id(),
+                            dict(self.baggage))
+
+    def wire(self) -> Tuple[int, str]:
+        """The minimal picklable form that crosses the process boundary."""
+        return (self.trace_id, self.span_id)
+
+    @classmethod
+    def from_wire(cls, wire: Tuple[int, str]) -> "TraceContext":
+        trace_id, span_id = wire
+        return cls(int(trace_id), str(span_id))
+
+
+class TraceStore:
+    """Bounded, thread-safe collection of span records keyed by trace id.
+
+    Eviction is by trace insertion order (oldest whole trace first), so a
+    long-running server holds the most recent ``capacity`` request trees.
+    """
+
+    def __init__(self, capacity: int = 2048):
+        self.capacity = int(capacity)
+        self._traces: "OrderedDict[int, List[Dict]]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.evicted = 0
+
+    def add(self, record: Dict) -> None:
+        tid = record["trace_id"]
+        with self._lock:
+            spans = self._traces.get(tid)
+            if spans is None:
+                while len(self._traces) >= self.capacity:
+                    self._traces.popitem(last=False)
+                    self.evicted += 1
+                spans = self._traces[tid] = []
+            spans.append(record)
+
+    def add_many(self, records: Iterable[Dict]) -> None:
+        for r in records:
+            self.add(r)
+
+    def get(self, trace_id: int) -> List[Dict]:
+        with self._lock:
+            return list(self._traces.get(int(trace_id), ()))
+
+    def trace_ids(self) -> List[int]:
+        with self._lock:
+            return list(self._traces)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._traces)
+
+    def tree(self, trace_id: int) -> Tuple[List[Dict], List[Dict]]:
+        return build_tree(self.get(trace_id))
+
+    def chrome(self, trace_id: int) -> Dict:
+        return to_chrome_trace(self.get(trace_id))
+
+    def dump_jsonl(self, path: str) -> int:
+        """One span record per line; returns the number of spans written."""
+        n = 0
+        with self._lock:
+            spans = [r for recs in self._traces.values() for r in recs]
+        with open(path, "w") as f:
+            for r in spans:
+                f.write(json.dumps(r, default=str) + "\n")
+                n += 1
+        return n
+
+
+def load_jsonl(path: str, trace_id: Optional[int] = None) -> List[Dict]:
+    """Read span records back from a :meth:`TraceStore.dump_jsonl` file."""
+    out = []
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if not line:
+                continue
+            r = json.loads(line)
+            if trace_id is None or int(r["trace_id"]) == int(trace_id):
+                out.append(r)
+    return out
+
+
+# ---------------------------------------------------------------- renderers
+def build_tree(records: Iterable[Dict]) -> Tuple[List[Dict], List[Dict]]:
+    """Assemble flat span records into ``(roots, orphans)``.
+
+    Each node is ``{"span": record, "children": [...]}``; children are
+    ordered by start time.  A record whose ``parent_id`` names no span in
+    the input lands in ``orphans`` — an empty orphan list is the
+    "single connected span tree" contract the serving tests assert.
+    """
+    records = sorted(records, key=lambda r: (r["t0"], r["span_id"]))
+    nodes = {r["span_id"]: {"span": r, "children": []} for r in records}
+    roots: List[Dict] = []
+    orphans: List[Dict] = []
+    for r in records:
+        node = nodes[r["span_id"]]
+        parent = r.get("parent_id")
+        if parent is None:
+            roots.append(node)
+        elif parent in nodes:
+            nodes[parent]["children"].append(node)
+        else:
+            orphans.append(r)
+    return roots, orphans
+
+
+def format_tree(roots: List[Dict]) -> str:
+    """Aligned text rendering of an assembled span tree."""
+    rows = []
+
+    def rec(node, depth):
+        span = node["span"]
+        attrs = " ".join(f"{k}={v}" for k, v in span["attrs"].items())
+        label = ("  " * depth + span["name"]
+                 + (f" [{attrs}]" if attrs else "")
+                 + (f" <{span['proc']}:{span['pid']}>"
+                    if span["proc"] != "main" else ""))
+        rows.append((label, f"{(span['t1'] - span['t0']) * 1e3:10.3f} ms"))
+        for child in node["children"]:
+            rec(child, depth + 1)
+
+    for root in roots:
+        rec(root, 0)
+    if not rows:
+        return "(no spans)"
+    width = max(len(label) for label, _ in rows)
+    return "\n".join(f"{label.ljust(width)}  {dur}" for label, dur in rows)
+
+
+def to_chrome_trace(records: Iterable[Dict]) -> Dict:
+    """Chrome ``trace_event`` JSON for a set of span records.
+
+    Events come out in start order.  ``pid``/``tid`` come from the records,
+    so gateway and worker spans land on separate tracks in Perfetto, aligned
+    on the shared monotonic clock.
+    """
+    records = sorted(records, key=lambda r: r["t0"])
+    t0 = records[0]["t0"] if records else 0.0
+    events = []
+    for r in records:
+        events.append({
+            "name": r["name"],
+            "ph": "X",
+            "ts": round((r["t0"] - t0) * 1e6, 3),
+            "dur": round((r["t1"] - r["t0"]) * 1e6, 3),
+            "pid": r.get("pid", 0),
+            "tid": 0 if r.get("proc") == "main" else 1,
+            "args": {"trace_id": r["trace_id"], "span_id": r["span_id"],
+                     **r["attrs"]},
+        })
+    return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -258,32 +258,113 @@ def test_lane_crash_resolves_everything_and_marks_lane_dead(monkeypatch):
 
 
 def test_telemetry_metrics_and_linked_spans():
-    """Queue-wait/batch/latency metrics fill and every request span hangs
-    off its batch span when telemetry is on."""
+    """Queue-wait/batch/latency metrics fill and, with telemetry on, every
+    request's span tree links it to the batch that carried it."""
     prev = telemetry.set_enabled(True)
-    tracer = telemetry.get_tracer()
-    n_roots = len(tracer.roots)
     try:
         _, srv = _stub_server()
         with srv:
-            for i in range(5):
-                assert srv.submit("stub", stub_sample(i)).result(timeout=5).ok
+            responses = [srv.submit("stub", stub_sample(i)).result(timeout=5)
+                         for i in range(5)]
+        assert all(r.ok for r in responses)
         reg = telemetry.get_registry()
         req_samples = reg.get("server_requests_total").samples()
         ok_row = [s for s in req_samples
                   if s["labels"] == {"model": "stub", "status": "ok"}]
         assert ok_row and ok_row[0]["value"] >= 5
         assert reg.get("server_request_latency_seconds") is not None
-        batch_spans = [s for s in tracer.roots[n_roots:]
-                       if s.name == "server.batch"]
-        assert batch_spans, "no server.batch spans recorded"
-        children = [c for b in batch_spans for c in b.children]
-        assert len(children) >= 5
-        assert all(c.name == "server.request" for c in children)
-        assert all("request_id" in c.attrs for c in children)
-        for b in batch_spans:
-            for c in b.children:
-                assert c.attrs["batch"] == b.attrs["batch"], (
-                    "request span not linked to its batch span")
+        for r in responses:
+            roots, orphans = srv.trace_tree(r.request_id)
+            assert len(roots) == 1 and orphans == []
+            root = roots[0]["span"]
+            assert root["name"] == "request"
+            assert root["attrs"]["request_id"] == r.request_id
+            batch = [c["span"] for c in roots[0]["children"]
+                     if c["span"]["name"] == "batch"]
+            assert len(batch) == 1, "request span not linked to a batch span"
+            assert batch[0]["attrs"]["bid"] == r.batch_id
+            assert batch[0]["attrs"]["size"] == r.batch_size
     finally:
         telemetry.set_enabled(prev)
+
+
+class _GatedPlan:
+    """Stub runner that parks every batch until ``release`` is set."""
+
+    out_features = 4
+
+    def __init__(self):
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, x):
+        self.started.set()
+        assert self.release.wait(30), "gate never released"
+        return np.asarray(x, dtype=np.float32).reshape(len(x), -1)[:, :4]
+
+
+def test_killed_queued_requests_keep_a_trace():
+    """Server.kill() fails every queued request; each still leaves exactly
+    one connected span tree whose root records the failure."""
+    gate = _GatedPlan()
+    reg = ModelRegistry()
+    reg.register("gated", "1", runner=gate)
+    srv = Server(reg, max_batch=1, default_deadline_s=30.0, tracing=True)
+    try:
+        running = srv.submit("gated", stub_sample(0.0))
+        assert gate.started.wait(10)
+        queued = [srv.submit("gated", stub_sample(float(i)))
+                  for i in range(1, 5)]
+        srv.kill()
+        for p in queued:
+            r = p.result(timeout=5)
+            assert isinstance(r, Failed) and r.retryable
+    finally:
+        gate.release.set()
+    assert running.result(timeout=10).ok
+    for p in [running] + queued:
+        roots, orphans = srv.trace_tree(p.request_id)
+        assert len(roots) == 1 and orphans == [], (p.request_id, roots)
+    for p in queued:
+        root = srv.trace_tree(p.request_id)[0][0]["span"]
+        assert root["name"] == "request"
+        assert root["attrs"]["status"] == "failed"
+        assert root["attrs"]["error"] == "replica killed"
+    lane = srv._lanes["gated"]
+    lane.thread.join(timeout=10)
+    assert not lane.thread.is_alive()
+
+
+def test_stats_follow_recent_traffic_past_the_sample_cap(monkeypatch):
+    """Percentiles cover the newest _CAP requests and mean_batch_size every
+    completed batch: neither freezes once the cap is reached."""
+    from repro.server.server import _LaneStats
+
+    monkeypatch.setattr(_LaneStats, "_CAP", 4)
+    gate = _GatedPlan()
+    gate.release.set()
+    reg = ModelRegistry()
+    reg.register("gated", "1", runner=gate)
+    hold_s = 0.2
+    with Server(reg, max_batch=4, default_deadline_s=30.0) as srv:
+        fast = [srv.submit("gated", stub_sample(float(i))).result(timeout=5)
+                for i in range(4)]
+        gate.started.clear()
+        gate.release.clear()
+        first = srv.submit("gated", stub_sample(10.0))
+        assert gate.started.wait(10)
+        slow = [srv.submit("gated", stub_sample(11.0 + i)) for i in range(4)]
+        time.sleep(hold_s)
+        gate.release.set()
+        responses = fast + [first.result(timeout=10)] + [
+            p.result(timeout=10) for p in slow]
+    assert all(r.ok for r in responses)
+    s = srv.stats()["gated"]
+    sizes = {r.batch_id: r.batch_size for r in responses}
+    assert s["batches"] == len(sizes)
+    assert s["mean_batch_size"] == pytest.approx(
+        sum(sizes.values()) / len(sizes))
+    assert max(sizes.values()) > 1, "the held requests were never batched"
+    # the newest four latencies all sat behind the gate
+    assert s["latency_ms"]["p50"] >= hold_s * 1e3 / 2
+    assert s["queue_wait_ms"]["p50"] >= hold_s * 1e3 / 2

@@ -14,7 +14,6 @@ import pytest
 
 from repro import cli
 from repro.server import ModelRegistry, Server
-from repro.telemetry import live
 from tests.server.conftest import StubPlan, stub_sample
 
 pytestmark = pytest.mark.obs

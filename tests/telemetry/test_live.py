@@ -1,6 +1,6 @@
-"""Live-tracing primitives and operational observability units.
+"""Request-tracing primitives and operational observability units.
 
-Covers the distributed-tracing building blocks (TraceContext wire format,
+Covers the request-scoped tracing building blocks (TraceContext wire format,
 flat span records, tree assembly, the bounded TraceStore, JSONL round-trip)
 and the always-on obs primitives (RollingWindow + SLO arithmetic,
 FlightRecorder ring/dump, ProfileAggregator attribution, the Prometheus
@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.telemetry import live, obs
+from repro.telemetry import obs, tracing
 from repro.telemetry.metrics import MetricsRegistry
 
 pytestmark = pytest.mark.obs
@@ -18,7 +18,7 @@ pytestmark = pytest.mark.obs
 
 class TestTraceContext:
     def test_mint_and_child(self):
-        ctx = live.TraceContext.mint(42, model="resnet20")
+        ctx = tracing.TraceContext.mint(42, model="resnet20")
         assert ctx.trace_id == 42
         assert ctx.baggage == {"model": "resnet20"}
         child = ctx.child()
@@ -26,28 +26,28 @@ class TestTraceContext:
         assert child.span_id != ctx.span_id
 
     def test_wire_round_trip(self):
-        ctx = live.TraceContext.mint(7)
-        back = live.TraceContext.from_wire(ctx.wire())
+        ctx = tracing.TraceContext.mint(7)
+        back = tracing.TraceContext.from_wire(ctx.wire())
         assert back.trace_id == ctx.trace_id
         assert back.span_id == ctx.span_id
 
     def test_span_ids_unique_and_prefixed(self):
-        ids = {live.new_span_id() for _ in range(100)}
+        ids = {tracing.new_span_id() for _ in range(100)}
         assert len(ids) == 100
-        assert live.new_span_id("w123").startswith("w123-")
+        assert tracing.new_span_id("w123").startswith("w123-")
 
 
 class TestBuildTree:
     def _rec(self, span_id, parent, t0=0.0, t1=1.0, trace_id=1):
-        return live.span_record(trace_id, span_id, t0, t1,
-                                parent_id=parent, span_id=span_id)
+        return tracing.span_record(trace_id, span_id, t0, t1,
+                                   parent_id=parent, span_id=span_id)
 
     def test_connected_tree(self):
         records = [self._rec("root", None, 0, 10),
                    self._rec("a", "root", 1, 3),
                    self._rec("b", "root", 3, 9),
                    self._rec("b1", "b", 4, 8)]
-        roots, orphans = live.build_tree(records)
+        roots, orphans = tracing.build_tree(records)
         assert not orphans
         assert len(roots) == 1
         names = [c["span"]["name"] for c in roots[0]["children"]]
@@ -57,42 +57,42 @@ class TestBuildTree:
     def test_orphan_detected(self):
         records = [self._rec("root", None),
                    self._rec("lost", "no-such-parent")]
-        roots, orphans = live.build_tree(records)
+        roots, orphans = tracing.build_tree(records)
         assert len(roots) == 1
         assert [r["name"] for r in orphans] == ["lost"]
 
     def test_format_tree_and_chrome(self):
         records = [self._rec("root", None, 0, 10),
                    self._rec("a", "root", 1, 3)]
-        roots, _ = live.build_tree(records)
-        text = live.format_tree(roots)
+        roots, _ = tracing.build_tree(records)
+        text = tracing.format_tree(roots)
         assert "root" in text and "  a" in text
-        chrome = live.to_chrome_trace(records)
+        chrome = tracing.to_chrome_trace(records)
         assert len(chrome["traceEvents"]) == 2
         assert all(e["ph"] == "X" for e in chrome["traceEvents"])
 
 
 class TestTraceStore:
     def test_eviction_oldest_trace_first(self):
-        store = live.TraceStore(capacity=2)
+        store = tracing.TraceStore(capacity=2)
         for tid in (1, 2, 3):
-            store.add(live.span_record(tid, "request", 0.0, 1.0))
+            store.add(tracing.span_record(tid, "request", 0.0, 1.0))
         assert store.evicted == 1
         assert store.trace_ids() == [2, 3]
         assert store.get(1) == []
 
     def test_jsonl_round_trip(self, tmp_path):
-        store = live.TraceStore()
-        root = live.span_record(5, "request", 0.0, 2.0)
+        store = tracing.TraceStore()
+        root = tracing.span_record(5, "request", 0.0, 2.0)
         store.add(root)
-        store.add(live.span_record(5, "batch", 0.5, 1.5,
-                                   parent_id=root["span_id"]))
+        store.add(tracing.span_record(5, "batch", 0.5, 1.5,
+                                      parent_id=root["span_id"]))
         path = str(tmp_path / "traces.jsonl")
         assert store.dump_jsonl(path) == 2
-        back = live.load_jsonl(path, trace_id=5)
-        roots, orphans = live.build_tree(back)
+        back = tracing.load_jsonl(path, trace_id=5)
+        roots, orphans = tracing.build_tree(back)
         assert len(roots) == 1 and not orphans
-        assert live.load_jsonl(path, trace_id=999) == []
+        assert tracing.load_jsonl(path, trace_id=999) == []
 
 
 class TestRollingWindow:

@@ -68,6 +68,9 @@ class TestTelemetrySession:
         assert manifest["num_spans"] == 1
         trace = json.load(open(os.path.join(out, "trace.json")))
         assert trace["traceEvents"][0]["name"] == "stage"
+        assert {"trace_id", "span_id"} <= set(trace["traceEvents"][0]["args"])
+        with open(os.path.join(out, "trace.txt")) as f:
+            assert f.read().startswith("stage")
 
     def test_fresh_session_clears_prior_state(self, tmp_path):
         telemetry.enable()
@@ -77,7 +80,7 @@ class TestTelemetrySession:
         telemetry.disable()
         with telemetry.TelemetrySession(out_dir=str(tmp_path / "t")):
             assert telemetry.get_registry().get("old") is None
-            assert telemetry.get_tracer().roots == []
+            assert telemetry.get_tracer().records == []
 
     def test_no_out_dir_collects_in_memory(self):
         with telemetry.TelemetrySession() as session:

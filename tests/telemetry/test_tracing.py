@@ -1,10 +1,22 @@
-"""Tracer/Span: nesting, exports, and the disabled fast path."""
+"""Tracer: span records, nesting by parent id, renderers, disabled path."""
 import json
+import threading
+import time
 
 import pytest
 
 from repro import telemetry
-from repro.telemetry.tracing import NULL_SPAN, Tracer
+from repro.telemetry.tracing import (
+    NULL_SPAN,
+    Tracer,
+    build_tree,
+    format_tree,
+    to_chrome_trace,
+)
+
+
+def _by_name(tr):
+    return {r["name"]: r for r in tr.records}
 
 
 class TestSpans:
@@ -15,31 +27,43 @@ class TestSpans:
                 pass
             with tr.span("inner-2"):
                 pass
-        assert len(tr.roots) == 1
-        outer = tr.roots[0]
-        assert [c.name for c in outer.children] == ["inner-1", "inner-2"]
+        spans = _by_name(tr)
+        outer = spans["outer"]
+        assert outer["parent_id"] is None
+        for name in ("inner-1", "inner-2"):
+            assert spans[name]["parent_id"] == outer["span_id"]
+            assert spans[name]["trace_id"] == outer["trace_id"]
+        roots, orphans = build_tree(tr.records)
+        assert len(roots) == 1 and not orphans
+        assert [c["span"]["name"] for c in roots[0]["children"]] == [
+            "inner-1", "inner-2"]
 
     def test_durations_ordered(self):
         tr = Tracer(enabled=True)
         with tr.span("outer"):
             with tr.span("inner"):
                 pass
-        outer, inner = tr.roots[0], tr.roots[0].children[0]
-        assert outer.duration >= inner.duration >= 0.0
+        spans = _by_name(tr)
+        outer, inner = spans["outer"], spans["inner"]
+        assert outer["t0"] <= inner["t0"] <= inner["t1"] <= outer["t1"]
+        assert (outer["t1"] - outer["t0"]) >= (inner["t1"] - inner["t0"])
 
     def test_annotate_and_attrs(self):
         tr = Tracer(enabled=True)
         with tr.span("s", model="resnet20") as span:
             span.annotate(batches=4)
-        assert tr.roots[0].attrs == {"model": "resnet20", "batches": 4}
+        assert tr.records[0]["attrs"] == {"model": "resnet20", "batches": 4}
 
     def test_exception_recorded_and_tree_intact(self):
         tr = Tracer(enabled=True)
         with pytest.raises(RuntimeError):
             with tr.span("boom"):
                 raise RuntimeError("x")
-        assert tr.roots[0].attrs["error"] == "RuntimeError"
-        assert tr._stack == []
+        assert tr.records[0]["attrs"]["error"] == "RuntimeError"
+        assert tr._stack() == []
+        with tr.span("after"):
+            pass
+        assert tr.records[-1]["parent_id"] is None
 
     def test_sequential_roots(self):
         tr = Tracer(enabled=True)
@@ -47,7 +71,9 @@ class TestSpans:
             pass
         with tr.span("b"):
             pass
-        assert [r.name for r in tr.roots] == ["a", "b"]
+        roots, _ = build_tree(tr.records)
+        assert [r["span"]["name"] for r in roots] == ["a", "b"]
+        assert roots[0]["span"]["trace_id"] != roots[1]["span"]["trace_id"]
 
 
 class TestExports:
@@ -59,30 +85,34 @@ class TestExports:
         return tr
 
     def test_chrome_trace_shape(self):
-        doc = self._traced().to_chrome_trace()
+        doc = to_chrome_trace(self._traced().records)
         events = doc["traceEvents"]
         assert len(events) == 2
         for ev in events:
             assert ev["ph"] == "X"
             assert ev["dur"] >= 0 and ev["ts"] >= 0
-        assert events[0]["args"] == {"epochs": 2}
+            assert {"trace_id", "span_id"} <= set(ev["args"])
+        assert events[0]["name"] == "fit"          # start order
+        assert events[0]["args"]["epochs"] == 2
 
     def test_chrome_trace_json_serializable(self, tmp_path):
-        path = str(tmp_path / "trace.json")
-        self._traced().save_chrome_trace(path)
-        with open(path) as f:
-            doc = json.load(f)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(to_chrome_trace(self._traced().records)))
+        doc = json.loads(path.read_text())
         assert doc["traceEvents"][0]["name"] == "fit"
 
     def test_format_tree_alignment(self):
-        text = self._traced().format_tree()
-        lines = text.split("\n")
+        roots, _ = build_tree(self._traced().records)
+        lines = format_tree(roots).split("\n")
         assert lines[0].startswith("fit")
         assert lines[1].startswith("  epoch")
         assert all(line.rstrip().endswith("ms") for line in lines)
+        assert len({line.rindex("ms") for line in lines}) == 1
 
     def test_empty_tree(self):
-        assert "no spans" in Tracer(enabled=True).format_tree()
+        roots, orphans = build_tree(Tracer(enabled=True).records)
+        assert roots == [] and orphans == []
+        assert "no spans" in format_tree(roots)
 
 
 class TestDisabledPath:
@@ -92,10 +122,43 @@ class TestDisabledPath:
         assert s is NULL_SPAN
         with s as inner:
             inner.annotate(a=1)
-        assert tr.roots == []
+        assert tr.records == []
 
     def test_global_trace_follows_switch(self):
         assert telemetry.trace("x") is NULL_SPAN
         telemetry.enable()
         span = telemetry.trace("x")
         assert span is not NULL_SPAN
+
+
+def test_threads_get_independent_trees():
+    """Each thread nests under its own innermost open span: concurrent
+    outer/inner pairs on one tracer never adopt another thread's parent."""
+    tr = Tracer(enabled=True)
+    n = 200
+    barrier = threading.Barrier(2)
+
+    def work(tag):
+        barrier.wait(timeout=10)
+        for _ in range(n):
+            with tr.span("outer", thread=tag):
+                time.sleep(0)       # yield the GIL inside each open span
+                with tr.span("inner", thread=tag):
+                    time.sleep(0)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    roots, orphans = build_tree(tr.records)
+    assert len(roots) == 2 * n and not orphans
+    by_id = {r["span_id"]: r for r in tr.records}
+    inners = [r for r in tr.records if r["name"] == "inner"]
+    assert len(inners) == 2 * n
+    for inner in inners:
+        parent = by_id[inner["parent_id"]]
+        assert parent["name"] == "outer"
+        assert parent["attrs"]["thread"] == inner["attrs"]["thread"]
+        assert parent["trace_id"] == inner["trace_id"]
