@@ -251,7 +251,26 @@ python -m pytest tests/fleet -q -m fleet
 # real model: ejected, rerouted with zero lost requests, healed (exit 2 on
 # any missed fault)
 python -m repro.cli chaos --model resnet20 --train-size 256 --test-size 64 \
-    --calib-batches 1 --seed 5 --server > /dev/null
+    --calib-batches 1 --seed 5 --server --json > "$TEL_DIR/chaos_server.json"
+python - "$TEL_DIR" <<'EOF'
+# every server and fleet row of the catalog ran (a schedule reduced to
+# delay_clock fails here) and each was detected and recovered, with every
+# layer its row names true
+import json, sys, os
+from repro.chaos import CATALOG
+rep = json.load(open(os.path.join(sys.argv[1], "chaos_server.json")))
+live = [f for f in rep["faults"]
+        if CATALOG[f["injector"]].kind in ("server", "fleet")]
+want = {n for n, row in CATALOG.items() if row.kind in ("server", "fleet")}
+assert want == {"kill_worker", "stall_worker", "delay_clock",
+                "kill_replica", "partition_replica"}, want
+assert {f["injector"] for f in live} == want, [f["injector"] for f in live]
+for f in live:
+    assert f["detected"] and f["recovered"], f
+    assert f["layers"] == {k: True for k in CATALOG[f["injector"]].layers}, f
+print(f"server+fleet chaos OK: {len(live)} live faults detected and "
+      f"recovered on every expected layer")
+EOF
 
 echo "== benchmark harness self-test (benchmarks.e2e) =="
 python3 -m benchmarks.e2e --selftest

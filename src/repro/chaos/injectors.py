@@ -2,27 +2,27 @@
 
 Every injector is a pure function of its target and an explicit
 ``numpy.random.Generator`` — same seed, same fault, byte for byte — so a
-chaos run is a *reproducible experiment*, not a fuzzer.  Two families:
+chaos run is a *reproducible experiment*, not a fuzzer.  Each returns a
+details dict naming exactly what it damaged, plus, where needed, an
+``undo`` callable.  :data:`CATALOG` holds one row per injector: the kind
+of target it damages, the function, and the defence layers that must each
+catch it.  Five kinds:
 
-* **artifact injectors** mutate an exported artifact directory in place
-  (``flip_bits``, ``truncate_file``, ``corrupt_header``, ``stale_manifest``)
-  and return a details dict naming exactly what was damaged;
-* **server injectors** perturb a running :class:`repro.server.Server`
-  (``kill_worker``, ``stall_worker``, ``delay_clock``) and return details
-  plus, where needed, an ``undo`` callable;
-* **plan injectors** corrupt a compiled :class:`repro.runtime.executor.Plan`
-  in place (``swap_register``, ``widen_scale``, ``drop_op``) — each is
-  constructed to violate an invariant the plan verifier *proves*, so a
-  silent miss means the static verifier has a hole;
-* **fleet injectors** perturb a running :class:`repro.fleet.Fleet`
-  (``kill_replica``, ``partition_replica``) — detection means the router
-  ejects the victim and requests reroute, recovery means the group returns
-  to its target replica count (or the healed replica rejoins);
-* **SDC injectors** corrupt a replica's *live in-memory* state
+* **artifact** injectors mutate an exported artifact directory in place
+  (``flip_bits``, ``truncate_file``, ``corrupt_header``, ``stale_manifest``);
+* **plan** injectors corrupt a compiled :class:`repro.runtime.executor.Plan`
+  in place (``swap_register``, ``widen_scale``, ``drop_op``,
+  ``fuse_illegal``) — each is constructed to violate an invariant the plan
+  verifier *proves*, so a silent miss means the static verifier has a hole;
+* **server** injectors perturb a running :class:`repro.server.Server`
+  (``kill_worker``, ``stall_worker``, ``delay_clock``);
+* **fleet** injectors crash or partition one replica of a running
+  :class:`repro.fleet.Fleet` (``kill_replica``, ``partition_replica``) —
+  the router must eject the victim and reroute its requests;
+* **sdc** injectors corrupt a replica's *live in-memory* state
   (``flip_live_weights``, ``flip_arena``, ``corrupt_golden``) — faults no
-  at-rest gate can see; detection means the runtime SDC defense (ABFT,
-  memory scrubbing, golden-vector probes) quarantines the victim and a
-  clean replacement spawns, with zero lost requests.
+  at-rest gate can see; the runtime SDC defense (ABFT, memory scrubbing,
+  golden-vector probes) must quarantine the victim.
 
 ``corrupt_header`` is deliberately the nastiest case: it rewrites a qint
 JSON header *and* patches the file's manifest checksum *and* re-signs the
@@ -36,7 +36,7 @@ import json
 import os
 import signal
 import threading
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -180,15 +180,6 @@ def stale_manifest(export_dir: str, rng: np.random.Generator) -> Dict:
     return details
 
 
-#: name -> callable, the artifact-fault catalog ChaosPlan schedules from
-ARTIFACT_INJECTORS = {
-    "flip_bits": flip_bits,
-    "truncate_file": truncate_file,
-    "corrupt_header": corrupt_header,
-    "stale_manifest": stale_manifest,
-}
-
-
 # ----------------------------------------------------------- server faults
 def _lane_procs(server, model: str):
     lane = server._lanes.get(model)
@@ -251,13 +242,6 @@ def delay_clock(server, model: str, rng: np.random.Generator,
             lane.est_batch_s = original
 
     return {"skew_s": skew_s, "undo": undo}
-
-
-SERVER_INJECTORS = {
-    "kill_worker": kill_worker,
-    "stall_worker": stall_worker,
-    "delay_clock": delay_clock,
-}
 
 
 # ------------------------------------------------------------- plan faults
@@ -356,21 +340,18 @@ def fuse_illegal(plan, rng: np.random.Generator) -> Dict:
     return {"op": i, "name": conv.name, "shortcut_reg": shortcut}
 
 
-#: compiled-plan fault catalog — every entry must be *caught* by verify()
-PLAN_INJECTORS = {
-    "swap_register": swap_register,
-    "widen_scale": widen_scale,
-    "drop_op": drop_op,
-    "fuse_illegal": fuse_illegal,
-}
-
-
 # ------------------------------------------------------------ fleet faults
-def _ready_replicas(fleet, model: str):
+def _victim(fleet, model: str, rng: np.random.Generator, injector: str):
+    """Seeded-chosen READY replica of ``model``, leaving a survivor."""
     from repro.fleet.replica import READY
 
-    return [r for r in fleet.replicas(model)
-            if r.state == READY and not r.partitioned]
+    ready = sorted((r for r in fleet.replicas(model)
+                    if r.state == READY and not r.partitioned),
+                   key=lambda r: r.replica_id)
+    if len(ready) < 2:
+        raise ValueError(f"{injector}: need >= 2 ready replicas of "
+                         f"{model!r} to leave a survivor (have {len(ready)})")
+    return _pick(rng, ready)
 
 
 def kill_replica(fleet, model: str, rng: np.random.Generator) -> Dict:
@@ -382,12 +363,7 @@ def kill_replica(fleet, model: str, rng: np.random.Generator) -> Dict:
     surviving replicas (zero lost), eject the victim from the ring within
     one health interval, and self-heal back to the target replica count.
     """
-    victims = _ready_replicas(fleet, model)
-    if len(victims) < 2:
-        raise ValueError(f"kill_replica: need >= 2 ready replicas of "
-                         f"{model!r} to leave a survivor "
-                         f"(have {len(victims)})")
-    victim = _pick(rng, sorted(victims, key=lambda r: r.replica_id))
+    victim = _victim(fleet, model, rng, "kill_replica")
     pending_before = victim.pending_count()
     victim.kill()
     return {"replica": victim.replica_id,
@@ -403,40 +379,16 @@ def partition_replica(fleet, model: str, rng: np.random.Generator,
     but *not* replace it (it is alive behind the partition); after the
     heal, the health loop re-admits it to the ring.
     """
-    victims = _ready_replicas(fleet, model)
-    if len(victims) < 2:
-        raise ValueError(f"partition_replica: need >= 2 ready replicas of "
-                         f"{model!r} to leave a survivor "
-                         f"(have {len(victims)})")
-    victim = _pick(rng, sorted(victims, key=lambda r: r.replica_id))
+    victim = _victim(fleet, model, rng, "partition_replica")
     victim.partition()
-
-    def heal():
-        victim.heal()
-
-    timer = threading.Timer(heal_s, heal)
+    timer = threading.Timer(heal_s, victim.heal)
     timer.daemon = True
     timer.start()
-    return {"replica": victim.replica_id, "heal_s": heal_s, "undo": heal}
-
-
-FLEET_INJECTORS = {
-    "kill_replica": kill_replica,
-    "partition_replica": partition_replica,
-}
+    return {"replica": victim.replica_id, "heal_s": heal_s,
+            "undo": victim.heal}
 
 
 # -------------------------------------------------- silent-data-corruption
-def _sdc_victim(fleet, model: str, rng: np.random.Generator):
-    """Seeded-chosen READY victim, with at least one survivor left."""
-    victims = _ready_replicas(fleet, model)
-    if len(victims) < 2:
-        raise ValueError(f"SDC injector: need >= 2 ready replicas of "
-                         f"{model!r} to leave a survivor "
-                         f"(have {len(victims)})")
-    return _pick(rng, sorted(victims, key=lambda r: r.replica_id))
-
-
 def flip_live_weights(fleet, model: str, rng: np.random.Generator,
                       delta: float = 8.0) -> Dict:
     """Corrupt one element of a victim replica's *live* packed weights.
@@ -448,7 +400,7 @@ def flip_live_weights(fleet, model: str, rng: np.random.Generator,
     defenses can: the scrubber's CRC baseline no longer matches, sampled
     ABFT checksum equality breaks, and golden-vector replays diverge.
     """
-    victim = _sdc_victim(fleet, model, rng)
+    victim = _victim(fleet, model, rng, "flip_live_weights")
     plan = victim.registry.get(model).plan
     convs = [(i, op) for i, op in enumerate(plan.ops)
              if isinstance(getattr(op, "weight", None), np.ndarray)]
@@ -467,7 +419,7 @@ def flip_arena(fleet, model: str, rng: np.random.Generator) -> Dict:
     tap to every edge pixel.  Needs live traffic first (bindings are
     lazy); the memory scrubber's guard sweep is the detection layer.
     """
-    victim = _sdc_victim(fleet, model, rng)
+    victim = _victim(fleet, model, rng, "flip_arena")
     plan = victim.registry.get(model).plan
     targets = []
     for key, binding in sorted(plan._bindings.items()):
@@ -496,7 +448,7 @@ def corrupt_golden(fleet, model: str, rng: np.random.Generator,
     same quarantine (the replacement replica re-materializes both plan
     and goldens from the fleet's source of truth).
     """
-    victim = _sdc_victim(fleet, model, rng)
+    victim = _victim(fleet, model, rng, "corrupt_golden")
     entry = victim.registry.get(model)
     golden = getattr(getattr(entry, "deployed", None), "golden", None)
     outputs = getattr(golden, "outputs", None)
@@ -511,16 +463,47 @@ def corrupt_golden(fleet, model: str, rng: np.random.Generator,
             "delta": delta}
 
 
-#: live in-memory corruption catalog — detection is the *runtime* SDC
-#: defense (ABFT / scrubber / golden probes), never an at-rest gate.
-#: Kept separate from FLEET_INJECTORS: those model crash/partition faults
-#: whose contract is reroute-and-heal, these model corruption whose
-#: contract is detect-quarantine-replace.
-SDC_INJECTORS = {
-    "flip_live_weights": flip_live_weights,
-    "flip_arena": flip_arena,
-    "corrupt_golden": corrupt_golden,
-}
+# ----------------------------------------------------------------- catalog
+#: target kinds, in the order ``repro.cli chaos`` runs them
+KINDS = ("artifact", "plan", "server", "fleet", "sdc")
 
-INJECTORS = {**ARTIFACT_INJECTORS, **SERVER_INJECTORS, **PLAN_INJECTORS,
-             **FLEET_INJECTORS, **SDC_INJECTORS}
+
+class Row(NamedTuple):
+    """One catalog row: the ``kind`` of target the injector damages, the
+    ``inject`` function, and the defence ``layers`` that must each catch
+    the fault for it to count as detected."""
+
+    kind: str
+    inject: Callable[..., Dict]
+    layers: Tuple[str, ...]
+
+
+_AT_REST = ("verify", "load", "registry")
+_VERIFIED = ("verifier", "registry")
+_CRASH = ("requeued", "ejected", "rerouted")
+# SDC is detected on the fly and answered by quarantine-and-replace, where
+# a crash or partition is answered by reroute-and-heal
+_SDC = ("flagged", "quarantined", "no_loss")
+
+#: name -> Row, every fault ChaosPlan can schedule; within a kind, rows run
+#: in this order
+CATALOG: Dict[str, Row] = {
+    "flip_bits": Row("artifact", flip_bits, _AT_REST),
+    "truncate_file": Row("artifact", truncate_file, _AT_REST),
+    "corrupt_header": Row("artifact", corrupt_header, _AT_REST),
+    "stale_manifest": Row("artifact", stale_manifest, _AT_REST),
+    "swap_register": Row("plan", swap_register, _VERIFIED),
+    "widen_scale": Row("plan", widen_scale, _VERIFIED),
+    "drop_op": Row("plan", drop_op, _VERIFIED),
+    "fuse_illegal": Row("plan", fuse_illegal, _VERIFIED),
+    "kill_worker": Row("server", kill_worker,
+                       ("supervisor", "flight_recorder")),
+    "stall_worker": Row("server", stall_worker, ("liveness",)),
+    "delay_clock": Row("server", delay_clock, ("admission",)),
+    "kill_replica": Row("fleet", kill_replica, _CRASH),
+    "partition_replica": Row("fleet", partition_replica,
+                             _CRASH + ("not_replaced",)),
+    "flip_live_weights": Row("sdc", flip_live_weights, _SDC),
+    "flip_arena": Row("sdc", flip_arena, _SDC),
+    "corrupt_golden": Row("sdc", corrupt_golden, _SDC),
+}

@@ -1,27 +1,19 @@
 """ChaosPlan: a seeded fault schedule plus the detection scorecard.
 
-A plan is a list of ``(injector, params)`` steps.  Fault ``i`` draws its
-randomness from ``np.random.default_rng([seed, i])`` — each step has an
-independent, reproducible stream, so reordering or extending the schedule
-never changes what an existing step does.
+A plan is a list of ``(injector, params)`` steps drawn from
+:data:`~repro.chaos.injectors.CATALOG`.  Fault ``i`` draws its randomness
+from ``np.random.default_rng([seed, i])`` — each step has an independent,
+reproducible stream, so reordering or extending the schedule never changes
+what an existing step does.
 
-Running a plan produces a :class:`ChaosReport` scoring every fault on two
-axes:
+:meth:`ChaosPlan.run` takes a schedule of one kind and the target that kind
+damages, and scores every fault on two axes:
 
-* **detected** — the defence layers noticed the fault.  For artifact faults
-  that means *all three* consumers reject the damaged directory
-  (:func:`~repro.export.integrity.verify_artifacts` reports errors,
-  :func:`~repro.export.integrity.load_state_dict` raises a typed
-  :class:`~repro.export.errors.ArtifactError`, and
-  :class:`~repro.server.ModelRegistry` refuses to admit it) — one silent
-  acceptance anywhere marks the fault *missed*.  For server faults it means
-  the gateway reacted with its typed degradation contract (supervised
-  respawn, liveness under a stall, :class:`~repro.server.types.Overloaded`
-  shedding under clock skew) instead of hanging or lying.  For compiled-plan
-  faults it means the static verifier (:meth:`Plan.verify`) reports errors
-  *and* the registry gate refuses to admit the mutant.
+* **detected** — *every* defence layer the fault's catalog row names caught
+  it; one silent acceptance anywhere marks the fault *missed*.  Each layer
+  is the method of the same name on the kind's target class below.
 * **recovered** — service continued on known-good state afterwards: the
-  registry still serves the previous active version / a post-fault probe
+  registry still serves the previous active version, or a post-fault probe
   request returns :class:`~repro.server.types.Ok`.
 
 Every injected/detected/missed fault also lands in telemetry as
@@ -29,37 +21,46 @@ Every injected/detected/missed fault also lands in telemetry as
 """
 from __future__ import annotations
 
+import copy
 import os
 import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro import telemetry
-from repro.chaos.injectors import (ARTIFACT_INJECTORS, FLEET_INJECTORS,
-                                   INJECTORS, PLAN_INJECTORS, SDC_INJECTORS,
-                                   SERVER_INJECTORS)
+from repro.chaos.injectors import CATALOG, KINDS
 from repro.export.errors import ArtifactError
+from repro.export.integrity import load_state_dict, verify_artifacts
+from repro.fleet import Fleet
+from repro.fleet.replica import PARTITIONED, QUARANTINED, READY, STARTING
+from repro.fleet.router import ROLE_CANARY, ROLE_STABLE
+from repro.lint.plan import PlanVerificationError
+from repro.runtime.executor import Plan
+from repro.server import ModelRegistry, Server
+from repro.server.types import Overloaded
 
-#: how long server-fault detection probes the gateway before giving up
-_PROBE_TIMEOUT_S = 10.0
+#: longest any probe request or poll waits before giving up
+_TIMEOUT_S = 10.0
+#: deadline of every probe request
+_DEADLINE_S = 2.0
 
 
-class _PlanRunner:
-    """Minimal registry-compatible runner wrapping a compiled plan.
-
-    Exposes ``.plan`` so :meth:`~repro.server.ModelRegistry.register` picks
-    it up and its verification gate applies — the path under test.
-    """
-
-    def __init__(self, plan):
-        self.plan = plan
-
-    def __call__(self, batch):
-        return self.plan(batch)
+def _poll(predicate: Callable[[], bool], timeout_s: float,
+          tick: Callable[[], object]) -> bool:
+    """Run ``tick`` then ``predicate`` every 20 ms until the predicate holds
+    (True) or ``timeout_s`` has passed (False)."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        tick()
+        if predicate():
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.02)
 
 
 @dataclass
@@ -78,6 +79,10 @@ class FaultRecord:
     @property
     def missed(self) -> bool:
         return not self.detected
+
+    def annotate(self, text: str) -> None:
+        """Append ``text`` to the human-readable note."""
+        self.note = "; ".join(filter(None, (self.note, text)))
 
     def to_json(self) -> Dict:
         return {"index": self.index, "injector": self.injector,
@@ -153,9 +158,9 @@ class ChaosPlan:
         self.schedule: List[Tuple[str, Dict]] = []
 
     def add(self, injector: str, **params) -> "ChaosPlan":
-        if injector not in INJECTORS:
+        if injector not in CATALOG:
             raise ValueError(f"unknown injector {injector!r}; have "
-                             f"{sorted(INJECTORS)}")
+                             f"{sorted(CATALOG)}")
         self.schedule.append((injector, params))
         return self
 
@@ -163,511 +168,367 @@ class ChaosPlan:
         """Independent deterministic stream for fault ``index``."""
         return np.random.default_rng([self.seed, index])
 
-    # ------------------------------------------------------------ factories
     @classmethod
-    def artifact_default(cls, seed: int = 0, rounds: int = 1) -> "ChaosPlan":
-        """One pass (or ``rounds``) over every artifact-fault class."""
+    def default(cls, kind: str, seed: int = 0, rounds: int = 1) -> "ChaosPlan":
+        """``rounds`` passes over every catalog row of ``kind``."""
+        if kind not in KINDS:
+            raise ValueError(f"unknown chaos kind {kind!r}; have {KINDS}")
         plan = cls(seed)
         for _ in range(rounds):
-            for name in ARTIFACT_INJECTORS:
-                plan.add(name)
+            for name, row in CATALOG.items():
+                if row.kind == kind:
+                    plan.add(name)
         return plan
 
-    @classmethod
-    def server_default(cls, seed: int = 0) -> "ChaosPlan":
-        """One pass over every server-fault class."""
-        plan = cls(seed)
-        for name in SERVER_INJECTORS:
-            plan.add(name)
-        return plan
+    def run(self, target, model: Optional[str] = None,
+            sample=None) -> ChaosReport:
+        """Inject every scheduled fault into ``target`` and score it.
 
-    @classmethod
-    def plan_default(cls, seed: int = 0, rounds: int = 1) -> "ChaosPlan":
-        """One pass (or ``rounds``) over every compiled-plan fault class."""
-        plan = cls(seed)
-        for _ in range(rounds):
-            for name in PLAN_INJECTORS:
-                plan.add(name)
-        return plan
-
-    @classmethod
-    def fleet_default(cls, seed: int = 0) -> "ChaosPlan":
-        """One pass over every fleet-fault class."""
-        plan = cls(seed)
-        for name in FLEET_INJECTORS:
-            plan.add(name)
-        return plan
-
-    @classmethod
-    def sdc_default(cls, seed: int = 0) -> "ChaosPlan":
-        """One pass over every silent-data-corruption fault class."""
-        plan = cls(seed)
-        for name in SDC_INJECTORS:
-            plan.add(name)
-        return plan
-
-    # -------------------------------------------------------- artifact runs
-    def run_artifacts(self, export_dir: str,
-                      workdir: Optional[str] = None) -> ChaosReport:
-        """Inject each scheduled artifact fault into a *copy* of
-        ``export_dir`` and score detection across all three consumer layers
-        (verify / load / registry).  ``export_dir`` itself is never touched.
+        The schedule must hold one kind, and ``target`` must be what that
+        kind damages: an export directory (``artifact``; faults hit copies,
+        the directory is never touched), a compiled
+        :class:`~repro.runtime.executor.Plan` (``plan``; faults hit deep
+        copies), a running :class:`~repro.server.Server` (``server``) or a
+        running :class:`~repro.fleet.Fleet` (``fleet``, ``sdc``).  Live
+        targets also take the ``model`` to attack and a ``sample`` input for
+        the warm-up and probe requests.
         """
+        kinds = sorted({CATALOG[name].kind for name, _ in self.schedule})
+        if (len(kinds) != 1
+                or not isinstance(target, _TARGETS[kinds[0]].takes)):
+            raise ValueError(
+                f"a chaos run needs a schedule of one kind and that kind's "
+                f"target (artifact: export directory, plan: Plan, server: "
+                f"Server, fleet or sdc: Fleet); got kinds {kinds} and a "
+                f"{type(target).__name__}")
+        t = _TARGETS[kinds[0]](target, model, sample)
         report = ChaosReport(self.seed)
-        own_workdir = workdir is None
-        if own_workdir:
-            workdir = tempfile.mkdtemp(prefix="repro-chaos-")
         try:
             for i, (name, params) in enumerate(self.schedule):
-                if name not in ARTIFACT_INJECTORS:
-                    raise ValueError(
-                        f"run_artifacts() cannot run server injector {name!r}")
-                copy = os.path.join(workdir, f"fault-{i:02d}-{name}")
-                shutil.copytree(export_dir, copy)
+                row = CATALOG[name]
                 rec = FaultRecord(index=i, injector=name, params=dict(params))
-                rec.details = ARTIFACT_INJECTORS[name](
-                    copy, self.rng_for(i), **params)
+                rec.details = t.inject(i, name, row.inject, self.rng_for(i),
+                                       params)
+                undo = rec.details.pop("undo", None)
                 telemetry.emit("chaos_inject", injector=name, index=i,
-                               target=copy, **rec.details)
-                self._score_artifact_fault(rec, export_dir, copy)
-                self._emit_outcome(rec)
+                               **rec.details)
+                try:
+                    for layer in row.layers:
+                        rec.layers[layer] = getattr(t, layer)(rec)
+                finally:
+                    if undo is not None:
+                        undo()
+                rec.detected = all(rec.layers.values())
+                rec.recovered = t.recovered(rec)
+                _emit_outcome(rec)
                 report.add(rec)
         finally:
-            if own_workdir:
-                shutil.rmtree(workdir, ignore_errors=True)
+            t.close()
         return report
 
-    @staticmethod
-    def _score_artifact_fault(rec: FaultRecord, clean_dir: str,
-                              damaged_dir: str) -> None:
-        from repro.export.integrity import load_state_dict, verify_artifacts
-        from repro.server.registry import ModelRegistry
 
-        audit = verify_artifacts(damaged_dir)
-        rec.layers["verify"] = not audit.ok
-        try:
-            load_state_dict(damaged_dir)
-            rec.layers["load"] = False
-        except ArtifactError:
-            rec.layers["load"] = True
+def _emit_outcome(rec: FaultRecord) -> None:
+    if rec.detected:
+        telemetry.emit("chaos_detected", injector=rec.injector,
+                       index=rec.index, recovered=rec.recovered,
+                       layers=rec.layers)
+    else:
+        telemetry.emit("chaos_missed", level="error", injector=rec.injector,
+                       index=rec.index, recovered=rec.recovered,
+                       layers=rec.layers)
 
-        registry = ModelRegistry()
-        registry.register("chaos", "good", runner=lambda x: x,
-                          artifacts=clean_dir)
-        try:
-            registry.register("chaos", "bad", runner=lambda x: x,
-                              artifacts=damaged_dir, activate=True)
-            rec.layers["registry"] = False
-        except ArtifactError:
-            rec.layers["registry"] = True
-        rec.recovered = registry.active_version("chaos") == "good"
-        rec.detected = all(rec.layers.values())
-        if audit.findings:
-            rec.note = ", ".join(sorted({f.rule for f in audit.findings}))
 
-    # ------------------------------------------------------------ plan runs
-    def run_plan(self, plan, input_shape=None, module_bits=None) -> ChaosReport:
-        """Inject each scheduled plan fault into a *deep copy* of a compiled
-        :class:`~repro.runtime.executor.Plan` and score whether the static
-        verifier (and the registry gate built on it) refuses the mutant.
-        The original plan is never touched and must still verify clean
-        afterwards (the *recovered* axis)."""
-        import copy as _copy
+def _raises(error, fn, *args, **kwargs) -> bool:
+    """True when ``fn`` refuses its input with the typed ``error``."""
+    try:
+        fn(*args, **kwargs)
+    except error:
+        return True
+    return False
 
-        report = ChaosReport(self.seed)
-        for i, (name, params) in enumerate(self.schedule):
-            if name not in PLAN_INJECTORS:
-                raise ValueError(
-                    f"run_plan() cannot run non-plan injector {name!r}")
-            mutant = _copy.deepcopy(plan)
-            mutant._bindings = {}
-            mutant._verification = None
-            rec = FaultRecord(index=i, injector=name, params=dict(params))
-            rec.details = PLAN_INJECTORS[name](mutant, self.rng_for(i),
-                                               **params)
-            telemetry.emit("chaos_inject", injector=name, index=i,
-                           model=plan.model_name, **rec.details)
-            self._score_plan_fault(rec, plan, mutant, input_shape, module_bits)
-            self._emit_outcome(rec)
-            report.add(rec)
-        return report
 
-    @staticmethod
-    def _score_plan_fault(rec: FaultRecord, clean, mutant,
-                          input_shape, module_bits) -> None:
-        from repro.lint.plan import PlanVerificationError
-        from repro.server.registry import ModelRegistry
+def _registry_gate(error, good: Dict, bad: Dict) -> Tuple[bool, bool]:
+    """Register ``good``, then try to activate ``bad`` on the same fresh
+    registry.  Returns (``bad`` refused with ``error``, ``good`` still
+    active)."""
+    registry = ModelRegistry()
+    registry.register("chaos", "good", **good)
+    refused = _raises(error, registry.register, "chaos", "bad",
+                      activate=True, **bad)
+    return refused, registry.active_version("chaos") == "good"
 
-        vreport = mutant.verify(input_shape=input_shape,
-                                module_bits=module_bits, refresh=True)
-        rec.layers["verifier"] = not vreport.ok
 
-        registry = ModelRegistry()
-        registry.register("chaos", "good", runner=_PlanRunner(clean))
-        try:
-            registry.register("chaos", "bad", runner=_PlanRunner(mutant),
-                              activate=True)
-            rec.layers["registry"] = False
-        except PlanVerificationError:
-            rec.layers["registry"] = True
-        rec.recovered = (registry.active_version("chaos") == "good"
-                         and clean.verify(refresh=True).ok)
-        rec.detected = all(rec.layers.values())
-        if vreport.findings:
-            rec.note = ", ".join(sorted({f.rule for f in vreport.findings
-                                         if f.severity == "ERROR"}))
+class _PlanRunner:
+    """Minimal registry-compatible runner wrapping a compiled plan.
 
-    # ---------------------------------------------------------- server runs
-    def run_server(self, server, model: str, sample,
-                   probe_deadline_s: float = 2.0) -> ChaosReport:
-        """Inject each scheduled server fault into a *running* gateway and
-        score whether its degradation contract held."""
-        report = ChaosReport(self.seed)
-        # warm the lane: injectors target live workers / the EWMA estimate
-        resp = server.submit(model, sample,
-                             deadline_s=probe_deadline_s).result(
-                                 timeout=_PROBE_TIMEOUT_S)
-        if not resp.ok:
-            raise RuntimeError(f"chaos warm-up probe failed: {resp}")
-        for i, (name, params) in enumerate(self.schedule):
-            if name not in SERVER_INJECTORS:
-                raise ValueError(
-                    f"run_server() cannot run artifact injector {name!r}")
-            rec = FaultRecord(index=i, injector=name, params=dict(params))
-            lane = server._lanes.get(model)
-            deaths_before = lane.stats.worker_deaths if lane else 0
-            details = SERVER_INJECTORS[name](server, model,
-                                             self.rng_for(i), **params)
-            undo = details.pop("undo", None)
-            rec.details = details
-            telemetry.emit("chaos_inject", injector=name, index=i,
-                           model=model, **details)
-            try:
-                if name == "kill_worker":
-                    self._score_kill(rec, server, model, sample,
-                                     probe_deadline_s, deaths_before)
-                elif name == "stall_worker":
-                    self._score_stall(rec, server, model, sample,
-                                      details.get("stall_s", 0.3))
-                elif name == "delay_clock":
-                    self._score_delay(rec, server, model, sample,
-                                      details.get("skew_s", 0.5))
-            finally:
-                if undo is not None:
-                    undo()
-            if not rec.recovered:
-                rec.recovered = self._probe_ok(server, model, sample,
-                                               probe_deadline_s)
-            self._emit_outcome(rec)
-            report.add(rec)
-        return report
+    Exposes ``.plan`` so :meth:`~repro.server.ModelRegistry.register` picks
+    it up and its verification gate applies — the path under test.
+    """
 
-    @staticmethod
-    def _emit_outcome(rec: FaultRecord) -> None:
-        if rec.detected:
-            telemetry.emit("chaos_detected", injector=rec.injector,
-                           index=rec.index, recovered=rec.recovered,
-                           layers=rec.layers)
-        else:
-            telemetry.emit("chaos_missed", level="error",
-                           injector=rec.injector, index=rec.index,
-                           recovered=rec.recovered, layers=rec.layers)
+    def __init__(self, plan):
+        self.plan = plan
 
-    @staticmethod
-    def _probe_ok(server, model: str, sample,
-                  deadline_s: float = 2.0) -> bool:
-        try:
-            resp = server.submit(model, sample, deadline_s=deadline_s).result(
-                timeout=_PROBE_TIMEOUT_S)
-        except TimeoutError:
-            return False
-        return bool(resp.ok)
+    def __call__(self, batch):
+        return self.plan(batch)
 
-    def _score_kill(self, rec: FaultRecord, server, model: str, sample,
-                    probe_deadline_s: float, deaths_before: int) -> None:
-        """Detected = the lane's supervisor counted the death (WorkerDied,
-        never a hang); recovered = a probe request is served afterwards."""
-        lane = server._lanes[model]
-        deadline = time.monotonic() + _PROBE_TIMEOUT_S
-        probe_ok = False
-        while time.monotonic() < deadline:
-            # drive traffic so the lane polls its pool and trips WorkerDied
-            probe_ok = self._probe_ok(server, model, sample, probe_deadline_s)
-            if lane.stats.worker_deaths > deaths_before:
-                rec.detected = True
-                break
-            time.sleep(0.02)
-        rec.layers["supervisor"] = rec.detected
-        # a detected death must also leave a post-mortem: the lane's flight
-        # recorder auto-dumps on worker_death (chaos kills become forensics,
-        # not bare counters)
-        last = lane.flight.last_dump
-        rec.layers["flight_recorder"] = bool(
-            last is not None and last.get("reason") == "worker_death")
-        rec.detected = rec.detected and rec.layers["flight_recorder"]
-        rec.recovered = rec.detected and (
-            probe_ok or self._probe_ok(server, model, sample,
-                                       probe_deadline_s))
-        rec.note = (f"worker_deaths {deaths_before} -> "
-                    f"{lane.stats.worker_deaths}")
 
-    def _score_stall(self, rec: FaultRecord, server, model: str, sample,
-                     stall_s: float) -> None:
-        """Detected = the gateway stays live through the stall: a request
-        submitted while one worker is frozen still resolves to a typed
-        response (served by a peer worker, or after SIGCONT) instead of
-        hanging past the stall window."""
-        t0 = time.monotonic()
-        try:
-            resp = server.submit(model, sample,
-                                 deadline_s=stall_s + 5.0).result(
-                                     timeout=stall_s + _PROBE_TIMEOUT_S)
-        except TimeoutError:
-            rec.layers["liveness"] = False
-            rec.note = "request hung through the stall"
-            return
-        rec.layers["liveness"] = True
-        rec.detected = True
-        rec.recovered = bool(resp.ok)
-        rec.note = f"resolved {type(resp).__name__} in " \
-                   f"{time.monotonic() - t0:.3f}s (stall {stall_s}s)"
+# --------------------------------------------------------------- targets
+# One class per kind.  ``takes`` is the type of target it damages;
+# ``inject`` prepares the target for fault ``i`` and calls the injector;
+# one method per detection layer (named as in the catalog) scores the
+# fault; ``recovered`` checks known-good state once the fault is undone.
+class _Target:
+    def __init__(self, target, model, sample):
+        self.target, self.model, self.sample = target, model, sample
 
-    def _score_delay(self, rec: FaultRecord, server, model: str, sample,
-                     skew_s: float) -> None:
-        """Detected = admission control sheds (typed Overloaded) a request
-        whose deadline the skewed service-clock projection cannot meet."""
-        from repro.server.types import Overloaded
+    def close(self) -> None:
+        pass
 
-        resp = server.submit(model, sample,
-                             deadline_s=skew_s / 4).result(
-                                 timeout=_PROBE_TIMEOUT_S)
-        rec.layers["admission"] = isinstance(resp, Overloaded)
-        rec.detected = rec.layers["admission"]
-        rec.note = (f"short-deadline probe -> {type(resp).__name__}"
-                    + (f" ({resp.reason})" if isinstance(resp, Overloaded)
-                       else ""))
 
-    # ----------------------------------------------------------- fleet runs
-    def run_fleet(self, fleet, model: str, sample,
-                  probe_deadline_s: float = 2.0) -> ChaosReport:
-        """Inject each scheduled fleet fault into a *running*
-        :class:`~repro.fleet.Fleet` and score the fleet contract.
+class _Artifacts(_Target):
+    """Each fault damages a fresh copy of the export directory."""
 
-        For each fault a burst of requests is put in flight *before* the
-        injection so the victim actually holds work when it dies or
-        partitions — detection requires the router to eject it and every
-        straddling request to reroute (zero lost); recovery means the
-        group returns to its target replica count (kill) or the healed
-        replica rejoins the ring (partition).
-        """
-        report = ChaosReport(self.seed)
-        resp = fleet.submit(model, sample,
-                            deadline_s=probe_deadline_s).result(
-                                timeout=_PROBE_TIMEOUT_S)
-        if not resp.ok:
-            raise RuntimeError(f"chaos warm-up probe failed: {resp}")
-        for i, (name, params) in enumerate(self.schedule):
-            if name not in FLEET_INJECTORS:
-                raise ValueError(
-                    f"run_fleet() cannot run non-fleet injector {name!r}")
-            rec = FaultRecord(index=i, injector=name, params=dict(params))
-            lost_before = fleet.requests_lost
-            target = fleet.status()["models"][model]["target_replicas"]
-            burst = [fleet.submit(model, sample,
-                                  deadline_s=probe_deadline_s)
-                     for _ in range(16)]
-            details = FLEET_INJECTORS[name](fleet, model,
-                                            self.rng_for(i), **params)
-            undo = details.pop("undo", None)
-            rec.details = details
-            telemetry.emit("chaos_inject", injector=name, index=i,
-                           model=model, **details)
-            try:
-                if name == "kill_replica":
-                    self._score_replica_kill(rec, fleet, model, sample,
-                                             probe_deadline_s, burst,
-                                             lost_before, target)
-                elif name == "partition_replica":
-                    self._score_replica_partition(rec, fleet, model, sample,
-                                                  probe_deadline_s, burst,
-                                                  lost_before, target)
-            finally:
-                if undo is not None:
-                    undo()
-            self._emit_outcome(rec)
-            report.add(rec)
-        return report
+    takes = (str, os.PathLike)
 
-    @staticmethod
-    def _fleet_members(fleet, model: str):
-        from repro.fleet.router import ROLE_CANARY, ROLE_STABLE
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.workdir = tempfile.mkdtemp(prefix="repro-chaos-")
 
-        return (fleet.router.members(model, ROLE_STABLE)
-                | fleet.router.members(model, ROLE_CANARY))
+    def close(self) -> None:
+        shutil.rmtree(self.workdir, ignore_errors=True)
 
-    def _await_ejection(self, fleet, model: str, victim: str) -> bool:
-        """Poll (driving health ticks) until the victim leaves every ring —
-        within one health interval, plus scheduling slack."""
-        deadline = time.monotonic() + fleet.config.health_interval_s + 1.0
-        while time.monotonic() < deadline:
-            fleet.health_tick()
-            if victim not in self._fleet_members(fleet, model):
-                return True
-            time.sleep(0.02)
-        return victim not in self._fleet_members(fleet, model)
+    def inject(self, i, name, inject, rng, params) -> Dict:
+        self.damaged = os.path.join(self.workdir, f"fault-{i:02d}-{name}")
+        shutil.copytree(self.target, self.damaged)
+        return inject(self.damaged, rng, **params)
 
-    def _score_replica_kill(self, rec: FaultRecord, fleet, model: str,
-                            sample, probe_deadline_s: float, burst,
-                            lost_before: int, target: int) -> None:
-        """Detected = router ejection within one health interval + every
-        straddling request rerouted (zero lost); recovered = the group
-        self-heals back to its target replica count."""
-        victim = rec.details["replica"]
-        resolved = [p.result(timeout=_PROBE_TIMEOUT_S) for p in burst]
-        rec.layers["requeued"] = (all(r.ok for r in resolved)
-                                  and fleet.requests_lost == lost_before)
-        rec.layers["ejected"] = self._await_ejection(fleet, model, victim)
-        rec.layers["rerouted"] = self._probe_ok(fleet, model, sample,
-                                                probe_deadline_s)
-        rec.detected = all(rec.layers.values())
-        deadline = time.monotonic() + _PROBE_TIMEOUT_S
-        while time.monotonic() < deadline:
-            fleet.health_tick()
-            healthy = [r for r in fleet.replicas(model) if r.healthy()]
-            if len(healthy) >= target and victim not in {
-                    r.replica_id for r in healthy}:
-                rec.recovered = True
-                break
-            time.sleep(0.02)
-        rec.note = (f"killed {victim} with "
-                    f"{rec.details.get('pending_at_kill', 0)} pending; "
-                    f"{len([r for r in resolved if r.ok])}/{len(resolved)} "
-                    f"straddling requests ok, "
-                    f"lost {fleet.requests_lost - lost_before}")
+    def verify(self, rec) -> bool:
+        """The deep audit reports the damage."""
+        audit = verify_artifacts(self.damaged)
+        rec.annotate(", ".join(sorted({f.rule for f in audit.findings})))
+        return not audit.ok
 
-    def _score_replica_partition(self, rec: FaultRecord, fleet, model: str,
-                                 sample, probe_deadline_s: float, burst,
-                                 lost_before: int, target: int) -> None:
-        """Detected = ejection + reroute (as for a kill) *without* spawning
-        a replacement — the replica is alive behind the partition;
-        recovered = the healed replica rejoins the ring."""
-        from repro.fleet.replica import PARTITIONED, READY, STARTING
+    def load(self, rec) -> bool:
+        """Loading raises a typed ArtifactError."""
+        return _raises(ArtifactError, load_state_dict, self.damaged)
 
-        victim = rec.details["replica"]
-        resolved = [p.result(timeout=_PROBE_TIMEOUT_S) for p in burst]
-        rec.layers["requeued"] = (all(r.ok for r in resolved)
-                                  and fleet.requests_lost == lost_before)
-        rec.layers["ejected"] = self._await_ejection(fleet, model, victim)
-        rec.layers["rerouted"] = self._probe_ok(fleet, model, sample,
-                                                probe_deadline_s)
-        live = [r for r in fleet.replicas(model)
-                if r.state in (STARTING, READY, PARTITIONED)]
-        rec.layers["not_replaced"] = len(live) <= target
-        rec.detected = all(rec.layers.values())
-        deadline = (time.monotonic() + rec.details.get("heal_s", 0.5)
-                    + _PROBE_TIMEOUT_S)
-        while time.monotonic() < deadline:
-            fleet.health_tick()
-            if victim in self._fleet_members(fleet, model):
-                rec.recovered = True
-                break
-            time.sleep(0.02)
-        rec.note = (f"partitioned {victim} for "
-                    f"{rec.details.get('heal_s', 0.5)}s; rejoined="
-                    f"{rec.recovered}, lost "
-                    f"{fleet.requests_lost - lost_before}")
+    def registry(self, rec) -> bool:
+        """The registry refuses to admit the damaged directory."""
+        refused, self.kept_good = _registry_gate(
+            ArtifactError, {"runner": _identity, "artifacts": self.target},
+            {"runner": _identity, "artifacts": self.damaged})
+        return refused
 
-    # --------------------------------------------------------------- SDC runs
-    def run_sdc(self, fleet, model: str, sample,
-                probe_deadline_s: float = 2.0) -> ChaosReport:
-        """Inject each scheduled live-corruption fault into one replica of a
-        running :class:`~repro.fleet.Fleet` and score the SDC contract.
+    def recovered(self, rec) -> bool:
+        return self.kept_good
 
-        * **detected** — a typed SDC event landed on the victim (ABFT,
-          scrubber or golden probe — which one is in the note), the fleet
-          quarantined it (``QUARANTINED`` tombstone, ejected from every
-          ring) and no request was lost;
-        * **recovered** — a clean replacement spawned (the group is back at
-          target healthy replicas, victim excluded) and a post-fault probe
-          returns :class:`~repro.server.types.Ok`.
 
-        The fleet must actually run a defense layer
-        (``FleetConfig.golden_every`` / ``scrub_every``, or per-server
-        ``ServerConfig.abft_every`` / ``scrub_interval_s``) — with the
-        defenses off every fault here is a guaranteed, and intended, miss.
-        Requests served between the corruption and its detection may carry
-        wrong values: SDC detection is sampled/periodic by design, and the
-        scorecard measures time-bounded detection, not per-request
-        correctness.
-        """
-        report = ChaosReport(self.seed)
-        # warm every lane: arena faults need live bindings to target
-        warm = [fleet.submit(model, sample, deadline_s=probe_deadline_s)
-                for _ in range(8)]
-        for p in warm:
-            resp = p.result(timeout=_PROBE_TIMEOUT_S)
+def _identity(batch):
+    return batch
+
+
+class _Plans(_Target):
+    """Each fault corrupts a deep copy of the compiled plan; the clean plan
+    must keep proving clean."""
+
+    takes = Plan
+
+    def inject(self, i, name, inject, rng, params) -> Dict:
+        self.mutant = copy.deepcopy(self.target)
+        return inject(self.mutant, rng, **params)
+
+    def verifier(self, rec) -> bool:
+        """The static verifier reports errors."""
+        report = self.mutant.verify(refresh=True)
+        rec.annotate(", ".join(sorted({f.rule for f in report.findings
+                                       if f.severity == "ERROR"})))
+        return not report.ok
+
+    def registry(self, rec) -> bool:
+        """The registry's verification gate refuses the mutant."""
+        refused, self.kept_good = _registry_gate(
+            PlanVerificationError, {"runner": _PlanRunner(self.target)},
+            {"runner": _PlanRunner(self.mutant)})
+        return refused
+
+    def recovered(self, rec) -> bool:
+        return self.kept_good and self.target.verify(refresh=True).ok
+
+
+class _Live(_Target):
+    """A running Server or Fleet, attacked through ``model``; warmed by
+    ``warm`` requests that must all be served."""
+
+    warm = 1
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        for pending in [self.submit() for _ in range(self.warm)]:
+            resp = pending.result(timeout=_TIMEOUT_S)
             if not resp.ok:
                 raise RuntimeError(f"chaos warm-up probe failed: {resp}")
-        for i, (name, params) in enumerate(self.schedule):
-            if name not in SDC_INJECTORS:
-                raise ValueError(
-                    f"run_sdc() cannot run non-SDC injector {name!r}")
-            rec = FaultRecord(index=i, injector=name, params=dict(params))
-            lost_before = fleet.requests_lost
-            target = fleet.status()["models"][model]["target_replicas"]
-            rec.details = SDC_INJECTORS[name](fleet, model,
-                                              self.rng_for(i), **params)
-            telemetry.emit("chaos_inject", injector=name, index=i,
-                           model=model, **rec.details)
-            # straddling burst: some of these resolve around the quarantine
-            # abort and must requeue on healthy peers, never be lost
-            burst = [fleet.submit(model, sample,
-                                  deadline_s=probe_deadline_s)
-                     for _ in range(16)]
-            self._score_sdc(rec, fleet, model, sample, probe_deadline_s,
-                            burst, lost_before, target)
-            self._emit_outcome(rec)
-            report.add(rec)
-        return report
 
-    def _score_sdc(self, rec: FaultRecord, fleet, model: str, sample,
-                   probe_deadline_s: float, burst, lost_before: int,
-                   target: int) -> None:
-        from repro.fleet.replica import QUARANTINED
+    def submit(self, deadline_s: float = _DEADLINE_S):
+        return self.target.submit(self.model, self.sample,
+                                  deadline_s=deadline_s)
 
-        victim_id = rec.details["replica"]
-        victim = next(r for r in fleet.replicas(model)
-                      if r.replica_id == victim_id)
-        deadline = time.monotonic() + _PROBE_TIMEOUT_S
-        while time.monotonic() < deadline:
-            fleet.health_tick()
-            if victim.state == QUARANTINED:
-                break
-            time.sleep(0.02)
-        resolved = [p.result(timeout=_PROBE_TIMEOUT_S) for p in burst]
-        rec.layers["flagged"] = bool(victim.server.sdc_events)
-        rec.layers["quarantined"] = (
-            victim.state == QUARANTINED
-            and victim_id not in self._fleet_members(fleet, model))
-        rec.layers["no_loss"] = (all(r.ok for r in resolved)
-                                 and fleet.requests_lost == lost_before)
-        rec.detected = all(rec.layers.values())
-        deadline = time.monotonic() + _PROBE_TIMEOUT_S
-        while time.monotonic() < deadline:
-            fleet.health_tick()
-            healthy = [r for r in fleet.replicas(model) if r.healthy()]
-            if (len(healthy) >= target
-                    and victim_id not in {r.replica_id for r in healthy}
-                    and self._probe_ok(fleet, model, sample,
-                                       probe_deadline_s)):
-                rec.recovered = True
-                break
-            time.sleep(0.02)
-        events = victim.server.sdc_events
-        source = events[0]["source"] if events else None
-        rec.note = (f"{victim_id} flagged by "
-                    f"{source if source else 'nothing'} "
-                    f"({len(events)} event(s)); "
-                    f"{len([r for r in resolved if r.ok])}/{len(resolved)} "
-                    f"straddling requests ok, lost "
-                    f"{fleet.requests_lost - lost_before}")
+    def probe(self) -> bool:
+        """A request is served within the probe timeout."""
+        try:
+            return bool(self.submit().result(timeout=_TIMEOUT_S).ok)
+        except TimeoutError:
+            return False
+
+    def recovered(self, rec) -> bool:
+        return self.probe()
+
+
+class _Server(_Live):
+    """Each fault perturbs the running gateway's lane for ``model``."""
+
+    takes = Server
+
+    def inject(self, i, name, inject, rng, params) -> Dict:
+        self.lane = self.target._lanes[self.model]
+        self.deaths = self.lane.stats.worker_deaths
+        return inject(self.target, self.model, rng, **params)
+
+    def supervisor(self, rec) -> bool:
+        """The lane's supervisor counts the death (WorkerDied, never a
+        hang); probe traffic makes the lane poll its pool."""
+        counted = _poll(lambda: self.lane.stats.worker_deaths > self.deaths,
+                        _TIMEOUT_S, self.probe)
+        rec.annotate(f"worker_deaths {self.deaths} -> "
+                     f"{self.lane.stats.worker_deaths}")
+        return counted
+
+    def flight_recorder(self, rec) -> bool:
+        """The death left a post-mortem: the lane's flight recorder
+        auto-dumps on worker_death."""
+        last = self.lane.flight.last_dump
+        return last is not None and last.get("reason") == "worker_death"
+
+    def liveness(self, rec) -> bool:
+        """A request submitted while one worker is frozen still resolves to
+        a typed response (served by a peer worker, or after SIGCONT)
+        instead of hanging past the stall window."""
+        stall_s = rec.details["stall_s"]
+        try:
+            resp = self.submit(stall_s + 5.0).result(
+                timeout=stall_s + _TIMEOUT_S)
+        except TimeoutError:
+            rec.annotate("request hung through the stall")
+            return False
+        rec.annotate(f"resolved {type(resp).__name__} (stall {stall_s}s)")
+        return True
+
+    def admission(self, rec) -> bool:
+        """Admission control sheds (typed Overloaded) a request whose
+        deadline the skewed service-clock projection cannot meet."""
+        resp = self.submit(rec.details["skew_s"] / 4).result(
+            timeout=_TIMEOUT_S)
+        rec.annotate(f"short-deadline probe -> {type(resp).__name__}")
+        return isinstance(resp, Overloaded)
+
+
+class _Fleet(_Live):
+    """Each fault hits one replica of the running fleet while a burst of 16
+    requests is in flight.  A crash or partition lands after the burst is
+    sent, so the victim holds work when it goes."""
+
+    takes = Fleet
+    sdc = False
+
+    def inject(self, i, name, inject, rng, params) -> Dict:
+        fleet = self.target
+        self.lost = fleet.requests_lost
+        self.size = fleet.status()["models"][self.model]["target_replicas"]
+        if not self.sdc:
+            self.burst = [self.submit() for _ in range(16)]
+        details = inject(fleet, self.model, rng, **params)
+        if self.sdc:
+            self.burst = [self.submit() for _ in range(16)]
+        return details
+
+    def _ring(self):
+        router = self.target.router
+        return (router.members(self.model, ROLE_STABLE)
+                | router.members(self.model, ROLE_CANARY))
+
+    def _victim(self, rec):
+        return next(r for r in self.target.replicas(self.model)
+                    if r.replica_id == rec.details["replica"])
+
+    def _await(self, predicate, timeout_s: float = _TIMEOUT_S) -> bool:
+        return _poll(predicate, timeout_s, self.target.health_tick)
+
+    def requeued(self, rec) -> bool:
+        """Every straddling request was served (rerouted off the victim)
+        and the fleet lost none."""
+        resolved = [p.result(timeout=_TIMEOUT_S) for p in self.burst]
+        ok = sum(r.ok for r in resolved)
+        lost = self.target.requests_lost - self.lost
+        rec.annotate(f"{ok}/{len(resolved)} straddling requests ok, "
+                     f"lost {lost}")
+        return ok == len(resolved) and lost == 0
+
+    no_loss = requeued
+
+    def ejected(self, rec) -> bool:
+        """The router drops the victim from every ring within one health
+        interval."""
+        victim = rec.details["replica"]
+        return self._await(lambda: victim not in self._ring(),
+                           self.target.config.health_interval_s + 1.0)
+
+    def rerouted(self, rec) -> bool:
+        """A probe is served with the victim out of the ring."""
+        return self.probe()
+
+    def not_replaced(self, rec) -> bool:
+        """A partitioned replica is alive: the fleet spawns no
+        replacement."""
+        live = [r for r in self.target.replicas(self.model)
+                if r.state in (STARTING, READY, PARTITIONED)]
+        return len(live) <= self.size
+
+    def flagged(self, rec) -> bool:
+        """A typed SDC event (ABFT, scrubber or golden probe) lands on the
+        victim."""
+        server = self._victim(rec).server
+        flagged = self._await(lambda: server.sdc_detected)
+        source = server.sdc_events[0]["source"] if flagged else "nothing"
+        rec.annotate(f"flagged by {source}")
+        return flagged
+
+    def quarantined(self, rec) -> bool:
+        """The victim is a QUARANTINED tombstone, out of every ring."""
+        victim = self._victim(rec)
+        return self._await(lambda: victim.state == QUARANTINED
+                           and victim.replica_id not in self._ring())
+
+    def recovered(self, rec) -> bool:
+        """The group is back at its target count of healthy replicas (a
+        replacement spawned, or the healed victim rejoined) and serves a
+        probe."""
+        return self._await(
+            lambda: sum(r.healthy() for r in self.target.replicas(self.model))
+            >= self.size and self.probe())
+
+
+class _SdcFleet(_Fleet):
+    """An SDC fault lands before the burst is sent, so the burst straddles
+    detection and quarantine.  It is only caught when the fleet runs a
+    defence (``FleetConfig.golden_every`` / ``scrub_every``, or
+    ``ServerConfig.abft_every`` / ``scrub_interval_s``); with none on,
+    every one is an intended miss.  Requests served between a corruption
+    and its detection may carry wrong values: detection is sampled or
+    periodic by design, and the scorecard measures time-bounded detection.
+    """
+
+    sdc = True
+    warm = 8  # arena faults need live bindings on every replica to target
+
+
+_TARGETS = {"artifact": _Artifacts, "plan": _Plans, "server": _Server,
+            "fleet": _Fleet, "sdc": _SdcFleet}

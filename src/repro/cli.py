@@ -530,21 +530,18 @@ def cmd_chaos(args) -> int:
             deployed, (_, test, _) = _build_deployed_model(args, spec)
             sample = np.ascontiguousarray(test.images[0], dtype=np.float32)
 
-        plan = ChaosPlan.artifact_default(args.seed, rounds=args.rounds)
+        plan = ChaosPlan.default("artifact", args.seed, rounds=args.rounds)
         if not any(f.endswith(".qint.json") for f in os.listdir(export_dir)):
-            plan = ChaosPlan(args.seed)
-            for _ in range(args.rounds):
-                for name in ("flip_bits", "truncate_file", "stale_manifest"):
-                    plan.add(name)
-            print("note: no qint artifacts in target; skipping corrupt_header")
-        report = plan.run_artifacts(export_dir)
+            plan.schedule = [s for s in plan.schedule
+                             if s[0] != "corrupt_header"]
+            print("note: no qint artifacts in target; skipping "
+                  "corrupt_header", file=sys.stderr)
+        report = plan.run(export_dir)
 
         if deployed is not None and deployed.plan is not None:
-            module_bits = (deployed.lint_report.min_accum_bits()
-                           if deployed.lint_report is not None else None)
-            report.extend(
-                ChaosPlan.plan_default(args.seed, rounds=args.rounds)
-                .run_plan(deployed.plan, module_bits=module_bits))
+            report.extend(ChaosPlan.default("plan", args.seed,
+                                            rounds=args.rounds)
+                          .run(deployed.plan))
         else:
             print("note: no freshly compiled plan (ran against --dir); "
                   "skipping plan-mutation schedule", file=sys.stderr)
@@ -555,48 +552,37 @@ def cmd_chaos(args) -> int:
 
             registry = ModelRegistry()
             registry.register(args.model, "1", deployed)
-            pooled = args.workers >= 2 and _can_fork()
-            splan = (ChaosPlan.server_default(args.seed) if pooled
-                     else ChaosPlan(args.seed).add("delay_clock"))
-            if not pooled:
+            splan = ChaosPlan.default("server", args.seed)
+            if not (args.workers >= 2 and _can_fork()):
+                splan = ChaosPlan(args.seed).add("delay_clock")
                 print("note: fork unavailable or --workers < 2; server "
-                      "schedule reduced to delay_clock")
+                      "schedule reduced to delay_clock", file=sys.stderr)
             with Server(registry, max_batch=8, workers=args.workers,
                         default_deadline_s=2.0) as srv:
-                report.extend(splan.run_server(srv, args.model, sample))
+                report.extend(splan.run(srv, args.model, sample))
 
-            # the same deployed model behind a 3-replica fleet: replica
-            # kill + partition must eject, reroute (zero lost) and heal
+        # the same deployed model behind a 3-replica fleet: a replica kill
+        # or partition must eject, reroute (zero lost) and heal; with the
+        # SDC defences on (golden probes and scrubs every 2nd health tick,
+        # ABFT every 4th batch), live corruption must be flagged,
+        # quarantined and replaced (zero lost)
+        for kind, wanted in (("fleet", args.server), ("sdc", args.sdc)):
+            if not wanted:
+                continue
             from repro.fleet import Fleet, FleetConfig
             from repro.server import ServerConfig
 
+            every = 2 if kind == "sdc" else 0
             fleet = Fleet(FleetConfig(
                 replicas=3, health_interval_s=0.1, default_deadline_s=2.0,
-                server=ServerConfig(max_batch=8, default_deadline_s=2.0)))
-            fleet.add_model(args.model)
-            fleet.register_version(args.model, "1", deployed)
-            with fleet:
-                report.extend(ChaosPlan.fleet_default(args.seed)
-                              .run_fleet(fleet, args.model, sample))
-
-        if args.sdc:
-            # live-corruption schedule against an SDC-defended fleet:
-            # every fault must be flagged (ABFT / scrub / golden probe),
-            # the victim quarantined and a clean replacement spawned,
-            # with zero lost requests
-            from repro.fleet import Fleet, FleetConfig
-            from repro.server import ServerConfig
-
-            fleet = Fleet(FleetConfig(
-                replicas=3, health_interval_s=0.1, default_deadline_s=2.0,
-                golden_every=2, scrub_every=2,
+                golden_every=every, scrub_every=every,
                 server=ServerConfig(max_batch=8, default_deadline_s=2.0,
-                                    abft_every=4)))
+                                    abft_every=2 * every)))
             fleet.add_model(args.model)
             fleet.register_version(args.model, "1", deployed)
             with fleet:
-                report.extend(ChaosPlan.sdc_default(args.seed)
-                              .run_sdc(fleet, args.model, sample))
+                report.extend(ChaosPlan.default(kind, args.seed)
+                              .run(fleet, args.model, sample))
     finally:
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)
@@ -606,6 +592,13 @@ def cmd_chaos(args) -> int:
     else:
         print(report.render())
     return 0 if report.ok else 2
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -753,8 +746,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="existing artifact directory to attack (faults hit "
                         "copies; the directory is never modified); default "
                         "builds and exports a fresh model")
-    p.add_argument("--rounds", type=int, default=1,
-                   help="passes over the artifact-fault catalog")
+    p.add_argument("--rounds", type=_positive_int, default=1,
+                   help="passes (>= 1) over the artifact- and plan-fault "
+                        "schedules")
     p.add_argument("--server", action="store_true",
                    help="also run the server-fault schedule (kill/stall "
                         "worker, clock skew) against a live gateway")

@@ -9,12 +9,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.chaos import CATALOG
 from repro.export.writer import export_state_dict
 
 
 def pytest_collection_modifyitems(items):
     for item in items:
         item.add_marker(pytest.mark.chaos)
+
+
+def scored_by_catalog(report) -> bool:
+    """Every record scored exactly its catalog row's layers, in row order."""
+    return all(list(r.layers) == list(CATALOG[r.injector].layers)
+               for r in report.records)
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +36,23 @@ def clean_export(tmp_path_factory):
     export_state_dict(state, out, formats=("dec", "hex", "bin", "qint"),
                       bits_map={"a_weight": 5})
     return out
+
+
+@pytest.fixture(scope="session")
+def compiled_plan():
+    """One verified vgg8 plan for the whole suite; injectors work on
+    deep copies, so tests must never mutate it directly."""
+    from repro.core import DeploySpec, deploy
+    from repro.core.qconfig import QConfig
+    from repro.core.qmodels import quantize_model
+    from repro.core.t2c import calibrate_model
+    from repro.models import build_model
+
+    rng = np.random.default_rng(20240508)
+    qm = quantize_model(build_model("vgg8", num_classes=10, width_mult=0.5),
+                        QConfig(8, 8))
+    calibrate_model(qm, [rng.standard_normal((4, 3, 32, 32))
+                         .astype(np.float32) for _ in range(2)])
+    d = deploy(qm, DeploySpec(runtime="auto"))
+    assert d.plan is not None and d.plan_verification.ok
+    return d.plan

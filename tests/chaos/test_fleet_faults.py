@@ -10,9 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.chaos import ChaosPlan, FLEET_INJECTORS, INJECTORS
+from repro.chaos import ChaosPlan, kill_replica
 from repro.fleet import Fleet, FleetConfig
 from repro.server import ServerConfig
+from tests.chaos.conftest import scored_by_catalog
 
 
 def _runner(batch):
@@ -33,30 +34,24 @@ def _fleet(replicas=3):
     return fleet.start()
 
 
-def test_catalog_exposes_fleet_injectors():
-    assert set(FLEET_INJECTORS) == {"kill_replica", "partition_replica"}
-    for name in FLEET_INJECTORS:
-        assert INJECTORS[name] is FLEET_INJECTORS[name]
-
-
 def test_fleet_default_plan_fully_detected_and_recovered():
     fleet = _fleet()
     try:
-        report = ChaosPlan.fleet_default(seed=5).run_fleet(
+        report = ChaosPlan.default("fleet", seed=5).run(
             fleet, "m", _sample())
     finally:
         fleet.close()
     assert report.injected == len(report.records) >= 2
     assert report.detected == report.injected, report.render()
     assert report.recovered == report.injected, report.render()
-    assert report.ok
+    assert report.ok and scored_by_catalog(report)
     assert fleet.requests_lost == 0
 
 
 def test_kill_replica_scorecard_layers():
     fleet = _fleet()
     try:
-        report = ChaosPlan(seed=1).add("kill_replica").run_fleet(
+        report = ChaosPlan(seed=1).add("kill_replica").run(
             fleet, "m", _sample())
         rec = report.records[0]
         assert rec.detected and rec.recovered
@@ -71,7 +66,7 @@ def test_kill_replica_scorecard_layers():
 def test_partition_replica_heals_and_rejoins():
     fleet = _fleet()
     try:
-        report = ChaosPlan(seed=2).add("partition_replica").run_fleet(
+        report = ChaosPlan(seed=2).add("partition_replica").run(
             fleet, "m", _sample())
         rec = report.records[0]
         assert rec.detected and rec.recovered, report.render()
@@ -86,11 +81,11 @@ def test_fleet_faults_are_seed_deterministic():
     for _ in range(2):
         fleet = _fleet()
         try:
-            report = ChaosPlan(seed=9).add("kill_replica").run_fleet(
+            report = ChaosPlan(seed=9).add("kill_replica").run(
                 fleet, "m", _sample())
         finally:
             fleet.close()
-        victims.append(report.records[0].note.split()[1])
+        victims.append(report.records[0].details["replica"])
     assert victims[0] == victims[1], f"same seed, different victim: {victims}"
 
 
@@ -109,7 +104,7 @@ def test_partition_rejoin_is_ring_idempotent():
         assert fleet.submit("m", _sample()).result(timeout=10).ok
         with fleet.router._lock:
             before = list(fleet.router._ring("m", ROLE_STABLE)._points)
-        report = ChaosPlan(seed=2).add("partition_replica").run_fleet(
+        report = ChaosPlan(seed=2).add("partition_replica").run(
             fleet, "m", _sample())
         rec = report.records[0]
         assert rec.detected and rec.recovered, report.render()
@@ -126,6 +121,6 @@ def test_kill_requires_spare_capacity():
     try:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="need >= 2"):
-            FLEET_INJECTORS["kill_replica"](fleet, "m", rng)
+            kill_replica(fleet, "m", rng)
     finally:
         fleet.close()

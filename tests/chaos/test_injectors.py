@@ -9,8 +9,10 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.chaos import ARTIFACT_INJECTORS
+from repro.chaos import CATALOG
 from repro.export.integrity import verify_artifacts
+
+ARTIFACT = sorted(n for n, row in CATALOG.items() if row.kind == "artifact")
 
 
 def _copy(clean_export, tmp_path, name):
@@ -24,11 +26,11 @@ def _dir_bytes(d):
             for n in sorted(os.listdir(d))}
 
 
-@pytest.mark.parametrize("name", sorted(ARTIFACT_INJECTORS))
+@pytest.mark.parametrize("name", ARTIFACT)
 class TestArtifactInjectors:
     def test_deterministic_under_fixed_seed(self, clean_export, tmp_path,
                                             name):
-        inject = ARTIFACT_INJECTORS[name]
+        inject = CATALOG[name].inject
         a = _copy(clean_export, tmp_path, "a")
         b = _copy(clean_export, tmp_path, "b")
         da = inject(a, np.random.default_rng([7, 0]))
@@ -38,7 +40,7 @@ class TestArtifactInjectors:
             "same seed must produce byte-identical damage"
 
     def test_different_seed_differs(self, clean_export, tmp_path, name):
-        inject = ARTIFACT_INJECTORS[name]
+        inject = CATALOG[name].inject
         damage = set()
         for seed in range(4):
             d = _copy(clean_export, tmp_path, f"s{seed}")
@@ -50,14 +52,14 @@ class TestArtifactInjectors:
     def test_damage_actually_fails_verification(self, clean_export, tmp_path,
                                                 name):
         d = _copy(clean_export, tmp_path, "dmg")
-        ARTIFACT_INJECTORS[name](d, np.random.default_rng([1, 0]))
+        CATALOG[name].inject(d, np.random.default_rng([1, 0]))
         assert not verify_artifacts(d).ok
 
     def test_only_target_directory_is_touched(self, clean_export, tmp_path,
                                               name):
         before = _dir_bytes(clean_export)
         d = _copy(clean_export, tmp_path, "x")
-        ARTIFACT_INJECTORS[name](d, np.random.default_rng([2, 0]))
+        CATALOG[name].inject(d, np.random.default_rng([2, 0]))
         assert _dir_bytes(clean_export) == before
 
 

@@ -6,27 +6,10 @@ import copy
 import numpy as np
 import pytest
 
-from repro.chaos import ChaosPlan
-from repro.chaos.injectors import PLAN_INJECTORS
-from repro.core import DeploySpec, deploy
-from repro.core.qconfig import QConfig
-from repro.core.qmodels import quantize_model
-from repro.core.t2c import calibrate_model
-from repro.models import build_model
+from repro.chaos import CATALOG, ChaosPlan
+from tests.chaos.conftest import scored_by_catalog
 
-
-@pytest.fixture(scope="session")
-def compiled_plan():
-    """One verified vgg8 plan for the whole suite; injectors work on
-    deep copies, so tests must never mutate it directly."""
-    rng = np.random.default_rng(20240508)
-    qm = quantize_model(build_model("vgg8", num_classes=10, width_mult=0.5),
-                        QConfig(8, 8))
-    calibrate_model(qm, [rng.standard_normal((4, 3, 32, 32))
-                         .astype(np.float32) for _ in range(2)])
-    d = deploy(qm, DeploySpec(runtime="auto"))
-    assert d.plan is not None and d.plan_verification.ok
-    return d.plan
+PLAN = [n for n, row in CATALOG.items() if row.kind == "plan"]
 
 
 class TestCatalog:
@@ -34,31 +17,31 @@ class TestCatalog:
     def test_full_catalog_fully_detected(self, compiled_plan, seed):
         """The acceptance bar: every plan-fault class is caught by both
         layers and the pristine plan still proves clean (recovered)."""
-        report = ChaosPlan.plan_default(seed=seed).run_plan(compiled_plan)
-        assert report.injected == len(PLAN_INJECTORS) == 4
+        report = ChaosPlan.default("plan", seed=seed).run(compiled_plan)
+        assert report.injected == len(PLAN) == 4
         assert report.missed == 0 and report.ok
         assert report.recovered == report.injected
+        assert scored_by_catalog(report)
         for rec in report.records:
             assert rec.layers == {"verifier": True, "registry": True}
             assert "plan." in rec.note, rec.note
 
     def test_multi_round_stays_detected(self, compiled_plan):
-        report = ChaosPlan.plan_default(seed=3, rounds=2) \
-            .run_plan(compiled_plan)
+        report = ChaosPlan.default("plan", seed=3, rounds=2) \
+            .run(compiled_plan)
         assert report.injected == 8 and report.missed == 0
 
     def test_widen_scale_trips_overflow_rule(self, compiled_plan):
-        report = ChaosPlan(seed=5).add("widen_scale").run_plan(compiled_plan)
+        report = ChaosPlan(seed=5).add("widen_scale").run(compiled_plan)
         assert report.ok
         assert "plan.accum-overflow" in report.records[0].note
 
     def test_swap_register_breaks_dataflow(self, compiled_plan):
-        report = ChaosPlan(seed=5).add("swap_register") \
-            .run_plan(compiled_plan)
+        report = ChaosPlan(seed=5).add("swap_register").run(compiled_plan)
         assert report.ok and report.records[0].layers["verifier"]
 
     def test_drop_op_detected(self, compiled_plan):
-        report = ChaosPlan(seed=5).add("drop_op").run_plan(compiled_plan)
+        report = ChaosPlan(seed=5).add("drop_op").run(compiled_plan)
         assert report.ok
         assert report.records[0].details["op_kind"]
 
@@ -66,7 +49,7 @@ class TestCatalog:
         """A fusion that reads a forward register (broken legality oracle)
         is structurally a use-before-def: the dataflow pass must refuse it
         without needing any shape information."""
-        report = ChaosPlan(seed=5).add("fuse_illegal").run_plan(compiled_plan)
+        report = ChaosPlan(seed=5).add("fuse_illegal").run(compiled_plan)
         assert report.ok and report.records[0].layers["verifier"]
         assert "plan.dead-read" in report.records[0].note
         assert report.records[0].details["shortcut_reg"] is not None
@@ -74,14 +57,15 @@ class TestCatalog:
 
 class TestHarnessContracts:
     def test_reports_are_reproducible(self, compiled_plan):
-        r1 = ChaosPlan.plan_default(seed=9).run_plan(compiled_plan)
-        r2 = ChaosPlan.plan_default(seed=9).run_plan(compiled_plan)
+        r1 = ChaosPlan.default("plan", seed=9).run(compiled_plan)
+        r2 = ChaosPlan.default("plan", seed=9).run(compiled_plan)
         assert [a.details for a in r1.records] \
             == [b.details for b in r2.records]
         assert r1.to_json()["summary"] == r2.to_json()["summary"]
 
     def test_injectors_are_seed_deterministic(self, compiled_plan):
-        for name, inject in PLAN_INJECTORS.items():
+        for name in PLAN:
+            inject = CATALOG[name].inject
             d1 = inject(copy.deepcopy(compiled_plan),
                         np.random.default_rng([11, 0]))
             d2 = inject(copy.deepcopy(compiled_plan),
@@ -90,19 +74,15 @@ class TestHarnessContracts:
 
     def test_clean_plan_is_never_mutated(self, compiled_plan):
         sig = compiled_plan.signature()
-        ChaosPlan.plan_default(seed=1).run_plan(compiled_plan)
+        ChaosPlan.default("plan", seed=1).run(compiled_plan)
         assert compiled_plan.signature() == sig
         assert compiled_plan.verify(refresh=True).ok
-
-    def test_non_plan_injector_rejected(self, compiled_plan):
-        with pytest.raises(ValueError, match="non-plan injector"):
-            ChaosPlan(seed=0).add("truncate_file").run_plan(compiled_plan)
 
     def test_chaos_telemetry_events(self, compiled_plan):
         from repro import telemetry
 
         with telemetry.TelemetrySession(out_dir=None) as session:
-            ChaosPlan.plan_default(seed=0).run_plan(compiled_plan)
+            ChaosPlan.default("plan", seed=0).run(compiled_plan)
         kinds = [e["kind"] for e in session.events.events
                  if e["kind"].startswith("chaos_")]
         assert kinds.count("chaos_inject") == 4
@@ -112,8 +92,7 @@ class TestHarnessContracts:
     def test_report_json_roundtrips(self, compiled_plan):
         import json
 
-        report = ChaosPlan.plan_default(seed=2).run_plan(compiled_plan)
+        report = ChaosPlan.default("plan", seed=2).run(compiled_plan)
         doc = json.loads(json.dumps(report.to_json()))
         assert doc["summary"]["missed"] == 0
-        assert {r["injector"] for r in doc["faults"]} \
-            == set(PLAN_INJECTORS)
+        assert {r["injector"] for r in doc["faults"]} == set(PLAN)

@@ -14,8 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.chaos import (ChaosPlan, FLEET_INJECTORS, INJECTORS,
-                         SDC_INJECTORS)
+from repro.chaos import CATALOG, ChaosPlan
 from repro.core import DeploySpec, deploy
 from repro.core.qconfig import QConfig
 from repro.core.qmodels import quantize_model
@@ -24,22 +23,24 @@ from repro.fleet import QUARANTINED, Fleet, FleetConfig
 from repro.integrity import GoldenSet
 from repro.models import build_model
 from repro.server import ServerConfig
+from tests.chaos.conftest import scored_by_catalog
 
 pytestmark = pytest.mark.sdc
 
+SDC_ROWS = [n for n, row in CATALOG.items() if row.kind == "sdc"]
+
 
 def test_catalog_exposes_sdc_injectors():
-    assert set(SDC_INJECTORS) == {"flip_live_weights", "flip_arena",
-                                  "corrupt_golden"}
-    for name in SDC_INJECTORS:
-        assert INJECTORS[name] is SDC_INJECTORS[name]
+    assert set(SDC_ROWS) == {"flip_live_weights", "flip_arena",
+                             "corrupt_golden"}
     # the SDC family must not leak into the fleet-fault default plan
-    assert set(FLEET_INJECTORS) == {"kill_replica", "partition_replica"}
+    fleet = [n for n, _ in ChaosPlan.default("fleet", seed=3).schedule]
+    assert set(fleet) == {"kill_replica", "partition_replica"}
 
 
 def test_sdc_default_plan_covers_whole_catalog():
-    steps = [name for name, _ in ChaosPlan.sdc_default(seed=3).schedule]
-    assert sorted(steps) == sorted(SDC_INJECTORS)
+    steps = [name for name, _ in ChaosPlan.default("sdc", seed=3).schedule]
+    assert sorted(steps) == sorted(SDC_ROWS)
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +69,10 @@ def test_sdc_default_plan_detects_quarantines_heals(deployed_bundle, seed):
     fleet.add_model("resnet20")
     fleet.register_version("resnet20", "1", d)
     with fleet:
-        report = ChaosPlan.sdc_default(seed=seed).run_sdc(fleet, "resnet20",
-                                                          x)
-        assert report.injected == len(SDC_INJECTORS)
+        report = ChaosPlan.default("sdc", seed=seed).run(fleet, "resnet20",
+                                                         x)
+        assert report.injected == 3
+        assert scored_by_catalog(report)
         assert report.detected == report.injected, report.render()
         assert report.recovered == report.injected, report.render()
         assert report.ok

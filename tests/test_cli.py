@@ -142,14 +142,14 @@ class TestServeCLI:
 
 
 class TestIntegrityCLI:
-    def _export_dir(self, tmp_path, rng=None):
+    def _export_dir(self, tmp_path, formats=("dec", "qint")):
         from repro.export.writer import export_state_dict
 
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         out = str(tmp_path / "art")
         export_state_dict(
             {"w": rng.integers(-8, 8, (3, 3)).astype(np.float32)},
-            out, formats=("dec", "qint"))
+            out, formats=formats)
         return out
 
     def test_verify_artifacts_clean_exits_zero(self, tmp_path, capsys):
@@ -176,6 +176,22 @@ class TestIntegrityCLI:
         assert payload["summary"]["missed"] == 0
         # the attacked directory itself is untouched
         assert main(["verify-artifacts", out]) == 0
+
+    def test_chaos_json_on_dec_only_export_is_pure_json(self, tmp_path,
+                                                        capsys):
+        out = self._export_dir(tmp_path, formats=("dec",))
+        assert main(["chaos", "--dir", out, "--seed", "11", "--json"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        injected = [f["injector"] for f in payload["faults"]]
+        assert injected == ["flip_bits", "truncate_file", "stale_manifest"]
+        assert "skipping corrupt_header" in captured.err
+
+    @pytest.mark.parametrize("rounds", ["0", "-1"])
+    def test_chaos_rejects_rounds_below_one(self, tmp_path, rounds):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--dir", str(tmp_path), "--rounds", rounds])
+        assert exc.value.code == 2
 
 
 class TestCheckpoint:
