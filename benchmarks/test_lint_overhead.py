@@ -1,10 +1,11 @@
 """Plan-verification overhead budget: the full static proof must be cheap
-enough to run on every deploy, registry admission and server swap.
+enough to run on every deploy, which proves each compiled plan with no
+opt-out (the registry gate then reuses the proof cached on the plan).
 
-The gate re-proves dataflow liveness, aliasing, interval overflow safety and
+The proof covers dataflow liveness, aliasing, interval overflow safety and
 shift-exactness over the compiled resnet20 plan.  The acceptance bar is one
 full verification (cache-bypassing) in under a second — orders of magnitude
-below a single model build, so ``verify_plan=True`` can stay the default.
+below a single model build.
 Results land in ``benchmarks/BENCH_lint.json``.
 """
 from __future__ import annotations

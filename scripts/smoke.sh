@@ -179,8 +179,10 @@ EOF
 echo "== artifact integrity + chaos harness (repro.export / repro.chaos) =="
 python -m pytest tests/chaos -q -m chaos
 python - "$TEL_DIR" <<'EOF'
-# fresh all-formats export through the deploy pipeline (verified on write)
-import sys, os, numpy as np
+# fresh all-formats export through the deploy pipeline: the plan is
+# compiled, so the proof and the golden set are signed into the manifest
+# before the export audit runs
+import json, sys, os, numpy as np
 from repro.core import DeploySpec, deploy
 from repro.core.qconfig import QConfig
 from repro.core.qmodels import quantize_model
@@ -190,10 +192,16 @@ rng = np.random.default_rng(0)
 qm = quantize_model(build_model("resnet20", num_classes=10, width=8),
                     QConfig(8, 8))
 calibrate_model(qm, [rng.standard_normal((4, 3, 32, 32)).astype(np.float32)])
-d = deploy(qm, DeploySpec(export_dir=os.path.join(sys.argv[1], "artifacts"),
-                          formats=("dec", "hex", "bin", "qint"),
-                          runtime="none"))
+out = os.path.join(sys.argv[1], "artifacts")
+d = deploy(qm, DeploySpec(export_dir=out,
+                          formats=("dec", "hex", "bin", "qint")))
 assert d.integrity is not None and d.integrity.ok
+assert d.plan_verification.ok and d.golden is not None
+with open(os.path.join(out, "manifest.json")) as f:
+    on_disk = json.load(f)
+for manifest in (d.manifest, on_disk):
+    assert {"plan_verification", "golden"} <= set(manifest), sorted(manifest)
+print("amended manifest OK: plan proof + golden set signed in")
 EOF
 python -m repro.cli verify-artifacts "$TEL_DIR/artifacts"
 python -m repro.cli chaos --dir "$TEL_DIR/artifacts" --seed 2024 --json \

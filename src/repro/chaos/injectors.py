@@ -450,11 +450,10 @@ def corrupt_golden(fleet, model: str, rng: np.random.Generator,
     """
     victim = _victim(fleet, model, rng, "corrupt_golden")
     entry = victim.registry.get(model)
-    golden = getattr(getattr(entry, "deployed", None), "golden", None)
-    outputs = getattr(golden, "outputs", None)
-    if golden is None or outputs is None or len(outputs) == 0:
+    golden = getattr(entry.deployed, "golden", None)
+    if golden is None or len(golden.outputs) == 0:
         raise ValueError(f"corrupt_golden: {victim.replica_id} has no "
-                         "recorded golden vectors (DeploySpec.golden_vectors)")
+                         "recorded golden vectors")
     vec = int(rng.integers(len(golden.outputs)))
     out = golden.outputs[vec]
     idx = int(rng.integers(out.size))

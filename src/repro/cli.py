@@ -289,18 +289,17 @@ def cmd_lint(args) -> int:
     else:
         seed_everything(args.seed)
         spec = DeploySpec.from_args(args)
-        if getattr(args, "plan", False):
-            # the CLI reports violations instead of raising mid-build, and
-            # needs a compiled plan even when the runtime was off
-            spec = spec.evolve(verify_plan=False)
-            if spec.runtime == "none":
-                spec = spec.evolve(runtime="auto")
         deployed, _ = _build_deployed_model(args, spec)
         target = deployed.qnn if args.repacked else deployed.fused
         rep = lint_model(target, accum_bits=args.accum_bits)
-        if getattr(args, "plan", False):
-            plan_rep = deployed.plan.verify(accum_bits=args.accum_bits,
-                                            module_bits=rep.min_accum_bits())
+        if args.plan:
+            # compiled here rather than by deploy(), which raises on a
+            # failed proof: the CLI reports violations instead
+            from repro.runtime import Plan
+
+            plan = Plan.compile(deployed.qnn, spec.compile)
+            plan_rep = plan.verify(accum_bits=args.accum_bits,
+                                   module_bits=rep.min_accum_bits())
     fail_on = getattr(args, "fail_on", "error")
     if args.json:
         out = rep.to_json()

@@ -18,12 +18,12 @@ from repro.core.qbase import _QBase, QuantSpec
 from repro.core.mulquant import MulQuant
 from repro.core.fixed_point import to_fixed_point, from_fixed_point, FixedPointFormat
 from repro.core.qlayers import QConv2d, QLinear
-from repro.core.deploy import Deployed, DeploySpec, deploy, deploy_registry
+from repro.core.deploy import Deployed, DeploySpec, deploy
 from repro.core.t2c import T2C
 
 __all__ = [
     "_QBase", "QuantSpec", "MulQuant",
     "to_fixed_point", "from_fixed_point", "FixedPointFormat",
     "QConv2d", "QLinear", "T2C",
-    "DeploySpec", "Deployed", "deploy", "deploy_registry",
+    "DeploySpec", "Deployed", "deploy",
 ]

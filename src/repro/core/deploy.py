@@ -3,9 +3,9 @@
 :class:`DeploySpec` collects the whole hand-off configuration — fusion mode,
 fixed-point grid, lint, export targets, plan compilation — in one frozen
 dataclass; :func:`deploy` runs the fuse → lint → re-pack → export →
-plan-compile pipeline from it in one call, and every stage (``T2C``,
-``export_model``, ``Plan.compile``) takes its configuration from a spec and
-nowhere else.
+plan-compile → prove → golden → audit pipeline from it in one call, and
+every stage (``T2C``, ``export_model``, ``Plan.compile``) takes its
+configuration from a spec and nowhere else.
 """
 from __future__ import annotations
 
@@ -43,18 +43,10 @@ class DeploySpec:
     compile:
         The :class:`repro.runtime.CompileSpec` the plan is compiled under
         (its thread count; the compiler picks layout, fusion and tiling).
-    verify_artifacts:
-        Audit exported artifacts (checksums, header/payload consistency)
-        whenever they are written or loaded from disk; on by default so a
-        half-written or corrupted directory raises a typed
-        :class:`~repro.export.errors.ArtifactError` instead of being served.
-    verify_plan:
-        Statically verify the compiled plan (register dataflow, no-alias,
-        accumulator overflow proofs — see :mod:`repro.lint.plan`); on by
-        default so :func:`deploy` raises
-        :class:`~repro.lint.plan.PlanVerificationError` rather than hand
-        over an unverified program.  The report lands on
-        ``Deployed.plan_verification`` and in the export manifest.
+
+    There is no opt-out from the hand-off checks: :func:`deploy` always
+    proves a compiled plan, records golden vectors against it, and audits
+    an export (see docs/integrity.md).
     """
 
     fusion: str = "channel"
@@ -67,17 +59,6 @@ class DeploySpec:
     formats: Tuple[str, ...] = ("dec",)
     runtime: str = "auto"
     compile: CompileSpec = field(default_factory=CompileSpec)
-    verify_artifacts: bool = True
-    verify_plan: bool = True
-    #: record this many deterministic input->output golden vectors against
-    #: the compiled plan (0 skips).  They ride in ``Deployed.golden`` and
-    #: the export manifest, and are replayed as a pre-cutover self-test by
-    #: ``Server.swap`` and periodically per replica by the fleet health
-    #: loop (see docs/integrity.md).
-    golden_vectors: int = 4
-    #: sample shape the golden vectors are drawn at (``None``: CIFAR-scale
-    #: ``(3, 32, 32)``, which every bundled model takes)
-    golden_input_shape: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.fusion not in ("channel", "prefuse"):
@@ -102,9 +83,7 @@ class DeploySpec:
         kw = {}
         for fld, attr in (("fusion", "fusion"), ("float_scale", "float_scale"),
                           ("lint", "lint"), ("accum_bits", "accum_bits"),
-                          ("export_dir", "out_dir"), ("runtime", "runtime"),
-                          ("verify_artifacts", "verify_artifacts"),
-                          ("verify_plan", "verify_plan")):
+                          ("export_dir", "out_dir"), ("runtime", "runtime")):
             v = getattr(args, attr, None)
             if v is not None:
                 kw[fld] = v
@@ -138,13 +117,12 @@ class Deployed:
     qnn: object                      #: vanilla re-packed integer model
     fused: object                    #: the fused Q-model (T2C's working copy)
     spec: DeploySpec
-    t2c: object                      #: the converter, for further inspection
     plan: object = None              #: compiled runtime Plan (spec.runtime)
     lint_report: object = None
     manifest: Optional[dict] = None  #: export manifest when spec.export_dir
-    integrity: object = None         #: IntegrityReport when artifacts verified
-    plan_verification: object = None  #: PlanVerificationReport when verified
-    golden: object = None            #: GoldenSet self-test vectors (spec.golden_vectors)
+    integrity: object = None         #: IntegrityReport of the export audit
+    plan_verification: object = None  #: PlanVerificationReport of the plan
+    golden: object = None            #: GoldenSet self-test vectors of the plan
 
     def __call__(self, batch):
         """Run a batch through the fastest available executor."""
@@ -161,8 +139,14 @@ def deploy(model, spec: Optional[DeploySpec] = None, **overrides) -> Deployed:
     """One-call hand-off: fuse, (lint,) re-pack, (export,) compile the plan.
 
     ``model`` is a calibrated dual-path Q-model; ``overrides`` are applied on
-    top of ``spec`` (``deploy(qm, lint=True)``).  Returns a
-    :class:`Deployed` bundle whose ``plan`` (when compiled) is bit-exact
+    top of ``spec`` (``deploy(qm, lint=True)``).  The stages run once each,
+    in order: fuse (and lint) → re-pack (and export) → compile → prove the
+    plan → record :data:`~repro.integrity.golden.DEFAULT_VECTORS` golden
+    vectors → sign the proof and the golden set into the manifest → audit
+    the published directory.  A plan that fails its proof raises
+    :class:`~repro.lint.plan.PlanVerificationError`; an export that fails
+    its audit raises :class:`~repro.export.errors.ArtifactError`.  Returns
+    a :class:`Deployed` bundle whose ``plan`` (when compiled) is bit-exact
     against the interpreted ``qnn``.
     """
     from repro.core.t2c import T2C  # lazy: t2c imports this module
@@ -172,79 +156,50 @@ def deploy(model, spec: Optional[DeploySpec] = None, **overrides) -> Deployed:
         spec = spec.evolve(**overrides)
     t2c = T2C(model, spec=spec)
     t2c.fuse()  # lints too under spec.lint
-    qnn = t2c.nn2chip()
+    qnn = t2c.nn2chip()  # exports too under spec.export_dir
     manifest = t2c.last_manifest
-    plan = None
-    plan_report = None
+    plan = plan_report = golden = integrity = None
     if spec.runtime != "none":
+        from repro import telemetry
+        from repro.integrity import GoldenSet
+        from repro.integrity.golden import DEFAULT_INPUT_SHAPE
+        from repro.lint.plan import PlanVerificationError
         from repro.runtime import Plan
 
         plan = Plan.compile(qnn, spec.compile)
-        if spec.verify_plan:
-            from repro.lint.plan import PlanVerificationError
-
-            module_bits = (t2c.lint_report.min_accum_bits()
-                           if t2c.lint_report is not None else None)
-            plan_report = plan.verify(accum_bits=spec.accum_bits,
-                                      module_bits=module_bits)
-            if spec.accum_bits == 32:
-                # seed the default-config cache so the registry/server
-                # gates reuse this proof instead of re-deriving it
-                plan._verification = plan_report
-            if not plan_report.ok:
-                raise PlanVerificationError(plan_report)
-            if spec.export_dir is not None:
-                from repro.export.writer import amend_manifest
-
-                manifest = amend_manifest(
-                    spec.export_dir,
-                    {"plan_verification": plan_report.to_json()})
-    golden = None
-    if plan is not None and spec.golden_vectors > 0:
-        from repro import telemetry
-        from repro.integrity import GoldenSet
-
-        shape = tuple(spec.golden_input_shape or (3, 32, 32))
+        module_bits = (t2c.lint_report.min_accum_bits()
+                       if t2c.lint_report is not None else None)
+        plan_report = plan.verify(accum_bits=spec.accum_bits,
+                                  module_bits=module_bits)
+        if spec.accum_bits == 32:
+            # seed the default-config cache so the registry gate reuses
+            # this proof instead of re-deriving it
+            plan._verification = plan_report
+        if not plan_report.ok:
+            raise PlanVerificationError(plan_report)
         try:
-            golden = GoldenSet.record(plan, shape, k=spec.golden_vectors)
+            golden = GoldenSet.record(plan, DEFAULT_INPUT_SHAPE)
         except Exception as exc:
             # a model with a different input contract simply ships without
-            # golden vectors; the swap/fleet self-test gates then no-op
+            # golden vectors; the swap/fleet self-tests then no-op
             telemetry.emit("golden_record_skipped", level="warning",
                            model=plan.model_name, error=str(exc))
         else:
             telemetry.emit("golden_recorded", model=plan.model_name,
                            k=golden.k, seed=golden.seed)
-            if spec.export_dir is not None:
-                from repro.export.writer import amend_manifest
+    if spec.export_dir is not None:
+        from repro.export.integrity import verify_artifacts
+        from repro.export.writer import amend_manifest
 
-                manifest = amend_manifest(spec.export_dir,
-                                          {"golden": golden.to_json()})
-    integrity = None
-    if spec.export_dir is not None and spec.verify_artifacts:
+        if plan_report is not None:
+            proofs = {"plan_verification": plan_report.to_json()}
+            if golden is not None:
+                proofs["golden"] = golden.to_json()
+            manifest = amend_manifest(spec.export_dir, proofs)
         # read the published directory back end to end: the write-side
         # round-trip already ran, this proves what a *consumer* will see
-        from repro.export.integrity import verify_artifacts
-
         integrity = verify_artifacts(spec.export_dir).raise_if_failed()
-    return Deployed(qnn=qnn, fused=t2c.model, spec=spec, t2c=t2c, plan=plan,
+    return Deployed(qnn=qnn, fused=t2c.model, spec=spec, plan=plan,
                     lint_report=t2c.lint_report, manifest=manifest,
                     integrity=integrity, plan_verification=plan_report,
                     golden=golden)
-
-
-def deploy_registry(models, spec: Optional[DeploySpec] = None,
-                    version: str = "1", **overrides):
-    """Deploy a ``{name: calibrated Q-model}`` mapping into a ModelRegistry.
-
-    The construction path for the online gateway: every entry goes through
-    the same :func:`deploy` pipeline (fuse → lint → re-pack → plan-compile)
-    under one shared spec, and lands in a
-    :class:`repro.server.ModelRegistry` as ``name@version``, activated.
-    """
-    from repro.server.registry import ModelRegistry
-
-    registry = ModelRegistry()
-    for name, model in models.items():
-        registry.register(name, version, deploy(model, spec, **overrides))
-    return registry

@@ -83,37 +83,31 @@ def export_state_dict(
     out_dir: str,
     formats: Sequence[str] = ("dec",),
     bits_map: Optional[Dict[str, int]] = None,
-    validate: bool = True,
-    atomic: bool = True,
 ) -> Dict:
     """Export a dict of integer tensors; returns the manifest.
 
     Non-integer tensors (e.g. the input quantizer scale, float-scale-mode
     MulQuants) are recorded in the manifest and stored as decimal floats.
-    With ``validate`` (default), every artifact is decoded back and compared
-    to the source tensor; findings land in ``manifest["lint"]``.  With
-    ``atomic`` (default), the whole directory is staged and published with a
-    single rename (see :func:`_publish`); ``atomic=False`` writes in place
-    for callers that manage their own staging.
+    Every artifact is decoded back and compared to the source tensor;
+    findings land in ``manifest["lint"]``.  The whole directory is staged
+    and published with a single rename (see :func:`_publish`).
     """
     out_dir = os.path.normpath(out_dir)
-    work_dir = f"{out_dir}.tmp-{os.getpid()}" if atomic else out_dir
-    if atomic and os.path.isdir(work_dir):   # stale staging from a past crash
+    work_dir = f"{out_dir}.tmp-{os.getpid()}"
+    if os.path.isdir(work_dir):   # stale staging from a past crash
         shutil.rmtree(work_dir)
-    os.makedirs(work_dir, exist_ok=True)
+    os.makedirs(work_dir)
     try:
-        manifest = _write_tensors(state, work_dir, formats, bits_map, validate)
+        manifest = _write_tensors(state, work_dir, formats, bits_map)
         manifest["checksums"] = file_checksums(work_dir)
         manifest["digest"] = manifest_digest(manifest)
         with open(os.path.join(work_dir, "manifest.json"), "w") as f:
             json.dump(manifest, f, indent=2)
             f.flush()
             os.fsync(f.fileno())
-        if atomic:
-            _publish(work_dir, out_dir)
+        _publish(work_dir, out_dir)
     except BaseException:
-        if atomic:
-            shutil.rmtree(work_dir, ignore_errors=True)
+        shutil.rmtree(work_dir, ignore_errors=True)
         raise
     return manifest
 
@@ -141,8 +135,8 @@ def amend_manifest(out_dir: str, updates: Dict) -> Dict:
 
 
 def _write_tensors(state: Dict[str, np.ndarray], out_dir: str,
-                   formats: Sequence[str], bits_map: Optional[Dict[str, int]],
-                   validate: bool) -> Dict:
+                   formats: Sequence[str],
+                   bits_map: Optional[Dict[str, int]]) -> Dict:
     """Write every tensor's files into ``out_dir``; returns the manifest
     body (checksums/digest are stamped by the caller once all bytes exist)."""
     manifest = {"schema": MANIFEST_SCHEMA, "tensors": {},
@@ -176,9 +170,8 @@ def _write_tensors(state: Dict[str, np.ndarray], out_dir: str,
                 else:
                     save_tensor(os.path.join(out_dir, fname), arr, fmt, bits)
                     entry["files"][fmt] = fname
-                if validate:
-                    findings.extend(
-                        _verify_roundtrip(out_dir, safe, name, fmt, arr, bits))
+                findings.extend(
+                    _verify_roundtrip(out_dir, safe, name, fmt, arr, bits))
         else:
             fname = f"{safe}.float.txt"
             np.savetxt(os.path.join(out_dir, fname), arr.reshape(-1))
@@ -215,8 +208,7 @@ def _verify_roundtrip(out_dir: str, safe: str, name: str, fmt: str,
     return []
 
 
-def export_model(model: Module, spec,
-                 bits_map: Optional[Dict[str, int]] = None) -> Dict:
+def export_model(model: Module, spec) -> Dict:
     """Export every parameter/buffer of a (re-packed) model.
 
     Destination and formats come from ``spec.export_dir`` / ``spec.formats``
@@ -227,8 +219,7 @@ def export_model(model: Module, spec,
     out_dir, formats = spec.export_dir, spec.formats
     with _trace("export_model", out_dir=out_dir, formats=",".join(formats)):
         state = model.state_dict()
-        manifest = export_state_dict(state, out_dir, formats=formats,
-                                     bits_map=bits_map)
+        manifest = export_state_dict(state, out_dir, formats=formats)
         s = manifest["lint"]["summary"]
         _emit("export", out_dir=out_dir, formats=list(formats),
               tensors=len(manifest["tensors"]),

@@ -615,7 +615,7 @@ class Fleet:
             entry = rep.registry.get(group.name)
         except KeyError:
             return
-        golden = rep.server._entry_golden(entry)
+        golden = entry.golden
         if golden is None:
             return
         xs = golden.inputs()

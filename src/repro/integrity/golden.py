@@ -8,21 +8,24 @@ manifest stays small) through the deployed executor and pins the outputs.
 any deviation on any replica, at any time, is silent data corruption.
 
 Three call sites use one mechanism: :func:`repro.core.deploy` records the
-set and embeds it in the export manifest; ``Server.swap`` replays it
-against the incoming plan before cutover; the ``Fleet`` health loop replays
-it periodically per replica and quarantines on mismatch.
+set and embeds it in the export manifest; the registry gate that
+``Server.swap`` runs replays it against the incoming plan before cutover;
+the ``Fleet`` health loop replays it periodically per replica and
+quarantines on mismatch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.integrity.errors import SDCDetected
 
-#: default stimulus count / seed / amplitude for recorded sets
+#: default stimulus count / seed / amplitude for recorded sets, and the
+#: CIFAR-scale sample shape every bundled model takes
 DEFAULT_VECTORS = 4
+DEFAULT_INPUT_SHAPE = (3, 32, 32)
 DEFAULT_SEED = 20240
 DEFAULT_SCALE = 1.0
 
@@ -61,12 +64,11 @@ class GoldenSet:
                    outputs=np.stack(outs), scale=float(scale))
 
     # ---------------------------------------------------------- checking
-    def verify(self, runner, limit: Optional[int] = None) -> List[Dict]:
-        """Replay (up to ``limit``) vectors; list of mismatch records."""
+    def verify(self, runner) -> List[Dict]:
+        """Replay every vector; list of mismatch records."""
         xs = self.inputs()
-        n = self.k if limit is None else min(self.k, max(1, int(limit)))
         mismatches = []
-        for i in range(n):
+        for i in range(self.k):
             got = np.asarray(runner(xs[i:i + 1]), dtype=np.float32)[0]
             if got.shape != self.outputs[i].shape \
                     or not np.array_equal(got, self.outputs[i]):
@@ -75,9 +77,9 @@ class GoldenSet:
                 mismatches.append({"vector": i, "mismatched": bad})
         return mismatches
 
-    def check(self, runner, limit: Optional[int] = None) -> None:
+    def check(self, runner) -> None:
         """Replay vectors; raise :class:`SDCDetected` on any mismatch."""
-        mismatches = self.verify(runner, limit=limit)
+        mismatches = self.verify(runner)
         if mismatches:
             raise SDCDetected(
                 "golden", f"{len(mismatches)}/{self.k} golden vector(s) "

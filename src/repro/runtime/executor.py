@@ -182,7 +182,7 @@ class Plan:
         """Statically verify this program (see :func:`repro.lint.plan.verify_plan`).
 
         The default-configuration report is cached on the plan — the
-        registry and server gates re-check swaps for free.  Pass
+        registry gate re-checks registers and swaps for free.  Pass
         ``refresh=True`` after mutating the op list (tests, chaos harness)
         to force a re-proof.
         """

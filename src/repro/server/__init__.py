@@ -10,9 +10,9 @@ and turns them into well-packed batches without blowing latency:
   :class:`~repro.server.types.Overloaded` load shedding, worker-pool
   supervision (requeue-once + respawn on worker death), and atomic
   drain-and-cutover hot swap of model versions;
-* :class:`ModelRegistry` — ``name@version``-keyed store of deployed models,
-  built through :class:`repro.core.DeploySpec` / :func:`repro.core.deploy`
-  (see :func:`repro.core.deploy_registry`);
+* :class:`ModelRegistry` — ``name@version``-keyed store of
+  :func:`repro.core.deploy` bundles, holding the one hand-off gate
+  (:meth:`ModelRegistry.check`) that register, activation and swap run;
 * :mod:`~repro.server.types` — the typed result records (:class:`Ok`,
   :class:`Overloaded`, :class:`Failed`) behind
   :class:`~repro.server.types.PendingRequest` futures.

@@ -7,21 +7,19 @@ activation flips are atomic under the registry lock.  The registry itself
 never drains traffic — :meth:`repro.server.Server.swap` layers
 drain-and-cutover on top so two plans never race on one arena.
 
-Entries backed by on-disk artifacts (a bundle exported via
-``DeploySpec.export_dir``, or an explicit ``artifacts=`` directory) are
-*integrity-gated*: :meth:`ModelRegistry.register` and
-:meth:`ModelRegistry.set_active` run
-:func:`repro.export.integrity.verify_artifacts` first and refuse — with the
-typed :class:`~repro.export.errors.ArtifactError` — to admit or activate a
-version whose artifacts fail verification; the previous active version keeps
+:meth:`ModelRegistry.check` is the serving path's only hand-off gate: it
+audits an entry's on-disk artifacts (``DeploySpec.export_dir``, or an
+explicit ``artifacts=`` directory), proves its compiled plan (reusing the
+proof ``deploy()`` cached on it) and, for a swap, replays its golden
+vectors.  ``register``, ``set_active`` and ``Server.swap`` all run it; a
+refusal raises the typed error and the previous active version keeps
 serving.  Re-registering an existing ``name@version`` with a different
 callable raises :class:`DuplicateVersionError` unless ``replace=True``.
 
-Construction paths::
+Usage::
 
     reg = ModelRegistry()
-    reg.register("resnet20", "1", deployed)          # pre-built bundle
-    reg.build("vgg8", qmodel, spec, version="2")     # through deploy()
+    reg.register("resnet20", "1", deploy(qmodel, spec))
     reg.get("resnet20")          # active version
     reg.get("resnet20@2")        # exact version
 """
@@ -66,6 +64,18 @@ class ModelEntry:
     def key(self) -> str:
         return f"{self.name}@{self.version}"
 
+    @property
+    def golden(self):
+        """The deploy-time golden vectors: the ``Deployed`` bundle's
+        :class:`~repro.integrity.GoldenSet`, or one rebuilt from the
+        manifest-shaped dict registered under ``meta['golden']``."""
+        golden = getattr(self.deployed, "golden", None)
+        if golden is None and self.meta.get("golden") is not None:
+            from repro.integrity import GoldenSet
+
+            golden = GoldenSet.from_json(self.meta["golden"])
+        return golden
+
     def __call__(self, batch: np.ndarray) -> np.ndarray:
         return self.runner(batch)
 
@@ -91,10 +101,9 @@ class ModelRegistry:
         instead (unit tests, external executors).  ``artifacts`` names the
         on-disk export directory backing this version — explicitly, or
         derived from the bundle's ``spec.export_dir`` when it wrote one —
-        and is *verified* before the entry is admitted: a directory that
-        fails :func:`~repro.export.integrity.verify_artifacts` raises the
-        typed :class:`~repro.export.errors.ArtifactError` and the registry
-        is left untouched.  Re-registering an existing ``name@version``
+        and the entry passes the :meth:`check` gate before it is admitted:
+        a refusal raises the gate's typed error and leaves the registry
+        untouched.  Re-registering an existing ``name@version``
         returns the existing entry when the callable is identical, raises
         :class:`DuplicateVersionError` when it differs, and overwrites only
         under ``replace=True``.
@@ -114,7 +123,7 @@ class ModelRegistry:
             else getattr(runner, "plan", None),
             qnn=getattr(deployed, "qnn", None),
             deployed=deployed, artifacts=artifacts, meta=meta)
-        self._verify_entry(entry, action="register")
+        self._gate(entry, "register")
         with self._lock:
             versions = self._entries.setdefault(name, {})
             existing = versions.get(entry.version)
@@ -129,60 +138,48 @@ class ModelRegistry:
                 self._active[name] = entry.version
         return entry
 
-    def _verify_entry(self, entry: ModelEntry, action: str) -> None:
-        """Integrity-gate an entry; typed raise on failure.
+    def check(self, key: str, action: str) -> ModelEntry:
+        """Run the hand-off gate on ``key`` now; returns the entry.
 
-        Two gates: artifact integrity (skipped when the entry has no on-disk
-        artifacts, or its deploy spec set ``verify_artifacts=False``) and
-        plan verification (skipped when the entry carries no compiled plan,
-        or its spec set ``verify_plan=False``).  A plan whose verification
-        report has errors never enters the registry — and never activates.
+        ``action`` (``register``/``set_active``/``swap``) names the caller;
+        only ``swap`` replays the golden vectors.  Each refusal emits one
+        ``registry_rejected`` event with ``action`` and ``reason``
+        (``artifacts``/``plan``/``golden``) and raises the typed error.
         """
-        spec = getattr(entry.deployed, "spec", None)
-        if entry.artifacts is not None and (
-                spec is None or getattr(spec, "verify_artifacts", True)):
+        entry = self.get(key)
+        self._gate(entry, action)
+        return entry
+
+    def _gate(self, entry: ModelEntry, action: str) -> None:
+        def reject(reason, **detail):
+            telemetry.emit("registry_rejected", level="error",
+                           model=entry.key, action=action, reason=reason,
+                           **detail)
+
+        if entry.artifacts is not None:
             from repro.export.integrity import verify_artifacts
 
             report = verify_artifacts(entry.artifacts)
             if not report.ok:
-                telemetry.emit("registry_rejected", level="error",
-                               model=entry.key, action=action,
-                               artifacts=entry.artifacts,
-                               errors=report.to_json()["summary"]["errors"])
+                reject("artifacts", artifacts=entry.artifacts,
+                       errors=report.to_json()["summary"]["errors"])
                 report.raise_if_failed()
-        plan = entry.plan
-        if plan is not None and hasattr(plan, "verify") and (
-                spec is None or getattr(spec, "verify_plan", True)):
+        if entry.plan is not None and hasattr(entry.plan, "verify"):
             from repro.lint.plan import PlanVerificationError
 
-            vreport = plan.verify()
+            vreport = entry.plan.verify()
             if not vreport.ok:
-                telemetry.emit("registry_rejected", level="error",
-                               model=entry.key, action=action, reason="plan",
-                               errors=vreport.to_json()["summary"]["errors"])
+                reject("plan", errors=vreport.to_json()["summary"]["errors"])
                 raise PlanVerificationError(vreport)
+        golden = entry.golden if action == "swap" else None
+        if golden is not None:
+            from repro.integrity import SDCDetected
 
-    def verify(self, key: str):
-        """Run artifact verification for ``key`` now.
-
-        Returns the :class:`~repro.export.integrity.IntegrityReport`, or
-        ``None`` for entries with no on-disk artifacts.  Never raises for
-        content problems — callers decide (``report.raise_if_failed()``).
-        """
-        entry = self.get(key)
-        if entry.artifacts is None:
-            return None
-        from repro.export.integrity import verify_artifacts
-
-        return verify_artifacts(entry.artifacts)
-
-    def build(self, name: str, model, spec=None, version: str = "1",
-              activate: Optional[bool] = None, **overrides) -> ModelEntry:
-        """Deploy ``model`` under ``spec`` and register the result."""
-        from repro.core import deploy
-
-        return self.register(name, version, deploy(model, spec, **overrides),
-                             activate=activate)
+            try:
+                golden.check(lambda x: np.asarray(entry(x)))
+            except SDCDetected as exc:
+                reject("golden", error=str(exc))
+                raise
 
     # -------------------------------------------------------------- lookups
     def get(self, key: str) -> ModelEntry:
@@ -219,13 +216,11 @@ class ModelRegistry:
     def set_active(self, name: str, version: str) -> ModelEntry:
         """Atomically flip the active version (must already be registered).
 
-        An artifact-backed version is re-verified first; a directory that
-        rotted since registration raises the typed
-        :class:`~repro.export.errors.ArtifactError` and the previous active
-        version keeps serving.
+        The version passes the :meth:`check` gate first; artifacts that
+        rotted since registration (or a plan that changed) raise the typed
+        error and the previous active version keeps serving.
         """
-        entry = self.get(f"{name}@{version}")
-        self._verify_entry(entry, action="set_active")
+        entry = self.check(f"{name}@{version}", "set_active")
         with self._lock:
             self._active[name] = entry.version
         return entry

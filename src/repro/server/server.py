@@ -49,7 +49,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro import telemetry
+from repro.export.errors import ArtifactError
 from repro.integrity.errors import SDCDetected
+from repro.lint.plan import PlanVerificationError
 from repro.runtime.serve import BatchFailed, PlanPool, WorkerDied, _can_fork
 from repro.server.registry import ModelEntry, ModelRegistry
 from repro.server.types import (Failed, Ok, Overloaded, PendingRequest,
@@ -173,6 +175,8 @@ class _Lane:
         self._seq = itertools.count()
         self.swap_target: Optional[str] = None
         self.swap_done = threading.Event()
+        #: the registry gate's refusal at cutover, re-raised by Server.swap
+        self.swap_error: Optional[Exception] = None
         self.stats = _LaneStats()
         # always-on observability (independent of the telemetry switch,
         # like _LaneStats): rolling SLO window, flight-recorder ring, and
@@ -576,17 +580,24 @@ class _Lane:
                     f"cannot swap model {self.name!r}: lane is "
                     + ("closed" if self.closing else "dead"))
             self.swap_target = version
+            self.swap_error = None
             self.swap_done.clear()
             self.cond.notify()
 
     def _cutover_locked(self) -> None:
-        version = self.swap_target
-        entry = self.server.registry.set_active(self.name, version)
+        version, self.swap_target = self.swap_target, None
+        try:
+            entry = self.server.registry.set_active(self.name, version)
+        except (ArtifactError, PlanVerificationError) as exc:
+            # the gate refused what rotted during the drain: the old
+            # version keeps serving and swap() raises the refusal
+            self.swap_error = exc
+            self.swap_done.set()
+            return
         if self.pool is not None:   # drained: safe to drop the old plan's pool
             self.pool.close()
             self.pool = None
             self._pool_key = None
-        self.swap_target = None
         self._abft_key = None        # re-arm ABFT on the incoming plan
         declared = entry.meta.get("input_shape")
         if declared is not None:     # new version may take a different shape
@@ -828,19 +839,6 @@ class Server:
         """True once any live SDC (ABFT, scrub or golden) was recorded."""
         return bool(self.sdc_events)
 
-    @staticmethod
-    def _entry_golden(entry: ModelEntry):
-        """The entry's deploy-time golden vectors: the ``Deployed`` bundle's
-        :class:`~repro.integrity.GoldenSet`, or one rebuilt from the
-        manifest-shaped dict registered under ``meta['golden']``."""
-        golden = (getattr(entry.deployed, "golden", None)
-                  if entry.deployed is not None else None)
-        if golden is None and entry.meta.get("golden") is not None:
-            from repro.integrity import GoldenSet
-
-            golden = GoldenSet.from_json(entry.meta["golden"])
-        return golden
-
     def _ensure_scrub(self, name: str) -> None:
         """Register ``name``'s active plan with the background scrubber
         (started lazily on the first plan-backed lane)."""
@@ -950,51 +948,30 @@ class Server:
         """Drain-and-cutover to ``name@version``: in-flight batches finish on
         the old plan, the active pointer flips atomically, the pool is
         rebuilt, then dispatch resumes.  Queued requests are never dropped.
-        Raises ``RuntimeError`` when the server (or the model's lane) is
-        already closed instead of waiting out the timeout.
+        The registry gate (:meth:`ModelRegistry.check`) runs before the
+        drain and again at cutover; either refusal raises its typed error
+        and the old version keeps serving.  Raises ``RuntimeError`` when the
+        server (or the model's lane) is already closed instead of waiting
+        out the timeout.
         """
         if self.closing:
             raise RuntimeError("server is closed")
-        entry = self.registry.get(f"{name}@{version}")  # validate before draining
-        report = self.registry.verify(f"{name}@{version}")
-        if report is not None and not report.ok:
+        try:
             # refuse before draining a healthy lane: the old version keeps
-            # serving and the corrupted one never becomes active
-            telemetry.emit("server_swap_rejected", level="error", model=name,
-                           version=version,
-                           errors=report.to_json()["summary"]["errors"])
-            report.raise_if_failed()
-        plan = entry.plan
-        if plan is not None and hasattr(plan, "verify"):
-            vreport = plan.verify()
-            if not vreport.ok:
-                # same refusal for a plan that fails static verification:
-                # no unverified program ever takes over a lane
-                from repro.lint.plan import PlanVerificationError
-
-                telemetry.emit("server_swap_rejected", level="error",
-                               model=name, version=version, reason="plan",
-                               errors=vreport.to_json()["summary"]["errors"])
-                raise PlanVerificationError(vreport)
-        golden = self._entry_golden(entry)
-        if golden is not None:
-            # pre-cutover self-test: replay the deploy-time golden vectors
-            # through the incoming version; a mismatch refuses the swap
-            # while the old version keeps serving
-            try:
-                golden.check(lambda x: np.asarray(entry(x)))
-            except SDCDetected as exc:
-                self.metrics["sdc"].labels(model=name,
-                                           source=exc.source).inc()
-                telemetry.emit("server_swap_rejected", level="error",
-                               model=name, version=version, reason="golden",
-                               error=str(exc))
-                raise
+            # serving and a refused one never becomes active
+            self.registry.check(f"{name}@{version}", "swap")
+        except SDCDetected as exc:
+            self.metrics["sdc"].labels(model=name, source=exc.source).inc()
+            raise
         lane = self._lane(name)
         lane.request_swap(version)
         if not lane.swap_done.wait(timeout):
             raise TimeoutError(f"swap to {name}@{version} did not cut over "
                                f"within {timeout}s")
+        with lane.cond:
+            error, lane.swap_error = lane.swap_error, None
+        if error is not None:
+            raise error
 
     def stats(self) -> Dict[str, Dict]:
         """Per-model accounting incl. p50/p95/p99 latency and queue wait."""

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.chaos import CATALOG, ChaosPlan
+from repro.chaos import ChaosPlan
 from repro.core import DeploySpec, deploy
 from repro.core.qconfig import QConfig
 from repro.core.qmodels import quantize_model
@@ -26,21 +26,6 @@ from repro.server import ServerConfig
 from tests.chaos.conftest import scored_by_catalog
 
 pytestmark = pytest.mark.sdc
-
-SDC_ROWS = [n for n, row in CATALOG.items() if row.kind == "sdc"]
-
-
-def test_catalog_exposes_sdc_injectors():
-    assert set(SDC_ROWS) == {"flip_live_weights", "flip_arena",
-                             "corrupt_golden"}
-    # the SDC family must not leak into the fleet-fault default plan
-    fleet = [n for n, _ in ChaosPlan.default("fleet", seed=3).schedule]
-    assert set(fleet) == {"kill_replica", "partition_replica"}
-
-
-def test_sdc_default_plan_covers_whole_catalog():
-    steps = [name for name, _ in ChaosPlan.default("sdc", seed=3).schedule]
-    assert sorted(steps) == sorted(SDC_ROWS)
 
 
 @pytest.fixture(scope="module")

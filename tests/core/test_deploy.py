@@ -62,6 +62,19 @@ class TestDeploySpec:
         spec = DeploySpec.from_args(argparse.Namespace())
         assert spec == DeploySpec()
 
+    def test_deploy_spec_fields_are_pinned(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(DeploySpec)] == [
+            "fusion", "fixed_point", "float_scale", "lint", "accum_bits",
+            "export_dir", "formats", "runtime", "compile"]
+        # the hand-off checks have no opt-out
+        for kwargs in (dict(verify_artifacts=False), dict(verify_plan=False),
+                       dict(golden_vectors=0),
+                       dict(golden_input_shape=(3, 32, 32))):
+            with pytest.raises(TypeError):
+                DeploySpec(**kwargs)
+
     def test_evolve_and_json(self):
         spec = DeploySpec().evolve(fusion="prefuse")
         assert spec.fusion == "prefuse"
@@ -105,23 +118,42 @@ class TestDeploy:
             out = os.path.join(td, "art")
             d = deploy(qm, DeploySpec(export_dir=out, formats=("dec", "qint"),
                                       runtime="none"))
-            assert d.spec.verify_artifacts is True
             assert d.integrity is not None and d.integrity.ok
             assert d.integrity.tensors_checked == len(d.manifest["tensors"])
 
-    def test_verify_opt_out_skips_audit(self):
-        qm = _calibrated(seed=10)
-        with tempfile.TemporaryDirectory() as td:
-            out = os.path.join(td, "art")
-            d = deploy(qm, DeploySpec(export_dir=out, formats=("dec",),
-                                      runtime="none", verify_artifacts=False))
-            assert d.integrity is None
+    def test_each_handoff_result_is_produced_once(self, tmp_path,
+                                                  monkeypatch):
+        """One deploy() signs its manifest once, audits once and proves the
+        plan once; registering the bundle audits again and re-proves
+        nothing (the gate reuses the proof cached on the plan)."""
+        import repro.export.integrity
+        import repro.export.writer
+        import repro.lint.plan
+        from repro.runtime import Plan
+        from repro.server import ModelRegistry
 
-    def test_from_args_maps_verify_flag(self):
-        spec = DeploySpec.from_args(argparse.Namespace(verify_artifacts=False))
-        assert spec.verify_artifacts is False
-        assert DeploySpec.from_args(argparse.Namespace()).verify_artifacts
+        calls = {"amend": 0, "audit": 0, "verify": 0, "prove": 0}
 
+        def counted(key, fn):
+            def wrapper(*a, **kw):
+                calls[key] += 1
+                return fn(*a, **kw)
+            return wrapper
+
+        monkeypatch.setattr(repro.export.writer, "amend_manifest", counted(
+            "amend", repro.export.writer.amend_manifest))
+        monkeypatch.setattr(repro.export.integrity, "verify_artifacts",
+                            counted("audit",
+                                    repro.export.integrity.verify_artifacts))
+        monkeypatch.setattr(Plan, "verify", counted("verify", Plan.verify))
+        monkeypatch.setattr(repro.lint.plan, "verify_plan", counted(
+            "prove", repro.lint.plan.verify_plan))
+        out = str(tmp_path / "art")
+        d = deploy(_calibrated(seed=10), DeploySpec(export_dir=out, lint=True))
+        assert calls == {"amend": 1, "audit": 1, "verify": 1, "prove": 1}
+        assert {"plan_verification", "golden"} <= set(d.manifest)
+        ModelRegistry().register("m", "1", d)
+        assert calls["audit"] == 2 and calls["prove"] == 1
 
     @pytest.mark.parametrize("accum_bits", [16, 32])
     def test_lint_runs_once_with_spec_accum_bits(self, monkeypatch,

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from repro.integrity import GoldenSet, SDCDetected
+from repro.integrity.golden import DEFAULT_INPUT_SHAPE, DEFAULT_VECTORS
 
 
 class TestGoldenSet:
     def test_recorded_at_deploy_and_replays_clean(self, sdc_deployed):
         d, _ = sdc_deployed
         golden = d.golden
-        assert golden is not None and golden.k == d.spec.golden_vectors
-        assert golden.input_shape == (3, 32, 32)
+        assert golden is not None and golden.k == DEFAULT_VECTORS
+        assert golden.input_shape == DEFAULT_INPUT_SHAPE == (3, 32, 32)
         assert golden.verify(d.plan) == []
         golden.check(d.plan)  # must not raise
 

@@ -309,10 +309,6 @@ class TestReportAndGate:
             deploy(self._calibrated_vgg(2), DeploySpec(runtime="auto"))
         assert ei.value.report is not None
         assert not ei.value.report.ok
-        # opting out hands back the (unverified) bundle instead
-        d = deploy(self._calibrated_vgg(2),
-                   DeploySpec(runtime="auto", verify_plan=False))
-        assert d.plan_verification is None
 
     def test_verify_cache_and_refresh(self, deployed_resnet):
         plan = copy.deepcopy(deployed_resnet.plan)

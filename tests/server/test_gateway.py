@@ -335,6 +335,49 @@ def test_killed_queued_requests_keep_a_trace():
     assert not lane.thread.is_alive()
 
 
+def test_swap_refused_at_cutover_keeps_old_version_serving(tmp_path):
+    """Artifacts that rot while the lane drains are refused by the cutover
+    gate: swap() raises the typed error, the old version stays active and
+    the lane keeps serving instead of dying."""
+    from repro.export.errors import ArtifactError
+    from repro.export.writer import export_state_dict
+
+    art = str(tmp_path / "v2")
+    export_state_dict({"w": np.arange(-4, 4).astype(np.float32)}, art)
+    gate = _GatedPlan()
+    reg = ModelRegistry()
+    reg.register("m", "1", runner=gate)
+    reg.register("m", "2", runner=StubPlan(), artifacts=art)
+    errors = []
+
+    def swap():
+        try:
+            srv.swap("m", "2", timeout=20)
+        except Exception as exc:
+            errors.append(exc)
+
+    with Server(reg, max_batch=1, default_deadline_s=30.0) as srv:
+        busy = srv.submit("m", stub_sample(1.0))
+        assert gate.started.wait(10)
+        swapper = threading.Thread(target=swap)
+        swapper.start()
+        lane = srv._lanes["m"]
+        deadline = time.monotonic() + 10
+        while lane.swap_target is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert lane.swap_target == "2"
+        with open(f"{art}/w.dec", "ab") as f:
+            f.write(b"bitrot")
+        gate.release.set()
+        swapper.join(timeout=20)
+        assert not swapper.is_alive()
+        assert busy.result(timeout=10).ok
+        assert len(errors) == 1 and isinstance(errors[0], ArtifactError)
+        assert reg.active_version("m") == "1" and not lane.dead
+        assert isinstance(srv.submit("m", stub_sample(2.0)).result(timeout=10),
+                          Ok)
+
+
 def test_stats_follow_recent_traffic_past_the_sample_cap(monkeypatch):
     """Percentiles cover the newest _CAP requests and mean_batch_size every
     completed batch: neither freezes once the cap is reached."""

@@ -75,17 +75,20 @@ class TestRegistryGate:
                 registry.register("m", "2", runner=PlanRunner(bad_plan))
         events = [e for e in session.events.events
                   if e["kind"] == "registry_rejected"]
-        assert events and events[0]["reason"] == "plan"
+        assert [(e["action"], e["reason"]) for e in events] == [
+            ("register", "plan")]
         assert events[0]["errors"] >= 1
 
     def test_spec_opt_out_skips_gate(self, bad_plan):
+        # the gate reads no opt-out off a bundle's spec: a spec still
+        # spelling the old verify_plan=False is proved and refused
         fake = SimpleNamespace(
             plan=bad_plan, qnn=None, manifest=None,
-            spec=SimpleNamespace(export_dir=None, verify_artifacts=True,
-                                 verify_plan=False))
+            spec=SimpleNamespace(export_dir=None, verify_plan=False))
         registry = ModelRegistry()
-        entry = registry.register("m", "1", deployed=fake)
-        assert entry.plan is bad_plan   # admitted: the spec opted out
+        with pytest.raises(PlanVerificationError):
+            registry.register("m", "1", deployed=fake)
+        assert "m" not in registry
 
     def test_good_plan_reuses_deploy_proof(self, good_plan):
         # deploy() seeded _verification; the gate must reuse it, not re-prove
@@ -110,8 +113,9 @@ class TestSwapGate:
                     srv.swap("m", "2")
             assert registry.active_version("m") == "1"
         events = [e for e in session.events.events
-                  if e["kind"] == "server_swap_rejected"]
-        assert events and events[0]["reason"] == "plan"
+                  if e["kind"] == "registry_rejected"]
+        assert [(e["action"], e["reason"]) for e in events] == [
+            ("swap", "plan")]
 
     def test_swap_to_good_version_still_works(self, good_plan,
                                               served_factory):

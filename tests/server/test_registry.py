@@ -1,4 +1,4 @@
-"""ModelRegistry: keys, versions, activation, construction via deploy()."""
+"""ModelRegistry: keys, versions, activation, the hand-off gate."""
 from __future__ import annotations
 
 import numpy as np
@@ -116,8 +116,8 @@ def test_version_that_rots_after_registration_cannot_activate(tmp_path):
 
 
 def test_registry_verify_reports(tmp_path):
-    import numpy as np
-
+    from repro import telemetry
+    from repro.export.errors import ArtifactError
     from repro.export.writer import export_state_dict
 
     art = str(tmp_path / "art")
@@ -126,8 +126,18 @@ def test_registry_verify_reports(tmp_path):
     reg = ModelRegistry()
     reg.register("m", "1", runner=StubPlan(), artifacts=art)
     reg.register("m", "2", runner=StubPlan())
-    assert reg.verify("m@1").ok
-    assert reg.verify("m@2") is None, "no artifacts -> nothing to verify"
+    assert reg.check("m@1", "set_active") is reg.get("m@1")
+    # no artifacts -> nothing to audit
+    assert reg.check("m@2", "swap").key == "m@2"
+    with open(f"{art}/w.dec", "ab") as f:
+        f.write(b"bitrot")
+    with telemetry.TelemetrySession(out_dir=None) as session:
+        with pytest.raises(ArtifactError):
+            reg.check("m@1", "swap")
+    events = [e for e in session.events.events
+              if e["kind"] == "registry_rejected"]
+    assert [(e["action"], e["reason"]) for e in events] == [
+        ("swap", "artifacts")]
 
 
 def test_bare_name_lookup_without_active_version_is_descriptive():
@@ -151,7 +161,7 @@ def test_register_unpacks_deployed_bundle(served_factory):
 
 
 def test_build_goes_through_deploy_pipeline(no_ckernel):
-    from repro.core import DeploySpec
+    from repro.core import DeploySpec, deploy
     from repro.core.qconfig import QConfig
     from repro.core.qmodels import quantize_model
     from repro.core.t2c import calibrate_model
@@ -163,7 +173,7 @@ def test_build_goes_through_deploy_pipeline(no_ckernel):
     calibrate_model(qm, [rng.standard_normal((4, 3, 32, 32)).astype(np.float32)])
     reg = ModelRegistry()
     with no_ckernel():
-        entry = reg.build("vgg8", qm, DeploySpec())
+        entry = reg.register("vgg8", "1", deploy(qm, DeploySpec()))
     assert entry.key == "vgg8@1" and entry.plan is not None
     assert entry.plan.layout == "batch"
     x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
@@ -173,23 +183,3 @@ def test_build_goes_through_deploy_pipeline(no_ckernel):
     with no_grad():
         ref = entry.qnn(Tensor(x)).data
     assert np.array_equal(entry(x), ref)
-
-
-def test_deploy_registry_helper():
-    from repro.core import DeploySpec, deploy_registry
-    from repro.core.qconfig import QConfig
-    from repro.core.qmodels import quantize_model
-    from repro.core.t2c import calibrate_model
-    from repro.models import build_model
-
-    rng = np.random.default_rng(1)
-    models = {}
-    for name in ("resnet20",):
-        qm = quantize_model(build_model(name, num_classes=10, width=8),
-                            QConfig(8, 8))
-        calibrate_model(qm, [rng.standard_normal((4, 3, 32, 32))
-                             .astype(np.float32)])
-        models[name] = qm
-    reg = deploy_registry(models, DeploySpec(runtime="auto"), version="7")
-    assert reg.keys() == ["resnet20@7"]
-    assert reg.get("resnet20").plan is not None
