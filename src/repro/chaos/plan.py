@@ -519,8 +519,9 @@ class _Fleet(_Live):
 class _SdcFleet(_Fleet):
     """An SDC fault lands before the burst is sent, so the burst straddles
     detection and quarantine.  It is only caught when the fleet runs a
-    defence (``FleetConfig.golden_every`` / ``scrub_every``, or
-    ``ServerConfig.abft_every`` / ``scrub_interval_s``); with none on,
+    defence (``FleetConfig.golden_every`` / ``scrub_every``, or the
+    ``abft_every`` / ``scrub_interval_s`` of the ``ServerConfig`` in
+    ``FleetConfig.server``); with none on,
     every one is an intended miss.  Requests served between a corruption
     and its detection may carry wrong values: detection is sampled or
     periodic by design, and the scorecard measures time-bounded detection.

@@ -573,7 +573,7 @@ def cmd_chaos(args) -> int:
 
             every = 2 if kind == "sdc" else 0
             fleet = Fleet(FleetConfig(
-                replicas=3, health_interval_s=0.1, default_deadline_s=2.0,
+                replicas=3, health_interval_s=0.1,
                 golden_every=every, scrub_every=every,
                 server=ServerConfig(max_batch=8, default_deadline_s=2.0,
                                     abft_every=2 * every)))
@@ -687,9 +687,9 @@ def build_parser() -> argparse.ArgumentParser:
     _deploy_flags(p, calib_batches=2, runtime="auto")
     p.add_argument("--ckpt", default=None,
                    help="optional Q-model checkpoint to serve")
-    p.add_argument("--requests", type=int, default=300,
+    p.add_argument("--requests", type=_positive_int, default=300,
                    help="requests to push through the gateway")
-    p.add_argument("--max-batch", type=int, default=16,
+    p.add_argument("--max-batch", type=_positive_int, default=16,
                    help="gateway micro-batch size cap")
     p.add_argument("--workers", type=int, default=0,
                    help=">=2 executes batches on a supervised worker pool")

@@ -88,14 +88,16 @@ class Decision:
 class Autoscaler:
     """Stateful wrapper: policy + cooldown clocks + decision history."""
 
+    #: decisions kept, newest last
+    HISTORY_SIZE = 256
+
     def __init__(self, policy: Optional[AutoscalePolicy] = None,
-                 clock=time.monotonic, history_size: int = 256):
+                 clock=time.monotonic):
         self.policy = policy or AutoscalePolicy()
         self._clock = clock
         self._last_out: Dict[str, float] = {}
         self._last_in: Dict[str, float] = {}
         self._history: List[Decision] = []
-        self._history_size = int(history_size)
 
     def history(self, model: Optional[str] = None) -> List[Decision]:
         if model is None:
@@ -125,7 +127,7 @@ class Autoscaler:
                          target=target, reason=reason, burn=burn,
                          p99_ms=p99_ms, requests=requests)
             self._history.append(d)
-            del self._history[:-self._history_size]
+            del self._history[:-self.HISTORY_SIZE]
             if action != HOLD:
                 telemetry.emit("fleet_autoscale", model=model, action=action,
                                current=current, target=target, burn=burn,

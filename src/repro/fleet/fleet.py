@@ -56,20 +56,19 @@ from repro.telemetry import obs as _obs
 from repro.telemetry.obs import RollingWindow
 
 
-@dataclass
+#: dispatch tries per request (the first placement plus failovers)
+_MAX_ATTEMPTS = 3
+
+
+@dataclass(frozen=True)
 class FleetConfig:
-    """Fleet-level knobs (per-replica server tuning rides in ``server``)."""
+    """Fleet-level knobs.  Per-replica server tuning rides in ``server``,
+    whose ``default_deadline_s`` and ``slo_target`` are the fleet's too."""
 
     replicas: int = 2                #: target replicas per model group
-    vnodes: int = 64                 #: ring points per replica
     health_interval_s: float = 0.25  #: health/reconcile loop period
-    default_deadline_s: float = 0.25
-    max_attempts: int = 3            #: dispatch tries per request (failover)
     self_heal: bool = True           #: replace DEAD replicas automatically
-    server: Optional[ServerConfig] = None
-    window_s: float = 60.0           #: fleet-level SLO window span
-    slo_target: float = 0.99
-    auto_rollback: bool = True       #: watch the canary window for burn
+    server: ServerConfig = field(default_factory=ServerConfig)
     rollback_burn: float = 1.0       #: canary burn >= this -> rollback
     rollback_min_requests: int = 20  #: canary window floor before judging
     #: autoscaling policy; ``None`` holds every group at ``replicas``
@@ -88,8 +87,6 @@ class FleetConfig:
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
 
 
 class FleetRequest:
@@ -165,7 +162,7 @@ class _VersionSource:
 class _Group:
     """One model's replica group plus its fleet-level SLO windows."""
 
-    def __init__(self, name: str, target: int, window_s: float):
+    def __init__(self, name: str, target: int):
         self.name = name
         self.target = target
         self.sources: Dict[str, _VersionSource] = {}
@@ -174,9 +171,9 @@ class _Group:
         # primary = every non-shadow request (canary traffic is user traffic
         # and counts); canary = the canary-assigned subset (rollback signal);
         # shadow = mirrored copies only — never in the primary SLO.
-        self.window_primary = RollingWindow(window_s=window_s)
-        self.window_canary = RollingWindow(window_s=window_s)
-        self.window_shadow = RollingWindow(window_s=window_s)
+        self.window_primary = RollingWindow()
+        self.window_canary = RollingWindow()
+        self.window_shadow = RollingWindow()
         self.ticks = 0                #: health ticks seen (probe cadence)
         self.quarantined_total = 0    #: replicas ejected for SDC, ever
 
@@ -199,7 +196,7 @@ class Fleet:
     def __init__(self, config: Optional[FleetConfig] = None, **overrides):
         self.config = replace(config or FleetConfig(), **overrides) \
             if overrides else (config or FleetConfig())
-        self.router = Router(vnodes=self.config.vnodes)
+        self.router = Router()
         self.splitter = TrafficSplitter()
         self.autoscaler = (Autoscaler(self.config.autoscale)
                            if self.config.autoscale is not None else None)
@@ -213,17 +210,14 @@ class Fleet:
         self.requests_lost = 0        #: requests that ran out of failovers
 
     # ---------------------------------------------------------- population
-    def add_model(self, name: str, *, replicas: Optional[int] = None
-                  ) -> None:
+    def add_model(self, name: str) -> None:
         """Create the (empty) replica group for ``name``; versions are added
         with :meth:`register_version` and replicas spawn on the first
         reconcile."""
         with self._lock:
             if name in self._groups:
                 raise ValueError(f"model {name!r} already added")
-            self._groups[name] = _Group(
-                name, replicas if replicas is not None
-                else self.config.replicas, self.config.window_s)
+            self._groups[name] = _Group(name, self.config.replicas)
 
     def register_version(self, name: str, version: str, deployed=None, *,
                          runner=None, artifacts: Optional[str] = None,
@@ -307,8 +301,8 @@ class Fleet:
         rid = next(self._ids)
         rkey = route_key if route_key is not None else f"req-{rid}"
         role, mirror = ro.assign(rkey)
-        deadline = (self.config.default_deadline_s if deadline_s is None
-                    else float(deadline_s))
+        deadline = (self.config.server.default_deadline_s
+                    if deadline_s is None else float(deadline_s))
         freq = FleetRequest(rid, name, rkey, deadline, role)
         self._dispatch(freq, group, key, sample, exclude=set())
         if mirror:
@@ -319,7 +313,7 @@ class Fleet:
                   sample, exclude: Set[str]) -> None:
         """Place (or re-place, on failover) one request on a replica."""
         while True:
-            if freq.attempts >= self.config.max_attempts:
+            if freq.attempts >= _MAX_ATTEMPTS:
                 self._finish(freq, group, Failed(
                     -freq.request_id, freq.model, retryable=True,
                     error=f"failover budget exhausted after "
@@ -351,8 +345,7 @@ class Fleet:
         fail retryable responses over to the next replica on the ring,
         otherwise resolve the fleet request and account it."""
         if (not resp.ok and resp.retryable
-                and freq.attempts < self.config.max_attempts
-                and not self.closing):
+                and freq.attempts < _MAX_ATTEMPTS and not self.closing):
             self._dispatch(freq, group, key, sample, exclude=set(freq.path))
             return
         self._finish(freq, group, resp)
@@ -379,7 +372,7 @@ class Fleet:
             else:
                 w.observe_failed()
         if not resp.ok and not freq.shadow and resp.retryable \
-                and freq.attempts >= self.config.max_attempts:
+                and freq.attempts >= _MAX_ATTEMPTS:
             self.requests_lost += 1
 
     def _mirror(self, group: _Group, key: str, sample, route_key: str,
@@ -397,7 +390,7 @@ class Fleet:
             return
         freq = FleetRequest(next(self._mirror_ids), group.name, route_key,
                             deadline_s, ROLE_CANARY, shadow=True)
-        freq.attempts = self.config.max_attempts    # shadows never fail over
+        freq.attempts = _MAX_ATTEMPTS    # shadows never fail over
         freq.path.append(target)
         pending = rep.submit(group.name, sample, deadline_s=deadline_s)
         pending.add_done_callback(
@@ -519,6 +512,7 @@ class Fleet:
 
     def _tick_group(self, group: _Group) -> None:
         cfg = self.config
+        slo_target = cfg.server.slo_target
         group.ticks += 1
         for rid, rep in list(group.replicas.items()):
             if rep.state not in (QUARANTINED, DEAD, CLOSED):
@@ -554,11 +548,10 @@ class Fleet:
                                model=group.name)
 
         if self.autoscaler is not None and group.sources:
-            summary = group.window_primary.summary(
-                slo_target=cfg.slo_target)
+            summary = group.window_primary.summary(slo_target=slo_target)
             decision = self.autoscaler.tick(group.name, summary,
                                             group.target,
-                                            cfg.default_deadline_s)
+                                            cfg.server.default_deadline_s)
             if decision.action in (SCALE_OUT, SCALE_IN):
                 group.target = decision.target
                 if decision.action == SCALE_IN:
@@ -571,8 +564,8 @@ class Fleet:
             pass
 
         ro = self.splitter.get(group.name)
-        if (ro is not None and ro.state == CANARY and cfg.auto_rollback):
-            s = group.window_canary.summary(slo_target=cfg.slo_target)
+        if ro is not None and ro.state == CANARY:
+            s = group.window_canary.summary(slo_target=slo_target)
             burn = s.get("slo", {}).get("error_budget_burn", 0.0)
             if (s["requests"] >= cfg.rollback_min_requests
                     and burn >= cfg.rollback_burn):
@@ -619,7 +612,7 @@ class Fleet:
         if golden is None:
             return
         xs = golden.inputs()
-        deadline = max(1.0, 4 * cfg.default_deadline_s)
+        deadline = max(1.0, 4 * cfg.server.default_deadline_s)
         for i in range(golden.k):
             if self.closing or not rep.healthy():
                 return
@@ -730,7 +723,7 @@ class Fleet:
     def status(self) -> Dict:
         """Fleet-wide operational snapshot: per-group replica states, the
         three SLO windows, rollout state and recent scaling decisions."""
-        cfg = self.config
+        slo_target = self.config.server.slo_target
         out: Dict = {"models": {}, "requests_lost": self.requests_lost}
         with self._lock:
             groups = list(self._groups.values())
@@ -744,11 +737,11 @@ class Fleet:
                     group.replicas.values(), key=lambda r: r.replica_id)],
                 "window": {
                     "primary": group.window_primary.summary(
-                        slo_target=cfg.slo_target),
+                        slo_target=slo_target),
                     "canary": group.window_canary.summary(
-                        slo_target=cfg.slo_target),
+                        slo_target=slo_target),
                     "shadow": group.window_shadow.summary(
-                        slo_target=cfg.slo_target),
+                        slo_target=slo_target),
                 },
                 "rollout": ro.to_json() if ro is not None else None,
                 "autoscale": ([d.to_json() for d in
@@ -769,7 +762,7 @@ class Fleet:
         yield N distinct series, not one colliding series), plus
         fleet-level aggregates per traffic class."""
         samples: List[Dict] = []
-        cfg = self.config
+        slo_target = self.config.server.slo_target
         with self._lock:
             groups = list(self._groups.values())
         for group in groups:
@@ -788,7 +781,7 @@ class Fleet:
             for cls, window in (("primary", group.window_primary),
                                 ("canary", group.window_canary),
                                 ("shadow", group.window_shadow)):
-                w = window.summary(slo_target=cfg.slo_target)
+                w = window.summary(slo_target=slo_target)
                 lab = {"model": group.name, "class": cls}
                 for metric, value in (
                         ("fleet_window_requests", w["requests"]),

@@ -50,8 +50,7 @@ class Replica:
     """A single gateway replica in a fleet group."""
 
     def __init__(self, replica_id: str, model: str,
-                 server_config: Optional[ServerConfig] = None,
-                 role: str = "stable"):
+                 server_config: ServerConfig, role: str = "stable"):
         self.replica_id = replica_id
         self.model = model
         self.role = role                  #: ``stable`` | ``canary``
@@ -59,8 +58,7 @@ class Replica:
         self.partitioned = False
         self.created_t = time.monotonic()
         self.registry = ModelRegistry()
-        self.server = Server(self.registry,
-                             config=server_config or ServerConfig())
+        self.server = Server(self.registry, config=server_config)
         self._fail_ids = 0
 
     # ------------------------------------------------------------- serving

@@ -157,17 +157,19 @@ def scrub_plan(plan) -> ScrubReport:
 class MemoryScrubber:
     """Daemon thread scrubbing registered plans on an interval.
 
-    ``rate_mb_s`` bounds throughput: after each scan the thread sleeps at
-    least ``bytes_scanned / rate`` so a large model cannot monopolize
-    memory bandwidth.  ``on_fault(name, report)`` fires once per dirty
-    scan; scan stats land in ``last`` and one ``scrub_scan`` telemetry
-    event per pass.
+    Scans are rate-limited to ``RATE_MB_S``: after each scan the thread
+    sleeps at least ``bytes_scanned / rate`` so a large model cannot
+    monopolize memory bandwidth.  ``on_fault(name, report)`` fires once per
+    dirty scan; scan stats land in ``last`` and one ``scrub_scan``
+    telemetry event per pass.
     """
 
-    def __init__(self, interval_s: float = 1.0, rate_mb_s: float = 256.0,
+    #: scrub throughput cap, MB/s
+    RATE_MB_S = 256.0
+
+    def __init__(self, interval_s: float = 1.0,
                  on_fault: Optional[Callable] = None, name: str = "scrub"):
         self.interval_s = max(0.01, float(interval_s))
-        self.rate_mb_s = max(1.0, float(rate_mb_s))
         self.on_fault = on_fault
         self.name = name
         self._targets: Dict[str, object] = {}
@@ -208,7 +210,7 @@ class MemoryScrubber:
                 self.faults += 1
                 if self.on_fault is not None:
                     self.on_fault(name, report)
-            floor = report.bytes_scanned / (self.rate_mb_s * 1e6)
+            floor = report.bytes_scanned / (self.RATE_MB_S * 1e6)
             if floor > report.duration_s:
                 if self._stop.wait(floor - report.duration_s):
                     break

@@ -43,7 +43,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -61,21 +61,23 @@ from repro.telemetry import tracing
 
 #: how long a pooled lane blocks on the pool between queue checks
 _POOL_POLL_S = 0.02
+#: weight of the newest batch in the service-time EWMA
+_EWMA_ALPHA = 0.2
+#: auto-dump cooldown (storm guard) for non-forced flight-recorder dumps
+_DUMP_MIN_INTERVAL_S = 1.0
 
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Gateway tuning knobs (per-model overrides via ``per_model``)."""
+    """Gateway tuning knobs, one set for every lane of a server."""
 
     max_batch: int = 16              #: close a batch at this size
     max_queue: int = 256             #: bounded queue; beyond this -> Overloaded
     default_deadline_s: float = 0.25  #: per-request deadline when unspecified
     max_linger_s: float = 0.010      #: cap on how long a non-full batch waits
-    shed_margin_s: float = 0.0       #: extra slack subtracted in admission
     workers: int = 0                 #: >= 2 -> PlanPool per lane (fork)
-    max_inflight_batches: int = 2    #: per-model concurrency limit (pool mode)
+    max_inflight_batches: int = 2    #: per-lane concurrency limit (pool mode)
     exec_time_init_s: float = 0.005  #: EWMA seed for batch service time
-    ewma_alpha: float = 0.2          #: service-time EWMA weight
     # ------------------------------------------------------- observability
     #: request-scoped tracing: True/False, or None to follow the global
     #: telemetry switch
@@ -83,14 +85,10 @@ class ServerConfig:
     #: sample every N-th batch for per-op profiling (0 = off)
     profile_every: int = 0
     slo_target: float = 0.99         #: good-request ratio target
-    obs_window_s: float = 60.0       #: rolling SLO/latency window
-    flight_recorder_size: int = 512  #: per-lane post-mortem ring capacity
     #: directory for automatic flight-recorder dumps (None = in-memory only)
     dump_dir: Optional[str] = None
-    dump_min_interval_s: float = 1.0  #: auto-dump cooldown (storm guard)
     #: keep only the newest N on-disk flight dumps per lane (0 = unlimited)
     max_dumps: int = 16
-    trace_capacity: int = 2048       #: most-recent request trees kept
     # -------------------------------------------------------- SDC defense
     #: verify every N-th inline batch with the sampled ABFT checksum
     #: checker (0 = off; pooled lanes skip it — forked workers own
@@ -98,13 +96,20 @@ class ServerConfig:
     abft_every: int = 0
     #: background memory-scrub interval over active plans (0 = off)
     scrub_interval_s: float = 0.0
-    #: ``{model_name: {field: value}}`` overrides, e.g. per-model max_batch /
-    #: max_inflight_batches (the per-model concurrency limit)
-    per_model: Optional[Dict[str, Dict]] = None
 
-    def for_model(self, name: str) -> "ServerConfig":
-        over = (self.per_model or {}).get(name)
-        return replace(self, **over) if over else self
+    def __post_init__(self):
+        for name in ("max_batch", "max_queue", "max_inflight_batches"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.default_deadline_s <= 0:
+            raise ValueError("default_deadline_s must be > 0")
+        for name in ("max_linger_s", "exec_time_init_s", "workers",
+                     "profile_every", "max_dumps", "abft_every",
+                     "scrub_interval_s"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0 < self.slo_target < 1:
+            raise ValueError("slo_target must be in (0, 1)")
 
 
 class _Batch:
@@ -162,7 +167,7 @@ class _Lane:
     def __init__(self, server: "Server", name: str):
         self.server = server
         self.name = name
-        self.cfg = server.config.for_model(name)
+        self.cfg = server.config
         self.cond = threading.Condition()
         self.queue: collections.deque = collections.deque()
         self.closing = False
@@ -181,9 +186,8 @@ class _Lane:
         # always-on observability (independent of the telemetry switch,
         # like _LaneStats): rolling SLO window, flight-recorder ring, and
         # the per-op profile fold point for worker-shipped samples
-        self.window = _obs.RollingWindow(window_s=self.cfg.obs_window_s)
-        self.flight = _obs.FlightRecorder(
-            capacity=self.cfg.flight_recorder_size)
+        self.window = _obs.RollingWindow()
+        self.flight = _obs.FlightRecorder()
         self.profile = _obs.ProfileAggregator()
         self._last_dump_t = -math.inf
         self._dump_n = 0
@@ -240,7 +244,7 @@ class _Lane:
                                   projected_wait_s=self.projected_wait_s(),
                                   deadline_s=req.deadline_s)
             projected = self.projected_wait_s()
-            if projected + self.cfg.shed_margin_s > req.deadline_s:
+            if projected > req.deadline_s:
                 return Overloaded(req.request_id, self.name,
                                   reason="deadline",
                                   projected_wait_s=projected,
@@ -257,14 +261,14 @@ class _Lane:
         """Freeze the flight-recorder ring for a post-mortem, rate-limited.
 
         Called on every anomaly (deadline miss, shed, worker death, lane
-        abort); the ``dump_min_interval_s`` cooldown keeps an overload storm
-        from turning into a dump storm.  ``force`` bypasses the cooldown for
-        rare, high-signal events (worker death, lane abort) that must never
-        be shadowed by a recent shed dump.  With ``dump_dir`` set the dump
-        is also written as JSON; either way ``flight.last_dump`` records it.
+        abort); a 1 s cooldown keeps an overload storm from turning into a
+        dump storm.  ``force`` bypasses the cooldown for rare, high-signal
+        events (worker death, lane abort) that must never be shadowed by a
+        recent shed dump.  With ``dump_dir`` set the dump is also written
+        as JSON; either way ``flight.last_dump`` records it.
         """
         now = time.monotonic()
-        if not force and now - self._last_dump_t < self.cfg.dump_min_interval_s:
+        if not force and now - self._last_dump_t < _DUMP_MIN_INTERVAL_S:
             return None
         self._last_dump_t = now
         path = None
@@ -308,8 +312,7 @@ class _Lane:
         """When the oldest queued request forces the batch closed: its
         deadline minus the estimated service time (the deadline-aware part),
         never later than the linger cap."""
-        return min(oldest.deadline_t - self.est_batch_s
-                   - self.cfg.shed_margin_s,
+        return min(oldest.deadline_t - self.est_batch_s,
                    oldest.enqueue_t + self.cfg.max_linger_s)
 
     def _capacity(self) -> bool:
@@ -609,8 +612,8 @@ class _Lane:
 
     # ------------------------------------------------------------ resolution
     def _observe_exec(self, dt: float) -> None:
-        a = self.cfg.ewma_alpha
-        self.est_batch_s = (1 - a) * self.est_batch_s + a * dt
+        self.est_batch_s = ((1 - _EWMA_ALPHA) * self.est_batch_s
+                            + _EWMA_ALPHA * dt)
 
     def _complete(self, batch: _Batch, y: np.ndarray, t0: float,
                   t1: float) -> None:
@@ -745,7 +748,6 @@ class Server:
         self.registry = registry
         self.config = replace(config or ServerConfig(), **overrides) \
             if overrides else (config or ServerConfig())
-        self.pooled = self.config.workers >= 2 and _can_fork()
         self._lanes: Dict[str, _Lane] = {}
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -757,8 +759,7 @@ class Server:
         self._t0 = time.time()
         self.sdc_events: List[Dict] = []   #: live SDC detections, in order
         self._scrubber = None              #: lazy shared MemoryScrubber
-        self.trace_store = tracing.TraceStore(
-            capacity=self.config.trace_capacity)
+        self.trace_store = tracing.TraceStore()
         self._exporter: Optional[threading.Thread] = None
         self._exporter_stop = threading.Event()
         reg = telemetry.get_registry()
@@ -906,8 +907,8 @@ class Server:
         entry = self.registry.get(key)      # KeyError for unknown models
         x = np.ascontiguousarray(np.asarray(
             getattr(sample, "data", sample), dtype=np.float32))
-        deadline = (self.config.for_model(entry.name).default_deadline_s
-                    if deadline_s is None else float(deadline_s))
+        deadline = (self.config.default_deadline_s if deadline_s is None
+                    else float(deadline_s))
         req = PendingRequest(next(self._ids), entry.name, x,
                              time.perf_counter(), deadline)
         if self.draining:

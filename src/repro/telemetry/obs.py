@@ -51,17 +51,18 @@ class RollingWindow:
     The window is a ring of ``window_s / bucket_s`` one-``bucket_s`` bins; a
     bin is lazily reset when the clock laps it, so there is no background
     thread.  All mutation happens under one lock — observations come from
-    lane threads, submitters and the status exporter concurrently.
+    lane threads, submitters and the status exporter concurrently.  Each
+    bin keeps at most ``MAX_SAMPLES`` latency samples.
     """
 
+    MAX_SAMPLES = 512
+
     def __init__(self, window_s: float = 60.0, bucket_s: float = 1.0,
-                 max_samples_per_bucket: int = 512,
                  clock: Callable[[], float] = time.monotonic):
         if window_s <= 0 or bucket_s <= 0:
             raise ValueError("window_s and bucket_s must be positive")
         self.window_s = float(window_s)
         self.bucket_s = float(bucket_s)
-        self.max_samples = int(max_samples_per_bucket)
         self._clock = clock
         self._n = max(1, int(round(window_s / bucket_s)))
         self._ring: List[Optional[_Bucket]] = [None] * self._n
@@ -84,7 +85,7 @@ class RollingWindow:
             b.counts["ok"] += 1
             if deadline_miss:
                 b.counts["deadline_miss"] += 1
-            if len(b.latencies) < self.max_samples:
+            if len(b.latencies) < self.MAX_SAMPLES:
                 b.latencies.append(float(latency_s))
                 b.queue_waits.append(float(queue_wait_s))
 

@@ -27,7 +27,7 @@ def _sample():
 
 def _fleet(replicas=3):
     fleet = Fleet(FleetConfig(
-        replicas=replicas, health_interval_s=0.05, default_deadline_s=5.0,
+        replicas=replicas, health_interval_s=0.05,
         server=ServerConfig(max_batch=4, default_deadline_s=5.0)))
     fleet.add_model("m")
     fleet.register_version("m", "1", runner=_runner)

@@ -47,8 +47,7 @@ def test_sdc_default_plan_detects_quarantines_heals(deployed_bundle, seed):
     # vector is caught whichever index the seed picks
     d, x = deployed_bundle
     fleet = Fleet(FleetConfig(
-        replicas=3, health_interval_s=0.1, default_deadline_s=2.0,
-        golden_every=2, scrub_every=2,
+        replicas=3, health_interval_s=0.1, golden_every=2, scrub_every=2,
         server=ServerConfig(max_batch=8, default_deadline_s=2.0,
                             abft_every=4)))
     fleet.add_model("resnet20")
@@ -93,8 +92,8 @@ def test_close_during_inflight_golden_probe_does_not_deadlock():
     # event; outputs are identical by construction
     golden = GoldenSet.record(fast, (2, 4), k=4, seed=7)
     fleet = Fleet(FleetConfig(
-        replicas=2, health_interval_s=0.05, default_deadline_s=5.0,
-        golden_every=1, golden_timeout_s=5.0,
+        replicas=2, health_interval_s=0.05, golden_every=1,
+        golden_timeout_s=5.0,
         server=ServerConfig(max_batch=4, default_deadline_s=5.0)))
     fleet.add_model("m")
     fleet.register_version("m", "1", runner=slow_runner,

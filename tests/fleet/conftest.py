@@ -46,7 +46,6 @@ def make_fleet(replicas: int = 3, *, runner=None, version: str = "1",
     """A fleet of stub replicas, one registered model, not yet started
     (tests drive ``health_tick`` by hand unless ``start=True``)."""
     defaults = dict(replicas=replicas, health_interval_s=0.05,
-                    default_deadline_s=5.0,
                     server=ServerConfig(max_batch=4, default_deadline_s=5.0))
     defaults.update(cfg_overrides)
     fleet = Fleet(FleetConfig(**defaults))

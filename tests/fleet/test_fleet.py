@@ -5,13 +5,15 @@ background loop — every lifecycle transition is deterministic.
 """
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from repro.fleet import (DEAD, PARTITIONED, READY, ROLE_CANARY, CANARY,
-                         ROLLED_BACK)
+from repro.fleet import (DRAINING, PARTITIONED, READY, ROLE_CANARY, CANARY,
+                         ROLLED_BACK, AutoscalePolicy, Fleet, FleetConfig)
+from repro.server import ServerConfig
 from repro.telemetry.obs import parse_prometheus
 from tests.fleet.conftest import (failing_runner, gain_runner, make_fleet,
                                   sample)
@@ -220,6 +222,73 @@ def test_exposition_namespaces_replicas_and_round_trips():
         "primary", "canary", "shadow"}
     assert {(l["class"], v) for l, v in fw} == {
         ("primary", 10.0), ("canary", 0.0), ("shadow", 0.0)}
+
+
+def _autoscaled_fleet(**kwargs):
+    return make_fleet(replicas=2, autoscale=AutoscalePolicy(
+        max_replicas=3, scale_out_cooldown_s=0, scale_in_cooldown_s=0,
+        min_window_requests=5), **kwargs)
+
+
+def test_autoscale_scales_out_on_burn():
+    fleet = _autoscaled_fleet(runner=failing_runner)
+    try:
+        resps = _drain([fleet.submit("m", sample(1.0)) for _ in range(10)])
+        assert not any(r.ok for r in resps)
+        fleet.health_tick()
+        assert fleet.status()["models"]["m"]["target_replicas"] == 3
+        assert [r.state for r in fleet.replicas("m")] == [READY] * 3
+    finally:
+        fleet.close()
+
+
+def test_autoscale_scales_in_and_drains_when_idle():
+    fleet = _autoscaled_fleet()
+    try:
+        assert all(r.ok for r in _drain([fleet.submit("m", sample(1.0))
+                                         for _ in range(10)]))
+        fleet.health_tick()
+        assert fleet.status()["models"]["m"]["target_replicas"] == 1
+        draining = [r for r in fleet.replicas("m") if r.state == DRAINING]
+        assert len(draining) == 1
+        for _ in range(5):
+            fleet.health_tick()
+        assert draining[0] not in fleet.replicas("m")
+        assert [r.state for r in fleet.replicas("m")] == [READY]
+    finally:
+        fleet.close()
+
+
+def test_fleet_config_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(FleetConfig)] == [
+        "replicas", "health_interval_s", "self_heal", "server",
+        "rollback_burn", "rollback_min_requests", "autoscale",
+        "golden_every", "golden_timeout_s", "scrub_every"]
+    cfg = FleetConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.replicas = 3
+    assert cfg.server == ServerConfig()
+    for gone in ("default_deadline_s", "slo_target", "window_s",
+                 "max_attempts", "auto_rollback", "vnodes"):
+        with pytest.raises(TypeError):
+            FleetConfig(**{gone: None})
+    with pytest.raises(TypeError):
+        Fleet(cfg).add_model("m", replicas=3)
+
+
+def test_fleet_deadline_and_slo_come_from_server_config():
+    fleet = Fleet(FleetConfig(replicas=1, server=ServerConfig(
+        default_deadline_s=2.0, slo_target=0.95)))
+    fleet.add_model("m")
+    fleet.register_version("m", "1", runner=gain_runner(2.0))
+    try:
+        freq = fleet.submit("m", sample(1.0))
+        assert freq.deadline_s == 2.0
+        assert freq.result(timeout=10.0).ok
+        windows = fleet.status()["models"]["m"]["window"]
+        assert {w["slo"]["target"] for w in windows.values()} == {0.95}
+    finally:
+        fleet.close()
 
 
 def test_submit_unknown_model_raises():

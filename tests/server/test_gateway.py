@@ -5,6 +5,7 @@ bit-exactness against real plans lives in ``test_bitexact.py``.
 """
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 
@@ -127,20 +128,33 @@ def test_unknown_model_and_closed_server():
         srv.submit("stub", stub_sample(0.0))
 
 
-def test_per_model_config_overrides():
+def test_server_config_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(ServerConfig)] == [
+        "max_batch", "max_queue", "default_deadline_s", "max_linger_s",
+        "workers", "max_inflight_batches", "exec_time_init_s", "tracing",
+        "profile_every", "slo_target", "dump_dir", "max_dumps",
+        "abft_every", "scrub_interval_s"]
+    for gone in ("shed_margin_s", "ewma_alpha", "dump_min_interval_s",
+                 "obs_window_s", "flight_recorder_size", "trace_capacity",
+                 "per_model"):
+        with pytest.raises(TypeError):
+            ServerConfig(**{gone: None})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("max_batch", 0), ("max_batch", -1), ("max_queue", 0),
+    ("max_inflight_batches", 0), ("default_deadline_s", 0.0),
+    ("default_deadline_s", -1.0), ("max_linger_s", -0.001),
+    ("exec_time_init_s", -1.0), ("workers", -1), ("slo_target", 0.0),
+    ("slo_target", 1.0), ("profile_every", -1), ("max_dumps", -1),
+    ("abft_every", -1), ("scrub_interval_s", -1.0)])
+def test_server_config_refuses_out_of_range_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        ServerConfig(**{name: value})
     reg = ModelRegistry()
-    reg.register("a", "1", runner=StubPlan())
-    reg.register("b", "1", runner=StubPlan())
-    cfg = ServerConfig(max_batch=8, per_model={"b": {"max_batch": 2}})
-    with Server(reg, cfg) as srv:
-        for i in range(6):
-            srv.submit("a", stub_sample(i))
-            srv.submit("b", stub_sample(i))
-        time.sleep(0.3)
-        pa = srv.submit("a", stub_sample(9.0)).result(timeout=5)
-        pb = srv.submit("b", stub_sample(9.0)).result(timeout=5)
-    assert pa.ok and pb.ok
-    assert max(srv.stats()["b"]["mean_batch_size"], pb.batch_size) <= 2 + 1e-9
+    reg.register("stub", "1", runner=StubPlan())
+    with pytest.raises(ValueError, match=name):
+        Server(reg, **{name: value})
 
 
 def test_stats_report_latency_percentiles():

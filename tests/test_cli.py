@@ -193,6 +193,13 @@ class TestIntegrityCLI:
             main(["chaos", "--dir", str(tmp_path), "--rounds", rounds])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--requests", "--max-batch"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_serve_rejects_counts_below_one(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", flag, value])
+        assert exc.value.code == 2
+
 
 class TestCheckpoint:
     def test_roundtrip_with_metadata(self, tmp_path):
