@@ -16,8 +16,7 @@ from repro.core import DeploySpec, T2C
 from repro.core.qconfig import QConfig
 from repro.core.qmodels import quantize_model
 from repro.core.t2c import calibrate_model
-from repro.export.formats import load_tensor
-from repro.export.qint import load_qint
+from repro.export import read_tensor
 from repro.export.writer import export_model
 from repro.models import build_model
 from repro.trainer import Trainer, evaluate
@@ -61,12 +60,9 @@ class TestFig5Claims:
             if not entry["integer"]:
                 continue
             ref = state[name]
-            for fmt in ("dec", "hex", "bin"):
-                arr = load_tensor(os.path.join(out, entry["files"][fmt]),
-                                  fmt, entry["bits"], shape=entry["shape"])
-                np.testing.assert_array_equal(arr, ref, err_msg=f"{name}:{fmt}")
-            qarr, _ = load_qint(os.path.join(out, entry["files"]["qint"][:-4]))
-            np.testing.assert_array_equal(qarr, ref, err_msg=f"{name}:qint")
+            for fmt in ("dec", "hex", "bin", "qint"):
+                np.testing.assert_array_equal(read_tensor(out, name, fmt), ref,
+                                              err_msg=f"{name}:{fmt}")
             checked += 1
         assert checked > 20  # the whole model, not a token tensor
 
@@ -80,7 +76,7 @@ class TestFig5Claims:
                 continue
             n = int(np.prod(entry["shape"]))
             fp_bytes += n * 4
-            qint_bytes += os.path.getsize(os.path.join(out, entry["files"]["qint"]))
+            qint_bytes += entry["files"]["qint"]["bytes"]
         ratio = fp_bytes / qint_bytes
         rows.append(["weights", f"{fp_bytes/1e3:.1f} kB", f"{qint_bytes/1e3:.1f} kB", f"{ratio:.2f}x"])
         print_table("Fig 5: export formats / compression", ["tensors", "fp32", "qint", "ratio"], rows)
@@ -91,9 +87,11 @@ class TestFig5Claims:
         out, manifest = exported
         name, entry = next((n, e) for n, e in manifest["tensors"].items()
                            if e["integer"] and "weight" in n)
-        with open(os.path.join(out, entry["files"]["hex"])) as f:
-            widths = {len(line.strip()) for line in f if line.strip()}
-        assert len(widths) == 1  # $readmemh requires uniform words
+        sl = entry["files"]["hex"]
+        with open(os.path.join(out, sl["file"]), "rb") as f:
+            f.seek(sl["offset"])
+            lines = f.read(sl["bytes"]).decode().splitlines()
+        assert len({len(line) for line in lines}) == 1  # $readmemh requires uniform words
 
     def test_manifest_complete(self, deployed, exported):
         _, manifest = exported

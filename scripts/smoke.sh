@@ -202,6 +202,14 @@ with open(os.path.join(out, "manifest.json")) as f:
 for manifest in (d.manifest, on_disk):
     assert {"plan_verification", "golden"} <= set(manifest), sorted(manifest)
 print("amended manifest OK: plan proof + golden set signed in")
+# one container per format + the manifest, and one layer read through
+# the container index matches the qint decode
+from repro.export import read_tensor
+files = sorted(os.listdir(out))
+assert len(files) <= 6, files
+np.testing.assert_array_equal(read_tensor(out, "stem.conv.weight", "hex"),
+                              read_tensor(out, "stem.conv.weight", "qint"))
+print(f"container layout OK: {len(files)} files, stem.conv.weight hex == qint")
 EOF
 python -m repro.cli verify-artifacts "$TEL_DIR/artifacts"
 python -m repro.cli chaos --dir "$TEL_DIR/artifacts" --seed 2024 --json \

@@ -24,11 +24,11 @@ catch it.  Five kinds:
   at-rest gate can see; the runtime SDC defense (ABFT, memory scrubbing,
   golden-vector probes) must quarantine the victim.
 
-``corrupt_header`` is deliberately the nastiest case: it rewrites a qint
-JSON header *and* patches the file's manifest checksum *and* re-signs the
-manifest digest, so every byte-level check passes and only the semantic
-header-vs-payload validation in :func:`repro.export.qint.load_qint` can
-catch it.
+``corrupt_header`` is deliberately the nastiest case: it rewrites one
+tensor's qint header inside the manifest *and* re-signs the manifest
+digest, so every byte-level check passes and only the semantic
+header-vs-payload validation in :func:`repro.export.qint.validate_header`
+can catch it.
 """
 from __future__ import annotations
 
@@ -36,20 +36,17 @@ import json
 import os
 import signal
 import threading
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 
 # ---------------------------------------------------------------- utilities
-def _artifact_files(export_dir: str, suffix: Optional[str] = None) -> List[str]:
-    """Sorted data files (manifest excluded) — the corruption targets."""
-    names = [n for n in sorted(os.listdir(export_dir))
-             if n != "manifest.json"
-             and os.path.isfile(os.path.join(export_dir, n))]
-    if suffix is not None:
-        names = [n for n in names if n.endswith(suffix)]
-    return names
+def _artifact_files(export_dir: str) -> List[str]:
+    """Sorted container files (manifest excluded) — the corruption targets."""
+    return [n for n in sorted(os.listdir(export_dir))
+            if n != "manifest.json"
+            and os.path.isfile(os.path.join(export_dir, n))]
 
 
 def _pick(rng: np.random.Generator, items: List):
@@ -114,32 +111,24 @@ _HEADER_MUTATIONS = (
 
 
 def corrupt_header(export_dir: str, rng: np.random.Generator) -> Dict:
-    """Rewrite a qint header to contradict its payload — with the
-    bookkeeping (file checksum, manifest digest) patched to match, so only
+    """Rewrite one tensor's qint header (it lives in the manifest) to
+    contradict its payload, and re-sign the manifest digest, so only
     semantic header validation can reject it."""
-    from repro.export.integrity import manifest_digest, sha256_file
+    from repro.export.integrity import manifest_digest
 
-    headers = _artifact_files(export_dir, suffix=".qint.json")
-    if not headers:
+    manifest = _read_manifest(export_dir)
+    names = [n for n, e in sorted(manifest["tensors"].items())
+             if "qint" in e.get("files", {})]
+    if not names:
         raise ValueError("corrupt_header needs a qint export "
-                         "(no *.qint.json in the artifact dir)")
-    fname = _pick(rng, headers)
-    path = os.path.join(export_dir, fname)
-    with open(path) as f:
-        header = json.load(f)
+                         "(no qint slice in the manifest)")
+    name = _pick(rng, names)
     mutation, apply = _HEADER_MUTATIONS[
         int(rng.integers(len(_HEADER_MUTATIONS)))]
-    apply(header)
-    with open(path, "w") as f:
-        json.dump(header, f, indent=2)
-    manifest = _read_manifest(export_dir)
-    sums = manifest.get("checksums", {})
-    if fname in sums:
-        sums[fname] = {"sha256": sha256_file(path),
-                       "bytes": os.path.getsize(path)}
+    apply(manifest["tensors"][name]["files"]["qint"]["header"])
     manifest["digest"] = manifest_digest(manifest)
     _write_manifest(export_dir, manifest)
-    return {"file": fname, "mutation": mutation}
+    return {"tensor": name, "mutation": mutation}
 
 
 #: manifest mutations stale_manifest draws from (digest NOT re-signed)

@@ -513,6 +513,7 @@ def cmd_chaos(args) -> int:
     import tempfile
 
     from repro.chaos import ChaosPlan
+    from repro.export.integrity import read_manifest
 
     seed_everything(args.seed)
     tmp = None
@@ -530,7 +531,7 @@ def cmd_chaos(args) -> int:
             sample = np.ascontiguousarray(test.images[0], dtype=np.float32)
 
         plan = ChaosPlan.default("artifact", args.seed, rounds=args.rounds)
-        if not any(f.endswith(".qint.json") for f in os.listdir(export_dir)):
+        if "qint" not in read_manifest(export_dir).get("formats", ()):
             plan.schedule = [s for s in plan.schedule
                              if s[0] != "corrupt_header"]
             print("note: no qint artifacts in target; skipping "
@@ -727,8 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-artifacts",
                        help="audit an exported artifact directory: manifest "
-                            "digest, per-file checksums, header/payload "
-                            "consistency (exit 2 on failure)")
+                            "digest, container and slice checksums, "
+                            "header/payload consistency (exit 2 on failure)")
     p.add_argument("dir", help="artifact directory (contains manifest.json)")
     p.add_argument("--shallow", action="store_true",
                    help="checksums + manifest only; skip per-tensor decode")

@@ -6,8 +6,12 @@ verification consumes:
 * ``dec`` — plain decimal integers, one per line;
 * ``hex`` — two's-complement hexadecimal words (``$readmemh``-ready);
 * ``bin`` — two's-complement binary words (``$readmemb``-ready);
-* ``qint`` — packed little-endian int8/int16/int32 binary with a JSON side
-  file carrying the scale metadata (the ``torch.qint`` analogue).
+* ``qint`` — packed little-endian int8/int16/int32 binary whose header
+  (shape, bits, scale) sits in the manifest (the ``torch.qint`` analogue).
+
+An export directory holds one container file per format plus a signed
+``manifest.json`` indexing every tensor's slice; :func:`read_tensor` reads
+one layer through that index.
 """
 from repro.export.formats import (
     to_twos_complement,
@@ -19,7 +23,7 @@ from repro.export.formats import (
     save_tensor,
     load_tensor,
 )
-from repro.export.qint import pack_qint, unpack_qint, save_qint, load_qint
+from repro.export.qint import pack_qint, unpack_qint
 from repro.export.errors import (
     ArtifactError,
     ChecksumMismatch,
@@ -33,7 +37,7 @@ from repro.export.integrity import (
     load_state_dict,
     manifest_digest,
     read_manifest,
-    sha256_file,
+    read_tensor,
     verify_artifacts,
 )
 from repro.export.writer import export_model, export_state_dict
@@ -44,11 +48,11 @@ __all__ = [
     "to_twos_complement", "from_twos_complement",
     "format_hex", "format_bin", "parse_hex", "parse_bin",
     "save_tensor", "load_tensor",
-    "pack_qint", "unpack_qint", "save_qint", "load_qint",
+    "pack_qint", "unpack_qint",
     "ArtifactError", "TruncatedArtifact", "ChecksumMismatch",
     "HeaderMismatch", "StaleManifest",
     "IntegrityReport", "MANIFEST_SCHEMA", "verify_artifacts",
-    "load_state_dict", "read_manifest", "manifest_digest", "sha256_file",
+    "load_state_dict", "read_manifest", "read_tensor", "manifest_digest",
     "export_model", "export_state_dict",
     "model_size_mb", "compression_report",
     "PEArraySpec", "unroll_matrix", "unroll_conv_weight", "write_banks", "reassemble",

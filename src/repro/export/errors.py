@@ -1,7 +1,7 @@
 """Typed failure hierarchy for the artifact lifecycle.
 
 Every way a deploy artifact can be bad gets its own exception class so that
-callers (``load_qint``, ``verify_artifacts``, ``ModelRegistry``, the CLI)
+callers (``read_tensor``, ``verify_artifacts``, ``ModelRegistry``, the CLI)
 can reject corrupted tensors with a precise, catchable error instead of a
 numpy reshape traceback.  Each class carries the stable ``integrity.*`` rule
 id its finding is reported under, so exceptions and

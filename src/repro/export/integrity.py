@@ -1,18 +1,24 @@
 """Artifact integrity: checksummed manifests and the verified load path.
 
-The export writer stamps every artifact directory with a SHA-256 digest per
-file plus a digest over the manifest's own canonical content (schema v2).
-This module is the *read side* of that contract:
+An export directory (manifest schema 3) holds one container file per
+format (:data:`CONTAINERS`) plus ``manifest.json``.  The manifest indexes
+every tensor's slice of each container — ``{"file", "offset", "bytes",
+"sha256"}``, plus the qint header for a ``qint`` slice — records a SHA-256
+digest per container, and signs its own canonical content.  This module is
+the *read side* of that contract:
 
 * :func:`verify_artifacts` — audit a directory end to end (manifest schema
-  and digest, per-file checksums, payload-vs-header consistency for every
-  format, cross-format agreement) and report typed ``integrity.*`` findings
-  through the same :class:`~repro.lint.findings.Finding` model the static
-  verifier uses;
+  and digest, per-container checksums and, on a damaged container, per-slice
+  checksums, payload-vs-header consistency for every format, cross-format
+  agreement), reading each container once, and report typed ``integrity.*``
+  findings through the same :class:`~repro.lint.findings.Finding` model the
+  static verifier uses;
+* :func:`read_tensor` — read one tensor's slice through the index, checked
+  against its own digest, without reading any other slice;
 * :func:`load_state_dict` — read the tensors back, verifying first by
   default, raising a typed :class:`~repro.export.errors.ArtifactError`
   instead of silently accepting corrupted bytes;
-* the digest/checksum helpers shared with the writer.
+* the digest helpers shared with the writer.
 
 A silently corrupted or half-written artifact defeats the "bit-exact from
 training to chip" hand-off, so everything downstream — ``deploy()``,
@@ -30,15 +36,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.export.errors import (ArtifactError, HeaderMismatch,
-                                 StaleManifest, TruncatedArtifact,
-                                 error_for_rule)
+from repro.export.errors import (ArtifactError, ChecksumMismatch,
+                                 HeaderMismatch, StaleManifest,
+                                 TruncatedArtifact, error_for_rule)
+from repro.export.formats import decode_words
+from repro.export.qint import unpack_qint
 from repro.lint.findings import (Finding, findings_summary, findings_to_json,
                                  has_errors, make_finding, render_findings,
                                  sort_findings)
 
-#: current manifest schema; v1 manifests (pre-checksum) fail verification
-MANIFEST_SCHEMA = 2
+#: current manifest schema; older manifests (per-tensor files) fail
+#: verification as stale
+MANIFEST_SCHEMA = 3
+
+#: format -> the container file holding every tensor's slice in it
+CONTAINERS = {"dec": "tensors.dec", "hex": "tensors.hex",
+              "bin": "tensors.bin", "qint": "tensors.qint",
+              "float": "tensors.float.txt"}
 
 #: order in which load_state_dict picks a source format for a tensor
 _PREFERRED_FORMATS = ("qint", "dec", "hex", "bin")
@@ -47,30 +61,6 @@ _PREFERRED_FORMATS = ("qint", "dec", "hex", "bin")
 # --------------------------------------------------------------- primitives
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def sha256_file(path: str, chunk: int = 1 << 20) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        while True:
-            block = f.read(chunk)
-            if not block:
-                break
-            h.update(block)
-    return h.hexdigest()
-
-
-def file_checksums(out_dir: str) -> Dict[str, Dict]:
-    """``{filename: {"sha256": ..., "bytes": ...}}`` for every regular file
-    in ``out_dir`` except the manifest itself (which carries the digest)."""
-    sums: Dict[str, Dict] = {}
-    for name in sorted(os.listdir(out_dir)):
-        path = os.path.join(out_dir, name)
-        if name == "manifest.json" or not os.path.isfile(path):
-            continue
-        sums[name] = {"sha256": sha256_file(path),
-                      "bytes": os.path.getsize(path)}
-    return sums
 
 
 def manifest_digest(manifest: Dict) -> str:
@@ -162,13 +152,15 @@ def read_manifest(out_dir: str) -> Dict:
 def verify_artifacts(out_dir: str, deep: bool = True) -> IntegrityReport:
     """Audit an export directory; never raises for content problems.
 
-    Checks, in order: manifest presence/schema/digest; per-file existence,
-    size and SHA-256 against the recorded checksums; (with ``deep``) every
-    tensor decoded from every format — element count vs declared shape,
-    values within the declared bit-width, qint header consistency — and
-    cross-format agreement.  Returns an :class:`IntegrityReport` whose
-    findings use stable ``integrity.*`` rule ids;
-    ``report.raise_if_failed()`` converts the worst one into its typed
+    Checks, in order: manifest presence/schema/digest; per-container
+    existence, size and SHA-256 against the recorded checksums — on a
+    damaged container, each slice against its own digest, so a finding
+    names the tensor whose bytes changed; (with ``deep``) every intact
+    slice decoded — element count vs declared shape, values within the
+    declared bit-width, qint header consistency — and cross-format
+    agreement.  Each container is read once.  Returns an
+    :class:`IntegrityReport` whose findings use stable ``integrity.*`` rule
+    ids; ``report.raise_if_failed()`` converts the worst one into its typed
     :class:`~repro.export.errors.ArtifactError`.
     """
     report = IntegrityReport(out_dir=out_dir)
@@ -179,34 +171,23 @@ def verify_artifacts(out_dir: str, deep: bool = True) -> IntegrityReport:
             make_finding(exc.rule, "manifest.json", str(exc)))
         return report
 
+    tensors = manifest.get("tensors", {})
+    members: Dict[str, List[Tuple[str, str, Dict]]] = {}
+    for name, entry in tensors.items():
+        for fmt, sl in entry.get("files", {}).items():
+            if isinstance(sl, dict):
+                members.setdefault(sl.get("file"), []).append((name, fmt, sl))
     checksums = manifest.get("checksums", {})
-    damaged = set()
+    blobs: Dict[str, bytes] = {}
+    damaged: set = set()        # (tensor, fmt) whose slice is unusable
     for fname, meta in checksums.items():
         report.files_checked += 1
-        path = os.path.join(out_dir, fname)
-        if not os.path.isfile(path):
-            report.findings.append(make_finding(
-                "integrity.missing-file", fname,
-                "file listed in the manifest is missing on disk"))
-            damaged.add(fname)
-            continue
-        size = os.path.getsize(path)
-        if size != meta.get("bytes"):
-            rule = ("integrity.truncated" if size < meta.get("bytes", 0)
-                    else "integrity.checksum-mismatch")
-            report.findings.append(make_finding(
-                rule, fname,
-                f"file holds {size} bytes, manifest records "
-                f"{meta.get('bytes')}"))
-            damaged.add(fname)
-            continue
-        actual = sha256_file(path)
-        if actual != meta.get("sha256"):
-            report.findings.append(make_finding(
-                "integrity.checksum-mismatch", fname,
-                f"file hashes to {actual[:12]}…, manifest records "
-                f"{str(meta.get('sha256'))[:12]}…"))
-            damaged.add(fname)
+        data, findings, bad = _check_container(out_dir, fname, meta,
+                                               members.get(fname, []))
+        report.findings.extend(findings)
+        damaged |= bad
+        if data is not None:
+            blobs[fname] = data
 
     listed = set(checksums) | {"manifest.json"}
     for fname in sorted(os.listdir(out_dir)):
@@ -215,88 +196,120 @@ def verify_artifacts(out_dir: str, deep: bool = True) -> IntegrityReport:
                 "integrity.unlisted-file", fname,
                 "file present on disk but not covered by the manifest"))
 
+    report.tensors_checked = len(tensors)
     if deep:
-        for name, entry in manifest.get("tensors", {}).items():
-            report.tensors_checked += 1
+        for name, entry in tensors.items():
             report.findings.extend(
-                _verify_tensor(out_dir, name, entry, damaged))
-    else:
-        report.tensors_checked = len(manifest.get("tensors", {}))
+                _verify_tensor(name, entry, blobs, damaged))
     report.findings = sort_findings(report.findings)
     return report
 
 
-def _decode_one(out_dir: str, fmt: str, fname: str, bits: int
-                ) -> Tuple[Optional[np.ndarray], Optional[Finding]]:
-    """Decode one artifact file (unreshaped); returns (flat array, finding)."""
-    from repro.export.formats import load_tensor
-    from repro.export.qint import load_qint
-
-    path = os.path.join(out_dir, fname)
+def _check_container(out_dir: str, fname: str, meta: Dict,
+                     members: List[Tuple[str, str, Dict]]
+                     ) -> Tuple[Optional[bytes], List[Finding], set]:
+    """Read one container and check it against its recorded checksum;
+    returns ``(bytes or None, findings, damaged (tensor, fmt) pairs)``."""
     try:
-        if fmt == "qint":
-            arr, header = load_qint(path[:-len(".bin")])
-            if int(header.get("bits", bits)) != bits:
-                return None, make_finding(
-                    "integrity.header-mismatch", fname,
-                    f"qint header declares {header.get('bits')} bits, "
-                    f"manifest declares {bits}")
-            return arr.reshape(-1), None
-        return load_tensor(path, fmt, bits), None
-    except ArtifactError as exc:
-        return None, make_finding(exc.rule, fname, str(exc))
-    except FileNotFoundError:
-        return None, make_finding("integrity.missing-file", fname,
-                                  "artifact file missing on disk")
-    except (ValueError, OSError) as exc:
-        return None, make_finding("integrity.header-mismatch", fname,
-                                  f"{fmt} artifact failed to decode: {exc}")
+        with open(os.path.join(out_dir, fname), "rb") as f:
+            data = f.read()
+    except OSError:
+        return None, [make_finding(
+            "integrity.missing-file", fname,
+            "file listed in the manifest is missing on disk")], \
+            {(name, fmt) for name, fmt, _ in members}
+    size, want = len(data), meta.get("bytes")
+    if size == want and sha256_bytes(data) == meta.get("sha256"):
+        return data, [], set()
+    findings, bad = [], set()
+    for name, fmt, sl in members:
+        try:
+            _check_slice(_slice_of(data, sl), sl)
+        except ArtifactError as exc:
+            findings.append(make_finding(exc.rule, f"{fname}:{name}",
+                                         f"{fmt} slice: {exc}"))
+            bad.add((name, fmt))
+    if not findings:    # the damage sits outside every slice
+        rule = ("integrity.truncated" if size < (want or 0)
+                else "integrity.checksum-mismatch")
+        findings.append(make_finding(
+            rule, fname, f"file holds {size} bytes hashing to "
+            f"{sha256_bytes(data)[:12]}…, manifest records {want} bytes "
+            f"hashing to {str(meta.get('sha256'))[:12]}…"))
+    return data, findings, bad
 
 
-def _verify_tensor(out_dir: str, name: str, entry: Dict,
+def _slice_of(data: bytes, sl: Dict) -> bytes:
+    """The bytes a manifest slice entry addresses (may come back short)."""
+    try:
+        offset, size = int(sl["offset"]), int(sl["bytes"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise HeaderMismatch(f"slice index entry is malformed: {exc!r}")
+    if offset < 0 or size < 0:
+        raise HeaderMismatch(f"slice index entry has negative offset "
+                             f"{offset} or size {size}")
+    return data[offset:offset + size]
+
+
+def _check_slice(chunk: bytes, sl: Dict) -> None:
+    """Raise unless ``chunk`` is the full slice and hashes to its digest."""
+    if len(chunk) < int(sl["bytes"]):
+        raise TruncatedArtifact(f"slice holds {len(chunk)} of its "
+                                f"{sl['bytes']} bytes")
+    got = sha256_bytes(chunk)
+    if got != sl.get("sha256"):
+        raise ChecksumMismatch(f"slice hashes to {got[:12]}…, manifest "
+                               f"records {str(sl.get('sha256'))[:12]}…")
+
+
+def decode_slice(chunk: bytes, fmt: str, entry: Dict,
+                  sl: Dict) -> np.ndarray:
+    """Decode one slice to a flat array; typed raises only."""
+    try:
+        if fmt == "float":
+            return np.array(chunk.split()).astype(np.float64)
+        bits = int(entry["bits"])
+        if fmt != "qint":
+            return decode_words(chunk, fmt, bits)
+        header = sl.get("header")
+        if not isinstance(header, dict):
+            raise HeaderMismatch(f"qint header is not an object: {header!r}")
+        if int(header.get("bits", bits)) != bits:
+            raise HeaderMismatch(f"qint header declares {header.get('bits')} "
+                                 f"bits, manifest declares {bits}")
+        return unpack_qint(chunk, header).reshape(-1)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise HeaderMismatch(f"{fmt} slice failed to decode: {exc}")
+
+
+def _verify_tensor(name: str, entry: Dict, blobs: Dict[str, bytes],
                    damaged: set) -> List[Finding]:
     """Semantic checks for one tensor across all of its exported formats."""
     findings: List[Finding] = []
     shape = tuple(int(s) for s in entry.get("shape", []))
-    count = int(math.prod(shape)) if shape else 1
-    if not entry.get("integer", False):
-        fname = entry.get("files", {}).get("float")
-        if fname and fname not in damaged:
-            try:
-                arr = np.loadtxt(os.path.join(out_dir, fname), ndmin=1)
-            except (ValueError, OSError) as exc:
-                findings.append(make_finding(
-                    "integrity.header-mismatch", fname,
-                    f"float artifact failed to parse: {exc}"))
-            else:
-                if arr.size != count:
-                    findings.append(make_finding(
-                        "integrity.header-mismatch", fname,
-                        f"float artifact holds {arr.size} values, manifest "
-                        f"shape {list(shape)} needs {count}"))
-        return findings
-
-    bits = int(entry.get("bits", 32))
-    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    count = int(math.prod(shape))
     decoded: Dict[str, np.ndarray] = {}
-    for fmt, fname in entry.get("files", {}).items():
-        if fname in damaged:
+    for fmt, sl in entry.get("files", {}).items():
+        if (name, fmt) in damaged:
             continue        # byte-level finding already recorded
-        arr, finding = _decode_one(out_dir, fmt, fname, bits)
-        if finding is not None:
-            findings.append(finding)
+        fname = sl.get("file") if isinstance(sl, dict) else None
+        where = f"{fname}:{name}"
+        if fname not in blobs:
+            findings.append(make_finding(
+                "integrity.missing-file", where,
+                f"{fmt} slice points into a file the manifest does not "
+                f"checksum"))
+            continue
+        try:
+            arr = decode_slice(_slice_of(blobs[fname], sl), fmt, entry, sl)
+        except ArtifactError as exc:
+            findings.append(make_finding(exc.rule, where, str(exc)))
             continue
         if arr.size != count:
             findings.append(make_finding(
-                "integrity.header-mismatch", fname,
-                f"{fmt} artifact holds {arr.size} values, manifest shape "
+                "integrity.header-mismatch", where,
+                f"{fmt} slice holds {arr.size} values, manifest shape "
                 f"{list(shape)} needs {count}"))
-            continue
-        if arr.size and (int(arr.min()) < lo or int(arr.max()) > hi):
-            findings.append(make_finding(
-                "integrity.header-mismatch", fname,
-                f"{fmt} values span [{int(arr.min())}, {int(arr.max())}], "
-                f"outside the declared {bits}-bit range"))
             continue
         decoded[fmt] = arr
     if len(decoded) > 1:
@@ -312,6 +325,50 @@ def _verify_tensor(out_dir: str, name: str, entry: Dict,
 
 
 # -------------------------------------------------------------- load path
+def read_tensor(out_dir: str, name: str, fmt: str) -> np.ndarray:
+    """Read one tensor through the container index: seek to its ``fmt``
+    slice, check the slice's SHA-256, decode it.  No other slice is read.
+
+    Integer formats come back as ``int64``, ``"float"`` as ``float32``, in
+    the manifest shape; damage raises a typed :class:`ArtifactError`.
+    """
+    return _read_tensor(out_dir, read_manifest(out_dir), name, fmt)
+
+
+def _read_tensor(out_dir: str, manifest: Dict, name: str,
+                 fmt: str) -> np.ndarray:
+    if name not in manifest["tensors"]:
+        raise KeyError(f"no tensor {name!r} in {out_dir}")
+    entry = manifest["tensors"][name]
+    files = entry.get("files", {})
+    if fmt not in files:
+        raise TruncatedArtifact(f"tensor {name!r} has no {fmt} slice (have "
+                                f"{sorted(files)})", path=out_dir)
+    sl = files[fmt]
+    path = os.path.join(out_dir, str(sl.get("file")))
+    try:
+        try:
+            with open(path, "rb") as f:
+                f.seek(int(sl["offset"]))
+                chunk = f.read(int(sl["bytes"]))
+        except OSError:
+            raise TruncatedArtifact(f"{fmt} container missing")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise HeaderMismatch(f"slice index entry is malformed: {exc!r}")
+        _check_slice(chunk, sl)
+        arr = decode_slice(chunk, fmt, entry, sl)
+        shape = tuple(int(s) for s in entry["shape"])
+        if arr.size != math.prod(shape):
+            raise HeaderMismatch(
+                f"{fmt} slice decodes to {arr.size} values, manifest shape "
+                f"{list(shape)} needs {math.prod(shape)}")
+    except ArtifactError as exc:
+        exc.path = exc.path or f"{path}:{name}"
+        raise
+    return arr.reshape(shape).astype(np.float32 if fmt == "float"
+                                      else np.int64)
+
+
 def load_state_dict(out_dir: str, verify: bool = True,
                     prefer: Sequence[str] = _PREFERRED_FORMATS
                     ) -> Dict[str, np.ndarray]:
@@ -319,43 +376,22 @@ def load_state_dict(out_dir: str, verify: bool = True,
 
     With ``verify`` (default), the directory is audited first and the worst
     finding raised as its typed :class:`ArtifactError` — a corrupted tensor
-    can never be silently loaded.  Integer tensors come back as ``int64``
-    in the first available format from ``prefer``; float tensors as
-    ``float32``.
+    can never be silently loaded.  Every tensor is then read with
+    :func:`read_tensor`: integer tensors as ``int64`` from the first
+    available format in ``prefer``, float tensors as ``float32``.
     """
     if verify:
         verify_artifacts(out_dir).raise_if_failed()
     manifest = read_manifest(out_dir)
-    checksums = manifest.get("checksums", {})
     state: Dict[str, np.ndarray] = {}
     for name, entry in manifest["tensors"].items():
-        shape = tuple(int(s) for s in entry["shape"])
         files = entry.get("files", {})
-        if not entry.get("integer", False):
-            arr = np.loadtxt(os.path.join(out_dir, files["float"]), ndmin=1)
-            state[name] = arr.reshape(shape).astype(np.float32)
-            continue
-        fmt = next((f for f in prefer if f in files), None)
-        if fmt is None:
-            raise TruncatedArtifact(
-                f"tensor {name!r} has no loadable format (have "
-                f"{sorted(files)})", path=out_dir)
-        fname = files[fmt]
-        if fmt == "qint":
-            from repro.export.qint import load_qint
-
-            sha = checksums.get(fname, {}).get("sha256")
-            arr, _ = load_qint(os.path.join(out_dir, fname)[:-len(".bin")],
-                               payload_sha256=sha if verify else None)
-        else:
-            from repro.export.formats import load_tensor
-
-            arr = load_tensor(os.path.join(out_dir, fname), fmt,
-                              int(entry["bits"]))
-        if arr.size != int(math.prod(shape) if shape else 1):
-            raise HeaderMismatch(
-                f"tensor {name!r} decodes to {arr.size} values, manifest "
-                f"shape {list(shape)} needs {math.prod(shape)}",
-                path=os.path.join(out_dir, fname))
-        state[name] = arr.reshape(shape).astype(np.int64)
+        fmt = "float"
+        if entry.get("integer", False):
+            fmt = next((f for f in prefer if f in files), None)
+            if fmt is None:
+                raise TruncatedArtifact(
+                    f"tensor {name!r} has no loadable format (have "
+                    f"{sorted(files)})", path=out_dir)
+        state[name] = _read_tensor(out_dir, manifest, name, fmt)
     return state

@@ -1,28 +1,26 @@
 """Packed integer container: the ``torch.qint8`` analogue.
 
 Integer tensors are stored as little-endian ``int8``/``int16``/``int32``
-payloads with a JSON header carrying shape, dtype and scale metadata; a model
-is a single ``.qint.npz``-style directory with one payload per tensor.
+payloads with a header carrying shape, dtype and scale metadata.  In an
+export directory every payload is one 64-byte-aligned slice of the
+``tensors.qint`` container and its header sits in the tensor's manifest
+entry, under the manifest digest.
 
-The load path is *hardened*: before any reshape, the header is validated
+The decode path is *hardened*: before any reshape, the header is validated
 against the payload (element count, container dtype, declared bit range) and
 every inconsistency raises a typed :class:`~repro.export.errors.ArtifactError`
 subclass — :class:`HeaderMismatch` for metadata that disagrees with the
-bytes, :class:`TruncatedArtifact` for missing/short files,
-:class:`ChecksumMismatch` when an expected digest is supplied — never a
-bare numpy ``ValueError`` from a blind reshape.
+bytes, :class:`TruncatedArtifact` for a short payload — never a bare numpy
+``ValueError`` from a blind reshape.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.export.errors import (ChecksumMismatch, HeaderMismatch,
-                                 TruncatedArtifact)
+from repro.export.errors import HeaderMismatch, TruncatedArtifact
 
 _DTYPES = {8: np.int8, 16: np.int16, 32: np.int32}
 
@@ -99,57 +97,6 @@ def unpack_qint(payload: bytes, header: Dict) -> np.ndarray:
             f"payload values span [{int(arr.min())}, {int(arr.max())}], "
             f"outside the declared {bits}-bit range [{lo}, {hi}]")
     return arr.reshape(shape)
-
-
-def save_qint(path: str, x: np.ndarray, bits: int, scale: float = 1.0) -> None:
-    """Write ``<path>.bin`` + ``<path>.json``."""
-    payload, header = pack_qint(x, bits, scale)
-    with open(path + ".bin", "wb") as f:
-        f.write(payload)
-    with open(path + ".json", "w") as f:
-        json.dump(header, f, indent=2)
-
-
-def load_qint(path: str,
-              payload_sha256: Optional[str] = None) -> Tuple[np.ndarray, Dict]:
-    """Load and validate ``<path>.bin`` + ``<path>.json``.
-
-    ``payload_sha256`` (when given, e.g. from a manifest) is checked against
-    the payload bytes before decoding; every failure mode raises a typed
-    :class:`~repro.export.errors.ArtifactError` subclass.
-    """
-    try:
-        with open(path + ".json") as f:
-            raw = f.read()
-    except FileNotFoundError:
-        raise TruncatedArtifact("qint header file missing",
-                                path=path + ".json")
-    try:
-        header = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise HeaderMismatch(f"qint header is not valid JSON: {exc}",
-                             path=path + ".json")
-    if not isinstance(header, dict):
-        raise HeaderMismatch("qint header is not a JSON object",
-                             path=path + ".json")
-    try:
-        with open(path + ".bin", "rb") as f:
-            payload = f.read()
-    except FileNotFoundError:
-        raise TruncatedArtifact("qint payload file missing",
-                                path=path + ".bin")
-    if payload_sha256 is not None:
-        got = hashlib.sha256(payload).hexdigest()
-        if got != payload_sha256:
-            raise ChecksumMismatch(
-                f"qint payload hashes to {got[:12]}…, manifest records "
-                f"{payload_sha256[:12]}…", path=path + ".bin")
-    try:
-        return unpack_qint(payload, header), header
-    except (HeaderMismatch, TruncatedArtifact) as exc:
-        if exc.path is None:
-            exc.path = path + ".bin"
-        raise
 
 
 def dequantize(x: np.ndarray, header: Dict) -> np.ndarray:

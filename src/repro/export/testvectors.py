@@ -15,15 +15,9 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.qmodels import QConvBNReLU, QLinearUnit
-from repro.export.formats import format_hex
+from repro.export.formats import save_tensor
 from repro.tensor import no_grad
 from repro.tensor.tensor import Tensor
-
-
-def _write_hex(path: str, arr: np.ndarray, bits: int) -> None:
-    with open(path, "w") as f:
-        f.write("\n".join(format_hex(np.asarray(np.round(arr), dtype=np.int64).reshape(-1), bits)))
-        f.write("\n")
 
 
 def generate_unit_vectors(
@@ -84,9 +78,9 @@ def generate_unit_vectors(
             "out_range": [unit.mq.out_lo, unit.mq.out_hi],
         },
     }
-    _write_hex(os.path.join(out_dir, manifest["files"]["input"]), x, input_bits)
-    _write_hex(os.path.join(out_dir, manifest["files"]["weight"]), layer.wint.data, weight_bits)
-    _write_hex(os.path.join(out_dir, manifest["files"]["expected"]), y, output_bits)
+    save_tensor(os.path.join(out_dir, manifest["files"]["input"]), x, "hex", input_bits)
+    save_tensor(os.path.join(out_dir, manifest["files"]["weight"]), layer.wint.data, "hex", weight_bits)
+    save_tensor(os.path.join(out_dir, manifest["files"]["expected"]), y, "hex", output_bits)
     with open(os.path.join(out_dir, f"{name}_vectors.json"), "w") as f:
         json.dump(manifest, f, indent=2)
     return manifest

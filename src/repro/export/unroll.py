@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.export.formats import format_hex
+from repro.export.formats import save_tensor
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,8 @@ def write_banks(out_dir: str, name: str, banks: List[Dict], spec: PEArraySpec) -
     index = {"name": name, "spec": asdict(spec), "banks": []}
     for bank in banks:
         fname = f"{name}_r{bank['row']}_c{bank['col']}.hex"
-        lines = format_hex(bank["data"].reshape(-1), spec.word_bits)
-        with open(os.path.join(out_dir, fname), "w") as f:
-            f.write("\n".join(lines) + "\n")
+        save_tensor(os.path.join(out_dir, fname), bank["data"], "hex",
+                    spec.word_bits)
         index["banks"].append({"row": bank["row"], "col": bank["col"], "file": fname})
     with open(os.path.join(out_dir, f"{name}_banks.json"), "w") as f:
         json.dump(index, f, indent=2)

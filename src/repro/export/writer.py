@@ -1,20 +1,31 @@
-"""Model-level export: one file per tensor + manifest (paper Fig. 5).
+"""Model-level export: one container per format + manifest (paper Fig. 5).
 
-Every exported artifact is *validated*: the writer decodes each hex/bin/dec/
-qint file straight back off disk and compares against the source tensor
+Each requested format is one container file (``tensors.dec``,
+``tensors.hex``, ``tensors.bin``, ``tensors.qint``; non-integer tensors go
+to ``tensors.float.txt``) holding every tensor's slice, concatenated in
+manifest order.  Text slices are one word per line; ``qint`` slices are raw
+little-endian payloads, each starting on a :data:`QINT_ALIGN`-byte
+boundary so a read-only ``mmap`` can view them in place.  The manifest
+indexes every slice (``{"file", "offset", "bytes", "sha256"}``, plus the
+qint header) — an RTL consumer reads one layer with
+:func:`repro.export.integrity.read_tensor` without touching the rest.
+
+Every exported artifact is *validated*: the writer decodes each slice
+straight back off disk and compares against the source tensor
 (``export.roundtrip-mismatch`` on any difference), and a tensor whose values
 need more bits than the ``bits_map`` declared produces an
 ``export.width-overflow`` WARN — plus a ``export_width_overflow`` telemetry
-WARNING event and a ``widened_from`` manifest note — while the files are
+WARNING event and a ``widened_from`` manifest note — while the slices are
 widened to a safe word size.  The findings ride in the manifest under
 ``"lint"`` so downstream reports can embed them.
 
-Exports are *atomic* and *checksummed* (manifest schema v2): everything is
-written into a ``<out_dir>.tmp-<pid>`` staging directory, fsynced, and
-published with a single ``rename`` — a crash at any point leaves either the
-previous artifact set or nothing, never a partially-visible directory.  The
-manifest records a SHA-256 digest per file plus a digest over its own
-canonical content, which :func:`repro.export.integrity.verify_artifacts`
+Exports are *atomic* and *checksummed* (manifest schema 3): every container
+is built in memory and written into a ``<out_dir>.tmp-<pid>`` staging
+directory with one ``open`` and one fsync, and the directory is published
+with a single ``rename`` — a crash at any point leaves either the previous
+artifact set or nothing, never a partially-visible directory.  The manifest
+records a SHA-256 digest per container and per slice plus a digest over its
+own canonical content, which :func:`repro.export.integrity.verify_artifacts`
 checks on the load side.
 """
 from __future__ import annotations
@@ -26,24 +37,27 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.export.formats import bits_needed, load_tensor, save_tensor
-from repro.export.integrity import (MANIFEST_SCHEMA, file_checksums,
-                                    manifest_digest)
-from repro.export.qint import load_qint, save_qint
+from repro.export.errors import ArtifactError
+from repro.export.formats import bits_needed, encode_words
+from repro.export.integrity import (CONTAINERS, MANIFEST_SCHEMA,
+                                    decode_slice, manifest_digest,
+                                    sha256_bytes)
+from repro.export.qint import pack_qint
 from repro.lint.findings import Finding, findings_summary, findings_to_json, make_finding
 from repro.nn.module import Module
 from repro.telemetry import emit as _emit
 from repro.telemetry import trace as _trace
 
+#: every qint slice starts on a multiple of this many bytes
+QINT_ALIGN = 64
 
-def _fsync_file(path: str) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - fsync unsupported on this fs
-        pass
-    finally:
-        os.close(fd)
+
+def _write_file(path: str, data: bytes) -> None:
+    """Write one staged file and fsync it before closing."""
+    with open(path, "wb") as f:
+        f.write(data)
+        f.flush()
+        os.fsync(f.fileno())
 
 
 def _fsync_dir(path: str) -> None:
@@ -62,12 +76,11 @@ def _fsync_dir(path: str) -> None:
 def _publish(tmp_dir: str, out_dir: str) -> None:
     """Atomically move the fully-written staging dir onto ``out_dir``.
 
-    Every file (and the staging dir itself) is fsynced first, so the rename
-    is the single commit point: readers see the old artifact set, then the
-    complete new one — never a mix, never a partial write.
+    Every file was fsynced as it was written (:func:`_write_file`); the
+    staging dir itself is fsynced here, so the rename is the single commit
+    point: readers see the old artifact set, then the complete new one —
+    never a mix, never a partial write.
     """
-    for name in os.listdir(tmp_dir):
-        _fsync_file(os.path.join(tmp_dir, name))
     _fsync_dir(tmp_dir)
     if os.path.isdir(out_dir) and not os.path.islink(out_dir):
         shutil.rmtree(out_dir)
@@ -88,7 +101,7 @@ def export_state_dict(
 
     Non-integer tensors (e.g. the input quantizer scale, float-scale-mode
     MulQuants) are recorded in the manifest and stored as decimal floats.
-    Every artifact is decoded back and compared to the source tensor;
+    Every slice is decoded back off disk and compared to the source tensor;
     findings land in ``manifest["lint"]``.  The whole directory is staged
     and published with a single rename (see :func:`_publish`).
     """
@@ -99,12 +112,9 @@ def export_state_dict(
     os.makedirs(work_dir)
     try:
         manifest = _write_tensors(state, work_dir, formats, bits_map)
-        manifest["checksums"] = file_checksums(work_dir)
         manifest["digest"] = manifest_digest(manifest)
-        with open(os.path.join(work_dir, "manifest.json"), "w") as f:
-            json.dump(manifest, f, indent=2)
-            f.flush()
-            os.fsync(f.fileno())
+        _write_file(os.path.join(work_dir, "manifest.json"),
+                    json.dumps(manifest, indent=2).encode())
         _publish(work_dir, out_dir)
     except BaseException:
         shutil.rmtree(work_dir, ignore_errors=True)
@@ -125,10 +135,7 @@ def amend_manifest(out_dir: str, updates: Dict) -> Dict:
     manifest.update(updates)
     manifest["digest"] = manifest_digest(manifest)
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=2)
-        f.flush()
-        os.fsync(f.fileno())
+    _write_file(tmp, json.dumps(manifest, indent=2).encode())
     os.rename(tmp, path)
     _fsync_dir(os.path.dirname(path))
     return manifest
@@ -137,16 +144,26 @@ def amend_manifest(out_dir: str, updates: Dict) -> Dict:
 def _write_tensors(state: Dict[str, np.ndarray], out_dir: str,
                    formats: Sequence[str],
                    bits_map: Optional[Dict[str, int]]) -> Dict:
-    """Write every tensor's files into ``out_dir``; returns the manifest
-    body (checksums/digest are stamped by the caller once all bytes exist)."""
+    """Build every container in memory, write each once into ``out_dir``
+    and decode it back; returns the manifest body (the digest is stamped by
+    the caller)."""
     manifest = {"schema": MANIFEST_SCHEMA, "tensors": {},
                 "formats": list(formats)}
     findings: List[Finding] = []
+    blobs: Dict[str, bytearray] = {}
+
+    def append(fmt: str, data: bytes, align: int = 1) -> Dict:
+        buf = blobs.setdefault(fmt, bytearray())
+        buf += bytes(-len(buf) % align)
+        sl = {"file": CONTAINERS[fmt], "offset": len(buf),
+              "bytes": len(data), "sha256": sha256_bytes(data)}
+        buf += data
+        return sl
+
     for name, arr in state.items():
         arr = np.asarray(arr)
-        safe = name.replace(".", "_")
         entry = {"shape": list(arr.shape), "files": {}}
-        integral = bool(np.allclose(arr, np.round(arr))) and arr.size > 0
+        integral = arr.size > 0 and bool(np.array_equal(arr, np.round(arr)))
         entry["integer"] = integral
         if integral:
             declared = (bits_map or {}).get(name)
@@ -163,20 +180,25 @@ def _write_tensors(state: Dict[str, np.ndarray], out_dir: str,
                       widened_to=bits)
             entry["bits"] = bits
             for fmt in formats:
-                fname = f"{safe}.{fmt}"
                 if fmt == "qint":
-                    save_qint(os.path.join(out_dir, safe + ".qint"), arr, bits)
-                    entry["files"][fmt] = safe + ".qint.bin"
+                    payload, header = pack_qint(arr, bits)
+                    entry["files"][fmt] = dict(
+                        append(fmt, payload, QINT_ALIGN), header=header)
                 else:
-                    save_tensor(os.path.join(out_dir, fname), arr, fmt, bits)
-                    entry["files"][fmt] = fname
-                findings.extend(
-                    _verify_roundtrip(out_dir, safe, name, fmt, arr, bits))
+                    entry["files"][fmt] = append(
+                        fmt, encode_words(arr, fmt, bits))
         else:
-            fname = f"{safe}.float.txt"
-            np.savetxt(os.path.join(out_dir, fname), arr.reshape(-1))
-            entry["files"]["float"] = fname
+            flat = arr.reshape(-1).astype(np.float64).tolist()
+            entry["files"]["float"] = append(
+                "float", "".join(f"{v!r}\n" for v in flat).encode())
         manifest["tensors"][name] = entry
+
+    manifest["checksums"] = {}
+    for fmt, buf in blobs.items():
+        _write_file(os.path.join(out_dir, CONTAINERS[fmt]), buf)
+        manifest["checksums"][CONTAINERS[fmt]] = {
+            "sha256": sha256_bytes(buf), "bytes": len(buf)}
+    findings.extend(_verify_roundtrip(out_dir, manifest["tensors"], state))
     manifest["lint"] = {
         "summary": findings_summary(findings),
         "findings": findings_to_json(findings),
@@ -184,28 +206,36 @@ def _write_tensors(state: Dict[str, np.ndarray], out_dir: str,
     return manifest
 
 
-def _verify_roundtrip(out_dir: str, safe: str, name: str, fmt: str,
-                      arr: np.ndarray, bits: int) -> List[Finding]:
-    """Decode one artifact back off disk and compare against the source."""
-    from repro.export.errors import ArtifactError
-
-    try:
-        if fmt == "qint":
-            decoded, _ = load_qint(os.path.join(out_dir, safe + ".qint"))
-            decoded = decoded.reshape(arr.shape)
-        else:
-            decoded = load_tensor(os.path.join(out_dir, f"{safe}.{fmt}"),
-                                  fmt, bits, shape=arr.shape)
-    except (ValueError, OSError, ArtifactError) as exc:
-        return [make_finding("export.roundtrip-mismatch", name,
-                             f"{fmt} artifact failed to decode: {exc}")]
-    src = np.asarray(np.round(arr), dtype=np.int64)
-    if not np.array_equal(decoded, src):
-        bad = int(np.count_nonzero(decoded != src))
-        return [make_finding(
-            "export.roundtrip-mismatch", name,
-            f"{fmt} artifact decodes to {bad} differing value(s) of {src.size}")]
-    return []
+def _verify_roundtrip(out_dir: str, tensors: Dict,
+                      state: Dict[str, np.ndarray]) -> List[Finding]:
+    """Read each written container back off disk once and decode every
+    integer slice in it against its source tensor."""
+    findings: List[Finding] = []
+    disk: Dict[str, bytes] = {}
+    for name, entry in tensors.items():
+        if not entry["integer"]:
+            continue
+        src = np.asarray(state[name], dtype=np.int64).reshape(-1)
+        for fmt, sl in entry["files"].items():
+            try:
+                if sl["file"] not in disk:
+                    with open(os.path.join(out_dir, sl["file"]), "rb") as f:
+                        disk[sl["file"]] = f.read()
+                chunk = disk[sl["file"]][sl["offset"]:sl["offset"] + sl["bytes"]]
+                decoded = decode_slice(chunk, fmt, entry, sl)
+            except (OSError, ArtifactError) as exc:
+                findings.append(make_finding(
+                    "export.roundtrip-mismatch", name,
+                    f"{fmt} slice failed to decode: {exc}"))
+                continue
+            if not np.array_equal(decoded, src):
+                bad = (int(np.count_nonzero(decoded != src))
+                       if decoded.shape == src.shape else src.size)
+                findings.append(make_finding(
+                    "export.roundtrip-mismatch", name,
+                    f"{fmt} slice decodes to {bad} differing value(s) of "
+                    f"{src.size}"))
+    return findings
 
 
 def export_model(model: Module, spec) -> Dict:

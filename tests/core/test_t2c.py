@@ -101,6 +101,6 @@ class TestExportIntegration:
         T2C(qm, spec=DeploySpec(export_dir=str(tmp_path / "out"),
                                 formats=("dec", "hex", "qint"))).nn2chip()
         assert (tmp_path / "out" / "manifest.json").exists()
-        files = os.listdir(tmp_path / "out")
-        assert any(f.endswith(".hex") for f in files)
-        assert any(f.endswith(".qint.bin") for f in files)
+        assert sorted(os.listdir(tmp_path / "out")) == [
+            "manifest.json", "tensors.dec", "tensors.float.txt",
+            "tensors.hex", "tensors.qint"]

@@ -1,5 +1,6 @@
 """Packed qint container."""
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.export.errors import (ChecksumMismatch, HeaderMismatch,
                                  TruncatedArtifact)
-from repro.export.qint import (dequantize, load_qint, pack_qint, save_qint,
-                               unpack_qint, validate_header)
+from repro.export.qint import (dequantize, pack_qint, unpack_qint,
+                               validate_header)
 
 
 class TestPack:
@@ -43,109 +44,132 @@ class TestPack:
 
 class TestFiles:
     def test_save_load(self, tmp_path, rng):
+        from repro.export import read_tensor
+        from repro.export.writer import export_state_dict
+
         x = rng.integers(-128, 128, (5, 5))
-        save_qint(str(tmp_path / "w"), x, bits=8, scale=0.1)
-        back, header = load_qint(str(tmp_path / "w"))
-        np.testing.assert_array_equal(back, x)
-        assert header["scale"] == pytest.approx(0.1)
+        manifest = export_state_dict({"w": x.astype(np.float32)},
+                                     str(tmp_path), formats=("qint",))
+        np.testing.assert_array_equal(read_tensor(str(tmp_path), "w", "qint"),
+                                      x)
+        header = manifest["tensors"]["w"]["files"]["qint"]["header"]
+        assert header["scale"] == pytest.approx(1.0)
 
 
 class TestMangledHeaders:
-    """Regression: load_qint used to reshape() blindly off the header, so a
-    mangled header surfaced as a numpy ValueError (or worse, silently decoded
-    garbage).  Every inconsistency must now raise a typed ArtifactError."""
+    """Regression: the qint decode used to reshape() blindly off the header,
+    so a mangled header surfaced as a numpy ValueError (or worse, silently
+    decoded garbage).  The header now lives in the manifest; every
+    inconsistency — even one re-signed into the digest — must raise a
+    typed ArtifactError from ``read_tensor``."""
 
     def _saved(self, tmp_path, rng, bits=8):
+        from repro.export.writer import export_state_dict
+
         x = rng.integers(-100, 100, (4, 6))
-        save_qint(str(tmp_path / "w"), x, bits=bits)
-        return str(tmp_path / "w"), x
+        out = str(tmp_path / "art")
+        export_state_dict({"w": x.astype(np.float32)}, out,
+                          formats=("qint",), bits_map={"w": bits})
+        return out, x
 
     def _mangle(self, base, **edits):
-        with open(base + ".json") as f:
-            header = json.load(f)
+        from repro.export import manifest_digest
+
+        path = os.path.join(base, "manifest.json")
+        with open(path) as f:
+            manifest = json.load(f)
+        sl = manifest["tensors"]["w"]["files"]["qint"]
         for k, v in edits.items():
-            if v is None:
-                header.pop(k, None)
+            if k in ("header", "sha256"):
+                sl[k] = v
+            elif v is None:
+                sl["header"].pop(k, None)
             else:
-                header[k] = v
-        with open(base + ".json", "w") as f:
-            json.dump(header, f)
+                sl["header"][k] = v
+            if k == "bits":     # keep the entry agreeing with its header
+                manifest["tensors"]["w"]["bits"] = v
+        manifest["digest"] = manifest_digest(manifest)
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+
+    def _load(self, base):
+        from repro.export import read_tensor
+
+        return read_tensor(base, "w", "qint")
 
     def test_wrong_element_count_is_header_mismatch(self, tmp_path, rng):
         base, _ = self._saved(tmp_path, rng)
         self._mangle(base, shape=[4, 7])        # payload holds 24, header says 28
         with pytest.raises(TruncatedArtifact):
-            load_qint(base)
+            self._load(base)
         self._mangle(base, shape=[2, 6])        # payload longer than declared
         with pytest.raises(HeaderMismatch):
-            load_qint(base)
+            self._load(base)
 
     def test_missing_and_nonnumeric_fields(self, tmp_path, rng):
         base, _ = self._saved(tmp_path, rng)
         self._mangle(base, shape=None)
         with pytest.raises(HeaderMismatch):
-            load_qint(base)
+            self._load(base)
         self._mangle(base, shape=[4, "six"])
         with pytest.raises(HeaderMismatch):
-            load_qint(base)
+            self._load(base)
 
     def test_bits_out_of_container_range(self, tmp_path, rng):
         base, _ = self._saved(tmp_path, rng)
         self._mangle(base, bits=1)              # below the minimum of 2
         with pytest.raises(HeaderMismatch):
-            load_qint(base)
+            self._load(base)
         self._mangle(base, bits=12)             # wider than the 8-bit container
         with pytest.raises(HeaderMismatch):
-            load_qint(base)
+            self._load(base)
 
     def test_unknown_container_and_byteorder(self, tmp_path, rng):
         base, _ = self._saved(tmp_path, rng)
         self._mangle(base, stored_bits=12)
         with pytest.raises(HeaderMismatch):
-            load_qint(base)
+            self._load(base)
         self._mangle(base, stored_bits=8, byteorder="big")
         with pytest.raises(HeaderMismatch):
-            load_qint(base)
+            self._load(base)
 
     def test_values_outside_declared_bits(self, tmp_path, rng):
         base, _ = self._saved(tmp_path, rng, bits=8)
         self._mangle(base, bits=4)  # payload holds values beyond 4-bit range
         with pytest.raises(HeaderMismatch):
-            load_qint(base)
+            self._load(base)
 
     def test_truncated_payload(self, tmp_path, rng):
         base, _ = self._saved(tmp_path, rng)
-        import os
-        with open(base + ".bin", "r+b") as f:
-            f.truncate(os.path.getsize(base + ".bin") - 5)
+        path = os.path.join(base, "tensors.qint")
+        with open(path, "r+b") as f:
+            f.truncate(os.path.getsize(path) - 5)
         with pytest.raises(TruncatedArtifact):
-            load_qint(base)
+            self._load(base)
 
     def test_header_not_json(self, tmp_path, rng):
         base, _ = self._saved(tmp_path, rng)
-        with open(base + ".json", "w") as f:
-            f.write("{ not json")
+        self._mangle(base, header="{ not json")
         with pytest.raises(HeaderMismatch):
-            load_qint(base)
+            self._load(base)
 
-    def test_missing_files_are_truncated(self, tmp_path):
+    def test_missing_files_are_truncated(self, tmp_path, rng):
+        base, _ = self._saved(tmp_path, rng)
+        os.remove(os.path.join(base, "tensors.qint"))
         with pytest.raises(TruncatedArtifact):
-            load_qint(str(tmp_path / "ghost"))
+            self._load(base)
 
     def test_payload_checksum_enforced_when_given(self, tmp_path, rng):
         base, x = self._saved(tmp_path, rng)
-        from repro.export.integrity import sha256_file
-
-        good = sha256_file(base + ".bin")
-        back, _ = load_qint(base, payload_sha256=good)
-        np.testing.assert_array_equal(back, x)
+        np.testing.assert_array_equal(self._load(base), x)
+        self._mangle(base, sha256="0" * 64)
         with pytest.raises(ChecksumMismatch):
-            load_qint(base, payload_sha256="0" * 64)
+            self._load(base)
 
     def test_validate_header_accepts_clean(self, tmp_path, rng):
         base, x = self._saved(tmp_path, rng)
-        with open(base + ".json") as f:
-            header = json.load(f)
+        with open(os.path.join(base, "manifest.json")) as f:
+            header = json.load(f)["tensors"]["w"]["files"]["qint"]["header"]
         shape, bits, stored_bits, dtype = validate_header(
             header, payload_len=x.size)
         assert shape == (4, 6) and stored_bits == 8

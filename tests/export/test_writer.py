@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.export import load_state_dict, read_tensor, verify_artifacts
 from repro.export.report import compression_report, model_size_mb
 from repro.export.writer import export_state_dict
 from repro.models import build_model
@@ -19,13 +20,10 @@ class TestWriter:
         assert (tmp_path / "manifest.json").exists()
 
     def test_integer_tensor_roundtrip_via_files(self, tmp_path, rng):
-        from repro.export.formats import load_tensor
         x = rng.integers(-100, 100, (4, 4)).astype(np.float32)
-        manifest = export_state_dict({"w": x}, str(tmp_path), formats=("hex",))
-        entry = manifest["tensors"]["w"]
-        back = load_tensor(os.path.join(tmp_path, entry["files"]["hex"]),
-                           "hex", entry["bits"], shape=entry["shape"])
-        np.testing.assert_array_equal(back, x)
+        export_state_dict({"w": x}, str(tmp_path), formats=("hex",))
+        np.testing.assert_array_equal(read_tensor(str(tmp_path), "w", "hex"),
+                                      x)
 
     def test_float_tensor_flagged(self, tmp_path):
         manifest = export_state_dict({"scale": np.array([0.123], dtype=np.float32)}, str(tmp_path))
@@ -33,9 +31,13 @@ class TestWriter:
 
     def test_qint_format(self, tmp_path, rng):
         x = rng.integers(-8, 8, 10).astype(np.float32)
-        export_state_dict({"w": x}, str(tmp_path), formats=("qint",))
-        assert (tmp_path / "w.qint.bin").exists()
-        assert (tmp_path / "w.qint.json").exists()
+        manifest = export_state_dict({"w": x}, str(tmp_path),
+                                     formats=("qint",))
+        assert sorted(os.listdir(tmp_path)) == ["manifest.json",
+                                                "tensors.qint"]
+        header = manifest["tensors"]["w"]["files"]["qint"]["header"]
+        assert header == {"shape": [10], "bits": 4, "stored_bits": 8,
+                          "scale": 1.0, "byteorder": "little"}
 
     def test_manifest_json_parseable(self, tmp_path, rng):
         export_state_dict({"w": np.ones(4, dtype=np.float32)}, str(tmp_path))
@@ -53,7 +55,6 @@ class TestValidation:
         assert manifest["lint"]["summary"]["warnings"] == 0
 
     def test_declared_width_too_small_warns_and_widens(self, tmp_path, rng):
-        from repro.export.formats import load_tensor
         x = rng.integers(-100, 100, (4, 4)).astype(np.float32)
         x[0, 0] = 100  # needs 8 bits; declare only 4
         manifest = export_state_dict({"w": x}, str(tmp_path), formats=("hex",),
@@ -61,11 +62,9 @@ class TestValidation:
         rules = [f["rule"] for f in manifest["lint"]["findings"]]
         assert rules == ["export.width-overflow"]
         # files were widened, so they still decode exactly
-        entry = manifest["tensors"]["w"]
-        assert entry["bits"] >= 8
-        back = load_tensor(os.path.join(tmp_path, entry["files"]["hex"]),
-                           "hex", entry["bits"], shape=entry["shape"])
-        np.testing.assert_array_equal(back, x)
+        assert manifest["tensors"]["w"]["bits"] >= 8
+        np.testing.assert_array_equal(read_tensor(str(tmp_path), "w", "hex"),
+                                      x)
 
     def test_declared_width_sufficient_is_kept(self, tmp_path, rng):
         x = rng.integers(-8, 8, 6).astype(np.float32)
@@ -79,6 +78,62 @@ class TestValidation:
         manifest = export_state_dict({"w": x}, str(tmp_path),
                                      formats=("dec", "hex", "bin", "qint"))
         assert manifest["lint"]["findings"] == []
+
+
+    def test_near_integer_floats_are_not_rounded(self, tmp_path):
+        """Only exactly integral tensors take the integer path: a float a
+        hair away from an integer keeps its value."""
+        state = {"s": np.float32([123456.7, 2.0]),
+                 "t": np.float32([3.0000002]),
+                 "i": np.float32([3.0, -2.0])}
+        manifest = export_state_dict(state, str(tmp_path),
+                                     formats=("dec", "qint"))
+        kinds = {n: e["integer"] for n, e in manifest["tensors"].items()}
+        assert kinds == {"s": False, "t": False, "i": True}
+        assert verify_artifacts(str(tmp_path)).ok
+        back = load_state_dict(str(tmp_path))
+        for name, arr in state.items():
+            np.testing.assert_array_equal(back[name], arr)
+
+
+class TestContainerLayout:
+    """One container per format: the file and fsync counts do not grow
+    with the number of tensors."""
+
+    FORMATS = ("dec", "hex", "bin", "qint")
+
+    def _export_counting(self, tmp_path, monkeypatch, n, tag):
+        import repro.export.writer as writer
+
+        calls = []
+        real = os.fsync
+        monkeypatch.setattr(writer.os, "fsync",
+                            lambda fd: calls.append(fd) or real(fd))
+        rng = np.random.default_rng(n)
+        state = {f"t{i}.weight": rng.integers(-100, 100, (4, 3))
+                 .astype(np.float32) for i in range(n)}
+        out = tmp_path / tag
+        export_state_dict(state, str(out), formats=self.FORMATS)
+        assert verify_artifacts(str(out)).ok
+        return sorted(os.listdir(out)), len(calls)
+
+    def test_file_and_fsync_counts_do_not_grow(self, tmp_path, monkeypatch):
+        files3, syncs3 = self._export_counting(tmp_path, monkeypatch, 3, "a")
+        files60, syncs60 = self._export_counting(tmp_path, monkeypatch, 60,
+                                                 "b")
+        assert files3 == files60 == [
+            "manifest.json", "tensors.bin", "tensors.dec", "tensors.hex",
+            "tensors.qint"]
+        assert len(files60) <= 6
+        assert syncs3 == syncs60
+
+    def test_qint_slices_are_64_byte_aligned(self, tmp_path, rng):
+        state = {f"t{i}": rng.integers(-100, 100, 3 + i).astype(np.float32)
+                 for i in range(5)}
+        manifest = export_state_dict(state, str(tmp_path), formats=("qint",))
+        offsets = [e["files"]["qint"]["offset"]
+                   for e in manifest["tensors"].values()]
+        assert offsets == [0, 64, 128, 192, 256]
 
 
 class TestReport:

@@ -7,7 +7,7 @@ import pytest
 from repro.core import DeploySpec, T2C
 from repro.core.qconfig import QConfig
 from repro.data import make_dataset
-from repro.export.formats import load_tensor
+from repro.export import read_tensor
 from repro.export.writer import export_model
 from repro.models import build_model
 from repro.tensor import Tensor, no_grad
@@ -54,8 +54,8 @@ class TestFiveLineWorkflow:
         state = a["qnn"].state_dict()
         name = "stem.conv.weight"
         entry = manifest["tensors"][name]
-        hexed = load_tensor(os.path.join(a["out_dir"], entry["files"]["hex"]),
-                            "hex", entry["bits"], shape=entry["shape"])
+        hexed = read_tensor(a["out_dir"], name, "hex")
+        assert list(hexed.shape) == entry["shape"]
         np.testing.assert_array_equal(hexed, state[name])
 
     def test_hex_and_dec_encode_same_values(self, workflow_artifacts):
@@ -64,10 +64,9 @@ class TestFiveLineWorkflow:
             manifest = json.load(f)
         name = "stem.conv.weight"
         entry = manifest["tensors"][name]
-        hexed = load_tensor(os.path.join(a["out_dir"], entry["files"]["hex"]),
-                            "hex", entry["bits"], shape=entry["shape"])
-        dec = load_tensor(os.path.join(a["out_dir"], entry["files"]["dec"]),
-                          "dec", entry["bits"], shape=entry["shape"])
+        hexed = read_tensor(a["out_dir"], name, "hex")
+        dec = read_tensor(a["out_dir"], name, "dec")
+        assert list(dec.shape) == entry["shape"]
         np.testing.assert_array_equal(hexed, dec)
 
     def test_4bit_weights_within_range(self, workflow_artifacts):
@@ -88,8 +87,7 @@ class TestFiveLineWorkflow:
         for name, entry in manifest["tensors"].items():
             if not entry["integer"] or name not in own:
                 continue
-            arr = load_tensor(os.path.join(a["out_dir"], entry["files"]["dec"]),
-                              "dec", entry["bits"], shape=entry["shape"])
+            arr = read_tensor(a["out_dir"], name, "dec")
             own[name].data = arr.astype(own[name].data.dtype)
         x = Tensor(a["test"].images[:16])
         with no_grad():

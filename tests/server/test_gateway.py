@@ -380,7 +380,7 @@ def test_swap_refused_at_cutover_keeps_old_version_serving(tmp_path):
         while lane.swap_target is None and time.monotonic() < deadline:
             time.sleep(0.005)
         assert lane.swap_target == "2"
-        with open(f"{art}/w.dec", "ab") as f:
+        with open(f"{art}/tensors.dec", "ab") as f:
             f.write(b"bitrot")
         gate.release.set()
         swapper.join(timeout=20)

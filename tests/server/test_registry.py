@@ -85,7 +85,7 @@ def test_register_and_activate_verify_artifacts(tmp_path):
     bad = str(tmp_path / "bad")
     export_state_dict({"w": np.arange(-4, 4).astype(np.float32)}, bad,
                       formats=("dec", "qint"))
-    with open(f"{bad}/w.dec", "ab") as f:
+    with open(f"{bad}/tensors.dec", "ab") as f:
         f.write(b"corruption")
 
     reg = ModelRegistry()
@@ -108,7 +108,7 @@ def test_version_that_rots_after_registration_cannot_activate(tmp_path):
     reg = ModelRegistry()
     reg.register("m", "1", runner=StubPlan())
     reg.register("m", "2", runner=StubPlan(), artifacts=art)
-    with open(f"{art}/w.dec", "ab") as f:
+    with open(f"{art}/tensors.dec", "ab") as f:
         f.write(b"bitrot")
     with pytest.raises(ArtifactError):
         reg.set_active("m", "2")
@@ -129,7 +129,7 @@ def test_registry_verify_reports(tmp_path):
     assert reg.check("m@1", "set_active") is reg.get("m@1")
     # no artifacts -> nothing to audit
     assert reg.check("m@2", "swap").key == "m@2"
-    with open(f"{art}/w.dec", "ab") as f:
+    with open(f"{art}/tensors.dec", "ab") as f:
         f.write(b"bitrot")
     with telemetry.TelemetrySession(out_dir=None) as session:
         with pytest.raises(ArtifactError):

@@ -160,7 +160,7 @@ class TestIntegrityCLI:
     def test_verify_artifacts_corrupt_exits_two_with_json(self, tmp_path,
                                                           capsys):
         out = self._export_dir(tmp_path)
-        with open(os.path.join(out, "w.dec"), "ab") as f:
+        with open(os.path.join(out, "tensors.dec"), "ab") as f:
             f.write(b"junk")
         assert main(["verify-artifacts", out, "--json"]) == 2
         payload = json.loads(capsys.readouterr().out)
