@@ -67,6 +67,8 @@ for name in MODELS:
 EOF
 
 echo "== compiled runtime (plan vs interpreted tree) =="
+# includes tests/runtime/test_ckernel.py, which builds the portable
+# (non-VNNI) kernel body and runs registry plans on it bit-exact
 python -m pytest tests/runtime -q -m runtime
 
 echo "== thread counts (compiled plan at 1 and 4 threads vs the tree) =="
@@ -79,10 +81,12 @@ from repro.core.qconfig import QConfig
 from repro.core.qmodels import quantize_model
 from repro.core.t2c import calibrate_model
 from repro.models import MODELS, build_model
-from repro.runtime import CompileSpec, Plan
+from repro.runtime import CompileSpec, Plan, ckernel
 from repro.tensor import no_grad
 from repro.tensor.tensor import Tensor
 
+ck = ckernel.load()
+print(f"native kernel body: {ck.isa if ck else 'none (batch layout only)'}")
 KWARGS = {"resnet20": dict(width=8), "resnet18": dict(width=8),
           "resnet50": dict(width=8), "mobilenet-v1": dict(width_mult=0.5),
           "vgg8": dict(width_mult=0.5), "vit-7": dict(embed_dim=64)}

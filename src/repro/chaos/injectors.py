@@ -323,7 +323,7 @@ def fuse_illegal(plan, rng: np.random.Generator) -> Dict:
         conv.stride, conv.padding, conv.groups, conv.mq,
         conv.exact_reassoc, conv.bound, res_scale=1.0,
         res_lo=conv.mq.lo, res_hi=conv.mq.hi,
-        res_name=f"{conv.name}.illegal_residual")
+        res_name=f"{conv.name}.illegal_residual", native=conv.native)
     plan.ops[i] = fused
     _invalidate(plan)
     return {"op": i, "name": conv.name, "shortcut_reg": shortcut}
@@ -382,20 +382,26 @@ def flip_live_weights(fleet, model: str, rng: np.random.Generator,
                       delta: float = 8.0) -> Dict:
     """Corrupt one element of a victim replica's *live* packed weights.
 
-    The in-memory bit-flip failure mode: the packed kernel matrices the
-    conv loops read share memory with ``op.weight``, so the perturbation
-    changes what the replica actually serves from the next batch on — no
-    artifact, manifest or registry gate ever sees it.  Only the runtime
-    defenses can: the scrubber's CRC baseline no longer matches, sampled
-    ABFT checksum equality breaks, and golden-vector replays diverge.
+    The in-memory bit-flip failure mode: the packed int8 words the
+    integer conv kernel reads share memory with ``op.weight``, so the
+    perturbation changes what the replica actually serves from the next
+    batch on — no artifact, manifest or registry gate ever sees it.  Only
+    the runtime defenses can: the scrubber's CRC baseline no longer
+    matches, sampled ABFT checksum equality breaks, and golden-vector
+    replays diverge.
     """
     victim = _victim(fleet, model, rng, "flip_live_weights")
     plan = victim.registry.get(model).plan
     convs = [(i, op) for i, op in enumerate(plan.ops)
              if isinstance(getattr(op, "weight", None), np.ndarray)]
     i, op = _pick(rng, convs)
-    idx = int(rng.integers(op.weight.size))
-    op.weight.flat[idx] += delta
+    w = op.weight
+    idx = int(rng.integers(w.size))
+    old = float(w.flat[idx])
+    if (np.issubdtype(w.dtype, np.integer)
+            and old + delta > np.iinfo(w.dtype).max):
+        delta = -delta  # a packed int8 weight cannot hold old + delta
+    w.flat[idx] = old + delta
     return {"replica": victim.replica_id, "op": i, "name": op.name,
             "element": idx, "delta": delta}
 

@@ -51,8 +51,8 @@ def checksum_row_bound(weight: np.ndarray, bound: float) -> float:
     case of ``sum_o |acc_o|``, which dominates every partial sum on both
     sides of the checksum identity.
     """
-    w2d = np.abs(weight.reshape(weight.shape[0], -1)).astype(np.float64)
-    per_channel = w2d.sum(axis=1)
+    per_channel = np.abs(weight.reshape(weight.shape[0], -1)
+                         .astype(np.float64)).sum(axis=1)
     peak = float(per_channel.max(initial=0.0))
     if peak <= 0.0:
         return 0.0
@@ -77,18 +77,18 @@ def attach_checksums(plan) -> Dict[str, int]:
             skipped.append({"index": i, "name": op.name,
                             "reason": "not exact_reassoc"})
             continue
-        ck_bound = checksum_row_bound(op.weight, op.bound)
+        w = op.weight
+        wm = np.ascontiguousarray(w, dtype=np.float64).reshape(w.shape[0], -1)
+        o = wm.shape[0]
+        ck_bound = checksum_row_bound(wm, op.bound)
         if ck_bound >= EXACT_F64_LIMIT:
             skipped.append({"index": i, "name": op.name,
                             "reason": f"checksum bound {ck_bound:.3g} "
                                       f"reaches 2^53"})
             continue
-        o, cg, kh, kw = op.weight.shape
         g = op.groups
-        wm = op.weight.reshape(o, cg * kh * kw).astype(np.float64)
         # one checksum row per conv group: (g, 1, cg*kh*kw)
-        rows[i] = wm.reshape(g, o // g, cg * kh * kw).sum(
-            axis=1, keepdims=True)
+        rows[i] = wm.reshape(g, o // g, -1).sum(axis=1, keepdims=True)
     plan._abft_rows = rows
     plan._abft_skipped = skipped
     return {"attached": len(rows), "skipped": len(skipped)}
@@ -98,14 +98,16 @@ def read_register(arena, reg: int, limit: Optional[int] = None):
     """A register's batch-major ``(N, ...)`` value, or None if unavailable.
 
     In the ``channel`` layout feature maps live in channel-major padded
-    buffers; this transposes the valid center back.  ``limit`` slices the
-    leading sample axis (the checker verifies one sample, not the batch).
+    integer buffers; this transposes the valid center back to the float32
+    the interpreted datapath holds.  ``limit`` slices the leading sample
+    axis (the checker verifies one sample, not the batch).
     """
     if arena.layout == "channel" and reg in arena._cm_centers:
         c = arena._cm_centers[reg]
         if limit is not None:
             c = c[:, :limit]
-        return np.ascontiguousarray(c.transpose(1, 0, 2, 3))
+        return np.ascontiguousarray(c.transpose(1, 0, 2, 3),
+                                    dtype=np.float32)
     v = arena.regs[reg] if reg < len(arena.regs) else None
     if v is None:
         return None

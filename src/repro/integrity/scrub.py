@@ -30,18 +30,21 @@ from repro.integrity.errors import SDCDetected
 
 
 def _crc(arr: np.ndarray) -> int:
-    return zlib.crc32(np.ascontiguousarray(arr).tobytes()) & 0xFFFFFFFF
+    # crc32 reads the buffer in place; no bytes copy
+    return zlib.crc32(np.ascontiguousarray(arr)) & 0xFFFFFFFF
 
 
 def _constant_arrays(op):
     """``(path, ndarray)`` pairs of one op's immutable parameter arrays.
 
-    Walks the op's attributes generically: plain ndarrays (weights, LUT
-    tables) and MulQuant parameter snapshots (anything exposing ``m``/``b``
-    arrays) — so new op types are covered without registration.
+    Walks the op's instance attributes generically: plain ndarrays
+    (weights — a native conv's packed kernel words — and LUT tables) and
+    MulQuant parameter snapshots (anything exposing ``m``/``b`` arrays) —
+    so new op types are covered without registration.
     """
-    for name in sorted(vars(op)):
-        val = getattr(op, name)
+    state = vars(op)
+    for name in sorted(state):
+        val = state[name]
         if isinstance(val, np.ndarray):
             yield name, val
         elif (val is not None and hasattr(val, "m") and hasattr(val, "b")
@@ -53,7 +56,9 @@ def _constant_arrays(op):
 def _resolve(op, path: str) -> Optional[np.ndarray]:
     obj = op
     for part in path.split("."):
-        obj = getattr(obj, part, None)
+        # instance state first: a property may shadow the resident array
+        state = getattr(obj, "__dict__", {})
+        obj = state[part] if part in state else getattr(obj, part, None)
         if obj is None:
             return None
     return obj

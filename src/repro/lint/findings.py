@@ -95,6 +95,8 @@ RULES: Dict[str, tuple] = {
         ERROR, "requant scale is not an exact power of two (po2 deploy-mode precondition)"),
     "plan.checksum-overflow": (
         ERROR, "ABFT column-checksum accumulator can exceed the 2^53 exact-float64 limit, so checksum equality would not be sound"),
+    "plan.kernel-operand": (
+        ERROR, "a native-kernel conv's input codes do not fit 8 bits, its weights are not int8, or its int32 accumulator can overflow"),
     "plan.shape-mismatch": (
         ERROR, "op wiring inconsistent: register ids, shapes or operand dimensions disagree"),
     # -- engine bookkeeping (lint.*) -------------------------------------

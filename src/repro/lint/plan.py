@@ -20,6 +20,8 @@ pass verifies the thing that actually serves traffic — the compiled
   ``ConvMQOp``'s compile-time reassociation certificate (``exact_reassoc``/
   ``bound``) is re-derived from the verifier's own propagated input range —
   a stale or contradicted certificate is a ``plan.accum-overflow`` error —
+  a ``native`` conv's integer-kernel operands (8-bit input codes, int8
+  weights, int32-safe accumulator) are re-proved (``plan.kernel-operand``),
   and the rows are cross-checked against the module-level
   ``min_accum_bits`` proof when the caller provides it.
 * **shift-exactness** — a per-requant certificate whether the scale is an
@@ -50,7 +52,7 @@ from repro.lint.findings import (
 )
 from repro.lint.intervals import Interval, accum_bounds, min_signed_bits
 from repro.runtime.kernels import (EXACT_F32_LIMIT, EXACT_F64_LIMIT,
-                                   conv_reassociation_bound)
+                                   EXACT_I32_LIMIT)
 
 
 class PlanVerificationError(RuntimeError):
@@ -504,17 +506,28 @@ class _PlanVerifier:
         return Interval.grid(op.qlb, op.qub)
 
     def _h_conv_mq(self, i, op) -> Interval:
+        return self._requant(self._conv_accum(i, op), op.mq)
+
+    def _conv_accum(self, i, op) -> Interval:
+        """The conv proof shared by both conv kinds: accumulator row,
+        certificate, kernel operands and checksum width, all from one
+        float64 copy of the weights; returns the accumulator interval."""
         x = self._input(i, op).scalar()
         if op.padding:
             x = x.hull_zero()  # zero padding injects 0-codes into windows
-        w2d = op.weight.reshape(op.weight.shape[0], -1)
+        w = op.weight
+        w2d = np.ascontiguousarray(w, dtype=np.float64).reshape(w.shape[0],
+                                                                -1)
+        abs_rows = np.abs(w2d).sum(axis=1)
         acc = accum_bounds(w2d, x)
         self.record_accum(op.name, "conv_mq", acc)
-        self._check_conv_certificate(i, op, x)
-        self._check_checksum_width(i, op, x)
-        return self._requant(acc, op.mq)
+        self._check_conv_certificate(i, op, x, abs_rows)
+        self._check_kernel_operands(i, op, x, abs_rows)
+        self._check_checksum_width(i, op, x, abs_rows)
+        return acc
 
-    def _check_conv_certificate(self, i, op, x: Interval) -> None:
+    def _check_conv_certificate(self, i, op, x: Interval,
+                                abs_rows: np.ndarray) -> None:
         """Re-derive the compile-time reassociation certificate.
 
         The compiler stamped ``bound`` (worst-case accumulator magnitude
@@ -523,10 +536,11 @@ class _PlanVerifier:
         clamp-based one, so a re-derived bound that *exceeds* the stored
         certificate means the plan was mutated after compilation (e.g. an
         upstream scale widened); an ``exact_reassoc`` claim whose re-derived
-        bound reaches 2^24 would let the native kernel reassociate sums
-        float32 cannot represent exactly.
+        bound reaches 2^24 would let the native kernel's exact int32 sum
+        disagree with the float32 tree, whose GEMM rounds past 2^24.
         """
-        derived = conv_reassociation_bound(op.weight, x.bounds())
+        lo, hi = x.bounds()
+        derived = float(abs_rows.max(initial=0.0) * max(abs(lo), abs(hi)))
         if op.exact_reassoc and derived >= EXACT_F32_LIMIT:
             self.finding("plan.accum-overflow", self._site(i, op),
                          f"exact_reassoc certificate contradicted: re-derived "
@@ -539,7 +553,37 @@ class _PlanVerifier:
                          f"re-derives {derived:.0f} — the plan no longer "
                          f"matches what the compiler proved")
 
-    def _check_checksum_width(self, i, op, x: Interval) -> None:
+    def _check_kernel_operands(self, i, op, x: Interval,
+                               abs_rows: np.ndarray) -> None:
+        """Prove a ``native`` conv's operands are what the integer kernel
+        computes exactly: input codes of 8 bits (``uint8``, or ``int8``
+        that the kernel XOR-biases into ``uint8``), int8 weights (the type
+        of the resident packed array the kernel reads), and an int32
+        accumulator — the biased worst case is ``max_o sum_k |w_ok| * 255``,
+        which must stay below 2^31."""
+        if not getattr(op, "native", False):
+            return
+        site = self._site(i, op)
+        lo, hi = x.bounds()
+        if not (0 <= lo and hi <= 255) and not (-128 <= lo and hi <= 127):
+            self.finding("plan.kernel-operand", site,
+                         f"input codes [{lo:.0f}, {hi:.0f}] fit neither "
+                         f"uint8 nor int8; the integer kernel reads 8-bit "
+                         f"registers")
+        packed = vars(op)["weight"]
+        if packed.dtype != np.int8:
+            self.finding("plan.kernel-operand", site,
+                         f"weights held as {packed.dtype} (span "
+                         f"[{int(packed.min())}, {int(packed.max())}]); the "
+                         f"integer kernel multiplies int8 weights")
+        bound = float(abs_rows.max(initial=0.0) * 255.0)
+        if bound >= EXACT_I32_LIMIT:
+            self.finding("plan.kernel-operand", site,
+                         f"biased accumulator bound {bound:.0f} reaches the "
+                         f"2^31 int32 limit")
+
+    def _check_checksum_width(self, i, op, x: Interval,
+                              abs_rows: np.ndarray) -> None:
         """Prove the ABFT column-checksum accumulator float64-exact.
 
         The sampled verifier (:mod:`repro.integrity.abft`) sums the conv
@@ -553,10 +597,7 @@ class _PlanVerifier:
         error — the runtime would attach a checksum it cannot trust.
         """
         lo, hi = x.bounds()
-        amax = max(abs(lo), abs(hi))
-        w2d = np.abs(op.weight.astype(np.float64).reshape(
-            op.weight.shape[0], -1))
-        bound = float(w2d.sum() * amax)
+        bound = float(abs_rows.sum() * max(abs(lo), abs(hi)))
         eligible = bool(getattr(op, "exact_reassoc", False))
         safe = bound < EXACT_F64_LIMIT
         self.checksum_certs.append({
@@ -574,15 +615,7 @@ class _PlanVerifier:
         the unfused chain — conv accumulator row under the conv's name,
         residual accumulator row under the original residual op's name — so
         fusion changes no row the report (or the module cross-check) sees."""
-        x = self._input(i, op, 0).scalar()
-        if op.padding:
-            x = x.hull_zero()
-        w2d = op.weight.reshape(op.weight.shape[0], -1)
-        acc = accum_bounds(w2d, x)
-        self.record_accum(op.name, "conv_mq", acc)
-        self._check_conv_certificate(i, op, x)
-        self._check_checksum_width(i, op, x)
-        a = self._requant(acc, op.mq).scalar()
+        a = self._requant(self._conv_accum(i, op), op.mq).scalar()
         s = self._input(i, op, 1).scalar()
         if op.smq is not None:
             s = self._requant(s, op.smq).scalar()

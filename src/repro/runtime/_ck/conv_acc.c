@@ -1,309 +1,178 @@
-#include <stdint.h>
 #include <string.h>
 
-/* Register-blocked full-grid conv accumulation over channel-major planes.
+#include "ck.h"
+
+/* Integer conv accumulation over channel-major uint8/int8 registers.
  *
- * Accumulates up to 4 output channels of one conv over a contiguous block
- * of sample planes.  `base` points at the top-left tap of the first plane;
- * `offs[k]` are the K tap offsets relative to it (identical for every
- * group, because `base` already includes the group's channel base).  The
- * full padded grid is computed: every valid output position of every
- * sample in the block lives at a grid offset below R, and positions >= R
- * (which would read past the block or across a sample seam) are simply
- * never produced.
+ * Two loops share one contract: accumulate up to 8 output channels of one
+ * conv over a contiguous block of sample planes into int32 rows of
+ * `acc_stride` words.  The full padded grid is computed: every valid
+ * output position of every sample in the block lives at a grid offset
+ * below R, and positions >= R (which would read past the block or across a
+ * sample seam) are never produced.
  *
- * Weights and activations are integer-valued floats; the plan compiler
- * certified that every partial sum stays below 2^24, so all products and
- * sums here are exact regardless of association (this translation unit is
- * built with -ffp-contract=fast).
+ * conv_acc_words — the dense path.  `base` points at the top-left tap of
+ * the block's first plane in a channel-interleaved scratch: each int32 word
+ * holds the uint8 codes of 4 input channels at one grid position (see
+ * conv_interleave).  `offs[k]` are the word offsets of the K packed taps
+ * (channel quad, row, column) relative to it; `w` holds ob rows of K
+ * packed weight words (4 int8 per word, wstride words apart); `corr[u]` is
+ * subtracted from row u (128 * sum(w) when the input was XOR-biased from
+ * int8, else 0).
+ *
+ * conv_acc_planar — depthwise convs (fewer than 4 channels per group):
+ * a plain int32 loop straight over the planar register, no interleave.
+ *
+ * Every product is an 8x8-bit integer and every sum an int32; the plan
+ * compiler proved |acc| < 2^31, so the result is exact under any blocking,
+ * tiling or thread partition.
  */
 
-#if defined(__AVX512F__)
+#if defined(__AVX512F__) && defined(__AVX512VNNI__)
 #include <immintrin.h>
 
-void conv_acc_block(const float* base, const int64_t* offs,
-                    const float* w, int64_t K, int64_t wstride, int64_t ob,
-                    float* acc, int64_t acc_stride, int64_t R)
+int64_t conv_isa(void) { return 1; }
+
+/* one 32-lane x ob-channel tile: two activation vectors feed 2*ob
+ * vpdpbusd per packed tap; ob is a literal at the hot call site so the
+ * 16 accumulators stay in registers */
+static inline __attribute__((always_inline))
+void tile32(const int32_t* base, const int64_t* offs, const int32_t* w,
+            int64_t K, int64_t wstride, int64_t ob, const int32_t* corr,
+            int32_t* acc, int64_t acc_stride, int64_t t0,
+            __mmask16 m0, __mmask16 m1)
 {
-    int64_t t0 = 0;
-    /* full 64-float tiles: 16 accumulator registers live across the whole
-     * tap loop, 4 plane loads + 4 weight broadcasts feed 16 FMAs */
-    for (; t0 + 64 <= R; t0 += 64) {
-        __m512 a00 = _mm512_setzero_ps(), a01 = a00, a02 = a00, a03 = a00;
-        __m512 a10 = a00, a11 = a00, a12 = a00, a13 = a00;
-        __m512 a20 = a00, a21 = a00, a22 = a00, a23 = a00;
-        __m512 a30 = a00, a31 = a00, a32 = a00, a33 = a00;
-        if (ob == 4) {
-            for (int64_t k = 0; k < K; ++k) {
-                const float* s = base + offs[k] + t0;
-                const __m512 s0 = _mm512_loadu_ps(s);
-                const __m512 s1 = _mm512_loadu_ps(s + 16);
-                const __m512 s2 = _mm512_loadu_ps(s + 32);
-                const __m512 s3 = _mm512_loadu_ps(s + 48);
-                __m512 wb;
-                wb = _mm512_set1_ps(w[k]);
-                a00 = _mm512_fmadd_ps(wb, s0, a00);
-                a01 = _mm512_fmadd_ps(wb, s1, a01);
-                a02 = _mm512_fmadd_ps(wb, s2, a02);
-                a03 = _mm512_fmadd_ps(wb, s3, a03);
-                wb = _mm512_set1_ps(w[wstride + k]);
-                a10 = _mm512_fmadd_ps(wb, s0, a10);
-                a11 = _mm512_fmadd_ps(wb, s1, a11);
-                a12 = _mm512_fmadd_ps(wb, s2, a12);
-                a13 = _mm512_fmadd_ps(wb, s3, a13);
-                wb = _mm512_set1_ps(w[2 * wstride + k]);
-                a20 = _mm512_fmadd_ps(wb, s0, a20);
-                a21 = _mm512_fmadd_ps(wb, s1, a21);
-                a22 = _mm512_fmadd_ps(wb, s2, a22);
-                a23 = _mm512_fmadd_ps(wb, s3, a23);
-                wb = _mm512_set1_ps(w[3 * wstride + k]);
-                a30 = _mm512_fmadd_ps(wb, s0, a30);
-                a31 = _mm512_fmadd_ps(wb, s1, a31);
-                a32 = _mm512_fmadd_ps(wb, s2, a32);
-                a33 = _mm512_fmadd_ps(wb, s3, a33);
-            }
-        } else {
-            for (int64_t k = 0; k < K; ++k) {
-                const float* s = base + offs[k] + t0;
-                const __m512 s0 = _mm512_loadu_ps(s);
-                const __m512 s1 = _mm512_loadu_ps(s + 16);
-                const __m512 s2 = _mm512_loadu_ps(s + 32);
-                const __m512 s3 = _mm512_loadu_ps(s + 48);
-                __m512 wb = _mm512_set1_ps(w[k]);
-                a00 = _mm512_fmadd_ps(wb, s0, a00);
-                a01 = _mm512_fmadd_ps(wb, s1, a01);
-                a02 = _mm512_fmadd_ps(wb, s2, a02);
-                a03 = _mm512_fmadd_ps(wb, s3, a03);
-                if (ob > 1) {
-                    wb = _mm512_set1_ps(w[wstride + k]);
-                    a10 = _mm512_fmadd_ps(wb, s0, a10);
-                    a11 = _mm512_fmadd_ps(wb, s1, a11);
-                    a12 = _mm512_fmadd_ps(wb, s2, a12);
-                    a13 = _mm512_fmadd_ps(wb, s3, a13);
-                }
-                if (ob > 2) {
-                    wb = _mm512_set1_ps(w[2 * wstride + k]);
-                    a20 = _mm512_fmadd_ps(wb, s0, a20);
-                    a21 = _mm512_fmadd_ps(wb, s1, a21);
-                    a22 = _mm512_fmadd_ps(wb, s2, a22);
-                    a23 = _mm512_fmadd_ps(wb, s3, a23);
-                }
-            }
-        }
-        float* d = acc + t0;
-        _mm512_storeu_ps(d, a00);
-        _mm512_storeu_ps(d + 16, a01);
-        _mm512_storeu_ps(d + 32, a02);
-        _mm512_storeu_ps(d + 48, a03);
-        if (ob > 1) {
-            d = acc + acc_stride + t0;
-            _mm512_storeu_ps(d, a10);
-            _mm512_storeu_ps(d + 16, a11);
-            _mm512_storeu_ps(d + 32, a12);
-            _mm512_storeu_ps(d + 48, a13);
-        }
-        if (ob > 2) {
-            d = acc + 2 * acc_stride + t0;
-            _mm512_storeu_ps(d, a20);
-            _mm512_storeu_ps(d + 16, a21);
-            _mm512_storeu_ps(d + 32, a22);
-            _mm512_storeu_ps(d + 48, a23);
-        }
-        if (ob > 3) {
-            d = acc + 3 * acc_stride + t0;
-            _mm512_storeu_ps(d, a30);
-            _mm512_storeu_ps(d + 16, a31);
-            _mm512_storeu_ps(d + 32, a32);
-            _mm512_storeu_ps(d + 48, a33);
+    __m512i a[8][2];
+    for (int64_t u = 0; u < ob; ++u)
+        a[u][0] = a[u][1] = _mm512_setzero_si512();
+    for (int64_t k = 0; k < K; ++k) {
+        const int32_t* s = base + offs[k] + t0;
+        const __m512i s0 = _mm512_maskz_loadu_epi32(m0, s);
+        const __m512i s1 = _mm512_maskz_loadu_epi32(m1, s + 16);
+        for (int64_t u = 0; u < ob; ++u) {
+            const __m512i wb = _mm512_set1_epi32(w[u * wstride + k]);
+            a[u][0] = _mm512_dpbusd_epi32(a[u][0], s0, wb);
+            a[u][1] = _mm512_dpbusd_epi32(a[u][1], s1, wb);
         }
     }
-    /* masked tail: lanes past R neither fault nor get stored */
-    if (t0 < R) {
-        const int64_t rem = R - t0;
-        __mmask16 mk[4];
-        for (int v = 0; v < 4; ++v) {
-            const int64_t r = rem - 16 * v;
-            mk[v] = r >= 16 ? (__mmask16)0xFFFF
-                            : (r > 0 ? (__mmask16)((1u << r) - 1u) : 0);
-        }
-        __m512 a[4][4];
-        for (int u = 0; u < 4; ++u)
-            for (int v = 0; v < 4; ++v)
-                a[u][v] = _mm512_setzero_ps();
-        for (int64_t k = 0; k < K; ++k) {
-            const float* s = base + offs[k] + t0;
-            __m512 sv[4];
-            for (int v = 0; v < 4; ++v)
-                sv[v] = _mm512_maskz_loadu_ps(mk[v], s + 16 * v);
-            for (int64_t u = 0; u < ob; ++u) {
-                const __m512 wb = _mm512_set1_ps(w[u * wstride + k]);
-                for (int v = 0; v < 4; ++v)
-                    a[u][v] = _mm512_fmadd_ps(wb, sv[v], a[u][v]);
-            }
-        }
-        for (int64_t u = 0; u < ob; ++u)
-            for (int v = 0; v < 4; ++v)
-                _mm512_mask_storeu_ps(acc + u * acc_stride + t0 + 16 * v,
-                                      mk[v], a[u][v]);
+    for (int64_t u = 0; u < ob; ++u) {
+        const __m512i c = _mm512_set1_epi32(corr[u]);
+        int32_t* d = acc + u * acc_stride + t0;
+        _mm512_mask_storeu_epi32(d, m0, _mm512_sub_epi32(a[u][0], c));
+        _mm512_mask_storeu_epi32(d + 16, m1, _mm512_sub_epi32(a[u][1], c));
     }
 }
 
-/* 8-output-channel variant: 32-lane grid tiles x 8 channels keep the same
- * 16 live accumulators but read each activation lane once per 8 channels
- * instead of once per 4, halving activation streaming for convs with wide
- * enough groups.  Exactness is untouched — every partial sum is a <2^24
- * integer, so any register blocking produces identical bits. */
-void conv_acc_block8(const float* base, const int64_t* offs,
-                     const float* w, int64_t K, int64_t wstride, int64_t ob,
-                     float* acc, int64_t acc_stride, int64_t R)
+void conv_acc_words(const int32_t* base, const int64_t* offs,
+                    const int32_t* w, int64_t K, int64_t wstride, int64_t ob,
+                    const int32_t* corr, int32_t* acc, int64_t acc_stride,
+                    int64_t R)
 {
+    const __mmask16 full = (__mmask16)0xFFFF;
     int64_t t0 = 0;
     for (; t0 + 32 <= R; t0 += 32) {
-        if (ob == 8) {
-            __m512 a00 = _mm512_setzero_ps(), a01 = a00;
-            __m512 a10 = a00, a11 = a00, a20 = a00, a21 = a00;
-            __m512 a30 = a00, a31 = a00, a40 = a00, a41 = a00;
-            __m512 a50 = a00, a51 = a00, a60 = a00, a61 = a00;
-            __m512 a70 = a00, a71 = a00;
-            for (int64_t k = 0; k < K; ++k) {
-                const float* s = base + offs[k] + t0;
-                const __m512 s0 = _mm512_loadu_ps(s);
-                const __m512 s1 = _mm512_loadu_ps(s + 16);
-                __m512 wb;
-                wb = _mm512_set1_ps(w[k]);
-                a00 = _mm512_fmadd_ps(wb, s0, a00);
-                a01 = _mm512_fmadd_ps(wb, s1, a01);
-                wb = _mm512_set1_ps(w[wstride + k]);
-                a10 = _mm512_fmadd_ps(wb, s0, a10);
-                a11 = _mm512_fmadd_ps(wb, s1, a11);
-                wb = _mm512_set1_ps(w[2 * wstride + k]);
-                a20 = _mm512_fmadd_ps(wb, s0, a20);
-                a21 = _mm512_fmadd_ps(wb, s1, a21);
-                wb = _mm512_set1_ps(w[3 * wstride + k]);
-                a30 = _mm512_fmadd_ps(wb, s0, a30);
-                a31 = _mm512_fmadd_ps(wb, s1, a31);
-                wb = _mm512_set1_ps(w[4 * wstride + k]);
-                a40 = _mm512_fmadd_ps(wb, s0, a40);
-                a41 = _mm512_fmadd_ps(wb, s1, a41);
-                wb = _mm512_set1_ps(w[5 * wstride + k]);
-                a50 = _mm512_fmadd_ps(wb, s0, a50);
-                a51 = _mm512_fmadd_ps(wb, s1, a51);
-                wb = _mm512_set1_ps(w[6 * wstride + k]);
-                a60 = _mm512_fmadd_ps(wb, s0, a60);
-                a61 = _mm512_fmadd_ps(wb, s1, a61);
-                wb = _mm512_set1_ps(w[7 * wstride + k]);
-                a70 = _mm512_fmadd_ps(wb, s0, a70);
-                a71 = _mm512_fmadd_ps(wb, s1, a71);
-            }
-            float* d = acc + t0;
-            _mm512_storeu_ps(d, a00); _mm512_storeu_ps(d + 16, a01);
-            d = acc + acc_stride + t0;
-            _mm512_storeu_ps(d, a10); _mm512_storeu_ps(d + 16, a11);
-            d = acc + 2 * acc_stride + t0;
-            _mm512_storeu_ps(d, a20); _mm512_storeu_ps(d + 16, a21);
-            d = acc + 3 * acc_stride + t0;
-            _mm512_storeu_ps(d, a30); _mm512_storeu_ps(d + 16, a31);
-            d = acc + 4 * acc_stride + t0;
-            _mm512_storeu_ps(d, a40); _mm512_storeu_ps(d + 16, a41);
-            d = acc + 5 * acc_stride + t0;
-            _mm512_storeu_ps(d, a50); _mm512_storeu_ps(d + 16, a51);
-            d = acc + 6 * acc_stride + t0;
-            _mm512_storeu_ps(d, a60); _mm512_storeu_ps(d + 16, a61);
-            d = acc + 7 * acc_stride + t0;
-            _mm512_storeu_ps(d, a70); _mm512_storeu_ps(d + 16, a71);
-        } else {
-            __m512 a[8][2];
-            for (int64_t u = 0; u < ob; ++u)
-                a[u][0] = a[u][1] = _mm512_setzero_ps();
-            for (int64_t k = 0; k < K; ++k) {
-                const float* s = base + offs[k] + t0;
-                const __m512 s0 = _mm512_loadu_ps(s);
-                const __m512 s1 = _mm512_loadu_ps(s + 16);
-                for (int64_t u = 0; u < ob; ++u) {
-                    const __m512 wb = _mm512_set1_ps(w[u * wstride + k]);
-                    a[u][0] = _mm512_fmadd_ps(wb, s0, a[u][0]);
-                    a[u][1] = _mm512_fmadd_ps(wb, s1, a[u][1]);
-                }
-            }
-            for (int64_t u = 0; u < ob; ++u) {
-                float* d = acc + u * acc_stride + t0;
-                _mm512_storeu_ps(d, a[u][0]);
-                _mm512_storeu_ps(d + 16, a[u][1]);
-            }
-        }
+        if (ob == 8)
+            tile32(base, offs, w, K, wstride, 8, corr, acc, acc_stride, t0,
+                   full, full);
+        else
+            tile32(base, offs, w, K, wstride, ob, corr, acc, acc_stride, t0,
+                   full, full);
     }
     if (t0 < R) {
-        const int64_t rem = R - t0;
-        __mmask16 mk[2];
-        for (int v = 0; v < 2; ++v) {
-            const int64_t r = rem - 16 * v;
-            mk[v] = r >= 16 ? (__mmask16)0xFFFF
-                            : (r > 0 ? (__mmask16)((1u << r) - 1u) : 0);
-        }
-        __m512 a[8][2];
-        for (int64_t u = 0; u < ob; ++u)
-            a[u][0] = a[u][1] = _mm512_setzero_ps();
-        for (int64_t k = 0; k < K; ++k) {
-            const float* s = base + offs[k] + t0;
-            __m512 sv[2];
-            for (int v = 0; v < 2; ++v)
-                sv[v] = _mm512_maskz_loadu_ps(mk[v], s + 16 * v);
-            for (int64_t u = 0; u < ob; ++u) {
-                const __m512 wb = _mm512_set1_ps(w[u * wstride + k]);
-                for (int v = 0; v < 2; ++v)
-                    a[u][v] = _mm512_fmadd_ps(wb, sv[v], a[u][v]);
-            }
-        }
-        for (int64_t u = 0; u < ob; ++u)
-            for (int v = 0; v < 2; ++v)
-                _mm512_mask_storeu_ps(acc + u * acc_stride + t0 + 16 * v,
-                                      mk[v], a[u][v]);
+        /* masked tail: lanes past R neither fault nor get stored */
+        const int64_t r0 = R - t0, r1 = r0 - 16;
+        const __mmask16 m0 = r0 >= 16 ? full : (__mmask16)((1u << r0) - 1u);
+        const __mmask16 m1 = r1 >= 16 ? full
+                             : (r1 > 0 ? (__mmask16)((1u << r1) - 1u) : 0);
+        tile32(base, offs, w, K, wstride, ob, corr, acc, acc_stride, t0,
+               m0, m1);
     }
 }
 
-#else /* portable fallback: fused axpy passes, auto-vectorizable plain C */
+#else /* portable body: plain C int32, the same arithmetic */
 
-void conv_acc_block(const float* base, const int64_t* offs,
-                    const float* w, int64_t K, int64_t wstride, int64_t ob,
-                    float* acc, int64_t acc_stride, int64_t R)
+int64_t conv_isa(void) { return 0; }
+
+void conv_acc_words(const int32_t* base, const int64_t* offs,
+                    const int32_t* w, int64_t K, int64_t wstride, int64_t ob,
+                    const int32_t* corr, int32_t* acc, int64_t acc_stride,
+                    int64_t R)
 {
     for (int64_t u = 0; u < ob; ++u) {
-        float* restrict a = acc + u * acc_stride;
-        const float* wu = w + u * wstride;
-        memset(a, 0, (size_t)R * 4);
-        int64_t q = 0;
-        while (q < K) {
-            const int64_t g = (K - q >= 4) ? 4 : 1;
-            if (g == 4) {
-                const float* restrict s0 = base + offs[q];
-                const float* restrict s1 = base + offs[q + 1];
-                const float* restrict s2 = base + offs[q + 2];
-                const float* restrict s3 = base + offs[q + 3];
-                const float w0 = wu[q], w1 = wu[q + 1];
-                const float w2 = wu[q + 2], w3 = wu[q + 3];
-                for (int64_t t = 0; t < R; ++t)
-                    a[t] += (w0 * s0[t] + w1 * s1[t]) + (w2 * s2[t] + w3 * s3[t]);
-            } else {
-                const float* restrict s0 = base + offs[q];
-                const float w0 = wu[q];
-                for (int64_t t = 0; t < R; ++t)
-                    a[t] += w0 * s0[t];
-            }
-            q += g;
+        int32_t* restrict a = acc + u * acc_stride;
+        const int8_t* wu = (const int8_t*)(w + u * wstride);
+        for (int64_t t = 0; t < R; ++t)
+            a[t] = -corr[u];
+        for (int64_t k = 0; k < K; ++k) {
+            const uint8_t* restrict s = (const uint8_t*)(base + offs[k]);
+            const int32_t w0 = wu[4 * k], w1 = wu[4 * k + 1];
+            const int32_t w2 = wu[4 * k + 2], w3 = wu[4 * k + 3];
+            for (int64_t t = 0; t < R; ++t)
+                a[t] += (s[4 * t] * w0 + s[4 * t + 1] * w1)
+                        + (s[4 * t + 2] * w2 + s[4 * t + 3] * w3);
         }
     }
 }
-
-/* 8-channel entry point: two 4-channel passes (the portable path is
- * per-channel anyway, so the wider blocking buys nothing here). */
-void conv_acc_block8(const float* base, const int64_t* offs,
-                     const float* w, int64_t K, int64_t wstride, int64_t ob,
-                     float* acc, int64_t acc_stride, int64_t R)
-{
-    const int64_t lo = ob < 4 ? ob : 4;
-    conv_acc_block(base, offs, w, K, wstride, lo, acc, acc_stride, R);
-    if (ob > 4)
-        conv_acc_block(base, offs, w + 4 * wstride, K, wstride, ob - 4,
-                       acc + 4 * acc_stride, acc_stride, R);
-}
 #endif
+
+/* Gather one sample block of a group's planar uint8/int8 channel planes
+ * into the dense path's channel-interleaved words: word t of quad q holds
+ * channels 4q..4q+3 at block offset t, XOR 0x80 per byte when the
+ * register is signed (int8 -> biased uint8).  Channels past cg (zero
+ * weights) repeat the last real one.  `src` is channel cbase's plane at
+ * the block's first sample; planes are `cstep` bytes apart. */
+void conv_interleave(const uint8_t* src, int64_t cstep, int64_t cg,
+                     int64_t sgn, int64_t len, int32_t* dst, int64_t dstep)
+{
+    const uint32_t x = sgn ? 0x80808080u : 0u;
+    for (int64_t q = 0; 4 * q < cg; ++q) {
+        const uint8_t* s[4];
+        for (int64_t b = 0; b < 4; ++b) {
+            const int64_t c = 4 * q + b < cg ? 4 * q + b : cg - 1;
+            s[b] = src + c * cstep;
+        }
+        const uint8_t* restrict s0 = s[0];
+        const uint8_t* restrict s1 = s[1];
+        const uint8_t* restrict s2 = s[2];
+        const uint8_t* restrict s3 = s[3];
+        uint32_t* restrict d = (uint32_t*)(dst + q * dstep);
+        for (int64_t t = 0; t < len; ++t)
+            d[t] = ((uint32_t)s0[t] | ((uint32_t)s1[t] << 8)
+                    | ((uint32_t)s2[t] << 16) | ((uint32_t)s3[t] << 24)) ^ x;
+    }
+}
+
+/* Depthwise body: for each of ob output channels, sum cg x kh x kw taps of
+ * weight bytes `w + u * wrow` (packed (kh, kw, 4*quads) layout, channel
+ * fastest) over the planar register in 64-lane tiles. */
+#define PLANAR_LOOP(T)                                                      \
+    for (int64_t u = 0; u < ob; ++u) {                                      \
+        const int8_t* wu = w + u * wrow;                                    \
+        int32_t* au = acc + u * acc_stride;                                 \
+        for (int64_t t0 = 0; t0 < R; t0 += 64) {                            \
+            const int64_t n = R - t0 < 64 ? R - t0 : 64;                    \
+            int32_t a[64] = {0};                                            \
+            for (int64_t c = 0; c < cg; ++c)                                \
+                for (int64_t i = 0; i < kh; ++i)                            \
+                    for (int64_t j = 0; j < kw; ++j) {                      \
+                        const int32_t wv = wu[(i * kw + j) * cq + c];       \
+                        const T* restrict s = (const T*)base                \
+                            + c * cstep + i * Wp + j + t0;                  \
+                        for (int64_t t = 0; t < n; ++t)                     \
+                            a[t] += wv * s[t];                              \
+                    }                                                       \
+            memcpy(au + t0, a, (size_t)n * 4);                              \
+        }                                                                   \
+    }
+
+void conv_acc_planar(const void* base, int64_t sgn, int64_t cstep,
+                     int64_t cg, int64_t kh, int64_t kw, int64_t Wp,
+                     const int8_t* w, int64_t wrow, int64_t cq, int64_t ob,
+                     int32_t* acc, int64_t acc_stride, int64_t R)
+{
+    if (sgn) {
+        PLANAR_LOOP(int8_t)
+    } else {
+        PLANAR_LOOP(uint8_t)
+    }
+}

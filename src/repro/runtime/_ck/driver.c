@@ -1,117 +1,62 @@
 #include <pthread.h>
 #include <stdint.h>
+#include <stdlib.h>
 
-void conv_acc_block(const float*, const int64_t*, const float*,
-                    int64_t, int64_t, int64_t,
-                    float*, int64_t, int64_t);
-void conv_acc_block8(const float*, const int64_t*, const float*,
-                     int64_t, int64_t, int64_t,
-                     float*, int64_t, int64_t);
-void requant_rows(const float*, float*,
-                  int64_t, int64_t, int64_t,
-                  int64_t, int64_t, int64_t,
-                  int64_t, int64_t, int64_t,
-                  int64_t, int64_t,
-                  double, double, double, double);
-void residual_row(const float*, const float*, float*,
-                  int64_t, float, float, float);
-void fused_res_rows(const float*, const float*, float*,
-                    int64_t, int64_t, int64_t,
-                    int64_t, int64_t,
-                    int64_t, int64_t, int64_t,
-                    int64_t, int64_t, int64_t,
-                    int64_t, int64_t,
-                    double, double, double, double,
-                    int64_t, double, double,
-                    double, double,
-                    double, double, double);
+#include "ck.h"
 
 #define CK_MAX_TAPS 8192
 #define CK_MAX_THREADS 16
 
 /* Fused integer conv + MulQuant over channel-major padded registers.
  *
- * Input register P is (C, N, Hp, Wp) with the conv's zero padding baked
- * into the register border (in_off = register_pad - conv_pad positions in
- * from the edge).  Output register Q is (O, N, Hq, Wq); valid outputs land
- * in its center at out_off.  acc is caller-provided scratch of acc_len
- * floats (>= 4 * Hp * Wp).
+ * Input register P is (C, N, Hp, Wp) uint8 (or int8 when `sgn`) with the
+ * conv's zero padding baked into the register border (in_off =
+ * register_pad - conv_pad positions in from the edge).  Output register Q
+ * is (O, N, Hq, Wq) of element type qty; valid outputs land in its center
+ * at out_off.  w is the (O, kh*kw*cq/4) packed int32 weight matrix: per
+ * output channel, kh x kw taps of cq channel bytes (channels zero-padded
+ * to cq, a multiple of 4).  acc (acc_len int32) and scratch (sc_len int32)
+ * are caller-provided per-thread scratch.
  *
  * Samples are processed in blocks sized so one block's input planes stay
- * within L2; per block, each group of 4 output channels runs one
- * register-blocked accumulation over the whole block followed by the exact
- * requant epilogue.  The caller must reject convs with more than
- * CK_MAX_TAPS taps (returned via conv_mq_taps_cap).
+ * within L2; per block, the dense path interleaves the group's planes 4
+ * channels per word into the thread's scratch once, then each block of up
+ * to 8 output channels runs one register-blocked accumulation over the
+ * whole block followed by the exact requant epilogue.  `planar` convs
+ * (depthwise) read the register directly.  The caller must reject convs
+ * with more than CK_MAX_TAPS taps (returned via conv_mq_taps_cap).
  */
 int64_t conv_mq_taps_cap(void) { return CK_MAX_TAPS; }
-
-/* Standalone MulQuant over a channel-major register pair (identity
- * shortcuts, fused LayerNorm tables).  Reads the (H, W) center of each
- * input plane (border pad ps) and requantizes it into the center of the
- * output register at out_off, via the same exact epilogue as the conv. */
-void mulquant_cm(const float* P, int64_t ps,
-                 const double* m, int64_t mlen,
-                 const double* b, int64_t blen, double lo, double hi,
-                 float* Q, int64_t C, int64_t N, int64_t Hp, int64_t Wp,
-                 int64_t Hq, int64_t Wq, int64_t out_off,
-                 int64_t H, int64_t W)
-{
-    for (int64_t c = 0; c < C; ++c) {
-        const double mo = m[mlen > 1 ? c : 0];
-        const double bo = b[blen > 1 ? c : 0];
-        for (int64_t n = 0; n < N; ++n)
-            requant_rows(P + ((c * N + n) * Hp + ps) * Wp + ps, Q,
-                         c, n, N, Hp, Wp, 1, Hq, Wq, out_off, H, W,
-                         mo, bo, lo, hi);
-    }
-}
-
-/* Residual merge over channel-major registers: per plane row, the float32
- * add/divide/round/clip sequence of the interpreted datapath.  pa/psd/pq
- * are the three registers' border pads. */
-void residual_cm(const float* A, int64_t pa, const float* S, int64_t psd,
-                 float* Q, int64_t pq, float rs, float lo, float hi,
-                 int64_t C, int64_t N, int64_t H, int64_t W)
-{
-    const int64_t Wa = W + 2 * pa, Ha = H + 2 * pa;
-    const int64_t Ws = W + 2 * psd, Hs = H + 2 * psd;
-    const int64_t Wq = W + 2 * pq, Hq = H + 2 * pq;
-    for (int64_t c = 0; c < C; ++c)
-        for (int64_t n = 0; n < N; ++n)
-            for (int64_t y = 0; y < H; ++y)
-                residual_row(A + ((c * N + n) * Ha + y + pa) * Wa + pa,
-                             S + ((c * N + n) * Hs + y + psd) * Ws + psd,
-                             Q + ((c * N + n) * Hq + y + pq) * Wq + pq,
-                             W, rs, lo, hi);
-}
 
 /* ------------------------------------------------------------------------
  * Conv job: one conv (plain or fused-residual) over the whole batch,
  * decomposed into (sample block x output-channel block) tasks.  Tasks write
  * disjoint output regions, and every output element is produced by the very
- * same arithmetic whatever the task partition — the accumulation order
- * inside a task is fixed and the epilogues are elementwise — so any thread
- * count yields identical bits.
+ * same integer arithmetic whatever the task partition — the epilogues are
+ * elementwise — so any thread count yields identical bits.
  */
 typedef struct {
-    const float* P;
-    const float* w;
+    const uint8_t* P; int64_t sgn, planar;
+    const int32_t* w;
     const double* m; int64_t mlen;
     const double* b; int64_t blen;
     double lo, hi;
     /* fused residual tail (fused == 1) */
     int64_t fused;
-    const float* S;
+    const void* S; int64_t sty;
     const double* sm; int64_t smlen;
     const double* sb; int64_t sblen;
     double slo, shi; int64_t has_smq;
     double rs, rlo, rhi;
     int64_t Hs, Ws, s_off;
-    float* Q;
-    float* acc; int64_t acc_slot; /* floats per thread slot */
+    void* Q; int64_t qty;
+    int32_t* acc; int64_t acc_slot; /* int32 per thread slot */
+    int32_t* sc; int64_t sc_slot;
+    int64_t* held; /* per slot: sample block x group the scratch holds */
+    const uint8_t* pat; /* destination plane validity (conv_valid_pattern) */
     int64_t C, N, Hp, Wp, O, kh, kw, stride, in_off;
     int64_t Hq, Wq, out_off, OH, OW, groups;
-    int64_t splane, cg, og, K, maxbase, nb, n_blocks;
+    int64_t splane, cg, cq, og, K, maxbase, nb, n_blocks;
     const int64_t* offs;
     const int64_t* oblk; int64_t n_oblk; /* (o, ob) pairs */
     int64_t ntasks, threads;
@@ -125,37 +70,50 @@ static void ck_conv_task(const ck_conv_job* J, int64_t t, int64_t slot)
     const int64_t nbk = (n0 + J->nb <= J->N) ? J->nb : J->N - n0;
     const int64_t R = nbk * J->splane - J->maxbase;
     const int64_t o = J->oblk[2 * ci], ob = J->oblk[2 * ci + 1];
-    const int64_t cbase = (o / J->og) * J->cg;
-    const float* base = J->P + (cbase * J->N + n0) * J->splane
-                        + J->in_off * J->Wp + J->in_off;
-    float* acc = J->acc + slot * J->acc_slot;
-    if (ob > 4)
-        conv_acc_block8(base, J->offs, J->w + o * J->K, J->K, J->K, ob,
-                        acc, nbk * J->splane, R);
-    else
-        conv_acc_block(base, J->offs, J->w + o * J->K, J->K, J->K, ob,
-                       acc, nbk * J->splane, R);
-    for (int64_t u = 0; u < ob; ++u) {
-        const double mo = J->m[J->mlen > 1 ? o + u : 0];
-        const double bo = J->b[J->blen > 1 ? o + u : 0];
-        for (int64_t i = 0; i < nbk; ++i) {
-            const float* arow = acc + u * nbk * J->splane + i * J->splane;
-            if (!J->fused) {
-                requant_rows(arow, J->Q, o + u, n0 + i, J->N,
-                             J->Hp, J->Wp, J->stride, J->Hq, J->Wq,
-                             J->out_off, J->OH, J->OW, mo, bo, J->lo, J->hi);
-            } else {
-                const double smo = J->has_smq
-                    ? J->sm[J->smlen > 1 ? o + u : 0] : 0.0;
-                const double sbo = J->has_smq
-                    ? J->sb[J->sblen > 1 ? o + u : 0] : 0.0;
-                fused_res_rows(arow, J->S, J->Q, o + u, n0 + i, J->N,
-                               J->Wp, J->stride, J->Hq, J->Wq, J->out_off,
-                               J->Hs, J->Ws, J->s_off, J->OH, J->OW,
-                               mo, bo, J->lo, J->hi, J->has_smq, smo, sbo,
-                               J->slo, J->shi, J->rs, J->rlo, J->rhi);
+    const int64_t g = o / J->og;
+    const int64_t cstep = J->N * J->splane;
+    const int64_t first = J->in_off * J->Wp + J->in_off;
+    const uint8_t* block = J->P + (g * J->cg * J->N + n0) * J->splane;
+    int32_t* acc = J->acc + slot * J->acc_slot;
+    if (J->planar) {
+        conv_acc_planar(block + first, J->sgn, cstep, J->cg, J->kh, J->kw,
+                        J->Wp, (const int8_t*)(J->w + o * J->K), 4 * J->K,
+                        J->cq, ob, acc, nbk * J->splane, R);
+    } else {
+        int32_t* sc = J->sc + slot * J->sc_slot;
+        const int64_t key = bi * J->groups + g;
+        if (J->held[slot] != key) {
+            conv_interleave(block, cstep, J->cg, J->sgn, nbk * J->splane,
+                            sc, J->nb * J->splane);
+            J->held[slot] = key;
+        }
+        /* an XOR-biased input adds 128 * sum(w) to every accumulator */
+        int32_t corr[8] = {0};
+        if (J->sgn) {
+            for (int64_t u = 0; u < ob; ++u) {
+                const int8_t* wu = (const int8_t*)(J->w + (o + u) * J->K);
+                int32_t sum = 0;
+                for (int64_t k = 0; k < 4 * J->K; ++k)
+                    sum += wu[k];
+                corr[u] = 128 * sum;
             }
         }
+        conv_acc_words(sc + first, J->offs, J->w + o * J->K, J->K, J->K, ob,
+                       corr, acc, nbk * J->splane, R);
+    }
+    for (int64_t u = 0; u < ob; ++u) {
+        const int64_t oc = o + u;
+        ck_requant rq = {
+            J->m[J->mlen > 1 ? oc : 0], J->b[J->blen > 1 ? oc : 0],
+            J->lo, J->hi, J->has_smq,
+            J->has_smq ? J->sm[J->smlen > 1 ? oc : 0] : 0.0,
+            J->has_smq ? J->sb[J->sblen > 1 ? oc : 0] : 0.0,
+            J->slo, J->shi, J->rs, J->rlo, J->rhi};
+        conv_epilogue(acc + u * nbk * J->splane, nbk, J->splane, J->Hp,
+                      J->Wp, J->stride, J->Q, J->qty, oc, n0, J->N, J->Hq,
+                      J->Wq, J->out_off, J->OH, J->OW, J->pat,
+                      J->fused ? J->S : NULL, J->sty, J->Hs, J->Ws,
+                      J->s_off, &rq);
     }
 }
 
@@ -310,61 +268,62 @@ static void ck_run_job(ck_conv_job* J)
 
 /* Shared setup: tiling, tap offsets, oc-block table, dispatch.  `nb` is the
  * caller-chosen sample-block size (the runtime's fixed L2 budget); the
- * register blocking is 8-wide when the group width allows, else 4-wide;
- * `threads` is the worker count (clamped to what acc can seat). */
-static void ck_conv_run(ck_conv_job* J, int64_t acc_len, int64_t nb,
-                        int64_t threads)
+ * register blocking is 8 output channels, clamped at group ends; `threads`
+ * is the worker count (clamped to what the scratch can seat). */
+static void ck_conv_run(ck_conv_job* J, int64_t acc_len, int64_t sc_len,
+                        int64_t nb, int64_t threads)
 {
     const int64_t splane = J->Hp * J->Wp;
     const int64_t cg = J->C / J->groups;
+    const int64_t cq = (cg + 3) / 4 * 4;
     const int64_t og = J->O / J->groups;
-    const int64_t K = cg * J->kh * J->kw;
-    if (K > CK_MAX_TAPS || J->O > CK_MAX_TAPS)
+    const int64_t K = cq / 4 * J->kh * J->kw;
+    if (cg * J->kh * J->kw > CK_MAX_TAPS || J->O > CK_MAX_TAPS)
         return; /* Python gates both on conv_mq_taps_cap() */
-    int64_t ob_step = og >= 8 ? 8 : 4;
     if (nb < 1) nb = 1;
     if (nb > J->N) nb = J->N;
     if (threads < 1) threads = 1;
     if (threads > CK_MAX_THREADS) threads = CK_MAX_THREADS;
-    /* each thread slot must seat an (ob_step x nb x splane) accumulator */
+    /* each thread slot must seat an (8 x nb x splane) accumulator and, on
+     * the dense path, the block's (cq/4 x nb x splane) interleaved words */
     for (;;) {
-        const int64_t slot = acc_len / threads;
-        const int64_t cap = slot / (ob_step * splane);
+        const int64_t acc_cap = acc_len / threads / (8 * splane);
+        const int64_t sc_cap = J->planar ? nb
+                               : sc_len / threads / (cq / 4 * splane);
+        const int64_t cap = acc_cap < sc_cap ? acc_cap : sc_cap;
         if (cap >= 1) {
             if (nb > cap) nb = cap;
-            J->acc_slot = slot;
+            J->acc_slot = acc_len / threads;
+            J->sc_slot = sc_len / threads;
             break;
         }
         if (threads > 1) { threads = 1; continue; }
-        if (ob_step == 8) { ob_step = 4; continue; }
         return; /* scratch cannot seat even one plane — caller bug */
     }
     J->splane = splane;
     J->cg = cg;
+    J->cq = cq;
     J->og = og;
     J->K = K;
     J->maxbase = (J->in_off + J->kh - 1) * J->Wp + J->in_off + J->kw - 1;
     J->nb = nb;
     J->n_blocks = (J->N + nb - 1) / nb;
 
-    /* tap offsets relative to the block base, shared by every group */
+    /* packed-tap word offsets into the interleaved block, (row, column,
+     * channel quad) in the weight words' order */
     int64_t offs[CK_MAX_TAPS];
     {
-        int64_t cl = 0, ki = 0, kj = 0;
-        const int64_t cstep = J->N * splane;
-        for (int64_t k = 0; k < K; ++k) {
-            offs[k] = cl * cstep + ki * J->Wp + kj;
-            if (++kj == J->kw) {
-                kj = 0;
-                if (++ki == J->kh) { ki = 0; ++cl; }
-            }
-        }
+        int64_t k = 0;
+        for (int64_t ki = 0; ki < J->kh; ++ki)
+            for (int64_t kj = 0; kj < J->kw; ++kj)
+                for (int64_t q = 0; q < cq / 4; ++q)
+                    offs[k++] = q * nb * splane + ki * J->Wp + kj;
     }
-    /* output-channel blocks: ob_step channels, clamped at group and O ends */
+    /* output-channel blocks: 8 channels, clamped at group and O ends */
     int64_t oblk[2 * (CK_MAX_TAPS > 4096 ? CK_MAX_TAPS : 4096)];
     int64_t n_oblk = 0;
     for (int64_t o = 0; o < J->O;) {
-        int64_t ob = J->O - o < ob_step ? J->O - o : ob_step;
+        int64_t ob = J->O - o < 8 ? J->O - o : 8;
         const int64_t left = og - (o % og);
         if (ob > left) ob = left;
         oblk[2 * n_oblk] = o;
@@ -372,17 +331,29 @@ static void ck_conv_run(ck_conv_job* J, int64_t acc_len, int64_t nb,
         ++n_oblk;
         o += ob;
     }
+    int64_t held[CK_MAX_THREADS];
+    for (int64_t i = 0; i < CK_MAX_THREADS; ++i)
+        held[i] = -1;
+    uint8_t* pat = malloc((size_t)(J->Hq * J->Wq));
+    if (pat == NULL)
+        return;
+    conv_valid_pattern(pat, J->Hq, J->Wq, J->OH, J->OW);
+    J->pat = pat;
     J->offs = offs;
     J->oblk = oblk;
     J->n_oblk = n_oblk;
+    J->held = held;
     J->ntasks = J->n_blocks * n_oblk;
     J->threads = threads;
     ck_run_job(J);
+    free(pat);
 }
 
-void conv_mq_cm(const float* P, const float* w, const double* m, int64_t mlen,
+void conv_mq_cm(const uint8_t* P, int64_t sgn, int64_t planar,
+                const int32_t* w, const double* m, int64_t mlen,
                 const double* b, int64_t blen, double lo, double hi,
-                float* Q, float* acc, int64_t acc_len,
+                void* Q, int64_t qty, int32_t* acc, int64_t acc_len,
+                int32_t* sc, int64_t sc_len,
                 int64_t C, int64_t N, int64_t Hp, int64_t Wp,
                 int64_t O, int64_t kh, int64_t kw, int64_t stride,
                 int64_t in_off, int64_t Hq, int64_t Wq, int64_t out_off,
@@ -390,24 +361,28 @@ void conv_mq_cm(const float* P, const float* w, const double* m, int64_t mlen,
                 int64_t nb, int64_t threads)
 {
     ck_conv_job J = {0};
-    J.P = P; J.w = w; J.m = m; J.mlen = mlen; J.b = b; J.blen = blen;
+    J.P = P; J.sgn = sgn; J.planar = planar;
+    J.w = w; J.m = m; J.mlen = mlen; J.b = b; J.blen = blen;
     J.lo = lo; J.hi = hi;
     J.fused = 0;
-    J.Q = Q; J.acc = acc;
+    J.Q = Q; J.qty = qty; J.acc = acc; J.sc = sc;
     J.C = C; J.N = N; J.Hp = Hp; J.Wp = Wp; J.O = O;
     J.kh = kh; J.kw = kw; J.stride = stride; J.in_off = in_off;
     J.Hq = Hq; J.Wq = Wq; J.out_off = out_off; J.OH = OH; J.OW = OW;
     J.groups = groups;
-    ck_conv_run(&J, acc_len, nb, threads);
+    ck_conv_run(&J, acc_len, sc_len, nb, threads);
 }
 
-void conv_mq_res_cm(const float* P, const float* w,
+void conv_mq_res_cm(const uint8_t* P, int64_t sgn, int64_t planar,
+                    const int32_t* w,
                     const double* m, int64_t mlen,
                     const double* b, int64_t blen, double lo, double hi,
-                    const float* S, const double* sm, int64_t smlen,
+                    const void* S, int64_t sty,
+                    const double* sm, int64_t smlen,
                     const double* sb, int64_t sblen, double slo, double shi,
                     int64_t has_smq, double rs, double rlo, double rhi,
-                    float* Q, float* acc, int64_t acc_len,
+                    void* Q, int64_t qty, int32_t* acc, int64_t acc_len,
+                    int32_t* sc, int64_t sc_len,
                     int64_t C, int64_t N, int64_t Hp, int64_t Wp,
                     int64_t O, int64_t kh, int64_t kw, int64_t stride,
                     int64_t in_off, int64_t Hq, int64_t Wq, int64_t out_off,
@@ -416,17 +391,19 @@ void conv_mq_res_cm(const float* P, const float* w,
                     int64_t Hs, int64_t Ws, int64_t s_off)
 {
     ck_conv_job J = {0};
-    J.P = P; J.w = w; J.m = m; J.mlen = mlen; J.b = b; J.blen = blen;
+    J.P = P; J.sgn = sgn; J.planar = planar;
+    J.w = w; J.m = m; J.mlen = mlen; J.b = b; J.blen = blen;
     J.lo = lo; J.hi = hi;
     J.fused = 1;
-    J.S = S; J.sm = sm; J.smlen = smlen; J.sb = sb; J.sblen = sblen;
+    J.S = S; J.sty = sty;
+    J.sm = sm; J.smlen = smlen; J.sb = sb; J.sblen = sblen;
     J.slo = slo; J.shi = shi; J.has_smq = has_smq;
     J.rs = rs; J.rlo = rlo; J.rhi = rhi;
     J.Hs = Hs; J.Ws = Ws; J.s_off = s_off;
-    J.Q = Q; J.acc = acc;
+    J.Q = Q; J.qty = qty; J.acc = acc; J.sc = sc;
     J.C = C; J.N = N; J.Hp = Hp; J.Wp = Wp; J.O = O;
     J.kh = kh; J.kw = kw; J.stride = stride; J.in_off = in_off;
     J.Hq = Hq; J.Wq = Wq; J.out_off = out_off; J.OH = OH; J.OW = OW;
     J.groups = groups;
-    ck_conv_run(&J, acc_len, nb, threads);
+    ck_conv_run(&J, acc_len, sc_len, nb, threads);
 }

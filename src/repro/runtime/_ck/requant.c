@@ -1,6 +1,8 @@
-#include <stdint.h>
+#include <string.h>
 
-/* Requant epilogue: v = acc*m + b, round half away from zero, clip, cast.
+#include "ck.h"
+
+/* Requant epilogue: v = acc*m + b, round half away from zero, clip, store.
  *
  * This translation unit MUST be compiled with -ffp-contract=off: the mul
  * and add have to round separately, exactly like the interpreted float64
@@ -10,65 +12,130 @@
  * and `(double)(int64_t)(v + copysign(0.5, v))` equals numpy's
  * `sign(v) * floor(|v| + 0.5)` for every accumulator value.
  *
- * Reads the valid output positions of one sample plane from the full-grid
- * accumulator (subsampling by `stride`) and writes them into the padded
- * center of the destination register (`out_off`); the register border was
- * zeroed at allocation and is never touched.
+ * Sources and destinations are integer registers (or int32 accumulators)
+ * of the element type `ty` (CK_U8 .. CK_F32).  Every value is an integer
+ * below 2^24 in magnitude, so converting it to float or double is exact:
+ * the arithmetic below is the float32/float64 datapath of the interpreted
+ * tree, bit for bit, whatever type holds the codes in memory.
  */
-/* Residual merge row: y = clip(round_half_away((a + s) / rs), lo, hi) in
- * float32, replicating the interpreted elementwise sequence (sum, divide,
- * round, clip — each rounding separately, hence -ffp-contract=off).  The
- * int64 cast trick is the same exact rounding as in requant_rows, one type
- * narrower. */
-void residual_row(const float* restrict a, const float* restrict s,
-                  float* restrict q, int64_t W, float rs, float lo, float hi)
+
+/* staging width: the longest run one loop pass covers */
+#define CK_ROW 1024
+
+/* Each row loop below is generated once per register element type and
+ * picked by a switch outside the loop (`ty` selects the type of the one
+ * typed operand), so every loop is a straight single-typed pass the
+ * compiler vectorizes.  Every value is integral and inside the
+ * destination's range (clipped upstream), so each conversion is exact. */
+#define CK_SWITCH(ty, GEN)                                                \
+    switch (ty) {                                                         \
+    case CK_U8: GEN(uint8_t) break;                                       \
+    case CK_I8: GEN(int8_t) break;                                        \
+    case CK_I16: GEN(int16_t) break;                                      \
+    case CK_I32: GEN(int32_t) break;                                      \
+    default: GEN(float) break;                                            \
+    }
+
+/* round half away from zero and clip: the interpreted requant tail */
+#define CK_REQUANT(v, mo, bo, lo, hi, r)                                  \
+    double v_ = (v) * (mo);                                               \
+    v_ = v_ + (bo);                                                       \
+    double r = (double)(int64_t)(v_ + (v_ >= 0.0 ? 0.5 : -0.5));          \
+    r = r < (lo) ? (lo) : r;                                              \
+    r = r > (hi) ? (hi) : r;
+
+/* out[x] = requant(src[x * stride]) for a typed source row */
+static void requant_row(const void* src, int64_t sty, int64_t stride,
+                        float* restrict out, int64_t n, double mo,
+                        double bo, double lo, double hi)
 {
-    for (int64_t x = 0; x < W; ++x) {
+#define GEN(T)                                                            \
+    { const T* restrict s = (const T*)src;                                \
+      if (stride == 1)                                                    \
+          for (int64_t x = 0; x < n; ++x) {                               \
+              CK_REQUANT((double)s[x], mo, bo, lo, hi, r)                 \
+              out[x] = (float)r; }                                        \
+      else                                                                \
+          for (int64_t x = 0; x < n; ++x) {                               \
+              CK_REQUANT((double)s[x * stride], mo, bo, lo, hi, r)        \
+              out[x] = (float)r; } }
+    CK_SWITCH(sty, GEN)
+#undef GEN
+}
+
+/* out[x] = src[x] for a typed source row */
+static void load_row(const void* src, int64_t sty, float* restrict out,
+                     int64_t n)
+{
+#define GEN(T)                                                            \
+    { const T* restrict s = (const T*)src;                                \
+      for (int64_t x = 0; x < n; ++x) out[x] = (float)s[x]; }
+    CK_SWITCH(sty, GEN)
+#undef GEN
+}
+
+/* dst[x] = src[x] into a typed destination row */
+static void store_row(void* dst, int64_t qty, const float* restrict src,
+                      int64_t n)
+{
+#define GEN(T)                                                            \
+    { T* restrict d = (T*)dst;                                            \
+      for (int64_t x = 0; x < n; ++x) d[x] = (T)src[x]; }
+    CK_SWITCH(qty, GEN)
+#undef GEN
+}
+
+static int64_t type_size(int64_t ty)
+{
+    return ty == CK_U8 || ty == CK_I8 ? 1 : ty == CK_I16 ? 2 : 4;
+}
+
+/* byte address of element `i` of a typed register */
+static const char* at(const void* base, int64_t ty, int64_t i)
+{
+    return (const char*)base + i * type_size(ty);
+}
+
+/* Residual merge of one tile, in place: a = clip(round_half_away((a + s)
+ * / rs), lo, hi) in float32, replicating the interpreted elementwise
+ * sequence (sum, divide, round, clip — each rounding separately).  The
+ * int64 cast trick is the same exact rounding as in the requant, one type
+ * narrower. */
+static void residual_tile(float* restrict a, const float* restrict s,
+                          int64_t n, float rs, float lo, float hi)
+{
+    for (int64_t x = 0; x < n; ++x) {
         const float v = (a[x] + s[x]) / rs;
         const float h = v >= 0.0f ? 0.5f : -0.5f;
         float r = (float)(int64_t)(v + h);
         r = r < lo ? lo : r;
         r = r > hi ? hi : r;
-        q[x] = r;
+        a[x] = r;
     }
 }
 
-void requant_rows(const float* restrict acc, float* restrict Q,
-                  int64_t o, int64_t n, int64_t N,
-                  int64_t Hp, int64_t Wp, int64_t stride,
-                  int64_t Hq, int64_t Wq, int64_t out_off,
-                  int64_t OH, int64_t OW,
-                  double mo, double bo, double lo, double hi)
+/* Reads the valid output positions of one sample plane from a full-grid
+ * source (int32 accumulator rows, or a typed register plane; subsampling
+ * by `stride`) and writes them into the padded center of the destination
+ * register (`out_off`); the register border was zeroed at allocation and
+ * is never touched.  The float staging is exact: every requantized code
+ * is an integer below 2^24. */
+static void requant_rows(const void* src, int64_t sty, void* Q,
+                         int64_t qty, int64_t o, int64_t n, int64_t N,
+                         int64_t Wp, int64_t stride,
+                         int64_t Hq, int64_t Wq, int64_t out_off,
+                         int64_t OH, int64_t OW,
+                         double mo, double bo, double lo, double hi)
 {
-    double vb[512];
-    (void)Hp;
+    float vb[CK_ROW];
     for (int64_t y = 0; y < OH; ++y) {
-        const float* restrict arow = acc + (y * stride) * Wp;
-        float* restrict qrow = Q + ((o * N + n) * Hq + y + out_off) * Wq + out_off;
-        for (int64_t x0 = 0; x0 < OW; x0 += 512) {
-            const int64_t nb = OW - x0 < 512 ? OW - x0 : 512;
-            /* three single-typed loops over a stack tile: each vectorizes */
-            if (stride == 1) {
-                const float* restrict ar = arow + x0;
-                for (int64_t x = 0; x < nb; ++x)
-                    vb[x] = (double)ar[x];
-            } else {
-                const float* restrict ar = arow + x0 * stride;
-                for (int64_t x = 0; x < nb; ++x)
-                    vb[x] = (double)ar[x * stride];
-            }
-            for (int64_t x = 0; x < nb; ++x) {
-                double v = vb[x] * mo;
-                v = v + bo;
-                const double h = v >= 0.0 ? 0.5 : -0.5;
-                double r = (double)(int64_t)(v + h);
-                r = r < lo ? lo : r;
-                r = r > hi ? hi : r;
-                vb[x] = r;
-            }
-            float* restrict qr = qrow + x0;
-            for (int64_t x = 0; x < nb; ++x)
-                qr[x] = (float)vb[x];
+        const int64_t arow = (y * stride) * Wp;
+        const int64_t qrow = ((o * N + n) * Hq + y + out_off) * Wq + out_off;
+        for (int64_t x0 = 0; x0 < OW; x0 += CK_ROW) {
+            const int64_t nb = OW - x0 < CK_ROW ? OW - x0 : CK_ROW;
+            requant_row(at(src, sty, arow + x0 * stride), sty, stride, vb,
+                        nb, mo, bo, lo, hi);
+            store_row((void*)at(Q, qty, qrow + x0), qty, vb, nb);
         }
     }
 }
@@ -76,79 +143,221 @@ void requant_rows(const float* restrict acc, float* restrict Q,
 /* Fused epilogue of a conv+requant+residual chain (conv_mq_res): requant
  * the conv accumulator rows, optionally requant the shortcut rows (folded
  * identity MulQuant), then the float32 residual merge — each stage is the
- * byte-for-byte arithmetic of the standalone kernel above, applied while
- * the rows are still in cache.  The `(float)` cast of the clamped integral
- * double is exact, so skipping the store/load round-trip through the
+ * byte-for-byte arithmetic of the standalone kernels, applied while the
+ * rows are still in cache.  The clamped integral intermediate is exact in
+ * every type, so skipping the store/load round-trip through the
  * intermediate register changes no bits.
  *
- * acc points at the sample's full-grid accumulator plane; S is the
+ * acc points at the sample's full-grid int32 accumulator plane; S is the
  * shortcut's (O, N, Hs, Ws) channel-major register with border pad s_off.
  */
-void fused_res_rows(const float* restrict acc, const float* restrict S,
-                    float* restrict Q,
-                    int64_t o, int64_t n, int64_t N,
-                    int64_t Wp, int64_t stride,
-                    int64_t Hq, int64_t Wq, int64_t out_off,
-                    int64_t Hs, int64_t Ws, int64_t s_off,
-                    int64_t OH, int64_t OW,
-                    double mo, double bo, double lo, double hi,
-                    int64_t has_smq, double smo, double sbo,
-                    double slo, double shi,
-                    double rs, double rlo, double rhi)
+static void fused_res_rows(const int32_t* acc, const void* S, int64_t sty,
+                           void* Q, int64_t qty,
+                           int64_t o, int64_t n, int64_t N,
+                           int64_t Wp, int64_t stride,
+                           int64_t Hq, int64_t Wq, int64_t out_off,
+                           int64_t Hs, int64_t Ws, int64_t s_off,
+                           int64_t OH, int64_t OW, const ck_requant* rq)
 {
-    double vb[512];
-    float av[512], sv[512];
-    const float frs = (float)rs, flo = (float)rlo, fhi = (float)rhi;
+    float av[CK_ROW], sv[CK_ROW];
+    const float frs = (float)rq->rs, flo = (float)rq->rlo;
+    const float fhi = (float)rq->rhi;
     for (int64_t y = 0; y < OH; ++y) {
-        const float* restrict arow = acc + (y * stride) * Wp;
-        const float* restrict srow =
-            S + ((o * N + n) * Hs + y + s_off) * Ws + s_off;
-        float* restrict qrow =
-            Q + ((o * N + n) * Hq + y + out_off) * Wq + out_off;
-        for (int64_t x0 = 0; x0 < OW; x0 += 512) {
-            const int64_t nb = OW - x0 < 512 ? OW - x0 : 512;
-            if (stride == 1) {
-                const float* restrict ar = arow + x0;
-                for (int64_t x = 0; x < nb; ++x)
-                    vb[x] = (double)ar[x];
-            } else {
-                const float* restrict ar = arow + x0 * stride;
-                for (int64_t x = 0; x < nb; ++x)
-                    vb[x] = (double)ar[x * stride];
-            }
-            for (int64_t x = 0; x < nb; ++x) {
-                double v = vb[x] * mo;
-                v = v + bo;
-                const double h = v >= 0.0 ? 0.5 : -0.5;
-                double r = (double)(int64_t)(v + h);
-                r = r < lo ? lo : r;
-                r = r > hi ? hi : r;
-                av[x] = (float)r;
-            }
-            const float* restrict sr = srow + x0;
-            if (has_smq) {
-                for (int64_t x = 0; x < nb; ++x) {
-                    double v = (double)sr[x] * smo;
-                    v = v + sbo;
-                    const double h = v >= 0.0 ? 0.5 : -0.5;
-                    double r = (double)(int64_t)(v + h);
-                    r = r < slo ? slo : r;
-                    r = r > shi ? shi : r;
-                    sv[x] = (float)r;
-                }
-            } else {
-                for (int64_t x = 0; x < nb; ++x)
-                    sv[x] = sr[x];
-            }
-            float* restrict qr = qrow + x0;
-            for (int64_t x = 0; x < nb; ++x) {
-                const float v = (av[x] + sv[x]) / frs;
-                const float h = v >= 0.0f ? 0.5f : -0.5f;
-                float r = (float)(int64_t)(v + h);
-                r = r < flo ? flo : r;
-                r = r > fhi ? fhi : r;
-                qr[x] = r;
-            }
+        const int32_t* arow = acc + (y * stride) * Wp;
+        const int64_t srow = ((o * N + n) * Hs + y + s_off) * Ws + s_off;
+        const int64_t qrow = ((o * N + n) * Hq + y + out_off) * Wq + out_off;
+        for (int64_t x0 = 0; x0 < OW; x0 += CK_ROW) {
+            const int64_t nb = OW - x0 < CK_ROW ? OW - x0 : CK_ROW;
+            requant_row(arow + x0 * stride, CK_I32, stride, av, nb,
+                        rq->mo, rq->bo, rq->lo, rq->hi);
+            if (rq->has_smq)
+                requant_row(at(S, sty, srow + x0), sty, 1, sv, nb,
+                            rq->smo, rq->sbo, rq->slo, rq->shi);
+            else
+                load_row(at(S, sty, srow + x0), sty, sv, nb);
+            residual_tile(av, sv, nb, frs, flo, fhi);
+            store_row((void*)at(Q, qty, qrow + x0), qty, av, nb);
         }
     }
+}
+
+/* Standalone MulQuant over a channel-major register pair (identity
+ * shortcuts, fused LayerNorm tables).  Reads the (H, W) center of each
+ * input plane (border pad ps) and requantizes it into the center of the
+ * output register at out_off, via the same exact epilogue as the conv. */
+void mulquant_cm(const void* P, int64_t pty, int64_t ps,
+                 const double* m, int64_t mlen,
+                 const double* b, int64_t blen, double lo, double hi,
+                 void* Q, int64_t qty, int64_t C, int64_t N, int64_t Hp,
+                 int64_t Wp, int64_t Hq, int64_t Wq, int64_t out_off,
+                 int64_t H, int64_t W)
+{
+    for (int64_t c = 0; c < C; ++c) {
+        const double mo = m[mlen > 1 ? c : 0];
+        const double bo = b[blen > 1 ? c : 0];
+        for (int64_t n = 0; n < N; ++n)
+            requant_rows(at(P, pty, ((c * N + n) * Hp + ps) * Wp + ps), pty,
+                         Q, qty, c, n, N, Wp, 1, Hq, Wq, out_off, H, W,
+                         mo, bo, lo, hi);
+    }
+}
+
+/* Residual merge over channel-major registers: per plane row, the float32
+ * add/divide/round/clip sequence of the interpreted datapath.  pa/psd/pq
+ * are the three registers' border pads. */
+void residual_cm(const void* A, int64_t aty, int64_t pa,
+                 const void* S, int64_t sty, int64_t psd,
+                 void* Q, int64_t qty, int64_t pq, float rs, float lo,
+                 float hi, int64_t C, int64_t N, int64_t H, int64_t W)
+{
+    const int64_t Wa = W + 2 * pa, Ha = H + 2 * pa;
+    const int64_t Ws = W + 2 * psd, Hs = H + 2 * psd;
+    const int64_t Wq = W + 2 * pq, Hq = H + 2 * pq;
+    float av[CK_ROW], sv[CK_ROW];
+    for (int64_t c = 0; c < C; ++c)
+        for (int64_t n = 0; n < N; ++n)
+            for (int64_t y = 0; y < H; ++y) {
+                const int64_t ia = ((c * N + n) * Ha + y + pa) * Wa + pa;
+                const int64_t is = ((c * N + n) * Hs + y + psd) * Ws + psd;
+                const int64_t iq = ((c * N + n) * Hq + y + pq) * Wq + pq;
+                for (int64_t x0 = 0; x0 < W; x0 += CK_ROW) {
+                    const int64_t nb = W - x0 < CK_ROW ? W - x0 : CK_ROW;
+                    load_row(at(A, aty, ia + x0), aty, av, nb);
+                    load_row(at(S, sty, is + x0), sty, sv, nb);
+                    residual_tile(av, sv, nb, rs, lo, hi);
+                    store_row((void*)at(Q, qty, iq + x0), qty, av, nb);
+                }
+            }
+}
+
+/* Zero every position of a staged span outside the valid windows: `pat`
+ * holds one destination plane's validity (1 inside the OH x OW window,
+ * 0 on the border), planes repeat every `period` positions, and the span
+ * starts `p0` positions past a plane's first valid element. */
+static void mask_border(float* restrict buf, int64_t len, int64_t p0,
+                        const uint8_t* restrict pat, int64_t period)
+{
+    int64_t j = p0 % period;
+    for (int64_t i = 0; i < len;) {
+        const int64_t n = period - j < len - i ? period - j : len - i;
+        float* restrict b = buf + i;
+        const uint8_t* restrict m = pat + j;
+        for (int64_t x = 0; x < n; ++x)
+            b[x] = m[x] ? b[x] : 0.0f;
+        i += n;
+        j = 0;
+    }
+}
+
+/* One contiguous span of int32 accumulators `a` whose element c sits at
+ * destination element q0 + c and shortcut element s0 + c: requant, the
+ * fused residual tail when S is given, zero the positions outside the
+ * valid windows (the destination's border; see mask_border), store — all
+ * in long vectorized runs. */
+static void epilogue_span(const int32_t* a, int64_t len, int64_t p0,
+                          const uint8_t* pat, int64_t period,
+                          void* Q, int64_t qty, int64_t q0,
+                          const void* S, int64_t sty, int64_t s0,
+                          const ck_requant* rq)
+{
+    float av[CK_ROW], sv[CK_ROW];
+    for (int64_t c0 = 0; c0 < len; c0 += CK_ROW) {
+        const int64_t nb = len - c0 < CK_ROW ? len - c0 : CK_ROW;
+        requant_row(a + c0, CK_I32, 1, av, nb, rq->mo, rq->bo, rq->lo,
+                    rq->hi);
+        if (S) {
+            if (rq->has_smq)
+                requant_row(at(S, sty, s0 + c0), sty, 1, sv, nb, rq->smo,
+                            rq->sbo, rq->slo, rq->shi);
+            else
+                load_row(at(S, sty, s0 + c0), sty, sv, nb);
+            residual_tile(av, sv, nb, (float)rq->rs, (float)rq->rlo,
+                          (float)rq->rhi);
+        }
+        mask_border(av, nb, p0 + c0, pat, period);
+        store_row((void*)at(Q, qty, q0 + c0), qty, av, nb);
+    }
+}
+
+/* The conv epilogue of one output channel over a block of nbk sample
+ * planes of full-grid int32 accumulators (`splane` apart), into the
+ * channel-major register Q (and, fused, with the shortcut register S).
+ *
+ * `pat` is the destination plane's validity pattern (conv_valid_pattern).
+ * Runs are made as long as possible, because output rows are short:
+ * when the conv keeps the grid (stride 1) and Q has the accumulator's
+ * plane geometry, the whole block is one span in both.  Otherwise each
+ * plane's valid outputs are first gathered, a chunk of rows at a time,
+ * into staging laid out in Q's geometry.  The shortcut must share Q's
+ * geometry (the arena pads every channel register alike); anything else
+ * falls back to row-by-row epilogues. */
+void conv_epilogue(const int32_t* acc, int64_t nbk, int64_t splane,
+                   int64_t Hp, int64_t Wp, int64_t stride,
+                   void* Q, int64_t qty, int64_t o, int64_t n0, int64_t N,
+                   int64_t Hq, int64_t Wq, int64_t out_off,
+                   int64_t OH, int64_t OW, const uint8_t* pat,
+                   const void* S, int64_t sty, int64_t Hs, int64_t Ws,
+                   int64_t s_off, const ck_requant* rq)
+{
+    const int64_t qplane = Hq * Wq;
+    const int64_t q0 = ((o * N + n0) * Hq + out_off) * Wq + out_off;
+    const int64_t s0 = S ? ((o * N + n0) * Hs + s_off) * Ws + s_off : 0;
+    if (S && (Hs != Hq || Ws != Wq))
+        goto rows;
+    if (stride == 1 && Wp == Wq && Hp == Hq) {
+        epilogue_span(acc, (nbk - 1) * splane + (OH - 1) * Wp + OW, 0,
+                      pat, qplane, Q, qty, q0, S, sty, s0, rq);
+        return;
+    }
+    if (Wq <= CK_ROW) {
+        /* a chunk is whole planes when they fit, else rows of one plane;
+         * staging positions the gather skips are border, masked below */
+        int32_t stage[CK_ROW];
+        const int64_t planes = CK_ROW / qplane;
+        const int64_t k = planes ? OH : CK_ROW / Wq;
+        const int64_t pstep = planes ? planes : 1;
+        for (int64_t i0 = 0; i0 < nbk; i0 += pstep) {
+            const int64_t np = nbk - i0 < pstep ? nbk - i0 : pstep;
+            for (int64_t y0 = 0; y0 < OH; y0 += k) {
+                const int64_t ny = OH - y0 < k ? OH - y0 : k;
+                for (int64_t i = 0; i < np; ++i)
+                    for (int64_t r = 0; r < ny; ++r) {
+                        const int32_t* src = acc + (i0 + i) * splane
+                                             + (y0 + r) * stride * Wp;
+                        int32_t* dst = stage + i * qplane + r * Wq;
+                        if (stride == 2)  /* a constant stride vectorizes */
+                            for (int64_t x = 0; x < OW; ++x)
+                                dst[x] = src[2 * x];
+                        else
+                            for (int64_t x = 0; x < OW; ++x)
+                                dst[x] = src[x * stride];
+                    }
+                const int64_t off = i0 * qplane + y0 * Wq;
+                epilogue_span(stage, (np - 1) * qplane + (ny - 1) * Wq + OW,
+                              y0 * Wq, pat, qplane, Q, qty, q0 + off, S,
+                              sty, s0 + off, rq);
+            }
+        }
+        return;
+    }
+rows:
+    for (int64_t i = 0; i < nbk; ++i) {
+        const int32_t* plane = acc + i * splane;
+        if (!S)
+            requant_rows(plane, CK_I32, Q, qty, o, n0 + i, N, Wp, stride,
+                         Hq, Wq, out_off, OH, OW, rq->mo, rq->bo, rq->lo,
+                         rq->hi);
+        else
+            fused_res_rows(plane, S, sty, Q, qty, o, n0 + i, N, Wp, stride,
+                           Hq, Wq, out_off, Hs, Ws, s_off, OH, OW, rq);
+    }
+}
+
+/* Validity of the Hq*Wq positions of a destination plane, counted from
+ * its first valid element: 1 inside the OH x OW window, 0 on the border. */
+void conv_valid_pattern(uint8_t* pat, int64_t Hq, int64_t Wq, int64_t OH,
+                        int64_t OW)
+{
+    for (int64_t p = 0; p < Hq * Wq; ++p)
+        pat[p] = p % Wq < OW && p / Wq < OH;
 }

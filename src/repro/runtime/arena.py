@@ -11,14 +11,20 @@ Two layouts exist:
   ops; this is the interpreted-replication layout, valid everywhere.
 * ``channel`` — the native kernel's layout, bound only when the kernel
   loaded: feature-map registers are preallocated channel-major
-  ``(C, N, Hp, Wp)`` buffers with the consumer convs' zero padding baked
-  into the border.  Per channel, the sample planes are contiguous, which is
-  what lets the native conv kernel accumulate whole sample blocks in single
-  long passes.  The border is zeroed once at allocation and never written
-  again — padding is free after the first batch.
+  ``(C, N, Hp, Wp)`` buffers with the convs' zero padding baked into the
+  border, each of the narrowest integer type that holds the register's
+  proven code range (``uint8`` conv inputs, an ``int8`` model input,
+  ``int16`` pre-add shortcuts; see :func:`kernels.register_dtype`).  Per
+  channel, the sample planes are contiguous, which is what lets the native
+  conv kernel accumulate whole sample blocks in single long passes.  The
+  border is zeroed once at allocation and only ever rewritten with zeros —
+  padding is free after the first batch.
 
 Pad planning (:func:`plan_pads`) gives every feature-map register the
-maximum padding any consuming conv needs; a conv with smaller padding
+same border, the widest padding any conv of the plan needs: registers of
+one spatial size then share one plane geometry, so a stride-1 conv's
+accumulator grid lines up with its destination and shortcut registers and
+its epilogue runs over whole sample blocks.  A conv with smaller padding
 simply starts its tap window ``register_pad - conv_pad`` positions in from
 the buffer edge.
 """
@@ -32,17 +38,10 @@ Shape = Tuple[int, ...]
 
 
 def plan_pads(ops: List, shapes: Dict[int, Shape]) -> Dict[int, int]:
-    """Per-register border padding: max over consuming convs' padding."""
-    pads: Dict[int, int] = {}
-    for reg, shape in shapes.items():
-        if len(shape) == 3:
-            pads[reg] = 0
-    for op in ops:
-        if op.kind in ("conv_mq", "conv_mq_res"):
-            src = op.src[0]
-            if src in pads:
-                pads[src] = max(pads[src], op.padding)
-    return pads
+    """Per-register border padding: the widest conv padding in the plan."""
+    pad = max((op.padding for op in ops
+               if op.kind in ("conv_mq", "conv_mq_res")), default=0)
+    return {reg: pad for reg, shape in shapes.items() if len(shape) == 3}
 
 
 class Arena:
@@ -64,6 +63,11 @@ class Arena:
         self.pads: Dict[int, int] = {}
         self._cm_bufs: Dict[int, np.ndarray] = {}
         self._cm_centers: Dict[int, np.ndarray] = {}
+        self.dtypes: Dict[int, np.dtype] = {}  # channel register types
+        # int32 kernel scratch shared by every conv of the binding (ops run
+        # one at a time): words reserved at bind, allocated on first use
+        self._scratch_words = [0, 0]
+        self._scratch = None
         self._bytes = 0
 
     def alloc(self, shape: Shape, dtype=np.float32,
@@ -80,7 +84,8 @@ class Arena:
         if buf is None:
             c, h, w = self.shapes[reg]
             p = self.pads.get(reg, 0)
-            buf = np.zeros((c, self.n, h + 2 * p, w + 2 * p), dtype=np.float32)
+            buf = np.zeros((c, self.n, h + 2 * p, w + 2 * p),
+                           dtype=self.dtypes.get(reg, np.float32))
             self._bytes += buf.nbytes
             self._cm_bufs[reg] = buf
             self._cm_centers[reg] = buf[:, :, p:p + h, p:p + w]
@@ -90,6 +95,21 @@ class Arena:
         """The valid ``(C, N, H, W)`` view inside the padded buffer."""
         self.cm_buffer(reg)
         return self._cm_centers[reg]
+
+    def reserve_scratch(self, acc_words: int, sc_words: int) -> None:
+        """Grow the shared kernel scratch to seat one conv's accumulator
+        and interleave words (call at bind, before the first execution)."""
+        need = self._scratch_words
+        need[0] = max(need[0], int(acc_words))
+        need[1] = max(need[1], int(sc_words))
+
+    def scratch(self):
+        """``(acc, sc)`` int32 scratch sized to every reservation."""
+        if self._scratch is None:
+            self._scratch = tuple(np.empty(max(1, w), dtype=np.int32)
+                                  for w in self._scratch_words)
+            self._bytes += sum(a.nbytes for a in self._scratch)
+        return self._scratch
 
     @property
     def nbytes(self) -> int:

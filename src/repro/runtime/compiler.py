@@ -7,8 +7,8 @@ compiled program is bit-exact against the interpreted tree by construction.
 
 While walking, it tracks the proven integer code range of every register
 (input grid, MulQuant clamp ranges, residual clamps); each convolution's
-worst-case accumulator bound over its input range decides whether the fused
-kernel may take the single-big-GEMM fast path (see
+worst-case accumulator bound over its input range, its input range and its
+weights decide whether it runs on the native integer kernel (see
 :mod:`repro.runtime.kernels`) or must replicate the interpreted per-sample
 GEMM order.
 """
@@ -28,11 +28,23 @@ class CompileError(RuntimeError):
     """The model cannot be compiled into a runtime plan."""
 
 
+def native_ok(ck, weight, in_range) -> bool:
+    """May a certified conv run on the integer kernel ``ck``: 8-bit input
+    codes and taps within the kernel's tables?  (The op itself checks that
+    its weights pack as int8.)"""
+    if ck is None:
+        return False
+    o, cg, kh, kw = weight.shape
+    return (kernels.register_dtype(*in_range).itemsize == 1
+            and cg * kh * kw <= ck.taps_cap and o <= ck.taps_cap)
+
+
 class _Builder:
     """Accumulates ops, register ids and proven integer ranges."""
 
-    def __init__(self, qnn):
+    def __init__(self, qnn, ck=None):
         self.qnn = qnn
+        self.ck = ck  # the native kernel when the plan takes the channel layout
         self.names: Dict[int, str] = {id(m): n for n, m in qnn.named_modules()}
         self.ops = []
         self.num_regs = 1  # register 0 is the model input
@@ -79,7 +91,8 @@ class _Builder:
         return self.emit(
             ConvMQOp(self.name_of(unit), (src,), dst, weight, conv.stride,
                      conv.padding, conv.groups, kernels.MQParams.of(mq),
-                     exact_reassoc=exact, bound=bound),
+                     exact_reassoc=exact, bound=bound,
+                     native=exact and native_ok(self.ck, weight, in_range)),
             out_range=(mq.out_lo, mq.out_hi))
 
     def mulquant(self, mq, src: int) -> int:
@@ -218,13 +231,15 @@ def lower(qnn) -> Tuple[List, int, int]:
     from repro.core.qvgg import QVGG
     from repro.core.qvit import QVisionTransformer
     from repro.core.vanilla import InputQuant
+    from repro.runtime import ckernel
 
     if not isinstance(getattr(qnn, "input_q", None), InputQuant):
         raise CompileError(
             "Plan.compile expects the re-packed deploy model returned by "
             "T2C.nn2chip() (its input_q must be the vanilla InputQuant); got "
             f"{type(qnn).__name__}")
-    b = _Builder(qnn)
+    vit = isinstance(qnn, QVisionTransformer)
+    b = _Builder(qnn, None if vit else ckernel.load())
     if isinstance(qnn, QResNet):
         out_reg = _compile_resnet(b)
     elif isinstance(qnn, QMobileNetV1):

@@ -91,6 +91,8 @@ class _Binding:
         for op in plan.ops:
             self.arena.shapes[op.dst] = op.infer(self.arena.shapes)
         if plan.layout == "channel":
+            for op in plan.ops:
+                self.arena.dtypes[op.dst] = op.out_dtype(self.arena.dtypes)
             self.arena.pads = plan_pads(plan.ops, self.arena.shapes)
             self.arena.pads.pop(0, None)  # register 0 is the raw input
         self.fns = [op.bind(self.arena) for op in plan.ops]

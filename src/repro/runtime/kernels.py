@@ -1,20 +1,23 @@
 """Numeric kernels for the compiled runtime — bit-exact by construction.
 
-Two exactness strategies, chosen per op at compile time:
+Three exactness strategies, chosen per op at compile time:
 
 * **replication** — execute the very same numpy call sequence the interpreted
   module runs (same dtypes, same views, same reduction order).  Identical
   inputs through identical operations give identical bits; used for every op
   whose cost is not dominated by the conv GEMM.
-* **proven reassociation** — the fused conv kernel reshapes the per-sample
-  GEMMs of the interpreted path into one large batch GEMM.  That changes
-  float32 summation order, which is only safe because the compiler proves a
-  bound first: with integer weights and integer activation codes, if the
-  largest per-output-channel value ``max_o sum_k |w_ok| * max|x|`` stays
-  below ``2**24``, every partial sum of every summation order is an integer
-  exactly representable in float32 — so *any* order (including FMA-based
-  BLAS blocking) produces the same exact integer.  Layers that exceed the
-  bound fall back to replication.
+* **integer accumulation** — the native conv kernel multiplies uint8 (or
+  XOR-biased int8) activation codes by int8 weights and sums in int32,
+  which is exact by construction while the accumulator bound stays below
+  ``2**31`` (:data:`EXACT_I32_LIMIT`).
+* **the float32 certificate** — the interpreted tree sums the same
+  integers in a float32 BLAS GEMM, which is exact only while every partial
+  sum stays below ``2**24`` (:data:`EXACT_F32_LIMIT`): with integer weights
+  and codes and ``max_o sum_k |w_ok| * max|x|`` under that bound, every
+  summation order yields the same exact integer.  So a conv runs on the
+  integer kernel only under this certificate (an exact int32 sum would
+  otherwise disagree with the tree's rounded one); layers that exceed it
+  fall back to replication.
 
 The requantizer uses ``trunc(v + copysign(0.5, v))``, which is value-exact
 to the interpreted ``sign(v) * floor(|v| + 0.5)`` for every float (both
@@ -31,6 +34,9 @@ import numpy as np
 #: largest integer magnitude n for which every integer in [-n, n] is exactly
 #: representable in float32 — the reassociation-safety threshold.
 EXACT_F32_LIMIT = float(2 ** 24)
+
+#: the integer conv kernel's int32 accumulator limit
+EXACT_I32_LIMIT = float(2 ** 31)
 
 #: the float64 counterpart — the width the ABFT column-checksum accumulator
 #: (which sums *across* output channels) is proven against, since the
@@ -119,6 +125,50 @@ def conv_reassociation_bound(weight: np.ndarray,
     amax = max(abs(in_range[0]), abs(in_range[1]))
     per_channel = np.abs(weight.astype(np.float64).reshape(weight.shape[0], -1)).sum(axis=1)
     return float(per_channel.max(initial=0.0) * amax)
+
+
+_INT_TYPES = tuple((np.dtype(t), np.iinfo(t).min, np.iinfo(t).max)
+                   for t in (np.uint8, np.int8, np.int16, np.int32))
+
+
+def register_dtype(lo: float, hi: float) -> np.dtype:
+    """Narrowest integer type holding the code range ``[lo, hi]`` (float32
+    when no integer type up to int32 does) — a channel register's type."""
+    for t, tmin, tmax in _INT_TYPES:
+        if tmin <= lo and hi <= tmax:
+            return t
+    return np.dtype(np.float32)
+
+
+def pack_conv_weight(weight: np.ndarray) -> Optional[np.ndarray]:
+    """Pack a conv weight ``(O, Cg, kh, kw)`` for the native kernel, or
+    None when its values are not all int8 integers.
+
+    The pack is an int8 ``(O, kh, kw, Cq)`` array, channels zero-padded to
+    ``Cq = 4 * ceil(Cg / 4)``.  Viewed as int32 it is the kernel's
+    ``(O, kh*kw*Cq/4)`` matrix of words holding 4 channels' weights; see
+    :func:`conv_weight_view` for the logical ``(O, Cg, kh, kw)`` view.  A
+    weight that already is that view (a fused conv adopting its lowered
+    conv's weights) returns the packed array itself: one pack per conv."""
+    o, cg, kh, kw = weight.shape
+    base = weight.base
+    if (isinstance(base, np.ndarray) and base.dtype == np.int8
+            and base.shape == (o, kh, kw, -(-cg // 4) * 4)
+            and weight.strides == (base.strides[0], 1, base.strides[1],
+                                   base.strides[2])):
+        return base
+    w8 = weight.astype(np.int8)
+    if not (w8 == weight).all():  # the cast wraps or truncates non-codes
+        return None
+    packed = np.zeros((o, kh, kw, -(-cg // 4) * 4), dtype=np.int8)
+    packed[..., :cg] = w8.transpose(0, 2, 3, 1)
+    return packed
+
+
+def conv_weight_view(packed: np.ndarray, cg: int) -> np.ndarray:
+    """The logical ``(O, Cg, kh, kw)`` weight as a view of the packed array
+    — writes through it land in what the kernel reads."""
+    return packed[..., :cg].transpose(0, 3, 1, 2)
 
 
 def lut_softmax(x: np.ndarray, table: np.ndarray, prob_bits: int) -> np.ndarray:

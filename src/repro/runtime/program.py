@@ -13,9 +13,10 @@ A program is a flat list of ops over a register file.  Each op carries:
   with buffers, layout views and broadcast constants resolved up front.
 
 In the ``channel`` arena layout (compiled only when the native kernel
-loaded) the feature-map ops run over channel-major padded registers on the
-kernel; the remaining ops are layout-free and stay bit-exact by executing
-the identical per-element arithmetic on the transposed views.  In the
+loaded) the feature-map ops run over channel-major padded integer
+registers on the kernel; the remaining ops are layout-free and stay
+bit-exact by executing the identical per-element arithmetic on float32
+copies of the transposed views.  In the
 ``batch`` layout every op replicates the interpreted module's numpy call
 sequence verbatim.
 
@@ -113,6 +114,10 @@ class Op:
     def infer(self, shapes: Dict[int, Shape]) -> Shape:
         raise NotImplementedError
 
+    def out_dtype(self, dtypes: Dict[int, np.dtype]) -> np.dtype:
+        """Element type of ``dst`` as a channel-layout register."""
+        return np.dtype(np.float32)
+
     def bind(self, arena: Arena):
         raise NotImplementedError
 
@@ -152,6 +157,9 @@ class InputQuantOp(Op):
     def infer(self, shapes):
         return shapes[self.src[0]]
 
+    def out_dtype(self, dtypes):
+        return kernels.register_dtype(self.qlb, self.qub)
+
     def bind(self, arena):
         regs, s = arena.regs, self.src[0]
         scale, qlb, qub, dst = self.scale, self.qlb, self.qub, self.dst
@@ -160,8 +168,8 @@ class InputQuantOp(Op):
 
             def fn():
                 r = np.round(regs[s] / scale)
-                q = np.clip(r, qlb, qub).astype(np.float32)
-                np.copyto(center, q.transpose(1, 0, 2, 3))
+                q = np.clip(r, qlb, qub)
+                np.copyto(center, q.transpose(1, 0, 2, 3), casting="unsafe")
             return fn
 
         def fn():
@@ -177,19 +185,33 @@ class _ConvOp(Op):
     """Shared body of the two conv ops: geometry, the per-conv path choice
     and the native kernel's arguments.
 
-    In the ``channel`` layout a conv whose accumulator bound the compiler
-    certified (``exact_reassoc``) and whose taps fit the kernel's tables
-    runs on the native register-blocked kernel directly over the padded
-    channel-major registers; any other conv transposes to batch layout and
-    replicates the interpreted sequence.  In the ``batch`` layout every conv
-    replicates the interpreted per-sample GEMM sequence verbatim.
+    The compiler asks for a ``native`` conv when it may run on the integer
+    kernel in the ``channel`` layout: certified ``exact_reassoc`` (the
+    float32 tree's sum is exact, so the exact int32 sum equals it), an
+    input register of 8-bit codes and taps within the kernel's tables; the
+    op is native when its weights also pack as int8.  Every conv holds one
+    resident weight array, the
+    instance attribute ``weight`` (what the scrubber's constant walk CRCs):
+    for a native conv the kernel's packed int8 words (see
+    :func:`kernels.pack_conv_weight`), else float32.  The ``weight``
+    property shadows it with the logical ``(O, Cg, kh, kw)`` array — for a
+    native conv a writable view of the packed bytes, so the chaos
+    injectors and ABFT read and perturb exactly what the kernel reads.  A
+    non-native conv transposes to batch layout and replicates the
+    interpreted sequence; in the ``batch`` layout every conv replicates the
+    interpreted per-sample GEMM sequence verbatim.
     """
 
     def __init__(self, name, src, dst, weight: np.ndarray, stride: int,
                  padding: int, groups: int, mq: kernels.MQParams,
-                 exact_reassoc: bool, bound: float):
+                 exact_reassoc: bool, bound: float, native: bool = False):
         super().__init__(name, src, dst)
-        self.weight = np.ascontiguousarray(weight, dtype=np.float32)
+        packed = kernels.pack_conv_weight(weight) if native else None
+        self.native = packed is not None  # the weights must be int8 too
+        self.cg = int(weight.shape[1])
+        self.__dict__["weight"] = (
+            packed if self.native
+            else np.ascontiguousarray(weight, dtype=np.float32))
         self.stride = int(stride)
         self.padding = int(padding)
         self.groups = int(groups)
@@ -197,38 +219,60 @@ class _ConvOp(Op):
         self.exact_reassoc = bool(exact_reassoc)
         self.bound = float(bound)
 
+    @property
+    def weight(self) -> np.ndarray:
+        """The logical ``(O, Cg, kh, kw)`` weight (a view for native convs)."""
+        w = self.__dict__["weight"]
+        return kernels.conv_weight_view(w, self.cg) if self.native else w
+
+    @property
+    def planar(self) -> bool:
+        """Depthwise: under 4 channels per group, the kernel reads the
+        register directly instead of interleaving 4 channels per word."""
+        return self.cg < 4 and self.groups > 1
+
     def infer(self, shapes):
         c, h, w = shapes[self.src[0]]
         o, _, kh, kw = self.weight.shape
         return (o, conv_out_size(h, kh, self.stride, self.padding),
                 conv_out_size(w, kw, self.stride, self.padding))
 
+    def out_dtype(self, dtypes):
+        return kernels.register_dtype(self.mq.lo, self.mq.hi)
+
     def bind(self, arena):
         if arena.layout != "channel":
             return self._bind_reference(arena)
-        o, cg, kh, kw = self.weight.shape
-        cap = arena.ck.taps_cap
-        if self.exact_reassoc and cg * kh * kw <= cap and o <= cap:
+        if self.native:
             return self._bind_kernel(arena)
         return self._bind_channel_reference(arena)
 
     def _kernel_args(self, arena):
-        """``(P, w, m, b, lo, hi), Q, acc, geometry`` for a native entry:
-        registers, packed constants, per-thread accumulator scratch and the
-        keyword geometry including the fixed sample-block tiling."""
+        """``(P, w, m, b, lo, hi), Q, geometry`` for a native entry:
+        registers, packed constants and the keyword geometry including the
+        fixed sample-block tiling; reserves the arena's shared scratch."""
         n, threads = arena.n, arena.threads
         src, dst = self.src[0], self.dst
         o, oh, ow = arena.shapes[dst]
         _, cg, kh, kw = self.weight.shape
         P = arena.cm_buffer(src)
         Q = arena.cm_buffer(dst)
+        packed = self.__dict__["weight"]
+        if P.dtype not in (np.uint8, np.int8) or packed.dtype != np.int8:
+            raise RuntimeError(
+                f"{self.name}: native conv over a {P.dtype} register with "
+                f"{packed.dtype} weights; the integer kernel needs 8-bit "
+                "codes and int8 weights")
         c, _, hp, wp = P.shape
         _, _, hq, wq = Q.shape
         splane = hp * wp
         nb = min(n, max(1, SAMPLE_BLOCK_BYTES // (cg * splane * 4)))
-        # every thread seats the widest (8-channel) register block
-        acc = np.empty(threads * 8 * nb * splane, dtype=np.float32)
-        consts = (np.ascontiguousarray(self.weight.reshape(o, cg * kh * kw)),
+        # every thread seats the widest (8-channel) accumulator block and,
+        # on the dense path, its sample block's interleaved words
+        quads = 0 if self.planar else packed.shape[-1] // 4
+        arena.reserve_scratch(threads * 8 * nb * splane,
+                              threads * quads * nb * splane)
+        consts = (packed.view(np.int32),
                   np.ascontiguousarray(self.mq.m.reshape(-1)),
                   np.ascontiguousarray(self.mq.b.reshape(-1)),
                   self.mq.lo, self.mq.hi)
@@ -236,19 +280,42 @@ class _ConvOp(Op):
                         stride=self.stride,
                         in_off=arena.pads[src] - self.padding,
                         Hq=hq, Wq=wq, out_off=arena.pads[dst], OH=oh, OW=ow,
-                        groups=self.groups, nb=nb, threads=threads)
-        return (P,) + consts, Q, acc, geometry
+                        groups=self.groups, planar=int(self.planar), nb=nb,
+                        threads=threads)
+        return (P,) + consts, Q, geometry
 
     def _conv_acc(self, arena):
-        return _conv_accum_fn(arena, self.src[0], self.weight, self.stride,
-                              self.padding, self.groups,
+        return _conv_accum_fn(arena, self.src[0],
+                              np.asarray(self.weight, dtype=np.float32),
+                              self.stride, self.padding, self.groups,
                               arena.shapes[self.dst])
 
     def _conv_sig(self, h, *extra):
         h.update(repr((self.stride, self.padding, self.groups,
                        self.exact_reassoc) + extra).encode())
-        kernels.array_sig(h, self.weight)
+        kernels.array_sig(h, np.asarray(self.weight, dtype=np.float32))
         self.mq.sig_update(h)
+
+
+def _on_first_call(prepare):
+    """A closure that runs ``prepare()``'s call, preparing it on the first
+    execution — after every op of the binding has reserved the arena's
+    shared scratch, so the scratch the call points at is final."""
+    call = None
+
+    def fn():
+        nonlocal call
+        if call is None:
+            call = prepare()
+        call()
+    return fn
+
+
+def _batch_major(center: np.ndarray) -> np.ndarray:
+    """A channel register's valid center as a batch-major float32 array —
+    the input of every numpy replication inside a channel plan."""
+    return np.ascontiguousarray(center.transpose(1, 0, 2, 3),
+                                dtype=np.float32)
 
 
 class ConvMQOp(_ConvOp):
@@ -258,22 +325,22 @@ class ConvMQOp(_ConvOp):
 
     def _bind_kernel(self, arena):
         ck = arena.ck
-        (P, w, m, b, lo, hi), Q, acc, geometry = self._kernel_args(arena)
+        (P, w, m, b, lo, hi), Q, geometry = self._kernel_args(arena)
 
-        def fn():
-            ck.conv_mq_cm(P, w, m, b, lo, hi, Q, acc, **geometry)
-        return fn
+        def prepare():
+            return ck.conv_mq_cm(P, w, m, b, lo, hi, Q, *arena.scratch(),
+                                 **geometry)
+        return _on_first_call(prepare)
 
     def _bind_channel_reference(self, arena):
-        """Bound/cap fallback inside a channel plan: transpose, replicate."""
+        """Non-native conv inside a channel plan: transpose, replicate."""
         src_center = arena.cm_center(self.src[0])
         dst_center = arena.cm_center(self.dst)
         run = self._reference_fn(arena)
 
         def fn():
-            x = np.ascontiguousarray(src_center.transpose(1, 0, 2, 3))
-            y = run(x)
-            np.copyto(dst_center, y.transpose(1, 0, 2, 3))
+            y = run(_batch_major(src_center))
+            np.copyto(dst_center, y.transpose(1, 0, 2, 3), casting="unsafe")
         return fn
 
     def _bind_reference(self, arena):
@@ -319,9 +386,9 @@ class ConvMQResOp(_ConvOp):
                  exact_reassoc: bool, bound: float, res_scale: float,
                  res_lo: float, res_hi: float, res_name: str,
                  smq: Optional[kernels.MQParams] = None,
-                 smq_name: Optional[str] = None):
+                 smq_name: Optional[str] = None, native: bool = False):
         super().__init__(name, src, dst, weight, stride, padding, groups, mq,
-                         exact_reassoc, bound)
+                         exact_reassoc, bound, native)
         self.res_scale = float(res_scale)
         self.res_lo = float(res_lo)
         self.res_hi = float(res_hi)
@@ -341,9 +408,12 @@ class ConvMQResOp(_ConvOp):
         parts.append(("residual", self.res_name, 1.0 / total))
         return parts
 
+    def out_dtype(self, dtypes):
+        return kernels.register_dtype(self.res_lo, self.res_hi)
+
     def _bind_kernel(self, arena):
         ck = arena.ck
-        (P, w, m, b, lo, hi), Q, acc, geometry = self._kernel_args(arena)
+        (P, w, m, b, lo, hi), Q, geometry = self._kernel_args(arena)
         s_src = self.src[1]
         S = arena.cm_buffer(s_src)
         _, _, hs, ws = S.shape
@@ -358,11 +428,12 @@ class ConvMQResOp(_ConvOp):
             slo, shi, has_smq = 0.0, 0.0, 0
         rs, rlo, rhi = self.res_scale, self.res_lo, self.res_hi
 
-        def fn():
-            ck.conv_mq_res_cm(P, w, m, b, lo, hi, S, sm, sb, slo, shi,
-                              has_smq, rs, rlo, rhi, Q, acc,
-                              Hs=hs, Ws=ws, s_off=s_off, **geometry)
-        return fn
+        def prepare():
+            return ck.conv_mq_res_cm(P, w, m, b, lo, hi, S, sm, sb, slo, shi,
+                                     has_smq, rs, rlo, rhi, Q,
+                                     *arena.scratch(), Hs=hs, Ws=ws,
+                                     s_off=s_off, **geometry)
+        return _on_first_call(prepare)
 
     def _bind_channel_reference(self, arena):
         a_center = arena.cm_center(self.src[0])
@@ -371,9 +442,8 @@ class ConvMQResOp(_ConvOp):
         run = self._reference_fn(arena)
 
         def fn():
-            x = np.ascontiguousarray(a_center.transpose(1, 0, 2, 3))
-            sc = np.ascontiguousarray(s_center.transpose(1, 0, 2, 3))
-            np.copyto(dst_center, run(x, sc).transpose(1, 0, 2, 3))
+            y = run(_batch_major(a_center), _batch_major(s_center))
+            np.copyto(dst_center, y.transpose(1, 0, 2, 3), casting="unsafe")
         return fn
 
     def _bind_reference(self, arena):
@@ -440,6 +510,9 @@ class MulQuantOp(Op):
     def infer(self, shapes):
         return shapes[self.src[0]]
 
+    def out_dtype(self, dtypes):
+        return kernels.register_dtype(self.mq.lo, self.mq.hi)
+
     def bind(self, arena):
         regs, s, dst, mq = arena.regs, self.src[0], self.dst, self.mq
         if arena.layout == "channel" and len(arena.shapes[s]) == 3:
@@ -466,10 +539,8 @@ class MulQuantOp(Op):
         b = np.ascontiguousarray(self.mq.b.reshape(-1))
         lo, hi = self.mq.lo, self.mq.hi
 
-        def fn():
-            ck.mulquant_cm(P, ps, m, b, lo, hi, Q, C=c, N=n, Hp=hp, Wp=wp,
-                           Hq=hq, Wq=wq, out_off=out_off, H=h, W=w)
-        return fn
+        return ck.mulquant_cm(P, ps, m, b, lo, hi, Q, C=c, N=n, Hp=hp, Wp=wp,
+                              Hq=hq, Wq=wq, out_off=out_off, H=h, W=w)
 
     def _sig_params(self, h):
         self.mq.sig_update(h)
@@ -489,6 +560,9 @@ class ResidualOp(Op):
     def infer(self, shapes):
         return shapes[self.src[0]]
 
+    def out_dtype(self, dtypes):
+        return kernels.register_dtype(self.lo, self.hi)
+
     def bind(self, arena):
         regs, (a, s), dst = arena.regs, self.src, self.dst
         rs, lo, hi = self.res_scale, self.lo, self.hi
@@ -503,10 +577,8 @@ class ResidualOp(Op):
             psd = arena.pads.get(s, 0)
             pq = arena.pads.get(dst, 0)
 
-            def fn():
-                ck.residual_cm(A, pa, S, psd, Q, pq, rs, lo, hi,
-                               C=c, N=n, H=h, W=w)
-            return fn
+            return ck.residual_cm(A, pa, S, psd, Q, pq, rs, lo, hi,
+                                  C=c, N=n, H=h, W=w)
 
         def fn():
             regs[dst] = kernels.residual_merge(regs[a], regs[s], rs, lo, hi)
@@ -530,6 +602,9 @@ class MaxPoolOp(Op):
         c, h, w = shapes[self.src[0]]
         return (c, conv_out_size(h, self.kernel, self.stride, 0),
                 conv_out_size(w, self.kernel, self.stride, 0))
+
+    def out_dtype(self, dtypes):
+        return dtypes.get(self.src[0], np.dtype(np.float32))
 
     def bind(self, arena):
         regs, s, dst = arena.regs, self.src[0], self.dst
@@ -588,10 +663,10 @@ class GapMQOp(Op):
             c, h, w = arena.shapes[s]
 
             def fn():
-                # The reshape through a transposed view copies into the same
-                # contiguous (n, c, h*w) element order the batch layout
-                # reduces over, so the pairwise float32 mean is bit-identical.
-                x = center.transpose(1, 0, 2, 3).reshape(n, c, h * w)
+                # The float32 batch-major copy has the same contiguous
+                # (n, c, h*w) element order the batch layout reduces over,
+                # so the pairwise float32 mean is bit-identical.
+                x = _batch_major(center).reshape(n, c, h * w)
                 regs[dst] = kernels.requant(x.mean(axis=-1), mq)
             return fn
 

@@ -204,6 +204,48 @@ class TestOverflow:
                    for f in rep.findings)
 
 
+class TestKernelOperands:
+    """A ``native`` conv's integer-kernel operands are re-proved."""
+
+    @staticmethod
+    def _native_plan(deployed_resnet):
+        from repro.runtime import ckernel
+
+        if ckernel.load() is None:
+            pytest.skip("native kernel unavailable")
+        plan = copy.deepcopy(deployed_resnet.plan)
+        native = [op for op in plan.ops if getattr(op, "native", False)]
+        assert native, "a resnet20 channel plan runs its convs natively"
+        return plan, native
+
+    @staticmethod
+    def _operand_findings(plan):
+        return [f for f in verify_plan(plan).findings
+                if f.rule == "plan.kernel-operand"]
+
+    def test_compiled_plan_operands_prove(self, deployed_resnet):
+        plan, _ = self._native_plan(deployed_resnet)
+        assert self._operand_findings(plan) == []
+
+    def test_widened_input_register_is_flagged(self, deployed_resnet):
+        plan, native = self._native_plan(deployed_resnet)
+        stem = native[0]
+        iq = next(op for op in plan.ops if op.dst == stem.src[0])
+        iq.qub = 300  # the stem's input codes no longer fit int8
+        found = self._operand_findings(plan)
+        assert any(stem.name in f.where and "int8" in f.message
+                   for f in found), found
+
+    def test_weight_pushed_to_200_is_flagged(self, deployed_resnet):
+        plan, native = self._native_plan(deployed_resnet)
+        op = native[-1]
+        op.__dict__["weight"] = op.__dict__["weight"].astype(np.int16)
+        op.weight[0, 0, 0, 0] = 200
+        found = self._operand_findings(plan)
+        assert any(op.name in f.where and "int16" in f.message
+                   and "int8 weights" in f.message for f in found), found
+
+
 class TestShiftCertificates:
     def test_po2_scale_certified(self):
         plan = _chain_plan(ops=[

@@ -2,11 +2,10 @@
 
 The native kernel's thread pool partitions each conv into disjoint
 (sample-block × output-channel-chunk) tasks; the sample block is sized by
-the runtime's fixed L2 budget and the register blocking by the conv's group
-width (8-wide, or 4-wide on mobilenet's depthwise convs).  Because the
-accumulator certificate bounds every partial sum under the exact-f32 limit,
-*every* partition must produce outputs bitwise identical to the unfused
-plan — and to the interpreted tree.
+the runtime's fixed L2 budget and the register blocking is 8 output
+channels, clamped at group ends.  Because the kernel sums in exact int32
+arithmetic, *every* partition must produce outputs bitwise identical to
+the unfused plan — and to the interpreted tree.
 """
 from __future__ import annotations
 
