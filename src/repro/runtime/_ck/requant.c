@@ -44,21 +44,16 @@
     r = r < (lo) ? (lo) : r;                                              \
     r = r > (hi) ? (hi) : r;
 
-/* out[x] = requant(src[x * stride]) for a typed source row */
-static void requant_row(const void* src, int64_t sty, int64_t stride,
-                        float* restrict out, int64_t n, double mo,
-                        double bo, double lo, double hi)
+/* out[x] = requant(src[x]) for a typed source row */
+static void requant_row(const void* src, int64_t sty, float* restrict out,
+                        int64_t n, double mo, double bo, double lo,
+                        double hi)
 {
 #define GEN(T)                                                            \
     { const T* restrict s = (const T*)src;                                \
-      if (stride == 1)                                                    \
-          for (int64_t x = 0; x < n; ++x) {                               \
-              CK_REQUANT((double)s[x], mo, bo, lo, hi, r)                 \
-              out[x] = (float)r; }                                        \
-      else                                                                \
-          for (int64_t x = 0; x < n; ++x) {                               \
-              CK_REQUANT((double)s[x * stride], mo, bo, lo, hi, r)        \
-              out[x] = (float)r; } }
+      for (int64_t x = 0; x < n; ++x) {                                   \
+          CK_REQUANT((double)s[x], mo, bo, lo, hi, r)                     \
+          out[x] = (float)r; } }
     CK_SWITCH(sty, GEN)
 #undef GEN
 }
@@ -114,69 +109,23 @@ static void residual_tile(float* restrict a, const float* restrict s,
     }
 }
 
-/* Reads the valid output positions of one sample plane from a full-grid
- * source (int32 accumulator rows, or a typed register plane; subsampling
- * by `stride`) and writes them into the padded center of the destination
- * register (`out_off`); the register border was zeroed at allocation and
- * is never touched.  The float staging is exact: every requantized code
- * is an integer below 2^24. */
+/* Requantize the OH x OW window of one typed register plane (rows Wp
+ * apart) into the padded center of the destination register at out_off;
+ * the destination border is never touched. */
 static void requant_rows(const void* src, int64_t sty, void* Q,
                          int64_t qty, int64_t o, int64_t n, int64_t N,
-                         int64_t Wp, int64_t stride,
-                         int64_t Hq, int64_t Wq, int64_t out_off,
+                         int64_t Wp, int64_t Hq, int64_t Wq, int64_t out_off,
                          int64_t OH, int64_t OW,
                          double mo, double bo, double lo, double hi)
 {
     float vb[CK_ROW];
     for (int64_t y = 0; y < OH; ++y) {
-        const int64_t arow = (y * stride) * Wp;
         const int64_t qrow = ((o * N + n) * Hq + y + out_off) * Wq + out_off;
         for (int64_t x0 = 0; x0 < OW; x0 += CK_ROW) {
             const int64_t nb = OW - x0 < CK_ROW ? OW - x0 : CK_ROW;
-            requant_row(at(src, sty, arow + x0 * stride), sty, stride, vb,
-                        nb, mo, bo, lo, hi);
+            requant_row(at(src, sty, y * Wp + x0), sty, vb, nb,
+                        mo, bo, lo, hi);
             store_row((void*)at(Q, qty, qrow + x0), qty, vb, nb);
-        }
-    }
-}
-
-/* Fused epilogue of a conv+requant+residual chain (conv_mq_res): requant
- * the conv accumulator rows, optionally requant the shortcut rows (folded
- * identity MulQuant), then the float32 residual merge — each stage is the
- * byte-for-byte arithmetic of the standalone kernels, applied while the
- * rows are still in cache.  The clamped integral intermediate is exact in
- * every type, so skipping the store/load round-trip through the
- * intermediate register changes no bits.
- *
- * acc points at the sample's full-grid int32 accumulator plane; S is the
- * shortcut's (O, N, Hs, Ws) channel-major register with border pad s_off.
- */
-static void fused_res_rows(const int32_t* acc, const void* S, int64_t sty,
-                           void* Q, int64_t qty,
-                           int64_t o, int64_t n, int64_t N,
-                           int64_t Wp, int64_t stride,
-                           int64_t Hq, int64_t Wq, int64_t out_off,
-                           int64_t Hs, int64_t Ws, int64_t s_off,
-                           int64_t OH, int64_t OW, const ck_requant* rq)
-{
-    float av[CK_ROW], sv[CK_ROW];
-    const float frs = (float)rq->rs, flo = (float)rq->rlo;
-    const float fhi = (float)rq->rhi;
-    for (int64_t y = 0; y < OH; ++y) {
-        const int32_t* arow = acc + (y * stride) * Wp;
-        const int64_t srow = ((o * N + n) * Hs + y + s_off) * Ws + s_off;
-        const int64_t qrow = ((o * N + n) * Hq + y + out_off) * Wq + out_off;
-        for (int64_t x0 = 0; x0 < OW; x0 += CK_ROW) {
-            const int64_t nb = OW - x0 < CK_ROW ? OW - x0 : CK_ROW;
-            requant_row(arow + x0 * stride, CK_I32, stride, av, nb,
-                        rq->mo, rq->bo, rq->lo, rq->hi);
-            if (rq->has_smq)
-                requant_row(at(S, sty, srow + x0), sty, 1, sv, nb,
-                            rq->smo, rq->sbo, rq->slo, rq->shi);
-            else
-                load_row(at(S, sty, srow + x0), sty, sv, nb);
-            residual_tile(av, sv, nb, frs, flo, fhi);
-            store_row((void*)at(Q, qty, qrow + x0), qty, av, nb);
         }
     }
 }
@@ -197,7 +146,7 @@ void mulquant_cm(const void* P, int64_t pty, int64_t ps,
         const double bo = b[blen > 1 ? c : 0];
         for (int64_t n = 0; n < N; ++n)
             requant_rows(at(P, pty, ((c * N + n) * Hp + ps) * Wp + ps), pty,
-                         Q, qty, c, n, N, Wp, 1, Hq, Wq, out_off, H, W,
+                         Q, qty, c, n, N, Wp, Hq, Wq, out_off, H, W,
                          mo, bo, lo, hi);
     }
 }
@@ -263,11 +212,11 @@ static void epilogue_span(const int32_t* a, int64_t len, int64_t p0,
     float av[CK_ROW], sv[CK_ROW];
     for (int64_t c0 = 0; c0 < len; c0 += CK_ROW) {
         const int64_t nb = len - c0 < CK_ROW ? len - c0 : CK_ROW;
-        requant_row(a + c0, CK_I32, 1, av, nb, rq->mo, rq->bo, rq->lo,
+        requant_row(a + c0, CK_I32, av, nb, rq->mo, rq->bo, rq->lo,
                     rq->hi);
         if (S) {
             if (rq->has_smq)
-                requant_row(at(S, sty, s0 + c0), sty, 1, sv, nb, rq->smo,
+                requant_row(at(S, sty, s0 + c0), sty, sv, nb, rq->smo,
                             rq->sbo, rq->slo, rq->shi);
             else
                 load_row(at(S, sty, s0 + c0), sty, sv, nb);
@@ -288,9 +237,13 @@ static void epilogue_span(const int32_t* a, int64_t len, int64_t p0,
  * when the conv keeps the grid (stride 1) and Q has the accumulator's
  * plane geometry, the whole block is one span in both.  Otherwise each
  * plane's valid outputs are first gathered, a chunk of rows at a time,
- * into staging laid out in Q's geometry.  The shortcut must share Q's
- * geometry (the arena pads every channel register alike); anything else
- * falls back to row-by-row epilogues. */
+ * into staging laid out in Q's geometry; rows wider than the staging, or
+ * a shortcut of another geometry (the arena pads every channel register
+ * alike, so not in a plan), go one row segment at a time.  The fused
+ * residual tail is the byte-for-byte arithmetic of the standalone
+ * kernels; the clamped integral intermediate is exact in every type, so
+ * skipping the store/load round-trip through the intermediate register
+ * changes no bits. */
 void conv_epilogue(const int32_t* acc, int64_t nbk, int64_t splane,
                    int64_t Hp, int64_t Wp, int64_t stride,
                    void* Q, int64_t qty, int64_t o, int64_t n0, int64_t N,
@@ -302,6 +255,8 @@ void conv_epilogue(const int32_t* acc, int64_t nbk, int64_t splane,
     const int64_t qplane = Hq * Wq;
     const int64_t q0 = ((o * N + n0) * Hq + out_off) * Wq + out_off;
     const int64_t s0 = S ? ((o * N + n0) * Hs + s_off) * Ws + s_off : 0;
+    /* staging positions the gather skips are border, masked in the span */
+    int32_t stage[CK_ROW];
     if (S && (Hs != Hq || Ws != Wq))
         goto rows;
     if (stride == 1 && Wp == Wq && Hp == Hq) {
@@ -310,9 +265,7 @@ void conv_epilogue(const int32_t* acc, int64_t nbk, int64_t splane,
         return;
     }
     if (Wq <= CK_ROW) {
-        /* a chunk is whole planes when they fit, else rows of one plane;
-         * staging positions the gather skips are border, masked below */
-        int32_t stage[CK_ROW];
+        /* a chunk is whole planes when they fit, else rows of one plane */
         const int64_t planes = CK_ROW / qplane;
         const int64_t k = planes ? OH : CK_ROW / Wq;
         const int64_t pstep = planes ? planes : 1;
@@ -341,16 +294,18 @@ void conv_epilogue(const int32_t* acc, int64_t nbk, int64_t splane,
         return;
     }
 rows:
-    for (int64_t i = 0; i < nbk; ++i) {
-        const int32_t* plane = acc + i * splane;
-        if (!S)
-            requant_rows(plane, CK_I32, Q, qty, o, n0 + i, N, Wp, stride,
-                         Hq, Wq, out_off, OH, OW, rq->mo, rq->bo, rq->lo,
-                         rq->hi);
-        else
-            fused_res_rows(plane, S, sty, Q, qty, o, n0 + i, N, Wp, stride,
-                           Hq, Wq, out_off, Hs, Ws, s_off, OH, OW, rq);
-    }
+    for (int64_t i = 0; i < nbk; ++i)
+        for (int64_t y = 0; y < OH; ++y)
+            for (int64_t x0 = 0; x0 < OW; x0 += CK_ROW) {
+                const int64_t nx = OW - x0 < CK_ROW ? OW - x0 : CK_ROW;
+                const int32_t* src = acc + i * splane + y * stride * Wp
+                                     + x0 * stride;
+                for (int64_t x = 0; x < nx; ++x)
+                    stage[x] = src[x * stride];
+                epilogue_span(stage, nx, x0, pat, qplane, Q, qty,
+                              q0 + i * qplane + y * Wq + x0, S, sty,
+                              s0 + i * Hs * Ws + y * Ws + x0, rq);
+            }
 }
 
 /* Validity of the Hq*Wq positions of a destination plane, counted from

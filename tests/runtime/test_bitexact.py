@@ -80,20 +80,30 @@ def test_deployed_call_uses_plan(deployed_factory, no_ckernel):
 
 
 # ----------------------------------------------------- synthetic conv edges
-def _conv_plan(ops_fn, native, layout):
-    """``in -> conv -> gap -> fc`` over ``ops_fn(native)``'s first two ops."""
+def _tail(src, o):
+    """``gap -> fc`` over channel register ``src`` (``o`` channels): a
+    batch-layout output for plans whose result is a feature map."""
     from repro.runtime.kernels import MQParams
     from repro.runtime.program import GapMQOp, LinearMQOp
 
-    head, conv = ops_fn(native)
-    o = conv.weight.shape[0]
-    tail = [GapMQOp("gap", (2,), 3, MQParams(np.asarray(0.25),
-                                             np.asarray(0.0), -128, 127, 1)),
-            LinearMQOp("fc", (3,), 4, np.ones((10, o), np.float32),
-                       MQParams(np.asarray(0.5), np.asarray(0.0),
-                                -128, 127, 1))]
-    return Plan([head, conv] + tail, num_regs=5, output_reg=4,
+    return [GapMQOp("gap", (src,), src + 1,
+                    MQParams(np.asarray(0.25), np.asarray(0.0), -128, 127, 1)),
+            LinearMQOp("fc", (src + 1,), src + 2, np.ones((10, o), np.float32),
+                       MQParams(np.asarray(0.5), np.asarray(0.0), -128, 127,
+                                1))]
+
+
+def _ops_plan(ops, layout):
+    """A plan over ``ops`` (last register a feature map) plus the tail."""
+    last = ops[-1]
+    ops = list(ops) + _tail(last.dst, last.weight.shape[0])
+    return Plan(ops, num_regs=last.dst + 3, output_reg=last.dst + 2,
                 model_name="synthetic", out_features=10, layout=layout)
+
+
+def _conv_plan(ops_fn, native, layout):
+    """``in -> conv -> gap -> fc`` over ``ops_fn(native)``'s two ops."""
+    return _ops_plan(ops_fn(native), layout)
 
 
 def _conv_case(name, in_range, c, o, k, hw, stride, padding, groups,
@@ -127,9 +137,10 @@ def _conv_case(name, in_range, c, o, k, hw, stride, padding, groups,
 
 def _pinned_input(rng, n, c, hw, in_range):
     """Images whose codes sit mostly on the range ends (and past them, so
-    the input quantizer clips)."""
+    the input quantizer clips); ``hw`` is a side or an ``(h, w)`` pair."""
     lo, hi = in_range
-    x = rng.choice([lo - 9.0, lo, hi, hi + 9.0, 0.0], size=(n, c, hw, hw))
+    h, w = (hw, hw) if isinstance(hw, int) else hw
+    x = rng.choice([lo - 9.0, lo, hi, hi + 9.0, 0.0], size=(n, c, h, w))
     x += rng.integers(lo, hi + 1, size=x.shape) * (rng.random(x.shape) < 0.3)
     return x.astype(np.float32)
 
@@ -203,3 +214,41 @@ def test_wide_input_conv_takes_channel_reference():
     assert plan._bindings[x.shape].arena.dtypes[1] == np.int16
     assert np.array_equal(read_register(plan._bindings[x.shape].arena, 2),
                           ref._bindings[x.shape].arena.regs[2])
+
+
+@pytest.mark.parametrize("stride,fused", [(1, False), (2, False), (1, True)])
+def test_rows_wider_than_the_epilogue_staging(stride, fused):
+    """Output rows wider than the epilogue's 1024-code staging: plain convs
+    (stride 1 runs as one span, stride 2 row segment by row segment) and a
+    valid-padding conv fused with a requantized shortcut register."""
+    from repro.integrity.abft import read_register
+    from repro.runtime.compiler import native_ok
+    from repro.runtime.kernels import MQParams
+    from repro.runtime.program import ConvMQOp, ConvMQResOp
+
+    if ckernel.load() is None:
+        pytest.skip("native kernel unavailable")
+    rng = np.random.default_rng(11)
+    ops_fn, _, c = _conv_case("wide-rows", (0, 255), 4, 4, 3, None, stride,
+                              0 if fused else 1, 1, (0, 255), rng)
+    if fused:
+        inq, conv = ops_fn(False)
+        mq = MQParams(np.full(4, 0.01), np.zeros(4), -16384, 16368, 1)
+        smq = MQParams(np.full(4, 3.0), np.full(4, 0.5), -16384, 16368, 1)
+
+        def ops_fn(native):  # in -> conv -> conv + residual(first conv)
+            ok = native and native_ok(ckernel.load(), conv.weight, (0, 255))
+            return [inq,
+                    ConvMQOp("a", (1,), 2, conv.weight, 1, 0, 1, conv.mq,
+                             True, conv.bound, native=ok),
+                    ConvMQResOp("res", (1, 2), 3, conv.weight, 1, 0, 1, mq,
+                                True, conv.bound, 2.0, 0, 255, "merge",
+                                smq=smq, smq_name="id", native=ok)]
+    plan = _ops_plan(ops_fn(True), "channel")
+    ref = _ops_plan(ops_fn(False), "batch")
+    assert all(op.native for op in plan.ops if hasattr(op, "native"))
+    x = _pinned_input(rng, 3, c, (5, 2100), (0, 255))
+    assert np.array_equal(plan(x), ref(x))
+    reg = 3 if fused else 2
+    assert np.array_equal(read_register(plan._bindings[x.shape].arena, reg),
+                          ref._bindings[x.shape].arena.regs[reg])
