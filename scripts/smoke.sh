@@ -73,8 +73,9 @@ python -m pytest tests/runtime -q -m runtime
 
 echo "== thread counts (compiled plan at 1 and 4 threads vs the tree) =="
 python - <<'EOF'
-# every registry model: the compiled plan (the compiler picks layout and
-# fusion) must be bitwise the interpreted tree at 1 and at 4 kernel threads
+# every registry model: the compiled plan (the compiler picks native convs
+# and fusion) must be bitwise the interpreted tree at 1 and at 4 kernel
+# threads
 import numpy as np
 from repro.core import DeploySpec, deploy
 from repro.core.qconfig import QConfig
@@ -86,7 +87,8 @@ from repro.tensor import no_grad
 from repro.tensor.tensor import Tensor
 
 ck = ckernel.load()
-print(f"native kernel body: {ck.isa if ck else 'none (batch layout only)'}")
+body = ck.isa if ck else "none"
+print(f"native kernel body: {body}")
 KWARGS = {"resnet20": dict(width=8), "resnet18": dict(width=8),
           "resnet50": dict(width=8), "mobilenet-v1": dict(width_mult=0.5),
           "vgg8": dict(width_mult=0.5), "vit-7": dict(embed_dim=64)}
@@ -103,12 +105,13 @@ for name in MODELS:
     for threads in (1, 4):
         plan = Plan.compile(d.qnn, CompileSpec(threads=threads))
         assert np.array_equal(plan(x), ref), (
-            f"{name}: {plan.layout} plan at {threads} thread(s) diverges "
-            f"from the tree")
+            f"{name}: plan at {threads} thread(s) diverges from the tree")
     rep = plan.verify(input_shape=(3, 32, 32))
     assert rep.ok, f"{name}: plan verification failed\n{rep.render()}"
-    print(f"threads OK: {name:<12} {plan.layout:<7} layout, "
-          f"{plan.fusion_stats['fused']:>2} chain(s) fused, bit-exact at "
+    native = sum(getattr(op, "native", False) for op in plan.ops)
+    print(f"threads OK: {name:<12} {body:<8} body, {native:>2} native "
+          f"conv(s), {plan.fusion_stats['fused']:>2} chain(s) fused, "
+          f"bit-exact at "
           f"1 and 4 threads, verify clean")
 EOF
 

@@ -409,7 +409,7 @@ def flip_live_weights(fleet, model: str, rng: np.random.Generator,
 def flip_arena(fleet, model: str, rng: np.random.Generator) -> Dict:
     """Write a non-zero word into a victim's arena guard border.
 
-    The channel layout zeroes each padded border once and the conv kernels
+    The arena zeroes each padded border once and the conv kernels
     rely on it staying zero — a flipped guard word silently feeds a wrong
     tap to every edge pixel.  Needs live traffic first (bindings are
     lazy); the memory scrubber's guard sweep is the detection layer.

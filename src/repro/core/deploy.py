@@ -42,7 +42,7 @@ class DeploySpec:
         ``"auto"`` compiles the runtime plan, ``"none"`` skips it.
     compile:
         The :class:`repro.runtime.CompileSpec` the plan is compiled under
-        (its thread count; the compiler picks layout, fusion and tiling).
+        (its thread count; the compiler picks kernels, fusion and tiling).
 
     There is no opt-out from the hand-off checks: :func:`deploy` always
     proves a compiled plan, records golden vectors against it, and audits
@@ -66,8 +66,8 @@ class DeploySpec:
                              "expected 'channel' or 'prefuse'")
         if self.runtime not in ("auto", "none"):
             raise ValueError(f"unknown runtime {self.runtime!r}; expected "
-                             "'auto' or 'none' (the compiler picks the "
-                             "register layout)")
+                             "'auto' or 'none' (the compiler picks how "
+                             "the plan runs)")
         if not isinstance(self.compile, CompileSpec):
             raise ValueError("DeploySpec.compile must be a CompileSpec, got "
                              f"{type(self.compile).__name__}")

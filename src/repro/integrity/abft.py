@@ -97,12 +97,12 @@ def attach_checksums(plan) -> Dict[str, int]:
 def read_register(arena, reg: int, limit: Optional[int] = None):
     """A register's batch-major ``(N, ...)`` value, or None if unavailable.
 
-    In the ``channel`` layout feature maps live in channel-major padded
-    integer buffers; this transposes the valid center back to the float32
-    the interpreted datapath holds.  ``limit`` slices the leading sample
-    axis (the checker verifies one sample, not the batch).
+    Feature maps live in channel-major padded integer buffers; this
+    transposes the valid center back to the float32 the interpreted
+    datapath holds.  ``limit`` slices the leading sample axis (the checker
+    verifies one sample, not the batch).
     """
-    if arena.layout == "channel" and reg in arena._cm_centers:
+    if reg in arena._cm_centers:
         c = arena._cm_centers[reg]
         if limit is not None:
             c = c[:, :limit]

@@ -2,7 +2,7 @@
 
 A deployed plan's constants — packed weights, requant multiplier/bias
 tables, LUTs — are written once at compile time and must never change;
-the channel-layout arena's padded borders ("guard words") are zeroed once
+the arena's padded feature-map borders ("guard words") are zeroed once
 at allocation and never written again.  :func:`snapshot_constants` captures
 a CRC32 baseline of every constant at ``Plan.compile``; :func:`scrub_plan`
 re-walks the live buffers against it and checks every arena guard border,
@@ -111,7 +111,7 @@ class ScrubReport:
 def arena_guard_faults(plan) -> List[Dict]:
     """Non-zero guard borders across the plan's live arena bindings.
 
-    The channel layout zeroes each padded border once and relies on it
+    The arena zeroes each padded border once and relies on it
     staying zero (padding is free after the first batch) — any non-zero
     word there is corruption that silently feeds wrong taps to the conv
     kernels.

@@ -157,11 +157,9 @@ class PlanVerificationReport:
     checksum_certificates: List[Dict] = field(default_factory=list)
     liveness: Optional[PlanLiveness] = None
     checked_module_rows: int = 0
-    #: the CompileSpec the plan was built under (``{"threads": N}``) and
-    #: the register layout the compiler chose — embedded so manifests
-    #: record how the program was compiled
+    #: the CompileSpec the plan was built under (``{"threads": N}``) —
+    #: embedded so manifests record how the program was compiled
     compile_spec: Optional[Dict] = None
-    layout: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -195,7 +193,6 @@ class PlanVerificationReport:
                          if self.liveness is not None else None),
             "checked_module_rows": self.checked_module_rows,
             "compile_spec": self.compile_spec,
-            "layout": self.layout,
         }
 
     def render(self) -> str:
@@ -795,7 +792,6 @@ class _PlanVerifier:
             compile_spec=(spec.to_json()
                           if (spec := getattr(self.plan, "spec", None))
                           is not None else None),
-            layout=getattr(self.plan, "layout", None),
         )
 
 

@@ -5,20 +5,16 @@ are written once per program execution, so a buffer stays valid until the
 next batch overwrites it; ops that need skip connections simply read a
 register that was produced earlier in the program.
 
-Two layouts exist:
-
-* ``batch`` — registers are plain ``(N, C, H, W)`` arrays assigned by the
-  ops; this is the interpreted-replication layout, valid everywhere.
-* ``channel`` — the native kernel's layout, bound only when the kernel
-  loaded: feature-map registers are preallocated channel-major
-  ``(C, N, Hp, Wp)`` buffers with the convs' zero padding baked into the
-  border, each of the narrowest integer type that holds the register's
-  proven code range (``uint8`` conv inputs, an ``int8`` model input,
-  ``int16`` pre-add shortcuts; see :func:`kernels.register_dtype`).  Per
-  channel, the sample planes are contiguous, which is what lets the native
-  conv kernel accumulate whole sample blocks in single long passes.  The
-  border is zeroed once at allocation and only ever rewritten with zeros —
-  padding is free after the first batch.
+Feature-map registers are preallocated channel-major ``(C, N, Hp, Wp)``
+buffers with the convs' zero padding baked into the border, each of the
+narrowest integer type that holds the register's proven code range
+(``uint8`` conv inputs, an ``int8`` model input, ``int16`` pre-add
+shortcuts; see :func:`kernels.register_dtype`).  Per channel, the sample
+planes are contiguous, which is what lets the native conv kernel
+accumulate whole sample blocks in single long passes.  The border is
+zeroed once at allocation and only ever rewritten with zeros — padding is
+free after the first batch.  Token, vector and logit registers are plain
+``(N, ...)`` arrays the ops assign.
 
 Pad planning (:func:`plan_pads`) gives every feature-map register the
 same border, the widest padding any conv of the plan needs: registers of
@@ -47,37 +43,24 @@ def plan_pads(ops: List, shapes: Dict[int, Shape]) -> Dict[int, int]:
 class Arena:
     """Preallocated register file for one (batch size, input shape) binding."""
 
-    def __init__(self, n: int, num_regs: int, layout: str = "batch",
-                 ck=None, threads: int = 1):
-        if layout == "channel" and ck is None:
-            raise RuntimeError("a channel-layout plan needs the native "
-                               "kernel, which is not loaded")
+    def __init__(self, n: int, num_regs: int, ck=None, threads: int = 1):
         self.n = n
-        self.layout = layout
-        self.ck = ck            # the loaded native kernel (channel layout)
+        self.ck = ck            # the loaded native kernel; None: numpy bodies
         self.threads = threads  # native-kernel workers per conv
         self.regs = [None] * num_regs
         # per-sample shapes, filled during shape inference at bind time
         self.shapes: Dict[int, Shape] = {}
-        # channel layout state: register pad widths and padded buffers
+        # feature-map registers: pad widths, padded buffers, element types
         self.pads: Dict[int, int] = {}
         self._cm_bufs: Dict[int, np.ndarray] = {}
         self._cm_centers: Dict[int, np.ndarray] = {}
-        self.dtypes: Dict[int, np.dtype] = {}  # channel register types
+        self.dtypes: Dict[int, np.dtype] = {}
         # int32 kernel scratch shared by every conv of the binding (ops run
         # one at a time): words reserved at bind, allocated on first use
         self._scratch_words = [0, 0]
         self._scratch = None
         self._bytes = 0
 
-    def alloc(self, shape: Shape, dtype=np.float32,
-              zero: bool = False) -> np.ndarray:
-        """Allocate a batch buffer ``(n, *shape)`` owned by this arena."""
-        buf = (np.zeros if zero else np.empty)((self.n,) + tuple(shape), dtype=dtype)
-        self._bytes += buf.nbytes
-        return buf
-
-    # ---------------------------------------------------- channel layout
     def cm_buffer(self, reg: int) -> np.ndarray:
         """The padded ``(C, N, Hp, Wp)`` buffer of a channel-major register."""
         buf = self._cm_bufs.get(reg)

@@ -20,7 +20,7 @@ loaded on another); later processes reuse the cached binary.
 
 Everything degrades gracefully: no C compiler, a failed build, or the
 ``REPRO_NO_CKERNEL=1`` kill switch all leave :func:`load` returning ``None``
-and the runtime falls back to the interpreted-replication plan layout
+and every op binds its numpy reference body over the same registers
 (bit-exact, just slower).  A telemetry event records which way it went.
 """
 from __future__ import annotations
@@ -272,10 +272,6 @@ def load() -> Optional[CKernel]:
     telemetry.emit("ckernel_unavailable",
                    reason="no working C compiler; using interpreted kernels")
     return None
-
-
-def available() -> bool:
-    return load() is not None
 
 
 def reset_for_tests() -> None:

@@ -8,9 +8,11 @@ compiled program is bit-exact against the interpreted tree by construction.
 While walking, it tracks the proven integer code range of every register
 (input grid, MulQuant clamp ranges, residual clamps); each convolution's
 worst-case accumulator bound over its input range, its input range and its
-weights decide whether it runs on the native integer kernel (see
+weights decide whether it may run on the native integer kernel (see
 :mod:`repro.runtime.kernels`) or must replicate the interpreted per-sample
-GEMM order.
+GEMM order.  Every model, the ViT included, compiles onto the one register
+model of :mod:`repro.runtime.arena`; each op picks the kernel or its numpy
+reference at bind, by whether the kernel is loaded there.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ class _Builder:
 
     def __init__(self, qnn, ck=None):
         self.qnn = qnn
-        self.ck = ck  # the native kernel when the plan takes the channel layout
+        self.ck = ck  # the native kernel, or None: no conv is native
         self.names: Dict[int, str] = {id(m): n for n, m in qnn.named_modules()}
         self.ops = []
         self.num_regs = 1  # register 0 is the model input
@@ -238,8 +240,7 @@ def lower(qnn) -> Tuple[List, int, int]:
             "Plan.compile expects the re-packed deploy model returned by "
             "T2C.nn2chip() (its input_q must be the vanilla InputQuant); got "
             f"{type(qnn).__name__}")
-    vit = isinstance(qnn, QVisionTransformer)
-    b = _Builder(qnn, None if vit else ckernel.load())
+    b = _Builder(qnn, ckernel.load())
     if isinstance(qnn, QResNet):
         out_reg = _compile_resnet(b)
     elif isinstance(qnn, QMobileNetV1):
@@ -259,17 +260,12 @@ def compile_program(qnn, spec: CompileSpec = None):
     """Compile a re-packed deploy model into an executable :class:`Plan`.
 
     The compiler decides everything it can observe: it lowers the model
-    (:func:`lower`), always runs the fusion pass, and picks the register
-    layout — channel-major padded registers on the native conv kernel iff
-    the model is a CNN and the kernel loaded, otherwise the ``batch``
-    replication of the interpreted numpy sequence.  The choice is recorded
-    on ``Plan.layout``.  ``spec`` (a :class:`repro.runtime.CompileSpec`,
-    default ``CompileSpec()``) carries the one thing it cannot observe,
-    the kernel's thread count.
+    (:func:`lower`), marking each conv the native kernel may run, and
+    always runs the fusion pass.  ``spec`` (a
+    :class:`repro.runtime.CompileSpec`, default ``CompileSpec()``) carries
+    the one thing it cannot observe, the kernel's thread count.
     """
-    from repro import telemetry
     from repro.core.qvit import QVisionTransformer
-    from repro.runtime import ckernel
     from repro.runtime.executor import Plan
     from repro.runtime.fusion import fuse_plan
 
@@ -279,15 +275,9 @@ def compile_program(qnn, spec: CompileSpec = None):
     ops, fusion_stats = fuse_plan(ops, out_reg)
 
     vit = isinstance(qnn, QVisionTransformer)
-    layout = "channel" if not vit and ckernel.available() else "batch"
-    if not vit and layout == "batch":
-        telemetry.emit("plan_layout_fallback", model=type(qnn).__name__,
-                       reason="native kernel unavailable")
-
     fc_weight = qnn.head.linear.weight if vit else qnn.fc.linear.weight
     plan = Plan(ops, num_regs=num_regs, output_reg=out_reg,
                 model_name=type(qnn).__name__,
-                out_features=fc_weight.data.shape[0],
-                layout=layout, spec=spec)
+                out_features=fc_weight.data.shape[0], spec=spec)
     plan.fusion_stats = fusion_stats
     return plan

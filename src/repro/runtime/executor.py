@@ -83,18 +83,15 @@ class _Binding:
 
         n, sample_shape = in_shape[0], tuple(in_shape[1:])
         self.arena = Arena(
-            n, plan.num_regs, layout=plan.layout,
-            ck=ckernel.load() if plan.layout == "channel" else None,
+            n, plan.num_regs, ck=ckernel.load(),
             # the C ABI seats at most 16 workers
             threads=max(1, min(16, plan.spec.resolved_threads())))
         self.arena.shapes[0] = sample_shape
         for op in plan.ops:
             self.arena.shapes[op.dst] = op.infer(self.arena.shapes)
-        if plan.layout == "channel":
-            for op in plan.ops:
-                self.arena.dtypes[op.dst] = op.out_dtype(self.arena.dtypes)
-            self.arena.pads = plan_pads(plan.ops, self.arena.shapes)
-            self.arena.pads.pop(0, None)  # register 0 is the raw input
+            self.arena.dtypes[op.dst] = op.out_dtype(self.arena.dtypes)
+        self.arena.pads = plan_pads(plan.ops, self.arena.shapes)
+        self.arena.pads.pop(0, None)  # register 0 is the raw input
         self.fns = [op.bind(self.arena) for op in plan.ops]
 
 
@@ -102,14 +99,13 @@ class Plan:
     """A compiled, bit-exact, batched executor for a re-packed deploy model."""
 
     def __init__(self, ops: List, num_regs: int, output_reg: int,
-                 model_name: str, out_features: int, layout: str = "batch",
+                 model_name: str, out_features: int,
                  spec: Optional[CompileSpec] = None):
         self.ops = ops
         self.num_regs = num_regs
         self.output_reg = output_reg
         self.model_name = model_name
         self.out_features = out_features
-        self.layout = layout  # the compiler's choice: "channel" | "batch"
         # the compile configuration this program was built under — embedded
         # in verification reports and manifests
         self.spec = spec if spec is not None else CompileSpec()
@@ -163,7 +159,7 @@ class Plan:
     def compile(cls, qnn, spec: Optional[CompileSpec] = None) -> "Plan":
         """Compile the deploy-ready model from ``T2C.nn2chip()``.
 
-        The compiler picks layout, fusion and tiling itself; ``spec`` (see
+        The compiler picks fusion and tiling itself; ``spec`` (see
         :class:`repro.runtime.CompileSpec`) carries the thread count.
         """
         from repro.runtime.compiler import compile_program
@@ -173,7 +169,6 @@ class Plan:
         plan.capture_integrity_baseline()
         telemetry.emit("plan_compile", model=plan.model_name,
                        ops=len(plan.ops), registers=plan.num_regs,
-                       layout=plan.layout,
                        fused_chains=plan.fusion_stats["fused"])
         return plan
 

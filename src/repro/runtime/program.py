@@ -10,15 +10,15 @@ A program is a flat list of ops over a register file.  Each op carries:
 * ``infer(shapes)`` — symbolic (batch-size-free) shape inference used to
   size the activation arena;
 * ``bind(arena)`` — returns the steady-state closure executed per batch,
-  with buffers, layout views and broadcast constants resolved up front.
+  with buffers, register views and broadcast constants resolved up front.
 
-In the ``channel`` arena layout (compiled only when the native kernel
-loaded) the feature-map ops run over channel-major padded integer
-registers on the kernel; the remaining ops are layout-free and stay
-bit-exact by executing the identical per-element arithmetic on float32
-copies of the transposed views.  In the
-``batch`` layout every op replicates the interpreted module's numpy call
-sequence verbatim.
+Feature maps live in channel-major padded integer registers (see
+:mod:`repro.runtime.arena`).  Each op picks its body once, at bind, from
+``arena.ck``: the native kernel when it is loaded, else a numpy reference
+that runs the interpreted module's arithmetic on a float32 batch-major
+copy of its input registers and writes the result back channel-major —
+so a host without the kernel runs the same op list, bit-exactly.  Token
+and vector registers are plain ``(N, ...)`` arrays.
 
 Numeric contracts live in :mod:`repro.runtime.kernels`.
 """
@@ -115,7 +115,7 @@ class Op:
         raise NotImplementedError
 
     def out_dtype(self, dtypes: Dict[int, np.dtype]) -> np.dtype:
-        """Element type of ``dst`` as a channel-layout register."""
+        """Element type of ``dst`` as a feature-map register."""
         return np.dtype(np.float32)
 
     def bind(self, arena: Arena):
@@ -162,19 +162,13 @@ class InputQuantOp(Op):
 
     def bind(self, arena):
         regs, s = arena.regs, self.src[0]
-        scale, qlb, qub, dst = self.scale, self.qlb, self.qub, self.dst
-        if arena.layout == "channel":
-            center = arena.cm_center(dst)
-
-            def fn():
-                r = np.round(regs[s] / scale)
-                q = np.clip(r, qlb, qub)
-                np.copyto(center, q.transpose(1, 0, 2, 3), casting="unsafe")
-            return fn
+        scale, qlb, qub = self.scale, self.qlb, self.qub
+        center = arena.cm_center(self.dst)
 
         def fn():
             r = np.round(regs[s] / scale)
-            regs[dst] = np.clip(r, qlb, qub).astype(np.float32)
+            q = np.clip(r, qlb, qub)
+            np.copyto(center, q.transpose(1, 0, 2, 3), casting="unsafe")
         return fn
 
     def _sig_params(self, h):
@@ -186,20 +180,18 @@ class _ConvOp(Op):
     and the native kernel's arguments.
 
     The compiler asks for a ``native`` conv when it may run on the integer
-    kernel in the ``channel`` layout: certified ``exact_reassoc`` (the
-    float32 tree's sum is exact, so the exact int32 sum equals it), an
-    input register of 8-bit codes and taps within the kernel's tables; the
-    op is native when its weights also pack as int8.  Every conv holds one
-    resident weight array, the
+    kernel: certified ``exact_reassoc`` (the float32 tree's sum is exact,
+    so the exact int32 sum equals it), an input register of 8-bit codes
+    and taps within the kernel's tables; the op is native when its weights
+    also pack as int8.  Every conv holds one resident weight array, the
     instance attribute ``weight`` (what the scrubber's constant walk CRCs):
     for a native conv the kernel's packed int8 words (see
     :func:`kernels.pack_conv_weight`), else float32.  The ``weight``
     property shadows it with the logical ``(O, Cg, kh, kw)`` array — for a
     native conv a writable view of the packed bytes, so the chaos
     injectors and ABFT read and perturb exactly what the kernel reads.  A
-    non-native conv transposes to batch layout and replicates the
-    interpreted sequence; in the ``batch`` layout every conv replicates the
-    interpreted per-sample GEMM sequence verbatim.
+    non-native conv, or a native one bound where the kernel is not loaded,
+    replicates the interpreted im2col + GEMM sequence (:func:`_bind_numpy`).
     """
 
     def __init__(self, name, src, dst, weight: np.ndarray, stride: int,
@@ -233,7 +225,10 @@ class _ConvOp(Op):
 
     def infer(self, shapes):
         c, h, w = shapes[self.src[0]]
-        o, _, kh, kw = self.weight.shape
+        o, cg, kh, kw = self.weight.shape
+        if c != cg * self.groups:
+            raise ValueError(f"{self.name}: input has {c} channels, the conv "
+                             f"expects {cg * self.groups}")
         return (o, conv_out_size(h, kh, self.stride, self.padding),
                 conv_out_size(w, kw, self.stride, self.padding))
 
@@ -241,11 +236,9 @@ class _ConvOp(Op):
         return kernels.register_dtype(self.mq.lo, self.mq.hi)
 
     def bind(self, arena):
-        if arena.layout != "channel":
-            return self._bind_reference(arena)
-        if self.native:
+        if self.native and arena.ck is not None:
             return self._bind_kernel(arena)
-        return self._bind_channel_reference(arena)
+        return self._bind_reference(arena)
 
     def _kernel_args(self, arena):
         """``(P, w, m, b, lo, hi), Q, geometry`` for a native entry:
@@ -313,9 +306,22 @@ def _on_first_call(prepare):
 
 def _batch_major(center: np.ndarray) -> np.ndarray:
     """A channel register's valid center as a batch-major float32 array —
-    the input of every numpy replication inside a channel plan."""
+    the input of every numpy reference body."""
     return np.ascontiguousarray(center.transpose(1, 0, 2, 3),
                                 dtype=np.float32)
+
+
+def _bind_numpy(arena: Arena, srcs, dst: int, body):
+    """A numpy reference body over feature-map registers: ``body`` gets
+    each source batch-major and its ``(N, C, H, W)`` result is written
+    back into ``dst`` channel-major."""
+    centers = [arena.cm_center(s) for s in srcs]
+    out = arena.cm_center(dst)
+
+    def fn():
+        y = body(*[_batch_major(c) for c in centers])
+        np.copyto(out, y.transpose(1, 0, 2, 3), casting="unsafe")
+    return fn
 
 
 class ConvMQOp(_ConvOp):
@@ -332,33 +338,12 @@ class ConvMQOp(_ConvOp):
                                  **geometry)
         return _on_first_call(prepare)
 
-    def _bind_channel_reference(self, arena):
-        """Non-native conv inside a channel plan: transpose, replicate."""
-        src_center = arena.cm_center(self.src[0])
-        dst_center = arena.cm_center(self.dst)
-        run = self._reference_fn(arena)
-
-        def fn():
-            y = run(_batch_major(src_center))
-            np.copyto(dst_center, y.transpose(1, 0, 2, 3), casting="unsafe")
-        return fn
-
     def _bind_reference(self, arena):
-        regs, s, dst = arena.regs, self.src[0], self.dst
-        run = self._reference_fn(arena)
-
-        def fn():
-            regs[dst] = run(regs[s])
-        return fn
-
-    def _reference_fn(self, arena):
         """The interpreted conv+MulQuant numpy sequence, replicated verbatim."""
         run_acc = self._conv_acc(arena)
         mq = self.mq
-
-        def run(x):
-            return kernels.requant(run_acc(x), mq)
-        return run
+        return _bind_numpy(arena, self.src, self.dst,
+                           lambda x: kernels.requant(run_acc(x), mq))
 
     def _sig_params(self, h):
         self._conv_sig(h)
@@ -376,7 +361,7 @@ class ConvMQResOp(_ConvOp):
 
     Each epilogue stage replicates the standalone op's arithmetic exactly
     (see :func:`repro.runtime.kernels.requant_residual`), so the fused op is
-    bitwise the unfused chain in every layout.
+    bitwise the unfused chain on either body.
     """
 
     kind = "conv_mq_res"
@@ -435,26 +420,7 @@ class ConvMQResOp(_ConvOp):
                                      s_off=s_off, **geometry)
         return _on_first_call(prepare)
 
-    def _bind_channel_reference(self, arena):
-        a_center = arena.cm_center(self.src[0])
-        s_center = arena.cm_center(self.src[1])
-        dst_center = arena.cm_center(self.dst)
-        run = self._reference_fn(arena)
-
-        def fn():
-            y = run(_batch_major(a_center), _batch_major(s_center))
-            np.copyto(dst_center, y.transpose(1, 0, 2, 3), casting="unsafe")
-        return fn
-
     def _bind_reference(self, arena):
-        regs, (a, s), dst = arena.regs, self.src, self.dst
-        run = self._reference_fn(arena)
-
-        def fn():
-            regs[dst] = run(regs[a], regs[s])
-        return fn
-
-    def _reference_fn(self, arena):
         run_acc = self._conv_acc(arena)
         mq, smq = self.mq, self.smq
         rs, rlo, rhi = self.res_scale, self.res_lo, self.res_hi
@@ -462,7 +428,7 @@ class ConvMQResOp(_ConvOp):
         def run(x, shortcut):
             return kernels.requant_residual(run_acc(x), shortcut, mq,
                                             rs, rlo, rhi, smq)
-        return run
+        return _bind_numpy(arena, self.src, self.dst, run)
 
     def _sig_params(self, h):
         self._conv_sig(h, self.res_scale, self.res_lo, self.res_hi,
@@ -515,14 +481,17 @@ class MulQuantOp(Op):
 
     def bind(self, arena):
         regs, s, dst, mq = arena.regs, self.src[0], self.dst, self.mq
-        if arena.layout == "channel" and len(arena.shapes[s]) == 3:
-            return self._bind_channel_kernel(arena)
+        if len(arena.shapes[s]) == 3:
+            if arena.ck is not None:
+                return self._bind_kernel(arena)
+            return _bind_numpy(arena, self.src, dst,
+                               lambda x: kernels.requant(x, mq))
 
         def fn():
             regs[dst] = kernels.requant(regs[s], mq)
         return fn
 
-    def _bind_channel_kernel(self, arena):
+    def _bind_kernel(self, arena):
         """Native requant over the padded registers, same exact epilogue as
         the fused conv (f64 multiply and add rounding separately)."""
         ck = arena.ck
@@ -566,23 +535,26 @@ class ResidualOp(Op):
     def bind(self, arena):
         regs, (a, s), dst = arena.regs, self.src, self.dst
         rs, lo, hi = self.res_scale, self.lo, self.hi
-        if arena.layout == "channel" and len(arena.shapes[dst]) == 3:
-            ck = arena.ck
-            c, h, w = arena.shapes[dst]
-            n = arena.n
-            A = arena.cm_buffer(a)
-            S = arena.cm_buffer(s)
-            Q = arena.cm_buffer(dst)
-            pa = arena.pads.get(a, 0)
-            psd = arena.pads.get(s, 0)
-            pq = arena.pads.get(dst, 0)
-
-            return ck.residual_cm(A, pa, S, psd, Q, pq, rs, lo, hi,
-                                  C=c, N=n, H=h, W=w)
+        if len(arena.shapes[dst]) == 3:
+            if arena.ck is not None:
+                return self._bind_kernel(arena)
+            return _bind_numpy(
+                arena, self.src, dst,
+                lambda x, y: kernels.residual_merge(x, y, rs, lo, hi))
 
         def fn():
             regs[dst] = kernels.residual_merge(regs[a], regs[s], rs, lo, hi)
         return fn
+
+    def _bind_kernel(self, arena):
+        """Native merge over the padded registers."""
+        (a, s), dst = self.src, self.dst
+        c, h, w = arena.shapes[dst]
+        return arena.ck.residual_cm(
+            arena.cm_buffer(a), arena.pads.get(a, 0),
+            arena.cm_buffer(s), arena.pads.get(s, 0),
+            arena.cm_buffer(dst), arena.pads.get(dst, 0),
+            self.res_scale, self.lo, self.hi, C=c, N=arena.n, H=h, W=w)
 
     def _sig_params(self, h):
         h.update(repr((self.res_scale, self.lo, self.hi)).encode())
@@ -607,32 +579,18 @@ class MaxPoolOp(Op):
         return dtypes.get(self.src[0], np.dtype(np.float32))
 
     def bind(self, arena):
-        regs, s, dst = arena.regs, self.src[0], self.dst
-        n = arena.n
-        c, oh, ow = arena.shapes[dst]
+        c, oh, ow = arena.shapes[self.dst]
         k, st = self.kernel, self.stride
-        if arena.layout == "channel":
-            x = arena.cm_center(s)
-            d_c = arena.cm_center(dst)
-            s0, s1, s2, s3 = x.strides
-            # window max is order-free, so the layout change is exact
-            win = np.lib.stride_tricks.as_strided(
-                x, (c, n, oh, ow, k, k), (s0, s1, s2 * st, s3 * st, s2, s3),
-                writeable=False)
-
-            def fn():
-                np.max(win, axis=(4, 5), out=d_c)
-            return fn
-        outbuf = arena.alloc((c, oh, ow))
+        x = arena.cm_center(self.src[0])
+        out = arena.cm_center(self.dst)
+        s0, s1, s2, s3 = x.strides
+        # window max is order-free, so the channel-major walk is exact
+        win = np.lib.stride_tricks.as_strided(
+            x, (c, arena.n, oh, ow, k, k), (s0, s1, s2 * st, s3 * st, s2, s3),
+            writeable=False)
 
         def fn():
-            x = regs[s]
-            s0, s1, s2, s3 = x.strides
-            win = np.lib.stride_tricks.as_strided(
-                x, (n, c, oh, ow, k, k), (s0, s1, s2 * st, s3 * st, s2, s3),
-                writeable=False)
-            np.max(win, axis=(4, 5), out=outbuf)
-            regs[dst] = outbuf
+            np.max(win, axis=(4, 5), out=out)
         return fn
 
     def _sig_params(self, h):
@@ -657,21 +615,16 @@ class GapMQOp(Op):
 
     def bind(self, arena):
         regs, s, dst, mq = arena.regs, self.src[0], self.dst, self.mq
-        if arena.layout == "channel":
-            center = arena.cm_center(s)
-            n = arena.n
-            c, h, w = arena.shapes[s]
-
-            def fn():
-                # The float32 batch-major copy has the same contiguous
-                # (n, c, h*w) element order the batch layout reduces over,
-                # so the pairwise float32 mean is bit-identical.
-                x = _batch_major(center).reshape(n, c, h * w)
-                regs[dst] = kernels.requant(x.mean(axis=-1), mq)
-            return fn
+        center = arena.cm_center(s)
+        n = arena.n
+        c, h, w = arena.shapes[s]
 
         def fn():
-            regs[dst] = kernels.requant(regs[s].mean(axis=(2, 3)), mq)
+            # The float32 batch-major copy has the contiguous (n, c, h*w)
+            # element order the interpreted tree reduces over, so the
+            # pairwise float32 mean is bit-identical.
+            x = _batch_major(center).reshape(n, c, h * w)
+            regs[dst] = kernels.requant(x.mean(axis=-1), mq)
         return fn
 
     def _sig_params(self, h):
@@ -693,17 +646,21 @@ class TokensOp(Op):
 
     def infer(self, shapes):
         d, gh, gw = shapes[self.src[0]]
+        if gh * gw + 1 != self.pos_int.shape[-2]:
+            raise ValueError(f"{self.name}: a {gh}x{gw} patch grid makes "
+                             f"{gh * gw + 1} tokens, the position table "
+                             f"holds {self.pos_int.shape[-2]}")
         return (gh * gw + 1, d)
 
     def bind(self, arena):
-        regs, s, dst = arena.regs, self.src[0], self.dst
+        regs, dst = arena.regs, self.dst
+        center = arena.cm_center(self.src[0])
         n = arena.n
-        d = arena.shapes[s][0]
+        d = arena.shapes[self.src[0]][0]
         cls_int, pos_int, qlb, qub = self.cls_int, self.pos_int, self.qlb, self.qub
 
         def fn():
-            out = regs[s]
-            tokens = out.reshape(n, d, -1).transpose(0, 2, 1)
+            tokens = _batch_major(center).reshape(n, d, -1).transpose(0, 2, 1)
             cls = np.broadcast_to(cls_int, (n, 1, d)).copy()
             tok = np.concatenate([cls, tokens], axis=1)
             regs[dst] = np.clip(tok + pos_int, qlb, qub)

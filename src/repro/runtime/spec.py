@@ -1,9 +1,9 @@
 """CompileSpec: the one setting of plan compilation the compiler cannot observe.
 
 Everything else the plan compiler decides from what it sees (see
-``docs/compilation.md``): the register layout from the architecture and
-whether the native kernel loaded, fusion from the liveness proof, the
-native kernel's tiling from each conv's shape, the im2col gather from the
+``docs/compilation.md``): which convs may run on the native kernel from
+their certified ranges, fusion from the liveness proof, the native
+kernel's tiling from each conv's shape, the im2col gather from the
 binding.  What it cannot see is how many cores the caller means the plan to
 use, so that is the spec's only field.
 

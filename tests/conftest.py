@@ -44,8 +44,9 @@ def _watchdog():
 @pytest.fixture
 def no_ckernel(monkeypatch):
     """``with no_ckernel(): ...`` runs its body with the native kernel
-    unloaded (``REPRO_NO_CKERNEL=1``), so plans compiled inside take the
-    batch layout — the path of ViT and of hosts without a C compiler."""
+    unloaded (``REPRO_NO_CKERNEL=1``): plans compiled inside have no
+    native conv, and plans bound inside run every op on its numpy body —
+    the path of hosts without a C compiler."""
     @contextlib.contextmanager
     def unloaded():
         try:

@@ -50,8 +50,8 @@ class TestDeploySpec:
         assert spec.accum_bits == 24 and spec.export_dir == "deploy/"
         assert spec.formats == ("hex", "qint")
         assert spec.runtime == "none" and spec.compile == CompileSpec()
-        # the register layout is the compiler's pick, never a runtime value
-        with pytest.raises(ValueError, match="register layout"):
+        # how the plan runs is the compiler's pick, never a runtime value
+        with pytest.raises(ValueError, match="compiler picks"):
             DeploySpec.from_args(argparse.Namespace(runtime="batch"))
 
     def test_from_args_maps_compile_flags(self):
@@ -87,7 +87,7 @@ class TestDeploy:
         qm = _calibrated()
         with no_ckernel():
             d = deploy(qm, DeploySpec())
-        assert d.plan.layout == "batch"
+        assert not any(getattr(op, "native", False) for op in d.plan.ops)
         x = np.random.default_rng(1).standard_normal((2, 3, 32, 32)).astype(np.float32)
         from repro.tensor import no_grad
         from repro.tensor.tensor import Tensor

@@ -39,7 +39,7 @@ def _chain_plan(ops=None, num_regs=None, output_reg=None):
     n = num_regs if num_regs is not None else 4
     out = output_reg if output_reg is not None else n - 1
     return Plan(ops, num_regs=n, output_reg=out, model_name="tiny",
-                out_features=1, layout="batch")
+                out_features=1)
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +215,7 @@ class TestKernelOperands:
             pytest.skip("native kernel unavailable")
         plan = copy.deepcopy(deployed_resnet.plan)
         native = [op for op in plan.ops if getattr(op, "native", False)]
-        assert native, "a resnet20 channel plan runs its convs natively"
+        assert native, "a resnet20 plan runs its convs natively"
         return plan, native
 
     @staticmethod

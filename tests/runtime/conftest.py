@@ -73,11 +73,10 @@ def deployed_factory():
 @pytest.fixture(scope="session")
 def unfused_plan():
     """`get(qnn) -> Plan` over the compiler's lowered op list *before* the
-    fusion pass, with the layout the compiler picks for ``qnn`` — the
-    reference the fused program must match bitwise."""
+    fusion pass — the reference the fused program must match bitwise."""
     def get(qnn):
         ops, num_regs, output_reg = lower(qnn)
         fused = Plan.compile(qnn)
         return Plan(ops, num_regs, output_reg, fused.model_name,
-                    fused.out_features, layout=fused.layout)
+                    fused.out_features)
     return get

@@ -3,7 +3,7 @@
 The spec is the *single* compile entry point — ``Plan.compile(qnn, spec)``
 and ``DeploySpec.compile`` both route through it, the compiled plan records
 it, and the static verifier embeds it in the report.  Its only field is
-``threads``: layout, fusion, tiling and the im2col gather are the
+``threads``: native convs, fusion, tiling and the im2col gather are the
 compiler's decisions, and the old knobs are rejected as unknown kwargs.
 """
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.core.qmodels import quantize_model
 from repro.core.t2c import calibrate_model
 from repro.models import build_model
 from repro.runtime import CompileSpec, Plan, ckernel
+from repro.runtime.arena import Arena
 from repro.runtime.compiler import compile_program
 
 
@@ -66,7 +67,7 @@ class TestFromArgs:
         assert CompileSpec.from_args(args) == CompileSpec()
 
     def test_runtime_attr_is_not_a_layout(self):
-        # neither attribute maps onto the spec: the compiler picks layouts
+        # neither attribute maps onto the spec: the compiler picks kernels
         for attr in ("runtime", "layout"):
             args = argparse.Namespace(**{attr: "batch"})
             assert CompileSpec.from_args(args) == CompileSpec()
@@ -88,7 +89,7 @@ class TestPlanCompile:
         assert rep.ok
         js = rep.to_json()
         assert js["compile_spec"] == {"threads": 2}
-        assert js["layout"] == plan.layout
+        assert "layout" not in js
 
     def test_layout_kwarg_is_gone(self, deployed_factory):
         d, x, ref = deployed_factory("resnet20")
@@ -98,8 +99,14 @@ class TestPlanCompile:
             compile_program(d.qnn, layout="batch")
         with pytest.raises(TypeError):
             CompileSpec(layout="batch")
+        with pytest.raises(TypeError):
+            Plan([], 1, 0, "m", 10, layout="batch")
+        with pytest.raises(TypeError):
+            Arena(1, 1, layout="batch")
         plan = Plan.compile(d.qnn)
-        assert plan.layout == ("channel" if ckernel.available() else "batch")
+        assert not hasattr(plan, "layout")
+        assert (any(getattr(op, "native", False) for op in plan.ops)
+                == (ckernel.load() is not None))
         assert np.array_equal(plan(x), ref)
 
 
@@ -124,8 +131,9 @@ class TestDeployPlumbing:
             DeploySpec(compile="full")
 
     def test_runtime_is_not_a_layout(self, no_ckernel):
-        with pytest.raises(ValueError, match="register layout"):
+        with pytest.raises(ValueError, match="compiler picks"):
             DeploySpec(runtime="batch")
         with no_ckernel():
             d = deploy(_calibrated_vgg(), DeploySpec())
-        assert d.plan is not None and d.plan.layout == "batch"
+        assert d.plan is not None
+        assert not any(getattr(op, "native", False) for op in d.plan.ops)

@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from repro.runtime import ckernel
 from repro.runtime.compiler import CompileError, compile_program
 from repro.runtime.executor import Plan
 from repro.runtime.kernels import MQParams, new_sig
@@ -36,11 +37,13 @@ class TestCompileErrors:
         assert "ExoticNet" in str(ei.value)
         assert "QResNet" in str(ei.value)  # the refusal lists what IS supported
 
-    def test_channel_layout_refused_for_vit(self, deployed_factory):
-        # no refusal left to raise: the compiler never picks the channel
-        # layout for a ViT, and no setting can ask for it
+    def test_vit_compiles_like_a_cnn(self, deployed_factory):
+        # no refusal left to raise: a ViT takes the one register model,
+        # its patch conv native wherever the kernel loaded
         d, _, _ = deployed_factory("vit-7")
-        assert compile_program(d.qnn).layout == "batch"
+        plan = compile_program(d.qnn)
+        assert not hasattr(plan, "layout")
+        assert plan.ops[1].native == (ckernel.load() is not None)
 
     def test_malformed_unit_names_offender(self, deployed_factory):
         d, _, _ = deployed_factory("vgg8")

@@ -103,7 +103,7 @@ def test_fork_after_threaded_plan_does_not_hang():
     """A forked serve worker must not inherit the parent's native thread-pool
     condvars: they still count the parent's parked worker, and the child's
     first broadcast would wait for that phantom forever."""
-    if not (serve_mod._can_fork() and ckernel.available()):
+    if not (serve_mod._can_fork() and ckernel.load() is not None):
         pytest.skip("needs os.fork and the native kernel")
     proc = subprocess.Popen([sys.executable, "-c", _FORK_AFTER_THREADED_PLAN],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,

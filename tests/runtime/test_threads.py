@@ -35,8 +35,8 @@ def test_thread_sweep_is_bit_exact(deployed_factory, unfused_plan, model,
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_multi_block_batch_is_bit_exact(deployed_factory, threads):
-    # 64 samples overflow the sample-block budget, so every channel-layout
-    # conv runs several blocks (split across the pool when threads > 1)
+    # 64 samples overflow the sample-block budget, so every native conv
+    # runs several blocks (split across the pool when threads > 1)
     d, _, _ = deployed_factory("resnet20")
     x = np.random.default_rng(64).standard_normal(
         (64, 3, 32, 32)).astype(np.float32)
@@ -44,7 +44,7 @@ def test_multi_block_batch_is_bit_exact(deployed_factory, threads):
         ref = d.qnn(Tensor(x)).data
     plan = Plan.compile(d.qnn, CompileSpec(threads=threads))
     assert np.array_equal(plan(x), ref)
-    if plan.layout == "channel":
+    if any(getattr(op, "native", False) for op in plan.ops):
         arena = plan._bindings[x.shape].arena
         blocks = []  # samples per block: the budget over one group's planes
         for op in plan.ops:
@@ -55,15 +55,14 @@ def test_multi_block_batch_is_bit_exact(deployed_factory, threads):
         assert max(blocks) < 64, blocks
 
 
-def test_threads_apply_to_batch_layout_replication(deployed_factory,
-                                                   no_ckernel):
-    # the batch layout ignores the pool (replication kernels run inline)
-    # but the spec must still compile and stay exact
+def test_threads_apply_to_numpy_bodies(deployed_factory, no_ckernel):
+    # the numpy bodies ignore the pool (they run inline) but the spec must
+    # still compile and stay exact
     d, x, ref = deployed_factory("resnet20")
     with no_ckernel():
         plan = Plan.compile(d.qnn, CompileSpec(threads=8))
-    assert plan.layout == "batch"
-    assert np.array_equal(plan(x), ref)
+        assert not any(getattr(op, "native", False) for op in plan.ops)
+        assert np.array_equal(plan(x), ref)
 
 
 def test_oversized_thread_count_is_clamped(deployed_factory):

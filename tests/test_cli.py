@@ -30,7 +30,7 @@ class TestParser:
             "top", "trace", "verify-artifacts", "chaos"}
 
     def test_deploy_flags_are_pinned(self):
-        # the compiler picks layout, fusion and tiling, so --threads is the
+        # the compiler picks kernels, fusion and tiling, so --threads is the
         # only plan-compile flag the deploy subcommands share
         import argparse
 
