@@ -74,7 +74,7 @@ def _run_once(deployed, samples, tmp_path, obs: bool, tag: str) -> float:
     reg = ModelRegistry()
     reg.register("resnet20", "1", deployed)
     cfg = dict(max_batch=16, workers=0, default_deadline_s=60.0,
-               max_linger_s=0.002, tracing=False)
+               tracing=False)
     if obs:
         cfg.update(tracing=True, profile_every=4,
                    dump_dir=str(tmp_path / "dumps"),

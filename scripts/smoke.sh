@@ -121,6 +121,26 @@ python -m pytest tests/server -q -m server
 python -m repro.cli serve --model resnet20 --train-size 256 \
     --test-size 64 --requests 200 --max-batch 8 --deadline-ms 500 \
     --threads 4 --obs-dir "$TEL_DIR/obs"
+python - <<'EOF'
+# work-conserving batcher: a lone request on an idle lane is dispatched at
+# once, never held back for company (a linger timer creeping back fails here)
+import numpy as np
+from repro.server import ModelRegistry, Server
+
+class EchoPlan:
+    out_features = 4
+    def __call__(self, x):
+        return x.reshape(x.shape[0], -1)[:, :4]
+
+reg = ModelRegistry()
+reg.register("echo", "1", runner=EchoPlan())
+with Server(reg, max_batch=16, workers=0) as srv:
+    waits = [srv.submit("echo", np.zeros((8,), np.float32))
+             .result(timeout=10).queue_wait_s for _ in range(9)]
+wait_ms = float(np.median(waits)) * 1e3
+assert wait_ms < 5.0, f"idle lane held a lone request {wait_ms:.2f} ms"
+print(f"batcher OK: lone request on an idle lane waited {wait_ms:.3f} ms")
+EOF
 
 echo "== live observability (tracing / SLO surface / flight recorder) =="
 python - "$TEL_DIR" <<'EOF'
@@ -171,8 +191,7 @@ dump_dir = os.path.join(sys.argv[1], "flight")
 reg = ModelRegistry()
 reg.register("slow", "1", runner=SlowPlan())
 srv = Server(reg, max_batch=4, workers=0, default_deadline_s=0.01,
-             max_linger_s=0.0, exec_time_init_s=0.0001, tracing=True,
-             dump_dir=dump_dir)
+             exec_time_init_s=0.0001, tracing=True, dump_dir=dump_dir)
 with srv:
     for p in [srv.submit("slow", np.zeros((8,), dtype=np.float32))
               for _ in range(4)]:

@@ -5,8 +5,8 @@ batch stream across a worker pool.  This package is the *online* layer the
 ROADMAP's "heavy traffic" north star needs — it accepts individual samples
 and turns them into well-packed batches without blowing latency:
 
-* :class:`Server` — the gateway: per-model lanes with a deadline-aware
-  dynamic micro-batcher, admission control with typed
+* :class:`Server` — the gateway: per-model lanes with a work-conserving
+  micro-batcher, admission control with typed
   :class:`~repro.server.types.Overloaded` load shedding, worker-pool
   supervision (requeue-once + respawn on worker death), and atomic
   drain-and-cutover hot swap of model versions;

@@ -1,13 +1,14 @@
-"""Online inference gateway: deadline-aware micro-batching over compiled plans.
+"""Online inference gateway: work-conserving micro-batching over compiled plans.
 
 :class:`Server` turns single-sample requests into well-packed batches for
 the compiled runtime without blowing latency:
 
-* **dynamic micro-batcher** — requests land in a bounded per-model queue
-  with a deadline; the lane scheduler closes a batch when it reaches
-  ``max_batch`` *or* when the oldest request's slack says it must flush
-  (``deadline - estimated batch time``, additionally capped by
-  ``max_linger_s``) — deadline-aware, not a fixed timeout;
+* **work-conserving micro-batcher** — requests land in a bounded per-model
+  queue with a deadline; the lane scheduler forms a batch of up to
+  ``max_batch`` from the queue head the moment it can execute one (an idle
+  inline lane at once, a pooled lane whenever its in-flight budget and a
+  slot are free), so requests wait only while the lane is busy and batch
+  size grows with load on its own — no linger timer;
 * **admission control** — a full queue or a projected queue wait beyond the
   request's deadline sheds immediately with a typed
   :class:`~repro.server.types.Overloaded` result instead of accepting work
@@ -59,8 +60,11 @@ from repro.server.types import (Failed, Ok, Overloaded, PendingRequest,
 from repro.telemetry import obs as _obs
 from repro.telemetry import tracing
 
-#: how long a pooled lane blocks on the pool between queue checks
+#: how long a pooled lane blocks on the pool between queue checks: briefly
+#: while it could dispatch another batch (an arrival must not wait for a
+#: completion), longer once its in-flight budget or slots are spent
 _POOL_POLL_S = 0.02
+_POOL_POLL_SPARE_S = 0.001
 #: weight of the newest batch in the service-time EWMA
 _EWMA_ALPHA = 0.2
 #: auto-dump cooldown (storm guard) for non-forced flight-recorder dumps
@@ -74,10 +78,11 @@ class ServerConfig:
     max_batch: int = 16              #: close a batch at this size
     max_queue: int = 256             #: bounded queue; beyond this -> Overloaded
     default_deadline_s: float = 0.25  #: per-request deadline when unspecified
-    max_linger_s: float = 0.010      #: cap on how long a non-full batch waits
     workers: int = 0                 #: >= 2 -> PlanPool per lane (fork)
     max_inflight_batches: int = 2    #: per-lane concurrency limit (pool mode)
-    exec_time_init_s: float = 0.005  #: EWMA seed for batch service time
+    #: seed of the batch service-time EWMA that admission's projected
+    #: wait (``projected_wait_s``) reads; batching never waits on it
+    exec_time_init_s: float = 0.005
     # ------------------------------------------------------- observability
     #: request-scoped tracing: True/False, or None to follow the global
     #: telemetry switch
@@ -103,9 +108,8 @@ class ServerConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.default_deadline_s <= 0:
             raise ValueError("default_deadline_s must be > 0")
-        for name in ("max_linger_s", "exec_time_init_s", "workers",
-                     "profile_every", "max_dumps", "abft_every",
-                     "scrub_interval_s"):
+        for name in ("exec_time_init_s", "workers", "profile_every",
+                     "max_dumps", "abft_every", "scrub_interval_s"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0 < self.slo_target < 1:
@@ -308,13 +312,6 @@ class _Lane:
         self.server.trace_store.add_many(records)
 
     # ----------------------------------------------------------- scheduling
-    def _flush_at(self, oldest: PendingRequest) -> float:
-        """When the oldest queued request forces the batch closed: its
-        deadline minus the estimated service time (the deadline-aware part),
-        never later than the linger cap."""
-        return min(oldest.deadline_t - self.est_batch_s,
-                   oldest.enqueue_t + self.cfg.max_linger_s)
-
     def _capacity(self) -> bool:
         if self.swap_target is not None:      # draining for cutover
             return False
@@ -383,30 +380,22 @@ class _Lane:
                 pass
 
     def _run_loop(self) -> None:
+        """Work-conserving: whenever the lane can execute a batch it forms
+        one from the queue head, so a request waits only while the lane is
+        busy and then rides the next batch (up to ``max_batch``)."""
         while True:
             batch = None
-            poll = False
             with self.cond:
                 while True:
                     if (self.swap_target is not None and not self.inflight
                             and not self.busy):
                         self._cutover_locked()
                     if self.queue and self._capacity():
-                        now = time.perf_counter()
-                        full = len(self.queue) >= self.cfg.max_batch
-                        flush_at = self._flush_at(self.queue[0])
-                        if full or self.closing or now >= flush_at:
-                            batch = self._form_batch_locked()
-                            if not self.pooled:
-                                self.busy = True
-                            break
-                        if self.inflight:
-                            poll = True
-                            break
-                        self.cond.wait(timeout=max(flush_at - now, 0.0005))
-                        continue
+                        batch = self._form_batch_locked()
+                        if not self.pooled:
+                            self.busy = True
+                        break
                     if self.inflight:
-                        poll = True
                         break
                     if self.closing and not self.queue:
                         self._shutdown_pool_locked()
@@ -414,7 +403,7 @@ class _Lane:
                     self.cond.wait()
             if batch is not None:
                 self._dispatch(batch)
-            if poll or self.inflight:
+            else:
                 self._poll_pool()
 
     # ------------------------------------------------------------ execution
@@ -499,8 +488,9 @@ class _Lane:
     def _poll_pool(self) -> None:
         if self.pool is None or not self.inflight:
             return
+        timeout = _POOL_POLL_SPARE_S if self._capacity() else _POOL_POLL_S
         try:
-            seq, y, extra = self.pool.wait_one_ex(timeout=_POOL_POLL_S)
+            seq, y, extra = self.pool.wait_one_ex(timeout=timeout)
         except TimeoutError:
             return
         except WorkerDied:

@@ -75,11 +75,11 @@ class PendingRequest:
 
     ``result()`` blocks until the gateway resolves the request (which may be
     immediately, for an :class:`Overloaded` shed).  Timestamps use
-    ``time.monotonic()`` — the scheduler's clock.
+    ``time.perf_counter()`` — the scheduler's clock.
     """
 
-    __slots__ = ("request_id", "model", "sample", "enqueue_t", "deadline_t",
-                 "deadline_s", "ctx", "_event", "_response", "_callbacks")
+    __slots__ = ("request_id", "model", "sample", "enqueue_t", "deadline_s",
+                 "ctx", "_event", "_response", "_callbacks")
 
     def __init__(self, request_id: int, model: str, sample: np.ndarray,
                  enqueue_t: float, deadline_s: float):
@@ -88,7 +88,6 @@ class PendingRequest:
         self.sample = sample
         self.enqueue_t = enqueue_t
         self.deadline_s = deadline_s
-        self.deadline_t = enqueue_t + deadline_s
         #: live-tracing context (set by the server when tracing is on)
         self.ctx = None
         self._event = threading.Event()

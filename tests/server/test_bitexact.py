@@ -50,8 +50,7 @@ def test_gateway_matches_single_sample_tree(served_factory, model_name):
     d, samples, refs = served_factory(model_name)
     reg = ModelRegistry()
     reg.register(model_name, "1", d)
-    with Server(reg, max_batch=4, default_deadline_s=30.0,
-                max_linger_s=0.005) as srv:
+    with Server(reg, max_batch=4, default_deadline_s=30.0) as srv:
         _drive(srv, model_name, samples, refs, n_requests=18)
     stats = srv.stats()[model_name]
     assert stats["ok"] == stats["requests"] and stats["shed"] == 0
@@ -63,8 +62,7 @@ def test_gateway_pooled_matches_single_sample_tree(served_factory):
     d, samples, refs = served_factory("resnet20")
     reg = ModelRegistry()
     reg.register("resnet20", "1", d)
-    with Server(reg, max_batch=4, workers=2, default_deadline_s=30.0,
-                max_linger_s=0.005) as srv:
+    with Server(reg, max_batch=4, workers=2, default_deadline_s=30.0) as srv:
         _drive(srv, "resnet20", samples, refs, n_requests=24)
     stats = srv.stats()["resnet20"]
     assert stats["ok"] == stats["requests"] and stats["failed"] == 0

@@ -6,6 +6,7 @@ bit-exactness against real plans lives in ``test_bitexact.py``.
 from __future__ import annotations
 
 import dataclasses
+import os
 import threading
 import time
 
@@ -24,53 +25,112 @@ from repro.server import (
 from tests.server.conftest import StubPlan, stub_sample
 
 
-def _stub_server(**overrides):
+def _stub_server(delay_s: float = 0.0, **overrides):
     reg = ModelRegistry()
-    reg.register("stub", "1", runner=StubPlan())
+    reg.register("stub", "1", runner=StubPlan(delay_s=delay_s))
     defaults = dict(max_batch=4, default_deadline_s=2.0)
     defaults.update(overrides)
     return reg, Server(reg, **defaults)
 
 
+def _wait_busy(srv, name, timeout=10.0):
+    """Block until ``name``'s inline lane is executing a batch."""
+    deadline = time.monotonic() + timeout
+    while not srv._lanes[name].busy:
+        assert time.monotonic() < deadline, f"lane {name} never got busy"
+        time.sleep(0.001)
+
+
 def test_requests_are_packed_into_micro_batches():
-    _, srv = _stub_server(max_batch=4, max_linger_s=0.05)
+    """The idle lane dispatches the first request alone; the twelve that
+    arrive while it executes ride the next three batches, each full."""
+    _, srv = _stub_server(max_batch=4, delay_s=0.05)
     with srv:
-        pendings = [srv.submit("stub", stub_sample(i)) for i in range(12)]
+        pendings = [srv.submit("stub", stub_sample(0))]
+        _wait_busy(srv, "stub")
+        pendings += [srv.submit("stub", stub_sample(i)) for i in range(1, 13)]
         responses = [p.result(timeout=5) for p in pendings]
     assert all(isinstance(r, Ok) for r in responses)
     for i, r in enumerate(responses):
         assert np.array_equal(r.logits, np.full(4, 2.0 * i, dtype=np.float32))
-        assert 1 <= r.batch_size <= 4
         assert r.queue_wait_s <= r.latency_s
+    assert [r.batch_size for r in responses] == [1] + [4] * 12
     stats = srv.stats()["stub"]
-    assert stats["ok"] == 12
-    assert stats["batches"] >= 3, "max_batch=4 cannot carry 12 in fewer"
-    assert stats["mean_batch_size"] > 1.0, "nothing got packed"
+    assert stats["ok"] == 13 and stats["batches"] == 4
+    assert stats["mean_batch_size"] == pytest.approx(13 / 4)
 
 
-def test_lone_request_flushes_on_linger_not_deadline():
-    """Deadline-aware != wait-until-deadline: an unaccompanied request is
-    flushed once the linger cap expires, far before its 5 s deadline."""
-    _, srv = _stub_server(max_linger_s=0.02)
+def test_idle_lane_dispatches_at_once():
+    """Work-conserving: a lone request on an idle lane is not held back
+    for company — it is dispatched as soon as the lane thread wakes."""
+    _, srv = _stub_server()
     with srv:
-        t0 = time.perf_counter()
-        r = srv.submit("stub", stub_sample(1.0), deadline_s=5.0).result(timeout=5)
-        elapsed = time.perf_counter() - t0
-    assert r.ok and elapsed < 1.0, f"lone request lingered {elapsed:.3f}s"
+        waits = []
+        for i in range(20):
+            r = srv.submit("stub", stub_sample(i)).result(timeout=5)
+            assert r.ok and r.batch_size == 1, r
+            waits.append(r.queue_wait_s)
+    median = float(np.median(waits))
+    assert median < 0.002, f"idle lane held lone requests {median * 1e3:.2f} ms"
 
 
-def test_tight_deadline_forces_early_flush():
-    """A request whose slack is about to run out flushes the batch before
-    the linger cap would."""
-    _, srv = _stub_server(max_linger_s=10.0, exec_time_init_s=0.001)
+def test_busy_lane_forms_full_batches():
+    """Saturation: a closed loop of 16 outstanding requests keeps the lane
+    busy, so every batch after the idle lane's first one leaves full."""
+    n_total, outstanding = 49, 16           # 1 + 12 full batches of 4
+    _, srv = _stub_server(max_batch=4, delay_s=0.05, default_deadline_s=30.0)
+    lock = threading.Lock()
+    submitted = [1]
+    responses = []
+
+    def client(pending):
+        while True:
+            if pending is not None:
+                r = pending.result(timeout=30)
+                with lock:
+                    responses.append(r)
+            with lock:
+                if submitted[0] == n_total:
+                    return
+                submitted[0] += 1
+            pending = srv.submit("stub", stub_sample(1.0))
+
     with srv:
-        t0 = time.perf_counter()
-        r = srv.submit("stub", stub_sample(1.0), deadline_s=0.15).result(timeout=5)
-        elapsed = time.perf_counter() - t0
-    assert r.ok, r
-    assert elapsed < 1.0, (
-        f"deadline-aware flush missing: waited {elapsed:.3f}s with a "
-        f"0.15s deadline and a 10s linger cap")
+        first = srv.submit("stub", stub_sample(1.0))
+        _wait_busy(srv, "stub")
+        threads = [threading.Thread(target=client,
+                                    args=(first if c == 0 else None,))
+                   for c in range(outstanding)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    assert len(responses) == n_total and all(r.ok for r in responses)
+    sizes = {r.batch_id: r.batch_size for r in responses}
+    ordered = [sizes[b] for b in sorted(sizes)]
+    assert ordered == [1] + [4] * 12, ordered
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="pool needs fork")
+def test_pooled_lane_dispatches_into_a_free_slot():
+    """A pooled lane with one slow batch in flight and a slot free sends
+    the next request to that slot at once; it does not wait for the
+    running batch to complete."""
+    _, srv = _stub_server(delay_s=0.3, workers=2, default_deadline_s=30.0)
+    waits = []
+    with srv:
+        for i in range(3):
+            running = srv.submit("stub", stub_sample(2.0 * i))
+            lane = srv._lanes["stub"]
+            deadline = time.monotonic() + 30.0
+            while not lane.inflight:
+                assert time.monotonic() < deadline, "no batch in flight"
+                time.sleep(0.001)
+            r = srv.submit("stub", stub_sample(2.0 * i + 1)).result(timeout=30)
+            assert r.ok and r.batch_size == 1, r
+            waits.append(r.queue_wait_s)
+            assert running.result(timeout=30).ok
+    assert max(waits) < 0.01, f"queue waits {waits} behind a busy slot"
 
 
 def test_overloaded_when_projected_wait_exceeds_deadline():
@@ -130,13 +190,13 @@ def test_unknown_model_and_closed_server():
 
 def test_server_config_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(ServerConfig)] == [
-        "max_batch", "max_queue", "default_deadline_s", "max_linger_s",
-        "workers", "max_inflight_batches", "exec_time_init_s", "tracing",
+        "max_batch", "max_queue", "default_deadline_s", "workers",
+        "max_inflight_batches", "exec_time_init_s", "tracing",
         "profile_every", "slo_target", "dump_dir", "max_dumps",
         "abft_every", "scrub_interval_s"]
     for gone in ("shed_margin_s", "ewma_alpha", "dump_min_interval_s",
                  "obs_window_s", "flight_recorder_size", "trace_capacity",
-                 "per_model"):
+                 "per_model", "max_linger_s"):
         with pytest.raises(TypeError):
             ServerConfig(**{gone: None})
 
@@ -144,10 +204,10 @@ def test_server_config_fields_are_pinned():
 @pytest.mark.parametrize("name,value", [
     ("max_batch", 0), ("max_batch", -1), ("max_queue", 0),
     ("max_inflight_batches", 0), ("default_deadline_s", 0.0),
-    ("default_deadline_s", -1.0), ("max_linger_s", -0.001),
-    ("exec_time_init_s", -1.0), ("workers", -1), ("slo_target", 0.0),
-    ("slo_target", 1.0), ("profile_every", -1), ("max_dumps", -1),
-    ("abft_every", -1), ("scrub_interval_s", -1.0)])
+    ("default_deadline_s", -1.0), ("exec_time_init_s", -1.0),
+    ("workers", -1), ("slo_target", 0.0), ("slo_target", 1.0),
+    ("profile_every", -1), ("max_dumps", -1), ("abft_every", -1),
+    ("scrub_interval_s", -1.0)])
 def test_server_config_refuses_out_of_range_values(name, value):
     with pytest.raises(ValueError, match=name):
         ServerConfig(**{name: value})

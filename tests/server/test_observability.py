@@ -25,8 +25,7 @@ needs_fork = pytest.mark.skipif(
 def _stub_server(**overrides) -> Server:
     reg = ModelRegistry()
     reg.register("stub", "1", runner=StubPlan())
-    defaults = dict(max_batch=4, default_deadline_s=5.0, max_linger_s=0.002,
-                    tracing=True)
+    defaults = dict(max_batch=4, default_deadline_s=5.0, tracing=True)
     defaults.update(overrides)
     return Server(reg, **defaults)
 
@@ -121,7 +120,7 @@ class TestTracePropagation:
         reg = ModelRegistry()
         reg.register("slowstub", "1", runner=StubPlan(delay_s=0.4))
         with Server(reg, max_batch=4, workers=2, tracing=True,
-                    default_deadline_s=60.0, max_linger_s=0.002) as srv:
+                    default_deadline_s=60.0) as srv:
             pendings = [srv.submit("slowstub", stub_sample(float(i)))
                         for i in range(4)]
             lane = _wait_inflight(srv, "slowstub")
@@ -166,7 +165,7 @@ class TestFlightRecorder:
         writes it to dump_dir)."""
         reg = ModelRegistry()
         reg.register("slow", "1", runner=StubPlan(delay_s=0.08))
-        with Server(reg, max_batch=4, workers=0, max_linger_s=0.0,
+        with Server(reg, max_batch=4, workers=0,
                     default_deadline_s=0.02, exec_time_init_s=0.0001,
                     dump_dir=str(tmp_path)) as srv:
             p = srv.submit("slow", stub_sample(1.0))

@@ -40,8 +40,7 @@ def test_sigkill_under_load_every_request_answered(served_factory):
     reg = ModelRegistry()
     reg.register("resnet20", "1", d)
     n = 60
-    with Server(reg, max_batch=4, workers=2, default_deadline_s=60.0,
-                max_linger_s=0.002) as srv:
+    with Server(reg, max_batch=4, workers=2, default_deadline_s=60.0) as srv:
         pendings = []
         killed = False
         for i in range(n):
@@ -79,7 +78,7 @@ def test_double_death_fails_retryable_not_hangs():
     reg = ModelRegistry()
     reg.register("stub", "1", runner=StubPlan(crash_value=666.0))
     with Server(reg, max_batch=1, workers=2, default_deadline_s=60.0,
-                max_linger_s=0.002, max_inflight_batches=1) as srv:
+                max_inflight_batches=1) as srv:
         poison = srv.submit("stub", stub_sample(666.0))
         innocents = [srv.submit("stub", stub_sample(i)) for i in range(4)]
         r = poison.result(timeout=120)
@@ -147,8 +146,7 @@ def test_hot_swap_pooled_rebuilds_pool(served_factory):
     reg = ModelRegistry()
     reg.register("resnet20", "1", d)
     reg.register("resnet20", "2", d)    # same bundle: exercises the rebuild
-    with Server(reg, max_batch=4, workers=2, default_deadline_s=60.0,
-                max_linger_s=0.002) as srv:
+    with Server(reg, max_batch=4, workers=2, default_deadline_s=60.0) as srv:
         before = [srv.submit("resnet20", samples[i % len(samples)])
                   for i in range(12)]
         lane = _wait_for_pool(srv, "resnet20")
