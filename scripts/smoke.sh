@@ -142,6 +142,50 @@ assert wait_ms < 5.0, f"idle lane held a lone request {wait_ms:.2f} ms"
 print(f"batcher OK: lone request on an idle lane waited {wait_ms:.3f} ms")
 EOF
 
+echo "== gateway executors (two threads over one real plan) =="
+python - <<'EOF'
+# a lane with workers=2 runs two executor threads over the resnet20 plan:
+# 200 requests from a closed loop of 32 outstanding, every answer bitwise
+# the interpreted tree's, and status() counts both executors alive
+import numpy as np
+from repro.core import DeploySpec, deploy
+from repro.core.qconfig import QConfig
+from repro.core.qmodels import quantize_model
+from repro.core.t2c import calibrate_model
+from repro.models import build_model
+from repro.server import ModelRegistry, Server
+from repro.tensor import no_grad
+from repro.tensor.tensor import Tensor
+
+rng = np.random.default_rng(0)
+qm = quantize_model(build_model("resnet20", num_classes=10, width=8),
+                    QConfig(8, 8))
+calibrate_model(qm, [rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
+                     for _ in range(2)])
+d = deploy(qm, DeploySpec())
+samples = rng.standard_normal((50, 3, 32, 32)).astype(np.float32)
+with no_grad():
+    refs = d.qnn(Tensor(samples)).data
+reg = ModelRegistry()
+reg.register("resnet20", "1", d)
+exact = 0
+with Server(reg, max_batch=8, workers=2, default_deadline_s=30.0) as srv:
+    pending = []
+    for n in range(200):
+        if len(pending) >= 32:
+            i, p = pending.pop(0)
+            r = p.result(timeout=60)
+            exact += bool(r.ok and np.array_equal(r.logits, refs[i]))
+        pending.append((n % 50, srv.submit("resnet20", samples[n % 50])))
+    for i, p in pending:
+        r = p.result(timeout=60)
+        exact += bool(r.ok and np.array_equal(r.logits, refs[i]))
+    executors = srv.status()["models"]["resnet20"]["executors"]
+assert exact == 200, f"only {exact}/200 answers bit-exact"
+assert executors == 2, f"status() reports {executors} executors"
+print(f"executors OK: 200/200 bit-exact on {executors} executor threads")
+EOF
+
 echo "== live observability (tracing / SLO surface / flight recorder) =="
 python - "$TEL_DIR" <<'EOF'
 # the serve --obs-dir run above left the full observability surface on disk:
@@ -304,7 +348,7 @@ rep = json.load(open(os.path.join(sys.argv[1], "chaos_server.json")))
 live = [f for f in rep["faults"]
         if CATALOG[f["injector"]].kind in ("server", "fleet")]
 want = {n for n, row in CATALOG.items() if row.kind in ("server", "fleet")}
-assert want == {"kill_worker", "stall_worker", "delay_clock",
+assert want == {"fail_exec", "stall_exec", "delay_clock",
                 "kill_replica", "partition_replica"}, want
 assert {f["injector"] for f in live} == want, [f["injector"] for f in live]
 for f in live:

@@ -12,7 +12,7 @@ layers and whether service recovered on known-good state.
   kinds: ``artifact`` (``flip_bits``, ``truncate_file``,
   ``corrupt_header``, ``stale_manifest``), ``plan`` (``swap_register``,
   ``widen_scale``, ``drop_op``, ``fuse_illegal``), ``server``
-  (``kill_worker``, ``stall_worker``, ``delay_clock``), ``fleet``
+  (``fail_exec``, ``stall_exec``, ``delay_clock``), ``fleet``
   (``kill_replica``, ``partition_replica``) and ``sdc``
   (``flip_live_weights``, ``flip_arena``, ``corrupt_golden``).  Every
   injector is a deterministic function of an explicit
@@ -33,10 +33,10 @@ Quickstart::
 """
 from repro.chaos.injectors import (CATALOG, KINDS, corrupt_golden,
                                    corrupt_header, delay_clock, drop_op,
-                                   flip_arena, flip_bits, flip_live_weights,
-                                   fuse_illegal, kill_replica, kill_worker,
-                                   partition_replica, stale_manifest,
-                                   stall_worker, swap_register,
+                                   fail_exec, flip_arena, flip_bits,
+                                   flip_live_weights, fuse_illegal,
+                                   kill_replica, partition_replica,
+                                   stale_manifest, stall_exec, swap_register,
                                    truncate_file, widen_scale)
 from repro.chaos.plan import ChaosPlan, ChaosReport, FaultRecord
 
@@ -44,7 +44,7 @@ __all__ = [
     "ChaosPlan", "ChaosReport", "FaultRecord", "CATALOG", "KINDS",
     "flip_bits", "truncate_file", "corrupt_header", "stale_manifest",
     "swap_register", "widen_scale", "drop_op", "fuse_illegal",
-    "kill_worker", "stall_worker", "delay_clock",
+    "fail_exec", "stall_exec", "delay_clock",
     "kill_replica", "partition_replica",
     "flip_live_weights", "flip_arena", "corrupt_golden",
 ]

@@ -15,7 +15,7 @@ catch it.  Five kinds:
   ``fuse_illegal``) — each is constructed to violate an invariant the plan
   verifier *proves*, so a silent miss means the static verifier has a hole;
 * **server** injectors perturb a running :class:`repro.server.Server`
-  (``kill_worker``, ``stall_worker``, ``delay_clock``);
+  (``fail_exec``, ``stall_exec``, ``delay_clock``);
 * **fleet** injectors crash or partition one replica of a running
   :class:`repro.fleet.Fleet` (``kill_replica``, ``partition_replica``) —
   the router must eject the victim and reroute its requests;
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import threading
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
@@ -170,44 +169,52 @@ def stale_manifest(export_dir: str, rng: np.random.Generator) -> Dict:
 
 
 # ----------------------------------------------------------- server faults
-def _lane_procs(server, model: str):
-    lane = server._lanes.get(model)
-    pool = getattr(lane, "pool", None) if lane is not None else None
-    procs = [p for p in getattr(pool, "procs", []) if p.is_alive()]
-    return lane, procs
+def _hook_runner(server, model: str, hook: Callable) -> Callable[[], None]:
+    """Route ``model``'s active runner through ``hook(runner, batch)`` —
+    the plan call every lane executor makes — and return the undo."""
+    entry = server.registry.get(model)
+    runner = entry.runner
+    entry.runner = lambda batch: hook(runner, batch)
+
+    def undo():
+        entry.runner = runner
+
+    return undo
 
 
-def kill_worker(server, model: str, rng: np.random.Generator) -> Dict:
-    """SIGKILL one seeded-chosen pool worker of ``model``'s lane."""
-    lane, procs = _lane_procs(server, model)
-    if not procs:
-        raise ValueError(f"kill_worker: no live pool workers for {model!r} "
-                         f"(server must run with workers >= 2)")
-    proc = _pick(rng, procs)
-    os.kill(proc.pid, signal.SIGKILL)
-    return {"pid": proc.pid, "signal": "SIGKILL"}
+def fail_exec(server, model: str, rng: np.random.Generator) -> Dict:
+    """Make the lane's next plan call raise, once: whichever executor runs
+    the next batch gets a ``RuntimeError`` instead of logits."""
+    armed = {"fault": True}
+
+    def hook(runner, batch):
+        if armed.pop("fault", False):   # dict.pop is atomic: exactly once
+            raise RuntimeError("chaos: injected executor fault")
+        return runner(batch)
+
+    return {"undo": _hook_runner(server, model, hook)}
 
 
-def stall_worker(server, model: str, rng: np.random.Generator,
-                 stall_s: float = 0.3) -> Dict:
-    """SIGSTOP one seeded-chosen worker, SIGCONT it after ``stall_s``."""
-    lane, procs = _lane_procs(server, model)
-    if not procs:
-        raise ValueError(f"stall_worker: no live pool workers for {model!r}")
-    proc = _pick(rng, procs)
-    os.kill(proc.pid, signal.SIGSTOP)
+def stall_exec(server, model: str, rng: np.random.Generator,
+               stall_s: float = 0.3) -> Dict:
+    """Block one executor's next plan call for ``stall_s`` seconds (the
+    undo releases it early).  ``stalled`` is set once the stall begins."""
+    armed = {"fault": True}
+    stalled, release = threading.Event(), threading.Event()
 
-    def resume():
-        try:
-            os.kill(proc.pid, signal.SIGCONT)
-        except ProcessLookupError:
-            pass
+    def hook(runner, batch):
+        if armed.pop("fault", False):
+            stalled.set()
+            release.wait(stall_s)
+        return runner(batch)
 
-    timer = threading.Timer(stall_s, resume)
-    timer.daemon = True
-    timer.start()
-    return {"pid": proc.pid, "signal": "SIGSTOP", "stall_s": stall_s,
-            "undo": resume}
+    unhook = _hook_runner(server, model, hook)
+
+    def undo():
+        release.set()
+        unhook()
+
+    return {"stall_s": stall_s, "undo": undo, "stalled": stalled}
 
 
 def delay_clock(server, model: str, rng: np.random.Generator,
@@ -222,12 +229,12 @@ def delay_clock(server, model: str, rng: np.random.Generator,
     if lane is None:
         raise ValueError(f"delay_clock: lane for {model!r} not started yet "
                          f"(submit one request first)")
-    with lane.cond:
+    with lane._stats_lock:   # the lock the lane's EWMA updates hold
         original = lane.est_batch_s
         lane.est_batch_s = original + skew_s
 
     def undo():
-        with lane.cond:
+        with lane._stats_lock:
             lane.est_batch_s = original
 
     return {"skew_s": skew_s, "undo": undo}
@@ -236,7 +243,7 @@ def delay_clock(server, model: str, rng: np.random.Generator,
 # ------------------------------------------------------------- plan faults
 def _invalidate(plan) -> None:
     """Drop caches a mutation makes stale (bindings, verification report)."""
-    plan._bindings = {}
+    plan.drop_bindings()
     plan._verification = None
 
 
@@ -417,18 +424,17 @@ def flip_arena(fleet, model: str, rng: np.random.Generator) -> Dict:
     victim = _victim(fleet, model, rng, "flip_arena")
     plan = victim.registry.get(model).plan
     targets = []
-    for key, binding in sorted(plan._bindings.items()):
+    for binding in plan.live_bindings():
         arena = binding.arena
         for reg in sorted(arena._cm_bufs):
             if arena.pads.get(reg, 0) > 0:
-                targets.append((key, reg))
+                targets.append((binding, reg))
     if not targets:
         raise ValueError("flip_arena: no padded arena bindings on "
                          f"{victim.replica_id} (drive traffic first)")
-    key, reg = _pick(rng, targets)
-    buf = plan._bindings[key].arena._cm_bufs[reg]
-    buf[0, 0, 0, 0] = float(int(rng.integers(1, 128)))
-    return {"replica": victim.replica_id, "binding": list(key),
+    binding, reg = _pick(rng, targets)
+    binding.arena._cm_bufs[reg][0, 0, 0, 0] = float(int(rng.integers(1, 128)))
+    return {"replica": victim.replica_id, "binding": list(binding.shape),
             "register": int(reg)}
 
 
@@ -490,9 +496,9 @@ CATALOG: Dict[str, Row] = {
     "widen_scale": Row("plan", widen_scale, _VERIFIED),
     "drop_op": Row("plan", drop_op, _VERIFIED),
     "fuse_illegal": Row("plan", fuse_illegal, _VERIFIED),
-    "kill_worker": Row("server", kill_worker,
-                       ("supervisor", "flight_recorder")),
-    "stall_worker": Row("server", stall_worker, ("liveness",)),
+    "fail_exec": Row("server", fail_exec,
+                     ("typed_failure", "flight_recorder", "next_ok")),
+    "stall_exec": Row("server", stall_exec, ("liveness",)),
     "delay_clock": Row("server", delay_clock, ("admission",)),
     "kill_replica": Row("fleet", kill_replica, _CRASH),
     "partition_replica": Row("fleet", partition_replica,

@@ -41,7 +41,7 @@ from repro.fleet.router import ROLE_CANARY, ROLE_STABLE
 from repro.lint.plan import PlanVerificationError
 from repro.runtime.executor import Plan
 from repro.server import ModelRegistry, Server
-from repro.server.types import Overloaded
+from repro.server.types import Failed, Overloaded
 
 #: longest any probe request or poll waits before giving up
 _TIMEOUT_S = 10.0
@@ -390,37 +390,54 @@ class _Server(_Live):
 
     def inject(self, i, name, inject, rng, params) -> Dict:
         self.lane = self.target._lanes[self.model]
-        self.deaths = self.lane.stats.worker_deaths
-        return inject(self.target, self.model, rng, **params)
+        self.t_inject = time.perf_counter()
+        details = inject(self.target, self.model, rng, **params)
+        self.stalled = details.pop("stalled", None)
+        return details
 
-    def supervisor(self, rec) -> bool:
-        """The lane's supervisor counts the death (WorkerDied, never a
-        hang); probe traffic makes the lane poll its pool."""
-        counted = _poll(lambda: self.lane.stats.worker_deaths > self.deaths,
-                        _TIMEOUT_S, self.probe)
-        rec.annotate(f"worker_deaths {self.deaths} -> "
-                     f"{self.lane.stats.worker_deaths}")
-        return counted
+    def typed_failure(self, rec) -> bool:
+        """The request whose batch met the fault resolves as a typed
+        Failed instead of hanging."""
+        try:
+            resp = self.submit().result(timeout=_TIMEOUT_S)
+        except TimeoutError:
+            rec.annotate("the faulted batch's request hung")
+            return False
+        rec.annotate(f"faulted request -> {type(resp).__name__}")
+        return isinstance(resp, Failed)
 
     def flight_recorder(self, rec) -> bool:
-        """The death left a post-mortem: the lane's flight recorder
-        auto-dumps on worker_death."""
-        last = self.lane.flight.last_dump
-        return last is not None and last.get("reason") == "worker_death"
+        """The lane's flight recorder holds the failed batch's
+        ``batch_failed`` event."""
+        return any(e["kind"] == "batch_failed" and e["t"] >= self.t_inject
+                   for e in self.lane.flight.snapshot())
+
+    def next_ok(self, rec) -> bool:
+        """The executor outlived the fault: the next request is served."""
+        return self.probe()
 
     def liveness(self, rec) -> bool:
-        """A request submitted while one worker is frozen still resolves to
-        a typed response (served by a peer worker, or after SIGCONT)
-        instead of hanging past the stall window."""
+        """A request submitted while one executor is stalled resolves
+        within the stall plus the probe timeout; with a peer executor it is
+        served before the stall ends."""
         stall_s = rec.details["stall_s"]
+        first = self.submit(stall_s + _DEADLINE_S)   # meets the stall
+        if not self.stalled.wait(_TIMEOUT_S):
+            rec.annotate("no plan call met the stall")
+            return False
         try:
-            resp = self.submit(stall_s + 5.0).result(
+            resp = self.submit(stall_s + _DEADLINE_S).result(
                 timeout=stall_s + _TIMEOUT_S)
+            during = not first.done()
+            first.result(timeout=stall_s + _TIMEOUT_S)
         except TimeoutError:
             rec.annotate("request hung through the stall")
             return False
-        rec.annotate(f"resolved {type(resp).__name__} (stall {stall_s}s)")
-        return True
+        executors = len(self.lane.threads)
+        rec.annotate(f"resolved {type(resp).__name__} "
+                     f"{'during' if during else 'after'} the {stall_s}s "
+                     f"stall ({executors} executor(s))")
+        return resp.ok and during if executors > 1 else True
 
     def admission(self, rec) -> bool:
         """Admission control sheds (typed Overloaded) a request whose

@@ -395,7 +395,7 @@ def _render_top(status: dict) -> str:
              f"tracing={'on' if status.get('tracing') else 'off'}  "
              f"traces={status.get('traces_held', 0)}"]
     header = (f"{'model':<16} {'rps':>7} {'p50ms':>7} {'p99ms':>7} "
-              f"{'queue':>5} {'shed':>5} {'miss':>5} {'burn':>6} {'workers':>7}")
+              f"{'queue':>5} {'shed':>5} {'miss':>5} {'burn':>6} {'execs':>5}")
     lines.append(header)
     lines.append("-" * len(header))
     for name, m in sorted(status.get("models", {}).items()):
@@ -408,7 +408,7 @@ def _render_top(status: dict) -> str:
             f"{m.get('queue_depth', 0):>5d} {w.get('shed', 0):>5d} "
             f"{w.get('deadline_miss', 0):>5d} "
             f"{slo.get('error_budget_burn', 0):>6.2f} "
-            f"{m.get('workers_alive', 0):>7d}")
+            f"{m.get('executors', 0):>5d}")
         fr = m.get("flight_recorder", {})
         if fr.get("last_dump"):
             lines.append(f"  last flight dump: {fr['last_dump'].get('reason')}"
@@ -547,19 +547,14 @@ def cmd_chaos(args) -> int:
                   "skipping plan-mutation schedule", file=sys.stderr)
 
         if args.server:
-            from repro.runtime.serve import _can_fork
             from repro.server import ModelRegistry, Server
 
             registry = ModelRegistry()
             registry.register(args.model, "1", deployed)
-            splan = ChaosPlan.default("server", args.seed)
-            if not (args.workers >= 2 and _can_fork()):
-                splan = ChaosPlan(args.seed).add("delay_clock")
-                print("note: fork unavailable or --workers < 2; server "
-                      "schedule reduced to delay_clock", file=sys.stderr)
             with Server(registry, max_batch=8, workers=args.workers,
                         default_deadline_s=2.0) as srv:
-                report.extend(splan.run(srv, args.model, sample))
+                report.extend(ChaosPlan.default("server", args.seed)
+                              .run(srv, args.model, sample))
 
         # the same deployed model behind a 3-replica fleet: a replica kill
         # or partition must eject, reroute (zero lost) and heal; with the
@@ -693,7 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=_positive_int, default=16,
                    help="gateway micro-batch size cap")
     p.add_argument("--workers", type=int, default=0,
-                   help=">=2 executes batches on a supervised worker pool")
+                   help="executor threads per gateway lane (batches run "
+                        "at once over one shared plan)")
     p.add_argument("--deadline-ms", type=float, default=250.0,
                    help="per-request deadline (batching slack + admission)")
     p.add_argument("--obs-dir", default=None, metavar="DIR",
@@ -750,10 +746,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="passes (>= 1) over the artifact- and plan-fault "
                         "schedules")
     p.add_argument("--server", action="store_true",
-                   help="also run the server-fault schedule (kill/stall "
-                        "worker, clock skew) against a live gateway")
+                   help="also run the server-fault schedule (failing and "
+                        "stalled executor, clock skew) against a live "
+                        "gateway")
     p.add_argument("--workers", type=int, default=2,
-                   help="gateway pool size for --server faults")
+                   help="executor threads of the gateway lane for --server "
+                        "faults")
     p.add_argument("--sdc", action="store_true",
                    help="also run the silent-data-corruption schedule "
                         "(live weight/arena/golden corruption) against an "

@@ -1,7 +1,7 @@
 """Model-size and compression accounting (Table 2's "Model Size (MB)")."""
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.nn.module import Module
 
@@ -36,25 +36,3 @@ def compression_report(float_model: Module, wbit: int, abit: int,
         "abit": abit,
     }
 
-
-def deployment_report(float_model: Module, wbit: int, abit: int,
-                      lint_findings: Optional[Iterable] = None,
-                      extra_int16_params: int = 0) -> Dict:
-    """Compression report with the static-verification outcome embedded.
-
-    ``lint_findings`` is an iterable of :class:`repro.lint.Finding` (e.g.
-    ``LintReport.findings``); the summary and the per-finding records land
-    under ``"lint"``, so one JSON document answers both "how small is it"
-    and "is it provably safe to deploy".
-    """
-    from repro.lint.findings import findings_summary, findings_to_json, has_errors
-
-    report = compression_report(float_model, wbit, abit,
-                                extra_int16_params=extra_int16_params)
-    findings = list(lint_findings) if lint_findings is not None else []
-    report["lint"] = {
-        "ok": not has_errors(findings),
-        "summary": findings_summary(findings),
-        "findings": findings_to_json(findings),
-    }
-    return report

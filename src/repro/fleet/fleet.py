@@ -146,12 +146,12 @@ class _VersionSource:
     def materialize(self):
         """A per-replica copy of the deployed bundle.
 
-        Replicas of a real fleet are separate processes; in-process
-        replication must not share mutable executor state either — a
-        compiled plan carries scratch buffers (bindings, im2col caches)
-        that race when two lane threads execute it concurrently.  Bare
-        ``runner`` callables are shared as-is (they are declared
-        stateless by contract, like every registry runner).
+        A plan is safe to share between threads, but each replica must be
+        its own fault domain: silent corruption of one replica's weights or
+        arena (the ``sdc`` chaos rows) must not also corrupt the copy the
+        router fails over to, and quarantining a replica must discard only
+        its state.  Bare ``runner`` callables are shared as-is (they are
+        declared stateless by contract, like every registry runner).
         """
         import copy as _copy
 
@@ -341,7 +341,7 @@ class Fleet:
 
     def _on_response(self, freq: FleetRequest, group: _Group, key: str,
                      sample, replica_id: str, resp: Response) -> None:
-        """Resolution hook (runs on the resolving replica's lane thread):
+        """Resolution hook (runs on the resolving replica's lane executor):
         fail retryable responses over to the next replica on the ring,
         otherwise resolve the fleet request and account it."""
         if (not resp.ok and resp.retryable
@@ -596,9 +596,9 @@ class Fleet:
     def _golden_probe(self, group: _Group, rep: Replica) -> None:
         """Replay the replica's recorded golden vectors through its gateway.
 
-        Probes ride the normal submit path — a compiled plan is not
-        thread-safe against its own lane thread, so the health loop must
-        queue like any client.  Only a *successful* response with wrong
+        Probes ride the normal submit path, so they check what a client
+        gets from the replica: its lane, its executors and its plan.
+        Only a *successful* response with wrong
         values is SDC; sheds, drains, kills and close races are
         inconclusive and skipped.  Every wait is bounded and re-checks
         ``closing`` so a fleet shutdown mid-probe cannot deadlock.

@@ -26,6 +26,8 @@ recompute-equality of the requant epilogue.
 """
 from __future__ import annotations
 
+import itertools
+import threading
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -129,8 +131,11 @@ class AbftChecker:
             attach_checksums(plan)
         self.plan = plan
         self.sample_every = max(1, int(sample_every))
-        self._tick = 0
+        # executor threads share the checker: next() on a count is atomic
+        # under the GIL, and the lock guards the cursor and the counters
+        self._ticks = itertools.count(1)
         self._cursor = 0
+        self._lock = threading.Lock()
         self._targets = [
             i for i, op in enumerate(plan.ops)
             if (op.kind == "mulquant"
@@ -143,13 +148,14 @@ class AbftChecker:
         """Advance the batch counter; True when this batch is verified."""
         if not self._targets:
             return False
-        self._tick += 1
-        return self._tick % self.sample_every == 0
+        return next(self._ticks) % self.sample_every == 0
 
     def check(self, binding) -> Optional[int]:
-        """Verify the next target op against the live arena; op index."""
-        i = self._targets[self._cursor % len(self._targets)]
-        self._cursor += 1
+        """Verify the next target op against the calling thread's live
+        binding; returns the op index."""
+        with self._lock:
+            i = self._targets[self._cursor % len(self._targets)]
+            self._cursor += 1
         op = self.plan.ops[i]
         try:
             if op.kind == "mulquant":
@@ -157,9 +163,11 @@ class AbftChecker:
             else:
                 self._check_conv(i, op, binding.arena)
         except SDCDetected:
-            self.failures += 1
+            with self._lock:
+                self.failures += 1
             raise
-        self.checks += 1
+        with self._lock:
+            self.checks += 1
         return i
 
     # ------------------------------------------------------------- checks

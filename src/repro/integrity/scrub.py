@@ -109,7 +109,8 @@ class ScrubReport:
 
 
 def arena_guard_faults(plan) -> List[Dict]:
-    """Non-zero guard borders across the plan's live arena bindings.
+    """Non-zero guard borders across the live arena bindings of every
+    thread that runs the plan.
 
     The arena zeroes each padded border once and relies on it
     staying zero (padding is free after the first batch) — any non-zero
@@ -117,16 +118,17 @@ def arena_guard_faults(plan) -> List[Dict]:
     kernels.
     """
     faults = []
-    for key, binding in list(plan._bindings.items()):
+    for binding in plan.live_bindings():
         arena = binding.arena
-        for reg, buf in arena._cm_bufs.items():
+        for reg, buf in list(arena._cm_bufs.items()):
             p = arena.pads.get(reg, 0)
             if p <= 0:
                 continue
             _, h, w = arena.shapes[reg]
             if (buf[:, :, :p, :].any() or buf[:, :, p + h:, :].any()
                     or buf[:, :, :, :p].any() or buf[:, :, :, p + w:].any()):
-                faults.append({"binding": list(key), "register": int(reg)})
+                faults.append({"binding": list(binding.shape),
+                               "register": int(reg)})
     return faults
 
 
@@ -148,8 +150,7 @@ def scrub_plan(plan) -> ScrubReport:
         if _crc(arr) != entry["crc32"]:
             report.mismatches.append(dict(entry, reason="crc"))
     report.guard_faults = arena_guard_faults(plan)
-    # list(): the lane thread may bind a new batch shape mid-scan
-    for binding in list(plan._bindings.values()):
+    for binding in plan.live_bindings():
         arena = binding.arena
         for reg, buf in list(arena._cm_bufs.items()):
             center = arena._cm_centers.get(reg)

@@ -15,8 +15,10 @@ package compiles that tree **once** into a flat integer op program:
 * per batch shape, the executor binds the program to a preallocated
   activation arena with cached im2col gather indices, so steady-state
   batches do zero graph walking and zero redundant index math;
-* :meth:`Plan.serve` shards batch streams across a ``multiprocessing``
-  worker pool with shared-memory input/output buffers.
+* a plan is safe to call from many threads at once: the constants are
+  shared and each thread gets its own bindings, so :meth:`Plan.serve`
+  (and a gateway lane's executors) run batches on several threads over one
+  plan — the native kernels release the GIL.
 
 Everything is bit-exact against the interpreted model — fast paths are only
 taken when exactness is proven, otherwise the kernel replicates the
@@ -27,12 +29,10 @@ Entry points::
     qnn = T2C(model, spec=DeploySpec()).nn2chip()
     plan = Plan.compile(qnn, CompileSpec(threads=4))  # the one setting
     logits = plan(batch)              # == qnn(Tensor(batch)).data, bitwise
-    for logits in plan.serve(batches, workers=4): ...
+    for logits in plan.serve(batches, workers=4): ...   # 4 threads
 """
 from repro.runtime.executor import Plan
 from repro.runtime.compiler import CompileError
-from repro.runtime.serve import BatchFailed, PlanPool, WorkerDied
 from repro.runtime.spec import CompileSpec
 
-__all__ = ["Plan", "CompileSpec", "CompileError", "PlanPool", "WorkerDied",
-           "BatchFailed"]
+__all__ = ["Plan", "CompileSpec", "CompileError"]

@@ -122,9 +122,10 @@ static void ck_conv_task(const ck_conv_job* J, int64_t t, int64_t slot)
  * One job runs at a time (concurrent callers serialize on ck_job_mu; a
  * caller with threads <= 1 runs inline and never touches the pool).  The
  * caller participates as slot 0; workers hold fixed slots 1..W and skip
- * jobs whose thread count excludes them.  fork() (plan.serve worker pools)
- * is handled via pthread_atfork: the child resets the pool — worker
- * threads do not survive fork — and respawns lazily.
+ * jobs whose thread count excludes them.  Threads that execute one plan
+ * concurrently take turns here.  A program that embeds the runtime may
+ * still fork(): pthread_atfork makes the child reset the pool — worker
+ * threads do not survive fork — and respawn it lazily.
  */
 static pthread_mutex_t ck_job_mu = PTHREAD_MUTEX_INITIALIZER;
 static pthread_mutex_t ck_pool_mu = PTHREAD_MUTEX_INITIALIZER;

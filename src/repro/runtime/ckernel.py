@@ -32,6 +32,7 @@ import os
 import platform
 import subprocess
 import tempfile
+import threading
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -50,6 +51,7 @@ _TYPE_CODE = {np.dtype(t).char: i for i, t in enumerate(REG_TYPES)}
 
 _loaded = False
 _kernel: Optional["CKernel"] = None
+_load_lock = threading.Lock()
 
 _P, _I = ctypes.c_void_p, ctypes.c_int64
 _D, _F = ctypes.c_double, ctypes.c_float
@@ -249,7 +251,14 @@ def load() -> Optional[CKernel]:
     global _loaded, _kernel
     if _loaded:
         return _kernel
-    _loaded = True
+    with _load_lock:   # threads binding at once wait for one build
+        if not _loaded:
+            _kernel = _build_and_load()
+            _loaded = True
+    return _kernel
+
+
+def _build_and_load() -> Optional[CKernel]:
     if os.environ.get("REPRO_NO_CKERNEL", "") not in ("", "0"):
         telemetry.emit("ckernel_disabled", reason="REPRO_NO_CKERNEL")
         return None
@@ -263,12 +272,12 @@ def load() -> Optional[CKernel]:
             if sopath is None:
                 continue
             try:
-                _kernel = CKernel(ctypes.CDLL(sopath), sopath)
+                kernel = CKernel(ctypes.CDLL(sopath), sopath)
             except OSError:
                 continue
             telemetry.emit("ckernel_loaded", path=sopath, compiler=cc,
-                           native=native, isa=_kernel.isa)
-            return _kernel
+                           native=native, isa=kernel.isa)
+            return kernel
     telemetry.emit("ckernel_unavailable",
                    reason="no working C compiler; using interpreted kernels")
     return None

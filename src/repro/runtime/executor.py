@@ -5,14 +5,24 @@ list against a per-(batch-shape) binding — preallocated buffers, cached
 gather indices, pre-broadcast requant constants — created lazily on the
 first batch of each shape and reused for every subsequent one.
 
-Per-op wall time is accumulated always (it is two ``perf_counter`` reads);
+A plan is safe to call from many threads at once.  The constants (ops,
+packed weights, requant parameters, checksum rows) are shared; each calling
+thread gets its own bindings (arena, kernel scratch, prepared calls), so
+concurrent calls never share a buffer.  The native kernels release the GIL,
+which is how several threads over one plan use several cores.
+
+Per-op wall time is accumulated always (one ``perf_counter`` read per op);
 when the global telemetry switch is on, every op additionally opens a
 telemetry span (``plan.<kind>``) so the Chrome trace shows the per-op
 breakdown of every batch.
 """
 from __future__ import annotations
 
+import collections
+import itertools
+import threading
 import time
+import weakref
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -26,13 +36,13 @@ from repro.runtime.spec import CompileSpec
 class OpProfiler:
     """Opt-in, sampled per-op profiling attached to one :class:`Plan`.
 
-    The plan already pays two ``perf_counter`` reads per op to keep
+    The plan already times every op of every batch to keep
     ``_op_seconds`` current, so the profiler adds *no timing calls to the
-    hot path*: on every ``sample_every``-th batch it copies the accumulator
-    before the op loop and diffs it after, folding the per-op deltas into a
-    :class:`~repro.telemetry.obs.ProfileAggregator`.  ``pop_last`` hands the
-    most recent sampled batch's raw rows to pool workers so they can ship
-    them to the gateway instead of aggregating in a forked copy nobody reads.
+    hot path*: on every ``sample_every``-th batch it folds that batch's own
+    per-op seconds into a :class:`~repro.telemetry.obs.ProfileAggregator`
+    (concurrent batches on other threads never leak into a sample).
+    ``pop_last`` hands the calling thread's newest sampled batch to the
+    serving lane, which folds it into the lane's profile.
     """
 
     def __init__(self, plan: "Plan", sample_every: int = 16):
@@ -41,13 +51,12 @@ class OpProfiler:
         self.plan = plan
         self.sample_every = max(1, int(sample_every))
         self.aggregator = ProfileAggregator()
-        self._tick = 0
-        self._last = None
+        self._ticks = itertools.count(1)   # next() is atomic under the GIL
+        self._local = threading.local()
 
     def tick(self) -> bool:
         """Advance the batch counter; True when this batch is sampled."""
-        self._tick += 1
-        return self._tick % self.sample_every == 0
+        return next(self._ticks) % self.sample_every == 0
 
     def record(self, delta, wall_s: float) -> None:
         """Fold one sampled batch's per-op second deltas into the report.
@@ -63,12 +72,14 @@ class OpProfiler:
             if dt > 0.0:
                 for kind, name, share in ops[i].constituents():
                     rows.append((kind, name, float(dt) * share))
-        self._last = (rows, float(wall_s))
+        self._local.last = (rows, float(wall_s))
         self.aggregator.add(rows, wall_s)
 
     def pop_last(self):
-        """``(rows, wall_s)`` of the newest sampled batch, once; else None."""
-        last, self._last = self._last, None
+        """``(rows, wall_s)`` of the newest batch this thread sampled, once;
+        else None."""
+        last = getattr(self._local, "last", None)
+        self._local.last = None
         return last
 
     def report(self, top=None) -> Dict:
@@ -76,11 +87,13 @@ class OpProfiler:
 
 
 class _Binding:
-    """A plan bound to one concrete (batch size, input shape)."""
+    """A plan bound to one concrete (batch size, input shape) for one
+    thread: the arena, its kernel scratch and the prepared op calls."""
 
     def __init__(self, plan: "Plan", in_shape: Tuple[int, ...]):
         from repro.runtime import ckernel
 
+        self.shape = tuple(in_shape)
         n, sample_shape = in_shape[0], tuple(in_shape[1:])
         self.arena = Arena(
             n, plan.num_regs, ck=ckernel.load(),
@@ -93,6 +106,13 @@ class _Binding:
         self.arena.pads = plan_pads(plan.ops, self.arena.shapes)
         self.arena.pads.pop(0, None)  # register 0 is the raw input
         self.fns = [op.bind(self.arena) for op in plan.ops]
+
+
+class _ThreadBindings(threading.local):
+    """The calling thread's bindings of one plan, by input shape."""
+
+    def __init__(self):
+        self.by_shape: Dict[Tuple[int, ...], _Binding] = {}
 
 
 class Plan:
@@ -111,15 +131,25 @@ class Plan:
         self.spec = spec if spec is not None else CompileSpec()
         self.fusion_stats: Dict[str, int] = {"fused": 0, "folded_smq": 0}
         self.slots: Optional[Dict[int, int]] = None  # reg -> arena slot map
-        self._bindings: Dict[Tuple[int, ...], _Binding] = {}
-        self._op_seconds = np.zeros(len(ops), dtype=np.float64)
-        self._op_calls = np.zeros(len(ops), dtype=np.int64)
-        self._batches = 0
         self._profiler: Optional[OpProfiler] = None
         self._verification = None  # cached default-config verify() report
         self._abft = None          # sampled AbftChecker when enabled
         self._abft_rows = None     # compile-time checksum rows (op index ->)
         self._scrub_baseline = None  # CRC32 constant baseline for scrubbing
+        self.__dict__.update(self._fresh_state())
+
+    def _fresh_state(self) -> Dict:
+        """Execution state no two plans (or copies) may share."""
+        return {
+            "_tls": _ThreadBindings(),
+            # every live binding of every thread (scrub, ABFT, chaos)
+            "_live": weakref.WeakSet(),
+            "_bind_seq": itertools.count(),   # stable live_bindings order
+            "_lock": threading.Lock(),   # guards _live and the op stats
+            "_op_seconds": np.zeros(len(self.ops), dtype=np.float64),
+            "_op_calls": np.zeros(len(self.ops), dtype=np.int64),
+            "_batches": 0,
+        }
 
     def __deepcopy__(self, memo):
         """Deep-copy with *fresh* execution state.
@@ -139,20 +169,36 @@ class Plan:
         cls = self.__class__
         new = cls.__new__(cls)
         memo[id(self)] = new
-        fresh = {
-            "_bindings": {},
-            "_profiler": None,
-            "_abft": None,
-            "_op_seconds": np.zeros(len(self.ops), dtype=np.float64),
-            "_op_calls": np.zeros(len(self.ops), dtype=np.int64),
-            "_batches": 0,
-        }
+        fresh = dict(_profiler=None, _abft=None, **self._fresh_state())
         for k, v in self.__dict__.items():
             if k in fresh:
                 new.__dict__[k] = fresh[k]
             else:
                 new.__dict__[k] = _copy.deepcopy(v, memo)
         return new
+
+    # ------------------------------------------------------------ bindings
+    def live_bindings(self) -> List[_Binding]:
+        """Every live binding of every thread, oldest first per shape."""
+        with self._lock:
+            live = list(self._live)
+        return sorted(live, key=lambda b: (b.shape, b.seq))
+
+    def drop_bindings(self) -> None:
+        """Forget every thread's bindings (after mutating the op list);
+        each thread rebinds on its next call."""
+        with self._lock:
+            self._tls = _ThreadBindings()
+            self._live = weakref.WeakSet()
+
+    def _bind(self, shape: Tuple[int, ...]) -> _Binding:
+        with telemetry.trace("plan.bind", shape=str(shape)):
+            binding = _Binding(self, shape)
+        with self._lock:
+            binding.seq = next(self._bind_seq)
+            self._live.add(binding)
+        self._tls.by_shape[shape] = binding
+        return binding
 
     # ------------------------------------------------------------- factory
     @classmethod
@@ -200,61 +246,79 @@ class Plan:
     # ----------------------------------------------------------- execution
     def __call__(self, batch) -> np.ndarray:
         """Run one batch; returns the logits array, bit-exact vs. the tree."""
+        clock = time.perf_counter
+        t_in = clock()   # the profile's wall: input handling and every op
         x = np.ascontiguousarray(
             np.asarray(getattr(batch, "data", batch), dtype=np.float32))
-        binding = self._bindings.get(x.shape)
+        binding = self._tls.by_shape.get(x.shape)
         if binding is None:
-            with telemetry.trace("plan.bind", shape=str(x.shape)):
-                binding = _Binding(self, x.shape)
-            self._bindings[x.shape] = binding
+            binding = self._bind(x.shape)
+            t_in = clock()   # a one-off bind is setup, not batch time
         regs = binding.arena.regs
         regs[0] = x
-        seconds, calls = self._op_seconds, self._op_calls
+        stamps = [clock()]   # stamps[i + 1] - stamps[i]: op i's seconds
+        stamp = stamps.append
+        try:
+            if telemetry.enabled():
+                with telemetry.trace("plan.batch", model=self.model_name,
+                                     batch=x.shape[0]):
+                    for op, fn in zip(self.ops, binding.fns):
+                        with telemetry.trace(f"plan.{op.kind}", op=op.name):
+                            fn()
+                            stamp(clock())
+            else:
+                for fn in binding.fns:
+                    fn()
+                    stamp(clock())
+        finally:
+            delta = np.diff(stamps)
+            ran = len(delta)
+            with self._lock:
+                self._op_seconds[:ran] += delta
+                self._op_calls[:ran] += 1
+                self._batches += 1
         prof = self._profiler
-        sampling = prof is not None and prof.tick()
-        if sampling:
-            before = seconds.copy()
-            w0 = time.perf_counter()
-        if telemetry.enabled():
-            with telemetry.trace("plan.batch", model=self.model_name,
-                                 batch=x.shape[0]):
-                for i, (op, fn) in enumerate(zip(self.ops, binding.fns)):
-                    with telemetry.trace(f"plan.{op.kind}", op=op.name):
-                        t0 = time.perf_counter()
-                        fn()
-                        seconds[i] += time.perf_counter() - t0
-                        calls[i] += 1
-        else:
-            for i, fn in enumerate(binding.fns):
-                t0 = time.perf_counter()
-                fn()
-                seconds[i] += time.perf_counter() - t0
-                calls[i] += 1
-        if sampling:
-            prof.record(seconds - before, time.perf_counter() - w0)
-        self._batches += 1
+        if prof is not None and prof.tick():
+            prof.record(delta, stamps[-1] - t_in)
         abft = self._abft
         if abft is not None and abft.tick():
-            # registers stay live until the next batch, so the sampled
-            # checker reads them in place; a mismatch raises SDCDetected
-            # and the batch fails instead of serving corrupted logits
+            # this thread's registers stay live until its next batch, so
+            # the sampled checker reads them in place; a mismatch raises
+            # SDCDetected and the batch fails instead of serving corrupted
+            # logits
             abft.check(binding)
         return regs[self.output_reg].copy()
 
-    def serve(self, batches: Iterable, workers: int = 0,
-              pool_hook=None) -> Iterator[np.ndarray]:
-        """Stream logits for an iterable of batches (the *offline* batch API;
-        single-request traffic goes through :class:`repro.server.Server`).
+    def serve(self, batches: Iterable, workers: int = 0
+              ) -> Iterator[np.ndarray]:
+        """Stream logits for an iterable of batches, in input order (the
+        *offline* batch API; single-request traffic goes through
+        :class:`repro.server.Server`).
 
-        ``workers >= 2`` shards the stream across a ``multiprocessing`` pool
-        with shared-memory I/O buffers (see :mod:`repro.runtime.serve`);
-        otherwise batches run inline.  Results preserve input order.  A dead
-        worker raises instead of hanging; ``pool_hook`` receives the live
-        :class:`~repro.runtime.serve.PlanPool` for supervision.
+        ``workers >= 2`` runs that many threads over this one plan, each
+        with its own bindings, at most ``2 * workers`` batches ahead of the
+        consumer; otherwise batches run inline.  A batch that raises
+        re-raises here, in order.
         """
-        from repro.runtime.serve import serve_batches
+        if workers < 2:
+            for b in batches:
+                yield self(b)
+            return
+        from concurrent.futures import ThreadPoolExecutor
 
-        return serve_batches(self, batches, workers, pool_hook=pool_hook)
+        with ThreadPoolExecutor(workers,
+                                thread_name_prefix="repro-plan-serve") as pool:
+            ahead: collections.deque = collections.deque()
+            try:
+                for b in batches:
+                    ahead.append(pool.submit(self, b))
+                    if len(ahead) >= 2 * workers:
+                        yield ahead.popleft().result()
+                while ahead:
+                    yield ahead.popleft().result()
+            finally:
+                for fut in ahead:   # consumer left early or a batch raised
+                    fut.cancel()
 
     # ------------------------------------------------------------ integrity
     def capture_integrity_baseline(self) -> None:
@@ -307,9 +371,10 @@ class Plan:
     # ----------------------------------------------------------- reporting
     def reset_op_stats(self) -> None:
         """Zero the per-op timing accumulators (e.g. after warm-up)."""
-        self._op_seconds[:] = 0.0
-        self._op_calls[:] = 0
-        self._batches = 0
+        with self._lock:
+            self._op_seconds[:] = 0.0
+            self._op_calls[:] = 0
+            self._batches = 0
 
     def op_report(self) -> List[Dict]:
         """Per-op cumulative timing rows, hottest first.

@@ -95,25 +95,6 @@ def requant(x: np.ndarray, p: MQParams) -> np.ndarray:
     return np.clip(r, p.lo, p.hi).astype(np.float32)
 
 
-def requant_into(acc: np.ndarray, m, b, lo: float, hi: float,
-                 scratch: np.ndarray, dst: np.ndarray) -> None:
-    """In-place requantization of a float64 accumulator into a float32 view.
-
-    ``acc`` already holds the raw accumulator values (cast up from the GEMM
-    output); ``m``/``b`` are broadcast-ready float64 constants, ``scratch``
-    a float64 buffer of the same shape, ``dst`` any float32 view of ``acc``'s
-    shape (it may be strided — the final copy untransposes the layout).
-    All steps are elementwise, so the values match :func:`requant` exactly.
-    """
-    np.multiply(acc, m, out=acc)
-    np.add(acc, b, out=acc)
-    np.copysign(0.5, acc, out=scratch)
-    np.add(acc, scratch, out=acc)
-    np.trunc(acc, out=acc)
-    np.clip(acc, lo, hi, out=acc)
-    np.copyto(dst, acc, casting="unsafe")
-
-
 def conv_reassociation_bound(weight: np.ndarray,
                              in_range: Tuple[float, float]) -> float:
     """Worst-case accumulator magnitude of a conv over an integer input range.

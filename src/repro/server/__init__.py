@@ -1,15 +1,17 @@
 """Online serving gateway over the compiled integer runtime.
 
-`plan.serve()` (PR 3) is the *offline* batch API: it shards a pre-formed
-batch stream across a worker pool.  This package is the *online* layer the
-ROADMAP's "heavy traffic" north star needs — it accepts individual samples
-and turns them into well-packed batches without blowing latency:
+`plan.serve()` is the *offline* batch API: it runs a pre-formed batch
+stream on one or more threads over one plan.  This package is the
+*online* layer the ROADMAP's "heavy traffic" north star needs — it
+accepts individual samples and turns them into well-packed batches
+without blowing latency:
 
 * :class:`Server` — the gateway: per-model lanes with a work-conserving
   micro-batcher, admission control with typed
-  :class:`~repro.server.types.Overloaded` load shedding, worker-pool
-  supervision (requeue-once + respawn on worker death), and atomic
-  drain-and-cutover hot swap of model versions;
+  :class:`~repro.server.types.Overloaded` load shedding, ``workers``
+  executor threads per lane over one shared plan, typed failure of a
+  batch whose plan call raises, and atomic drain-and-cutover hot swap of
+  model versions;
 * :class:`ModelRegistry` — ``name@version``-keyed store of
   :func:`repro.core.deploy` bundles, holding the one hand-off gate
   (:meth:`ModelRegistry.check`) that register, activation and swap run;

@@ -54,7 +54,7 @@ class ModelEntry:
     name: str
     version: str
     runner: Callable                 #: batch -> logits (Deployed, Plan, stub)
-    plan: object = None              #: compiled Plan when available (pool mode)
+    plan: object = None              #: compiled Plan when available
     qnn: object = None               #: interpreted integer tree (exactness ref)
     deployed: object = None          #: full Deployed bundle when built via deploy()
     artifacts: Optional[str] = None  #: on-disk artifact dir backing this version

@@ -4,11 +4,14 @@
 the compiled runtime without blowing latency:
 
 * **work-conserving micro-batcher** — requests land in a bounded per-model
-  queue with a deadline; the lane scheduler forms a batch of up to
-  ``max_batch`` from the queue head the moment it can execute one (an idle
-  inline lane at once, a pooled lane whenever its in-flight budget and a
-  slot are free), so requests wait only while the lane is busy and batch
-  size grows with load on its own — no linger timer;
+  queue with a deadline; each of the lane's executor threads forms a batch
+  of up to ``max_batch`` from the queue head the moment it is free, so
+  requests wait only while every executor is busy and batch size grows
+  with load on its own — no linger timer;
+* **executors** — a lane runs ``max(1, workers)`` executor threads over
+  the active version's one plan: the plan gives each thread its own
+  bindings and the native kernels release the GIL, so k executors run k
+  batches at once in one process;
 * **admission control** — a full queue or a projected queue wait beyond the
   request's deadline sheds immediately with a typed
   :class:`~repro.server.types.Overloaded` result instead of accepting work
@@ -17,20 +20,19 @@ the compiled runtime without blowing latency:
   ``register(..., input_shape=...)`` or learned from the first request) is
   rejected with a typed :class:`~repro.server.types.Failed` at submit time,
   so one malformed request can never poison a batch;
-* **supervised execution** — batches run inline on the lane thread
-  (``workers < 2``) or on a :class:`~repro.runtime.serve.PlanPool`; a dead
-  worker is detected (never a hang), its in-flight batches are requeued
-  exactly once onto a respawned pool, and a second death resolves the
-  affected requests as retryable :class:`~repro.server.types.Failed`;
-* **hot swap** — :meth:`Server.swap` drains the lane's in-flight batches,
-  atomically flips the registry's active version, rebuilds the pool, and
-  only then resumes dispatch, so two plans never race on one arena and no
-  in-flight request is lost;
+* **executor failures** — a batch whose plan call raises resolves its
+  requests as typed :class:`~repro.server.types.Failed` (retryable for a
+  detected silent-data corruption, not otherwise) and leaves a
+  ``batch_failed`` event in the flight recorder; the executor goes on with
+  the next batch;
+* **hot swap** — :meth:`Server.swap` drains the lane until no executor is
+  busy, atomically flips the registry's active version, and only then
+  resumes dispatch, so no batch runs on the outgoing plan after the flip
+  and no in-flight request is lost;
 * **observability** — queue-wait / batch-size / latency histograms and
   request counters in the process-global metrics registry, one span tree
   per traced request in ``trace_store`` (request → queue.wait, batch →
-  exec / worker.exec), and structured events for sheds, swaps and worker
-  deaths.
+  exec), and structured events for sheds, swaps and batch failures.
 
 All timestamps use ``time.perf_counter()`` (monotonic), matching the span
 clock so gateway spans align with the rest of a telemetry trace.
@@ -53,18 +55,12 @@ from repro import telemetry
 from repro.export.errors import ArtifactError
 from repro.integrity.errors import SDCDetected
 from repro.lint.plan import PlanVerificationError
-from repro.runtime.serve import BatchFailed, PlanPool, WorkerDied, _can_fork
 from repro.server.registry import ModelEntry, ModelRegistry
 from repro.server.types import (Failed, Ok, Overloaded, PendingRequest,
                                 Response)
 from repro.telemetry import obs as _obs
 from repro.telemetry import tracing
 
-#: how long a pooled lane blocks on the pool between queue checks: briefly
-#: while it could dispatch another batch (an arrival must not wait for a
-#: completion), longer once its in-flight budget or slots are spent
-_POOL_POLL_S = 0.02
-_POOL_POLL_SPARE_S = 0.001
 #: weight of the newest batch in the service-time EWMA
 _EWMA_ALPHA = 0.2
 #: auto-dump cooldown (storm guard) for non-forced flight-recorder dumps
@@ -78,8 +74,9 @@ class ServerConfig:
     max_batch: int = 16              #: close a batch at this size
     max_queue: int = 256             #: bounded queue; beyond this -> Overloaded
     default_deadline_s: float = 0.25  #: per-request deadline when unspecified
-    workers: int = 0                 #: >= 2 -> PlanPool per lane (fork)
-    max_inflight_batches: int = 2    #: per-lane concurrency limit (pool mode)
+    #: executor threads per lane, i.e. batches a lane runs at once
+    #: (0 and 1 both mean one); all of them share the lane's plan
+    workers: int = 0
     #: seed of the batch service-time EWMA that admission's projected
     #: wait (``projected_wait_s``) reads; batching never waits on it
     exec_time_init_s: float = 0.005
@@ -95,15 +92,14 @@ class ServerConfig:
     #: keep only the newest N on-disk flight dumps per lane (0 = unlimited)
     max_dumps: int = 16
     # -------------------------------------------------------- SDC defense
-    #: verify every N-th inline batch with the sampled ABFT checksum
-    #: checker (0 = off; pooled lanes skip it — forked workers own
-    #: copy-on-write plan copies the parent cannot corrupt or inspect)
+    #: verify every N-th batch of a plan-backed lane with the sampled ABFT
+    #: checksum checker (0 = off), whatever the lane's executor count
     abft_every: int = 0
     #: background memory-scrub interval over active plans (0 = off)
     scrub_interval_s: float = 0.0
 
     def __post_init__(self):
-        for name in ("max_batch", "max_queue", "max_inflight_batches"):
+        for name in ("max_batch", "max_queue"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.default_deadline_s <= 0:
@@ -119,8 +115,7 @@ class ServerConfig:
 class _Batch:
     """One formed micro-batch on its way through execution."""
 
-    __slots__ = ("bid", "requests", "x", "entry", "formed_t", "submit_t",
-                 "retried", "trace")
+    __slots__ = ("bid", "requests", "x", "entry", "formed_t", "trace")
 
     def __init__(self, bid: int, requests: List[PendingRequest],
                  x: np.ndarray, entry: ModelEntry, formed_t: float):
@@ -129,19 +124,17 @@ class _Batch:
         self.x = x
         self.entry = entry
         self.formed_t = formed_t
-        self.submit_t = formed_t
-        self.retried = False
-        #: per-request pre-minted "batch" span ids (None when untraced);
-        #: minted at batch formation so the worker can parent under them
+        #: per-request "batch" span ids (None when untraced); the exec
+        #: span nests under them
         self.trace: Optional[List[Optional[str]]] = None
 
 
 class _LaneStats:
     """Always-on per-lane accounting (independent of the telemetry switch)."""
 
-    __slots__ = ("requests", "ok", "shed", "failed", "retried_requests",
-                 "batches", "batched_requests", "latencies_s",
-                 "queue_waits_s", "worker_deaths", "swaps", "deadline_miss")
+    __slots__ = ("requests", "ok", "shed", "failed", "batches",
+                 "batched_requests", "latencies_s", "queue_waits_s", "swaps",
+                 "deadline_miss")
 
     #: percentiles cover the most recent _CAP requests (bounded memory)
     _CAP = 100_000
@@ -151,10 +144,8 @@ class _LaneStats:
         self.ok = 0
         self.shed = 0
         self.failed = 0
-        self.retried_requests = 0
         self.batches = 0
         self.batched_requests = 0         # sum of completed batch sizes
-        self.worker_deaths = 0
         self.swaps = 0
         self.deadline_miss = 0
         self.latencies_s = collections.deque(maxlen=self._CAP)
@@ -166,7 +157,7 @@ class _LaneStats:
 
 
 class _Lane:
-    """One model name's queue + scheduler thread + (optional) worker pool."""
+    """One model name's queue plus its executor threads."""
 
     def __init__(self, server: "Server", name: str):
         self.server = server
@@ -175,33 +166,35 @@ class _Lane:
         self.cond = threading.Condition()
         self.queue: collections.deque = collections.deque()
         self.closing = False
-        self.dead = False                 # scheduler thread crashed and exited
-        self.busy = False                 # inline batch executing right now
+        self.dead = False                 # an executor crashed; lane aborted
+        self.busy = 0                     # executors running a batch now
         self.est_batch_s = self.cfg.exec_time_init_s
-        self.inflight: Dict[int, _Batch] = {}
-        self.pool: Optional[PlanPool] = None
-        self._pool_key: Optional[str] = None
-        self._seq = itertools.count()
         self.swap_target: Optional[str] = None
         self.swap_done = threading.Event()
         #: the registry gate's refusal at cutover, re-raised by Server.swap
         self.swap_error: Optional[Exception] = None
         self.stats = _LaneStats()
+        # guards the completion counters and the EWMA: executors complete
+        # concurrently, and a completion must not queue behind admission on
+        # ``cond`` before its requests resolve
+        self._stats_lock = threading.Lock()
         # always-on observability (independent of the telemetry switch,
         # like _LaneStats): rolling SLO window, flight-recorder ring, and
-        # the per-op profile fold point for worker-shipped samples
+        # the per-op profile the executors fold their samples into
         self.window = _obs.RollingWindow()
         self.flight = _obs.FlightRecorder()
         self.profile = _obs.ProfileAggregator()
         self._last_dump_t = -math.inf
         self._dump_n = 0
-        self._prof_key: Optional[str] = None
-        self._abft_key: Optional[str] = None
-        self.pooled = self.cfg.workers >= 2 and _can_fork()
+        #: the entry whose plan carries this lane's profiler/ABFT checker
+        self._armed_key: Optional[str] = None
         self.expected_shape = self._declared_shape()
-        self.thread = threading.Thread(target=self._run, daemon=True,
-                                       name=f"repro-server-{name}")
-        self.thread.start()
+        self.threads = [
+            threading.Thread(target=self._run, daemon=True,
+                             name=f"repro-server-{name}-{i}")
+            for i in range(max(1, self.cfg.workers))]
+        for thread in self.threads:
+            thread.start()
 
     # ----------------------------------------------------------- admission
     def _declared_shape(self) -> Optional[tuple]:
@@ -216,14 +209,14 @@ class _Lane:
     def projected_wait_s(self) -> float:
         """Estimated enqueue-to-answer time for one more request, now."""
         batches_ahead = (math.ceil((len(self.queue) + 1) / self.cfg.max_batch)
-                         + len(self.inflight) + (1 if self.busy else 0))
+                         + self.busy)
         return batches_ahead * self.est_batch_s
 
     def admit(self, req: PendingRequest) -> Optional[Response]:
         """Append under the lane lock, or return the typed rejection.
 
         A closed or dead lane rejects with a retryable :class:`Failed`
-        instead of enqueueing onto a scheduler that will never drain the
+        instead of enqueueing onto executors that will never drain the
         queue; a sample whose shape disagrees with the lane's expected
         input shape rejects with a non-retryable :class:`Failed` (it could
         never be stacked into a batch with its peers).
@@ -254,6 +247,7 @@ class _Lane:
                                   projected_wait_s=projected,
                                   deadline_s=req.deadline_s)
             self.queue.append(req)
+            self.stats.requests += 1
             self.server.metrics["queue_depth"].labels(
                 model=self.name).set(len(self.queue))
             self.cond.notify()
@@ -264,11 +258,11 @@ class _Lane:
                   **context) -> Optional[Dict]:
         """Freeze the flight-recorder ring for a post-mortem, rate-limited.
 
-        Called on every anomaly (deadline miss, shed, worker death, lane
-        abort); a 1 s cooldown keeps an overload storm from turning into a
-        dump storm.  ``force`` bypasses the cooldown for rare, high-signal
-        events (worker death, lane abort) that must never be shadowed by a
-        recent shed dump.  With ``dump_dir`` set the dump is also written
+        Called on every anomaly (deadline miss, shed, SDC, lane abort); a
+        1 s cooldown keeps an overload storm from turning into a dump
+        storm.  ``force`` bypasses the cooldown for rare, high-signal events
+        (SDC, lane abort) that must never be shadowed by a recent shed
+        dump.  With ``dump_dir`` set the dump is also written
         as JSON; either way ``flight.last_dump`` records it.
         """
         now = time.monotonic()
@@ -312,14 +306,6 @@ class _Lane:
         self.server.trace_store.add_many(records)
 
     # ----------------------------------------------------------- scheduling
-    def _capacity(self) -> bool:
-        if self.swap_target is not None:      # draining for cutover
-            return False
-        if not self.pooled:
-            return True
-        return (len(self.inflight) < self.cfg.max_inflight_batches
-                and (self.pool is None or self.pool.free_slots > 0))
-
     def _form_batch_locked(self) -> _Batch:
         take = min(self.cfg.max_batch, len(self.queue))
         requests = [self.queue.popleft() for _ in range(take)]
@@ -331,8 +317,6 @@ class _Lane:
         batch = _Batch(self.server.next_batch_id(), requests, x, entry,
                        time.perf_counter())
         if any(r.ctx is not None for r in requests):
-            # pre-mint each request's "batch" span id so workers can parent
-            # their exec spans under it across the process boundary
             batch.trace = [tracing.new_span_id() if r.ctx is not None
                            else None for r in requests]
         self.flight.record("batch_formed", bid=batch.bid, size=take,
@@ -343,85 +327,77 @@ class _Lane:
         try:
             self._run_loop()
         except BaseException as exc:  # pragma: no cover - defensive backstop
-            # The scheduler must never die silently: a crash here would
-            # strand every queued and in-flight request in result() forever.
-            self._abort(f"lane scheduler crashed: "
+            # An executor must never die silently: a crash here would
+            # strand every queued request in result() forever.
+            self._abort(f"lane executor crashed: "
                         f"{type(exc).__name__}: {exc}")
 
     def _abort(self, error: str) -> None:
-        """Resolve everything this lane holds as retryable Failed, mark the
-        lane dead (admit rejects from now on), release pool and swap waiters."""
+        """Resolve everything this lane holds queued as retryable Failed,
+        mark the lane dead (admit rejects from now on), release the swap
+        waiter and stop the idle executors.  Batches already executing
+        still complete."""
         with self.cond:
             self.dead = True
             queued = list(self.queue)
             self.queue.clear()
-            inflight = list(self.inflight.values())
-            self.inflight.clear()
             if self.swap_target is not None:
                 self.swap_target = None
                 self.swap_done.set()
-            pool, self.pool = self.pool, None
-            self._pool_key = None
+            self.cond.notify_all()
         telemetry.emit("server_lane_crashed", level="error", model=self.name,
-                       error=error, queued=len(queued),
-                       in_flight_batches=len(inflight))
+                       error=error, queued=len(queued), busy=self.busy)
         self.flight.record("lane_abort", error=error, queued=len(queued),
-                           in_flight_batches=len(inflight))
+                           busy=self.busy)
         self.auto_dump("lane_abort", force=True, error=error)
         for req in queued:
             self.resolve_unserved(req, Failed(req.request_id, self.name,
                                               error=error, retryable=True))
-        for batch in inflight:
-            self._fail_batch(batch, error, retryable=True)
-        if pool is not None:
-            try:
-                pool.close()
-            except Exception:
-                pass
 
     def _run_loop(self) -> None:
-        """Work-conserving: whenever the lane can execute a batch it forms
-        one from the queue head, so a request waits only while the lane is
-        busy and then rides the next batch (up to ``max_batch``)."""
+        """One executor, work-conserving: whenever it is free it forms a
+        batch from the queue head, so a request waits only while every
+        executor is busy and then rides the next batch (up to
+        ``max_batch``)."""
+        batch = None
         while True:
-            batch = None
             with self.cond:
+                if batch is not None:
+                    self.busy -= 1
                 while True:
-                    if (self.swap_target is not None and not self.inflight
-                            and not self.busy):
+                    if self.swap_target is not None and not self.busy:
                         self._cutover_locked()
-                    if self.queue and self._capacity():
+                    if self.queue and self.swap_target is None:
                         batch = self._form_batch_locked()
-                        if not self.pooled:
-                            self.busy = True
+                        self.busy += 1
                         break
-                    if self.inflight:
-                        break
-                    if self.closing and not self.queue:
-                        self._shutdown_pool_locked()
+                    if self.dead or (self.closing and not self.queue):
+                        if self.swap_target is not None:  # raced with close
+                            self.swap_target = None
+                            self.swap_done.set()
                         return
                     self.cond.wait()
-            if batch is not None:
-                self._dispatch(batch)
-            else:
-                self._poll_pool()
+            self._execute(batch)
 
     # ------------------------------------------------------------ execution
-    def _dispatch(self, batch: _Batch) -> None:
-        if self.pooled and batch.entry.plan is not None:
-            self._submit_to_pool(batch)
+    def _arm(self, entry: ModelEntry) -> None:
+        """Attach the configured profiler / ABFT checker to ``entry``'s
+        plan once, however many executors reach it first."""
+        plan = entry.plan
+        if plan is None or self._armed_key == entry.key:
             return
-        plan = batch.entry.plan
-        if (self.cfg.profile_every and plan is not None
-                and self._prof_key != batch.entry.key
-                and hasattr(plan, "enable_profiling")):
-            plan.enable_profiling(sample_every=self.cfg.profile_every)
-            self._prof_key = batch.entry.key
-        if (self.cfg.abft_every and plan is not None
-                and self._abft_key != batch.entry.key
-                and hasattr(plan, "enable_abft")):
-            plan.enable_abft(sample_every=self.cfg.abft_every)
-            self._abft_key = batch.entry.key
+        with self.cond:
+            if self._armed_key == entry.key:
+                return
+            if self.cfg.profile_every and hasattr(plan, "enable_profiling"):
+                plan.enable_profiling(sample_every=self.cfg.profile_every)
+            if self.cfg.abft_every and hasattr(plan, "enable_abft"):
+                plan.enable_abft(sample_every=self.cfg.abft_every)
+            self._armed_key = entry.key
+
+    def _execute(self, batch: _Batch) -> None:
+        if self.cfg.profile_every or self.cfg.abft_every:
+            self._arm(batch.entry)
         t0 = time.perf_counter()
         try:
             y = batch.entry(batch.x)
@@ -431,139 +407,25 @@ class _Lane:
             # healthy replica while this one gets quarantined
             self.server.record_sdc(self.name, exc, lane=self)
             self._fail_batch(batch, str(exc), retryable=True)
+            return
         except Exception as exc:
             self._fail_batch(batch, f"{type(exc).__name__}: {exc}",
                              retryable=False)
-        else:
-            t1 = time.perf_counter()
-            if plan is not None and getattr(plan, "_profiler", None) is not None:
-                sampled = plan._profiler.pop_last()
-                if sampled is not None:
-                    self.profile.add(*sampled)
-            if batch.trace is not None:
-                self._record_spans([
-                    tracing.span_record(req.ctx.trace_id, "exec", t0, t1,
-                                        parent_id=batch.trace[i],
-                                        attrs={"n": len(batch.requests)})
-                    for i, req in enumerate(batch.requests)
-                    if req.ctx is not None])
-            self._complete(batch, np.asarray(y), t0, t1)
-        finally:
-            with self.cond:
-                self.busy = False
-                self.cond.notify()
-
-    def _ensure_pool(self, batch: _Batch) -> None:
-        if self.pool is not None and self._pool_key == batch.entry.key:
             return
-        if self.pool is not None:       # stale pool from a previous version
-            self.pool.close()
-        slot_shape = (self.cfg.max_batch,) + tuple(batch.x.shape[1:])
-        self.pool = PlanPool(batch.entry.plan, slot_shape,
-                             self.cfg.workers,
-                             slots=max(2, self.cfg.max_inflight_batches),
-                             profile_every=self.cfg.profile_every)
-        self._pool_key = batch.entry.key
-        telemetry.emit("server_pool_start", model=batch.entry.key,
-                       workers=self.cfg.workers,
-                       slots=self.pool.nslots)
-
-    def _submit_to_pool(self, batch: _Batch) -> None:
-        try:
-            self._ensure_pool(batch)
-            seq = next(self._seq)
-            batch.submit_t = time.perf_counter()
-            wire = None
-            if batch.trace is not None:
-                wire = [(req.ctx.trace_id, batch.trace[i])
-                        for i, req in enumerate(batch.requests)
-                        if req.ctx is not None]
-            self.pool.submit(seq, batch.x, trace=wire)
-        except Exception as exc:
-            self._fail_batch(batch, f"pool submit failed: {exc}",
-                             retryable=True)
-            return
-        self.inflight[seq] = batch
-
-    def _poll_pool(self) -> None:
-        if self.pool is None or not self.inflight:
-            return
-        timeout = _POOL_POLL_SPARE_S if self._capacity() else _POOL_POLL_S
-        try:
-            seq, y, extra = self.pool.wait_one_ex(timeout=timeout)
-        except TimeoutError:
-            return
-        except WorkerDied:
-            self._supervise()
-        except BatchFailed as exc:
-            batch = self.inflight.pop(exc.seq, None)
-            if batch is not None:
-                self._fail_batch(batch, str(exc), retryable=False)
-        else:
-            if extra:
-                spans = extra.get("spans")
-                if spans:
-                    self._record_spans(spans)
-                profile = extra.get("profile")
-                if profile:
-                    self.profile.add([tuple(r) for r in profile["rows"]],
-                                     profile["wall_s"])
-            batch = self.inflight.pop(seq, None)
-            if batch is not None:
-                self._complete(batch, y, batch.submit_t, time.perf_counter())
-
-    def _supervise(self) -> None:
-        """A pool worker died: requeue each in-flight batch once, respawn."""
-        died = list(self.inflight.values())
-        self.inflight.clear()
-        self.stats.worker_deaths += 1
-        exitcodes = [p.exitcode for p in self.pool.procs if not p.is_alive()]
-        telemetry.emit("server_worker_died", level="warning", model=self.name,
-                       in_flight_batches=len(died), exitcodes=exitcodes)
-        self.flight.record("worker_death", exitcodes=exitcodes,
-                           in_flight_batches=[b.bid for b in died])
-        self.auto_dump("worker_death", force=True, exitcodes=exitcodes)
-        try:
-            self.pool.respawn()
-        except Exception as exc:
-            # Respawn itself failed: fail everything that was in flight as
-            # retryable, drop the pool, and let the next batch rebuild it.
-            telemetry.emit("server_pool_respawn_failed", level="error",
-                           model=self.name, error=str(exc))
-            for batch in died:
-                self._fail_batch(batch, f"pool respawn failed: {exc}",
-                                 retryable=True)
-            try:
-                self.pool.close()
-            except Exception:
-                pass
-            self.pool = None
-            self._pool_key = None
-            return
-        retry, give_up = [], []
-        for batch in died:
-            (give_up if batch.retried else retry).append(batch)
-        for batch in give_up:
-            self._fail_batch(
-                batch, "worker pool died twice while executing this batch",
-                retryable=True)
-        for batch in retry:
-            batch.retried = True
-            self.stats.retried_requests += len(batch.requests)
-            self.server.metrics["retries"].labels(model=self.name).inc(
-                len(batch.requests))
-            self.flight.record("batch_retried", bid=batch.bid,
-                               size=len(batch.requests))
-            if batch.trace is not None:
-                now = time.perf_counter()
-                # instant marker under each request root: the tree records
-                # that this request survived a worker death and was requeued
-                self._record_spans([
-                    tracing.span_record(req.ctx.trace_id, "retry", now, now,
-                                        parent_id=req.ctx.span_id,
-                                        attrs={"bid": batch.bid})
-                    for req in batch.requests if req.ctx is not None])
-            self._submit_to_pool(batch)
+        t1 = time.perf_counter()
+        prof = getattr(batch.entry.plan, "_profiler", None)
+        if prof is not None:
+            sampled = prof.pop_last()
+            if sampled is not None:
+                self.profile.add(*sampled)
+        if batch.trace is not None:
+            self._record_spans([
+                tracing.span_record(req.ctx.trace_id, "exec", t0, t1,
+                                    parent_id=batch.trace[i],
+                                    attrs={"n": len(batch.requests)})
+                for i, req in enumerate(batch.requests)
+                if req.ctx is not None])
+        self._complete(batch, np.asarray(y), t0, t1)
 
     # ------------------------------------------------------------ hot swap
     def request_swap(self, version: str) -> None:
@@ -587,11 +449,7 @@ class _Lane:
             self.swap_error = exc
             self.swap_done.set()
             return
-        if self.pool is not None:   # drained: safe to drop the old plan's pool
-            self.pool.close()
-            self.pool = None
-            self._pool_key = None
-        self._abft_key = None        # re-arm ABFT on the incoming plan
+        self._armed_key = None       # arm the incoming plan
         declared = entry.meta.get("input_shape")
         if declared is not None:     # new version may take a different shape
             self.expected_shape = tuple(declared)
@@ -599,6 +457,7 @@ class _Lane:
         telemetry.emit("server_swap", model=self.name, active=entry.key)
         self.server._ensure_scrub(self.name)   # scrub the incoming plan
         self.swap_done.set()
+        self.cond.notify_all()   # idle executors: the queue is open again
 
     # ------------------------------------------------------------ resolution
     def _observe_exec(self, dt: float) -> None:
@@ -607,9 +466,6 @@ class _Lane:
 
     def _complete(self, batch: _Batch, y: np.ndarray, t0: float,
                   t1: float) -> None:
-        self._observe_exec(t1 - t0)
-        self.stats.batches += 1
-        self.stats.batched_requests += len(batch.requests)
         m = self.server.metrics
         m["batch_size"].labels(model=self.name).observe(len(batch.requests))
         missed = 0
@@ -627,12 +483,10 @@ class _Lane:
                                latency_s=latency,
                                batch_size=len(batch.requests),
                                batch_id=batch.bid))
-            self.stats.ok += 1
             self.stats.observe(latency, queue_wait)
             self.window.observe_ok(latency, queue_wait, deadline_miss=miss)
             if miss:
                 missed += 1
-                self.stats.deadline_miss += 1
                 m["deadline_miss"].labels(model=self.name).inc()
             m["requests"].labels(model=self.name, status="ok").inc()
             m["queue_wait"].labels(model=self.name).observe(queue_wait)
@@ -646,8 +500,7 @@ class _Lane:
                 records.append(tracing.span_record(
                     ctx.trace_id, "batch", batch.formed_t, t1,
                     parent_id=root, span_id=batch.trace[i],
-                    attrs={"bid": batch.bid, "size": len(batch.requests),
-                           "retried": batch.retried}))
+                    attrs={"bid": batch.bid, "size": len(batch.requests)}))
                 records.append(tracing.span_record(
                     ctx.trace_id, "request", req.enqueue_t, t1, span_id=root,
                     attrs={"request_id": req.request_id,
@@ -656,10 +509,17 @@ class _Lane:
                            "latency_ms": round(latency * 1e3, 3)}))
         if records:
             self._record_spans(records)
+        with self._stats_lock:
+            self._observe_exec(t1 - t0)
+            s = self.stats
+            s.batches += 1
+            s.batched_requests += len(batch.requests)
+            s.ok += len(batch.requests)
+            s.deadline_miss += missed
         self.flight.record("batch_complete", bid=batch.bid,
                            size=len(batch.requests),
                            exec_ms=round((t1 - t0) * 1e3, 3),
-                           deadline_miss=missed, retried=batch.retried)
+                           deadline_miss=missed)
         if missed:
             self.auto_dump("deadline_miss", bid=batch.bid, missed=missed)
         for req, resp in zip(batch.requests, responses):
@@ -686,11 +546,14 @@ class _Lane:
         """
         shed = isinstance(response, Overloaded)
         outcome = "shed" if shed else "failed"
+        with self._stats_lock:   # submitters and executors resolve at once
+            if shed:
+                self.stats.shed += 1
+            else:
+                self.stats.failed += 1
         if shed:
-            self.stats.shed += 1
             self.window.observe_shed()
         else:
-            self.stats.failed += 1
             self.window.observe_failed()
         self.server.metrics["requests"].labels(
             model=self.name, status=outcome).inc()
@@ -705,18 +568,10 @@ class _Lane:
         req._resolve(response)
 
     # ------------------------------------------------------------- shutdown
-    def _shutdown_pool_locked(self) -> None:
-        if self.pool is not None:
-            self.pool.close()
-            self.pool = None
-        if self.swap_target is not None:   # unblock a swap raced with close
-            self.swap_target = None
-            self.swap_done.set()
-
     def close(self) -> None:
         with self.cond:
             self.closing = True
-            self.cond.notify()
+            self.cond.notify_all()
 
 
 class Server:
@@ -766,9 +621,6 @@ class Server:
             "batch_size": reg.histogram(
                 "server_batch_size", "formed micro-batch sizes",
                 labels=("model",), buckets=(1, 2, 4, 8, 16, 32, 64, 128)),
-            "retries": reg.counter(
-                "server_retries_total",
-                "requests requeued after a worker death", labels=("model",)),
             "queue_depth": reg.gauge(
                 "server_queue_depth", "queued requests", labels=("model",)),
             "deadline_miss": reg.counter(
@@ -915,9 +767,7 @@ class Server:
                                                 model=entry.name)
         lane = self._lane(entry.name)
         rejection = lane.admit(req)
-        if rejection is None:
-            lane.stats.requests += 1
-        elif isinstance(rejection, Overloaded):
+        if isinstance(rejection, Overloaded):
             telemetry.emit("server_shed", model=entry.name,
                            request=req.request_id, reason=rejection.reason,
                            projected_wait_s=rejection.projected_wait_s)
@@ -926,7 +776,7 @@ class Server:
                                projected_wait_s=rejection.projected_wait_s)
             lane.auto_dump("shed", shed_reason=rejection.reason)
             lane.resolve_unserved(req, rejection)
-        else:                               # Failed: bad shape / closed lane
+        elif rejection is not None:         # Failed: bad shape / closed lane
             telemetry.emit("server_rejected", model=entry.name,
                            request=req.request_id, error=rejection.error)
             lane.flight.record("rejected", request=req.request_id,
@@ -937,8 +787,8 @@ class Server:
     # ------------------------------------------------------------- control
     def swap(self, name: str, version: str, timeout: float = 30.0) -> None:
         """Drain-and-cutover to ``name@version``: in-flight batches finish on
-        the old plan, the active pointer flips atomically, the pool is
-        rebuilt, then dispatch resumes.  Queued requests are never dropped.
+        the old plan, the active pointer flips atomically once no executor
+        is busy, then dispatch resumes.  Queued requests are never dropped.
         The registry gate (:meth:`ModelRegistry.check`) runs before the
         drain and again at cutover; either refusal raises its typed error
         and the old version keeps serving.  Raises ``RuntimeError`` when the
@@ -977,9 +827,7 @@ class Server:
                 "shed": s.shed,
                 "failed": s.failed,
                 "deadline_miss": s.deadline_miss,
-                "retried_requests": s.retried_requests,
                 "batches": s.batches,
-                "worker_deaths": s.worker_deaths,
                 "swaps": s.swaps,
                 "mean_batch_size": (s.batched_requests / s.batches
                                     if s.batches else 0.0),
@@ -1008,10 +856,8 @@ class Server:
                     slo_target=lane.cfg.slo_target),
                 "cumulative": cumulative.get(name, {}),
                 "queue_depth": len(lane.queue),
-                "inflight_batches": len(lane.inflight),
-                "pooled": lane.pooled,
-                "workers_alive": (sum(p.is_alive() for p in lane.pool.procs)
-                                  if lane.pool is not None else 0),
+                "inflight_batches": lane.busy,
+                "executors": sum(t.is_alive() for t in lane.threads),
                 "flight_recorder": {
                     "events": len(lane.flight),
                     "dropped_events": lane.flight.dropped_events,
@@ -1091,7 +937,7 @@ class Server:
         return dumps
 
     def profile_report(self, model: str, top: Optional[int] = None) -> Dict:
-        """The sampled per-op breakdown folded from workers/inline exec."""
+        """The sampled per-op breakdown folded from the lane's executors."""
         return self._lane(model).profile.report(top=top)
 
     def start_status_export(self, out_dir: str,
@@ -1153,17 +999,14 @@ class Server:
 
     def pending_count(self) -> int:
         """Requests this server still owes answers for: queued plus riding
-        in-flight batches (an inline batch mid-execution counts as one —
-        its exact size is not tracked outside the lane thread)."""
+        in-flight batches (a batch mid-execution counts as one — its exact
+        size is not tracked outside its executor)."""
         total = 0
         with self._lock:
             lanes = list(self._lanes.values())
         for lane in lanes:
             with lane.cond:
-                total += len(lane.queue)
-                total += sum(len(b.requests)
-                             for b in lane.inflight.values())
-                total += 1 if lane.busy else 0
+                total += len(lane.queue) + lane.busy
         return total
 
     def drained(self) -> bool:
@@ -1172,7 +1015,7 @@ class Server:
 
     def healthy(self) -> bool:
         """Liveness for fleet health checks: accepting work and no crashed
-        lane scheduler."""
+        lane executor."""
         if self.closing or self.killed or self.draining:
             return False
         with self._lock:
@@ -1181,10 +1024,11 @@ class Server:
 
     def kill(self) -> None:
         """Abrupt replica death (the in-process stand-in for SIGKILL of a
-        whole gateway process): every queued and in-flight request resolves
-        as a retryable :class:`~repro.server.types.Failed` *immediately* —
-        no drain — so a fleet layer can requeue the lost work elsewhere,
-        and the server refuses everything afterwards."""
+        whole gateway process): every queued request resolves as a
+        retryable :class:`~repro.server.types.Failed` *immediately* — no
+        drain — so a fleet layer can requeue the lost work elsewhere, and
+        the server refuses everything afterwards.  A batch an executor is
+        already running still completes."""
         if self.killed:
             return
         self.killed = True
@@ -1195,13 +1039,13 @@ class Server:
                        lanes=[lane.name for lane in lanes])
         for lane in lanes:
             lane._abort("replica killed")
-            lane.close()        # wake the scheduler thread so it exits
+            lane.close()        # wake the executors so they exit
         if self._scrubber is not None:
             self._scrubber.stop()
         self.stop_status_export()
 
     def close(self, timeout: float = 30.0) -> None:
-        """Stop intake, drain every lane, shut down pools and threads."""
+        """Stop intake, drain every lane, stop the executor threads."""
         self.closing = True
         with self._lock:
             lanes = list(self._lanes.values())
@@ -1209,7 +1053,8 @@ class Server:
             lane.close()
         deadline = time.monotonic() + timeout
         for lane in lanes:
-            lane.thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            for thread in lane.threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
         if self._scrubber is not None:
             self._scrubber.stop()
         self.stop_status_export()

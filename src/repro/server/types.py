@@ -3,9 +3,9 @@
 Every accepted request resolves to exactly one concrete
 :class:`Response` subclass — :class:`Ok`, :class:`Overloaded` or
 :class:`Failed` — never an exception out of the scheduler and never
-silence.  ``retryable`` encodes the degradation contract: load-shed and
-worker-death results are safe to resubmit, a deterministic plan error is
-not.
+silence.  ``retryable`` encodes the degradation contract: load-shed,
+drained, killed-replica and silent-data-corruption results are safe to
+resubmit, a deterministic plan error is not.
 """
 from __future__ import annotations
 
@@ -61,8 +61,9 @@ class Overloaded(Response):
 class Failed(Response):
     """The request was accepted but could not be answered.
 
-    ``retryable=True`` marks infrastructure failures (worker died twice,
-    shutdown drain) where a resubmit is expected to succeed;
+    ``retryable=True`` marks infrastructure failures (detected silent
+    data corruption, a killed replica, shutdown drain) where a resubmit is
+    expected to succeed;
     ``retryable=False`` marks deterministic plan errors.
     """
 
@@ -101,7 +102,7 @@ class PendingRequest:
         """Run ``fn(response)`` when the request resolves (immediately if it
         already has).  This is the replica-mode hook the fleet layer uses to
         fail requests over to another replica without a thread per request;
-        callbacks run on the resolving thread (a lane thread, usually) and
+        callbacks run on the resolving thread (a lane executor, usually) and
         must not block.  Exceptions from ``fn`` are swallowed — a broken
         observer must never wedge a lane.
         """

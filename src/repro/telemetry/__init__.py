@@ -31,7 +31,7 @@ Typical use::
 Hot paths guard on :func:`enabled`, so leaving telemetry off (the default)
 keeps training and inference at seed speed.
 """
-from repro.telemetry.state import disable, enable, enabled, set_enabled, suppressed
+from repro.telemetry.state import disable, enable, enabled, set_enabled
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
@@ -79,7 +79,7 @@ from repro.telemetry.obs import (
 )
 
 __all__ = [
-    "enable", "disable", "enabled", "set_enabled", "suppressed",
+    "enable", "disable", "enabled", "set_enabled",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
     "percentile_summary",
     "Tracer", "NULL_SPAN", "get_tracer", "trace",

@@ -14,10 +14,10 @@ caller can leave them enabled in production paths.
   ``1.0`` means the window consumes budget exactly as fast as the target
   allows and ``> 1.0`` means the budget is being eaten.
 * :class:`FlightRecorder` — a bounded ring of recent structured events per
-  lane.  On a deadline miss, shed storm, worker death or lane abort the
+  lane.  On a deadline miss, shed storm, SDC detection or lane abort the
   server dumps the ring, turning a bare exit code into a post-mortem.
 * :class:`ProfileAggregator` — folds sampled per-op timing rows (from the
-  plan executor or shipped back by pool workers) into a per-op / per-kind
+  plan executors of a lane) into a per-op / per-kind
   breakdown with an *attributed fraction*: how much of sampled wall time the
   named ops account for.
 * :func:`render_prometheus` — the ``text/plain; version=0.0.4`` exposition

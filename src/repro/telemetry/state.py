@@ -8,7 +8,6 @@ pipeline and a single flag turns the whole subsystem on for a run.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 
 _ENABLED = False
 
@@ -36,18 +35,3 @@ def set_enabled(flag: bool) -> bool:
     _ENABLED = bool(flag)
     return prev
 
-
-@contextmanager
-def suppressed():
-    """Telemetry off inside the block, previous state restored on exit.
-
-    The save/restore matters when the block runs in the *parent* process —
-    e.g. ``plan.serve()`` falling back to inline execution after a worker
-    helper ran in the same interpreter — where a bare ``disable()`` would
-    leak and silently kill the rest of the run's telemetry.
-    """
-    prev = set_enabled(False)
-    try:
-        yield
-    finally:
-        set_enabled(prev)

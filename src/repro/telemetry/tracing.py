@@ -1,7 +1,7 @@
 """Wall-clock tracing: one flat span record for the pipeline and the gateway.
 
-Every span — an epoch, a fusion pass, a served request's queue wait, a
-worker's plan call — is the same flat, JSON-able **span record**
+Every span — an epoch, a fusion pass, a served request's queue wait, an
+executor's plan call — is the same flat, JSON-able **span record**
 (``trace_id``/``span_id``/``parent_id``/``name``/``t0``/``t1``/``proc``/
 ``pid``/``attrs``), created *complete* (both timestamps known).  Two
 producers write them:
@@ -12,16 +12,16 @@ producers write them:
   root mints a new trace id, and the exit appends one record to
   ``tracer.records``.
 * :class:`TraceContext` + :func:`span_record` — for a gateway request,
-  which crosses the submitter thread, the lane scheduler thread and (in
-  pool mode) a forked worker process.  The context minted at
-  ``Server.submit`` carries the trace id (the request id) and the current
-  parent span id; ``wire()`` flattens it to a picklable tuple so a worker
-  mints its own spans under the received parent.  The code that knows such
-  a span ended is rarely the code that opened it, hence complete records.
+  which crosses the submitter thread and one of the lane's executor
+  threads.  The context minted at ``Server.submit`` carries the trace id
+  (the request id) and the current parent span id; ``wire()`` flattens it
+  to a picklable tuple for a consumer in another process.  The code that
+  knows such a span ended is rarely the code that opened it, hence
+  complete records.
 
 All timestamps are ``time.perf_counter()`` — ``CLOCK_MONOTONIC`` on Linux,
-so gateway and worker clocks are directly comparable.  One set of renderers
-serves both producers: :func:`build_tree` (``(roots, orphans)``),
+so clocks of different threads and processes are directly comparable.
+One set of renderers serves both producers: :func:`build_tree` (``(roots, orphans)``),
 :func:`format_tree` (aligned text), :func:`to_chrome_trace` (Chrome
 ``trace_event`` JSON for ``chrome://tracing`` / Perfetto), plus the bounded
 per-request :class:`TraceStore` and its JSONL dump / :func:`load_jsonl`.
@@ -47,7 +47,7 @@ _SPAN_IDS = itertools.count(1)
 
 
 def new_span_id(prefix: str = "g") -> str:
-    """Process-unique span id; workers prefix their pid (``w1234-7``)."""
+    """Process-unique span id (``g-7``; ``prefix`` names another producer)."""
     return f"{prefix}-{next(_SPAN_IDS)}"
 
 
@@ -331,8 +331,8 @@ def to_chrome_trace(records: Iterable[Dict]) -> Dict:
     """Chrome ``trace_event`` JSON for a set of span records.
 
     Events come out in start order.  ``pid``/``tid`` come from the records,
-    so gateway and worker spans land on separate tracks in Perfetto, aligned
-    on the shared monotonic clock.
+    so spans of different producers land on separate tracks in Perfetto,
+    aligned on the shared monotonic clock.
     """
     records = sorted(records, key=lambda r: r["t0"])
     t0 = records[0]["t0"] if records else 0.0

@@ -12,36 +12,43 @@ Design notes
   integer-only inference path of the Torch2Chip dual-path design).
 * Broadcasting follows numpy semantics; gradients of broadcast operands are
   reduced back to the operand shape with :func:`_unbroadcast`.
-* Gradient mode is a process-global flag manipulated by :class:`no_grad`; when
+* Gradient mode is a per-thread flag manipulated by :class:`no_grad`; when
   disabled, no graph is recorded (used for the inference path and evaluation).
 """
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    """Per-thread gradient mode: a thread running a compiled plan's
+    :class:`no_grad` region never switches recording off for another."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
+    return _grad_mode.enabled
 
 
 class no_grad(contextlib.ContextDecorator):
-    """Context manager (and decorator) that disables graph recording."""
+    """Context manager (and decorator) that disables graph recording in the
+    calling thread."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _grad_mode.enabled = self._prev
         return False
 
 
@@ -92,10 +99,11 @@ class Tensor:
         self.data = _as_array(data)
         if requires_grad and not np.issubdtype(self.data.dtype, np.floating):
             raise TypeError("only floating-point tensors can require grad")
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _grad_mode.enabled
         self.grad: Optional[np.ndarray] = None
         self._backward = None
-        self._prev: Tuple[Tensor, ...] = _prev if _GRAD_ENABLED else ()
+        self._prev: Tuple[Tensor, ...] = (_prev if _prev and _grad_mode.enabled
+                                          else ())
         self._op = _op
 
     # ------------------------------------------------------------------ util
@@ -172,7 +180,7 @@ class Tensor:
         return id(self)
 
 def _make(data: np.ndarray, prev: Tuple[Tensor, ...], op: str) -> Tensor:
-    req = _GRAD_ENABLED and any(p.requires_grad for p in prev)
+    req = _grad_mode.enabled and any(p.requires_grad for p in prev)
     out = Tensor(data, requires_grad=req, _prev=prev if req else (), _op=op)
     return out
 

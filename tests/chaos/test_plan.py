@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from repro.chaos import CATALOG, KINDS, ChaosPlan
-from repro.runtime.serve import _can_fork
 from repro.server import ModelRegistry, Server
 from tests.chaos.conftest import scored_by_catalog
 from tests.server.conftest import StubPlan, stub_sample
@@ -16,7 +15,7 @@ PINNED = {
     "artifact": {"flip_bits", "truncate_file", "corrupt_header",
                  "stale_manifest"},
     "plan": {"swap_register", "widen_scale", "drop_op", "fuse_illegal"},
-    "server": {"kill_worker", "stall_worker", "delay_clock"},
+    "server": {"fail_exec", "stall_exec", "delay_clock"},
     "fleet": {"kill_replica", "partition_replica"},
     "sdc": {"flip_live_weights", "flip_arena", "corrupt_golden"},
 }
@@ -46,10 +45,10 @@ def stub_server():
 
 
 @pytest.mark.parametrize("target, schedule", [
-    ("clean_export", ["kill_worker"]),
+    ("clean_export", ["fail_exec"]),
     ("stub_server", ["flip_bits"]),
     ("compiled_plan", ["truncate_file"]),
-    ("clean_export", ["flip_bits", "kill_worker"]),
+    ("clean_export", ["flip_bits", "fail_exec"]),
     ("clean_export", []),
 ], ids=["server-fault-on-dir", "artifact-fault-on-server",
         "artifact-fault-on-plan", "mixed-kinds", "empty"])
@@ -121,24 +120,28 @@ class TestServerRuns:
         rec = report.records[0]
         assert rec.layers == {"admission": True} and rec.recovered
 
-    @pytest.mark.skipif(not _can_fork(), reason="requires fork for PlanPool")
-    def test_kill_worker_detected_and_recovered(self):
-        with _server(workers=2) as srv:
-            report = ChaosPlan(seed=0).add("kill_worker") \
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fail_exec_detected_and_recovered(self, workers):
+        with _server(workers=workers) as srv:
+            report = ChaosPlan(seed=0).add("fail_exec") \
                 .run(srv, "stub", stub_sample(1.0))
-            deaths = srv._lanes["stub"].stats.worker_deaths
-        assert report.ok and report.records[0].recovered
-        assert deaths >= 1
+            stats = srv.stats()["stub"]
+        rec = report.records[0]
+        assert report.ok and rec.recovered, report.render()
+        assert rec.layers == {"typed_failure": True, "flight_recorder": True,
+                              "next_ok": True}
+        assert stats["failed"] == 1
 
-    @pytest.mark.skipif(not _can_fork(), reason="requires fork for PlanPool")
-    def test_stall_worker_liveness(self):
-        with _server(workers=2) as srv:
-            report = ChaosPlan(seed=0).add("stall_worker", stall_s=0.2) \
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stall_exec_liveness(self, workers):
+        with _server(workers=workers) as srv:
+            report = ChaosPlan(seed=0).add("stall_exec", stall_s=0.3) \
                 .run(srv, "stub", stub_sample(1.0))
         rec = report.records[0]
-        assert report.ok and rec.layers == {"liveness": True}
+        assert report.ok and rec.layers == {"liveness": True}, report.render()
+        # a peer executor serves the probe while the stall holds
+        assert ("during" if workers > 1 else "after") in rec.note
 
-    @pytest.mark.skipif(not _can_fork(), reason="requires fork for PlanPool")
     def test_default_server_schedule(self):
         with _server(workers=2) as srv:
             report = ChaosPlan.default("server", seed=5).run(
@@ -146,6 +149,12 @@ class TestServerRuns:
         assert report.injected == 3
         assert report.missed == 0, report.render()
         assert scored_by_catalog(report)
+
+    def test_default_server_schedule_on_one_executor(self):
+        with _server(workers=0) as srv:
+            report = ChaosPlan.default("server", seed=5).run(
+                srv, "stub", stub_sample(1.0))
+        assert report.injected == 3 and report.ok, report.render()
 
 
 class TestRegistryStaysOnGoodVersion:

@@ -87,7 +87,7 @@ class TestChecker:
         d, x = sdc_deployed
         plan = copy.deepcopy(d.plan)
         plan(x)  # bind
-        binding = next(iter(plan._bindings.values()))
+        binding = next(iter(plan._tls.by_shape.values()))
         checker = AbftChecker(plan, sample_every=1)
         target = next(i for i in checker._targets
                       if plan.ops[i].kind in ("conv_mq", "conv_mq_res"))

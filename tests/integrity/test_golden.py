@@ -61,8 +61,9 @@ class TestGoldenSet:
         registers (exactly what fleet replica materialization does after
         deploy-time golden recording)."""
         d, x = sdc_deployed
-        assert d.plan._bindings, "golden recording should have bound (1,...)"
+        assert d.plan._tls.by_shape, \
+            "golden recording should have bound (1,...)"
         clone = copy.deepcopy(d.plan)
-        assert clone._bindings == {}
+        assert clone._tls.by_shape == {}
         assert d.golden.verify(clone) == []
         assert np.array_equal(np.asarray(clone(x)), np.asarray(d.plan(x)))

@@ -51,7 +51,7 @@ class TestScrubPlan:
         d, x = sdc_deployed
         plan = copy.deepcopy(d.plan)
         plan(x)
-        binding = next(iter(plan._bindings.values()))
+        binding = next(iter(plan._tls.by_shape.values()))
         arena = binding.arena
         reg = next(r for r in arena._cm_bufs if arena.pads.get(r, 0) > 0)
         arena._cm_bufs[reg][0, 0, 0, 0] = 9.0

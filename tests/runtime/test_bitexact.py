@@ -112,7 +112,7 @@ def _diverging_registers(plan, ref, shape):
     """The feature-map registers whose codes differ between two bindings."""
     from repro.integrity.abft import read_register
 
-    a, b = plan._bindings[shape].arena, ref._bindings[shape].arena
+    a, b = plan._tls.by_shape[shape].arena, ref._tls.by_shape[shape].arena
     return [r for r in sorted(a._cm_centers)
             if not np.array_equal(read_register(a, r), read_register(b, r))]
 
@@ -250,7 +250,7 @@ def test_wide_input_conv_takes_channel_reference(no_ckernel):
     out = plan(x)
     with no_ckernel():
         assert np.array_equal(out, ref(x))
-    assert plan._bindings[x.shape].arena.dtypes[1] == np.int16
+    assert plan._tls.by_shape[x.shape].arena.dtypes[1] == np.int16
     assert not _diverging_registers(plan, ref, x.shape)
 
 

@@ -29,7 +29,9 @@ def test_signature_differs_across_models(deployed_factory):
 
 
 def test_serve_shared_memory_roundtrip(deployed_factory):
-    """serve(workers=2) shards across the pool and preserves batch order."""
+    """serve(workers=2) runs two threads sharing the plan's memory (its
+    constants; each thread binds its own arena) and preserves batch
+    order."""
     d, x, _ = deployed_factory("resnet20")
     plan = Plan.compile(d.qnn)
     batches = [x + np.float32(i) for i in range(5)]
@@ -72,7 +74,7 @@ def test_native_plan_binds_without_ckernel(deployed_factory, no_ckernel):
     moved = copy.deepcopy(plan)
     with no_ckernel():
         assert np.array_equal(ref, moved(x))
-    assert moved._bindings[x.shape].arena.ck is None
+    assert moved._tls.by_shape[x.shape].arena.ck is None
     assert np.array_equal(ref, plan(x))
 
 
@@ -106,7 +108,7 @@ def test_wrong_input_channels_are_refused(deployed_factory, no_ckernel,
                                ) as err:
                 plan(bad)
         assert plan.ops[1].name in str(err.value)
-        assert not plan._bindings
+        assert not plan._tls.by_shape
 
 
 def test_wrong_patch_grid_is_refused(deployed_factory):
@@ -119,7 +121,7 @@ def test_wrong_patch_grid_is_refused(deployed_factory):
         plan(np.zeros(x.shape[:2] + (side, side), dtype=np.float32))
     tokens = next(op for op in plan.ops if op.kind == "tokens")
     assert tokens.name in str(err.value)
-    assert not plan._bindings
+    assert not plan._tls.by_shape
 
 
 def test_compile_rejects_unfused_model():

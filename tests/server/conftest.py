@@ -6,12 +6,13 @@ single-sample references are computed on the *interpreted* module tree —
 the gateway's bit-exactness contract is against single-sample execution,
 whatever batch mix the scheduler forms.
 
-Stub runners (fast, deterministic, crash-on-demand) keep the scheduler /
-admission / supervision tests independent of model build cost.
+Stub runners (fast, deterministic, fail-on-demand) keep the scheduler /
+admission / executor tests independent of model build cost.
 """
 from __future__ import annotations
 
-import os
+import threading
+import time
 from typing import Dict, Tuple
 
 import numpy as np
@@ -73,11 +74,11 @@ def served_factory():
 class StubPlan:
     """A fast fake plan: ``logits[i] = x[i].flat[:out_features] * gain``.
 
-    Carries ``out_features``/``model_name``/``plan`` so it is servable both
-    inline (as a registry runner) and on a forked :class:`PlanPool`.  When
-    ``crash_value`` is set, any batch containing a sample whose first element
-    equals it hard-kills the executing process (``os._exit``) — a
-    deterministic stand-in for a dying worker.
+    Carries ``out_features``/``model_name``/``plan`` like a compiled plan.
+    When ``crash_value`` is set, any batch containing a sample whose first
+    element equals it raises — a deterministic stand-in for a plan call
+    that fails on one batch.  ``delay_s`` sleeps inside every call, and
+    ``in_flight``/``max_in_flight`` count the calls running at once.
     """
 
     out_features = 4
@@ -88,19 +89,27 @@ class StubPlan:
         self.gain = np.float32(gain)
         self.crash_value = crash_value
         self.delay_s = delay_s
-        self.plan = self      # lets ModelEntry.plan resolve for pool mode
+        self.plan = self      # lets ModelEntry.plan resolve like a Plan
+        self._lock = threading.Lock()
+        self.in_flight = 0
+        self.max_in_flight = 0
 
     def __call__(self, x):
-        import time
-
         x = np.asarray(x, dtype=np.float32)
         flat = x.reshape(x.shape[0], -1)
         if self.crash_value is not None and np.any(
                 flat[:, 0] == np.float32(self.crash_value)):
-            os._exit(17)
-        if self.delay_s:
-            time.sleep(self.delay_s)
-        return flat[:, :self.out_features] * self.gain
+            raise RuntimeError(f"stub plan refuses {self.crash_value}")
+        with self._lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        try:
+            if self.delay_s:
+                time.sleep(self.delay_s)
+            return flat[:, :self.out_features] * self.gain
+        finally:
+            with self._lock:
+                self.in_flight -= 1
 
 
 @pytest.fixture()

@@ -57,8 +57,9 @@ def test_gateway_matches_single_sample_tree(served_factory, model_name):
 
 
 def test_gateway_pooled_matches_single_sample_tree(served_factory):
-    """Same contract across the fork boundary: a shared-memory PlanPool lane
-    returns the identical bits the in-process tree produces."""
+    """Same contract for a lane with a pool of executors: two threads run
+    batches concurrently over the one shared plan and every answer carries
+    the identical bits the tree produces."""
     d, samples, refs = served_factory("resnet20")
     reg = ModelRegistry()
     reg.register("resnet20", "1", d)

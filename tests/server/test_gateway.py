@@ -6,7 +6,6 @@ bit-exactness against real plans lives in ``test_bitexact.py``.
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 import time
 
@@ -34,7 +33,7 @@ def _stub_server(delay_s: float = 0.0, **overrides):
 
 
 def _wait_busy(srv, name, timeout=10.0):
-    """Block until ``name``'s inline lane is executing a batch."""
+    """Block until one of ``name``'s executors is running a batch."""
     deadline = time.monotonic() + timeout
     while not srv._lanes[name].busy:
         assert time.monotonic() < deadline, f"lane {name} never got busy"
@@ -111,26 +110,25 @@ def test_busy_lane_forms_full_batches():
     assert ordered == [1] + [4] * 12, ordered
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="pool needs fork")
-def test_pooled_lane_dispatches_into_a_free_slot():
-    """A pooled lane with one slow batch in flight and a slot free sends
-    the next request to that slot at once; it does not wait for the
-    running batch to complete."""
-    _, srv = _stub_server(delay_s=0.3, workers=2, default_deadline_s=30.0)
+def test_two_executors_run_two_batches_at_once():
+    """A lane with ``workers=2`` runs two batches at the same time: with
+    one slow batch executing, the next request goes to the idle executor
+    at once instead of waiting for the running batch to complete."""
+    reg = ModelRegistry()
+    stub = StubPlan(delay_s=0.3)
+    reg.register("stub", "1", runner=stub)
     waits = []
-    with srv:
+    with Server(reg, max_batch=4, workers=2, default_deadline_s=30.0) as srv:
         for i in range(3):
             running = srv.submit("stub", stub_sample(2.0 * i))
-            lane = srv._lanes["stub"]
-            deadline = time.monotonic() + 30.0
-            while not lane.inflight:
-                assert time.monotonic() < deadline, "no batch in flight"
-                time.sleep(0.001)
+            _wait_busy(srv, "stub")
             r = srv.submit("stub", stub_sample(2.0 * i + 1)).result(timeout=30)
             assert r.ok and r.batch_size == 1, r
             waits.append(r.queue_wait_s)
             assert running.result(timeout=30).ok
-    assert max(waits) < 0.01, f"queue waits {waits} behind a busy slot"
+        assert srv.status()["models"]["stub"]["executors"] == 2
+    assert stub.max_in_flight == 2, "the two batches never overlapped"
+    assert max(waits) < 0.01, f"queue waits {waits} behind a busy executor"
 
 
 def test_overloaded_when_projected_wait_exceeds_deadline():
@@ -191,19 +189,18 @@ def test_unknown_model_and_closed_server():
 def test_server_config_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(ServerConfig)] == [
         "max_batch", "max_queue", "default_deadline_s", "workers",
-        "max_inflight_batches", "exec_time_init_s", "tracing",
-        "profile_every", "slo_target", "dump_dir", "max_dumps",
-        "abft_every", "scrub_interval_s"]
+        "exec_time_init_s", "tracing", "profile_every", "slo_target",
+        "dump_dir", "max_dumps", "abft_every", "scrub_interval_s"]
     for gone in ("shed_margin_s", "ewma_alpha", "dump_min_interval_s",
                  "obs_window_s", "flight_recorder_size", "trace_capacity",
-                 "per_model", "max_linger_s"):
+                 "per_model", "max_linger_s", "max_inflight_batches"):
         with pytest.raises(TypeError):
             ServerConfig(**{gone: None})
 
 
 @pytest.mark.parametrize("name,value", [
     ("max_batch", 0), ("max_batch", -1), ("max_queue", 0),
-    ("max_inflight_batches", 0), ("default_deadline_s", 0.0),
+    ("default_deadline_s", 0.0),
     ("default_deadline_s", -1.0), ("exec_time_init_s", -1.0),
     ("workers", -1), ("slo_target", 0.0), ("slo_target", 1.0),
     ("profile_every", -1), ("max_dumps", -1), ("abft_every", -1),
@@ -289,8 +286,9 @@ def test_late_admit_on_closed_lane_resolves_not_hangs():
     with srv:
         assert srv.submit("stub", stub_sample(1.0)).result(timeout=5).ok
         lane = srv._lanes["stub"]
-    lane.thread.join(timeout=5)
-    assert not lane.thread.is_alive()
+    for thread in lane.threads:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
     req = PendingRequest(999, "stub", stub_sample(2.0), time.perf_counter(), 1.0)
     rejection = lane.admit(req)
     assert isinstance(rejection, Failed) and rejection.retryable
@@ -405,8 +403,9 @@ def test_killed_queued_requests_keep_a_trace():
         assert root["attrs"]["status"] == "failed"
         assert root["attrs"]["error"] == "replica killed"
     lane = srv._lanes["gated"]
-    lane.thread.join(timeout=10)
-    assert not lane.thread.is_alive()
+    for thread in lane.threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 def test_swap_refused_at_cutover_keeps_old_version_serving(tmp_path):

@@ -1,12 +1,12 @@
-"""Live observability through a real gateway: trace propagation across the
-worker process boundary, flight-recorder auto-dumps, SLO windows, the status
-surface, per-op profiling attribution and the CLI top/trace workflow.
+"""Live observability through a real gateway: trace propagation from the
+submitter to the lane's executor threads, flight-recorder auto-dumps, SLO
+windows, the status surface, per-op profiling attribution and the CLI
+top/trace workflow.
 """
 from __future__ import annotations
 
 import json
 import os
-import signal
 import time
 
 import numpy as np
@@ -17,9 +17,6 @@ from repro.server import ModelRegistry, Server
 from tests.server.conftest import StubPlan, stub_sample
 
 pytestmark = pytest.mark.obs
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="pool tests need fork")
 
 
 def _stub_server(**overrides) -> Server:
@@ -43,36 +40,17 @@ def _span_names(roots):
     return names
 
 
-def _wait_inflight(server, name, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        lane = server._lanes.get(name)
-        if lane is not None and lane.pool is not None and lane.inflight:
-            return lane
-        time.sleep(0.002)
-    raise AssertionError(f"lane {name} never got a batch in flight")
-
-
 class TestTracePropagation:
-    @needs_fork
     def test_pool_request_yields_one_connected_tree(self):
-        """The acceptance criterion: a traced request through a real
-        PlanPool worker process produces a single connected span tree —
-        admit -> queue -> batch -> worker execution -> reply — with no
-        orphans, and the worker span genuinely comes from another pid."""
+        """A traced request through a lane with a pool of two executor
+        threads produces a single connected span tree — admit -> queue ->
+        batch -> exec -> reply — with no orphans, and the exec span nests
+        under the request's batch span."""
         with _stub_server(workers=2) as srv:
             pendings = [srv.submit("stub", stub_sample(float(i)))
                         for i in range(8)]
             for p in pendings:
                 assert p.result(timeout=60).ok
-            # worker spans ride the *next* done-queue poll; give the lane a
-            # beat to drain them before asserting
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if all("worker.exec" in _span_names(
-                        srv.trace_tree(p.request_id)[0]) for p in pendings):
-                    break
-                time.sleep(0.01)
             for p in pendings:
                 roots, orphans = srv.trace_tree(p.request_id)
                 assert orphans == [], f"request {p.request_id}: orphan spans"
@@ -81,18 +59,11 @@ class TestTracePropagation:
                 assert root["name"] == "request"
                 assert root["attrs"]["status"] == "ok"
                 names = _span_names(roots)
-                assert "queue.wait" in names
-                assert "batch" in names
-                assert "worker.exec" in names
-                worker = [n for n in _flatten(roots)
-                          if n["span"]["name"] == "worker.exec"]
-                assert worker[0]["span"]["proc"] == "worker"
-                assert worker[0]["span"]["pid"] != os.getpid()
-                # the worker span nests under the request's batch span
-                batch = [n for n in _flatten(roots)
-                         if n["span"]["name"] == "batch"][0]
-                assert worker[0]["span"]["parent_id"] == \
-                    batch["span"]["span_id"]
+                assert {"queue.wait", "batch", "exec"} <= set(names)
+                nodes = _flatten(roots)
+                exec_ = [n for n in nodes if n["span"]["name"] == "exec"][0]
+                batch = [n for n in nodes if n["span"]["name"] == "batch"][0]
+                assert exec_["span"]["parent_id"] == batch["span"]["span_id"]
 
     def test_inline_request_tree_connected(self):
         with _stub_server(workers=0) as srv:
@@ -111,38 +82,25 @@ class TestTracePropagation:
             assert len(srv.trace_store) == 0
             assert p.ctx is None
 
-    @needs_fork
-    def test_requeue_after_worker_death_keeps_tree_and_records_retry(self):
-        """Kill every pool worker while a traced batch is in flight: the
-        batch is requeued onto the respawned pool, the request resolves Ok,
-        and its span tree survives — connected, with an explicit `retry`
-        marker under the root."""
+    def test_failed_batch_tree_records_the_failure(self):
+        """A traced request whose batch's plan call raises leaves one
+        connected tree whose root records the failure, and the lane's
+        flight recorder holds the ``batch_failed`` event."""
         reg = ModelRegistry()
-        reg.register("slowstub", "1", runner=StubPlan(delay_s=0.4))
-        with Server(reg, max_batch=4, workers=2, tracing=True,
-                    default_deadline_s=60.0) as srv:
-            pendings = [srv.submit("slowstub", stub_sample(float(i)))
-                        for i in range(4)]
-            lane = _wait_inflight(srv, "slowstub")
-            for proc in lane.pool.procs:
-                os.kill(proc.pid, signal.SIGKILL)
-            results = [p.result(timeout=120) for p in pendings]
-            assert all(r.ok for r in results), results
-            retried = 0
-            for p in pendings:
-                roots, orphans = srv.trace_tree(p.request_id)
-                assert orphans == []
-                assert len(roots) == 1
-                names = _span_names(roots)
-                assert "batch" in names
-                if "retry" in names:
-                    retried += 1
-            # at least the batch in flight at kill time was requeued and
-            # carries the retry marker in its span tree
-            assert retried >= 1
-            assert lane.stats.worker_deaths >= 1
-            assert lane.flight.last_dump is not None
-            assert lane.flight.last_dump["reason"] == "worker_death"
+        reg.register("stub", "1", runner=StubPlan(crash_value=7.0))
+        with Server(reg, max_batch=1, workers=2, tracing=True,
+                    default_deadline_s=30.0) as srv:
+            bad = srv.submit("stub", stub_sample(7.0))
+            r = bad.result(timeout=30)
+            assert not r.ok and not r.retryable
+            assert srv.submit("stub", stub_sample(1.0)).result(30).ok
+            roots, orphans = srv.trace_tree(bad.request_id)
+            events = srv._lanes["stub"].flight.snapshot()
+        assert orphans == [] and len(roots) == 1
+        root = roots[0]["span"]
+        assert root["attrs"]["status"] == "failed"
+        assert "refuses" in root["attrs"]["error"]
+        assert [e["kind"] for e in events].count("batch_failed") == 1
 
 
 def _flatten(roots):
@@ -315,8 +273,9 @@ class TestProfiling:
         kinds = {r["kind"] for r in rep["per_kind"]}
         assert kinds, "no op kinds attributed"
 
-    @needs_fork
     def test_pool_profiling_ships_rows_to_gateway(self, served_factory):
+        """Two executors sample the shared plan; each folds its own
+        batch's rows into the lane's profile."""
         d, samples, _refs = served_factory("resnet20")
         reg = ModelRegistry()
         reg.register("resnet20", "1", d)
@@ -326,15 +285,10 @@ class TestProfiling:
                         for i in range(8)]
             for p in pendings:
                 assert p.result(timeout=120).ok
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                if srv._lanes["resnet20"].profile.report()[
-                        "sampled_batches"] >= 1:
-                    break
-                time.sleep(0.01)
             rep = srv.profile_report("resnet20")
-        assert rep["sampled_batches"] >= 1, \
-            "worker profile rows never reached the gateway"
+            batches = srv.stats()["resnet20"]["batches"]
+        assert rep["sampled_batches"] == batches, \
+            "an executor's sampled rows never reached the lane profile"
         assert rep["attributed_fraction"] >= 0.90, rep
 
     def test_plan_profiler_unit(self, served_factory):

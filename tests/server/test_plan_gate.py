@@ -27,7 +27,7 @@ class PlanRunner:
 def _corrupt(plan):
     """Self-read on the final op: a use-before-def the verifier must flag."""
     plan.ops[-1].src = (plan.ops[-1].dst,)
-    plan._bindings = {}
+    plan.drop_bindings()
     plan._verification = None
     return plan
 
