@@ -73,9 +73,10 @@ python -m pytest tests/runtime -q -m runtime
 
 echo "== thread counts (compiled plan at 1 and 4 threads vs the tree) =="
 python - <<'EOF'
-# every registry model: the compiled plan (the compiler picks native convs
-# and fusion) must be bitwise the interpreted tree at 1 and at 4 kernel
-# threads
+# every registry model, plus resnet18 at the paper's width (64; 7 of its
+# convs have accumulator bounds past 2^24): the compiled plan must be
+# bitwise the interpreted tree at 1 and at 4 kernel threads, run every conv
+# natively when a kernel body is loaded, and carry an ABFT row per conv
 import numpy as np
 from repro.core import DeploySpec, deploy
 from repro.core.qconfig import QConfig
@@ -92,12 +93,14 @@ print(f"native kernel body: {body}")
 KWARGS = {"resnet20": dict(width=8), "resnet18": dict(width=8),
           "resnet50": dict(width=8), "mobilenet-v1": dict(width_mult=0.5),
           "vgg8": dict(width_mult=0.5), "vit-7": dict(embed_dim=64)}
-for name in MODELS:
+CASES = [(name, name, KWARGS[name], 2) for name in MODELS]
+CASES.append(("resnet18@64", "resnet18", dict(width=64), 1))
+for label, name, kwargs, batches in CASES:
     rng = np.random.default_rng(0)
-    qm = quantize_model(build_model(name, num_classes=10, **KWARGS[name]),
+    qm = quantize_model(build_model(name, num_classes=10, **kwargs),
                         QConfig(8, 8))
     calibrate_model(qm, [rng.standard_normal((4, 3, 32, 32))
-                         .astype(np.float32) for _ in range(2)])
+                         .astype(np.float32) for _ in range(batches)])
     d = deploy(qm, DeploySpec(runtime="none"))
     x = rng.standard_normal((3, 3, 32, 32)).astype(np.float32)
     with no_grad():
@@ -105,13 +108,18 @@ for name in MODELS:
     for threads in (1, 4):
         plan = Plan.compile(d.qnn, CompileSpec(threads=threads))
         assert np.array_equal(plan(x), ref), (
-            f"{name}: plan at {threads} thread(s) diverges from the tree")
+            f"{label}: plan at {threads} thread(s) diverges from the tree")
     rep = plan.verify(input_shape=(3, 32, 32))
-    assert rep.ok, f"{name}: plan verification failed\n{rep.render()}"
-    native = sum(getattr(op, "native", False) for op in plan.ops)
-    print(f"threads OK: {name:<12} {body:<8} body, {native:>2} native "
-          f"conv(s), {plan.fusion_stats['fused']:>2} chain(s) fused, "
-          f"bit-exact at "
+    assert rep.ok, f"{label}: plan verification failed\n{rep.render()}"
+    convs = [i for i, op in enumerate(plan.ops) if hasattr(op, "native")]
+    native = sum(plan.ops[i].native for i in convs)
+    assert ck is None or native == len(convs), (
+        f"{label}: {native}/{len(convs)} convs native with the {body} body")
+    assert sorted(plan._abft_rows) == convs, (
+        f"{label}: ABFT skipped {plan._abft_skipped}")
+    print(f"threads OK: {label:<12} {body:<8} body, {native:>2}/{len(convs)} "
+          f"convs native, all under ABFT, "
+          f"{plan.fusion_stats['fused']:>2} chain(s) fused, bit-exact at "
           f"1 and 4 threads, verify clean")
 EOF
 

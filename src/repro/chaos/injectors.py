@@ -327,9 +327,8 @@ def fuse_illegal(plan, rng: np.random.Generator) -> Dict:
     shortcut = int(plan.ops[-1].dst)  # defined at the end — always forward
     fused = ConvMQResOp(
         conv.name, (conv.src[0], shortcut), conv.dst, conv.weight,
-        conv.stride, conv.padding, conv.groups, conv.mq,
-        conv.exact_reassoc, conv.bound, res_scale=1.0,
-        res_lo=conv.mq.lo, res_hi=conv.mq.hi,
+        conv.stride, conv.padding, conv.groups, conv.mq, conv.bound,
+        res_scale=1.0, res_lo=conv.mq.lo, res_hi=conv.mq.hi,
         res_name=f"{conv.name}.illegal_residual", native=conv.native)
     plan.ops[i] = fused
     _invalidate(plan)

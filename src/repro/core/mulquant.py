@@ -135,23 +135,26 @@ class MulQuant(Module):
         return v.reshape(shape)
 
     def forward(self, x: Tensor) -> Tensor:
-        acc = x.data.astype(np.float64)
+        acc = np.asarray(x.data, dtype=np.float64)
         nd = acc.ndim
         m = self._broadcast(np.asarray(self.effective_scale, dtype=np.float64), nd)
         b = self._broadcast(np.asarray(self.effective_bias, dtype=np.float64), nd)
         # (acc * M) >> f_m + (B >> f_b), rounding half away from zero (the
         # add-half-then-truncate datapath).  float64 represents the integer
         # products exactly for the bit-widths used here, so this is
-        # bit-equivalent to the two-shift integer implementation.
+        # bit-equivalent to the two-shift integer implementation.  Rounded
+        # in place: the accumulator is full-size float64.
         v = acc * m + b
-        r = np.sign(v) * np.floor(np.abs(v) + 0.5)  # lint: allow-float (add-half rounding)
-        y = np.clip(r, self.out_lo, self.out_hi)
+        r = np.abs(v)
+        r += 0.5  # lint: allow-float (add-half rounding)
+        np.floor(r, out=r)
+        r *= np.sign(v)
         if _telemetry_state.enabled():
             # saturation audit: a requantizer clamping real accumulator mass
             # is invisible in accuracy numbers until it is too late
             clipped = int(np.count_nonzero((r < self.out_lo) | (r > self.out_hi)))
             _record_saturation(self, "mulquant", clipped, int(r.size))
-        return Tensor(y.astype(np.float32))
+        return Tensor(np.clip(r, self.out_lo, self.out_hi, out=r).astype(np.float32))
 
     def extra_repr(self) -> str:
         kind = "float" if self.float_scale else f"scale={self.fmt}, bias={self.bias_fmt}"

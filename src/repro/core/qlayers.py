@@ -79,11 +79,12 @@ class QConv2d(nn.Conv2d):
             # Integer-only: input already integer, weight from the frozen
             # buffer; bias is handled by the downstream MulQuant.  Asymmetric
             # input grids subtract their zero point before the MACs (integer
-            # offset-subtract stage) so zero padding stays exact.
+            # offset-subtract stage) so zero padding stays exact.  A float64
+            # GEMM sums the codes exactly (below 2^53), like an int32 MAC array.
             zp = float(np.asarray(self.aq.zero_point.data).reshape(-1)[0])
             if zp != 0.0:
                 x = x - zp
-            return F.conv2d(x, Tensor(self.wint.data), None,
+            return F.conv2d(x, self.wint.astype(np.float64), None,
                             self.stride, self.padding, self.groups)
         xdq = self.aq(x)
         wdq = self.wq(self.weight)

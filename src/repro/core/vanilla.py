@@ -83,7 +83,8 @@ def _vanilla_conv(q: QConv2d) -> nn.Conv2d:
     _check_symmetric(q)
     conv = nn.Conv2d(q.in_channels, q.out_channels, q.kernel_size,
                      q.stride, q.padding, q.groups, bias=False)
-    conv.weight.data = q.wint.data.copy()
+    # float64 integers: the conv sums its codes in an exact float64 GEMM
+    conv.weight.data = q.wint.data.astype(np.float64)
     conv.weight.requires_grad = False
     return conv
 

@@ -47,7 +47,7 @@ ABFT_KINDS = ("conv_mq", "conv_mq_res", "mulquant")
 def checksum_row_bound(weight: np.ndarray, bound: float) -> float:
     """Worst-case magnitude of the column-checksum accumulator.
 
-    ``bound`` is the compiler's certified per-channel accumulator bound
+    ``bound`` is the compiler's per-channel accumulator bound
     (``max_o sum_k |w_ok| * max|x|``); scaling it by the ratio of the total
     to the maximum per-channel absolute weight sum gives the exact worst
     case of ``sum_o |acc_o|``, which dominates every partial sum on both
@@ -64,20 +64,15 @@ def checksum_row_bound(weight: np.ndarray, bound: float) -> float:
 def attach_checksums(plan) -> Dict[str, int]:
     """Fold per-group weight checksum rows into ``plan`` (idempotent).
 
-    Only convs the compiler certified exactly-reassociable are eligible (a
-    non-exact conv's float32 reference accumulator is not reproducible in
-    float64), and only when the checksum accumulator provably stays under
-    the 2^53 float64-exact limit.  Returns ``{"attached": n, "skipped": m}``
-    and stores the rows on ``plan._abft_rows`` keyed by op index.
+    Every conv gets a row while its checksum accumulator provably stays
+    under the 2^53 float64-exact limit (``plan.checksum-overflow`` refuses a
+    plan where it does not).  Returns ``{"attached": n, "skipped": m}`` and
+    stores the rows on ``plan._abft_rows`` keyed by op index.
     """
     rows: Dict[int, np.ndarray] = {}
     skipped: List[Dict] = []
     for i, op in enumerate(plan.ops):
         if op.kind not in ("conv_mq", "conv_mq_res"):
-            continue
-        if not getattr(op, "exact_reassoc", False):
-            skipped.append({"index": i, "name": op.name,
-                            "reason": "not exact_reassoc"})
             continue
         w = op.weight
         wm = np.ascontiguousarray(w, dtype=np.float64).reshape(w.shape[0], -1)
@@ -202,14 +197,14 @@ class AbftChecker:
                         f"[{i}] {op.name} — live weights diverge from the "
                         f"compile-time checksum row",
                 self._detail(i, op, "column-checksum"))
-        acc32 = acc.reshape(n, o, oh, ow).astype(np.float32)
+        acc = acc.reshape(n, o, oh, ow)
         if op.kind == "conv_mq":
-            y = kernels.requant(acc32, op.mq)
+            y = kernels.requant(acc, op.mq)
         else:
             shortcut = read_register(arena, op.src[1], limit=1)
             if shortcut is None:
                 return
-            y = kernels.requant_residual(acc32, shortcut, op.mq,
+            y = kernels.requant_residual(acc, shortcut, op.mq,
                                          op.res_scale, op.res_lo,
                                          op.res_hi, op.smq)
         if not np.array_equal(y, served):

@@ -10,7 +10,8 @@ Three passes, no input data required:
   the integer-only invariant (runs with no model at all);
 * :mod:`repro.lint.plan` — plan-IR verifier over compiled
   :class:`~repro.runtime.executor.Plan` programs: register dataflow /
-  liveness, arena no-alias soundness, accumulator overflow proofs and
+  liveness, arena no-alias soundness, accumulator overflow proofs (the
+  native conv's int32 operands, every conv's float64 checksum width) and
   power-of-two shift certificates.
 
 Findings share the stable rule catalog in :mod:`repro.lint.findings`.

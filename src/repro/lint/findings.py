@@ -90,11 +90,11 @@ RULES: Dict[str, tuple] = {
     "plan.dead-read": (
         ERROR, "an op reads a register that is never written, or before its defining op"),
     "plan.accum-overflow": (
-        ERROR, "plan-level interval proof exceeds the accumulator width, the op's certified bound, or the module-level proof"),
+        ERROR, "plan-level interval proof exceeds the accumulator width, the op's compile-time bound, or the module-level proof"),
     "plan.shift-inexact": (
         ERROR, "requant scale is not an exact power of two (po2 deploy-mode precondition)"),
     "plan.checksum-overflow": (
-        ERROR, "ABFT column-checksum accumulator can exceed the 2^53 exact-float64 limit, so checksum equality would not be sound"),
+        ERROR, "a conv's ABFT column-checksum accumulator (which bounds its float64 sum) can exceed the 2^53 exact-float64 limit, so checksum equality would not be sound"),
     "plan.kernel-operand": (
         ERROR, "a native-kernel conv's input codes do not fit 8 bits, its weights are not int8, or its int32 accumulator can overflow"),
     "plan.shape-mismatch": (

@@ -17,13 +17,14 @@ pass verifies the thing that actually serves traffic — the compiled
 * **overflow safety** — interval abstract interpretation over the op list,
   mirroring the module-level engine's semantics kind by kind.  Every MAC
   site gets an accumulator row (``min_signed_bits`` vs ``accum_bits``), each
-  ``ConvMQOp``'s compile-time reassociation certificate (``exact_reassoc``/
-  ``bound``) is re-derived from the verifier's own propagated input range —
-  a stale or contradicted certificate is a ``plan.accum-overflow`` error —
-  a ``native`` conv's integer-kernel operands (8-bit input codes, int8
-  weights, int32-safe accumulator) are re-proved (``plan.kernel-operand``),
-  and the rows are cross-checked against the module-level
-  ``min_accum_bits`` proof when the caller provides it.
+  ``ConvMQOp``'s compile-time accumulator ``bound`` is re-derived from the
+  verifier's own propagated input range — a stale bound is a
+  ``plan.accum-overflow`` error — a ``native`` conv's integer-kernel
+  operands (8-bit input codes, int8 weights, int32-safe accumulator) are
+  re-proved (``plan.kernel-operand``), every conv's checksum accumulator
+  is proved float64-exact (``plan.checksum-overflow``), and the rows are
+  cross-checked against the module-level ``min_accum_bits`` proof when the
+  caller provides it.
 * **shift-exactness** — a per-requant certificate whether the scale is an
   exact power of two with an integral bias (the precondition for the po2
   shift-only deploy mode); ``require_po2=True`` turns a failed certificate
@@ -206,7 +207,7 @@ class PlanVerificationReport:
             lines.append("  accumulator bounds (proven worst case):")
             width = max(len(r["layer"]) for r in self.rows)
             for r in self.rows:
-                tag = "" if r["exact_f32"] else "  !f32"
+                tag = "" if r.get("exact_f32", True) else "  !f32"
                 lines.append(
                     f"    {r['layer']:<{width}}  {r['kind']:<14} "
                     f"[{r['acc_lo']:>14.0f}, {r['acc_hi']:>14.0f}]  "
@@ -423,10 +424,11 @@ class _PlanVerifier:
         lo, hi = acc.bounds()
         # the register passes through 0 (reset state) between accumulations
         bits = min_signed_bits(min(lo, 0.0), max(hi, 0.0))
-        exact = max(abs(lo), abs(hi)) < EXACT_F32_LIMIT
-        self.rows.append({"layer": layer, "kind": kind, "acc_lo": lo,
-                          "acc_hi": hi, "min_accum_bits": bits,
-                          "exact_f32": exact})
+        row = {"layer": layer, "kind": kind, "acc_lo": lo, "acc_hi": hi,
+               "min_accum_bits": bits}
+        if kind != "conv_mq":  # a float32 sum (every conv body is exact)
+            row["exact_f32"] = max(abs(lo), abs(hi)) < EXACT_F32_LIMIT
+        self.rows.append(row)
         if bits > self.accum_bits:
             self.finding("plan.accum-overflow", layer,
                          f"proven accumulator range [{lo:.0f}, {hi:.0f}] "
@@ -507,7 +509,7 @@ class _PlanVerifier:
 
     def _conv_accum(self, i, op) -> Interval:
         """The conv proof shared by both conv kinds: accumulator row,
-        certificate, kernel operands and checksum width, all from one
+        compile-time bound, kernel operands and checksum width, all from one
         float64 copy of the weights; returns the accumulator interval."""
         x = self._input(i, op).scalar()
         if op.padding:
@@ -518,37 +520,20 @@ class _PlanVerifier:
         abs_rows = np.abs(w2d).sum(axis=1)
         acc = accum_bounds(w2d, x)
         self.record_accum(op.name, "conv_mq", acc)
-        self._check_conv_certificate(i, op, x, abs_rows)
+        # the compiler bounded the accumulator over a range at least as wide
+        # as the propagated one: a re-derived bound past it means the plan
+        # was mutated after compilation (e.g. an upstream scale widened)
+        lo, hi = x.bounds()
+        derived = float(abs_rows.max(initial=0.0) * max(abs(lo), abs(hi)))
+        if derived > op.bound * (1.0 + 1e-12) + 0.5:
+            self.finding("plan.accum-overflow", self._site(i, op),
+                         f"stale bound: compile-time bound {op.bound:.0f} "
+                         f"but the propagated input range re-derives "
+                         f"{derived:.0f} — the plan no longer matches what "
+                         f"the compiler proved")
         self._check_kernel_operands(i, op, x, abs_rows)
         self._check_checksum_width(i, op, x, abs_rows)
         return acc
-
-    def _check_conv_certificate(self, i, op, x: Interval,
-                                abs_rows: np.ndarray) -> None:
-        """Re-derive the compile-time reassociation certificate.
-
-        The compiler stamped ``bound`` (worst-case accumulator magnitude
-        from *its* input range) and ``exact_reassoc = bound < 2^24`` onto
-        the op.  Our propagated range is at most as wide as the compiler's
-        clamp-based one, so a re-derived bound that *exceeds* the stored
-        certificate means the plan was mutated after compilation (e.g. an
-        upstream scale widened); an ``exact_reassoc`` claim whose re-derived
-        bound reaches 2^24 would let the native kernel's exact int32 sum
-        disagree with the float32 tree, whose GEMM rounds past 2^24.
-        """
-        lo, hi = x.bounds()
-        derived = float(abs_rows.max(initial=0.0) * max(abs(lo), abs(hi)))
-        if op.exact_reassoc and derived >= EXACT_F32_LIMIT:
-            self.finding("plan.accum-overflow", self._site(i, op),
-                         f"exact_reassoc certificate contradicted: re-derived "
-                         f"accumulator bound {derived:.0f} reaches the 2^24 "
-                         f"exact-float32 limit")
-        if derived > op.bound * (1.0 + 1e-12) + 0.5:
-            self.finding("plan.accum-overflow", self._site(i, op),
-                         f"stale certificate: compile-time bound "
-                         f"{op.bound:.0f} but the propagated input range "
-                         f"re-derives {derived:.0f} — the plan no longer "
-                         f"matches what the compiler proved")
 
     def _check_kernel_operands(self, i, op, x: Interval,
                                abs_rows: np.ndarray) -> None:
@@ -589,19 +574,18 @@ class _PlanVerifier:
         (and every partial sum of either association order) are bounded by
         ``sum_o sum_k |w_ok| * max|x|``; while that stays below 2^53 each
         intermediate is an exactly representable integer, so the checksum
-        comparison is an equality.  An eligible (``exact_reassoc``) conv
+        comparison is an equality.  The bound also dominates the conv's own
+        float64 accumulation (the tree's and the numpy body's).  A conv
         whose bound reaches the limit is a ``plan.checksum-overflow``
         error — the runtime would attach a checksum it cannot trust.
         """
         lo, hi = x.bounds()
         bound = float(abs_rows.sum() * max(abs(lo), abs(hi)))
-        eligible = bool(getattr(op, "exact_reassoc", False))
         safe = bound < EXACT_F64_LIMIT
         self.checksum_certs.append({
             "op": i, "layer": op.name, "kind": op.kind,
-            "checksum_bound": bound, "eligible": eligible,
-            "abft_safe": safe})
-        if eligible and not safe:
+            "checksum_bound": bound, "abft_safe": safe})
+        if not safe:
             self.finding("plan.checksum-overflow", self._site(i, op),
                          f"checksum accumulator bound {bound:.0f} reaches "
                          f"the 2^53 exact-float64 limit; the ABFT column "

@@ -20,9 +20,10 @@ package compiles that tree **once** into a flat integer op program:
   (and a gateway lane's executors) run batches on several threads over one
   plan — the native kernels release the GIL.
 
-Everything is bit-exact against the interpreted model — fast paths are only
-taken when exactness is proven, otherwise the kernel replicates the
-interpreted op sequence verbatim (see ``tests/runtime/``).
+Everything is bit-exact against the interpreted model: a conv sums its
+integers exactly on every body (int32 in the native kernel, float64 in the
+tree and the numpy bodies), and every other op replicates the interpreted
+op sequence verbatim (see ``tests/runtime/``).
 
 Entry points::
 

@@ -13,8 +13,9 @@
  * `sign(v) * floor(|v| + 0.5)` for every accumulator value.
  *
  * Sources and destinations are integer registers (or int32 accumulators)
- * of the element type `ty` (CK_U8 .. CK_F32).  Every value is an integer
- * below 2^24 in magnitude, so converting it to float or double is exact:
+ * of the element type `ty` (CK_U8 .. CK_F32).  Every register code is an
+ * integer below 2^24 in magnitude and every accumulator an int32, so
+ * converting a code to float, or either to double, is exact:
  * the arithmetic below is the float32/float64 datapath of the interpreted
  * tree, bit for bit, whatever type holds the codes in memory.
  */

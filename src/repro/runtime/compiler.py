@@ -7,12 +7,12 @@ compiled program is bit-exact against the interpreted tree by construction.
 
 While walking, it tracks the proven integer code range of every register
 (input grid, MulQuant clamp ranges, residual clamps); each convolution's
-worst-case accumulator bound over its input range, its input range and its
-weights decide whether it may run on the native integer kernel (see
-:mod:`repro.runtime.kernels`) or must replicate the interpreted per-sample
-GEMM order.  Every model, the ViT included, compiles onto the one register
-model of :mod:`repro.runtime.arena`; each op picks the kernel or its numpy
-reference at bind, by whether the kernel is loaded there.
+input range and weights decide whether it may run on the native integer
+kernel (see :mod:`repro.runtime.kernels`), and its worst-case accumulator
+bound over that range is recorded for the verifier.  Every model, the ViT
+included, compiles onto the one register model of
+:mod:`repro.runtime.arena`; each op picks the kernel or its numpy reference
+at bind, by whether the kernel is loaded there.
 """
 from __future__ import annotations
 
@@ -31,9 +31,10 @@ class CompileError(RuntimeError):
 
 
 def native_ok(ck, weight, in_range) -> bool:
-    """May a certified conv run on the integer kernel ``ck``: 8-bit input
-    codes and taps within the kernel's tables?  (The op itself checks that
-    its weights pack as int8.)"""
+    """May a conv run on the integer kernel ``ck``: 8-bit input codes and
+    taps within the kernel's tables?  (The op itself checks that its
+    weights pack as int8; int8 weights over at most ``taps_cap`` taps keep
+    the int32 sum exact, which ``plan.kernel-operand`` proves.)"""
     if ck is None:
         return False
     o, cg, kh, kw = weight.shape
@@ -85,16 +86,14 @@ class _Builder:
         if in_range is None:
             raise CompileError(
                 f"{self.name_of(unit)}: input register has no proven integer "
-                "range; cannot certify the fused conv kernel")
+                "range; cannot bound the fused conv kernel")
         weight = conv.weight.data
-        bound = kernels.conv_reassociation_bound(weight, in_range)
-        exact = bound < kernels.EXACT_F32_LIMIT
         dst = self.new_reg()
         return self.emit(
             ConvMQOp(self.name_of(unit), (src,), dst, weight, conv.stride,
                      conv.padding, conv.groups, kernels.MQParams.of(mq),
-                     exact_reassoc=exact, bound=bound,
-                     native=exact and native_ok(self.ck, weight, in_range)),
+                     bound=kernels.conv_accum_bound(weight, in_range),
+                     native=native_ok(self.ck, weight, in_range)),
             out_range=(mq.out_lo, mq.out_hi))
 
     def mulquant(self, mq, src: int) -> int:

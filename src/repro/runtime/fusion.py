@@ -78,8 +78,8 @@ def fuse_plan(ops: List, output_reg: int) -> Tuple[List, Dict[str, int]]:
         fused[j] = ConvMQResOp(
             conv.name, (conv.src[0], shortcut), op.dst,
             conv.weight, conv.stride, conv.padding, conv.groups, conv.mq,
-            conv.exact_reassoc, conv.bound, op.res_scale, op.lo, op.hi,
-            op.name, smq=smq, smq_name=smq_name, native=conv.native)
+            conv.bound, op.res_scale, op.lo, op.hi, op.name, smq=smq,
+            smq_name=smq_name, native=conv.native)
         stats["fused"] += 1
 
     new_ops = []

@@ -1,23 +1,20 @@
 """Numeric kernels for the compiled runtime — bit-exact by construction.
 
-Three exactness strategies, chosen per op at compile time:
+Two exactness strategies, chosen per op at compile time:
 
 * **replication** — execute the very same numpy call sequence the interpreted
   module runs (same dtypes, same views, same reduction order).  Identical
   inputs through identical operations give identical bits; used for every op
-  whose cost is not dominated by the conv GEMM.
-* **integer accumulation** — the native conv kernel multiplies uint8 (or
+  but the conv — the linear, attention, MLP and head GEMMs sum in float32 on
+  both sides.
+* **exact accumulation** — a conv sums integers, and an exact integer sum
+  has one value in any order.  The native kernel multiplies uint8 (or
   XOR-biased int8) activation codes by int8 weights and sums in int32,
-  which is exact by construction while the accumulator bound stays below
-  ``2**31`` (:data:`EXACT_I32_LIMIT`).
-* **the float32 certificate** — the interpreted tree sums the same
-  integers in a float32 BLAS GEMM, which is exact only while every partial
-  sum stays below ``2**24`` (:data:`EXACT_F32_LIMIT`): with integer weights
-  and codes and ``max_o sum_k |w_ok| * max|x|`` under that bound, every
-  summation order yields the same exact integer.  So a conv runs on the
-  integer kernel only under this certificate (an exact int32 sum would
-  otherwise disagree with the tree's rounded one); layers that exceed it
-  fall back to replication.
+  exact while the accumulator bound stays below ``2**31``
+  (:data:`EXACT_I32_LIMIT`); the interpreted tree and the numpy reference
+  body sum the same integers in a float64 GEMM, exact below ``2**53``
+  (:data:`EXACT_F64_LIMIT`).  So a conv runs on the integer kernel whenever
+  its operands fit it.
 
 The requantizer uses ``trunc(v + copysign(0.5, v))``, which is value-exact
 to the interpreted ``sign(v) * floor(|v| + 0.5)`` for every float (both
@@ -32,16 +29,17 @@ from typing import Optional, Tuple
 import numpy as np
 
 #: largest integer magnitude n for which every integer in [-n, n] is exactly
-#: representable in float32 — the reassociation-safety threshold.
+#: representable in float32 — below it the float32 GEMMs of the linear,
+#: attention, MLP and head ops sum exactly (the verifier's ``exact_f32`` rows)
 EXACT_F32_LIMIT = float(2 ** 24)
 
 #: the integer conv kernel's int32 accumulator limit
 EXACT_I32_LIMIT = float(2 ** 31)
 
-#: the float64 counterpart — the width the ABFT column-checksum accumulator
-#: (which sums *across* output channels) is proven against, since the
-#: sampled verifier recomputes both sides of the checksum identity in
-#: float64 (see repro.integrity.abft and the plan.checksum-overflow rule).
+#: the float64 counterpart — the width a conv's float64 accumulation and
+#: the ABFT column-checksum accumulator (which sums *across* output
+#: channels, so it bounds the conv's own) are proven against (see
+#: repro.integrity.abft and the plan.checksum-overflow rule).
 EXACT_F64_LIMIT = float(2 ** 53)
 
 
@@ -87,7 +85,7 @@ def round_half_away(v: np.ndarray) -> np.ndarray:
 
 def requant(x: np.ndarray, p: MQParams) -> np.ndarray:
     """Replicate ``MulQuant.forward`` on a plain array; returns float32."""
-    acc = x.astype(np.float64)
+    acc = np.asarray(x, dtype=np.float64)
     m = broadcast_scale(p.m, acc.ndim, p.axis)
     b = broadcast_scale(p.b, acc.ndim, p.axis)
     v = acc * m + b
@@ -95,8 +93,8 @@ def requant(x: np.ndarray, p: MQParams) -> np.ndarray:
     return np.clip(r, p.lo, p.hi).astype(np.float32)
 
 
-def conv_reassociation_bound(weight: np.ndarray,
-                             in_range: Tuple[float, float]) -> float:
+def conv_accum_bound(weight: np.ndarray,
+                     in_range: Tuple[float, float]) -> float:
     """Worst-case accumulator magnitude of a conv over an integer input range.
 
     ``weight`` is the (integer-valued) float kernel ``(O, Cg, kh, kw)``;

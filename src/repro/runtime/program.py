@@ -16,9 +16,10 @@ Feature maps live in channel-major padded integer registers (see
 :mod:`repro.runtime.arena`).  Each op picks its body once, at bind, from
 ``arena.ck``: the native kernel when it is loaded, else a numpy reference
 that runs the interpreted module's arithmetic on a float32 batch-major
-copy of its input registers and writes the result back channel-major —
-so a host without the kernel runs the same op list, bit-exactly.  Token
-and vector registers are plain ``(N, ...)`` arrays.
+copy of its input registers (a conv accumulates in float64, as the tree
+does) and writes the result back channel-major — so a host without the
+kernel runs the same op list, bit-exactly.  Token and vector registers are
+plain ``(N, ...)`` arrays.
 
 Numeric contracts live in :mod:`repro.runtime.kernels`.
 """
@@ -76,28 +77,27 @@ class _Im2colCache:
 
 def _conv_accum_fn(arena: Arena, src: int, weight: np.ndarray, stride: int,
                    padding: int, groups: int, out_shape: Shape):
-    """The interpreted conv accumulation (im2col + GEMM), replicated verbatim.
+    """The interpreted conv accumulation: im2col + float64 GEMMs, one per
+    sample, as :func:`repro.tensor.functional.conv2d` runs them.
 
-    Returns ``run(x) -> (N, O, OH, OW) float32`` raw accumulator — the value
-    the interpreted path holds just before requantization.
+    Returns ``run(x) -> (N, O, OH, OW) float64`` raw accumulator — the exact
+    integer sum the interpreted path holds just before requantization.
     """
     n = arena.n
     o, oh, ow = out_shape
     _, cg, kh, kw = weight.shape
-    g, st, p = groups, stride, padding
-    wm = weight.reshape(o, cg * kh * kw)
+    g = groups
+    wm_g = np.asarray(weight, dtype=np.float64).reshape(g, o // g, -1)
     c, h, w = arena.shapes[src]
-    gather = _Im2colCache(n, c, h, w, kh, kw, st, p)
+    gather = _Im2colCache(n, c, h, w, kh, kw, stride, padding)
 
     def run(x):
-        cols = gather(x)
-        if g == 1:
-            out = np.matmul(wm, cols)
-        else:
-            cols_g = cols.reshape(n, g, cg * kh * kw, oh * ow)
-            wm_g = wm.reshape(g, o // g, cg * kh * kw)
-            out = np.matmul(wm_g[None], cols_g).reshape(n, o, oh * ow)
-        return out.reshape(n, o, oh, ow).astype(np.float32)
+        cols_g = gather(x).reshape(n, g, cg * kh * kw, oh * ow)
+        acc = np.empty((n, o, oh, ow))
+        acc_g = acc.reshape(n, g, o // g, oh * ow)
+        for i in range(n):
+            np.matmul(wm_g, cols_g[i], out=acc_g[i])
+        return acc
     return run
 
 
@@ -180,35 +180,35 @@ class _ConvOp(Op):
     and the native kernel's arguments.
 
     The compiler asks for a ``native`` conv when it may run on the integer
-    kernel: certified ``exact_reassoc`` (the float32 tree's sum is exact,
-    so the exact int32 sum equals it), an input register of 8-bit codes
-    and taps within the kernel's tables; the op is native when its weights
-    also pack as int8.  Every conv holds one resident weight array, the
-    instance attribute ``weight`` (what the scrubber's constant walk CRCs):
-    for a native conv the kernel's packed int8 words (see
-    :func:`kernels.pack_conv_weight`), else float32.  The ``weight``
-    property shadows it with the logical ``(O, Cg, kh, kw)`` array — for a
-    native conv a writable view of the packed bytes, so the chaos
-    injectors and ABFT read and perturb exactly what the kernel reads.  A
-    non-native conv, or a native one bound where the kernel is not loaded,
-    replicates the interpreted im2col + GEMM sequence (:func:`_bind_numpy`).
+    kernel: an input register of 8-bit codes and taps within the kernel's
+    tables; the op is native when its weights also pack as int8.  ``bound``
+    is the compiler's worst-case accumulator magnitude over its proven
+    input range (the verifier re-derives it).  Every conv holds one
+    resident weight array, the instance attribute ``weight`` (what the
+    scrubber's constant walk CRCs): for a native conv the kernel's packed
+    int8 words (see :func:`kernels.pack_conv_weight`), else float64 (the
+    reference body's GEMM operand).  The ``weight`` property shadows it
+    with the logical ``(O, Cg, kh, kw)`` array — for a native conv a
+    writable view of the packed bytes, so the chaos injectors and ABFT read
+    and perturb exactly what the kernel reads.  A non-native conv, or a
+    native one bound where the kernel is not loaded, runs the interpreted
+    im2col + float64 GEMM (:func:`_bind_numpy`).
     """
 
     def __init__(self, name, src, dst, weight: np.ndarray, stride: int,
                  padding: int, groups: int, mq: kernels.MQParams,
-                 exact_reassoc: bool, bound: float, native: bool = False):
+                 bound: float, native: bool = False):
         super().__init__(name, src, dst)
         packed = kernels.pack_conv_weight(weight) if native else None
         self.native = packed is not None  # the weights must be int8 too
         self.cg = int(weight.shape[1])
         self.__dict__["weight"] = (
             packed if self.native
-            else np.ascontiguousarray(weight, dtype=np.float32))
+            else np.ascontiguousarray(weight, dtype=np.float64))
         self.stride = int(stride)
         self.padding = int(padding)
         self.groups = int(groups)
         self.mq = mq
-        self.exact_reassoc = bool(exact_reassoc)
         self.bound = float(bound)
 
     @property
@@ -278,14 +278,13 @@ class _ConvOp(Op):
         return (P,) + consts, Q, geometry
 
     def _conv_acc(self, arena):
-        return _conv_accum_fn(arena, self.src[0],
-                              np.asarray(self.weight, dtype=np.float32),
-                              self.stride, self.padding, self.groups,
+        return _conv_accum_fn(arena, self.src[0], self.weight, self.stride,
+                              self.padding, self.groups,
                               arena.shapes[self.dst])
 
     def _conv_sig(self, h, *extra):
-        h.update(repr((self.stride, self.padding, self.groups,
-                       self.exact_reassoc) + extra).encode())
+        h.update(repr((self.stride, self.padding, self.groups)
+                      + extra).encode())
         kernels.array_sig(h, np.asarray(self.weight, dtype=np.float32))
         self.mq.sig_update(h)
 
@@ -339,7 +338,7 @@ class ConvMQOp(_ConvOp):
         return _on_first_call(prepare)
 
     def _bind_reference(self, arena):
-        """The interpreted conv+MulQuant numpy sequence, replicated verbatim."""
+        """The interpreted conv+MulQuant numpy sequence."""
         run_acc = self._conv_acc(arena)
         mq = self.mq
         return _bind_numpy(arena, self.src, self.dst,
@@ -368,12 +367,12 @@ class ConvMQResOp(_ConvOp):
 
     def __init__(self, name, src, dst, weight: np.ndarray, stride: int,
                  padding: int, groups: int, mq: kernels.MQParams,
-                 exact_reassoc: bool, bound: float, res_scale: float,
+                 bound: float, res_scale: float,
                  res_lo: float, res_hi: float, res_name: str,
                  smq: Optional[kernels.MQParams] = None,
                  smq_name: Optional[str] = None, native: bool = False):
         super().__init__(name, src, dst, weight, stride, padding, groups, mq,
-                         exact_reassoc, bound, native)
+                         bound, native)
         self.res_scale = float(res_scale)
         self.res_lo = float(res_lo)
         self.res_hi = float(res_hi)

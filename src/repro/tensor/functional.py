@@ -72,7 +72,10 @@ def conv2d(
     """2-D convolution via im2col + matmul.
 
     ``x``: ``(N, C, H, W)``; ``weight``: ``(O, C // groups, KH, KW)``.
-    Supports grouped and depthwise convolution (``groups == C``).
+    Supports grouped and depthwise convolution (``groups == C``).  The
+    result keeps its operands' type: a ``float64`` weight (the deploy path's
+    integer kernel) makes it an exact ``float64`` GEMM, one GEMM per sample
+    so only one sample's columns are ever cast.
     """
     n, c, h, w = x.shape
     o, cg, kh, kw = weight.shape
@@ -86,13 +89,12 @@ def conv2d(
 
     cols = im2col(x.data, kh, kw, stride, padding)  # (N, C*kh*kw, L)
     wm = weight.data.reshape(o, cg * kh * kw)
-    if groups == 1:
-        out_data = np.matmul(wm, cols)  # (N, O, L)
-    else:
-        cols_g = cols.reshape(n, groups, cg * kh * kw, oh * ow)
-        wm_g = wm.reshape(groups, og, cg * kh * kw)
-        out_data = np.matmul(wm_g[None], cols_g).reshape(n, o, oh * ow)
-    out_data = out_data.reshape(n, o, oh, ow).astype(np.float32)
+    wm_g = wm.reshape(groups, og, cg * kh * kw)
+    cols_g = cols.reshape(n, groups, cg * kh * kw, oh * ow)
+    out_data = np.empty((n, o, oh, ow), dtype=np.result_type(wm, cols))
+    out_g = out_data.reshape(n, groups, og, oh * ow)
+    for i in range(n):
+        np.matmul(wm_g, cols_g[i], out=out_g[i])
 
     out = _make(out_data, (x, weight), "conv2d")
     if out.requires_grad:

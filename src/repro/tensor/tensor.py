@@ -9,7 +9,10 @@ Design notes
 ------------
 * All data is kept as ``float32`` unless the caller explicitly constructs an
   integer tensor (integer tensors never require grad; they exist to carry the
-  integer-only inference path of the Torch2Chip dual-path design).
+  integer-only inference path of the Torch2Chip dual-path design) or asks
+  for ``float64`` with :meth:`Tensor.astype`.  An op over a ``float64``
+  operand keeps a ``float64`` result: the deploy-path conv accumulates its
+  integer codes that way, exactly while every partial sum stays below 2^53.
 * Broadcasting follows numpy semantics; gradients of broadcast operands are
   reduced back to the operand shape with :func:`_unbroadcast`.
 * Gradient mode is a per-thread flag manipulated by :class:`no_grad`; when
@@ -95,8 +98,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_op")
     __array_priority__ = 100.0  # make numpy defer to Tensor in mixed ops
 
-    def __init__(self, data: ArrayLike, requires_grad: bool = False, _prev: Tuple["Tensor", ...] = (), _op: str = ""):
-        self.data = _as_array(data)
+    def __init__(self, data: ArrayLike, requires_grad: bool = False, _prev: Tuple["Tensor", ...] = (), _op: str = "",
+                 _dtype=None):
+        self.data = _as_array(data, _dtype)
         if requires_grad and not np.issubdtype(self.data.dtype, np.floating):
             raise TypeError("only floating-point tensors can require grad")
         self.requires_grad = bool(requires_grad) and _grad_mode.enabled
@@ -153,7 +157,7 @@ class Tensor:
         return self
 
     def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype))
+        return Tensor(self.data, _dtype=dtype)
 
     def float(self) -> "Tensor":
         out = _make(self.data.astype(np.float32), (self,), "float")
@@ -181,8 +185,10 @@ class Tensor:
 
 def _make(data: np.ndarray, prev: Tuple[Tensor, ...], op: str) -> Tensor:
     req = _grad_mode.enabled and any(p.requires_grad for p in prev)
-    out = Tensor(data, requires_grad=req, _prev=prev if req else (), _op=op)
-    return out
+    wide = data.dtype == np.float64 and any(p.data.dtype == np.float64
+                                            for p in prev)
+    return Tensor(data, requires_grad=req, _prev=prev if req else (), _op=op,
+                  _dtype=np.float64 if wide else None)
 
 
 def _tensor_backward(self: Tensor, grad: Optional[ArrayLike] = None) -> None:

@@ -26,10 +26,9 @@ class TestAttach:
         d, _ = sdc_deployed
         rows = d.plan._abft_rows
         assert rows, "Plan.compile must attach ABFT checksum rows"
-        # every exactly-reassociable conv under the 2^53 bound is covered
+        # every conv under the 2^53 bound is covered
         for i, op in _convs(d.plan):
-            if op.exact_reassoc and (checksum_row_bound(op.weight, op.bound)
-                                     < EXACT_F64_LIMIT):
+            if checksum_row_bound(op.weight, op.bound) < EXACT_F64_LIMIT:
                 assert i in rows, f"op [{i}] {op.name} missing checksum row"
 
     def test_checksum_row_is_column_sum_per_group(self, sdc_deployed):

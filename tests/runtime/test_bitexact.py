@@ -43,10 +43,10 @@ def test_plan_matches_tree_bitwise(deployed_factory, no_ckernel, model_name,
 @pytest.mark.parametrize("model_name", ["resnet20", "mobilenet-v1"])
 def test_channel_reference_fallback_matches_tree(deployed_factory,
                                                  monkeypatch, model_name):
-    """A conv the native kernel may not take (accumulator bound >= 2^24, or
-    more taps than its tables hold) replicates the interpreted sequence
-    over the channel-major registers.  CLI-width models have no such conv,
-    so the kernel's tap cap is shrunk until it refuses every one."""
+    """A conv the native kernel may not take (more taps than its tables
+    hold) runs the interpreted float64 accumulation over the channel-major
+    registers.  Registry models have no such conv, so the kernel's tap cap
+    is shrunk until it refuses every one."""
     ck = ckernel.load()
     if ck is None:
         pytest.skip("native kernel unavailable")
@@ -118,29 +118,27 @@ def _diverging_registers(plan, ref, shape):
 
 
 def _conv_case(name, in_range, c, o, k, hw, stride, padding, groups,
-               out_range, rng):
+               out_range, rng, w=None, mq=None):
     """A conv op factory pinned to its range ends: int8 weights with
-    +-127 (and -128) entries, and the kernel-eligibility flag the
-    compiler would give it."""
+    +-127 (and -128) entries unless ``w`` is given, and the
+    kernel-eligibility flag the compiler would give it."""
     from repro.runtime.compiler import native_ok
-    from repro.runtime.kernels import (EXACT_F32_LIMIT, MQParams,
-                                       conv_reassociation_bound)
+    from repro.runtime.kernels import MQParams, conv_accum_bound
     from repro.runtime.program import ConvMQOp, InputQuantOp
 
-    cg = c // groups
-    w = rng.integers(-1, 2, size=(o, cg, k, k)).astype(np.float32)
-    w.reshape(o, -1)[:, 0] = 127
-    w.reshape(o, -1)[:, -1] = -127
-    w.flat[1] = -128
-    bound = conv_reassociation_bound(w, in_range)
-    assert bound < EXACT_F32_LIMIT
-    mq = MQParams(rng.uniform(1e-3, 4e-3, o), rng.uniform(-2, 2, o),
-                  out_range[0], out_range[1], 1)
+    if w is None:
+        w = rng.integers(-1, 2, size=(o, c // groups, k, k)).astype(np.float32)
+        w.reshape(o, -1)[:, 0] = 127
+        w.reshape(o, -1)[:, -1] = -127
+        w.flat[1] = -128
+    if mq is None:
+        mq = MQParams(rng.uniform(1e-3, 4e-3, o), rng.uniform(-2, 2, o),
+                      out_range[0], out_range[1], 1)
+    bound = conv_accum_bound(w, in_range)
 
     def ops(native):
         return (InputQuantOp("in", (0,), 1, 1.0, *in_range),
-                ConvMQOp(name, (1,), 2, w, stride, padding, groups, mq,
-                         True, bound,
+                ConvMQOp(name, (1,), 2, w, stride, padding, groups, mq, bound,
                          native=native and native_ok(ckernel.load(), w,
                                                      in_range)))
     return ops, hw, c
@@ -277,9 +275,9 @@ def test_rows_wider_than_the_epilogue_staging(no_ckernel, stride, fused):
             ok = native and native_ok(ckernel.load(), conv.weight, (0, 255))
             return [inq,
                     ConvMQOp("a", (1,), 2, conv.weight, 1, 0, 1, conv.mq,
-                             True, conv.bound, native=ok),
+                             conv.bound, native=ok),
                     ConvMQResOp("res", (1, 2), 3, conv.weight, 1, 0, 1, mq,
-                                True, conv.bound, 2.0, 0, 255, "merge",
+                                conv.bound, 2.0, 0, 255, "merge",
                                 smq=smq, smq_name="id", native=ok)]
     plan = _ops_plan(ops_fn(True))
     ref = _ops_plan(ops_fn(True))
@@ -289,3 +287,100 @@ def test_rows_wider_than_the_epilogue_staging(no_ckernel, stride, fused):
     with no_ckernel():
         assert np.array_equal(out, ref(x))
     assert not _diverging_registers(plan, ref, x.shape)
+
+
+# ------------------------------------------------- exact conv accumulation
+def test_conv_sum_past_float32_is_exact(no_ckernel):
+    """A conv whose exact sums are odd and above 2^24 — 64 channels x 3x3
+    of weights 127 (one even entry per output channel) over codes at 255 —
+    which no float32 holds: the deploy-path ``QConv2d``, the native plan
+    and the numpy-body plan all equal an int64 reference.  The requant
+    subtracts each sum but 3, so one unit of rounding shows in the codes."""
+    from repro.core.qlayers import QConv2d
+    from repro.integrity.abft import read_register
+    from repro.runtime.kernels import MQParams, requant
+    from repro.tensor import no_grad
+    from repro.tensor.tensor import Tensor
+
+    o, c = 8, 64
+    w = np.full((o, c, 3, 3), 127.0, dtype=np.float32)
+    w[:, 0, 0, 0] = 126 - 2 * np.arange(o)
+    x = np.full((2, c, 3, 3), 255.0, dtype=np.float32)
+    want = np.einsum("nchw,ochw->no", x.astype(np.int64), w.astype(np.int64))
+    assert (want % 2 == 1).all() and (want > 2 ** 24).all()
+    want = want.reshape(2, o, 1, 1)
+
+    conv = QConv2d(c, o, 3, bias=False)
+    conv.wint.data = w
+    conv.set_deploy(True)
+    with no_grad():
+        acc = conv(Tensor(x)).data
+    assert acc.dtype == np.float64 and np.array_equal(acc, want)
+
+    mq = MQParams(np.ones(o), 3.0 - want[0, :, 0, 0], -128, 127, 1)
+    codes = requant(want, mq)
+    assert (codes == 3).all()
+    ops_fn, _, _ = _conv_case("odd-sum", (0, 255), c, o, 3, 3, 1, 0, 1,
+                              (-128, 127), None, w=w, mq=mq)
+    outs = {}
+    if ckernel.load() is not None:
+        plan = _ops_plan(ops_fn(True))
+        assert plan.ops[1].native
+        plan(x)
+        outs["native"] = plan
+    with no_ckernel():
+        plan = _ops_plan(ops_fn(True))
+        plan(x)
+        outs["numpy"] = plan
+    for body, plan in outs.items():
+        got = read_register(plan._tls.by_shape[x.shape].arena, 2)
+        assert np.array_equal(got, codes), f"{body} body rounds the sum"
+
+
+@pytest.fixture(scope="module")
+def paper_resnet18():
+    """resnet18 at the paper's width (64), 8/8 bits, one calibration
+    batch: 7 of its 20 convs have accumulator bounds past 2^24."""
+    from repro.core import DeploySpec, deploy
+    from repro.core.qconfig import QConfig
+    from repro.core.qmodels import quantize_model
+    from repro.core.t2c import calibrate_model
+    from repro.models import build_model
+    from repro.tensor import no_grad
+    from repro.tensor.tensor import Tensor
+
+    rng = np.random.default_rng(18)
+    qm = quantize_model(build_model("resnet18", num_classes=10, width=64),
+                        QConfig(8, 8))
+    calibrate_model(qm, [rng.standard_normal((4, 3, 32, 32))
+                         .astype(np.float32)])
+    d = deploy(qm, DeploySpec(runtime="none"))
+    x = rng.standard_normal((3, 3, 32, 32)).astype(np.float32)
+    with no_grad():
+        ref = d.qnn(Tensor(x)).data
+    return d, x, ref
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_paper_width_resnet18_bitexact(paper_resnet18, no_ckernel, threads):
+    """Every conv of paper-width resnet18 runs natively (when the kernel
+    loads) and under ABFT, and both bodies equal the interpreted tree."""
+    from repro.runtime import CompileSpec
+
+    d, x, ref = paper_resnet18
+    spec = CompileSpec(threads=threads)
+    plan = Plan.compile(d.qnn, spec)
+    convs = [op for op in plan.ops if op.kind in ("conv_mq", "conv_mq_res")]
+    assert len(convs) == 20
+    assert max(op.bound for op in convs) > 2 ** 24
+    if ckernel.load() is not None:
+        assert all(op.native for op in convs)
+    assert plan._abft_skipped == []
+    report = plan.verify(input_shape=(3, 32, 32))
+    assert report.ok
+    assert not [line for line in report.render().splitlines()
+                if "conv_mq" in line and "!f32" in line]
+    assert np.array_equal(plan(x), ref)
+    numpy_plan = Plan.compile(d.qnn, spec)
+    with no_ckernel():  # the same ops, bound to their numpy bodies
+        assert np.array_equal(numpy_plan(x), ref)

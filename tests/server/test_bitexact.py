@@ -2,8 +2,8 @@
 is bitwise identical to single-sample execution on the interpreted tree.
 
 This is the online analogue of ``tests/runtime/test_bitexact.py``: the
-integer datapath (i32 accumulation exact in f32 under the 2^24 bound) makes
-row results independent of batch composition, so the gateway may pack
+integer datapath (exact int32 or float64 conv accumulation) makes row
+results independent of batch composition, so the gateway may pack
 requests however load dictates without changing a single bit.
 """
 from __future__ import annotations
