@@ -7,7 +7,7 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests (benchmarks excluded via marker/testpaths) =="
-python -m pytest -q -m "not benchmark"
+python -m pytest -q -m "not benchmark" --durations=15
 
 echo "== end-to-end inspect run (telemetry subsystem) =="
 TEL_DIR="$(mktemp -d)"

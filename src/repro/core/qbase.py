@@ -23,8 +23,8 @@ import numpy as np
 from repro.nn.module import Module
 from repro.telemetry import state as _telemetry_state
 from repro.telemetry.saturation import record as _record_saturation
-from repro.tensor import no_grad
-from repro.tensor.tensor import Tensor
+from repro.tensor import is_grad_enabled, no_grad
+from repro.tensor.tensor import Tensor, _as_array, _make, _unbroadcast
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,35 @@ class QuantSpec:
     @property
     def levels(self) -> int:
         return (1 << self.nbit)
+
+
+def fake_quant(x: Tensor, scale, zero_point, lo: float, hi: float,
+               dequant: bool = True) -> Tensor:
+    """Fused ``clamp(round_ste(x / s + zp), lo, hi)``, then ``(q - zp) * s``
+    when ``dequant``: one graph node whose forward runs the composed chain's
+    float32 ops in the same order, in place on one buffer.  The backward
+    replays the chain's straight-through gradient ``((g * s) * mask) / s``,
+    ``mask`` marking the rounded values inside ``[lo, hi]``, so both
+    directions are bitwise the six-node composition's.
+    """
+    s, zp, lo, hi = _as_array(scale), _as_array(zero_point), float(lo), float(hi)
+    v = x.data / s
+    v += zp
+    np.round(v, out=v)
+    mask = (v >= lo) & (v <= hi) if x.requires_grad and is_grad_enabled() else None
+    np.clip(v, lo, hi, out=v)
+    if dequant:
+        v -= zp
+        v *= s
+    out = _make(v, (x,), "fake_quant")
+    if out.requires_grad:
+        def _bw(g):
+            gx = g * s
+            gx *= mask
+            gx /= s
+            return ((x, _unbroadcast(gx, x.shape)),)
+        out._backward = _bw
+    return out
 
 
 class _QBase(Module):
@@ -101,24 +130,23 @@ class _QBase(Module):
     # ------------------------------------------------------------ two paths
     def q(self, x: Tensor) -> Tensor:
         """Quantize to the integer grid (rounding, no dequant, no grad)."""
-        xq = (x / Tensor(self.scale.data) + Tensor(self.zero_point.data)).round()
-        return xq.clamp(self.qlb, self.qub)
+        with no_grad():
+            return fake_quant(x, self.scale.data, self.zero_point.data,
+                              self.qlb, self.qub, dequant=False)
 
     def dq(self, xq: Tensor) -> Tensor:
         """Map integers back to the float domain."""
         return (xq - Tensor(self.zero_point.data)) * Tensor(self.scale.data)
 
     def trainFunc(self, x: Tensor) -> Tensor:
-        """Training path: fake quantization with straight-through estimator.
+        """Training path: fake quantization with straight-through estimator,
+        one fused node (:func:`fake_quant`).
 
         Subclasses override this to implement custom QAT/PTQ behaviour; the
         contract is to *also* keep ``self.scale``/``self.zero_point`` current
         so the automatic inference-path conversion stays correct.
         """
-        s = Tensor(self.scale.data)
-        zp = Tensor(self.zero_point.data)
-        xq = (x / s + zp).round_ste().clamp(self.qlb, self.qub)
-        return (xq - zp) * s
+        return fake_quant(x, self.scale.data, self.zero_point.data, self.qlb, self.qub)
 
     def evalFunc(self, x: Tensor) -> Tensor:
         """Inference path: low-precision integers only (paper Fig. 2)."""

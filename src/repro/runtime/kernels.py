@@ -16,10 +16,9 @@ Two exactness strategies, chosen per op at compile time:
   (:data:`EXACT_F64_LIMIT`).  So a conv runs on the integer kernel whenever
   its operands fit it.
 
-The requantizer uses ``trunc(v + copysign(0.5, v))``, which is value-exact
-to the interpreted ``sign(v) * floor(|v| + 0.5)`` for every float (both
-halves round away from zero; negation and the 0.5 add are exact in IEEE
-arithmetic either way), but needs one fewer full-size temporary.
+The requantizer replicates ``MulQuant.forward`` op for op: ``v = acc * m + b``
+in float64, then ``sign(v) * floor(|v| + 0.5)`` (round half away from zero),
+rounded in place on one buffer.
 """
 from __future__ import annotations
 
@@ -78,19 +77,18 @@ class MQParams:
         h.update(repr((self.m.shape, self.b.shape, self.lo, self.hi, self.axis)).encode())
 
 
-def round_half_away(v: np.ndarray) -> np.ndarray:
-    """Round half away from zero — the interpreted datapath's formulation."""
-    return np.sign(v) * np.floor(np.abs(v) + 0.5)
-
-
 def requant(x: np.ndarray, p: MQParams) -> np.ndarray:
     """Replicate ``MulQuant.forward`` on a plain array; returns float32."""
     acc = np.asarray(x, dtype=np.float64)
     m = broadcast_scale(p.m, acc.ndim, p.axis)
     b = broadcast_scale(p.b, acc.ndim, p.axis)
-    v = acc * m + b
-    r = round_half_away(v)
-    return np.clip(r, p.lo, p.hi).astype(np.float32)
+    v = acc * m
+    v += b
+    r = np.abs(v)
+    r += 0.5
+    np.floor(r, out=r)
+    r *= np.sign(v)
+    return np.clip(r, p.lo, p.hi, out=r).astype(np.float32)
 
 
 def conv_accum_bound(weight: np.ndarray,

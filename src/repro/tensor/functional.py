@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.tensor.im2col import col2im, conv_out_size, im2col
+from repro.tensor.im2col import col2im, conv_out_size, im2col, windows
 from repro.tensor.tensor import Tensor, _make, _unary
 
 
@@ -23,10 +23,10 @@ def gelu(x: Tensor) -> Tensor:
     c = math.sqrt(2.0 / math.pi)
 
     def fwd(v):
-        return 0.5 * v * (1.0 + np.tanh(c * (v + 0.044715 * v ** 3)))
+        return 0.5 * v * (1.0 + np.tanh(c * (v + 0.044715 * (v * v * v))))
 
     def bwd(g, v, o):
-        t = np.tanh(c * (v + 0.044715 * v ** 3))
+        t = np.tanh(c * (v + 0.044715 * (v * v * v)))
         dt = (1 - t * t) * c * (1 + 3 * 0.044715 * v * v)
         return g * (0.5 * (1 + t) + 0.5 * v * dt)
 
@@ -69,13 +69,16 @@ def conv2d(
     padding: int = 0,
     groups: int = 1,
 ) -> Tensor:
-    """2-D convolution via im2col + matmul.
+    """2-D convolution via im2col + matmul, one GEMM per sample.
 
     ``x``: ``(N, C, H, W)``; ``weight``: ``(O, C // groups, KH, KW)``.
-    Supports grouped and depthwise convolution (``groups == C``).  The
+    Supports grouped and depthwise convolution (``groups == C``).  The input
+    is zero-padded once; each sample's ``(C*KH*KW, OH*OW)`` columns are
+    gathered into one reused buffer just before that sample's GEMM, so the
+    batch's column matrix (``KH*KW`` times the input) is never built.  The
     result keeps its operands' type: a ``float64`` weight (the deploy path's
-    integer kernel) makes it an exact ``float64`` GEMM, one GEMM per sample
-    so only one sample's columns are ever cast.
+    integer kernel) makes it an exact ``float64`` GEMM that casts one
+    sample's columns at a time.
     """
     n, c, h, w = x.shape
     o, cg, kh, kw = weight.shape
@@ -87,14 +90,16 @@ def conv2d(
     ow = conv_out_size(w, kw, stride, padding)
     og = o // groups
 
-    cols = im2col(x.data, kh, kw, stride, padding)  # (N, C*kh*kw, L)
+    win = windows(x.data, kh, kw, stride, padding)  # (N, C, kh, kw, OH, OW)
+    cols = np.empty(win.shape[1:], dtype=win.dtype)  # one sample's columns
+    cols_g = cols.reshape(groups, cg * kh * kw, oh * ow)
     wm = weight.data.reshape(o, cg * kh * kw)
     wm_g = wm.reshape(groups, og, cg * kh * kw)
-    cols_g = cols.reshape(n, groups, cg * kh * kw, oh * ow)
     out_data = np.empty((n, o, oh, ow), dtype=np.result_type(wm, cols))
     out_g = out_data.reshape(n, groups, og, oh * ow)
     for i in range(n):
-        np.matmul(wm_g, cols_g[i], out=out_g[i])
+        np.copyto(cols, win[i])
+        np.matmul(wm_g, cols_g, out=out_g[i])
 
     out = _make(out_data, (x, weight), "conv2d")
     if out.requires_grad:

@@ -2,8 +2,8 @@
 
 Convolution is implemented as an im2col + matmul, the standard approach for
 CPU reference implementations.  Both transforms are fully vectorized using
-``numpy.lib.stride_tricks`` windows (im2col) and ``np.add.at`` scatter
-(col2im).
+``numpy.lib.stride_tricks`` windows (:func:`windows`, im2col) and
+slice-strided scatter-adds (col2im).
 """
 from __future__ import annotations
 
@@ -17,6 +17,25 @@ def conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def windows(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """Read-only ``(N, C, kh, kw, OH, OW)`` view of every kernel window of
+    ``x``; the only copy is the zero-padded input when ``padding > 0``."""
+    n, c, h, w = x.shape
+    oh = conv_out_size(h, kh, stride, padding)
+    ow = conv_out_size(w, kw, stride, padding)
+    if padding > 0:
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = x
+        x = xp
+    s = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, kh, kw, oh, ow),
+        strides=(s[0], s[1], s[2], s[3], s[2] * stride, s[3] * stride),
+        writeable=False,
+    )
+
+
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """Rearrange image patches into columns.
 
@@ -27,19 +46,9 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nda
     -------
     ``(N, C * kh * kw, OH * OW)`` column matrix.
     """
-    n, c, h, w = x.shape
-    oh = conv_out_size(h, kh, stride, padding)
-    ow = conv_out_size(w, kw, stride, padding)
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    s = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(s[0], s[1], s[2], s[3], s[2] * stride, s[3] * stride),
-        writeable=False,
-    )
-    return np.ascontiguousarray(windows).reshape(n, c * kh * kw, oh * ow)
+    win = windows(x, kh, kw, stride, padding)
+    n, c, _, _, oh, ow = win.shape
+    return np.ascontiguousarray(win).reshape(n, c * kh * kw, oh * ow)
 
 
 def col2im(

@@ -5,6 +5,7 @@ import pytest
 from repro.tensor import Tensor, randn
 from repro.tensor import functional as F
 from repro.tensor.im2col import conv_out_size
+from tests.substrate_ref import full_batch_conv
 
 
 def _ref_conv2d(x, w, stride, padding, groups=1):
@@ -53,6 +54,22 @@ class TestConv2d:
         x = randn(2, 2, 6, 6, rng=rng, requires_grad=True)
         w = randn(4, 2, 3, 3, rng=rng, requires_grad=True)
         gradcheck(lambda: (F.conv2d(x, w, stride=2, padding=1) ** 2.0).mean(), [x, w])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("groups", [1, 2, 6])
+    @pytest.mark.parametrize("wdtype", [np.float32, np.float64])
+    def test_per_sample_gather_bitwise_full_batch(self, rng, n, padding, stride, groups, wdtype):
+        """The per-sample column gather feeds each GEMM exactly the operands
+        of the batch-wide im2col, so the output is bitwise the same."""
+        x = rng.standard_normal((n, 6, 7, 9)).astype(np.float32)
+        w = rng.standard_normal((12, 6 // groups, 3, 3)).astype(np.float32).astype(wdtype)
+        wt = Tensor(w).astype(wdtype)
+        out = F.conv2d(Tensor(x), wt, stride=stride, padding=padding, groups=groups).data
+        ref = full_batch_conv(x, w, stride, padding, groups)
+        assert out.dtype == ref.dtype == wdtype
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
 
     def test_invalid_groups_raises(self):
         x = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
