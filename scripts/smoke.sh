@@ -209,6 +209,14 @@ assert m["window"]["slo"]["target"] == 0.99
 parsed = obs.parse_prometheus(open(os.path.join(d, "metrics.prom")).read())
 ok = {lab["model"]: v for lab, v in parsed["server_window_ok"]}
 assert ok.get("resnet20", 0.0) > 0, parsed.keys()
+# one count behind every view: the exposition's cumulative series agree
+# with status.json whatever the telemetry switch
+served = {lab["status"]: v for lab, v in parsed["server_requests_total"]
+          if lab["model"] == "resnet20"}
+answered = {lab["model"]: v for lab, v in
+            parsed["server_request_latency_seconds_count"]}
+assert served.get("ok") == answered.get("resnet20") \
+    == m["cumulative"]["ok"] == 200, (served, answered)
 records = tracing.load_jsonl(os.path.join(d, "traces.jsonl"))
 assert records, "no span records from traced serve run"
 tid = records[0]["trace_id"]

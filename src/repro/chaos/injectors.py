@@ -229,12 +229,12 @@ def delay_clock(server, model: str, rng: np.random.Generator,
     if lane is None:
         raise ValueError(f"delay_clock: lane for {model!r} not started yet "
                          f"(submit one request first)")
-    with lane._stats_lock:   # the lock the lane's EWMA updates hold
+    with lane.cond:   # the lock the lane's EWMA updates hold
         original = lane.est_batch_s
         lane.est_batch_s = original + skew_s
 
     def undo():
-        with lane._stats_lock:
+        with lane.cond:
             lane.est_batch_s = original
 
     return {"skew_s": skew_s, "undo": undo}

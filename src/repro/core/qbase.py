@@ -49,6 +49,14 @@ class QuantSpec:
         return (1 << self.nbit)
 
 
+def _rounded(x: np.ndarray, s: np.ndarray, zp: np.ndarray) -> np.ndarray:
+    """``round(x / s + zp)`` before the clamp, in a fresh buffer."""
+    v = x / s
+    v += zp
+    np.round(v, out=v)
+    return v
+
+
 def fake_quant(x: Tensor, scale, zero_point, lo: float, hi: float,
                dequant: bool = True) -> Tensor:
     """Fused ``clamp(round_ste(x / s + zp), lo, hi)``, then ``(q - zp) * s``
@@ -59,9 +67,7 @@ def fake_quant(x: Tensor, scale, zero_point, lo: float, hi: float,
     directions are bitwise the six-node composition's.
     """
     s, zp, lo, hi = _as_array(scale), _as_array(zero_point), float(lo), float(hi)
-    v = x.data / s
-    v += zp
-    np.round(v, out=v)
+    v = _rounded(x.data, s, zp)
     mask = (v >= lo) & (v <= hi) if x.requires_grad and is_grad_enabled() else None
     np.clip(v, lo, hi, out=v)
     if dequant:
@@ -150,15 +156,16 @@ class _QBase(Module):
 
     def evalFunc(self, x: Tensor) -> Tensor:
         """Inference path: low-precision integers only (paper Fig. 2)."""
-        with no_grad():
-            if _telemetry_state.enabled():
-                # mirror q() but audit how many elements the grid clamps
-                xq = (x.detach() / Tensor(self.scale.data) + Tensor(self.zero_point.data)).round()
-                d = xq.data
-                clipped = int(np.count_nonzero((d < self.qlb) | (d > self.qub)))
-                _record_saturation(self, "quantizer", clipped, int(d.size))
-                return xq.clamp(self.qlb, self.qub)
+        if not _telemetry_state.enabled():
             return self.q(x.detach())
+        # q()'s chain, auditing how many rounded codes the grid clamps
+        lo, hi = float(self.qlb), float(self.qub)
+        v = _rounded(x.data, _as_array(self.scale.data), _as_array(self.zero_point.data))
+        clipped = int(np.count_nonzero((v < lo) | (v > hi)))
+        _record_saturation(self, "quantizer", clipped, int(v.size))
+        np.clip(v, lo, hi, out=v)
+        with no_grad():
+            return _make(v, (x,), "fake_quant")
 
     def observeFunc(self, x: Tensor) -> None:
         """Calibration hook: update range statistics (PTQ)."""

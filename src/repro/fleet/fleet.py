@@ -51,7 +51,7 @@ from repro.fleet.router import ROLE_CANARY, ROLE_STABLE, Router
 from repro.fleet.splitter import CANARY, TrafficSplitter
 from repro.server.registry import split_key
 from repro.server.server import ServerConfig
-from repro.server.types import Failed, Response
+from repro.server.types import Failed, Overloaded, Response
 from repro.telemetry import obs as _obs
 from repro.telemetry.obs import RollingWindow
 
@@ -169,13 +169,20 @@ class _Group:
         self.replicas: Dict[str, Replica] = {}
         self.next_id = 0
         # primary = every non-shadow request (canary traffic is user traffic
-        # and counts); canary = the canary-assigned subset (rollback signal);
-        # shadow = mirrored copies only — never in the primary SLO.
+        # and counts, and so do its lost requests); canary = the
+        # canary-assigned subset (rollback signal); shadow = mirrored
+        # copies only — never in the primary SLO.
         self.window_primary = RollingWindow()
         self.window_canary = RollingWindow()
         self.window_shadow = RollingWindow()
         self.ticks = 0                #: health ticks seen (probe cadence)
         self.quarantined_total = 0    #: replicas ejected for SDC, ever
+
+    def windows(self):
+        """``(traffic class, window)`` pairs, primary first."""
+        return (("primary", self.window_primary),
+                ("canary", self.window_canary),
+                ("shadow", self.window_shadow))
 
     def live(self) -> List[Replica]:
         """Replicas that count toward the target (a PARTITIONED replica is
@@ -207,7 +214,6 @@ class Fleet:
         self.closing = False
         self._health_thread: Optional[threading.Thread] = None
         self._health_stop = threading.Event()
-        self.requests_lost = 0        #: requests that ran out of failovers
 
     # ---------------------------------------------------------- population
     def add_model(self, name: str) -> None:
@@ -352,28 +358,29 @@ class Fleet:
 
     def _finish(self, freq: FleetRequest, group: _Group,
                 resp: Response) -> None:
+        """Count the request's outcome once per window it belongs to, then
+        resolve it (so a caller's ``result()`` sees the count)."""
         latency = time.perf_counter() - freq.t0
         if resp.ok:
             # rewrite latency to the fleet-level number (includes failover
             # hops), so reports measure what the client experienced
             resp = replace(resp, latency_s=latency)
-        freq._resolve(resp)
         windows = ([group.window_shadow] if freq.shadow
                    else [group.window_primary]
                    + ([group.window_canary] if freq.role == ROLE_CANARY
                       else []))
         miss = resp.ok and latency > freq.deadline_s
+        lost = (not resp.ok and not freq.shadow and resp.retryable
+                and freq.attempts >= _MAX_ATTEMPTS)
         for w in windows:
             if resp.ok:
                 w.observe_ok(latency, getattr(resp, "queue_wait_s", 0.0),
                              deadline_miss=miss)
-            elif type(resp).__name__ == "Overloaded":
-                w.observe_shed()
+            elif isinstance(resp, Overloaded):
+                w.observe_shed(lost=lost and w is group.window_primary)
             else:
-                w.observe_failed()
-        if not resp.ok and not freq.shadow and resp.retryable \
-                and freq.attempts >= _MAX_ATTEMPTS:
-            self.requests_lost += 1
+                w.observe_failed(lost=lost and w is group.window_primary)
+        freq._resolve(resp)
 
     def _mirror(self, group: _Group, key: str, sample, route_key: str,
                 deadline_s: float) -> None:
@@ -651,6 +658,14 @@ class Fleet:
                        events=len(events))
 
     @property
+    def requests_lost(self) -> int:
+        """Primary requests that ran out of failovers, summed over the
+        groups (each counts its own in its primary window)."""
+        with self._lock:
+            groups = list(self._groups.values())
+        return sum(g.window_primary.totals()["lost"] for g in groups)
+
+    @property
     def sdc_quarantined(self) -> int:
         """Replicas ejected for silent data corruption, fleet-wide."""
         with self._lock:
@@ -735,14 +750,8 @@ class Fleet:
                 "sdc_quarantined": group.quarantined_total,
                 "replicas": [r.status() for r in sorted(
                     group.replicas.values(), key=lambda r: r.replica_id)],
-                "window": {
-                    "primary": group.window_primary.summary(
-                        slo_target=slo_target),
-                    "canary": group.window_canary.summary(
-                        slo_target=slo_target),
-                    "shadow": group.window_shadow.summary(
-                        slo_target=slo_target),
-                },
+                "window": {cls: w.summary(slo_target=slo_target)
+                           for cls, w in group.windows()},
                 "rollout": ro.to_json() if ro is not None else None,
                 "autoscale": ([d.to_json() for d in
                                self.autoscaler.history(group.name)[-5:]]
@@ -757,10 +766,10 @@ class Fleet:
         return out
 
     def _obs_samples(self) -> List[Dict]:
-        """Fleet exposition samples: every replica's always-on gauges
+        """Fleet exposition samples: every replica's always-on rows
         namespaced with a ``replica`` label (so N replicas of one model
-        yield N distinct series, not one colliding series), plus
-        fleet-level aggregates per traffic class."""
+        yield N distinct series, not one colliding series), plus the
+        fleet-level rows of each traffic class's window."""
         samples: List[Dict] = []
         slo_target = self.config.server.slo_target
         with self._lock:
@@ -778,29 +787,16 @@ class Fleet:
                                            "replica": rid,
                                            "state": rep.state},
                                 "value": 1.0 if rep.healthy() else 0.0})
-            for cls, window in (("primary", group.window_primary),
-                                ("canary", group.window_canary),
-                                ("shadow", group.window_shadow)):
-                w = window.summary(slo_target=slo_target)
-                lab = {"model": group.name, "class": cls}
-                for metric, value in (
-                        ("fleet_window_requests", w["requests"]),
-                        ("fleet_window_ok", w["ok"]),
-                        ("fleet_window_shed", w["shed"]),
-                        ("fleet_window_failed", w["failed"]),
-                        ("fleet_window_deadline_miss", w["deadline_miss"]),
-                        ("fleet_window_latency_p99_ms",
-                         w["latency_ms"]["p99"]),
-                        ("fleet_slo_error_budget_burn",
-                         w["slo"]["error_budget_burn"])):
-                    samples.append({"name": metric, "kind": "gauge",
-                                    "labels": lab, "value": value})
+            for cls, window in group.windows():
+                samples += window.samples(
+                    "fleet", {"model": group.name, "class": cls},
+                    slo_target=slo_target)
             samples.append({"name": "fleet_replicas_target", "kind": "gauge",
                             "labels": {"model": group.name},
                             "value": group.target})
             samples.append({"name": "fleet_requests_lost", "kind": "counter",
                             "labels": {"model": group.name},
-                            "value": self.requests_lost})
+                            "value": group.window_primary.totals()["lost"]})
             samples.append({"name": "fleet_sdc_quarantined_total",
                             "kind": "counter",
                             "labels": {"model": group.name},
@@ -809,7 +805,7 @@ class Fleet:
 
     def render_exposition(self) -> str:
         """Prometheus text exposition for the whole fleet: the process
-        registry once, plus per-replica gauges disambiguated by the
-        ``replica`` label and the fleet-level aggregates."""
+        registry once, plus per-replica rows disambiguated by the
+        ``replica`` label and the fleet-level rows."""
         return _obs.exposition(telemetry.get_registry(),
                                extra_samples=self._obs_samples())

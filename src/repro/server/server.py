@@ -29,10 +29,12 @@ the compiled runtime without blowing latency:
   busy, atomically flips the registry's active version, and only then
   resumes dispatch, so no batch runs on the outgoing plan after the flip
   and no in-flight request is lost;
-* **observability** — queue-wait / batch-size / latency histograms and
-  request counters in the process-global metrics registry, one span tree
-  per traced request in ``trace_store`` (request → queue.wait, batch →
-  exec), and structured events for sheds, swaps and batch failures.
+* **observability** — each lane's always-on
+  :class:`~repro.telemetry.obs.RollingWindow` counts every resolved
+  request once, and ``stats()``, ``status()`` and ``render_exposition()``
+  all read it; one span tree per traced request in ``trace_store``
+  (request → queue.wait, batch → exec), and structured events for sheds,
+  swaps and batch failures.
 
 All timestamps use ``time.perf_counter()`` (monotonic), matching the span
 clock so gateway spans align with the rest of a telemetry trace.
@@ -129,33 +131,6 @@ class _Batch:
         self.trace: Optional[List[Optional[str]]] = None
 
 
-class _LaneStats:
-    """Always-on per-lane accounting (independent of the telemetry switch)."""
-
-    __slots__ = ("requests", "ok", "shed", "failed", "batches",
-                 "batched_requests", "latencies_s", "queue_waits_s", "swaps",
-                 "deadline_miss")
-
-    #: percentiles cover the most recent _CAP requests (bounded memory)
-    _CAP = 100_000
-
-    def __init__(self):
-        self.requests = 0
-        self.ok = 0
-        self.shed = 0
-        self.failed = 0
-        self.batches = 0
-        self.batched_requests = 0         # sum of completed batch sizes
-        self.swaps = 0
-        self.deadline_miss = 0
-        self.latencies_s = collections.deque(maxlen=self._CAP)
-        self.queue_waits_s = collections.deque(maxlen=self._CAP)
-
-    def observe(self, latency_s: float, queue_wait_s: float) -> None:
-        self.latencies_s.append(latency_s)
-        self.queue_waits_s.append(queue_wait_s)
-
-
 class _Lane:
     """One model name's queue plus its executor threads."""
 
@@ -168,18 +143,16 @@ class _Lane:
         self.closing = False
         self.dead = False                 # an executor crashed; lane aborted
         self.busy = 0                     # executors running a batch now
+        #: batch service-time EWMA, updated under ``cond`` when an
+        #: executor hands its finished batch back
         self.est_batch_s = self.cfg.exec_time_init_s
+        self.swaps = 0
         self.swap_target: Optional[str] = None
         self.swap_done = threading.Event()
         #: the registry gate's refusal at cutover, re-raised by Server.swap
         self.swap_error: Optional[Exception] = None
-        self.stats = _LaneStats()
-        # guards the completion counters and the EWMA: executors complete
-        # concurrently, and a completion must not queue behind admission on
-        # ``cond`` before its requests resolve
-        self._stats_lock = threading.Lock()
-        # always-on observability (independent of the telemetry switch,
-        # like _LaneStats): rolling SLO window, flight-recorder ring, and
+        # always-on observability (independent of the telemetry switch):
+        # the outcome ledger every view reads, flight-recorder ring, and
         # the per-op profile the executors fold their samples into
         self.window = _obs.RollingWindow()
         self.flight = _obs.FlightRecorder()
@@ -247,9 +220,6 @@ class _Lane:
                                   projected_wait_s=projected,
                                   deadline_s=req.deadline_s)
             self.queue.append(req)
-            self.stats.requests += 1
-            self.server.metrics["queue_depth"].labels(
-                model=self.name).set(len(self.queue))
             self.cond.notify()
         return None
 
@@ -302,9 +272,6 @@ class _Lane:
             except OSError:
                 pass
 
-    def _record_spans(self, records: List[Dict]) -> None:
-        self.server.trace_store.add_many(records)
-
     # ----------------------------------------------------------- scheduling
     def _form_batch_locked(self) -> _Batch:
         take = min(self.cfg.max_batch, len(self.queue))
@@ -312,8 +279,6 @@ class _Lane:
         entry = self.server.registry.get(self.name)
         x = np.ascontiguousarray(
             np.stack([r.sample for r in requests]), dtype=np.float32)
-        self.server.metrics["queue_depth"].labels(
-            model=self.name).set(len(self.queue))
         batch = _Batch(self.server.next_batch_id(), requests, x, entry,
                        time.perf_counter())
         if any(r.ctx is not None for r in requests):
@@ -359,11 +324,14 @@ class _Lane:
         batch from the queue head, so a request waits only while every
         executor is busy and then rides the next batch (up to
         ``max_batch``)."""
-        batch = None
+        batch = exec_s = None
         while True:
             with self.cond:
                 if batch is not None:
                     self.busy -= 1
+                    if exec_s is not None:
+                        self.est_batch_s += _EWMA_ALPHA * (
+                            exec_s - self.est_batch_s)
                 while True:
                     if self.swap_target is not None and not self.busy:
                         self._cutover_locked()
@@ -377,7 +345,7 @@ class _Lane:
                             self.swap_done.set()
                         return
                     self.cond.wait()
-            self._execute(batch)
+            exec_s = self._execute(batch)
 
     # ------------------------------------------------------------ execution
     def _arm(self, entry: ModelEntry) -> None:
@@ -395,7 +363,9 @@ class _Lane:
                 plan.enable_abft(sample_every=self.cfg.abft_every)
             self._armed_key = entry.key
 
-    def _execute(self, batch: _Batch) -> None:
+    def _execute(self, batch: _Batch) -> Optional[float]:
+        """Run one batch and resolve its requests; returns the plan call's
+        seconds when it answered, ``None`` when it failed."""
         if self.cfg.profile_every or self.cfg.abft_every:
             self._arm(batch.entry)
         t0 = time.perf_counter()
@@ -407,11 +377,11 @@ class _Lane:
             # healthy replica while this one gets quarantined
             self.server.record_sdc(self.name, exc, lane=self)
             self._fail_batch(batch, str(exc), retryable=True)
-            return
+            return None
         except Exception as exc:
             self._fail_batch(batch, f"{type(exc).__name__}: {exc}",
                              retryable=False)
-            return
+            return None
         t1 = time.perf_counter()
         prof = getattr(batch.entry.plan, "_profiler", None)
         if prof is not None:
@@ -419,13 +389,14 @@ class _Lane:
             if sampled is not None:
                 self.profile.add(*sampled)
         if batch.trace is not None:
-            self._record_spans([
+            self.server.trace_store.add_many([
                 tracing.span_record(req.ctx.trace_id, "exec", t0, t1,
                                     parent_id=batch.trace[i],
                                     attrs={"n": len(batch.requests)})
                 for i, req in enumerate(batch.requests)
                 if req.ctx is not None])
         self._complete(batch, np.asarray(y), t0, t1)
+        return t1 - t0
 
     # ------------------------------------------------------------ hot swap
     def request_swap(self, version: str) -> None:
@@ -453,44 +424,33 @@ class _Lane:
         declared = entry.meta.get("input_shape")
         if declared is not None:     # new version may take a different shape
             self.expected_shape = tuple(declared)
-        self.stats.swaps += 1
+        self.swaps += 1
         telemetry.emit("server_swap", model=self.name, active=entry.key)
         self.server._ensure_scrub(self.name)   # scrub the incoming plan
         self.swap_done.set()
         self.cond.notify_all()   # idle executors: the queue is open again
 
     # ------------------------------------------------------------ resolution
-    def _observe_exec(self, dt: float) -> None:
-        self.est_batch_s = ((1 - _EWMA_ALPHA) * self.est_batch_s
-                            + _EWMA_ALPHA * dt)
-
     def _complete(self, batch: _Batch, y: np.ndarray, t0: float,
                   t1: float) -> None:
-        m = self.server.metrics
-        m["batch_size"].labels(model=self.name).observe(len(batch.requests))
         missed = 0
         records: List[Dict] = []
         # bookkeeping first, _resolve() last: once a caller's result()
         # returns, the window/flight-recorder/trace state already reflects
         # that request (tests and pollers rely on this ordering).
-        responses = []
+        responses, latencies, queue_waits = [], [], []
         for i, req in enumerate(batch.requests):
             queue_wait = batch.formed_t - req.enqueue_t
             latency = t1 - req.enqueue_t
             miss = latency > req.deadline_s
+            missed += miss
+            latencies.append(latency)
+            queue_waits.append(queue_wait)
             responses.append(Ok(req.request_id, batch.entry.key,
                                logits=y[i].copy(), queue_wait_s=queue_wait,
                                latency_s=latency,
                                batch_size=len(batch.requests),
                                batch_id=batch.bid))
-            self.stats.observe(latency, queue_wait)
-            self.window.observe_ok(latency, queue_wait, deadline_miss=miss)
-            if miss:
-                missed += 1
-                m["deadline_miss"].labels(model=self.name).inc()
-            m["requests"].labels(model=self.name, status="ok").inc()
-            m["queue_wait"].labels(model=self.name).observe(queue_wait)
-            m["latency"].labels(model=self.name).observe(latency)
             ctx = req.ctx
             if ctx is not None and batch.trace is not None:
                 root = ctx.span_id
@@ -508,14 +468,8 @@ class _Lane:
                            "deadline_miss": miss,
                            "latency_ms": round(latency * 1e3, 3)}))
         if records:
-            self._record_spans(records)
-        with self._stats_lock:
-            self._observe_exec(t1 - t0)
-            s = self.stats
-            s.batches += 1
-            s.batched_requests += len(batch.requests)
-            s.ok += len(batch.requests)
-            s.deadline_miss += missed
+            self.server.trace_store.add_many(records)
+        self.window.observe_batch(latencies, queue_waits, missed)
         self.flight.record("batch_complete", bid=batch.bid,
                            size=len(batch.requests),
                            exec_ms=round((t1 - t0) * 1e3, 3),
@@ -539,24 +493,17 @@ class _Lane:
                          status: Optional[str] = None) -> None:
         """The one outcome path for a request that gets no logits.
 
-        Counts it (lane stats, rolling window, request counter) as shed for
-        an :class:`Overloaded` and failed otherwise, writes its root
+        Counts it in the lane's window as shed for an :class:`Overloaded`
+        and failed otherwise, writes its root
         ``request`` span when traced (``status`` overrides the span's
         ``shed``/``failed`` label), then resolves it.
         """
         shed = isinstance(response, Overloaded)
         outcome = "shed" if shed else "failed"
-        with self._stats_lock:   # submitters and executors resolve at once
-            if shed:
-                self.stats.shed += 1
-            else:
-                self.stats.failed += 1
         if shed:
             self.window.observe_shed()
         else:
             self.window.observe_failed()
-        self.server.metrics["requests"].labels(
-            model=self.name, status=outcome).inc()
         if req.ctx is not None:
             detail = ({"reason": response.reason} if shed
                       else {"error": response.error})
@@ -607,30 +554,6 @@ class Server:
         self.trace_store = tracing.TraceStore()
         self._exporter: Optional[threading.Thread] = None
         self._exporter_stop = threading.Event()
-        reg = telemetry.get_registry()
-        self.metrics = {
-            "requests": reg.counter(
-                "server_requests_total",
-                "requests by final status", labels=("model", "status")),
-            "queue_wait": reg.histogram(
-                "server_queue_wait_seconds",
-                "enqueue to batch close", labels=("model",)),
-            "latency": reg.histogram(
-                "server_request_latency_seconds",
-                "enqueue to response", labels=("model",)),
-            "batch_size": reg.histogram(
-                "server_batch_size", "formed micro-batch sizes",
-                labels=("model",), buckets=(1, 2, 4, 8, 16, 32, 64, 128)),
-            "queue_depth": reg.gauge(
-                "server_queue_depth", "queued requests", labels=("model",)),
-            "deadline_miss": reg.counter(
-                "server_deadline_miss_total",
-                "answered after the request's deadline", labels=("model",)),
-            "sdc": reg.counter(
-                "server_sdc_detected_total",
-                "silent-data-corruption detections",
-                labels=("model", "source")),
-        }
 
     def tracing_active(self) -> bool:
         """Request tracing on? ``config.tracing`` pins it; ``None`` follows
@@ -655,8 +578,9 @@ class Server:
                    ) -> None:
         """Account one live silent-data-corruption detection.
 
-        Counter + structured event + forced flight-recorder dump, and the
-        event lands in ``sdc_events`` — the flag a fleet health loop
+        Structured event + forced flight-recorder dump, and the event lands
+        in ``sdc_events`` — the exposition's
+        ``server_sdc_detected_total`` and the flag a fleet health loop
         quarantines the whole replica on (see
         :meth:`repro.fleet.Fleet`).  Called from the lane on an ABFT
         miss, from the scrubber's fault callback, and from fleet golden
@@ -667,7 +591,6 @@ class Server:
         self.sdc_events.append({
             "model": model, "source": source, "error": str(exc),
             "detail": getattr(exc, "detail", None) or {}, "t": time.time()})
-        self.metrics["sdc"].labels(model=model, source=source).inc()
         telemetry.emit("server_sdc_detected", level="error", model=model,
                        source=source, error=str(exc))
         if lane is None:
@@ -797,13 +720,9 @@ class Server:
         """
         if self.closing:
             raise RuntimeError("server is closed")
-        try:
-            # refuse before draining a healthy lane: the old version keeps
-            # serving and a refused one never becomes active
-            self.registry.check(f"{name}@{version}", "swap")
-        except SDCDetected as exc:
-            self.metrics["sdc"].labels(model=name, source=exc.source).inc()
-            raise
+        # refuse before draining a healthy lane: the old version keeps
+        # serving and a refused one never becomes active
+        self.registry.check(f"{name}@{version}", "swap")
         lane = self._lane(name)
         lane.request_swap(version)
         if not lane.swap_done.wait(timeout):
@@ -815,27 +734,24 @@ class Server:
             raise error
 
     def stats(self) -> Dict[str, Dict]:
-        """Per-model accounting incl. p50/p95/p99 latency and queue wait."""
-        from repro.telemetry.metrics import percentile_summary
-
+        """Per-model cumulative outcome counts plus the rolling window's
+        p50/p95/p99 latency and queue wait (the numbers :meth:`status`
+        reports)."""
+        with self._lock:
+            lanes = sorted(self._lanes.items())
         out = {}
-        for name, lane in sorted(self._lanes.items()):
-            s = lane.stats
+        for name, lane in lanes:
+            t = lane.window.totals()
+            w = lane.window.summary()
             out[name] = {
-                "requests": s.requests,
-                "ok": s.ok,
-                "shed": s.shed,
-                "failed": s.failed,
-                "deadline_miss": s.deadline_miss,
-                "batches": s.batches,
-                "swaps": s.swaps,
-                "mean_batch_size": (s.batched_requests / s.batches
-                                    if s.batches else 0.0),
+                **{k: t[k] for k in ("requests", "ok", "shed", "failed",
+                                     "deadline_miss", "batches")},
+                "swaps": lane.swaps,
+                "mean_batch_size": (t["batched_requests"] / t["batches"]
+                                    if t["batches"] else 0.0),
                 "est_batch_ms": lane.est_batch_s * 1e3,
-                "latency_ms": {k: v * 1e3 for k, v in
-                               percentile_summary(s.latencies_s).items()},
-                "queue_wait_ms": {k: v * 1e3 for k, v in
-                                  percentile_summary(s.queue_waits_s).items()},
+                "latency_ms": w["latency_ms"],
+                "queue_wait_ms": w["queue_wait_ms"],
             }
         return out
 
@@ -878,36 +794,30 @@ class Server:
         }
 
     def _obs_samples(self) -> List[Dict]:
-        """Synthesized exposition samples from the always-on lane windows
-        (registry metrics stay silent when telemetry is off; these do not)."""
+        """Exposition rows from the always-on lane windows, each lane's
+        queue depth and the recorded SDC detections (the process registry
+        holds no serving metric, so these count with telemetry off too)."""
         samples: List[Dict] = []
         with self._lock:
-            lanes = dict(self._lanes)
-        for name, lane in sorted(lanes.items()):
-            w = lane.window.summary(slo_target=lane.cfg.slo_target)
+            lanes = sorted(self._lanes.items())
+        for name, lane in lanes:
             lab = {"model": name}
-            for metric, value in (
-                    ("server_window_requests", w["requests"]),
-                    ("server_window_ok", w["ok"]),
-                    ("server_window_shed", w["shed"]),
-                    ("server_window_failed", w["failed"]),
-                    ("server_window_deadline_miss", w["deadline_miss"]),
-                    ("server_window_throughput_hz", w["throughput_hz"]),
-                    ("server_window_latency_p50_ms", w["latency_ms"]["p50"]),
-                    ("server_window_latency_p99_ms", w["latency_ms"]["p99"]),
-                    ("server_slo_error_budget_burn",
-                     w["slo"]["error_budget_burn"]),
-                    ("server_queue_depth_now", len(lane.queue))):
-                samples.append({"name": metric, "kind": "gauge",
-                                "labels": lab, "value": value})
-        # always present (the labeled sdc counter only renders once hit)
-        samples.append({"name": "server_sdc_events", "kind": "gauge",
-                        "labels": {}, "value": len(self.sdc_events)})
+            samples += lane.window.samples("server", lab,
+                                           slo_target=lane.cfg.slo_target)
+            samples.append({"name": "server_queue_depth", "kind": "gauge",
+                            "labels": lab, "value": len(lane.queue)})
+        sdc = collections.Counter((e["model"], e["source"])
+                                  for e in list(self.sdc_events))
+        for (model, source), n in sorted(sdc.items()):
+            samples.append({"name": "server_sdc_detected_total",
+                            "kind": "counter",
+                            "labels": {"model": model, "source": source},
+                            "value": n})
         return samples
 
     def render_exposition(self) -> str:
         """Prometheus text exposition: the process registry plus the
-        always-on per-lane window gauges."""
+        always-on per-lane window rows."""
         return _obs.exposition(telemetry.get_registry(),
                                extra_samples=self._obs_samples())
 

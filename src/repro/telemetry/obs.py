@@ -7,12 +7,12 @@ its crash post-mortems whether or not a :class:`TelemetrySession` is active.
 They are deliberately cheap — a ring append, a bucket increment — so the
 caller can leave them enabled in production paths.
 
-* :class:`RollingWindow` — time-bucketed counts and latency samples over a
-  sliding window (cumulative totals hide regressions; a 60 s window shows
-  the *current* p99 and shed rate).  ``summary(slo_target=...)`` folds in
-  the SLO view: deadline-hit ratio and error-budget burn rate, where burn
-  ``1.0`` means the window consumes budget exactly as fast as the target
-  allows and ``> 1.0`` means the budget is being eaten.
+* :class:`RollingWindow` — the one count of each resolved request:
+  cumulative totals and histograms, plus a sliding window (a 60 s window
+  shows the *current* p99 and shed rate).  ``summary(slo_target=...)``
+  folds in the SLO view: deadline-hit ratio and error-budget burn rate,
+  where burn ``1.0`` means the window consumes budget exactly as fast as
+  the target allows and ``> 1.0`` means the budget is being eaten.
 * :class:`FlightRecorder` — a bounded ring of recent structured events per
   lane.  On a deadline miss, shed storm, SDC detection or lane abort the
   server dumps the ring, turning a bare exit code into a post-mortem.
@@ -26,13 +26,15 @@ caller can leave them enabled in production paths.
 """
 from __future__ import annotations
 
+import bisect
 import collections
 import json
 import threading
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.telemetry.metrics import MetricsRegistry, percentile_summary
+from repro.telemetry.metrics import (Histogram, MetricsRegistry,
+                                     percentile_summary)
 
 
 class _Bucket:
@@ -45,14 +47,29 @@ class _Bucket:
         self.queue_waits: List[float] = []
 
 
-class RollingWindow:
-    """Sliding-window request accounting (counts + latency reservoirs).
+class _Histogram(Histogram):
+    """A registry-shaped histogram that its window's lock guards and no
+    telemetry switch gates."""
 
-    The window is a ring of ``window_s / bucket_s`` one-``bucket_s`` bins; a
+    def add(self, values: Sequence[float]) -> None:
+        for v in values:
+            self.bucket_counts[bisect.bisect_left(self.buckets, v)] += 1
+            self.sum += v
+        self.count += len(values)
+
+    def sample(self, name: str, labels: Dict[str, str]) -> Dict:
+        return {"name": name, "kind": self.kind, "labels": labels,
+                **self._value_dict()}
+
+
+class RollingWindow:
+    """The one outcome ledger of a lane or a fleet traffic class.
+
+    Each resolved request is recorded once, with one call and one lock
+    acquisition (an ok batch too), into cumulative totals and histograms
+    and into a ring of ``window_s / bucket_s`` one-``bucket_s`` bins; a
     bin is lazily reset when the clock laps it, so there is no background
-    thread.  All mutation happens under one lock — observations come from
-    lane threads, submitters and the status exporter concurrently.  Each
-    bin keeps at most ``MAX_SAMPLES`` latency samples.
+    thread.  Each bin keeps at most ``MAX_SAMPLES`` latency samples.
     """
 
     MAX_SAMPLES = 512
@@ -67,6 +84,11 @@ class RollingWindow:
         self._n = max(1, int(round(window_s / bucket_s)))
         self._ring: List[Optional[_Bucket]] = [None] * self._n
         self._lock = threading.Lock()
+        self._totals = collections.Counter()
+        self._latency = _Histogram("request_latency_seconds")
+        self._queue_wait = _Histogram("queue_wait_seconds")
+        self._batch_size = _Histogram("batch_size",
+                                      buckets=(1, 2, 4, 8, 16, 32, 64, 128))
 
     def _bucket(self) -> _Bucket:
         epoch = int(self._clock() // self.bucket_s)
@@ -80,28 +102,55 @@ class RollingWindow:
     def observe_ok(self, latency_s: float, queue_wait_s: float = 0.0,
                    deadline_miss: bool = False) -> None:
         with self._lock:
-            b = self._bucket()
-            b.counts["requests"] += 1
-            b.counts["ok"] += 1
-            if deadline_miss:
-                b.counts["deadline_miss"] += 1
-            if len(b.latencies) < self.MAX_SAMPLES:
-                b.latencies.append(float(latency_s))
-                b.queue_waits.append(float(queue_wait_s))
+            self._ok([float(latency_s)], [float(queue_wait_s)],
+                     int(deadline_miss))
 
-    def observe_shed(self) -> None:
+    def observe_batch(self, latencies_s: List[float],
+                      queue_waits_s: List[float], deadline_misses: int = 0
+                      ) -> None:
+        """One answered micro-batch, its requests' stamps in order."""
+        with self._lock:
+            self._ok(latencies_s, queue_waits_s, deadline_misses)
+            self._batch_size.add((len(latencies_s),))
+
+    def _ok(self, latencies: List[float], queue_waits: List[float],
+            misses: int) -> None:
+        b = self._bucket()
+        for counts in (b.counts, self._totals):
+            counts["requests"] += len(latencies)
+            counts["ok"] += len(latencies)
+            counts["deadline_miss"] += misses
+        room = max(0, self.MAX_SAMPLES - len(b.latencies))
+        b.latencies.extend(latencies[:room])
+        b.queue_waits.extend(queue_waits[:room])
+        self._latency.add(latencies)
+        self._queue_wait.add(queue_waits)
+
+    def observe_shed(self, lost: bool = False) -> None:
+        """``lost``: the request also ran out of fleet failovers."""
+        self._unserved("shed", lost)
+
+    def observe_failed(self, lost: bool = False) -> None:
+        self._unserved("failed", lost)
+
+    def _unserved(self, status: str, lost: bool) -> None:
         with self._lock:
             b = self._bucket()
-            b.counts["requests"] += 1
-            b.counts["shed"] += 1
-
-    def observe_failed(self) -> None:
-        with self._lock:
-            b = self._bucket()
-            b.counts["requests"] += 1
-            b.counts["failed"] += 1
+            for counts in (b.counts, self._totals):
+                counts["requests"] += 1
+                counts[status] += 1
+            self._totals["lost"] += lost
 
     # ------------------------------------------------------------- reporting
+    def totals(self) -> collections.Counter:
+        """Cumulative ``requests`` (= ``ok`` + ``shed`` + ``failed``),
+        ``deadline_miss``, ``lost``, ``batches``, ``batched_requests``."""
+        with self._lock:
+            out = collections.Counter(self._totals)
+            out["batches"] = self._batch_size.count
+            out["batched_requests"] = self._batch_size.sum
+        return out
+
     def summary(self, slo_target: Optional[float] = None) -> Dict:
         """Aggregate the live buckets; optionally fold in the SLO view."""
         with self._lock:
@@ -130,9 +179,9 @@ class RollingWindow:
             "deadline_miss": counts["deadline_miss"],
             "rate_hz": round(total / span, 3),
             "throughput_hz": round(counts["ok"] / span, 3),
-            "latency_ms": {k: round(v * 1e3, 3) for k, v in
+            "latency_ms": {k: v * 1e3 for k, v in
                            percentile_summary(latencies).items()},
-            "queue_wait_ms": {k: round(v * 1e3, 3) for k, v in
+            "queue_wait_ms": {k: v * 1e3 for k, v in
                               percentile_summary(queue_waits).items()},
         }
         if slo_target is not None:
@@ -146,6 +195,36 @@ class RollingWindow:
                 "error_budget_burn": round(bad_rate / budget, 3),
             }
         return out
+
+    def samples(self, prefix: str, labels: Dict[str, str],
+                slo_target: Optional[float] = None) -> List[Dict]:
+        """Exposition rows: the latency / queue-wait / batch-size
+        histograms, ``{prefix}_requests_total{status}``,
+        ``{prefix}_deadline_miss_total`` and the ``{prefix}_window_*``
+        gauges."""
+        t = self.totals()
+        with self._lock:   # a fleet class records no batches
+            hists = [self._latency, self._queue_wait] + (
+                [self._batch_size] if self._batch_size.count else [])
+            rows = [h.sample(f"{prefix}_{h.name}", labels) for h in hists]
+        rows += [{"name": f"{prefix}_requests_total", "kind": "counter",
+                  "labels": {**labels, "status": k}, "value": t[k]}
+                 for k in ("ok", "shed", "failed")]
+        rows.append({"name": f"{prefix}_deadline_miss_total",
+                     "kind": "counter", "labels": labels,
+                     "value": t["deadline_miss"]})
+        w = self.summary(slo_target=slo_target)
+        gauges = [(f"window_{k}", w[k]) for k in
+                  ("requests", "ok", "shed", "failed", "deadline_miss",
+                   "throughput_hz")]
+        gauges += [(f"window_latency_{p}_ms", w["latency_ms"][p])
+                   for p in ("p50", "p99")]
+        if slo_target is not None:
+            gauges.append(("slo_error_budget_burn",
+                           w["slo"]["error_budget_burn"]))
+        return rows + [{"name": f"{prefix}_{name}", "kind": "gauge",
+                        "labels": labels, "value": value}
+                       for name, value in gauges]
 
 
 class FlightRecorder:
@@ -310,8 +389,9 @@ def render_prometheus(samples: Iterable[Dict]) -> str:
 def exposition(registry: MetricsRegistry,
                extra_samples: Iterable[Dict] = ()) -> str:
     """Text exposition of a registry plus caller-synthesized samples (the
-    server injects its always-on counters this way, so the endpoint is
-    useful even when the global telemetry switch is off)."""
+    server and the fleet inject their always-on window rows this way, so
+    the endpoint counts every request even when the global telemetry
+    switch is off)."""
     return render_prometheus(list(registry.collect()) + list(extra_samples))
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.qbase import IdentityQuantizer, QuantSpec, _QBase, fake_quant
 from repro.core.quantizers import AsymMinMaxQuantizer
 from repro.tensor import Tensor, no_grad
-from tests.substrate_ref import chain_fake_quant, chain_q
+from tests.substrate_ref import chain_codes, chain_fake_quant, chain_q
 
 
 class TestQuantSpec:
@@ -155,6 +155,33 @@ class TestFusedFakeQuant:
         zp = np.float32(2.0)
         got = fake_quant(x, scale, zp, spec.qlb, spec.qub, dequant=False).data
         assert _same_bits(got, chain_q(x, scale, zp, spec.qlb, spec.qub).data)
+
+    @pytest.mark.parametrize("granularity", ["tensor", "channel"])
+    @pytest.mark.parametrize("unsigned", [False, True])
+    def test_audited_deploy_path_is_q(self, rng, granularity, unsigned):
+        """With telemetry on, the deploy path returns q()'s bits and counts
+        the composed chain's rounded codes outside the grid."""
+        from repro import telemetry
+
+        q = _QBase(nbit=4, unsigned=unsigned)
+        q.set_scale(self.SCALES[granularity])
+        q.set_zero_point(2.0)
+        q.deploy = True
+        x = Tensor(_grid_input(rng, q.spec, q.scale.data, 2.0, (4, 3, 5, 5)))
+        codes = chain_codes(x, q.scale.data, q.zero_point.data).data
+        want = int(np.count_nonzero((codes < q.qlb) | (codes > q.qub)))
+        assert want > 0
+        prev = telemetry.set_enabled(True)
+        telemetry.get_registry().clear()
+        try:
+            got = q(x)
+            rows = telemetry.saturation_report()
+        finally:
+            telemetry.set_enabled(prev)
+            telemetry.get_registry().clear()
+        assert _same_bits(got.data, q.q(x).data)
+        assert [(r["kind"], r["clipped"], r["total"]) for r in rows] == [
+            ("quantizer", want, codes.size)]
 
     def test_one_graph_node(self, rng):
         x = Tensor(rng.standard_normal((2, 3)).astype(np.float32), requires_grad=True)

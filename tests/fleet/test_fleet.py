@@ -13,6 +13,7 @@ import pytest
 
 from repro.fleet import (DRAINING, PARTITIONED, READY, ROLE_CANARY, CANARY,
                          ROLLED_BACK, AutoscalePolicy, Fleet, FleetConfig)
+from repro.integrity import SDCDetected
 from repro.server import ServerConfig
 from repro.telemetry.obs import parse_prometheus
 from tests.fleet.conftest import (failing_runner, gain_runner, make_fleet,
@@ -77,6 +78,31 @@ def test_two_models_are_routed_and_accounted_separately():
     assert st["small"]["window"]["primary"]["requests"] == 20
     assert st["large"]["window"]["primary"]["requests"] == 10
     assert len(st["small"]["replicas"]) == len(st["large"]["replicas"]) == 2
+
+
+def test_requests_lost_are_counted_per_model():
+    """A request that exhausts its failovers counts against its own model:
+    the per-model ``fleet_requests_lost`` series sum to
+    ``requests_lost``, and the healthy model's reads 0."""
+    def corrupt_runner(batch):
+        raise SDCDetected("abft", "checksum mismatch", {})
+
+    fleet = make_fleet(replicas=3, model="good")
+    try:
+        fleet.add_model("bad")
+        fleet.register_version("bad", "1", runner=corrupt_runner)
+        resps = _drain([fleet.submit("bad", sample(1.0)) for _ in range(3)]
+                       + [fleet.submit("good", sample(1.0))
+                          for _ in range(5)])
+        assert not any(r.ok for r in resps[:3])
+        assert all(r.ok for r in resps[3:])
+        assert fleet.requests_lost == 3
+        series = parse_prometheus(fleet.render_exposition())
+    finally:
+        fleet.close()
+    lost = {labels["model"]: v for labels, v in series["fleet_requests_lost"]}
+    assert lost == {"good": 0.0, "bad": 3.0}
+    assert sum(lost.values()) == fleet.requests_lost
 
 
 def test_kill_under_load_fails_over_and_self_heals():
@@ -209,10 +235,10 @@ def test_exposition_namespaces_replicas_and_round_trips():
     replicas = {labels["replica"] for labels, _ in ups}
     assert len(replicas) == 2, f"expected 2 replica labels, got {replicas}"
     assert all(labels["model"] == "m" for labels, _ in ups)
-    # per-replica server gauges carry the replica label too, so two
+    # per-replica server series carry the replica label too, so two
     # replicas of one model never collide into one series
-    depth = series["server_queue_depth_now"]
-    assert {labels["replica"] for labels, _ in depth} == replicas
+    for name in ("server_queue_depth", "server_requests_total"):
+        assert {labels["replica"] for labels, _ in series[name]} == replicas
     per_rep = series["server_window_requests"]
     assert all("replica" in labels for labels, _ in per_rep)
     assert sum(v for _, v in per_rep) == 10

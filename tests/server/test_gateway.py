@@ -21,6 +21,7 @@ from repro.server import (
     Server,
     ServerConfig,
 )
+from repro.telemetry.obs import RollingWindow, parse_prometheus
 from tests.server.conftest import StubPlan, stub_sample
 
 
@@ -339,12 +340,11 @@ def test_telemetry_metrics_and_linked_spans():
             responses = [srv.submit("stub", stub_sample(i)).result(timeout=5)
                          for i in range(5)]
         assert all(r.ok for r in responses)
-        reg = telemetry.get_registry()
-        req_samples = reg.get("server_requests_total").samples()
-        ok_row = [s for s in req_samples
-                  if s["labels"] == {"model": "stub", "status": "ok"}]
-        assert ok_row and ok_row[0]["value"] >= 5
-        assert reg.get("server_request_latency_seconds") is not None
+        series = parse_prometheus(srv.render_exposition())
+        assert ({"model": "stub", "status": "ok"}, 5.0) in \
+            series["server_requests_total"]
+        assert series["server_request_latency_seconds_count"] == [
+            ({"model": "stub"}, 5.0)]
         for r in responses:
             roots, orphans = srv.trace_tree(r.request_id)
             assert len(roots) == 1 and orphans == []
@@ -452,19 +452,22 @@ def test_swap_refused_at_cutover_keeps_old_version_serving(tmp_path):
 
 
 def test_stats_follow_recent_traffic_past_the_sample_cap(monkeypatch):
-    """Percentiles cover the newest _CAP requests and mean_batch_size every
-    completed batch: neither freezes once the cap is reached."""
-    from repro.server.server import _LaneStats
-
-    monkeypatch.setattr(_LaneStats, "_CAP", 4)
+    """Percentiles cover the window's live buckets (each holding at most
+    MAX_SAMPLES) and mean_batch_size every completed batch: neither
+    freezes once a bucket's cap is reached."""
+    monkeypatch.setattr(RollingWindow, "MAX_SAMPLES", 4)
     gate = _GatedPlan()
     gate.release.set()
     reg = ModelRegistry()
     reg.register("gated", "1", runner=gate)
     hold_s = 0.2
+    now = [1000.0]
     with Server(reg, max_batch=4, default_deadline_s=30.0) as srv:
+        window = srv._lane("gated").window
+        window._clock = lambda: now[0]
         fast = [srv.submit("gated", stub_sample(float(i))).result(timeout=5)
                 for i in range(4)]
+        now[0] += 2 * window.window_s      # the fast requests' bucket laps
         gate.started.clear()
         gate.release.clear()
         first = srv.submit("gated", stub_sample(10.0))

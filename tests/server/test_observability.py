@@ -7,13 +7,16 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro import cli
-from repro.server import ModelRegistry, Server
+from repro import cli, telemetry
+from repro.integrity import GoldenSet, SDCDetected
+from repro.server import Failed, ModelRegistry, Overloaded, Server
+from repro.telemetry.obs import parse_prometheus
 from tests.server.conftest import StubPlan, stub_sample
 
 pytestmark = pytest.mark.obs
@@ -130,7 +133,7 @@ class TestFlightRecorder:
             r = p.result(timeout=30)
             assert r.ok and r.latency_s > 0.02
             lane = srv._lanes["slow"]
-            assert lane.stats.deadline_miss >= 1
+            assert srv.stats()["slow"]["deadline_miss"] >= 1
             assert lane.flight.last_dump is not None
             assert lane.flight.last_dump["reason"] == "deadline_miss"
             dumps = [f for f in os.listdir(tmp_path)
@@ -208,8 +211,6 @@ class TestStatusSurface:
             assert m["cumulative"]["ok"] == 20
             assert status["tracing"] is True
             assert status["traces_held"] == 20
-            from repro.telemetry.obs import parse_prometheus
-
             parsed = parse_prometheus(srv.render_exposition())
             by_model = dict((lab["model"], v) for lab, v in
                             parsed["server_window_ok"])
@@ -230,8 +231,6 @@ class TestStatusSurface:
         with open(os.path.join(out, "status.json")) as f:
             status = json.load(f)
         assert status["models"]["stub"]["window"]["requests"] >= 8
-        from repro.telemetry.obs import parse_prometheus
-
         with open(os.path.join(out, "metrics.prom")) as f:
             assert "server_window_ok" in parse_prometheus(f.read())
         assert cli.main(["top", out, "--once"]) == 0
@@ -253,6 +252,104 @@ class TestStatusSurface:
             events = json.load(f)["traceEvents"]
         assert {e["args"]["trace_id"] for e in events} == {p.request_id}
         assert cli.main(["trace", "999999", "--traces", traces]) == 1
+
+
+class _GatedStub(StubPlan):
+    """A :class:`StubPlan` that parks every call until ``release`` is set."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, x):
+        self.started.set()
+        assert self.release.wait(30), "gate never released"
+        return super().__call__(x)
+
+
+class TestOneCount:
+    @pytest.mark.parametrize("telemetry_on", [False, True])
+    def test_every_view_agrees_with_the_caller(self, telemetry_on):
+        """stats(), status()'s window and the exposition count the ok,
+        shed and failed requests the caller saw, whatever the telemetry
+        switch, and report the p50 of the callers' latency and queue-wait
+        stamps."""
+        plan = _GatedStub(crash_value=7.0)
+        reg = ModelRegistry()
+        reg.register("stub", "1", runner=plan)
+        prev = telemetry.set_enabled(telemetry_on)
+        try:
+            with Server(reg, max_batch=1, max_queue=3,
+                        default_deadline_s=30.0) as srv:
+                pending = [srv.submit("stub", stub_sample(0.0))]
+                assert plan.started.wait(10)
+                # the one executor is parked: three queue, two shed
+                pending += [srv.submit("stub", stub_sample(v))
+                            for v in (1.0, 7.0, 2.0, 3.0, 4.0)]
+                plan.release.set()
+                for p in pending:
+                    p.result(timeout=30)
+                for v in range(8, 15):
+                    pending.append(srv.submit("stub", stub_sample(float(v))))
+                    pending[-1].result(timeout=30)
+                responses = [p.result(timeout=30) for p in pending]
+                stats = srv.stats()["stub"]
+                window = srv.status()["models"]["stub"]["window"]
+                series = parse_prometheus(srv.render_exposition())
+        finally:
+            telemetry.set_enabled(prev)
+        oks = [r for r in responses if r.ok]
+        tally = {"ok": len(oks),
+                 "shed": sum(isinstance(r, Overloaded) for r in responses),
+                 "failed": sum(isinstance(r, Failed) for r in responses)}
+        assert tally == {"ok": 10, "shed": 2, "failed": 1}
+        for view in (stats, window):
+            assert {k: view[k] for k in tally} == tally
+            assert view["requests"] == len(responses)
+        assert {lab["status"]: v for lab, v in
+                series["server_requests_total"]} == tally
+        assert series["server_request_latency_seconds_count"] == [
+            ({"model": "stub"}, tally["ok"])]
+        for key, stamps in (("latency_ms", [r.latency_s for r in oks]),
+                            ("queue_wait_ms", [r.queue_wait_s for r in oks])):
+            want = np.percentile(stamps, 50) * 1e3
+            assert stats[key]["p50"] == window[key]["p50"] == want
+
+    def test_golden_refused_swap_is_no_sdc(self):
+        """A golden replay refusing the *incoming* version says nothing
+        about the serving one: no SDC event, no SDC series."""
+        reg = ModelRegistry()
+        reg.register("stub", "1", runner=StubPlan())
+        golden = GoldenSet.record(StubPlan(gain=3.0), (2, 4), k=2)
+        reg.register("stub", "2", runner=StubPlan(), activate=False,
+                     golden=golden.to_json())
+        prev = telemetry.set_enabled(True)
+        try:
+            with Server(reg, default_deadline_s=5.0) as srv:
+                assert srv.submit("stub", stub_sample(1.0)).result(30).ok
+                with pytest.raises(SDCDetected):
+                    srv.swap("stub", "2")
+                series = parse_prometheus(srv.render_exposition())
+        finally:
+            telemetry.set_enabled(prev)
+        assert srv.sdc_events == []
+        assert "server_sdc_detected_total" not in series
+
+    def test_abft_detection_counts_with_telemetry_off(self):
+        class _Corrupt(StubPlan):
+            def __call__(self, x):
+                raise SDCDetected("abft", "checksum mismatch", {})
+
+        reg = ModelRegistry()
+        reg.register("stub", "1", runner=_Corrupt())
+        assert not telemetry.enabled()
+        with Server(reg, default_deadline_s=5.0) as srv:
+            r = srv.submit("stub", stub_sample(1.0)).result(30)
+            series = parse_prometheus(srv.render_exposition())
+        assert not r.ok and r.retryable
+        assert series["server_sdc_detected_total"] == [
+            ({"model": "stub", "source": "abft"}, 1.0)]
 
 
 class TestProfiling:

@@ -8,7 +8,7 @@ equal to them:
 
 * :func:`chain_fake_quant` / :func:`chain_q` — the six-node autograd chain
   ``div, add, round_ste, clamp, sub, mul`` (and its no-dequant ``round``
-  form);
+  form, whose pre-clamp codes :func:`chain_codes` returns);
 * :func:`full_batch_conv` — the whole batch's im2col columns first, then
   one GEMM per sample;
 * :func:`use_reference_substrate` — monkeypatches both into the package.
@@ -30,9 +30,13 @@ def chain_fake_quant(x: Tensor, scale, zero_point, lo, hi) -> Tensor:
     return (xq - zp) * s
 
 
+def chain_codes(x: Tensor, scale, zero_point) -> Tensor:
+    """The chain's rounded codes before the clamp."""
+    return (x / Tensor(scale) + Tensor(zero_point)).round()
+
+
 def chain_q(x: Tensor, scale, zero_point, lo, hi) -> Tensor:
-    xq = (x / Tensor(scale) + Tensor(zero_point)).round()
-    return xq.clamp(lo, hi)
+    return chain_codes(x, scale, zero_point).clamp(lo, hi)
 
 
 def full_batch_conv(x: np.ndarray, w: np.ndarray, stride: int, padding: int,

@@ -6,11 +6,13 @@ lose updates under that interleaving.  These tests hammer the primitives
 from many threads and assert *exact* totals — they fail reliably within a
 few runs if the per-metric lock is removed.
 """
+import sys
 import threading
 
 import pytest
 
 from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.obs import RollingWindow
 from repro.telemetry.report import EventLog
 
 pytestmark = pytest.mark.obs
@@ -31,7 +33,8 @@ def _hammer(fn):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads), "hammer threads hung"
 
 
 def test_histogram_exact_count_and_sum_under_contention():
@@ -41,6 +44,43 @@ def test_histogram_exact_count_and_sum_under_contention():
     assert h.count == N_THREADS * N_ITERS
     assert h.sum == pytest.approx(N_THREADS * N_ITERS * 1.0)
     assert sum(h.bucket_counts) == N_THREADS * N_ITERS
+
+
+def test_rolling_window_ledger_exact_under_contention():
+    """Executors, submitters and fleet callbacks record into one window at
+    once: every outcome lands exactly once in the totals, the histograms
+    and the exposition rows (the fleet's lost count included)."""
+    w = RollingWindow()
+    calls = iter(range(N_THREADS * N_ITERS))
+
+    def record():
+        i = next(calls)
+        if i % 3 == 0:
+            w.observe_batch([0.002] * 4, [0.0005] * 4, deadline_misses=1)
+        elif i % 3 == 1:
+            w.observe_failed(lost=True)
+        else:
+            w.observe_shed()
+
+    prev = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _hammer(record)
+    finally:
+        sys.setswitchinterval(prev)
+    thirds = N_THREADS * N_ITERS // 3
+    batches = N_THREADS * N_ITERS - 2 * thirds
+    t = w.totals()
+    assert (t["ok"], t["failed"], t["shed"], t["lost"]) == (
+        4 * batches, thirds, thirds, thirds)
+    assert t["requests"] == t["ok"] + t["failed"] + t["shed"]
+    assert (t["batches"], t["deadline_miss"]) == (batches, batches)
+    rows = {(r["name"], r["labels"].get("status")): r
+            for r in w.samples("server", {"model": "m"})}
+    assert rows[("server_request_latency_seconds", None)]["count"] == t["ok"]
+    assert rows[("server_batch_size", None)]["count"] == batches
+    assert rows[("server_requests_total", "failed")]["value"] == thirds
+    assert w.summary()["requests"] == t["requests"]
 
 
 def test_counter_exact_under_contention():
