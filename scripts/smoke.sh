@@ -76,7 +76,10 @@ python - <<'EOF'
 # every registry model, plus resnet18 at the paper's width (64; 7 of its
 # convs have accumulator bounds past 2^24): the compiled plan must be
 # bitwise the interpreted tree at 1 and at 4 kernel threads, run every conv
-# natively when a kernel body is loaded, and carry an ABFT row per conv
+# natively when a kernel body is loaded, and carry an ABFT row per conv;
+# the token epilogues (requant / LUT softmax / LUT GELU / residual on plain
+# (N, ...) registers) must bind native too — vit-7 binding none while the
+# kernel is loaded fails the stage
 import numpy as np
 from repro.core import DeploySpec, deploy
 from repro.core.qconfig import QConfig
@@ -117,8 +120,16 @@ for label, name, kwargs, batches in CASES:
         f"{label}: {native}/{len(convs)} convs native with the {body} body")
     assert sorted(plan._abft_rows) == convs, (
         f"{label}: ABFT skipped {plan._abft_skipped}")
+    binding = plan.live_bindings()[-1]
+    token = [i for i, op in enumerate(plan.ops)
+             if len(binding.arena.shapes[op.dst]) != 3
+             and op.kind not in ("tokens", "call_module")]
+    tok_native = sum(binding.native[i] for i in token)
+    assert ck is None or label != "vit-7" or tok_native > 0, (
+        f"vit-7: no token epilogue bound native with the {body} body")
     print(f"threads OK: {label:<12} {body:<8} body, {native:>2}/{len(convs)} "
-          f"convs native, all under ABFT, "
+          f"convs native, {tok_native:>2}/{len(token)} token epilogues "
+          f"native, all under ABFT, "
           f"{plan.fusion_stats['fused']:>2} chain(s) fused, bit-exact at "
           f"1 and 4 threads, verify clean")
 EOF

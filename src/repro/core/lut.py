@@ -49,13 +49,16 @@ class LUTSoftmax(Module):
         self.register_buffer("table", table.astype(np.int64))
 
     def forward(self, x: Tensor) -> Tensor:
-        s = x.data.astype(np.int64)
-        d = s.max(axis=-1, keepdims=True) - s  # non-negative integer offsets
-        d = np.minimum(d, len(self.table.data) - 1)
+        d = x.data.astype(np.int64)
+        # non-negative integer offsets from the row max, in place
+        np.subtract(d.max(axis=-1, keepdims=True), d, out=d)
+        np.minimum(d, len(self.table.data) - 1, out=d)
         e = self.table.data[d]  # integer exp values
+        probs = np.multiply(e, 1 << self.prob_bits, dtype=np.float64)
         denom = e.sum(axis=-1, keepdims=True)
-        probs = np.floor((e.astype(np.float64) * (1 << self.prob_bits) + denom // 2) / denom)  # lint: allow-float (int divide unit)
-        return Tensor(probs.astype(np.float32))
+        probs += denom // 2
+        probs /= denom  # lint: allow-float (int divide unit)
+        return Tensor(np.floor(probs, out=probs).astype(np.float32))
 
     @property
     def prob_scale(self) -> float:

@@ -135,26 +135,28 @@ class MulQuant(Module):
         return v.reshape(shape)
 
     def forward(self, x: Tensor) -> Tensor:
-        acc = np.asarray(x.data, dtype=np.float64)
-        nd = acc.ndim
+        nd = x.data.ndim
         m = self._broadcast(np.asarray(self.effective_scale, dtype=np.float64), nd)
         b = self._broadcast(np.asarray(self.effective_bias, dtype=np.float64), nd)
         # (acc * M) >> f_m + (B >> f_b), rounding half away from zero (the
         # add-half-then-truncate datapath).  float64 represents the integer
         # products exactly for the bit-widths used here, so this is
-        # bit-equivalent to the two-shift integer implementation.  Rounded
-        # in place: the accumulator is full-size float64.
-        v = acc * m + b
+        # bit-equivalent to the two-shift integer implementation.  Two
+        # full-size float64 buffers: the product (multiplied straight into
+        # float64) and the rounded codes, clipped into the float32 result.
+        v = np.multiply(x.data, m, dtype=np.float64)
+        v += b
         r = np.abs(v)
         r += 0.5  # lint: allow-float (add-half rounding)
         np.floor(r, out=r)
-        r *= np.sign(v)
+        np.copysign(r, v, out=r)
         if _telemetry_state.enabled():
             # saturation audit: a requantizer clamping real accumulator mass
             # is invisible in accuracy numbers until it is too late
             clipped = int(np.count_nonzero((r < self.out_lo) | (r > self.out_hi)))
             _record_saturation(self, "mulquant", clipped, int(r.size))
-        return Tensor(np.clip(r, self.out_lo, self.out_hi, out=r).astype(np.float32))
+        out = np.empty(r.shape, dtype=np.float32)
+        return Tensor(np.clip(r, self.out_lo, self.out_hi, out=out))
 
     def extra_repr(self) -> str:
         kind = "float" if self.float_scale else f"scale={self.fmt}, bias={self.bias_fmt}"

@@ -114,7 +114,7 @@ def export_state_dict(
         manifest = _write_tensors(state, work_dir, formats, bits_map)
         manifest["digest"] = manifest_digest(manifest)
         _write_file(os.path.join(work_dir, "manifest.json"),
-                    json.dumps(manifest, indent=2).encode())
+                    json.dumps(manifest).encode())
         _publish(work_dir, out_dir)
     except BaseException:
         shutil.rmtree(work_dir, ignore_errors=True)
@@ -135,7 +135,7 @@ def amend_manifest(out_dir: str, updates: Dict) -> Dict:
     manifest.update(updates)
     manifest["digest"] = manifest_digest(manifest)
     tmp = f"{path}.tmp-{os.getpid()}"
-    _write_file(tmp, json.dumps(manifest, indent=2).encode())
+    _write_file(tmp, json.dumps(manifest).encode())
     os.rename(tmp, path)
     _fsync_dir(os.path.dirname(path))
     return manifest

@@ -97,6 +97,8 @@ RULES: Dict[str, tuple] = {
         ERROR, "a conv's ABFT column-checksum accumulator (which bounds its float64 sum) can exceed the 2^53 exact-float64 limit, so checksum equality would not be sound"),
     "plan.kernel-operand": (
         ERROR, "a native-kernel conv's input codes do not fit 8 bits, its weights are not int8, or its int32 accumulator can overflow"),
+    "plan.inexact-accum": (
+        ERROR, "a sum still done in float32 (linear, attention, MLP, head, residual) can reach 2^24, past which float32 no longer holds every integer"),
     "plan.shape-mismatch": (
         ERROR, "op wiring inconsistent: register ids, shapes or operand dimensions disagree"),
     # -- engine bookkeeping (lint.*) -------------------------------------

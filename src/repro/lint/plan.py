@@ -21,7 +21,9 @@ pass verifies the thing that actually serves traffic — the compiled
   verifier's own propagated input range — a stale bound is a
   ``plan.accum-overflow`` error — a ``native`` conv's integer-kernel
   operands (8-bit input codes, int8 weights, int32-safe accumulator) are
-  re-proved (``plan.kernel-operand``), every conv's checksum accumulator
+  re-proved (``plan.kernel-operand``), every sum still done in float32
+  (linear, attention, MLP, head, residual) is proved below 2^24
+  (``plan.inexact-accum``), every conv's checksum accumulator
   is proved float64-exact (``plan.checksum-overflow``), and the rows are
   cross-checked against the module-level ``min_accum_bits`` proof when the
   caller provides it.
@@ -428,6 +430,12 @@ class _PlanVerifier:
                "min_accum_bits": bits}
         if kind != "conv_mq":  # a float32 sum (every conv body is exact)
             row["exact_f32"] = max(abs(lo), abs(hi)) < EXACT_F32_LIMIT
+            if not row["exact_f32"]:
+                self.finding("plan.inexact-accum", layer,
+                             f"proven accumulator range [{lo:.0f}, "
+                             f"{hi:.0f}] reaches 2^24: this float32 sum is "
+                             f"no longer exact, so its requant can round "
+                             f"differently from the integer datapath")
         self.rows.append(row)
         if bits > self.accum_bits:
             self.finding("plan.accum-overflow", layer,

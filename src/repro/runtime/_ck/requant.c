@@ -1,3 +1,4 @@
+#include <math.h>
 #include <string.h>
 
 #include "ck.h"
@@ -7,10 +8,10 @@
  * This translation unit MUST be compiled with -ffp-contract=off: the mul
  * and add have to round separately, exactly like the interpreted float64
  * numpy datapath (a fused multiply-add would round once and diverge by one
- * ulp on some accumulators).  |v| stays far below 2^62 (the compiler
- * certified the accumulator bound), so the int64 cast (= trunc) is defined
- * and `(double)(int64_t)(v + copysign(0.5, v))` equals numpy's
- * `sign(v) * floor(|v| + 0.5)` for every accumulator value.
+ * ulp on some accumulators).  |v| stays far below 2^62 (the verifier
+ * proves every accumulator bound), so the int64 cast (= trunc) is defined
+ * and `copysign((double)(int64_t)(|v| + 0.5), v)` equals numpy's
+ * `copysign(floor(|v| + 0.5), v)` for every accumulator value.
  *
  * Sources and destinations are integer registers (or int32 accumulators)
  * of the element type `ty` (CK_U8 .. CK_F32).  Every register code is an
@@ -37,11 +38,13 @@
     default: GEN(float) break;                                            \
     }
 
-/* round half away from zero and clip: the interpreted requant tail */
+/* v = acc*m + b, round half away from zero, clip: the requant of
+ * kernels.requant, copysign(floor(|v| + 0.5), v) with the floor of the
+ * non-negative |v| + 0.5 taken by the int64 cast */
 #define CK_REQUANT(v, mo, bo, lo, hi, r)                                  \
     double v_ = (v) * (mo);                                               \
     v_ = v_ + (bo);                                                       \
-    double r = (double)(int64_t)(v_ + (v_ >= 0.0 ? 0.5 : -0.5));          \
+    double r = copysign((double)(int64_t)(fabs(v_) + 0.5), v_);           \
     r = r < (lo) ? (lo) : r;                                              \
     r = r > (hi) ? (hi) : r;
 
@@ -178,6 +181,103 @@ void residual_cm(const void* A, int64_t aty, int64_t pa,
                     store_row((void*)at(Q, qty, iq + x0), qty, av, nb);
                 }
             }
+}
+
+/* ------------------------------------------------------------------------
+ * Epilogues of the plain (N, ...) float32 token / vector / logit
+ * registers: one pass each over a GEMM result (or a register) into a
+ * float32 destination.  Each replicates its numpy reference in
+ * repro.runtime.kernels value for value, the sign of a zero included.
+ */
+
+/* requant of one float32 element (the sign of a zero result kept, as in
+ * kernels.requant) */
+static inline float requant_tok_one(float x, double mo, double bo,
+                                    double lo, double hi)
+{
+    CK_REQUANT((double)x, mo, bo, lo, hi, r)
+    return (float)r;
+}
+
+/* MulQuant over `rows` rows of `period` elements: element j of every row
+ * takes m[j], b[j] (the bind-time broadcast of a scalar, a per-channel
+ * last-axis or a per-position table; period 1 is the scalar). */
+void requant_tok(const float* restrict x, int64_t rows, int64_t period,
+                 const double* m, const double* b, double lo, double hi,
+                 float* restrict out)
+{
+    if (period == 1) {
+        const double mo = m[0], bo = b[0];
+        for (int64_t i = 0; i < rows; ++i)
+            out[i] = requant_tok_one(x[i], mo, bo, lo, hi);
+        return;
+    }
+    for (int64_t r = 0; r < rows; ++r) {
+        const float* restrict xr = x + r * period;
+        float* restrict o = out + r * period;
+        for (int64_t j = 0; j < period; ++j)
+            o[j] = requant_tok_one(xr[j], m[j], b[j], lo, hi);
+    }
+}
+
+/* Integer softmax over `rows` rows of `len` score codes: the offset from
+ * the row max (capped at the table's last entry) looks up an integer exp,
+ * and p = floor((e * 2^pb + denom / 2) / denom) in float64 — the quotient
+ * is non-negative, so the int64 cast is the floor. */
+void lut_softmax_tok(const float* restrict s, int64_t rows, int64_t len,
+                     const int64_t* table, int64_t tlen, int64_t pb,
+                     float* restrict out)
+{
+    const double unit = (double)((int64_t)1 << pb);
+    const int64_t last = tlen - 1;
+    for (int64_t r = 0; r < rows; ++r) {
+        const float* restrict x = s + r * len;
+        float* restrict o = out + r * len;
+        int64_t mx = (int64_t)x[0];
+        for (int64_t j = 1; j < len; ++j) {
+            const int64_t v = (int64_t)x[j];
+            mx = v > mx ? v : mx;
+        }
+        int64_t denom = 0;
+        for (int64_t j = 0; j < len; ++j) {
+            const int64_t d = mx - (int64_t)x[j];
+            denom += table[d < last ? d : last];
+        }
+        const double half = (double)(denom / 2), dd = (double)denom;
+        for (int64_t j = 0; j < len; ++j) {
+            const int64_t d = mx - (int64_t)x[j];
+            const double e = (double)table[d < last ? d : last];
+            o[j] = (float)(int64_t)((e * unit + half) / dd);
+        }
+    }
+}
+
+/* GELU lookup: the input code, clipped to [qlb, qub], indexes the table */
+void lut_gelu_tok(const float* restrict x, int64_t n, const int64_t* table,
+                  int64_t qlb, int64_t qub, float* restrict out)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        int64_t v = (int64_t)x[i];
+        v = v < qlb ? qlb : v;
+        v = v > qub ? qub : v;
+        out[i] = (float)table[v - qlb];
+    }
+}
+
+/* Residual merge of two plain registers, the float32 sequence of
+ * kernels.residual_merge: sign(v) * floor(|v| + 0.5), then clip. */
+void residual_tok(const float* restrict a, const float* restrict s,
+                  int64_t n, float rs, float lo, float hi,
+                  float* restrict out)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        const float v = (a[i] + s[i]) / rs;
+        const float t = (float)(int64_t)(fabsf(v) + 0.5f);
+        float r = v > 0.0f ? t : v < 0.0f ? -t : 0.0f;
+        r = r < lo ? lo : r;
+        r = r > hi ? hi : r;
+        out[i] = r;
+    }
 }
 
 /* Zero every position of a staged span outside the valid windows: `pat`

@@ -2,15 +2,17 @@
 
 The integer conv+requant kernel lives in three C translation units under
 ``_ck/``: the int8 x int8 -> int32 accumulation bodies (``conv_acc.c``),
-the requant/residual epilogues (``requant.c``) and the conv job driver with
-its thread pool (``driver.c``), with their shared declarations in
-``ck.h``.  All three share one flag set — the
-epilogues' float64/float32 arithmetic must round each multiply and add
-separately (``-ffp-contract=off``), and the integer accumulation has no
-float operation the flag could touch.  ``conv_acc.c`` carries two bodies
-of one contract, chosen by the compiler at build time: an AVX-512 VNNI
-(``vpdpbusd``) body when the target supports it, else a portable plain-C
-int32 body (:attr:`CKernel.isa` says which one was built).
+the requant/residual epilogues of channel registers and the token
+epilogues of plain ``(N, ...)`` registers (requant, LUT softmax, LUT GELU,
+residual; ``requant.c``) and the conv job driver with its thread pool
+(``driver.c``), with their shared declarations in ``ck.h``.  All three
+share one flag set — the epilogues' float64/float32 arithmetic must round
+each multiply and add separately (``-ffp-contract=off``), and the integer
+accumulation has no float operation the flag could touch.  ``conv_acc.c``
+carries two bodies of one contract, chosen by the compiler at build time:
+an AVX-512 VNNI (``vpdpbusd``) body when the target supports it, else a
+portable plain-C int32 body (:attr:`CKernel.isa` says which one was
+built).
 
 The first call to :func:`load` compiles them into a shared library cached
 under ``~/.cache/repro/ckernel`` (override with ``REPRO_CKERNEL_CACHE``),
@@ -28,6 +30,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import platform
 import subprocess
@@ -63,6 +66,16 @@ def _call(fn, arrays, *args) -> Callable[[], None]:
     call = functools.partial(fn, *args)
     call.arrays = arrays
     return call
+
+
+def _f32(x: np.ndarray, size: int) -> np.ndarray:
+    """A token epilogue's source as the C-contiguous float32 array of
+    ``size`` elements the C pass reads (every plain register and GEMM
+    result is float32; anything else would change values, so it raises)."""
+    if x.dtype != np.float32 or x.size != size:
+        raise TypeError(f"token epilogue over a {x.dtype} array of "
+                        f"{x.size} elements; expected float32 x {size}")
+    return np.ascontiguousarray(x)
 
 
 def type_code(a: np.ndarray) -> int:
@@ -101,6 +114,14 @@ class CKernel:
         lib.residual_cm.restype = None
         lib.residual_cm.argtypes = (
             [_P, _I, _I, _P, _I, _I, _P, _I, _I, _F, _F, _F] + [_I] * 4)
+        lib.requant_tok.restype = None
+        lib.requant_tok.argtypes = [_P, _I, _I, _P, _P, _D, _D, _P]
+        lib.lut_softmax_tok.restype = None
+        lib.lut_softmax_tok.argtypes = [_P, _I, _I, _P, _I, _I, _P]
+        lib.lut_gelu_tok.restype = None
+        lib.lut_gelu_tok.argtypes = [_P, _I, _P, _I, _I, _P]
+        lib.residual_tok.restype = None
+        lib.residual_tok.argtypes = [_P, _P, _I, _F, _F, _F, _P]
         self.taps_cap = int(lib.conv_mq_taps_cap())
         self._isa = "vnni" if lib.conv_isa() else "portable"
 
@@ -170,6 +191,56 @@ class CKernel:
             self._lib.residual_cm, (A, S, Q), A.ctypes.data, type_code(A), pa,
             S.ctypes.data, type_code(S), ps, Q.ctypes.data, type_code(Q),
             pq, rs, lo, hi, C, N, H, W)
+
+    # The token epilogues run over plain (N, ...) float32 registers.  Each
+    # entry returns a pass ``run(*srcs) -> out``.  With ``in_place`` it
+    # writes over its source — one nothing else reads, a fresh GEMM result
+    # or the previous epilogue's output — so the epilogue allocates
+    # nothing; else into a fresh array of ``shape``.  A binding keeps no
+    # epilogue buffer between batches.
+
+    @staticmethod
+    def _token_pass(fn, shape, in_place, consts, keep=()) -> Callable:
+        """``run(*srcs) -> out`` calling ``fn(*srcs, *consts, out)``."""
+        size = math.prod(shape)
+
+        def run(*srcs):
+            srcs = [_f32(x, size) for x in srcs]
+            out = srcs[0] if in_place else np.empty(shape, dtype=np.float32)
+            fn(*[x.ctypes.data for x in srcs], *consts, out.ctypes.data)
+            return out
+        run.arrays = keep   # the buffers whose pointers ``consts`` holds
+        return run
+
+    def requant_tok(self, m, b, lo, hi, shape,
+                    in_place=False) -> Callable:
+        """``run(acc) -> out``: MulQuant of a register of ``shape``,
+        ``m``/``b`` one period of the broadcast table
+        (:func:`repro.runtime.kernels.requant_table`)."""
+        return self._token_pass(
+            self._lib.requant_tok, shape, in_place,
+            (math.prod(shape) // m.size, m.size, m.ctypes.data,
+             b.ctypes.data, lo, hi), (m, b))
+
+    def lut_softmax_tok(self, table, prob_bits, shape,
+                        in_place=False) -> Callable:
+        """``run(scores) -> out``: integer softmax over the last axis."""
+        return self._token_pass(
+            self._lib.lut_softmax_tok, shape, in_place,
+            (math.prod(shape[:-1]), shape[-1], table.ctypes.data,
+             table.size, prob_bits), (table,))
+
+    def lut_gelu_tok(self, table, qlb, qub, shape,
+                     in_place=False) -> Callable:
+        """``run(codes) -> out``: the GELU table lookup."""
+        return self._token_pass(
+            self._lib.lut_gelu_tok, shape, in_place,
+            (math.prod(shape), table.ctypes.data, qlb, qub), (table,))
+
+    def residual_tok(self, rs, lo, hi, shape) -> Callable:
+        """``run(a, s) -> out``: residual merge of two plain registers."""
+        return self._token_pass(self._lib.residual_tok, shape, False,
+                                (math.prod(shape), rs, lo, hi))
 
 
 def _cache_dir() -> str:

@@ -106,6 +106,8 @@ class _Binding:
         self.arena.pads = plan_pads(plan.ops, self.arena.shapes)
         self.arena.pads.pop(0, None)  # register 0 is the raw input
         self.fns = [op.bind(self.arena) for op in plan.ops]
+        # per op: did it bind its native-kernel body (else numpy reference)
+        self.native = tuple(getattr(fn, "native", False) for fn in self.fns)
 
 
 class _ThreadBindings(threading.local):

@@ -16,9 +16,20 @@ Two exactness strategies, chosen per op at compile time:
   (:data:`EXACT_F64_LIMIT`).  So a conv runs on the integer kernel whenever
   its operands fit it.
 
-The requantizer replicates ``MulQuant.forward`` op for op: ``v = acc * m + b``
-in float64, then ``sign(v) * floor(|v| + 0.5)`` (round half away from zero),
-rounded in place on one buffer.
+One requant formulation serves every body.  ``v = acc * m + b`` in
+float64 (the float32 accumulator or register code converts exactly), then
+round half away from zero as ``copysign(floor(|v| + 0.5), v)``, then clip
+to ``[lo, hi]``: :func:`requant` here, ``MulQuant.forward`` in the tree,
+and the C passes of ``_ck/requant.c`` (built with ``-ffp-contract=off``, so
+the multiply and the add round separately; the floor is the int64 cast of
+the non-negative ``|v| + 0.5``).  The conv epilogues apply it to int32
+accumulators in channel-major registers, the token epilogues
+(``requant_tok``, with ``lut_softmax_tok``, ``lut_gelu_tok`` and
+``residual_tok`` beside it) to the float32 GEMM results on plain
+``(N, ...)`` registers, with the scale/bias table broadcast once at bind
+(:func:`requant_table`).  :func:`requant`, :func:`lut_softmax`,
+:func:`lut_gelu` and :func:`residual_merge` are the numpy reference bodies
+a plan binds where the kernel is not loaded (``REPRO_NO_CKERNEL=1``).
 """
 from __future__ import annotations
 
@@ -27,9 +38,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+Shape = Tuple[int, ...]
+
 #: largest integer magnitude n for which every integer in [-n, n] is exactly
-#: representable in float32 — below it the float32 GEMMs of the linear,
-#: attention, MLP and head ops sum exactly (the verifier's ``exact_f32`` rows)
+#: representable in float32 — the float32 GEMMs of the linear, attention,
+#: MLP and head ops sum exactly only while their bound stays below it, so
+#: the verifier proves each such row below it (``exact_f32``) and refuses a
+#: plan with a row past it (``plan.inexact-accum``)
 EXACT_F32_LIMIT = float(2 ** 24)
 
 #: the integer conv kernel's int32 accumulator limit
@@ -79,16 +94,33 @@ class MQParams:
 
 def requant(x: np.ndarray, p: MQParams) -> np.ndarray:
     """Replicate ``MulQuant.forward`` on a plain array; returns float32."""
-    acc = np.asarray(x, dtype=np.float64)
-    m = broadcast_scale(p.m, acc.ndim, p.axis)
-    b = broadcast_scale(p.b, acc.ndim, p.axis)
-    v = acc * m
-    v += b
+    v = np.multiply(x, broadcast_scale(p.m, x.ndim, p.axis),
+                    dtype=np.float64)
+    v += broadcast_scale(p.b, x.ndim, p.axis)
     r = np.abs(v)
     r += 0.5
     np.floor(r, out=r)
-    r *= np.sign(v)
-    return np.clip(r, p.lo, p.hi, out=r).astype(np.float32)
+    np.copysign(r, v, out=r)
+    return np.clip(r, p.lo, p.hi, out=np.empty(r.shape, dtype=np.float32))
+
+
+def requant_table(p: MQParams, shape: Shape) -> Tuple[np.ndarray, np.ndarray]:
+    """One period of ``p``'s scale and bias over a plain register of
+    ``shape`` (batch axis first), broadcast once at bind for the native
+    token requant: the register is rows of ``period`` elements and element
+    ``j`` of every row takes ``m[j]``, ``b[j]``.  A scalar pair has period
+    1, a per-channel last-axis table the channel count, the fused
+    LayerNorm's per-position table the whole ``(L, D)`` block."""
+    nd = len(shape)
+    tables = [broadcast_scale(t, nd, p.axis) for t in (p.m, p.b)]
+    # the first axis either table varies along starts the period
+    k = min(next((i for i, s in enumerate((1,) * (nd - t.ndim) + t.shape)
+                  if s != 1), nd) for t in tables)
+    lead = (0,) * k + (Ellipsis,)
+    m, b = (np.ascontiguousarray(np.broadcast_to(t, shape)[lead],
+                                 dtype=np.float64).reshape(-1)
+            for t in tables)
+    return m, b
 
 
 def conv_accum_bound(weight: np.ndarray,
@@ -150,13 +182,15 @@ def conv_weight_view(packed: np.ndarray, cg: int) -> np.ndarray:
 
 def lut_softmax(x: np.ndarray, table: np.ndarray, prob_bits: int) -> np.ndarray:
     """Replicate ``LUTSoftmax.forward`` on a plain array."""
-    s = x.astype(np.int64)
-    d = s.max(axis=-1, keepdims=True) - s
-    d = np.minimum(d, len(table) - 1)
+    d = x.astype(np.int64)
+    np.subtract(d.max(axis=-1, keepdims=True), d, out=d)
+    np.minimum(d, len(table) - 1, out=d)
     e = table[d]
+    p = np.multiply(e, 1 << prob_bits, dtype=np.float64)
     denom = e.sum(axis=-1, keepdims=True)
-    probs = np.floor((e.astype(np.float64) * (1 << prob_bits) + denom // 2) / denom)
-    return probs.astype(np.float32)
+    p += denom // 2
+    p /= denom
+    return np.floor(p, out=p).astype(np.float32)
 
 
 def lut_gelu(x: np.ndarray, table: np.ndarray, in_qlb: int, in_qub: int) -> np.ndarray:

@@ -19,7 +19,9 @@ that runs the interpreted module's arithmetic on a float32 batch-major
 copy of its input registers (a conv accumulates in float64, as the tree
 does) and writes the result back channel-major — so a host without the
 kernel runs the same op list, bit-exactly.  Token and vector registers are
-plain ``(N, ...)`` arrays.
+plain ``(N, ...)`` float32 arrays; their epilogues (requant, LUT softmax,
+LUT GELU, residual merge) pick a C pass or the numpy reference the same
+way, at bind.
 
 Numeric contracts live in :mod:`repro.runtime.kernels`.
 """
@@ -323,6 +325,57 @@ def _bind_numpy(arena: Arena, srcs, dst: int, body):
     return fn
 
 
+def _native(fn):
+    """Mark a bound body as running on the native kernel (what
+    ``_Binding.native`` reports per op)."""
+    fn.native = True
+    return fn
+
+
+def _tok_body(arena: Arena, fn):
+    """A token op's body, marked native when the kernel is loaded (its
+    epilogues then run in C, see the ``_tok_*`` factories)."""
+    return _native(fn) if arena.ck is not None else fn
+
+
+def _tok_requant(arena: Arena, mq: kernels.MQParams, shape: Shape,
+                 in_place: bool = True):
+    """``run(acc) -> float32``: requant of a plain register of ``shape``
+    (batch axis first) — one C pass when the kernel is loaded, else
+    :func:`kernels.requant`.  The C pass overwrites ``acc`` (a GEMM result
+    nothing else reads) unless ``in_place`` is False (a register)."""
+    if arena.ck is None:
+        return lambda acc: kernels.requant(acc, mq)
+    m, b = kernels.requant_table(mq, shape)
+    return arena.ck.requant_tok(m, b, mq.lo, mq.hi, shape, in_place)
+
+
+def _tok_softmax(arena: Arena, table: np.ndarray, prob_bits: int,
+                 shape: Shape):
+    """``run(scores) -> float32``: the LUT softmax over the last axis, in
+    place over the score requant's output."""
+    if arena.ck is None:
+        return lambda s: kernels.lut_softmax(s, table, prob_bits)
+    return arena.ck.lut_softmax_tok(table, prob_bits, shape, in_place=True)
+
+
+def _tok_gelu(arena: Arena, table: np.ndarray, qlb: int, qub: int,
+              shape: Shape):
+    """``run(codes) -> float32``: the LUT GELU, in place over the fc1
+    requant's output."""
+    if arena.ck is None:
+        return lambda x: kernels.lut_gelu(x, table, qlb, qub)
+    return arena.ck.lut_gelu_tok(table, qlb, qub, shape, in_place=True)
+
+
+def _tok_residual(arena: Arena, rs: float, lo: float, hi: float,
+                  shape: Shape):
+    """``run(a, s) -> float32``: the residual merge of two plain registers."""
+    if arena.ck is None:
+        return lambda a, s: kernels.residual_merge(a, s, rs, lo, hi)
+    return arena.ck.residual_tok(rs, lo, hi, shape)
+
+
 class ConvMQOp(_ConvOp):
     """Fused integer conv + MulQuant requant + clamp."""
 
@@ -335,7 +388,7 @@ class ConvMQOp(_ConvOp):
         def prepare():
             return ck.conv_mq_cm(P, w, m, b, lo, hi, Q, *arena.scratch(),
                                  **geometry)
-        return _on_first_call(prepare)
+        return _native(_on_first_call(prepare))
 
     def _bind_reference(self, arena):
         """The interpreted conv+MulQuant numpy sequence."""
@@ -417,7 +470,7 @@ class ConvMQResOp(_ConvOp):
                                      has_smq, rs, rlo, rhi, Q,
                                      *arena.scratch(), Hs=hs, Ws=ws,
                                      s_off=s_off, **geometry)
-        return _on_first_call(prepare)
+        return _native(_on_first_call(prepare))
 
     def _bind_reference(self, arena):
         run_acc = self._conv_acc(arena)
@@ -452,11 +505,11 @@ class LinearMQOp(Op):
     def bind(self, arena):
         regs, s, dst = arena.regs, self.src[0], self.dst
         wT = self.weight.T
-        mq = self.mq
+        rq = _tok_requant(arena, self.mq, (arena.n,) + arena.shapes[dst])
 
         def fn():
-            regs[dst] = kernels.requant(regs[s] @ wT, mq)
-        return fn
+            regs[dst] = rq(regs[s] @ wT)
+        return _tok_body(arena, fn)
 
     def _sig_params(self, h):
         kernels.array_sig(h, self.weight)
@@ -485,10 +538,12 @@ class MulQuantOp(Op):
                 return self._bind_kernel(arena)
             return _bind_numpy(arena, self.src, dst,
                                lambda x: kernels.requant(x, mq))
+        rq = _tok_requant(arena, mq, (arena.n,) + arena.shapes[dst],
+                          in_place=False)
 
         def fn():
-            regs[dst] = kernels.requant(regs[s], mq)
-        return fn
+            regs[dst] = rq(regs[s])
+        return _tok_body(arena, fn)
 
     def _bind_kernel(self, arena):
         """Native requant over the padded registers, same exact epilogue as
@@ -507,8 +562,9 @@ class MulQuantOp(Op):
         b = np.ascontiguousarray(self.mq.b.reshape(-1))
         lo, hi = self.mq.lo, self.mq.hi
 
-        return ck.mulquant_cm(P, ps, m, b, lo, hi, Q, C=c, N=n, Hp=hp, Wp=wp,
-                              Hq=hq, Wq=wq, out_off=out_off, H=h, W=w)
+        return _native(ck.mulquant_cm(P, ps, m, b, lo, hi, Q, C=c, N=n,
+                                      Hp=hp, Wp=wp, Hq=hq, Wq=wq,
+                                      out_off=out_off, H=h, W=w))
 
     def _sig_params(self, h):
         self.mq.sig_update(h)
@@ -540,20 +596,22 @@ class ResidualOp(Op):
             return _bind_numpy(
                 arena, self.src, dst,
                 lambda x, y: kernels.residual_merge(x, y, rs, lo, hi))
+        merge = _tok_residual(arena, rs, lo, hi,
+                              (arena.n,) + arena.shapes[dst])
 
         def fn():
-            regs[dst] = kernels.residual_merge(regs[a], regs[s], rs, lo, hi)
-        return fn
+            regs[dst] = merge(regs[a], regs[s])
+        return _tok_body(arena, fn)
 
     def _bind_kernel(self, arena):
         """Native merge over the padded registers."""
         (a, s), dst = self.src, self.dst
         c, h, w = arena.shapes[dst]
-        return arena.ck.residual_cm(
+        return _native(arena.ck.residual_cm(
             arena.cm_buffer(a), arena.pads.get(a, 0),
             arena.cm_buffer(s), arena.pads.get(s, 0),
             arena.cm_buffer(dst), arena.pads.get(dst, 0),
-            self.res_scale, self.lo, self.hi, C=c, N=arena.n, H=h, W=w)
+            self.res_scale, self.lo, self.hi, C=c, N=arena.n, H=h, W=w))
 
     def _sig_params(self, h):
         h.update(repr((self.res_scale, self.lo, self.hi)).encode())
@@ -613,18 +671,19 @@ class GapMQOp(Op):
         return (shapes[self.src[0]][0],)
 
     def bind(self, arena):
-        regs, s, dst, mq = arena.regs, self.src[0], self.dst, self.mq
+        regs, s, dst = arena.regs, self.src[0], self.dst
         center = arena.cm_center(s)
         n = arena.n
         c, h, w = arena.shapes[s]
+        rq = _tok_requant(arena, self.mq, (n, c))
 
         def fn():
             # The float32 batch-major copy has the contiguous (n, c, h*w)
             # element order the interpreted tree reduces over, so the
             # pairwise float32 mean is bit-identical.
             x = _batch_major(center).reshape(n, c, h * w)
-            regs[dst] = kernels.requant(x.mean(axis=-1), mq)
-        return fn
+            regs[dst] = rq(x.mean(axis=-1))
+        return _tok_body(arena, fn)
 
     def _sig_params(self, h):
         self.mq.sig_update(h)
@@ -698,20 +757,25 @@ class AttentionOp(Op):
         l, d = arena.shapes[s]
         qkv_wT, proj_wT = self.qkv_w.T, self.proj_w.T
         H, hd = self.num_heads, self.head_dim
-        table, pb = self.softmax_table, self.prob_bits
-        p_qkv, p_score, p_ctx, p_proj = self.mq_qkv, self.mq_score, self.mq_ctx, self.mq_proj
+        scores = (n, H, l, l)
+        rq_qkv = _tok_requant(arena, self.mq_qkv,
+                              (n, l, self.qkv_w.shape[0]))
+        rq_score = _tok_requant(arena, self.mq_score, scores)
+        softmax = _tok_softmax(arena, self.softmax_table, self.prob_bits,
+                               scores)
+        rq_ctx = _tok_requant(arena, self.mq_ctx, (n, H, l, hd))
+        rq_proj = _tok_requant(arena, self.mq_proj,
+                               (n, l, self.proj_w.shape[0]))
 
         def fn():
-            x = regs[s]
-            t = kernels.requant(x @ qkv_wT, p_qkv)
+            t = rq_qkv(regs[s] @ qkv_wT)
             qkv = t.reshape(n, l, 3, H, hd).transpose(2, 0, 3, 1, 4)
             q, k, v = qkv[0], qkv[1], qkv[2]
-            s_int = kernels.requant(q @ np.swapaxes(k, -1, -2), p_score)
-            p_int = kernels.lut_softmax(s_int, table, pb)
-            c_int = kernels.requant(p_int @ v, p_ctx)
+            p_int = softmax(rq_score(q @ np.swapaxes(k, -1, -2)))
+            c_int = rq_ctx(p_int @ v)
             merged = c_int.transpose(0, 2, 1, 3).reshape(n, l, d)
-            regs[dst] = kernels.requant(merged @ proj_wT, p_proj)
-        return fn
+            regs[dst] = rq_proj(merged @ proj_wT)
+        return _tok_body(arena, fn)
 
     def _sig_params(self, h):
         h.update(repr((self.prob_bits, self.num_heads, self.head_dim)).encode())
@@ -742,13 +806,16 @@ class MLPOp(Op):
     def bind(self, arena):
         regs, s, dst = arena.regs, self.src[0], self.dst
         fc1_wT, fc2_wT = self.fc1_w.T, self.fc2_w.T
-        p1, p2 = self.mq_fc1, self.mq_fc2
-        table, qlb, qub = self.gelu_table, self.gelu_qlb, self.gelu_qub
+        hidden = (arena.n,) + arena.shapes[s][:-1] + (self.fc1_w.shape[0],)
+        rq1 = _tok_requant(arena, self.mq_fc1, hidden)
+        gelu = _tok_gelu(arena, self.gelu_table, self.gelu_qlb,
+                         self.gelu_qub, hidden)
+        rq2 = _tok_requant(arena, self.mq_fc2, (arena.n,) + arena.shapes[dst])
 
         def fn():
-            g = kernels.lut_gelu(kernels.requant(regs[s] @ fc1_wT, p1), table, qlb, qub)
-            regs[dst] = kernels.requant(g @ fc2_wT, p2)
-        return fn
+            g = gelu(rq1(regs[s] @ fc1_wT))
+            regs[dst] = rq2(g @ fc2_wT)
+        return _tok_body(arena, fn)
 
     def _sig_params(self, h):
         h.update(repr((self.gelu_qlb, self.gelu_qub)).encode())
@@ -773,11 +840,11 @@ class HeadOp(Op):
     def bind(self, arena):
         regs, s, dst = arena.regs, self.src[0], self.dst
         wT = self.weight.T
-        mq = self.mq
+        rq = _tok_requant(arena, self.mq, (arena.n,) + arena.shapes[dst])
 
         def fn():
-            regs[dst] = kernels.requant(regs[s][:, 0] @ wT, mq)
-        return fn
+            regs[dst] = rq(regs[s][:, 0] @ wT)
+        return _tok_body(arena, fn)
 
     def _sig_params(self, h):
         kernels.array_sig(h, self.weight)

@@ -169,6 +169,32 @@ class TestOverflow:
         assert any(f.rule == "plan.accum-overflow" and "16-bit" in f.message
                    for f in rep.findings)
 
+    @staticmethod
+    def _wide_linear(weight_code: float):
+        """uint8 codes into a 2048-input linear of one constant weight."""
+        w = np.full((2, 2048), weight_code, dtype=np.float32)
+        return _chain_plan(ops=[
+            InputQuantOp("in", (0,), 1, scale=0.05, qlb=0, qub=255),
+            LinearMQOp("fc", (1,), 2, w, _mq()),
+        ], num_regs=3, output_reg=2)
+
+    def test_float32_sum_past_2_24_is_refused(self):
+        """255 x 127 over 2048 inputs bounds the float32 GEMM at 66.3M,
+        which fits the 32-bit accumulator but not float32's exact integers:
+        the row is refused, not just tagged."""
+        rep = verify_plan(self._wide_linear(127.0))
+        assert not rep.ok
+        hits = [f for f in rep.findings if f.rule == "plan.inexact-accum"]
+        assert [f.where for f in hits] == ["fc"]
+        assert "plan.accum-overflow" not in {f.rule for f in rep.findings}
+        assert [r["exact_f32"] for r in rep.rows] == [False]
+
+    def test_float32_sum_below_2_24_verifies(self):
+        # 2048 * 255 * 32 = 16 711 680 < 2^24 = 16 777 216 < 2048 * 255 * 33
+        assert verify_plan(self._wide_linear(32.0)).ok
+        rep = verify_plan(self._wide_linear(33.0))
+        assert {f.rule for f in rep.findings} == {"plan.inexact-accum"}
+
     def test_compiled_plan_rows_under_exact_f32(self, deployed_resnet):
         """Only sums still done in float32 carry the ``exact_f32`` flag:
         conv rows do not (a conv accumulates exactly on every body)."""
