@@ -357,6 +357,25 @@ assert all(f["detected"] and f["recovered"] for f in sdc), sdc
 print(f"sdc smoke OK: {len(sdc)} live-memory faults injected, all "
       f"quarantined and healed")
 EOF
+# the ViT pads no register, so its arena has no guard border: flip_arena
+# is scored not applicable and every other row is still injected and caught
+python -m repro.cli chaos --server --sdc --model vit-7 --train-size 300 \
+    --test-size 100 --noise 0.35 --json > "$TEL_DIR/chaos_sdc_vit.json"
+python - "$TEL_DIR" <<'EOF'
+import json, sys, os
+rep = json.load(open(os.path.join(sys.argv[1], "chaos_sdc_vit.json")))
+rows = {f["injector"]: f for f in rep["faults"]
+        if f["injector"] in ("flip_live_weights", "flip_arena",
+                             "corrupt_golden")}
+assert rows["flip_arena"]["not_applicable"], rows["flip_arena"]
+assert rep["summary"]["not_applicable"] == 1, rep["summary"]
+for name in ("flip_live_weights", "corrupt_golden"):
+    assert rows[name]["detected"] and rows[name]["recovered"], rows[name]
+assert rep["summary"]["missed"] == 0 and rep["summary"]["ok"], rep["summary"]
+print(f"vit-7 sdc smoke OK: flip_arena not applicable, flip_live_weights "
+      f"and corrupt_golden quarantined and healed, "
+      f"{rep['summary']['injected']} injected, none missed")
+EOF
 
 echo "== replicated serving fleet (repro.fleet) =="
 python -m pytest tests/fleet -q -m fleet

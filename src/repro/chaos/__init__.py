@@ -31,17 +31,19 @@ Quickstart::
     report = ChaosPlan.default("artifact", seed=7).run(export_dir)
     assert report.ok            # zero missed faults
 """
-from repro.chaos.injectors import (CATALOG, KINDS, corrupt_golden,
-                                   corrupt_header, delay_clock, drop_op,
-                                   fail_exec, flip_arena, flip_bits,
-                                   flip_live_weights, fuse_illegal,
-                                   kill_replica, partition_replica,
-                                   stale_manifest, stall_exec, swap_register,
-                                   truncate_file, widen_scale)
+from repro.chaos.injectors import (CATALOG, KINDS, NotApplicable,
+                                   corrupt_golden, corrupt_header,
+                                   delay_clock, drop_op, fail_exec,
+                                   flip_arena, flip_bits, flip_live_weights,
+                                   fuse_illegal, kill_replica,
+                                   partition_replica, stale_manifest,
+                                   stall_exec, swap_register, truncate_file,
+                                   widen_scale)
 from repro.chaos.plan import ChaosPlan, ChaosReport, FaultRecord
 
 __all__ = [
     "ChaosPlan", "ChaosReport", "FaultRecord", "CATALOG", "KINDS",
+    "NotApplicable",
     "flip_bits", "truncate_file", "corrupt_header", "stale_manifest",
     "swap_register", "widen_scale", "drop_op", "fuse_illegal",
     "fail_exec", "stall_exec", "delay_clock",

@@ -41,6 +41,11 @@ import numpy as np
 
 
 # ---------------------------------------------------------------- utilities
+class NotApplicable(Exception):
+    """The fault cannot exist on this target; the message says why.  The
+    chaos run scores the row as not applicable instead of injecting it."""
+
+
 def _artifact_files(export_dir: str) -> List[str]:
     """Sorted container files (manifest excluded) — the corruption targets."""
     return [n for n in sorted(os.listdir(export_dir))
@@ -112,15 +117,16 @@ _HEADER_MUTATIONS = (
 def corrupt_header(export_dir: str, rng: np.random.Generator) -> Dict:
     """Rewrite one tensor's qint header (it lives in the manifest) to
     contradict its payload, and re-sign the manifest digest, so only
-    semantic header validation can reject it."""
+    semantic header validation can reject it.  An export without the qint
+    format has no header: :class:`NotApplicable`."""
     from repro.export.integrity import manifest_digest
 
     manifest = _read_manifest(export_dir)
     names = [n for n, e in sorted(manifest["tensors"].items())
              if "qint" in e.get("files", {})]
     if not names:
-        raise ValueError("corrupt_header needs a qint export "
-                         "(no qint slice in the manifest)")
+        raise NotApplicable("the export has no qint slice: no qint header "
+                            "to corrupt")
     name = _pick(rng, names)
     mutation, apply = _HEADER_MUTATIONS[
         int(rng.integers(len(_HEADER_MUTATIONS)))]
@@ -272,17 +278,20 @@ def widen_scale(plan, rng: np.random.Generator,) -> Dict:
     """Multiply one requant's scale (and clamp grid) by 16-128x.
 
     Models a post-compile parameter patch that silently widens an
-    activation range: every downstream accumulator bound the compiler
-    certified is now stale, which the verifier's interval re-propagation
-    must catch as ``plan.accum-overflow``.
+    activation range: the register range and every downstream accumulator
+    bound the compiler certified are now stale, which the verifier's
+    interval re-propagation must catch as ``plan.accum-overflow``.  The
+    target's output is read by a later op: a widened output requant (the
+    logits) stays inside every range a static proof can check.
     """
     fed = {op.src[0] for op in plan.ops
            if op.kind == "conv_mq" and op.src}
     convs = [(i, op) for i, op in enumerate(plan.ops)
              if op.kind == "conv_mq" and op.dst in fed]
-    if not convs:  # no conv->conv edge (e.g. tiny test plans): any mq op
+    if not convs:  # no conv->conv edge (the ViT, tiny test plans)
+        read = {s for op in plan.ops for s in op.src}
         convs = [(i, op) for i, op in enumerate(plan.ops)
-                 if getattr(op, "mq", None) is not None]
+                 if getattr(op, "mq", None) is not None and op.dst in read]
     i, op = _pick(rng, convs)
     factor = float(2 ** int(rng.integers(4, 8)))
     op.mq.m = op.mq.m * factor
@@ -365,22 +374,19 @@ def kill_replica(fleet, model: str, rng: np.random.Generator) -> Dict:
             "pending_at_kill": pending_before}
 
 
-def partition_replica(fleet, model: str, rng: np.random.Generator,
-                      heal_s: float = 0.5) -> Dict:
+def partition_replica(fleet, model: str, rng: np.random.Generator) -> Dict:
     """Make one seeded-chosen READY replica unreachable without killing it
-    (a network partition), healing it after ``heal_s``.
+    (a network partition); the partition heals once the fault is scored.
 
     The fleet must eject the partitioned replica and reroute its keys —
     but *not* replace it (it is alive behind the partition); after the
-    heal, the health loop re-admits it to the ring.
+    heal, the health loop re-admits it to the ring.  The heal waits for
+    the scoring, not a clock: on a loaded host the scorer can first look
+    after any fixed delay, by when the replica would already be back.
     """
     victim = _victim(fleet, model, rng, "partition_replica")
     victim.partition()
-    timer = threading.Timer(heal_s, victim.heal)
-    timer.daemon = True
-    timer.start()
-    return {"replica": victim.replica_id, "heal_s": heal_s,
-            "undo": victim.heal}
+    return {"replica": victim.replica_id, "undo": victim.heal}
 
 
 # -------------------------------------------------- silent-data-corruption
@@ -418,19 +424,22 @@ def flip_arena(fleet, model: str, rng: np.random.Generator) -> Dict:
     The arena zeroes each padded border once and the conv kernels
     rely on it staying zero — a flipped guard word silently feeds a wrong
     tap to every edge pixel.  Needs live traffic first (bindings are
-    lazy); the memory scrubber's guard sweep is the detection layer.
+    lazy); the memory scrubber's guard sweep is the detection layer.  A
+    plan with no padded register (no conv pads its input: the ViT) has
+    no guard border, and the fault is :class:`NotApplicable`.
     """
     victim = _victim(fleet, model, rng, "flip_arena")
     plan = victim.registry.get(model).plan
-    targets = []
-    for binding in plan.live_bindings():
-        arena = binding.arena
-        for reg in sorted(arena._cm_bufs):
-            if arena.pads.get(reg, 0) > 0:
-                targets.append((binding, reg))
-    if not targets:
-        raise ValueError("flip_arena: no padded arena bindings on "
+    bindings = plan.live_bindings()
+    if not bindings:
+        raise ValueError("flip_arena: no live arena bindings on "
                          f"{victim.replica_id} (drive traffic first)")
+    targets = [(binding, reg) for binding in bindings
+               for reg in sorted(binding.arena._cm_bufs)
+               if binding.arena.pads.get(reg, 0) > 0]
+    if not targets:
+        raise NotApplicable(f"{model}'s plan pads no register: it has no "
+                            "guard border to corrupt")
     binding, reg = _pick(rng, targets)
     binding.arena._cm_bufs[reg][0, 0, 0, 0] = float(int(rng.integers(1, 128)))
     return {"replica": victim.replica_id, "binding": list(binding.shape),

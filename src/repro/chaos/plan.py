@@ -16,6 +16,12 @@ damages, and scores every fault on two axes:
   registry still serves the previous active version, or a post-fault probe
   request returns :class:`~repro.server.types.Ok`.
 
+A fault that cannot exist on the target (its injector raises
+:class:`~repro.chaos.injectors.NotApplicable`: no qint header in an export
+without that format, no guard border on a plan that pads nothing) is
+scored *not applicable*, with the reason, and left out of the
+injected/detected/recovered counts.
+
 Every injected/detected/missed fault also lands in telemetry as
 ``chaos_inject`` / ``chaos_detected`` / ``chaos_missed`` events.
 """
@@ -32,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.chaos.injectors import CATALOG, KINDS
+from repro.chaos.injectors import CATALOG, KINDS, NotApplicable
 from repro.export.errors import ArtifactError
 from repro.export.integrity import load_state_dict, verify_artifacts
 from repro.fleet import Fleet
@@ -75,10 +81,15 @@ class FaultRecord:
     recovered: bool = False
     layers: Dict[str, bool] = field(default_factory=dict)
     note: str = ""
+    not_applicable: str = ""   #: why the fault cannot exist on the target
+
+    @property
+    def applicable(self) -> bool:
+        return not self.not_applicable
 
     @property
     def missed(self) -> bool:
-        return not self.detected
+        return self.applicable and not self.detected
 
     def annotate(self, text: str) -> None:
         """Append ``text`` to the human-readable note."""
@@ -88,7 +99,8 @@ class FaultRecord:
         return {"index": self.index, "injector": self.injector,
                 "params": self.params, "details": self.details,
                 "detected": self.detected, "recovered": self.recovered,
-                "layers": self.layers, "note": self.note}
+                "layers": self.layers, "note": self.note,
+                "not_applicable": self.not_applicable or None}
 
 
 class ChaosReport:
@@ -107,7 +119,11 @@ class ChaosReport:
 
     @property
     def injected(self) -> int:
-        return len(self.records)
+        return sum(r.applicable for r in self.records)
+
+    @property
+    def not_applicable(self) -> int:
+        return len(self.records) - self.injected
 
     @property
     def detected(self) -> int:
@@ -131,15 +147,21 @@ class ChaosReport:
             "seed": self.seed,
             "summary": {"injected": self.injected, "detected": self.detected,
                         "recovered": self.recovered, "missed": self.missed,
-                        "ok": self.ok},
+                        "not_applicable": self.not_applicable, "ok": self.ok},
             "faults": [r.to_json() for r in self.records],
         }
 
     def render(self) -> str:
         lines = [f"chaos report (seed={self.seed}): "
                  f"{self.injected} injected, {self.detected} detected, "
-                 f"{self.recovered} recovered, {self.missed} MISSED"]
+                 f"{self.recovered} recovered, {self.missed} MISSED"
+                 + (f", {self.not_applicable} not applicable"
+                    if self.not_applicable else "")]
         for r in self.records:
+            if not r.applicable:
+                lines.append(f"  [{r.index:02d}] {r.injector:<16} not applicable"
+                             f" — {r.not_applicable}")
+                continue
             status = "detected" if r.detected else "MISSED"
             rec = "recovered" if r.recovered else "not recovered"
             layers = "".join(
@@ -207,8 +229,15 @@ class ChaosPlan:
             for i, (name, params) in enumerate(self.schedule):
                 row = CATALOG[name]
                 rec = FaultRecord(index=i, injector=name, params=dict(params))
-                rec.details = t.inject(i, name, row.inject, self.rng_for(i),
-                                       params)
+                report.add(rec)
+                try:
+                    rec.details = t.inject(i, name, row.inject,
+                                           self.rng_for(i), params)
+                except NotApplicable as exc:
+                    rec.not_applicable = str(exc)
+                    telemetry.emit("chaos_not_applicable", injector=name,
+                                   index=i, reason=rec.not_applicable)
+                    continue
                 undo = rec.details.pop("undo", None)
                 telemetry.emit("chaos_inject", injector=name, index=i,
                                **rec.details)
@@ -221,7 +250,6 @@ class ChaosPlan:
                 rec.detected = all(rec.layers.values())
                 rec.recovered = t.recovered(rec)
                 _emit_outcome(rec)
-                report.add(rec)
         finally:
             t.close()
         return report

@@ -513,7 +513,6 @@ def cmd_chaos(args) -> int:
     import tempfile
 
     from repro.chaos import ChaosPlan
-    from repro.export.integrity import read_manifest
 
     seed_everything(args.seed)
     tmp = None
@@ -530,13 +529,8 @@ def cmd_chaos(args) -> int:
             deployed, (_, test, _) = _build_deployed_model(args, spec)
             sample = np.ascontiguousarray(test.images[0], dtype=np.float32)
 
-        plan = ChaosPlan.default("artifact", args.seed, rounds=args.rounds)
-        if "qint" not in read_manifest(export_dir).get("formats", ()):
-            plan.schedule = [s for s in plan.schedule
-                             if s[0] != "corrupt_header"]
-            print("note: no qint artifacts in target; skipping "
-                  "corrupt_header", file=sys.stderr)
-        report = plan.run(export_dir)
+        report = ChaosPlan.default("artifact", args.seed,
+                                   rounds=args.rounds).run(export_dir)
 
         if deployed is not None and deployed.plan is not None:
             report.extend(ChaosPlan.default("plan", args.seed,

@@ -112,7 +112,7 @@ class FuserBase:
                 # Fold BN into the float weights, then (re)quantize per-tensor.
                 w_fused = conv.weight.data.astype(np.float64) * (gamma / sigma).reshape(-1, 1, 1, 1)
                 s_w = max(np.abs(w_fused).max() / conv.wq.qub, 1e-12)
-                wint = np.clip(np.round(w_fused / s_w), conv.wq.qlb, conv.wq.qub)
+                wint = np.clip(np.round(w_fused / s_w), *conv.wq.grid())
                 conv.wint.data = wint.astype(np.float32)
                 scale = np.full(out_ch, s_w * s_x / s_next)
                 bias_units = (beta - gamma * mu_eff / sigma) / s_next

@@ -1,14 +1,22 @@
 """``_QBase``: the Dual-Path quantizer base (paper §3.1).
 
 The quantizer owns the scaling factor and zero point as registered buffers and
-exposes two computation paths:
+exposes two computation paths over one quantize chain
+(:meth:`_QBase.quantize`: transform, divide by the scale, round, clamp to the
+grid, dequantize):
 
-* **training path** (``trainFunc``) — fake quantization: quantize, then
-  dequantize, with a straight-through estimator so gradients flow.  This is
-  the only method a user-customized quantizer must override.
-* **inference path** (``evalFunc``) — integer-only: the quantizer emits the
-  low-precision integer tensor (no dequantization), exactly what hardware
-  consumes.
+* **training path** (``trainFunc``) — fake quantization: the chain with a
+  straight-through estimator, so gradients flow.
+* **inference path** (``evalFunc``) — integer-only: the same chain without
+  the dequantization, the low-precision integer tensor hardware consumes.
+
+A quantizer states three things once, and both paths (and the telemetry
+audit) read them: its integer ``grid()``, its ``qscale()`` — the ``scale``
+buffer, or a ``Tensor`` when the step is learnable — and an optional
+``transform()`` of the input before it is quantized.  A method that departs
+from the chain on purpose in training (AdaRound's soft gate, QDrop's random
+drop, stochastic rounding) overrides ``trainFunc`` alone; its integer path
+is still the chain's.
 
 The global switch is the ``deploy`` flag, toggled model-wide by
 :meth:`repro.core.t2c.T2C`.  Calibration (PTQ range estimation) is a third
@@ -16,7 +24,9 @@ mode driven by the ``observe`` flag.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -58,39 +68,60 @@ def _rounded(x: np.ndarray, s: np.ndarray, zp: np.ndarray) -> np.ndarray:
 
 
 def fake_quant(x: Tensor, scale, zero_point, lo: float, hi: float,
-               dequant: bool = True) -> Tensor:
+               dequant: bool = True, audit: Module = None) -> Tensor:
     """Fused ``clamp(round_ste(x / s + zp), lo, hi)``, then ``(q - zp) * s``
     when ``dequant``: one graph node whose forward runs the composed chain's
     float32 ops in the same order, in place on one buffer.  The backward
     replays the chain's straight-through gradient ``((g * s) * mask) / s``,
     ``mask`` marking the rounded values inside ``[lo, hi]``, so both
     directions are bitwise the six-node composition's.
+
+    A learnable ``scale`` is a ``Tensor``; it receives the chain's gradient
+    ``g * ((q - zp) - mask * x / s)``, summed to its shape.  An ``audit``
+    module gets the count of rounded codes the grid clamps (telemetry).
     """
+    learned = scale if isinstance(scale, Tensor) and scale.requires_grad else None
     s, zp, lo, hi = _as_array(scale), _as_array(zero_point), float(lo), float(hi)
     v = _rounded(x.data, s, zp)
-    mask = (v >= lo) & (v <= hi) if x.requires_grad and is_grad_enabled() else None
+    if audit is not None:
+        clipped = int(np.count_nonzero((v < lo) | (v > hi)))
+        _record_saturation(audit, "quantizer", clipped, int(v.size))
+    grad = is_grad_enabled() and (x.requires_grad or learned is not None)
+    mask = (v >= lo) & (v <= hi) if grad else None
     np.clip(v, lo, hi, out=v)
+    codes = v - zp if grad and learned is not None else None
     if dequant:
         v -= zp
         v *= s
-    out = _make(v, (x,), "fake_quant")
+    out = _make(v, (x,) if learned is None else (x, learned), "fake_quant")
     if out.requires_grad:
         def _bw(g):
             gx = g * s
             gx *= mask
             gx /= s
-            return ((x, _unbroadcast(gx, x.shape)),)
+            grads = ((x, _unbroadcast(gx, x.shape)),)
+            if learned is not None:
+                gs = codes - mask * (x.data / s)
+                gs *= g
+                grads += ((learned, _unbroadcast(gs, learned.shape)),)
+            return grads
         out._backward = _bw
     return out
 
 
-class _QBase(Module):
-    """Bottom-level dual-path quantizer.
+def grad_scaled(p: Tensor, n: int, qub: int) -> Tensor:
+    """``p`` unchanged in the forward pass; its gradient scaled by
+    ``1 / sqrt(n * qub)`` (LSQ's step-size gradient scaling).  A learnable
+    range's raw gradient sums over all ``n`` elements it quantizes."""
+    g = 1.0 / math.sqrt(max(n * qub, 1))
+    out = _make(p.data.copy(), (p,), "grad_scaled")
+    if out.requires_grad:
+        out._backward = lambda grad: ((p, grad * g),)
+    return out
 
-    Subclasses customize the *training path only* — typically by computing
-    ``self.scale`` (and optionally ``self.zero_point``) from data or from
-    learnable parameters — and Torch2Chip handles the integer-only inference
-    path automatically.
+
+class _QBase(Module):
+    """Bottom-level dual-path quantizer (see the module docstring).
 
     Buffers
     -------
@@ -103,12 +134,11 @@ class _QBase(Module):
         by the bundled quantizers; kept for custom asymmetric schemes).
     """
 
-    def __init__(self, nbit: int = 8, unsigned: bool = False, train_flag: bool = True):
+    def __init__(self, nbit: int = 8, unsigned: bool = False):
         super().__init__()
         self.spec = QuantSpec(nbit, unsigned)
         self.nbit = nbit
         self.unsigned = unsigned
-        self.train_flag = train_flag
         self.deploy = False
         self.observe = False
         self.register_buffer("scale", np.ones((), dtype=np.float32))
@@ -133,12 +163,37 @@ class _QBase(Module):
     def set_zero_point(self, zp) -> None:
         self.zero_point.data = np.asarray(zp, dtype=np.float32)
 
+    # ------------------------------------------------- what a quantizer states
+    def grid(self) -> Tuple[int, int]:
+        """The integer grid ``(lo, hi)`` the codes are clamped to."""
+        return self.qlb, self.qub
+
+    def qscale(self, x: Tensor):
+        """The step ``x`` is quantized with: the ``scale`` buffer, or a
+        ``Tensor`` when the step is learnable (the chain copies it into the
+        buffer, which :meth:`dq` and the fuser read)."""
+        return self.scale.data
+
+    def transform(self, x: Tensor) -> Tensor:
+        """The input transform applied before quantizing (none)."""
+        return x
+
     # ------------------------------------------------------------ two paths
+    def quantize(self, x: Tensor, dequant: bool = True, audit: bool = False) -> Tensor:
+        """The one quantize chain both paths run (:func:`fake_quant` over the
+        stated transform, scale and grid)."""
+        xt = self.transform(x)   # before qscale: it may initialise the scale
+        s = self.qscale(x)
+        if isinstance(s, Tensor):
+            self.set_scale(s.data.reshape(self.scale.data.shape))
+        lo, hi = self.grid()
+        return fake_quant(xt, s, self.zero_point.data, lo, hi, dequant,
+                          self if audit else None)
+
     def q(self, x: Tensor) -> Tensor:
         """Quantize to the integer grid (rounding, no dequant, no grad)."""
         with no_grad():
-            return fake_quant(x, self.scale.data, self.zero_point.data,
-                              self.qlb, self.qub, dequant=False)
+            return self.quantize(x, dequant=False)
 
     def dq(self, xq: Tensor) -> Tensor:
         """Map integers back to the float domain."""
@@ -148,24 +203,17 @@ class _QBase(Module):
         """Training path: fake quantization with straight-through estimator,
         one fused node (:func:`fake_quant`).
 
-        Subclasses override this to implement custom QAT/PTQ behaviour; the
-        contract is to *also* keep ``self.scale``/``self.zero_point`` current
-        so the automatic inference-path conversion stays correct.
+        Subclasses that compute their scale from data set it and then call
+        this; a by-design training-time departure overrides it outright.
         """
-        return fake_quant(x, self.scale.data, self.zero_point.data, self.qlb, self.qub)
+        return self.quantize(x)
 
     def evalFunc(self, x: Tensor) -> Tensor:
         """Inference path: low-precision integers only (paper Fig. 2)."""
         if not _telemetry_state.enabled():
             return self.q(x.detach())
-        # q()'s chain, auditing how many rounded codes the grid clamps
-        lo, hi = float(self.qlb), float(self.qub)
-        v = _rounded(x.data, _as_array(self.scale.data), _as_array(self.zero_point.data))
-        clipped = int(np.count_nonzero((v < lo) | (v > hi)))
-        _record_saturation(self, "quantizer", clipped, int(v.size))
-        np.clip(v, lo, hi, out=v)
-        with no_grad():
-            return _make(v, (x,), "fake_quant")
+        with no_grad():   # q()'s chain, auditing the codes the grid clamps
+            return self.quantize(x.detach(), dequant=False, audit=True)
 
     def observeFunc(self, x: Tensor) -> None:
         """Calibration hook: update range statistics (PTQ)."""

@@ -26,7 +26,43 @@ from repro.tensor import no_grad
 from repro.tensor.tensor import Tensor
 
 
-class QConv2d(nn.Conv2d):
+class _DualPath:
+    """What both layers share: the embedded quantizers and the integer
+    weight buffer ``wint``."""
+
+    def _attach(self, wq: Optional[_QBase], aq: Optional[_QBase]) -> None:
+        self.wq = wq or IdentityQuantizer()
+        self.aq = aq or IdentityQuantizer()
+        self.deploy = False
+        self.register_buffer("wint", np.zeros_like(self.weight.data))
+
+    def _reuse(self, layer):
+        """Copy a vanilla layer's weights (vanilla -> custom)."""
+        self.weight.data = layer.weight.data.copy()
+        if layer.bias is not None:
+            self.bias.data = layer.bias.data.copy()
+        return self
+
+    def freeze_int_weight(self) -> np.ndarray:
+        """Snapshot the integer weight into the ``wint`` buffer (deploy prep).
+
+        Runs the training path once (no grad) so data-dependent quantizers
+        (SAWB, MinMax) refresh their scale from the final weights before the
+        integer snapshot is taken.
+        """
+        with no_grad():
+            self.wq.trainFunc(self.weight.detach())
+            self.wint.data = self.wq.q(self.weight.detach()).data.copy()
+        return self.wint.data
+
+    def _int_input(self, x: Tensor) -> Tensor:
+        """Asymmetric input grids subtract their zero point before the MACs
+        (integer offset-subtract stage) so zero padding stays exact."""
+        zp = float(np.asarray(self.aq.zero_point.data).reshape(-1)[0])
+        return x - zp if zp != 0.0 else x
+
+
+class QConv2d(_DualPath, nn.Conv2d):
     """Conv2d with embedded quantizers and a dual-path forward."""
 
     def __init__(
@@ -42,91 +78,43 @@ class QConv2d(nn.Conv2d):
         aq: Optional[_QBase] = None,
     ):
         super().__init__(in_channels, out_channels, kernel_size, stride, padding, groups, bias)
-        self.wq = wq or IdentityQuantizer()
-        self.aq = aq or IdentityQuantizer()
-        self.deploy = False
-        self.register_buffer("wint", np.zeros_like(self.weight.data))
+        self._attach(wq, aq)
 
     @classmethod
     def from_float(cls, conv: nn.Conv2d, wq: _QBase, aq: _QBase) -> "QConv2d":
         """Wrap a vanilla conv, re-using its weights (vanilla -> custom)."""
-        q = cls(conv.in_channels, conv.out_channels, conv.kernel_size, conv.stride,
-                conv.padding, conv.groups, bias=conv.bias is not None, wq=wq, aq=aq)
-        q.weight.data = conv.weight.data.copy()
-        if conv.bias is not None:
-            q.bias.data = conv.bias.data.copy()
-        return q
-
-    def freeze_int_weight(self) -> np.ndarray:
-        """Snapshot the integer weight into the ``wint`` buffer (deploy prep).
-
-        Runs the training path once (no grad) so data-dependent quantizers
-        (SAWB, MinMax) refresh their scale from the final weights before the
-        integer snapshot is taken.
-        """
-        with no_grad():
-            self.wq.trainFunc(self.weight.detach())
-            self.wint.data = self.wq.q(self.weight.detach()).data.copy()
-        return self.wint.data
-
-    def set_deploy(self, flag: bool = True) -> None:
-        self.deploy = flag
-        self.wq.deploy = flag
-        self.aq.deploy = flag
+        return cls(conv.in_channels, conv.out_channels, conv.kernel_size, conv.stride,
+                   conv.padding, conv.groups, bias=conv.bias is not None, wq=wq, aq=aq
+                   )._reuse(conv)
 
     def forward(self, x: Tensor) -> Tensor:
         if self.deploy:
             # Integer-only: input already integer, weight from the frozen
-            # buffer; bias is handled by the downstream MulQuant.  Asymmetric
-            # input grids subtract their zero point before the MACs (integer
-            # offset-subtract stage) so zero padding stays exact.  A float64
+            # buffer; bias is handled by the downstream MulQuant.  A float64
             # GEMM sums the codes exactly (below 2^53), like an int32 MAC array.
-            zp = float(np.asarray(self.aq.zero_point.data).reshape(-1)[0])
-            if zp != 0.0:
-                x = x - zp
-            return F.conv2d(x, self.wint.astype(np.float64), None,
+            return F.conv2d(self._int_input(x), self.wint.astype(np.float64), None,
                             self.stride, self.padding, self.groups)
         xdq = self.aq(x)
         wdq = self.wq(self.weight)
         return F.conv2d(xdq, wdq, self.bias, self.stride, self.padding, self.groups)
 
 
-class QLinear(nn.Linear):
+class QLinear(_DualPath, nn.Linear):
     """Linear with embedded quantizers and a dual-path forward."""
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
                  wq: Optional[_QBase] = None, aq: Optional[_QBase] = None):
         super().__init__(in_features, out_features, bias)
-        self.wq = wq or IdentityQuantizer()
-        self.aq = aq or IdentityQuantizer()
-        self.deploy = False
-        self.register_buffer("wint", np.zeros_like(self.weight.data))
+        self._attach(wq, aq)
 
     @classmethod
     def from_float(cls, lin: nn.Linear, wq: _QBase, aq: _QBase) -> "QLinear":
-        q = cls(lin.in_features, lin.out_features, bias=lin.bias is not None, wq=wq, aq=aq)
-        q.weight.data = lin.weight.data.copy()
-        if lin.bias is not None:
-            q.bias.data = lin.bias.data.copy()
-        return q
-
-    def freeze_int_weight(self) -> np.ndarray:
-        with no_grad():
-            self.wq.trainFunc(self.weight.detach())
-            self.wint.data = self.wq.q(self.weight.detach()).data.copy()
-        return self.wint.data
-
-    def set_deploy(self, flag: bool = True) -> None:
-        self.deploy = flag
-        self.wq.deploy = flag
-        self.aq.deploy = flag
+        return cls(lin.in_features, lin.out_features, bias=lin.bias is not None,
+                   wq=wq, aq=aq)._reuse(lin)
 
     def forward(self, x: Tensor) -> Tensor:
         if self.deploy:
-            zp = float(np.asarray(self.aq.zero_point.data).reshape(-1)[0])
-            if zp != 0.0:
-                x = x - zp
-            return F.linear(x, Tensor(self.wint.data), None)
+            return F.linear(self._int_input(x), Tensor(self.wint.data), None)
         xdq = self.aq(x)
         wdq = self.wq(self.weight)
         return F.linear(xdq, wdq, self.bias)

@@ -56,10 +56,6 @@ class QConvBNReLU(nn.Module):
             y = y.relu()
         return y
 
-    def set_deploy(self, flag: bool = True) -> None:
-        self.deploy = flag
-        self.conv.set_deploy(flag)
-
 
 class QLinearUnit(nn.Module):
     """Linear unit with dual-path execution."""
@@ -76,10 +72,6 @@ class QLinearUnit(nn.Module):
                 raise RuntimeError("deploy before fusion: MulQuant missing")
             return self.mq(self.linear(x))
         return self.linear(x)
-
-    def set_deploy(self, flag: bool = True) -> None:
-        self.deploy = flag
-        self.linear.set_deploy(flag)
 
 
 def _residual_merge(a: Tensor, s: Tensor, res_scale: float, out_clamp) -> Tensor:
@@ -132,13 +124,6 @@ class QBasicBlock(nn.Module):
         s = self.down(x) if self.down is not None else self.aq_in(x)
         return (a + s).relu()
 
-    def set_deploy(self, flag: bool = True) -> None:
-        self.deploy = flag
-        self.unit1.set_deploy(flag)
-        self.unit2.set_deploy(flag)
-        if self.down is not None:
-            self.down.set_deploy(flag)
-
     def units(self) -> List[QConvBNReLU]:
         out = [self.unit1, self.unit2]
         if self.down is not None:
@@ -176,11 +161,6 @@ class QBottleneck(nn.Module):
         a = self.unit3(self.unit2(self.unit1(x)))
         s = self.down(x) if self.down is not None else self.aq_in(x)
         return (a + s).relu()
-
-    def set_deploy(self, flag: bool = True) -> None:
-        self.deploy = flag
-        for u in self.units():
-            u.set_deploy(flag)
 
     def units(self) -> List[QConvBNReLU]:
         out = [self.unit1, self.unit2, self.unit3]
@@ -223,14 +203,6 @@ class QResNet(nn.Module):
         y = self.blocks(self.stem(x))
         return self.fc(self.flatten(self.pool(y)))
 
-    def set_deploy(self, flag: bool = True) -> None:
-        self.deploy = flag
-        self.input_q.deploy = flag
-        self.stem.set_deploy(flag)
-        for b in self.blocks:
-            b.set_deploy(flag)
-        self.fc.set_deploy(flag)
-
 
 class QMobileNetV1(nn.Module):
     """Quantization-aware MobileNet-V1: a pure chain of conv units."""
@@ -263,13 +235,6 @@ class QMobileNetV1(nn.Module):
             return self.fc(y)
         y = self.units(x)
         return self.fc(self.flatten(self.pool(y)))
-
-    def set_deploy(self, flag: bool = True) -> None:
-        self.deploy = flag
-        self.input_q.deploy = flag
-        for u in self.units:
-            u.set_deploy(flag)
-        self.fc.set_deploy(flag)
 
 
 def quantize_model(model: nn.Module, qcfg: QConfig) -> nn.Module:

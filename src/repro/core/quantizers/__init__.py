@@ -1,8 +1,10 @@
 """Quantizer zoo built on the ``_QBase`` dual-path template.
 
-Every quantizer customizes only the *training path* (``trainFunc``) and keeps
-``scale``/``zero_point`` registered, so T2C converts it to integer-only
-inference automatically — the paper's central workflow claim.
+Every quantizer states its grid, its scale and its input transform once, and
+``_QBase`` runs the one quantize chain over them for training and inference
+alike, so T2C converts it to integer-only inference automatically — the
+paper's central workflow claim.  ``trainFunc`` is overridden only for
+training-time departures by design (AdaRound's soft gate, QDrop's drop).
 """
 from repro.core.qbase import _QBase, IdentityQuantizer
 from repro.core.quantizers.asymmetric import AsymMinMaxQuantizer

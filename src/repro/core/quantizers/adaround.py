@@ -5,7 +5,8 @@ down through a rectified-sigmoid gate ``h(alpha)`` optimized against a
 layer-wise reconstruction loss (paper Eq. 5/6):
 
 * training path:   ``Wq = floor(W / S) + h(alpha)``     (soft, differentiable)
-* inference path:  ``Wq = floor(W / S) + (alpha >= 0)`` (hard, integer)
+* inference path:  ``Wq = floor(W / S) + (alpha >= 0)`` (hard, integer), the
+  input transform of the shared quantize chain
 
 This quantizer demonstrates the paper's point that Torch2Chip accommodates
 adaptive methods that PyTorch's fixed nearest-rounding API cannot express:
@@ -18,7 +19,6 @@ import numpy as np
 
 from repro.core.qbase import _QBase
 from repro.nn.module import Parameter
-from repro.tensor import no_grad
 from repro.tensor.tensor import Tensor
 
 ZETA, GAMMA = 1.1, -0.1
@@ -63,22 +63,19 @@ class AdaRoundQuantizer(_QBase):
         return (1.0 - (2.0 * h - 1.0).abs() ** beta).sum()
 
     # -------------------------------------------------------------- paths
+    def _floor(self, x: Tensor) -> np.ndarray:
+        if self.alpha is None:
+            self.init_from_weight(x.data)
+        return np.floor(x.data / self.scale.data)
+
+    def transform(self, x: Tensor) -> Tensor:
+        """The hard code ``floor(W / S) + (alpha >= 0)``, pruned weights
+        pinned to 0, on ``x``'s scale."""
+        code = (self._floor(x) + (self.alpha.data >= 0)) * self._nonzero
+        return Tensor(code * self.scale.data)
+
     def trainFunc(self, x: Tensor) -> Tensor:
-        if self.alpha is None:
-            self.init_from_weight(x.data)
-        s = float(self.scale.data)
-        floor_part = Tensor(np.floor(x.data / s))
-        gate = self.h() if self.soft else Tensor((self.alpha.data >= 0).astype(np.float32))
-        wq = (floor_part + gate).clamp(self.qlb, self.qub)
-        return wq * Tensor(self._nonzero) * s
-
-    def q(self, x: Tensor) -> Tensor:
-        if self.alpha is None:
-            self.init_from_weight(x.data)
-        s = float(self.scale.data)
-        hard = (np.floor(x.data / s) + (self.alpha.data >= 0)) * self._nonzero
-        return Tensor(np.clip(hard, self.qlb, self.qub).astype(np.float32))
-
-    def evalFunc(self, x: Tensor) -> Tensor:
-        with no_grad():
-            return self.q(x.detach())
+        if not self.soft:
+            return super().trainFunc(x)
+        wq = (Tensor(self._floor(x)) + self.h()).clamp(self.qlb, self.qub)
+        return wq * Tensor(self._nonzero) * float(self.scale.data)

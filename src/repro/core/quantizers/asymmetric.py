@@ -9,41 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.observer import MinMaxObserver
-from repro.core.qbase import _QBase
-from repro.tensor.tensor import Tensor
+from repro.core.quantizers.minmax import MinMaxQuantizer
 
 
-class AsymMinMaxQuantizer(_QBase):
+class AsymMinMaxQuantizer(MinMaxQuantizer):
     """Affine quantizer: ``xq = round(x / s) + z``, grid ``[0, 2^n - 1]``."""
 
     def __init__(self, nbit: int = 8, momentum: float = 0.9, **_):
-        super().__init__(nbit=nbit, unsigned=True)
-        self.observer = MinMaxObserver(momentum=momentum)
-        self.calibrated = False
+        super().__init__(nbit=nbit, unsigned=True, momentum=momentum)
 
-    def _refresh(self) -> None:
+    def calibrate(self) -> None:
+        """Set the scale and zero point from the observed min/max range."""
         lo = min(self.observer.min_val, 0.0)
         hi = max(self.observer.max_val, lo + 1e-8)
         scale = (hi - lo) / (self.qub - self.qlb)
         zp = np.round(-lo / scale)
         self.set_scale(scale)
         self.set_zero_point(np.clip(zp, self.qlb, self.qub))
-
-    def observeFunc(self, x: Tensor) -> None:
-        self.observer.update(x.data)
-
-    def finalize_calibration(self) -> None:
-        if not self.observer.initialized:
-            raise RuntimeError("finalize_calibration before any observation")
-        self._refresh()
-        self.calibrated = True
-        self.observe = False
-
-    def trainFunc(self, x: Tensor) -> Tensor:
-        if not self.calibrated:
-            if self.training and not self.observe:
-                self.observer.update(x.data)
-            if self.observer.initialized:
-                self._refresh()
-        return super().trainFunc(x)

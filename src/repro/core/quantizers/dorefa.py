@@ -15,27 +15,15 @@ from repro.tensor.tensor import Tensor
 
 
 class DoReFaWeightQuantizer(_QBase):
-    """tanh-normalized symmetric weight quantizer."""
+    """tanh-normalized symmetric weight quantizer, step ``1 / qub``."""
 
     def __init__(self, nbit: int = 4, **_):
         super().__init__(nbit=nbit, unsigned=False)
-
-    def _normalize(self, x: Tensor) -> Tensor:
-        t = x.tanh()
-        return t / float(np.abs(t.data).max() + 1e-12)
-
-    def trainFunc(self, x: Tensor) -> Tensor:
-        w = self._normalize(x)  # in [-1, 1]
         self.set_scale(1.0 / self.qub)
-        yq = (w * self.qub).round_ste().clamp(self.qlb, self.qub)
-        return yq * (1.0 / self.qub)
 
-    def q(self, x: Tensor) -> Tensor:
-        from repro.tensor import no_grad
-
-        with no_grad():
-            w = self._normalize(x.detach())
-            return (w * self.qub).round().clamp(self.qlb, self.qub)
+    def transform(self, x: Tensor) -> Tensor:
+        t = x.tanh()
+        return t / float(np.abs(t.data).max() + 1e-12)  # in [-1, 1]
 
 
 class DoReFaActQuantizer(_QBase):
@@ -46,7 +34,5 @@ class DoReFaActQuantizer(_QBase):
         self.alpha = alpha
         self.set_scale(alpha / self.qub)
 
-    def trainFunc(self, x: Tensor) -> Tensor:
-        clipped = x.clamp(0.0, self.alpha)
-        s = self.alpha / self.qub
-        return (clipped * (1.0 / s)).round_ste() * s
+    def transform(self, x: Tensor) -> Tensor:
+        return x.clamp(0.0, self.alpha)

@@ -1,8 +1,8 @@
 """LSQ: Learned Step Size Quantization (Esser et al., 2020).
 
-The step size is a parameter; with a straight-through ``round`` the autograd
-chain reproduces the LSQ step-size gradient ``round(x/s) - x/s`` in the
-non-saturated region.  The per-element gradient is scaled by
+The step size is a parameter, the quantizer's learnable ``qscale``; the
+fake-quant node gives it the LSQ step-size gradient ``round(x/s) - x/s`` in
+the non-saturated region.  The per-element gradient is scaled by
 ``1/sqrt(N * qub)`` as in the paper for stable training.
 """
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from repro.core.qbase import _QBase
+from repro.core.qbase import _QBase, grad_scaled
 from repro.nn.module import Parameter
 from repro.tensor.tensor import Tensor
 
@@ -32,15 +32,9 @@ class LSQQuantizer(_QBase):
         self.step.data = np.array([max(init, 1e-6)], dtype=np.float32)
         self._initialized = True
 
+    def qscale(self, x: Tensor) -> Tensor:
+        return grad_scaled(self.step, x.size, self.qub).clamp(1e-6)
+
     def trainFunc(self, x: Tensor) -> Tensor:
         self._maybe_init(x)
-        g = 1.0 / math.sqrt(x.size * self.qub)
-        # Gradient scaling trick: s_scaled behaves like s in the forward pass
-        # but its gradient is multiplied by g.
-        step = self.step.clamp(1e-6)
-        s_detached = Tensor(step.data.copy())
-        s_scaled = step * g + s_detached * (1.0 - g)
-        xq = (x / s_scaled).round_ste().clamp(self.qlb, self.qub)
-        y = xq * s_scaled
-        self.set_scale(max(float(self.step.data[0]), 1e-6))
-        return y
+        return super().trainFunc(x)

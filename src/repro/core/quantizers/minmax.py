@@ -19,7 +19,9 @@ class MinMaxQuantizer(_QBase):
     """Observer-calibrated per-tensor quantizer (PTQ).
 
     Calibration protocol: set ``observe=True``, run forward passes over the
-    calibration set, call :meth:`finalize_calibration`.
+    calibration set, call :meth:`finalize_calibration`.  Until then a
+    training-mode forward self-calibrates online (QAT: EMA over training
+    batches, analogous to BatchNorm running statistics).
     """
 
     def __init__(self, nbit: int = 8, unsigned: bool = False, observer: str = "minmax", **obs_kwargs):
@@ -30,22 +32,24 @@ class MinMaxQuantizer(_QBase):
     def observeFunc(self, x: Tensor) -> None:
         self.observer.update(x.data)
 
+    def calibrate(self) -> None:
+        """Set the scale from the accumulated range statistics."""
+        self.set_scale(self.observer.compute_scale(self.qlb, self.qub))
+
     def finalize_calibration(self) -> None:
         """Fix the scale from the accumulated range statistics."""
         if not self.observer.initialized:
             raise RuntimeError("finalize_calibration before any observation")
-        self.set_scale(self.observer.compute_scale(self.qlb, self.qub))
+        self.calibrate()
         self.calibrated = True
         self.observe = False
 
     def trainFunc(self, x: Tensor) -> Tensor:
         if not self.calibrated:
             if self.training and not self.observe:
-                # QAT mode: self-calibrate online (EMA over training batches,
-                # analogous to BatchNorm running statistics).
                 self.observer.update(x.data)
             if self.observer.initialized:
-                self.set_scale(self.observer.compute_scale(self.qlb, self.qub))
+                self.calibrate()
         return super().trainFunc(x)
 
 

@@ -11,23 +11,32 @@ import numpy as np
 
 from repro.core.qbase import _QBase
 from repro.nn.module import Parameter
-from repro.tensor import minimum
+from repro.tensor import maximum, minimum
 from repro.tensor.tensor import Tensor
 
 
-class PACTQuantizer(_QBase):
+class ClipQuantizer(_QBase):
+    """A quantizer whose range is a learnable clipping level ``alpha``: the
+    input is clipped to ``[0, alpha]`` (``[-alpha, alpha]`` when signed) and
+    quantized with step ``alpha / qub``.  Shared by PACT and RCF."""
+
+    def __init__(self, nbit: int, unsigned: bool, alpha_init: float):
+        super().__init__(nbit=nbit, unsigned=unsigned)
+        self.alpha = Parameter(np.array([alpha_init], dtype=np.float32))
+
+    def clip_level(self, x: Tensor) -> Tensor:
+        return self.alpha.clamp(1e-4)  # keep the threshold positive
+
+    def qscale(self, x: Tensor) -> Tensor:
+        return self.clip_level(x) * (1.0 / self.qub)
+
+    def transform(self, x: Tensor) -> Tensor:
+        alpha = self.clip_level(x)
+        return minimum(x.relu() if self.unsigned else maximum(x, -alpha), alpha)
+
+
+class PACTQuantizer(ClipQuantizer):
     """Unsigned activation quantizer with learnable clipping level."""
 
     def __init__(self, nbit: int = 4, alpha_init: float = 6.0, **_):
-        super().__init__(nbit=nbit, unsigned=True)
-        self.alpha = Parameter(np.array([alpha_init], dtype=np.float32))
-
-    def trainFunc(self, x: Tensor) -> Tensor:
-        alpha = self.alpha.clamp(1e-4)  # keep the threshold positive
-        clipped = minimum(x.relu(), alpha)
-        scale = alpha * (1.0 / self.qub)
-        yq = (clipped / scale).round_ste()
-        y = yq * scale
-        # Keep the registered scale in sync for the inference path.
-        self.set_scale(max(float(self.alpha.data[0]), 1e-4) / self.qub)
-        return y
+        super().__init__(nbit, True, alpha_init)

@@ -11,36 +11,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.observer import build_observer
-from repro.core.qbase import _QBase
+from repro.core.quantizers.minmax import MinMaxQuantizer
 from repro.tensor import where
 from repro.tensor.tensor import Tensor
 
 
-class QDropQuantizer(_QBase):
-    """Unsigned activation quantizer with stochastic quantization dropping."""
+class QDropQuantizer(MinMaxQuantizer):
+    """Unsigned activation quantizer with stochastic quantization dropping.
+
+    Unlike its base it does not self-calibrate before
+    :meth:`finalize_calibration`.
+    """
 
     def __init__(self, nbit: int = 8, p: float = 0.5, observer: str = "mse", seed: int = 0,
                  unsigned: bool = True, **obs_kwargs):
-        super().__init__(nbit=nbit, unsigned=unsigned)
+        super().__init__(nbit=nbit, unsigned=unsigned, observer=observer, **obs_kwargs)
         self.p = p
-        self.observer = build_observer(observer, **obs_kwargs)
-        self.calibrated = False
         self.drop_enabled = True  # reconstruction phase only
         self._rng = np.random.default_rng(seed)
 
-    def observeFunc(self, x: Tensor) -> None:
-        self.observer.update(x.data)
-
-    def finalize_calibration(self) -> None:
-        if not self.observer.initialized:
-            raise RuntimeError("finalize_calibration before any observation")
-        self.set_scale(self.observer.compute_scale(self.qlb, self.qub))
-        self.calibrated = True
-        self.observe = False
-
     def trainFunc(self, x: Tensor) -> Tensor:
-        fq = super().trainFunc(x)
+        fq = self.quantize(x)
         if self.drop_enabled and self.p > 0:
             keep_fp = Tensor((self._rng.random(x.shape) < self.p).astype(np.float32))
             return where(keep_fp.data.astype(bool), x, fq)

@@ -12,25 +12,35 @@ otherwise.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.core.qbase import _QBase
-from repro.nn.module import Parameter
-from repro.tensor import minimum
+from repro.core.qbase import grad_scaled
+from repro.core.quantizers.pact import ClipQuantizer
 from repro.tensor.tensor import Tensor
 
 
-def _grad_scaled(alpha: Tensor, n_elements: int, qub: int) -> Tensor:
-    """Identity in the forward pass; scales alpha's gradient by 1/sqrt(N*qub)."""
-    g = 1.0 / math.sqrt(max(n_elements * qub, 1))
-    frozen = Tensor(alpha.data.copy())
-    return alpha * g + frozen * (1.0 - g)
+class _RCF(ClipQuantizer):
+    """PACT's clip with a grad-scaled ``alpha``, lazily initialized from the
+    first tensor seen (``init_alpha``) unless ``alpha_init`` is given."""
+
+    def __init__(self, nbit: int, unsigned: bool, alpha_init, default: float):
+        super().__init__(nbit, unsigned, alpha_init or default)
+        # buffer so checkpoints remember that alpha is already data-scaled
+        self.register_buffer("init_flag", np.float32(1.0 if alpha_init is not None else 0.0))
+
+    def clip_level(self, x: Tensor) -> Tensor:
+        return grad_scaled(self.alpha, x.size, self.qub).clamp(1e-4)
+
+    def trainFunc(self, x: Tensor) -> Tensor:
+        if float(self.init_flag.data) == 0.0:
+            self.alpha.data = np.array([self.init_alpha(x.data)], dtype=np.float32)
+            self.init_flag.data = np.float32(1.0)
+        return super().trainFunc(x)
 
 
-class RCFWeightQuantizer(_QBase):
-    """Signed symmetric weight quantizer with learnable clipping ``alpha``.
+class RCFWeightQuantizer(_RCF):
+    """Signed symmetric weight quantizer with learnable clipping ``alpha``,
+    on the symmetric grid ``[-qub, qub]``.
 
     The threshold is lazily initialized from the first weight tensor seen
     (max-abs) — a fixed constant mis-scales by orders of magnitude across
@@ -38,49 +48,23 @@ class RCFWeightQuantizer(_QBase):
     """
 
     def __init__(self, nbit: int = 4, alpha_init: float = None, **_):
-        super().__init__(nbit=nbit, unsigned=False)
-        self.alpha = Parameter(np.array([alpha_init or 1.0], dtype=np.float32))
-        # buffer so checkpoints remember that alpha is already data-scaled
-        self.register_buffer("init_flag", np.float32(1.0 if alpha_init is not None else 0.0))
+        super().__init__(nbit, False, alpha_init, 1.0)
 
-    def _maybe_init(self, x: Tensor) -> None:
-        if float(self.init_flag.data) == 0.0:
-            self.alpha.data = np.array([max(float(np.abs(x.data).max()), 1e-4)],
-                                       dtype=np.float32)
-            self.init_flag.data = np.float32(1.0)
+    def init_alpha(self, w: np.ndarray) -> float:
+        return max(float(np.abs(w).max()), 1e-4)
 
-    def trainFunc(self, x: Tensor) -> Tensor:
-        self._maybe_init(x)
-        alpha = _grad_scaled(self.alpha, x.size, self.qub).clamp(1e-4)
-        xn = (x / alpha).clamp(-1.0, 1.0)
-        yq = (xn * self.qub).round_ste()
-        y = yq * (alpha * (1.0 / self.qub))
-        self.set_scale(max(float(self.alpha.data[0]), 1e-4) / self.qub)
-        return y
+    def grid(self):
+        return -self.qub, self.qub
 
 
-class RCFActQuantizer(_QBase):
+class RCFActQuantizer(_RCF):
     """Unsigned activation quantizer with learnable clipping ``alpha``.
 
     Lazily initialized from the 99.9th percentile of the first batch.
     """
 
     def __init__(self, nbit: int = 4, alpha_init: float = None, **_):
-        super().__init__(nbit=nbit, unsigned=True)
-        self.alpha = Parameter(np.array([alpha_init or 6.0], dtype=np.float32))
-        self.register_buffer("init_flag", np.float32(1.0 if alpha_init is not None else 0.0))
+        super().__init__(nbit, True, alpha_init, 6.0)
 
-    def _maybe_init(self, x: Tensor) -> None:
-        if float(self.init_flag.data) == 0.0:
-            hi = float(np.percentile(np.clip(x.data, 0, None), 99.9))
-            self.alpha.data = np.array([max(hi, 1e-2)], dtype=np.float32)
-            self.init_flag.data = np.float32(1.0)
-
-    def trainFunc(self, x: Tensor) -> Tensor:
-        self._maybe_init(x)
-        alpha = _grad_scaled(self.alpha, x.size, self.qub).clamp(1e-4)
-        clipped = minimum(x.relu(), alpha)
-        scale = alpha * (1.0 / self.qub)
-        y = (clipped / scale).round_ste() * scale
-        self.set_scale(max(float(self.alpha.data[0]), 1e-4) / self.qub)
-        return y
+    def init_alpha(self, x: np.ndarray) -> float:
+        return max(float(np.percentile(np.clip(x, 0, None), 99.9)), 1e-2)

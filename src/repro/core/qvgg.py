@@ -56,14 +56,6 @@ class QVGG(nn.Module):
         y = self.chain(x)
         return self.fc(self.flatten(self.pool(y)))
 
-    def set_deploy(self, flag: bool = True) -> None:
-        self.deploy = flag
-        self.input_q.deploy = flag
-        for step in self.chain:
-            if isinstance(step, QConvBNReLU):
-                step.set_deploy(flag)
-        self.fc.set_deploy(flag)
-
     def units(self) -> List[QConvBNReLU]:
         return [s for s in self.chain if isinstance(s, QConvBNReLU)]
 

@@ -71,9 +71,6 @@ class QLNUnit(nn.Module):
         yq = np.clip(np.round(y.data / self.out_scale), self.out_qlb, self.out_qub)
         return Tensor(yq.astype(np.float32))
 
-    def set_deploy(self, flag: bool = True) -> None:
-        self.deploy = flag
-
 
 class QAttention(nn.Module):
     """Dual-path multi-head self-attention."""
@@ -127,13 +124,6 @@ class QAttention(nn.Module):
         ctx = self._merge_heads(p @ v, n, l)
         return self.proj(ctx)
 
-    def set_deploy(self, flag: bool = True) -> None:
-        self.deploy = flag
-        self.qkv.set_deploy(flag)
-        self.proj.set_deploy(flag)
-        for q in (self.qq, self.kq, self.vq, self.sq):
-            q.deploy = flag
-
 
 class QMLP(nn.Module):
     """Dual-path transformer feed-forward block with LUT GELU."""
@@ -154,12 +144,6 @@ class QMLP(nn.Module):
             return self.mq_fc2(self.fc2(g))
         h = self.gq(self.fc1(x))
         return self.fc2(F.gelu(h))
-
-    def set_deploy(self, flag: bool = True) -> None:
-        self.deploy = flag
-        self.fc1.set_deploy(flag)
-        self.fc2.set_deploy(flag)
-        self.gq.deploy = flag
 
 
 class QViTBlock(nn.Module):
@@ -192,13 +176,6 @@ class QViTBlock(nn.Module):
         x = self.rq1(x + self.attn(self.ln1(x)))
         x = self.rq2(x + self.mlp(self.ln2(x)))
         return x
-
-    def set_deploy(self, flag: bool = True) -> None:
-        self.deploy = flag
-        for m in (self.ln1, self.attn, self.ln2, self.mlp):
-            m.set_deploy(flag)
-        self.rq1.deploy = flag
-        self.rq2.deploy = flag
 
 
 class QVisionTransformer(nn.Module):
@@ -246,16 +223,6 @@ class QVisionTransformer(nn.Module):
         tok = self.blocks(tok)
         tok = self.norm(tok)
         return self.head(tok[:, 0])
-
-    def set_deploy(self, flag: bool = True) -> None:
-        self.deploy = flag
-        self.input_q.deploy = flag
-        self.patch.set_deploy(flag)
-        self.embed_q.deploy = flag
-        for b in self.blocks:
-            b.set_deploy(flag)
-        self.norm.set_deploy(flag)
-        self.head.set_deploy(flag)
 
 
 class ViTFuser(FuserBase):

@@ -507,6 +507,20 @@ class _PlanVerifier:
             else:
                 out = handler(i, op)
             self.ranges[op.dst] = out
+            self._check_certified_range(i, op, out)
+
+    def _check_certified_range(self, i, op, out: Interval) -> None:
+        """A register range re-derived past the one the compiler proved
+        means the plan was mutated after compilation (e.g. a requant's
+        scale and clamp widened): every consumer's proof is stale."""
+        if op.out_range is None or not out.is_bounded:
+            return
+        (lo, hi), (c_lo, c_hi) = out.bounds(), op.out_range
+        if lo < c_lo or hi > c_hi:
+            self.finding("plan.accum-overflow", self._site(i, op),
+                         f"stale range: the compiler proved r{op.dst} in "
+                         f"[{c_lo:.0f}, {c_hi:.0f}] but the plan now "
+                         f"derives [{lo:.0f}, {hi:.0f}]")
 
     # ----------------------------------------------- per-kind handlers
     def _h_input_quant(self, i, op) -> Interval:

@@ -134,6 +134,14 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
+    def set_deploy(self, flag: bool = True) -> None:
+        """Switch every module here that has a ``deploy`` flag (the
+        dual-path layers and their quantizers) to the integer-only path, or
+        back to the training path."""
+        for m in self.modules():
+            if hasattr(m, "deploy"):
+                m.deploy = flag
+
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.grad = None

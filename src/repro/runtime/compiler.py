@@ -9,7 +9,8 @@ While walking, it tracks the proven integer code range of every register
 (input grid, MulQuant clamp ranges, residual clamps); each convolution's
 input range and weights decide whether it may run on the native integer
 kernel (see :mod:`repro.runtime.kernels`), and its worst-case accumulator
-bound over that range is recorded for the verifier.  Every model, the ViT
+bound over that range is recorded for the verifier, as is each proven
+register range (``op.out_range``).  Every model, the ViT
 included, compiles onto the one register model of
 :mod:`repro.runtime.arena`; each op picks the kernel or its numpy reference
 at bind, by whether the kernel is loaded there.
@@ -64,7 +65,8 @@ class _Builder:
     def emit(self, op, out_range=None) -> int:
         self.ops.append(op)
         if out_range is not None:
-            self.ranges[op.dst] = (float(out_range[0]), float(out_range[1]))
+            op.out_range = self.ranges[op.dst] = (float(out_range[0]),
+                                                  float(out_range[1]))
         return op.dst
 
     # ---------------------------------------------------------- shared ops

@@ -117,6 +117,15 @@ class _ThreadBindings(threading.local):
         self.by_shape: Dict[Tuple[int, ...], _Binding] = {}
 
 
+def check_finite(x: np.ndarray) -> None:
+    """The input contract: hardware has no NaN or infinity, so a
+    non-finite input is refused with a ``ValueError`` naming its first
+    position instead of being cast onto the integer input grid."""
+    if not np.isfinite(x).all():
+        pos = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
+        raise ValueError(f"non-finite input {x[pos]} at position {pos}")
+
+
 class Plan:
     """A compiled, bit-exact, batched executor for a re-packed deploy model."""
 
@@ -247,11 +256,13 @@ class Plan:
 
     # ----------------------------------------------------------- execution
     def __call__(self, batch) -> np.ndarray:
-        """Run one batch; returns the logits array, bit-exact vs. the tree."""
+        """Run one batch; returns the logits array, bit-exact vs. the tree.
+        Raises ``ValueError`` on a non-finite input (:func:`check_finite`)."""
         clock = time.perf_counter
         t_in = clock()   # the profile's wall: input handling and every op
         x = np.ascontiguousarray(
             np.asarray(getattr(batch, "data", batch), dtype=np.float32))
+        check_finite(x)
         binding = self._tls.by_shape.get(x.shape)
         if binding is None:
             binding = self._bind(x.shape)

@@ -80,6 +80,7 @@ def fuse_plan(ops: List, output_reg: int) -> Tuple[List, Dict[str, int]]:
             conv.weight, conv.stride, conv.padding, conv.groups, conv.mq,
             conv.bound, op.res_scale, op.lo, op.hi, op.name, smq=smq,
             smq_name=smq_name, native=conv.native)
+        fused[j].out_range = op.out_range
         stats["fused"] += 1
 
     new_ops = []

@@ -107,6 +107,7 @@ class Op:
     """Base class for program ops."""
 
     kind = "op"
+    out_range = None   #: the code range the compiler proved for ``dst``
 
     def __init__(self, name: str, src, dst: int):
         self.name = name

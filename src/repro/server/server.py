@@ -57,6 +57,7 @@ from repro import telemetry
 from repro.export.errors import ArtifactError
 from repro.integrity.errors import SDCDetected
 from repro.lint.plan import PlanVerificationError
+from repro.runtime.executor import check_finite
 from repro.server.registry import ModelEntry, ModelRegistry
 from repro.server.types import (Failed, Ok, Overloaded, PendingRequest,
                                 Response)
@@ -191,9 +192,15 @@ class _Lane:
         A closed or dead lane rejects with a retryable :class:`Failed`
         instead of enqueueing onto executors that will never drain the
         queue; a sample whose shape disagrees with the lane's expected
-        input shape rejects with a non-retryable :class:`Failed` (it could
-        never be stacked into a batch with its peers).
+        input shape (it could never be stacked into a batch with its peers)
+        or that holds a non-finite value (the input contract, which the
+        plan would refuse) rejects with a non-retryable :class:`Failed`.
         """
+        try:
+            check_finite(req.sample)
+        except ValueError as exc:
+            return Failed(req.request_id, self.name, error=str(exc),
+                          retryable=False)
         with self.cond:
             if self.closing or self.dead:
                 return Failed(req.request_id, self.name,
@@ -662,8 +669,9 @@ class Server:
 
         Always returns a handle: a shed request comes back as an already
         resolved :class:`Overloaded`, a sample whose shape disagrees with
-        the model's expected input shape (or a submit that raced with
-        :meth:`close`) as an already resolved :class:`Failed`.  Raises
+        the model's expected input shape or that holds a non-finite value
+        (or a submit that raced with :meth:`close`) as an already resolved
+        :class:`Failed`.  Raises
         ``KeyError`` for unknown models and ``RuntimeError`` after
         :meth:`close`.
         """
@@ -699,7 +707,7 @@ class Server:
                                projected_wait_s=rejection.projected_wait_s)
             lane.auto_dump("shed", shed_reason=rejection.reason)
             lane.resolve_unserved(req, rejection)
-        elif rejection is not None:         # Failed: bad shape / closed lane
+        elif rejection is not None:   # Failed: bad shape or value / closed lane
             telemetry.emit("server_rejected", model=entry.name,
                            request=req.request_id, error=rejection.error)
             lane.flight.record("rejected", request=req.request_id,

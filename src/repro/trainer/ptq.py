@@ -43,6 +43,32 @@ def _unit_float_forward(unit: QConvBNReLU, x: Tensor) -> Tensor:
     return y
 
 
+def _reconstruct(model, wqs, reference, calib_inputs, iters, lr, reg_weight,
+                 beta_range, seed) -> float:
+    """Optimize the AdaRound gates of ``wqs`` so ``model`` matches
+    ``reference`` (its float forward) on ``calib_inputs``; the gates are hard
+    from then on.  Returns the final loss."""
+    opt = Adam([wq.alpha for wq in wqs], lr=lr)
+    rng = np.random.default_rng(seed)
+    with no_grad():
+        refs = [reference(Tensor(x)).data for x in calib_inputs]
+    final = 0.0
+    for it in range(iters):
+        j = rng.integers(len(calib_inputs))
+        y = model(Tensor(calib_inputs[j]))
+        beta = beta_range[0] + (beta_range[1] - beta_range[0]) * it / max(iters - 1, 1)
+        loss = F.mse_loss(y, Tensor(refs[j]))
+        for wq in wqs:
+            loss = loss + reg_weight * wq.reg_loss(beta)
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        final = loss.item()
+    for wq in wqs:
+        wq.soft = False  # inference uses hard rounding from here on
+    return final
+
+
 def reconstruct_unit(
     unit: QConvBNReLU,
     calib_inputs: Sequence[np.ndarray],
@@ -63,25 +89,8 @@ def reconstruct_unit(
     if unit.has_bn:
         unit.bn.eval()
     wq.init_from_weight(unit.conv.weight.data)
-    opt = Adam([wq.alpha], lr=lr)
-    rng = np.random.default_rng(seed)
-    refs = []
-    with no_grad():
-        for x in calib_inputs:
-            refs.append(_unit_float_forward(unit, Tensor(x)).data)
-    final = 0.0
-    for it in range(iters):
-        j = rng.integers(len(calib_inputs))
-        x = Tensor(calib_inputs[j])
-        y = unit(x)
-        beta = beta_range[0] + (beta_range[1] - beta_range[0]) * it / max(iters - 1, 1)
-        loss = F.mse_loss(y, Tensor(refs[j])) + reg_weight * wq.reg_loss(beta)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        final = loss.item()
-    wq.soft = False  # inference uses hard rounding from here on
-    return final
+    return _reconstruct(unit, [wq], lambda x: _unit_float_forward(unit, x), calib_inputs,
+                        iters, lr, reg_weight, beta_range, seed)
 
 
 def _block_float_forward(blk, x: Tensor) -> Tensor:
@@ -115,35 +124,17 @@ def reconstruct_block(
     unit-wise reconstruction cannot account for cross-layer error
     interactions (Li et al. 2021; Wei et al. 2022).
     """
-    wqs = [u.conv.wq for u in blk.units() if isinstance(u.conv.wq, AdaRoundQuantizer)]
-    if not wqs:
+    units = [u for u in blk.units() if isinstance(u.conv.wq, AdaRoundQuantizer)]
+    if not units:
         raise TypeError("reconstruct_block expects AdaRound weight quantizers")
     for u in blk.units():
         if u.has_bn:
             u.bn.eval()
-    for u, wq in zip([u for u in blk.units() if isinstance(u.conv.wq, AdaRoundQuantizer)], wqs):
-        wq.init_from_weight(u.conv.weight.data)
-    opt = Adam([wq.alpha for wq in wqs], lr=lr)
-    rng = np.random.default_rng(seed)
-    refs = []
-    with no_grad():
-        for x in calib_inputs:
-            refs.append(_block_float_forward(blk, Tensor(x)).data)
-    final = 0.0
-    for it in range(iters):
-        j = rng.integers(len(calib_inputs))
-        y = blk(Tensor(calib_inputs[j]))
-        beta = beta_range[0] + (beta_range[1] - beta_range[0]) * it / max(iters - 1, 1)
-        loss = F.mse_loss(y, Tensor(refs[j]))
-        for wq in wqs:
-            loss = loss + reg_weight * wq.reg_loss(beta)
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        final = loss.item()
-    for wq in wqs:
-        wq.soft = False
-    return final
+    for u in units:
+        u.conv.wq.init_from_weight(u.conv.weight.data)
+    return _reconstruct(blk, [u.conv.wq for u in units],
+                        lambda x: _block_float_forward(blk, x), calib_inputs,
+                        iters, lr, reg_weight, beta_range, seed)
 
 
 class PTQTrainer:

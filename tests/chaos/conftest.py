@@ -19,8 +19,10 @@ def pytest_collection_modifyitems(items):
 
 
 def scored_by_catalog(report) -> bool:
-    """Every record scored exactly its catalog row's layers, in row order."""
-    return all(list(r.layers) == list(CATALOG[r.injector].layers)
+    """Every injected record scored exactly its catalog row's layers, in row
+    order (a not-applicable one scored none)."""
+    return all(list(r.layers) == (list(CATALOG[r.injector].layers)
+                                  if r.applicable else [])
                for r in report.records)
 
 
@@ -56,3 +58,21 @@ def compiled_plan():
     d = deploy(qm, DeploySpec(runtime="auto"))
     assert d.plan is not None and d.plan_verification.ok
     return d.plan
+
+
+@pytest.fixture(scope="session")
+def vit_deployed():
+    """One deployed vit-7 (calibrated, not trained): its plan has no
+    conv->conv edge and pads no register.  Tests must never mutate it."""
+    from repro.core import DeploySpec, deploy
+    from repro.core.qconfig import QConfig
+    from repro.core.qmodels import quantize_model
+    from repro.core.t2c import calibrate_model
+    from repro.models import build_model
+
+    rng = np.random.default_rng(7)
+    qm = quantize_model(build_model("vit-7", num_classes=10, embed_dim=64),
+                        QConfig(8, 8))
+    calibrate_model(qm, [rng.standard_normal((4, 3, 32, 32))
+                         .astype(np.float32)])
+    return deploy(qm, DeploySpec())

@@ -7,11 +7,14 @@ the ring after the partition healed (partition).
 """
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.chaos import ChaosPlan, kill_replica
+from repro.chaos import ChaosPlan, kill_replica, partition_replica
 from repro.fleet import Fleet, FleetConfig
+from repro.fleet.router import ROLE_STABLE
 from repro.server import ServerConfig
 from tests.chaos.conftest import scored_by_catalog
 
@@ -72,6 +75,24 @@ def test_partition_replica_heals_and_rejoins():
         assert rec.detected and rec.recovered, report.render()
         assert rec.layers.get("not_replaced"), (
             "a partitioned replica must not be replaced (it will rejoin)")
+    finally:
+        fleet.close()
+
+
+def test_partition_lasts_until_scored():
+    """The partition heals when the harness undoes it, not on a clock: a
+    scorer that first looks a second late (a loaded host) still finds the
+    victim ejected, and it rejoins after the undo."""
+    fleet = _fleet()
+    try:
+        details = partition_replica(fleet, "m", np.random.default_rng(2))
+        time.sleep(1.0)
+        fleet.health_tick()
+        victim = details["replica"]
+        assert victim not in fleet.router.members("m", ROLE_STABLE)
+        details["undo"]()
+        fleet.health_tick()
+        assert victim in fleet.router.members("m", ROLE_STABLE)
     finally:
         fleet.close()
 

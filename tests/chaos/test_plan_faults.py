@@ -36,6 +36,29 @@ class TestCatalog:
         assert report.ok
         assert "plan.accum-overflow" in report.records[0].note
 
+    def test_widen_scale_on_a_vit_plan_is_a_stale_range(self, vit_deployed):
+        """The ViT has no conv->conv edge and every consumer of a requant
+        re-clamps, so no accumulator bound goes stale: the register range
+        the compiler proved for the widened output does, for every requant
+        a later op reads."""
+        plan = vit_deployed.plan
+        read = {s for op in plan.ops for s in op.src}
+        targets = [i for i, op in enumerate(plan.ops)
+                   if getattr(op, "mq", None) is not None and op.dst in read]
+        assert len(targets) == 15   # patch conv + two per block
+        for i in targets:
+            mutant = copy.deepcopy(plan)
+            mq = mutant.ops[i].mq
+            mq.m, mq.lo, mq.hi = mq.m * 16.0, mq.lo * 16.0, mq.hi * 16.0
+            mutant.drop_bindings()
+            stale = [f for f in mutant.verify(refresh=True).findings
+                     if f.rule == "plan.accum-overflow"
+                     and "stale range" in f.message]
+            assert stale, plan.ops[i].name
+        for seed in (0, 1, 2):
+            report = ChaosPlan(seed=seed).add("widen_scale").run(plan)
+            assert report.ok and report.records[0].detected, report.render()
+
     def test_swap_register_breaks_dataflow(self, compiled_plan):
         report = ChaosPlan(seed=5).add("swap_register").run(compiled_plan)
         assert report.ok and report.records[0].layers["verifier"]

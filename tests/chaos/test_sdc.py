@@ -72,6 +72,29 @@ def test_sdc_default_plan_detects_quarantines_heals(deployed_bundle, seed):
     assert 'fleet_sdc_quarantined_total{model="resnet20"} 3' in text
 
 
+def test_sdc_on_a_plan_without_guard_border(vit_deployed):
+    """The ViT pads no register, so its arena has no guard border to flip:
+    ``flip_arena`` is scored not applicable, with its reason, outside the
+    counts, and the other two rows are still injected, caught and healed."""
+    rng = np.random.default_rng(8)
+    fleet = Fleet(FleetConfig(
+        replicas=3, health_interval_s=0.1, golden_every=2, scrub_every=2,
+        server=ServerConfig(max_batch=8, default_deadline_s=2.0,
+                            abft_every=4)))
+    fleet.add_model("vit-7")
+    fleet.register_version("vit-7", "1", vit_deployed)
+    with fleet:
+        report = ChaosPlan.default("sdc", seed=0).run(
+            fleet, "vit-7", rng.standard_normal((3, 32, 32)).astype(np.float32))
+    arena = next(r for r in report.records if r.injector == "flip_arena")
+    assert not arena.applicable and "guard border" in arena.not_applicable
+    assert (report.injected, report.not_applicable) == (2, 1)
+    assert report.detected == report.recovered == 2, report.render()
+    assert report.ok and scored_by_catalog(report)
+    assert report.to_json()["summary"]["not_applicable"] == 1
+    assert "flip_arena       not applicable" in report.render()
+
+
 def test_close_during_inflight_golden_probe_does_not_deadlock():
     """Shutdown race: the health loop's golden probe is waiting on a slow
     replica when ``close()`` lands.  The probe wait is bounded and

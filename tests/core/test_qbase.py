@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.qbase import IdentityQuantizer, QuantSpec, _QBase, fake_quant
+from repro.core.qbase import IdentityQuantizer, QuantSpec, _QBase, fake_quant, grad_scaled
 from repro.core.quantizers import AsymMinMaxQuantizer
 from repro.tensor import Tensor, no_grad
 from tests.substrate_ref import chain_codes, chain_fake_quant, chain_q
@@ -227,3 +227,49 @@ class TestFusedFakeQuant:
         gradcheck(lambda: (fake_quant(x, scale, np.float32(0.0), spec.qlb, spec.qub)
                            ** 2.0).sum(), [x])
         assert x.grad[0, 0] == 0.0 and x.grad[0, 1] == 0.0
+
+
+class TestLearnedScale:
+    """``fake_quant`` with a ``Tensor`` scale: the same forward, and the
+    chain's scale gradient ``g * ((q - zp) - mask * x / s)``."""
+
+    def _run(self, fn, x_np, s_np, zp, g):
+        x = Tensor(x_np.copy(), requires_grad=True)
+        s = Tensor(s_np.copy(), requires_grad=True)
+        out = fn(x, s, np.float32(zp), -8, 7)
+        out.backward(g)
+        return out.data, x.grad, s.grad
+
+    @pytest.mark.parametrize("zp", [0.0, 2.0])
+    def test_matches_the_chain_with_a_tensor_scale(self, rng, zp):
+        s_np = np.array([0.375], dtype=np.float32)
+        x_np = _grid_input(rng, QuantSpec(4, False), s_np[0], zp, (6, 5))
+        g = rng.standard_normal(x_np.shape).astype(np.float32)
+        (out, gx, gs), (ref, ref_gx, ref_gs) = (
+            self._run(fn, x_np, s_np, zp, g) for fn in (fake_quant, chain_fake_quant))
+        assert _same_bits(out, ref)
+        assert _same_bits(out, fake_quant(Tensor(x_np), s_np, np.float32(zp), -8, 7).data)
+        assert _same_bits(gx, ref_gx)
+        # one sum, spelled as two cancelling sums by the chain
+        mass = float(np.abs(g * out).sum()) / float(s_np[0])
+        np.testing.assert_allclose(gs, ref_gs, rtol=0, atol=1e-6 * mass)
+
+    def test_gradcheck(self, gradcheck, rng):
+        """The input's gradient is the numeric one with steps far finer
+        than the finite difference; the scale's is where every code clamps
+        (``q * s`` moves with ``s`` alone)."""
+        x = Tensor(rng.uniform(-2.5, 2.5, size=(3, 4)).astype(np.float32), requires_grad=True)
+        fine = Tensor(np.array([1e-4], dtype=np.float32), requires_grad=True)
+        spec = QuantSpec(16, False)
+        gradcheck(lambda: (fake_quant(x, fine, np.float32(0.0), spec.qlb, spec.qub)
+                           ** 2.0).sum(), [x])
+        s = Tensor(np.array([0.5], dtype=np.float32), requires_grad=True)
+        sat = Tensor(np.array([-30.0, -9.0, 20.0, 45.0], dtype=np.float32))
+        gradcheck(lambda: (fake_quant(sat, s, np.float32(1.0), -8, 7) ** 2.0).sum(), [s])
+
+    def test_grad_scaled_is_exact_forward_scaled_backward(self):
+        p = Tensor(np.array([0.3], dtype=np.float32), requires_grad=True)
+        out = grad_scaled(p, 1152, 7)
+        assert _same_bits(out.data, p.data)
+        (out * 2.0).sum().backward()
+        np.testing.assert_allclose(p.grad, [2.0 / np.sqrt(1152 * 7)], rtol=1e-6)

@@ -333,3 +333,17 @@ def test_group_down_resolves_failed_not_hangs():
         assert not resp.ok and resp.retryable
     finally:
         fleet.close()
+
+
+def test_non_finite_sample_fails_without_failover():
+    """The input contract's non-retryable Failed comes back from the first
+    replica as is: every replica would refuse the same sample."""
+    fleet = make_fleet(replicas=3)
+    with fleet:
+        bad = sample(1.0)
+        bad[1, 3] = np.nan
+        freq = fleet.submit("m", bad)
+        r = freq.result(timeout=5)
+        assert not r.ok and not r.retryable and "non-finite" in r.error
+        assert freq.attempts == 1
+        assert fleet.submit("m", sample(1.0)).result(timeout=5).ok

@@ -144,3 +144,21 @@ def test_op_report_and_reset(deployed_factory):
     assert {r["kind"] for r in rows} >= {"conv_mq", "residual", "gap_mq"}
     plan.reset_op_stats()
     assert all(r["calls"] == 0 for r in plan.op_report())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("body", ["native", "numpy"])
+def test_non_finite_input_is_refused(deployed_factory, no_ckernel, body, value):
+    """The input contract: one non-finite pixel raises a ValueError naming
+    its position, where the cast onto the int8 input grid would have
+    served finite logits the interpreted tree does not give."""
+    d, x, ref = deployed_factory("resnet20")
+    bad = x.copy()
+    bad[1, 2, 5, 7] = value
+    with contextlib.ExitStack() as stack:
+        if body == "numpy":
+            stack.enter_context(no_ckernel())
+        plan = Plan.compile(d.qnn)
+        with pytest.raises(ValueError, match=r"non-finite input .* \(1, 2, 5, 7\)"):
+            plan(bad)
+        assert np.array_equal(plan(x), ref)

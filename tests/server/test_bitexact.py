@@ -8,13 +8,15 @@ requests however load dictates without changing a single bit.
 """
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
 import pytest
 
 from repro.models import MODELS
-from repro.server import ModelRegistry, Server
+from repro.runtime import Plan
+from repro.server import Failed, ModelRegistry, Server
 
 
 def _drive(server, key, samples, refs, n_requests, n_threads=3):
@@ -87,3 +89,26 @@ def test_mixed_models_one_server(served_factory):
             r = p.result(timeout=60)
             assert r.ok and np.array_equal(r.logits, rb[i % len(rb)])
             assert r.model == "vgg8@1"
+
+
+@pytest.mark.parametrize("body", ["native", "numpy"])
+def test_non_finite_sample_rejected_non_retryable(served_factory, no_ckernel, body):
+    """The input contract at the gateway: a sample holding a NaN or an
+    infinity resolves as a non-retryable Failed naming the position (the
+    plan would have served finite logits for it); its peers are served
+    bitwise."""
+    d, samples, refs = served_factory("resnet20")
+    with contextlib.ExitStack() as stack:
+        if body == "numpy":
+            stack.enter_context(no_ckernel())
+        reg = ModelRegistry()
+        reg.register("m", "1", runner=Plan.compile(d.qnn))
+        with Server(reg, max_batch=4, default_deadline_s=5.0) as srv:
+            for value in (np.nan, np.inf, -np.inf):
+                bad = samples[0].copy()
+                bad[2, 5, 7] = value
+                r = srv.submit("m", bad).result(timeout=10)
+                assert isinstance(r, Failed) and not r.retryable, r
+                assert "non-finite" in r.error and "(2, 5, 7)" in r.error
+            good = srv.submit("m", samples[1]).result(timeout=10)
+    assert good.ok and np.array_equal(good.logits, refs[1])

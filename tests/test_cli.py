@@ -183,9 +183,13 @@ class TestIntegrityCLI:
         assert main(["chaos", "--dir", out, "--seed", "11", "--json"]) == 0
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
-        injected = [f["injector"] for f in payload["faults"]]
+        injected = [f["injector"] for f in payload["faults"]
+                    if f["not_applicable"] is None]
         assert injected == ["flip_bits", "truncate_file", "stale_manifest"]
-        assert "skipping corrupt_header" in captured.err
+        skipped = [f for f in payload["faults"] if f["not_applicable"]]
+        assert [f["injector"] for f in skipped] == ["corrupt_header"]
+        assert "no qint header" in skipped[0]["not_applicable"]
+        assert payload["summary"]["not_applicable"] == 1
 
     @pytest.mark.parametrize("rounds", ["0", "-1"])
     def test_chaos_rejects_rounds_below_one(self, tmp_path, rounds):
