@@ -280,18 +280,15 @@ def widen_scale(plan, rng: np.random.Generator,) -> Dict:
     Models a post-compile parameter patch that silently widens an
     activation range: the register range and every downstream accumulator
     bound the compiler certified are now stale, which the verifier's
-    interval re-propagation must catch as ``plan.accum-overflow``.  The
-    target's output is read by a later op: a widened output requant (the
-    logits) stays inside every range a static proof can check.
+    interval re-propagation must catch as ``plan.accum-overflow``.
     """
     fed = {op.src[0] for op in plan.ops
            if op.kind == "conv_mq" and op.src}
     convs = [(i, op) for i, op in enumerate(plan.ops)
              if op.kind == "conv_mq" and op.dst in fed]
-    if not convs:  # no conv->conv edge (the ViT, tiny test plans)
-        read = {s for op in plan.ops for s in op.src}
+    if not convs:  # no conv->conv edge (the ViT, tiny test plans): any mq op
         convs = [(i, op) for i, op in enumerate(plan.ops)
-                 if getattr(op, "mq", None) is not None and op.dst in read]
+                 if getattr(op, "mq", None) is not None]
     i, op = _pick(rng, convs)
     factor = float(2 ** int(rng.integers(4, 8)))
     op.mq.m = op.mq.m * factor

@@ -2,8 +2,8 @@
 
 The quantizer owns the scaling factor and zero point as registered buffers and
 exposes two computation paths over one quantize chain
-(:meth:`_QBase.quantize`: transform, divide by the scale, round, clamp to the
-grid, dequantize):
+(:meth:`_QBase.quantize`: divide the transformed input by the scale, round,
+clamp to the grid, dequantize):
 
 * **training path** (``trainFunc``) — fake quantization: the chain with a
   straight-through estimator, so gradients flow.
@@ -12,11 +12,12 @@ grid, dequantize):
 
 A quantizer states three things once, and both paths (and the telemetry
 audit) read them: its integer ``grid()``, its ``qscale()`` — the ``scale``
-buffer, or a ``Tensor`` when the step is learnable — and an optional
-``transform()`` of the input before it is quantized.  A method that departs
-from the chain on purpose in training (AdaRound's soft gate, QDrop's random
-drop, stochastic rounding) overrides ``trainFunc`` alone; its integer path
-is still the chain's.
+buffer, or a learnable ``Tensor`` that training copies into the buffer the
+integer path reads — and an optional ``transform()`` of the input before it
+is quantized; codes other than round-to-nearest override ``codes()``
+(AdaRound's hard gate).  A method that departs from the chain on purpose in
+training (AdaRound's soft gate, QDrop's random drop, stochastic rounding)
+overrides ``trainFunc`` alone; its integer path is still the chain's.
 
 The global switch is the ``deploy`` flag, toggled model-wide by
 :meth:`repro.core.t2c.T2C`.  Calibration (PTQ range estimation) is a third
@@ -68,7 +69,8 @@ def _rounded(x: np.ndarray, s: np.ndarray, zp: np.ndarray) -> np.ndarray:
 
 
 def fake_quant(x: Tensor, scale, zero_point, lo: float, hi: float,
-               dequant: bool = True, audit: Module = None) -> Tensor:
+               dequant: bool = True, audit: Module = None,
+               codes=_rounded) -> Tensor:
     """Fused ``clamp(round_ste(x / s + zp), lo, hi)``, then ``(q - zp) * s``
     when ``dequant``: one graph node whose forward runs the composed chain's
     float32 ops in the same order, in place on one buffer.  The backward
@@ -77,12 +79,12 @@ def fake_quant(x: Tensor, scale, zero_point, lo: float, hi: float,
     directions are bitwise the six-node composition's.
 
     A learnable ``scale`` is a ``Tensor``; it receives the chain's gradient
-    ``g * ((q - zp) - mask * x / s)``, summed to its shape.  An ``audit``
-    module gets the count of rounded codes the grid clamps (telemetry).
+    ``g * ((q - zp) - mask * x / s)``, summed to its shape.  ``codes`` gives
+    the pre-clamp codes; an ``audit`` module counts those clamped (telemetry).
     """
     learned = scale if isinstance(scale, Tensor) and scale.requires_grad else None
     s, zp, lo, hi = _as_array(scale), _as_array(zero_point), float(lo), float(hi)
-    v = _rounded(x.data, s, zp)
+    v = codes(x.data, s, zp)
     if audit is not None:
         clipped = int(np.count_nonzero((v < lo) | (v > hi)))
         _record_saturation(audit, "quantizer", clipped, int(v.size))
@@ -169,31 +171,34 @@ class _QBase(Module):
         return self.qlb, self.qub
 
     def qscale(self, x: Tensor):
-        """The step ``x`` is quantized with: the ``scale`` buffer, or a
-        ``Tensor`` when the step is learnable (the chain copies it into the
-        buffer, which :meth:`dq` and the fuser read)."""
+        """The step the training path quantizes ``x`` with: the ``scale``
+        buffer, or a ``Tensor`` when the step is learnable (copied into the
+        buffer, which the integer path, :meth:`dq` and the fuser read)."""
         return self.scale.data
 
     def transform(self, x: Tensor) -> Tensor:
         """The input transform applied before quantizing (none)."""
         return x
 
+    def codes(self, x: np.ndarray, s, zp) -> np.ndarray:
+        """The pre-clamp codes of the transformed input (a fresh buffer)."""
+        return _rounded(x, s, zp)
+
     # ------------------------------------------------------------ two paths
-    def quantize(self, x: Tensor, dequant: bool = True, audit: bool = False) -> Tensor:
-        """The one quantize chain both paths run (:func:`fake_quant` over the
-        stated transform, scale and grid)."""
-        xt = self.transform(x)   # before qscale: it may initialise the scale
-        s = self.qscale(x)
+    def quantize(self, xt: Tensor, s, dequant: bool = True, audit: bool = False) -> Tensor:
+        """The one chain both paths run: :func:`fake_quant` of the transformed
+        input ``xt`` by step ``s`` (a learnable one is copied into the
+        buffer) over :meth:`codes` and :meth:`grid`."""
         if isinstance(s, Tensor):
             self.set_scale(s.data.reshape(self.scale.data.shape))
         lo, hi = self.grid()
         return fake_quant(xt, s, self.zero_point.data, lo, hi, dequant,
-                          self if audit else None)
+                          self if audit else None, self.codes)
 
     def q(self, x: Tensor) -> Tensor:
         """Quantize to the integer grid (rounding, no dequant, no grad)."""
         with no_grad():
-            return self.quantize(x, dequant=False)
+            return self.quantize(self.transform(x), self.scale.data, False)
 
     def dq(self, xq: Tensor) -> Tensor:
         """Map integers back to the float domain."""
@@ -206,14 +211,14 @@ class _QBase(Module):
         Subclasses that compute their scale from data set it and then call
         this; a by-design training-time departure overrides it outright.
         """
-        return self.quantize(x)
+        return self.quantize(self.transform(x), self.qscale(x))
 
     def evalFunc(self, x: Tensor) -> Tensor:
-        """Inference path: low-precision integers only (paper Fig. 2)."""
-        if not _telemetry_state.enabled():
-            return self.q(x.detach())
-        with no_grad():   # q()'s chain, auditing the codes the grid clamps
-            return self.quantize(x.detach(), dequant=False, audit=True)
+        """Inference path: low-precision integers only (paper Fig. 2), the
+        codes the grid clamps counted when telemetry is on."""
+        with no_grad():
+            return self.quantize(self.transform(x.detach()), self.scale.data,
+                                 False, _telemetry_state.enabled())
 
     def observeFunc(self, x: Tensor) -> None:
         """Calibration hook: update range statistics (PTQ)."""

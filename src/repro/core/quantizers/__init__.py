@@ -1,10 +1,11 @@
 """Quantizer zoo built on the ``_QBase`` dual-path template.
 
-Every quantizer states its grid, its scale and its input transform once, and
-``_QBase`` runs the one quantize chain over them for training and inference
-alike, so T2C converts it to integer-only inference automatically — the
-paper's central workflow claim.  ``trainFunc`` is overridden only for
-training-time departures by design (AdaRound's soft gate, QDrop's drop).
+Every quantizer states its grid, its scale and its input transform (AdaRound:
+its codes) once, and ``_QBase`` runs the one quantize chain over them for
+training and inference alike, so T2C converts it to integer-only inference
+automatically — the paper's central workflow claim.  ``trainFunc`` is
+overridden only for training-time departures by design (AdaRound's soft
+gate, QDrop's drop) or to compute a shared value once (PACT's clip level).
 """
 from repro.core.qbase import _QBase, IdentityQuantizer
 from repro.core.quantizers.asymmetric import AsymMinMaxQuantizer

@@ -5,8 +5,7 @@ down through a rectified-sigmoid gate ``h(alpha)`` optimized against a
 layer-wise reconstruction loss (paper Eq. 5/6):
 
 * training path:   ``Wq = floor(W / S) + h(alpha)``     (soft, differentiable)
-* inference path:  ``Wq = floor(W / S) + (alpha >= 0)`` (hard, integer), the
-  input transform of the shared quantize chain
+* inference path:  ``Wq = floor(W / S) + (alpha >= 0)`` (hard: its ``codes``)
 
 This quantizer demonstrates the paper's point that Torch2Chip accommodates
 adaptive methods that PyTorch's fixed nearest-rounding API cannot express:
@@ -63,19 +62,18 @@ class AdaRoundQuantizer(_QBase):
         return (1.0 - (2.0 * h - 1.0).abs() ** beta).sum()
 
     # -------------------------------------------------------------- paths
-    def _floor(self, x: Tensor) -> np.ndarray:
+    def _floor(self, w: np.ndarray) -> np.ndarray:
         if self.alpha is None:
-            self.init_from_weight(x.data)
-        return np.floor(x.data / self.scale.data)
+            self.init_from_weight(w)
+        return np.floor(w / self.scale.data)
 
-    def transform(self, x: Tensor) -> Tensor:
-        """The hard code ``floor(W / S) + (alpha >= 0)``, pruned weights
-        pinned to 0, on ``x``'s scale."""
-        code = (self._floor(x) + (self.alpha.data >= 0)) * self._nonzero
-        return Tensor(code * self.scale.data)
+    def codes(self, x: np.ndarray, s, zp) -> np.ndarray:
+        """Hard codes ``floor(W / S) + (alpha >= 0)``, pruned weights at 0."""
+        return (self._floor(x) + (self.alpha.data >= 0)) * self._nonzero
 
     def trainFunc(self, x: Tensor) -> Tensor:
-        if not self.soft:
-            return super().trainFunc(x)
-        wq = (Tensor(self._floor(x)) + self.h()).clamp(self.qlb, self.qub)
+        floor = self._floor(x.data)
+        if not self.soft:   # the hard gate: no gradient, as deployed
+            return super().trainFunc(x.detach())
+        wq = (Tensor(floor) + self.h()).clamp(self.qlb, self.qub)
         return wq * Tensor(self._nonzero) * float(self.scale.data)

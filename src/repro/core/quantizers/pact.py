@@ -27,12 +27,13 @@ class ClipQuantizer(_QBase):
     def clip_level(self, x: Tensor) -> Tensor:
         return self.alpha.clamp(1e-4)  # keep the threshold positive
 
-    def qscale(self, x: Tensor) -> Tensor:
-        return self.clip_level(x) * (1.0 / self.qub)
-
-    def transform(self, x: Tensor) -> Tensor:
-        alpha = self.clip_level(x)
+    def transform(self, x: Tensor, alpha: Tensor = None) -> Tensor:
+        alpha = self.clip_level(x) if alpha is None else alpha
         return minimum(x.relu() if self.unsigned else maximum(x, -alpha), alpha)
+
+    def trainFunc(self, x: Tensor) -> Tensor:
+        alpha = self.clip_level(x)   # once: the clip and the learnable step
+        return self.quantize(self.transform(x, alpha), alpha * (1.0 / self.qub))
 
 
 class PACTQuantizer(ClipQuantizer):

@@ -31,7 +31,7 @@ class QDropQuantizer(MinMaxQuantizer):
         self._rng = np.random.default_rng(seed)
 
     def trainFunc(self, x: Tensor) -> Tensor:
-        fq = self.quantize(x)
+        fq = self.quantize(x, self.scale.data)
         if self.drop_enabled and self.p > 0:
             keep_fp = Tensor((self._rng.random(x.shape) < self.p).astype(np.float32))
             return where(keep_fp.data.astype(bool), x, fq)

@@ -144,3 +144,20 @@ def accum_bounds(weight2d: np.ndarray, x: Interval) -> Interval:
     wpos = np.clip(w, 0.0, None).sum(axis=1)
     wneg = np.clip(w, None, 0.0).sum(axis=1)
     return Interval(wpos * lo + wneg * hi, wpos * hi + wneg * lo)
+
+
+def requant(v: Interval, mq) -> Interval:
+    """Image of a MulQuant requant (an ``MQParams``: ``clamp(round(v * m +
+    b), lo, hi)``), per channel where ``v`` and the scale line up."""
+    m = mq.m
+    if v.lo.size == m.size and m.ndim <= 1:
+        v = Interval(v.lo.reshape(m.shape), v.hi.reshape(m.shape))
+    else:
+        v = v.scalar()
+    v = v.scale(m)
+    try:
+        v = Interval(v.lo + mq.b, v.hi + mq.b)
+    except ValueError:  # bias table not broadcastable against the bounds
+        lo, hi = v.bounds()
+        v = Interval(lo + float(np.min(mq.b)), hi + float(np.max(mq.b)))
+    return v.round_half_away().clamp(mq.lo, mq.hi)

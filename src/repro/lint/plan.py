@@ -53,7 +53,8 @@ from repro.lint.findings import (
     reaches_severity,
     render_findings,
 )
-from repro.lint.intervals import Interval, accum_bounds, min_signed_bits
+from repro.lint.intervals import (Interval, accum_bounds, min_signed_bits,
+                                  requant)
 from repro.runtime.kernels import (EXACT_F32_LIMIT, EXACT_F64_LIMIT,
                                    EXACT_I32_LIMIT)
 
@@ -473,22 +474,6 @@ class _PlanVerifier:
             return Interval.grid(-1.0, 1.0)  # keep walking with a token range
         return x
 
-    @staticmethod
-    def _requant(v: Interval, mq) -> Interval:
-        """Mirror the engine's MulQuant interval math on an MQParams."""
-        m = mq.m
-        if v.lo.size == m.size and m.ndim <= 1:
-            v = Interval(v.lo.reshape(m.shape), v.hi.reshape(m.shape))
-        else:
-            v = v.scalar()
-        v = v.scale(m)
-        try:
-            v = Interval(v.lo + mq.b, v.hi + mq.b)
-        except ValueError:  # bias table not broadcastable against the bounds
-            lo, hi = v.bounds()
-            v = Interval(lo + float(np.min(mq.b)), hi + float(np.max(mq.b)))
-        return v.round_half_away().clamp(mq.lo, mq.hi)
-
     def propagate(self) -> None:
         # ViT plans always carry the tokens op; scan it up front so the
         # attention context bound knows the sequence length (same derivation
@@ -527,7 +512,7 @@ class _PlanVerifier:
         return Interval.grid(op.qlb, op.qub)
 
     def _h_conv_mq(self, i, op) -> Interval:
-        return self._requant(self._conv_accum(i, op), op.mq)
+        return requant(self._conv_accum(i, op), op.mq)
 
     def _conv_accum(self, i, op) -> Interval:
         """The conv proof shared by both conv kinds: accumulator row,
@@ -618,10 +603,10 @@ class _PlanVerifier:
         the unfused chain — conv accumulator row under the conv's name,
         residual accumulator row under the original residual op's name — so
         fusion changes no row the report (or the module cross-check) sees."""
-        a = self._requant(self._conv_accum(i, op), op.mq).scalar()
+        a = requant(self._conv_accum(i, op), op.mq).scalar()
         s = self._input(i, op, 1).scalar()
         if op.smq is not None:
-            s = self._requant(s, op.smq).scalar()
+            s = requant(s, op.smq).scalar()
         merged = a + s
         self.record_accum(op.res_name, "residual", merged)
         return (merged.divide(op.res_scale).round_half_away()
@@ -632,10 +617,10 @@ class _PlanVerifier:
         w2d = op.weight.reshape(op.weight.shape[0], -1)
         acc = accum_bounds(w2d, x)
         self.record_accum(op.name, "linear_mq", acc)
-        return self._requant(acc, op.mq)
+        return requant(acc, op.mq)
 
     def _h_mulquant(self, i, op) -> Interval:
-        return self._requant(self._input(i, op), op.mq)
+        return requant(self._input(i, op), op.mq)
 
     def _h_residual(self, i, op) -> Interval:
         a = self._input(i, op, 0).scalar()
@@ -649,7 +634,7 @@ class _PlanVerifier:
 
     def _h_gap_mq(self, i, op) -> Interval:
         # mean of values in [lo, hi] stays in [lo, hi]; mq re-rounds it
-        return self._requant(self._input(i, op).scalar(), op.mq)
+        return requant(self._input(i, op).scalar(), op.mq)
 
     def _h_tokens(self, i, op) -> Interval:
         x = self._input(i, op)
@@ -661,12 +646,12 @@ class _PlanVerifier:
         x = self._input(i, op).scalar()
         acc = accum_bounds(op.qkv_w.reshape(op.qkv_w.shape[0], -1), x)
         self.record_accum(f"{op.name}.qkv", "linear_mq", acc)
-        t = self._requant(acc, op.mq_qkv).scalar()
+        t = requant(acc, op.mq_qkv).scalar()
         q = k = v = t  # q/k/v share the clamp range of mq_qkv
 
         scores = (q * k).scale(float(op.head_dim))
         self.record_accum(f"{op.name}.scores", "matmul_qk", scores)
-        s = self._requant(scores, op.mq_score)
+        s = requant(scores, op.mq_score)
 
         span = len(op.softmax_table) - 1
         s_lo, s_hi = s.bounds()
@@ -694,17 +679,17 @@ class _PlanVerifier:
         ctx_lo = s_max * v_lo if v_lo <= 0 else s_min * v_lo
         ctx = Interval(ctx_lo, ctx_hi)
         self.record_accum(f"{op.name}.context", "matmul_attn_v", ctx)
-        c = self._requant(ctx, op.mq_ctx).scalar()
+        c = requant(ctx, op.mq_ctx).scalar()
 
         acc = accum_bounds(op.proj_w.reshape(op.proj_w.shape[0], -1), c)
         self.record_accum(f"{op.name}.proj", "linear_mq", acc)
-        return self._requant(acc, op.mq_proj)
+        return requant(acc, op.mq_proj)
 
     def _h_mlp(self, i, op) -> Interval:
         x = self._input(i, op).scalar()
         acc = accum_bounds(op.fc1_w.reshape(op.fc1_w.shape[0], -1), x)
         self.record_accum(f"{op.name}.fc1", "linear_mq", acc)
-        h = self._requant(acc, op.mq_fc1)
+        h = requant(acc, op.mq_fc1)
         h_lo, h_hi = h.bounds()
         if h_lo < op.gelu_qlb or h_hi > op.gelu_qub:
             self.finding("contract.bitwidth-mismatch", self._site(i, op),
@@ -713,13 +698,13 @@ class _PlanVerifier:
         g = Interval.of_array(op.gelu_table)  # exact: the table is the layer
         acc = accum_bounds(op.fc2_w.reshape(op.fc2_w.shape[0], -1), g)
         self.record_accum(f"{op.name}.fc2", "linear_mq", acc)
-        return self._requant(acc, op.mq_fc2)
+        return requant(acc, op.mq_fc2)
 
     def _h_head(self, i, op) -> Interval:
         x = self._input(i, op).scalar()
         acc = accum_bounds(op.weight.reshape(op.weight.shape[0], -1), x)
         self.record_accum(f"{op.name}.linear", "linear_mq", acc)
-        return self._requant(acc, op.mq)
+        return requant(acc, op.mq)
 
     def _h_call_module(self, i, op) -> Interval:
         mod = op.module

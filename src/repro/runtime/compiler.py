@@ -116,13 +116,23 @@ class _Builder:
         if model.mq_pool is None:
             raise CompileError("mq_pool missing — model is not fully fused")
         dst = self.new_reg()
-        pooled = self.emit(GapMQOp(self.name_of(model.mq_pool), (src,), dst,
-                                   kernels.MQParams.of(model.mq_pool)))
+        mq = model.mq_pool
+        pooled = self.emit(GapMQOp(self.name_of(mq), (src,), dst,
+                                   kernels.MQParams.of(mq)),
+                           out_range=(mq.out_lo, mq.out_hi))
         fc = model.fc
-        out = self.new_reg()
-        return self.emit(LinearMQOp(self.name_of(fc), (pooled,), out,
-                                    fc.linear.weight.data,
-                                    kernels.MQParams.of(fc.mq)))
+        return self.logits(LinearMQOp(self.name_of(fc), (pooled,), self.new_reg(),
+                                      fc.linear.weight.data, kernels.MQParams.of(fc.mq)))
+
+    def logits(self, op) -> int:
+        """Emit the classifier op with the range its requant gives the
+        accumulator bound over its input: no later op re-clamps the logits,
+        so a patched scale shows only against this range."""
+        from repro.lint.intervals import Interval, accum_bounds, requant
+
+        acc = accum_bounds(op.weight.reshape(op.weight.shape[0], -1),
+                           Interval.grid(*self.ranges[op.src[0]]))
+        return self.emit(op, out_range=requant(acc, op.mq).bounds())
 
 
 # ------------------------------------------------------------ architectures
@@ -182,7 +192,8 @@ def _ln(b: _Builder, unit, src: int) -> int:
                                "without a fused MulQuant")
         return b.mulquant(unit.mq, src)
     dst = b.new_reg()
-    return b.emit(CallModuleOp(b.name_of(unit), (src,), dst, unit))
+    return b.emit(CallModuleOp(b.name_of(unit), (src,), dst, unit),
+                  out_range=(unit.out_qlb, unit.out_qub))
 
 
 def _compile_vit(b: _Builder) -> int:
@@ -218,9 +229,8 @@ def _compile_vit(b: _Builder) -> int:
         r = b.residual(blk, mo, s2, blk.res_scale, (blk.rq2.qlb, blk.rq2.qub))
     r = _ln(b, m.norm, r)
     head = m.head
-    out = b.new_reg()
-    return b.emit(HeadOp(b.name_of(head), (r,), out, head.linear.weight.data,
-                         kernels.MQParams.of(head.mq)))
+    return b.logits(HeadOp(b.name_of(head), (r,), b.new_reg(), head.linear.weight.data,
+                           kernels.MQParams.of(head.mq)))
 
 
 def lower(qnn) -> Tuple[List, int, int]:

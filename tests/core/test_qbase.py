@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.qbase import IdentityQuantizer, QuantSpec, _QBase, fake_quant, grad_scaled
 from repro.core.quantizers import AsymMinMaxQuantizer
 from repro.tensor import Tensor, no_grad
@@ -273,3 +274,30 @@ class TestLearnedScale:
         assert _same_bits(out.data, p.data)
         (out * 2.0).sum().backward()
         np.testing.assert_allclose(p.grad, [2.0 / np.sqrt(1152 * 7)], rtol=1e-6)
+
+    @pytest.mark.parametrize("name", ["lsq", "pact", "rcf_act"])
+    def test_integer_path_reads_the_scale_buffer(self, rng, name):
+        """Training copies a learnable step into the ``scale`` buffer; the
+        integer path reads the buffer (the scale the fuser builds on) and
+        leaves it alone, also after the learnable moved without a forward
+        (an optimizer step)."""
+        from repro.core.quantizers import QUANTIZERS
+        q = QUANTIZERS[name](nbit=4, unsigned=True)
+        x = Tensor(rng.uniform(0.0, 3.0, size=(4, 8)).astype(np.float32))
+        q.trainFunc(x)
+        s = q.scale.data.copy()
+        learnable = q.step if name == "lsq" else q.alpha
+        learnable.data = learnable.data * 2.0
+        with no_grad():
+            expected = fake_quant(q.transform(x), s, q.zero_point.data,
+                                  *q.grid(), dequant=False).data
+        for deploy, telemetry_on in ((False, False), (True, False), (True, True)):
+            q.deploy = deploy
+            prev = telemetry.set_enabled(telemetry_on)
+            try:
+                codes = (q(x) if deploy else q.q(x)).data
+            finally:
+                telemetry.set_enabled(prev)
+                telemetry.get_registry().clear()
+            assert _same_bits(q.scale.data, s)
+            assert _same_bits(codes, expected)
